@@ -34,17 +34,24 @@ from typing import Any, Callable, Sequence
 
 from repro.cancellation import CancellationToken
 from repro.cluster.partition import Partitioner
-from repro.cluster.sharded import ShardedEngine, concat_tables
+from repro.cluster.sharded import ShardedEngine, align_tables, concat_tables
 from repro.compiler.passes.pushdown import predicate_key_values
 from repro.stores.relational.expressions import Expression
 from repro.datamodel.schema import Column, DataType, Schema
-from repro.datamodel.table import Table
+from repro.datamodel.table import Row, Table
 from repro.middleware.adapters import Adapter, adapter_for
 from repro.middleware.feedback.stats import RuntimeStats
 from repro.obs import Observability
 from repro.ir.nodes import Operator
 from repro.stores.base import Engine
-from repro.stores.relational.operators import AggregateSpec
+from repro.stores.relational.operators import (
+    AggregateSpec,
+    TableScan,
+    TopK,
+    aggregate_dtype,
+    column_reader,
+    tuple_reader,
+)
 
 #: Leaf reads that fan out across every shard (engine state is partitioned).
 LEAF_KINDS = frozenset({
@@ -532,32 +539,28 @@ def combine_partial_aggregates(parts: Sequence[Table], group_by: Sequence[str],
 
     Groups appearing on several shards are combined; SQL null semantics are
     preserved (``sum``/``min``/``max`` over no non-null values stay ``None``).
+    The result's schema comes from the partials' plan-typed schemas and the
+    combine rules, never from the combined values.
     """
-    grouped: dict[tuple, dict[str, Any]] = {}
-    order: list[tuple] = []
+    partial_names = [name for combine in combines for name in combine.partials]
+    grouped: dict[tuple, list[list[Any]]] = {}
     for part in parts:
-        for row in part.to_dicts():
-            key = tuple(row.get(name) for name in group_by)
-            if key not in grouped:
-                grouped[key] = {name: [] for combine in combines
-                                for name in combine.partials}
-                order.append(key)
-            for combine in combines:
-                for name in combine.partials:
-                    grouped[key][name].append(row.get(name))
-    rows: list[dict[str, Any]] = []
-    for key in order:
-        out: dict[str, Any] = dict(zip(group_by, key))
-        partials = grouped[key]
-        for combine in combines:
-            out[combine.alias] = _combine_one(combine, partials)
-        rows.append(out)
-    if not group_by and not rows:
-        rows.append({combine.alias: 0 if combine.function == "count" else None
-                     for combine in combines})
-    if rows:
-        return Table.from_dicts(rows)
-    return Table(_aggregate_schema(parts, group_by, combines), [])
+        key_of = tuple_reader(part.schema, group_by)
+        partials_of = tuple_reader(part.schema, partial_names)
+        for row in part.rows:
+            slots = grouped.get(key := key_of(row))
+            if slots is None:
+                slots = grouped[key] = [[] for _ in partial_names]
+            for slot, value in zip(slots, partials_of(row)):
+                slot.append(value)
+    if not group_by and not grouped:
+        grouped[()] = [[] for _ in partial_names]
+    rows = []
+    for key, slots in grouped.items():
+        partials = dict(zip(partial_names, slots))
+        rows.append(key + tuple(_combine_one(combine, partials)
+                                for combine in combines))
+    return Table.wrap(_aggregate_schema(parts, group_by, combines), rows)
 
 
 def _combine_one(combine: CombineSpec, partials: dict[str, list[Any]]) -> Any:
@@ -579,19 +582,22 @@ def _combine_one(combine: CombineSpec, partials: dict[str, list[Any]]) -> Any:
 
 def _aggregate_schema(parts: Sequence[Table], group_by: Sequence[str],
                       combines: Sequence[CombineSpec]) -> Schema:
-    """Typed schema for an empty combined-aggregate result.
+    """Typed schema of a combined-aggregate result.
 
     Group columns take their dtype from whichever shard partial carries
-    them.  Aggregate columns derive theirs from the *source* column's dtype
-    in the shard partial tables (``min``/``max`` preserve it, ``sum`` of
-    ints stays int) — hardcoding FLOAT here mistyped ``min``/``max`` over
-    string and int columns whenever every shard came back empty.
+    them.  Aggregate columns follow the single-node rule
+    (:func:`~repro.stores.relational.operators.aggregate_dtype`) applied to
+    the partial column, whose own plan-typed dtype already derives from the
+    source column (``min``/``max`` preserve it, ``sum`` of ints stays int).
     """
     columns: list[Column] = []
     for name in group_by:
         columns.append(_part_column(parts, name) or Column(name, DataType.STRING))
     for combine in combines:
-        columns.append(Column(combine.alias, _combine_dtype(parts, combine)))
+        source = _part_column(parts, combine.partials[0]) \
+            or _part_column(parts, combine.column)
+        columns.append(Column(combine.alias,
+                              aggregate_dtype(combine.function, source)))
     return Schema(columns)
 
 
@@ -602,23 +608,6 @@ def _part_column(parts: Sequence[Table], name: str | None) -> Column | None:
         if name in part.schema:
             return part.schema[name]
     return None
-
-
-def _combine_dtype(parts: Sequence[Table], combine: CombineSpec) -> DataType:
-    if combine.function == "count":
-        return DataType.INT
-    if combine.function == "avg":
-        return DataType.FLOAT
-    # Prefer the partial column's dtype (present when a shard produced a
-    # typed partial table), then the source column's dtype from the shard
-    # input schemas the empty partials carry.
-    source = _part_column(parts, combine.partials[0]) \
-        or _part_column(parts, combine.column)
-    if source is None:
-        return DataType.FLOAT
-    if combine.function == "sum" and source.dtype is DataType.BOOL:
-        return DataType.INT  # Python sums booleans to int, as SQL does
-    return source.dtype
 
 
 # -- order-preserving merges ----------------------------------------------------------
@@ -635,16 +624,16 @@ def _ordered_merge(parts: Sequence[Table], by: str, descending: bool, *,
     non_empty = [part for part in parts if len(part)]
     if not non_empty:
         return parts[0] if parts else Table(Schema([Column(by, DataType.FLOAT)]), [])
+    schema, runs = align_tables(non_empty)
+    read = column_reader(schema, by)
 
-    def key(row: dict[str, Any]) -> tuple:
-        value = row.get(by)
+    def key(row: Row) -> tuple:
+        value = read(row)
         if stringify and value is not None:
             return (True, str(value))
         return (value is not None, value)
 
-    runs = [part.to_dicts() for part in non_empty]
-    merged = list(heapq.merge(*runs, key=key, reverse=descending))
-    return Table.from_dicts(merged)
+    return Table.wrap(schema, list(heapq.merge(*runs, key=key, reverse=descending)))
 
 
 def _global_top_k(parts: Sequence[Table], by: str, k: int, descending: bool) -> Table:
@@ -661,19 +650,12 @@ def _global_top_k(parts: Sequence[Table], by: str, k: int, descending: bool) -> 
     stable order is the global insertion order partitioning destroyed.
     Unique sort keys reproduce single-node output exactly; see DESIGN.md.
     """
-    candidates = (row for part in parts for row in part.to_dicts()
-                  if row.get(by) is not None)
-    if k <= 0:
-        kept: list[dict[str, Any]] = []
-    elif descending:
-        kept = heapq.nlargest(k, candidates, key=lambda r: r[by])
-    else:
-        kept = heapq.nsmallest(k, candidates, key=lambda r: r[by])
-    if kept:
-        return Table.from_dicts(kept)
-    if parts:
-        return Table(parts[0].schema, [])
-    return Table(Schema([Column(by, DataType.FLOAT)]), [])
+    if not parts:
+        return Table(Schema([Column(by, DataType.FLOAT)]), [])
+    # The single-node operator over the shard-ordered concatenation is
+    # exactly that selection.
+    return TopK(TableScan(concat_tables(parts)), by, max(k, 0),
+                descending=descending).to_table()
 
 
 def _rerank_search(parts: Sequence[Table], top_k: int) -> Table:
@@ -684,13 +666,11 @@ def _rerank_search(parts: Sequence[Table], top_k: int) -> Table:
     default to.  Rankings can deviate from a single-node index when term
     distribution is very skewed across shards; see DESIGN.md.
     """
-    rows: list[dict[str, Any]] = []
-    for part in parts:
-        rows.extend(part.to_dicts())
-    rows.sort(key=lambda r: float(r.get("score") or 0.0), reverse=True)
-    kept = rows[:top_k]
-    if kept:
-        return Table.from_dicts(kept)
-    return parts[0] if parts else Table(
-        Schema([Column("doc_id", DataType.STRING),
-                Column("score", DataType.FLOAT)]), [])
+    if not parts:
+        return Table(Schema([Column("doc_id", DataType.STRING),
+                             Column("score", DataType.FLOAT)]), [])
+    merged = concat_tables(parts)
+    score = column_reader(merged.schema, "score")
+    ranked = sorted(merged.rows, key=lambda row: float(score(row) or 0.0),
+                    reverse=True)
+    return Table.wrap(merged.schema, ranked[:top_k])

@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.cluster.partition import HashPartitioner, Partitioner
 from repro.datamodel.schema import Column, DataType, Schema
-from repro.datamodel.table import Table
+from repro.datamodel.table import Row, Table
 from repro.exceptions import ConfigurationError, StorageError
 from repro.stores.base import Capability, DataModel, Engine
 from repro.stores.changelog import DeltaBatch, table_scope
@@ -904,25 +904,38 @@ class ShardedEngine(Engine):
                 f"model={self.data_model.value})")
 
 
-def concat_tables(parts: Sequence[Table]) -> Table:
-    """Union-all of per-shard tables, tolerant of empty parts.
+def align_tables(parts: Sequence[Table]) -> tuple[Schema, list[list[Row]]]:
+    """One schema for all ``parts`` plus each part's rows laid out in it.
 
-    Falls back to a dict-level rebuild when inferred schemas disagree (e.g.
-    one shard inferred INT where another saw FLOAT).
+    Relational shards share a plan-typed schema and their row lists come back
+    as they are.  Schemaless stores (key/value) type each shard's table from
+    that shard's own records, so the parts may disagree: the common schema is
+    then the union of the parts' columns (first declaration wins) and rows
+    are re-laid out positionally, ``None`` where a part lacks a column.
     """
+    schema = parts[0].schema
+    if all(part.schema == schema for part in parts):
+        return schema, [part.rows for part in parts]
+    columns: dict[str, Column] = {}
+    for part in parts:
+        for column in part.schema:
+            columns.setdefault(column.name, column)
+    schema = Schema(columns.values())
+    aligned = []
+    for part in parts:
+        picks = [part.schema.index_of(name) if name in part.schema else None
+                 for name in schema.names]
+        aligned.append([tuple(None if i is None else row[i] for i in picks)
+                        for row in part.rows])
+    return schema, aligned
+
+
+def concat_tables(parts: Sequence[Table]) -> Table:
+    """Union-all of per-shard tables, tolerant of empty parts."""
     if not parts:
         raise ConfigurationError("cannot concatenate zero shard results")
     non_empty = [part for part in parts if len(part)]
     if not non_empty:
         return parts[0]
-    base = non_empty[0]
-    try:
-        result = base
-        for part in non_empty[1:]:
-            result = result.concat(part)
-        return result
-    except Exception:  # noqa: BLE001 - schema drift between shards
-        rows: list[dict[str, Any]] = []
-        for part in non_empty:
-            rows.extend(part.to_dicts())
-        return Table.from_dicts(rows)
+    schema, runs = align_tables(non_empty)
+    return Table.wrap(schema, [row for run in runs for row in run])

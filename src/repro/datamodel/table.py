@@ -2,7 +2,7 @@
 
 :class:`Table` is the exchange format between engines, adapters and the data
 migrator: a schema plus a list of positional rows.  It deliberately supports
-both row-wise access (what the relational engine's volcano operators want)
+both row-wise access (what the relational engine's operators want)
 and column-wise access (what the array/ML engines and the serializers want).
 """
 
@@ -36,14 +36,28 @@ class Table:
     # -- construction ------------------------------------------------------------
 
     @classmethod
+    def wrap(cls, schema: Schema, rows: list[Row]) -> "Table":
+        """Adopt ``rows`` as a table without copying or re-wrapping them.
+
+        The trusted constructor for engine internals: ``rows`` must be a list
+        the caller hands over, and every element already a tuple laid out in
+        ``schema``.  Anything built from caller-supplied rows goes through
+        ``Table(...)`` instead, which normalises them.
+        """
+        table = cls.__new__(cls)
+        table._schema = schema
+        table._rows = rows
+        return table
+
+    @classmethod
     def from_dicts(cls, rows: Sequence[Mapping[str, Any]],
                    schema: Schema | None = None) -> "Table":
         """Build a table from dictionaries, inferring the schema if needed."""
         if schema is None:
             schema = Schema.infer(rows)
         names = schema.names
-        data = [tuple(row.get(name) for name in names) for row in rows]
-        return cls(schema, data)
+        return cls.wrap(schema, [tuple(row.get(name) for name in names)
+                                 for row in rows])
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, Sequence[Any]],
@@ -63,12 +77,12 @@ class Table:
             raise SchemaError(f"missing columns {missing}")
         n_rows = lengths.pop() if lengths else 0
         rows = [tuple(columns[name][i] for name in names) for i in range(n_rows)]
-        return cls(schema, rows)
+        return cls.wrap(schema, rows)
 
     @classmethod
     def empty(cls, schema: Schema) -> "Table":
         """An empty table with the given schema."""
-        return cls(schema, [])
+        return cls.wrap(schema, [])
 
     # -- container protocol --------------------------------------------------------
 
@@ -152,18 +166,18 @@ class Table:
         """Rows for which ``predicate(row_dict)`` is true."""
         names = self._schema.names
         kept = [row for row in self._rows if predicate(dict(zip(names, row)))]
-        return Table(self._schema, kept)
+        return Table.wrap(self._schema, kept)
 
     def project(self, names: Sequence[str]) -> "Table":
         """A table containing only the named columns."""
         schema = self._schema.project(names)
         indexes = [self._schema.index_of(name) for name in names]
         rows = [tuple(row[i] for i in indexes) for row in self._rows]
-        return Table(schema, rows)
+        return Table.wrap(schema, rows)
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """A table with columns renamed; data is shared."""
-        return Table(self._schema.rename(mapping), self._rows)
+        return Table.wrap(self._schema.rename(mapping), self._rows)
 
     def sort(self, by: Sequence[str], *, descending: bool = False) -> "Table":
         """A table sorted by the named columns.
@@ -179,19 +193,20 @@ class Table:
                 parts.append((value is not None, value))
             return tuple(parts)
 
-        return Table(self._schema, sorted(self._rows, key=key, reverse=descending))
+        return Table.wrap(self._schema,
+                          sorted(self._rows, key=key, reverse=descending))
 
     def limit(self, n: int) -> "Table":
         """The first ``n`` rows."""
         if n < 0:
             raise DataModelError("limit must be non-negative")
-        return Table(self._schema, self._rows[:n])
+        return Table.wrap(self._schema, self._rows[:n])
 
     def concat(self, other: "Table") -> "Table":
         """Union-all of two tables with identical schemas."""
         if other.schema != self._schema:
             raise SchemaError("cannot concat tables with different schemas")
-        return Table(self._schema, self._rows + other._rows)
+        return Table.wrap(self._schema, self._rows + other._rows)
 
     def distinct(self) -> "Table":
         """A table with duplicate rows removed (order-preserving)."""
@@ -201,7 +216,7 @@ class Table:
             if row not in seen:
                 seen.add(row)
                 rows.append(row)
-        return Table(self._schema, rows)
+        return Table.wrap(self._schema, rows)
 
     def with_column(self, column: Column, values: Sequence[Any]) -> "Table":
         """A table with one extra column appended."""
@@ -211,7 +226,7 @@ class Table:
             )
         schema = self._schema.with_column(column)
         rows = [row + (value,) for row, value in zip(self._rows, values)]
-        return Table(schema, rows)
+        return Table.wrap(schema, rows)
 
     def head(self, n: int = 5) -> list[dict[str, Any]]:
         """The first ``n`` rows as dictionaries, for interactive inspection."""

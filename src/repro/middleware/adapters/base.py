@@ -18,6 +18,7 @@ from repro.exceptions import AdapterError
 from repro.ir.nodes import Operator
 from repro.stores.base import Engine
 from repro.stores.relational.expressions import Expression
+from repro.stores.relational.operators import Filter, TableScan, build_operator
 
 
 def apply_predicate(table: Table, node: Operator) -> Table:
@@ -28,13 +29,10 @@ def apply_predicate(table: Table, node: Operator) -> Table:
     semantics match the relational engine exactly.  Nodes without a
     predicate pass through untouched.
     """
-    from repro.stores.relational.operators import Filter, TableScan
-
     predicate = node.params.get("predicate")
     if not isinstance(predicate, Expression):
         return table
-    rows = Filter(TableScan(table.to_dicts()), predicate).execute()
-    return Table.from_dicts(rows) if rows else Table(table.schema, [])
+    return Filter(TableScan(table), predicate).to_table()
 
 
 class Adapter(abc.ABC):
@@ -54,6 +52,30 @@ class Adapter(abc.ABC):
     def can_execute(self, node: Operator) -> bool:
         """Whether this adapter handles the node's kind."""
         return node.kind in self.supported_kinds()
+
+    def _table_operator(self, node: Operator, inputs: list[Any]) -> Table:
+        """Run a relational operator over already-materialized input tables.
+
+        Federated evaluation: inputs may come from any engine and run through
+        the operators the relational engine itself uses, so semantics (and
+        the plan-derived result schema) match wherever they came from.
+        """
+        self._require_inputs(node, inputs, 2 if node.kind == "join" else 1)
+        scans = [TableScan(self._as_table(value, node)) for value in inputs]
+        if node.kind == "filter" and not isinstance(node.params.get("predicate"),
+                                                    Expression):
+            raise AdapterError(f"filter {node.op_id} has no predicate expression")
+        return build_operator(node.kind, node.params, *scans).to_table()
+
+    @staticmethod
+    def _as_table(value: Any, node: Operator) -> Table:
+        if isinstance(value, Table):
+            return value
+        if isinstance(value, list) and all(isinstance(r, dict) for r in value):
+            return Table.from_dicts(value)  # a UDF's dict rows: the public edge
+        raise AdapterError(
+            f"operator {node.op_id} expected a Table input, got {type(value).__name__}"
+        )
 
     def _require_inputs(self, node: Operator, inputs: list[Any], expected: int) -> None:
         if len(inputs) != expected:

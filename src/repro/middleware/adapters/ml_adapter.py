@@ -160,14 +160,6 @@ class MLAdapter(Adapter):
             "n_clusters": int(node.params["n_clusters"]),
         }
 
-    @staticmethod
-    def _as_table(value: Any, node: Operator) -> Table:
-        if isinstance(value, Table):
-            return value
-        raise AdapterError(
-            f"operator {node.op_id} expected a Table input, got {type(value).__name__}"
-        )
-
 
 class ArrayAdapter(Adapter):
     """Executes matmul/gemv operators on the array engine."""

@@ -18,8 +18,6 @@ from repro.ir.nodes import Operator
 from repro.middleware.adapters.base import Adapter, apply_predicate
 from repro.stores.graph.engine import GraphEngine
 from repro.stores.keyvalue.engine import KeyValueEngine
-from repro.stores.relational.expressions import Expression
-from repro.stores.relational.operators import Filter, Project, TableScan
 from repro.stores.text.engine import TextEngine
 from repro.stores.timeseries.engine import TimeseriesEngine
 
@@ -38,36 +36,7 @@ def _coerce_key(key: str) -> Any:
         return key
 
 
-class TableOpsMixin:
-    """Partition-friendly ``filter``/``project`` over materialized tables.
-
-    The dataflow API lets clients filter or project the tabular result of
-    any engine read while staying on that engine (which is what allows the
-    pushdown pass to later absorb the predicate into the read itself, and
-    the scatter path to keep the operator partition-wise on sharded
-    engines).
-    """
-
-    def _table_op(self, node: Operator, inputs: list[Any]) -> Table:
-        self._require_inputs(node, inputs, 1)
-        value = inputs[0]
-        if not isinstance(value, Table):
-            raise AdapterError(
-                f"operator {node.op_id} expected a Table input, "
-                f"got {type(value).__name__}"
-            )
-        scan = TableScan(value.to_dicts())
-        if node.kind == "filter":
-            predicate = node.params.get("predicate")
-            if not isinstance(predicate, Expression):
-                raise AdapterError(f"filter {node.op_id} has no predicate expression")
-            rows = Filter(scan, predicate).execute()
-        else:
-            rows = Project(scan, list(node.params.get("columns") or [])).execute()
-        return Table.from_dicts(rows) if rows else Table(value.schema, [])
-
-
-class KeyValueAdapter(TableOpsMixin, Adapter):
+class KeyValueAdapter(Adapter):
     """Executes ``kv_get`` and ``kv_range`` operators on the key/value engine."""
 
     def __init__(self, engine: KeyValueEngine) -> None:
@@ -79,7 +48,7 @@ class KeyValueAdapter(TableOpsMixin, Adapter):
 
     def execute(self, node: Operator, inputs: list[Any]) -> Table:
         if node.kind in ("filter", "project"):
-            return self._table_op(node, inputs)
+            return self._table_operator(node, inputs)
         if node.kind == "kv_get":
             keys = node.params.get("keys")
             prefix = node.params.get("key_prefix")
@@ -92,7 +61,6 @@ class KeyValueAdapter(TableOpsMixin, Adapter):
                 raise AdapterError(f"kv_get {node.op_id} needs keys or key_prefix")
         else:
             pairs = list(self.engine.range(node.params.get("start"), node.params.get("end")))
-            prefix = None
         table = self._pairs_to_table(pairs, node.params.get("key_prefix"),
                                      node.params.get("key_column", "key"))
         return apply_predicate(table, node)
@@ -114,7 +82,7 @@ class KeyValueAdapter(TableOpsMixin, Adapter):
         return Table.from_dicts(rows)
 
 
-class TimeseriesAdapter(TableOpsMixin, Adapter):
+class TimeseriesAdapter(Adapter):
     """Executes timeseries operators: range scans, windows and summaries."""
 
     def __init__(self, engine: TimeseriesEngine) -> None:
@@ -127,15 +95,14 @@ class TimeseriesAdapter(TableOpsMixin, Adapter):
 
     def execute(self, node: Operator, inputs: list[Any]) -> Table:
         if node.kind in ("filter", "project"):
-            return self._table_op(node, inputs)
+            return self._table_operator(node, inputs)
         if node.kind == "ts_range":
             points = self.engine.query_range(str(node.params["series"]),
                                              node.params.get("start"),
                                              node.params.get("end"))
-            rows = [{"timestamp": p.timestamp, "value": p.value} for p in points]
-            schema = Schema([Column("timestamp", DataType.FLOAT),
-                             Column("value", DataType.FLOAT)])
-            return Table.from_dicts(rows) if rows else Table(schema, [])
+            return Table(Schema([Column("timestamp", DataType.FLOAT),
+                                 Column("value", DataType.FLOAT)]),
+                         [(p.timestamp, p.value) for p in points])
         if node.kind == "window_aggregate":
             results = self.engine.window_aggregate(
                 str(node.params["series"]),
@@ -144,12 +111,10 @@ class TimeseriesAdapter(TableOpsMixin, Adapter):
                 node.params.get("start"),
                 node.params.get("end"),
             )
-            rows = [{"window_start": r.window_start, "value": r.value, "count": r.count}
-                    for r in results]
-            schema = Schema([Column("window_start", DataType.FLOAT),
-                             Column("value", DataType.FLOAT),
-                             Column("count", DataType.INT)])
-            return Table.from_dicts(rows) if rows else Table(schema, [])
+            return Table(Schema([Column("window_start", DataType.FLOAT),
+                                 Column("value", DataType.FLOAT),
+                                 Column("count", DataType.INT)]),
+                         [(r.window_start, r.value, r.count) for r in results])
         return self._summarize(node)
 
     def _summarize(self, node: Operator) -> Table:
@@ -189,7 +154,7 @@ class TimeseriesAdapter(TableOpsMixin, Adapter):
         return apply_predicate(Table.from_dicts(rows), node)
 
 
-class GraphAdapter(TableOpsMixin, Adapter):
+class GraphAdapter(Adapter):
     """Executes graph operators: node scans, paths and neighbourhood features."""
 
     def __init__(self, engine: GraphEngine) -> None:
@@ -203,7 +168,7 @@ class GraphAdapter(TableOpsMixin, Adapter):
     def execute(self, node: Operator, inputs: list[Any]) -> Any:
         kind = node.kind
         if kind in ("filter", "project"):
-            return self._table_op(node, inputs)
+            return self._table_operator(node, inputs)
         if kind == "graph_nodes":
             label = str(node.params.get("label", ""))
             rows = self.engine.node_properties(label)
@@ -225,16 +190,13 @@ class GraphAdapter(TableOpsMixin, Adapter):
             return {"node_id": node.params["node_id"], "value": value}
         matches = self.engine.match(str(node.params["start_label"]),
                                     list(node.params.get("steps", [])))
-        rows = [
-            {"start": m.nodes[0].node_id, "end": m.nodes[-1].node_id, "length": len(m.edges)}
-            for m in matches
-        ]
-        return Table.from_dicts(rows) if rows else Table(
+        return Table(
             Schema([Column("start", DataType.STRING), Column("end", DataType.STRING),
-                    Column("length", DataType.INT)]), [])
+                    Column("length", DataType.INT)]),
+            [(m.nodes[0].node_id, m.nodes[-1].node_id, len(m.edges)) for m in matches])
 
 
-class TextAdapter(TableOpsMixin, Adapter):
+class TextAdapter(Adapter):
     """Executes text operators: ranked search and keyword feature extraction."""
 
     def __init__(self, engine: TextEngine) -> None:
@@ -246,13 +208,12 @@ class TextAdapter(TableOpsMixin, Adapter):
 
     def execute(self, node: Operator, inputs: list[Any]) -> Table:
         if node.kind in ("filter", "project"):
-            return self._table_op(node, inputs)
+            return self._table_operator(node, inputs)
         if node.kind == "text_search":
             results = self.engine.search(str(node.params["query"]),
                                          top_k=int(node.params.get("top_k", 10)))
-            rows = [{"doc_id": doc_id, "score": score} for doc_id, score in results]
-            schema = Schema([Column("doc_id", DataType.STRING), Column("score", DataType.FLOAT)])
-            return Table.from_dicts(rows) if rows else Table(schema, [])
+            return Table(Schema([Column("doc_id", DataType.STRING),
+                                 Column("score", DataType.FLOAT)]), results)
         return self._keyword_features(node)
 
     def _keyword_features(self, node: Operator) -> Table:

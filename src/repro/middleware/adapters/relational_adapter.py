@@ -6,7 +6,7 @@ Two execution modes per operator:
   engine's storage and indexes.
 * *federated* — non-leaf operators receive already-materialized tables
   (possibly migrated from other engines) and are evaluated with the same
-  volcano operators the engine itself uses, so semantics match regardless of
+  physical operators the engine itself uses, so semantics match regardless of
   where the inputs came from.
 """
 
@@ -14,23 +14,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.datamodel.table import Table
 from repro.exceptions import AdapterError
 from repro.ir.nodes import Operator
 from repro.middleware.adapters.base import Adapter, apply_predicate
 from repro.stores.relational.engine import RelationalEngine
-from repro.stores.relational.expressions import Expression
-from repro.stores.relational.operators import (
-    Filter,
-    GroupByAggregate,
-    HashJoin,
-    Limit,
-    Project,
-    Sort,
-    SortMergeJoin,
-    TableScan,
-    TopK,
-)
 
 
 class RelationalAdapter(Adapter):
@@ -80,61 +67,4 @@ class RelationalAdapter(Adapter):
         if kind == "materialize":
             self._require_inputs(node, inputs, 1)
             return self._as_table(inputs[0], node)
-        return self._federated(node, inputs)
-
-    # -- federated evaluation over materialized tables ------------------------------------
-
-    def _federated(self, node: Operator, inputs: list[Any]) -> Table:
-        kind = node.kind
-        if kind == "join":
-            self._require_inputs(node, inputs, 2)
-            left = self._as_table(inputs[0], node)
-            right = self._as_table(inputs[1], node)
-            left_scan = TableScan(left.to_dicts())
-            right_scan = TableScan(right.to_dicts())
-            algorithm = node.params.get("algorithm", "hash")
-            if algorithm == "sort_merge":
-                operator = SortMergeJoin(left_scan, right_scan,
-                                         str(node.params["left_key"]),
-                                         str(node.params["right_key"]))
-            else:
-                operator = HashJoin(left_scan, right_scan,
-                                    str(node.params["left_key"]),
-                                    str(node.params["right_key"]),
-                                    how=node.params.get("how", "inner"))
-            rows = operator.execute()
-            return Table.from_dicts(rows) if rows else Table(left.schema, [])
-        self._require_inputs(node, inputs, 1)
-        table = self._as_table(inputs[0], node)
-        scan = TableScan(table.to_dicts())
-        if kind == "filter":
-            predicate = node.params.get("predicate")
-            if not isinstance(predicate, Expression):
-                raise AdapterError(f"filter {node.op_id} has no predicate expression")
-            rows = Filter(scan, predicate).execute()
-        elif kind == "project":
-            rows = Project(scan, list(node.params.get("columns") or [])).execute()
-        elif kind == "aggregate":
-            rows = GroupByAggregate(scan, list(node.params.get("group_by") or []),
-                                    list(node.params.get("aggregates") or [])).execute()
-        elif kind == "sort":
-            rows = Sort(scan, [str(node.params["by"])],
-                        descending=bool(node.params.get("descending", False))).execute()
-        elif kind == "limit":
-            rows = Limit(scan, int(node.params["n"])).execute()
-        elif kind == "top_k":
-            rows = TopK(scan, str(node.params["by"]), int(node.params["k"]),
-                        descending=bool(node.params.get("descending", True))).execute()
-        else:
-            raise AdapterError(f"relational adapter cannot execute {kind!r}")
-        return Table.from_dicts(rows) if rows else Table(table.schema, [])
-
-    @staticmethod
-    def _as_table(value: Any, node: Operator) -> Table:
-        if isinstance(value, Table):
-            return value
-        if isinstance(value, list) and all(isinstance(r, dict) for r in value):
-            return Table.from_dicts(value)
-        raise AdapterError(
-            f"operator {node.op_id} expected a Table input, got {type(value).__name__}"
-        )
+        return self._table_operator(node, inputs)

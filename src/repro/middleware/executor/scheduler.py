@@ -39,6 +39,7 @@ from repro.middleware.migration import DataMigrator
 from repro.obs import Observability
 from repro.stores.base import Concurrency
 from repro.stores.relational.expressions import Expression
+from repro.stores.relational.operators import column_reader
 
 
 class ResultCache(Protocol):
@@ -447,27 +448,28 @@ class Executor:
             # Fall back to the engine when the input shape does not fit the kernel.
             return self._execute_on_engine(node, inputs), 0.0, {"fallback": True}
         table: Table = inputs[0]
-        rows = table.to_dicts()
+        # Kernels stream the table's own row tuples and results keep its
+        # schema; only the project kernel is specified over dict rows.
         if node.kind == "sort" and device.supports("bitonic_sort"):
-            by = str(node.params["by"])
+            by = column_reader(table.schema, str(node.params["by"]))
             descending = bool(node.params.get("descending", False))
             sorted_rows, offload = device.offload(
-                "bitonic_sort", rows,
-                key=lambda r: (r.get(by) is None, r.get(by)), descending=descending)
-            return self._rows_to_table(sorted_rows, table), offload.total_s, \
+                "bitonic_sort", table.rows,
+                key=lambda r: (by(r) is None, by(r)), descending=descending)
+            return Table.wrap(table.schema, sorted_rows), offload.total_s, \
                 {"kernel": offload.kernel}
         if node.kind == "filter" and device.supports("filter"):
             predicate = node.params.get("predicate")
             if isinstance(predicate, Expression):
-                kept, offload = device.offload("filter", rows, predicate.evaluate)
-                return self._rows_to_table(kept, table), offload.total_s, \
+                kept, offload = device.offload("filter", table.rows,
+                                               predicate.compile(table.schema))
+                return Table.wrap(table.schema, kept), offload.total_s, \
                     {"kernel": offload.kernel}
         if node.kind == "project" and device.supports("project"):
             columns = list(node.params.get("columns") or [])
-            projected, offload = device.offload("project", rows, columns)
-            return (Table.from_dicts(projected) if projected
-                    else Table(table.schema.project(columns), [])), offload.total_s, \
-                {"kernel": offload.kernel}
+            projected, offload = device.offload("project", table.to_dicts(), columns)
+            return Table.from_dicts(projected, table.schema.project(columns)), \
+                offload.total_s, {"kernel": offload.kernel}
         if node.kind == "window_aggregate" and device.supports("window_aggregate"):
             engine_value = self._execute_on_engine(node, inputs)
             estimate = device.estimate(_window_spec_from_table(table))
@@ -493,10 +495,6 @@ class Executor:
         if engine_name not in self._adapters:
             self._adapters[engine_name] = adapter_for(self.catalog.engine(engine_name))
         return self._adapters[engine_name]
-
-    @staticmethod
-    def _rows_to_table(rows: list[dict[str, Any]], template: Table) -> Table:
-        return Table.from_dicts(rows) if rows else Table(template.schema, [])
 
     @staticmethod
     def _rows_of(value: Any) -> int:

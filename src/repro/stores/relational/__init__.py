@@ -1,4 +1,4 @@
-"""Relational store: SQL parsing, planning, indexes and volcano operators."""
+"""Relational store: SQL parsing, planning, indexes and positional physical operators."""
 
 from repro.stores.relational.engine import RelationalEngine, StoredTable
 from repro.stores.relational.expressions import (

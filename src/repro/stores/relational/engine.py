@@ -3,14 +3,14 @@
 A from-scratch, single-node relational store: tables live in heap pages
 (:mod:`repro.stores.relational.storage`), optional secondary indexes provide
 point/range access paths, a small SQL dialect is parsed and planned, and
-volcano-style operators execute the plan.  The engine records per-operation
-metrics that the Polystore++ middleware's optimizer consumes.
+positional, plan-typed operators execute the plan.  The engine records
+per-operation metrics that the Polystore++ middleware's optimizer consumes.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Table
@@ -20,7 +20,6 @@ from repro.stores.changelog import table_scope
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.index import HashIndex, SortedIndex
 from repro.stores.relational.operators import (
-    AggregateSpec,
     Filter,
     GroupByAggregate,
     HashJoin,
@@ -66,6 +65,66 @@ class StoredTable:
             index.insert(row_t[self.schema.index_of(column)], rid)
         for column, index in self.sorted_indexes.items():
             index.insert(row_t[self.schema.index_of(column)], rid)
+
+    def build_index(self, column: str, kind: type) -> HashIndex | SortedIndex:
+        """A ``kind`` index over ``column``, loaded from the current heap."""
+        position = self.schema.index_of(column)
+        index = kind(column)
+        index.bulk_load((row[position], rid)
+                        for rid, row in self.heap.scan_with_rids())
+        return index
+
+    def without_rows(self, matches: Callable[[tuple], Any]
+                     ) -> tuple["StoredTable", list[tuple]]:
+        """A copy without the rows ``matches`` accepts, plus those rows.
+
+        Row ids move, so heap and indexes are rebuilt from the survivors.
+        """
+        kept: list[tuple] = []
+        deleted: list[tuple] = []
+        for row in self.heap.scan():
+            (deleted if matches(row) else kept).append(row)
+        if not deleted:
+            return self, deleted
+        rebuilt = StoredTable(self.name, self.schema, self.heap.page_capacity)
+        rebuilt.hash_indexes = {c: HashIndex(c) for c in self.hash_indexes}
+        rebuilt.sorted_indexes = {c: SortedIndex(c) for c in self.sorted_indexes}
+        for row in kept:
+            rebuilt.insert(row)
+        return rebuilt, deleted
+
+    def with_updates(self, matches: Callable[[tuple], Any], updates: Mapping[str, Any]
+                     ) -> tuple["StoredTable", list[tuple[tuple, tuple]]]:
+        """A copy-on-write sibling with ``updates`` set on matching rows.
+
+        Returns the sibling and the ``(old_row, new_row)`` pairs.  Row ids do
+        not move: only pages holding a matching row are copied, and only
+        indexes on an updated column are rebuilt; everything else is shared.
+        """
+        names = self.schema.names
+        replaced: dict[int, list[tuple]] = {}
+        updated: list[tuple[tuple, tuple]] = []
+        for page in self.heap.pages():
+            hits = [slot for slot, row in enumerate(page.rows) if matches(row)]
+            if not hits:
+                continue
+            rows = replaced[page.page_id] = list(page.rows)
+            for slot in hits:
+                old = rows[slot]
+                rows[slot] = tuple(updates.get(name, value)
+                                   for name, value in zip(names, old))
+                updated.append((old, rows[slot]))
+        if not updated:
+            return self, updated
+        sibling = StoredTable(self.name, self.schema, self.heap.page_capacity)
+        sibling.heap = self.heap.replace_pages(replaced)
+        sibling.hash_indexes = {
+            c: sibling.build_index(c, HashIndex) if c in updates else index
+            for c, index in self.hash_indexes.items()}
+        sibling.sorted_indexes = {
+            c: sibling.build_index(c, SortedIndex) if c in updates else index
+            for c, index in self.sorted_indexes.items()}
+        return sibling, updated
 
     def statistics(self) -> dict[str, Any]:
         """Table statistics for the catalog and cost models."""
@@ -133,16 +192,10 @@ class RelationalEngine(Engine):
         stored = self._stored(table)
         if column not in stored.schema:
             raise StorageError(f"table {table!r} has no column {column!r}")
-        column_pos = stored.schema.index_of(column)
-        entries = [(row[column_pos], rid) for rid, row in stored.heap.scan_with_rids()]
         if kind == "hash":
-            index = HashIndex(column)
-            index.bulk_load(entries)
-            stored.hash_indexes[column] = index
+            stored.hash_indexes[column] = stored.build_index(column, HashIndex)
         elif kind == "sorted":
-            sorted_index = SortedIndex(column)
-            sorted_index.bulk_load(entries)
-            stored.sorted_indexes[column] = sorted_index
+            stored.sorted_indexes[column] = stored.build_index(column, SortedIndex)
         else:
             raise StorageError(f"unknown index kind {kind!r}")
         # Index DDL changes no data version, so it never reaches the
@@ -210,12 +263,13 @@ class RelationalEngine(Engine):
     def delete_rows(self, table: str, predicate: Expression) -> list[tuple]:
         """Delete every row satisfying ``predicate``; returns the deleted rows.
 
-        The heap and all indexes are rebuilt from the surviving rows; the
-        deletions land in the changelog as weight ``-1`` entries.
+        The heap and all indexes are rebuilt from the surviving rows (row
+        ids move); the deletions land in the changelog as weight ``-1``
+        entries.
         """
         batch = None
         with self._write_lock:
-            deleted, _ = self._rewrite_rows(table, predicate, None)
+            deleted = self._rewrite_rows(table, predicate, None)
             if deleted:
                 batch = self.mark_data_changed(
                     table_scope(table),
@@ -230,7 +284,8 @@ class RelationalEngine(Engine):
         """Set columns on every row satisfying ``predicate``.
 
         Returns ``(old_row, new_row)`` pairs; each update is logged as a
-        ``-1``/``+1`` entry pair (the Z-set form of an upsert).
+        ``-1``/``+1`` entry pair (the Z-set form of an upsert).  Copy-on-write:
+        see :meth:`StoredTable.with_updates`.
         """
         batch = None
         with self._write_lock:
@@ -238,7 +293,7 @@ class RelationalEngine(Engine):
             for column in updates:
                 if column not in stored.schema:
                     raise StorageError(f"table {table!r} has no column {column!r}")
-            _, updated = self._rewrite_rows(table, predicate, dict(updates))
+            updated = self._rewrite_rows(table, predicate, updates)
             if updated:
                 entries: list[tuple[tuple, int]] = []
                 for old, new in updated:
@@ -266,39 +321,25 @@ class RelationalEngine(Engine):
                     self.data_version_for(table_scope(table)))
 
     def _rewrite_rows(self, table: str, predicate: Expression,
-                      updates: dict[str, Any] | None
-                      ) -> tuple[list[tuple], list[tuple[tuple, tuple]]]:
-        """Rebuild a table's heap applying a delete or update in one pass."""
+                      updates: Mapping[str, Any] | None) -> list:
+        """Apply a delete (``updates is None``) or an update; returns the change.
+
+        Lock-free readers hold whichever :class:`StoredTable` they looked up,
+        so a live page is never modified in place: the changed table is built
+        beside the old one and published by one ``self._tables`` assignment.
+        """
         stored = self._stored(table)
-        names = stored.schema.names
-        kept: list[tuple] = []
-        deleted: list[tuple] = []
-        updated: list[tuple[tuple, tuple]] = []
-        operation = "update" if updates is not None else "delete"
+        matches = predicate.compile(stored.schema)
+        operation = "delete" if updates is None else "update"
         with self.metrics.timed(self.name, operation, table=table) as timer:
-            for row in stored.heap.scan():
-                row_t = tuple(row)
-                if not predicate.evaluate(dict(zip(names, row_t))):
-                    kept.append(row_t)
-                    continue
-                if updates is None:
-                    deleted.append(row_t)
-                else:
-                    new_row = tuple(updates.get(name, value)
-                                    for name, value in zip(names, row_t))
-                    updated.append((row_t, new_row))
-                    kept.append(new_row)
-            timer.rows_in = len(deleted) + len(updated)
-        if deleted or updated:
-            rebuilt = StoredTable(table, stored.schema, stored.heap.page_capacity)
-            rebuilt.hash_indexes = {c: type(i)(c)
-                                    for c, i in stored.hash_indexes.items()}
-            rebuilt.sorted_indexes = {c: type(i)(c)
-                                      for c, i in stored.sorted_indexes.items()}
-            for row_t in kept:
-                rebuilt.insert(row_t)
+            if updates is None:
+                rebuilt, changed = stored.without_rows(matches)
+            else:
+                rebuilt, changed = stored.with_updates(matches, updates)
+            timer.rows_in = len(changed)
+        if changed:
             self._tables[table] = rebuilt
-        return deleted, updated
+        return changed
 
     def insert_dicts(self, table: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert dictionary rows into a table."""
@@ -326,13 +367,8 @@ class RelationalEngine(Engine):
     def execute_plan(self, plan: LogicalPlan) -> Table:
         """Execute a logical plan and return the result table."""
         with self.metrics.timed(self.name, "execute_plan", plan=plan.describe()) as timer:
-            operator = self._lower(plan)
-            rows = operator.execute()
-            timer.rows_out = len(rows)
-        if rows:
-            result = Table.from_dicts(rows)
-        else:
-            result = Table(self._plan_schema(plan), [])
+            result = self._lower(plan).to_table()
+            timer.rows_out = len(result)
         return result
 
     # -- direct native operations (used by the adapter) ---------------------------------
@@ -372,7 +408,7 @@ class RelationalEngine(Engine):
                 raise StorageError(f"no index on {table}.{column}")
             rows = [stored.heap.fetch(*rid) for rid in rids]
             timer.rows_out = len(rows)
-        return Table(stored.schema, rows)
+        return Table.wrap(stored.schema, rows)
 
     def range_lookup(self, table: str, column: str, low: Any = None,
                      high: Any = None) -> Table:
@@ -384,28 +420,24 @@ class RelationalEngine(Engine):
             rids = list(stored.sorted_indexes[column].range(low, high))
             rows = [stored.heap.fetch(*rid) for rid in rids]
             timer.rows_out = len(rows)
-        return Table(stored.schema, rows)
+        return Table.wrap(stored.schema, rows)
 
     def top_k(self, table: str, by: str, k: int, *, descending: bool = True) -> Table:
         """Top-k rows of a table by one column."""
-        stored = self._stored(table)
-        scan = TableScan(stored.heap.to_table().to_dicts())
-        rows = TopK(scan, by, k, descending=descending).execute()
-        return Table.from_dicts(rows) if rows else Table(stored.schema, [])
+        scan = TableScan(self._stored(table).heap.to_table())
+        return TopK(scan, by, k, descending=descending).to_table()
 
     # -- plan lowering -------------------------------------------------------------------
 
     def _lower(self, plan: LogicalPlan) -> PhysicalOperator:
         if isinstance(plan, ScanPlan):
-            stored = self._stored(plan.table)
-            dicts = stored.heap.to_table().to_dicts()
-            operator: PhysicalOperator = TableScan(dicts)
+            operator: PhysicalOperator = TableScan(
+                self._stored(plan.table).heap.to_table())
             if plan.columns is not None:
                 operator = Project(operator, plan.columns)
             return operator
         if isinstance(plan, IndexSeekPlan):
-            result = self.index_lookup(plan.table, plan.column, plan.value)
-            return TableScan(result.to_dicts())
+            return TableScan(self.index_lookup(plan.table, plan.column, plan.value))
         if isinstance(plan, FilterPlan):
             return Filter(self._lower(plan.child), plan.predicate)
         if isinstance(plan, ProjectPlan):
@@ -423,27 +455,6 @@ class RelationalEngine(Engine):
         if isinstance(plan, LimitPlan):
             return Limit(self._lower(plan.child), plan.n)
         raise QueryError(f"cannot lower plan node {type(plan).__name__}")
-
-    def _plan_schema(self, plan: LogicalPlan) -> Schema:
-        """Best-effort output schema for a plan (used for empty results)."""
-        if isinstance(plan, (ScanPlan, IndexSeekPlan)):
-            return self._stored(plan.table).schema
-        if isinstance(plan, ProjectPlan):
-            return self._plan_schema(plan.child).project(list(plan.columns))
-        if isinstance(plan, (FilterPlan, SortPlan, LimitPlan)):
-            return self._plan_schema(plan.child)
-        if isinstance(plan, JoinPlan):
-            left = self._plan_schema(plan.left)
-            right = self._plan_schema(plan.right)
-            extra = [c for c in right if c.name not in left.names]
-            return Schema(list(left) + extra)
-        if isinstance(plan, AggregatePlan):
-            child = self._plan_schema(plan.child)
-            from repro.datamodel.schema import Column, DataType
-            columns = [child[name] for name in plan.group_by]
-            columns += [Column(a.alias, DataType.FLOAT) for a in plan.aggregates]
-            return Schema(columns)
-        raise QueryError(f"cannot infer schema for plan node {type(plan).__name__}")
 
     def _stored(self, name: str) -> StoredTable:
         try:

@@ -1,10 +1,17 @@
 """Scalar expressions evaluated by the relational engine.
 
 Expressions appear in WHERE predicates, projections and join conditions.
-They form a small tree of :class:`Expression` nodes which can be evaluated
-against a row dictionary, inspected for referenced columns (used by the
-compiler's predicate-pushdown pass) and estimated for selectivity (used by
-the cost model).
+They form a small tree of :class:`Expression` nodes which can be compiled
+into a closure over row tuples (:meth:`Expression.compile`), inspected for
+referenced columns (used by the compiler's predicate-pushdown pass) and
+estimated for selectivity (used by the cost model).
+
+Every node implements its semantics exactly once, in ``_bind``: it receives
+a function that turns a column name into a ``row -> value`` reader and
+returns a ``row -> value`` closure.  Binding readers that index tuple
+positions gives the engine's compiled form; binding readers that look names
+up in a mapping gives :meth:`Expression.evaluate`, the dict-row form the
+Z-set view operators use.
 """
 
 from __future__ import annotations
@@ -14,7 +21,11 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.datamodel.schema import Schema
 from repro.exceptions import QueryError
+
+#: ``row -> value``: a compiled expression, or a reader of one column.
+RowFn = Callable[[Any], Any]
 
 _COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
@@ -48,9 +59,35 @@ class Expression(abc.ABC):
     predicates.
     """
 
-    @abc.abstractmethod
+    def compile(self, schema: Schema | None = None) -> RowFn:
+        """Resolve every column reference once; returns ``row -> value``.
+
+        With a ``schema`` the closure reads positional row tuples laid out in
+        that schema, and a reference to a column the schema lacks raises
+        :class:`QueryError` here rather than on the first row.  Without one it
+        reads ``{column: value}`` mappings by name.
+        """
+        if schema is None:
+            return self._bind(_read_by_name)
+
+        def read_by_position(name: str) -> RowFn:
+            if name not in schema:
+                raise QueryError(f"unknown column {name!r} in expression")
+            return operator.itemgetter(schema.index_of(name))
+
+        return self._bind(read_by_position)
+
     def evaluate(self, row: Mapping[str, Any]) -> Any:
-        """Evaluate against a row given as ``{column: value}``."""
+        """Evaluate against one row given as ``{column: value}``.
+
+        Compiles per call: loops over many rows should hoist
+        :meth:`compile` instead.
+        """
+        return self.compile()(row)
+
+    @abc.abstractmethod
+    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
+        """This node's semantics as a closure; ``reader(name)`` reads a column."""
 
     @abc.abstractmethod
     def referenced_columns(self) -> frozenset[str]:
@@ -135,17 +172,23 @@ def _as_operand(value: Any) -> "Expression":
     return value if isinstance(value, Expression) else Literal(value)
 
 
+def _read_by_name(name: str) -> RowFn:
+    def read(row: Mapping[str, Any]) -> Any:
+        try:
+            return row[name]
+        except KeyError as exc:
+            raise QueryError(f"unknown column {name!r} in expression") from exc
+    return read
+
+
 @dataclass(frozen=True)
 class ColumnRef(Expression):
     """A reference to a column by name."""
 
     name: str
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        try:
-            return row[self.name]
-        except KeyError as exc:
-            raise QueryError(f"unknown column {self.name!r} in expression") from exc
+    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
+        return reader(self.name)
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset({self.name})
@@ -160,8 +203,9 @@ class Literal(Expression):
 
     value: Any
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        return self.value
+    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
+        value = self.value
+        return lambda row: value
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset()
@@ -184,12 +228,25 @@ class Comparison(Expression):
         if self.op not in _COMPARISONS:
             raise QueryError(f"unknown comparison operator {self.op!r}")
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return False
-        return bool(_COMPARISONS[self.op](left, right))
+    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
+        compare_values = _COMPARISONS[self.op]
+        left = self.left._bind(reader)
+        if isinstance(self.right, Literal) and self.right.value is not None:
+            # The common ``column <op> constant`` shape: one call per row.
+            constant = self.right.value
+
+            def test_constant(row: Any) -> bool:
+                value = left(row)
+                return value is not None and bool(compare_values(value, constant))
+            return test_constant
+        right = self.right._bind(reader)
+
+        def test(row: Any) -> bool:
+            a, b = left(row), right(row)
+            if a is None or b is None:
+                return False
+            return bool(compare_values(a, b))
+        return test
 
     def referenced_columns(self) -> frozenset[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
@@ -220,12 +277,25 @@ class BooleanOp(Expression):
         if self.op in ("and", "or") and len(self.operands) < 2:
             raise QueryError(f"{self.op.upper()} needs at least two operands")
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
+    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
+        tests = [operand._bind(reader) for operand in self.operands]
+        if self.op == "not":
+            negated = tests[0]
+            return lambda row: not negated(row)
         if self.op == "and":
-            return all(op.evaluate(row) for op in self.operands)
-        if self.op == "or":
-            return any(op.evaluate(row) for op in self.operands)
-        return not self.operands[0].evaluate(row)
+            def test_all(row: Any) -> bool:
+                for operand in tests:
+                    if not operand(row):
+                        return False
+                return True
+            return test_all
+
+        def test_any(row: Any) -> bool:
+            for operand in tests:
+                if operand(row):
+                    return True
+            return False
+        return test_any
 
     def referenced_columns(self) -> frozenset[str]:
         columns: frozenset[str] = frozenset()
@@ -266,15 +336,19 @@ class Arithmetic(Expression):
         if self.op not in _ARITHMETIC:
             raise QueryError(f"unknown arithmetic operator {self.op!r}")
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return None
-        try:
-            return _ARITHMETIC[self.op](left, right)
-        except ZeroDivisionError:
-            return None
+    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
+        apply = _ARITHMETIC[self.op]
+        left, right = self.left._bind(reader), self.right._bind(reader)
+
+        def compute(row: Any) -> Any:
+            a, b = left(row), right(row)
+            if a is None or b is None:
+                return None
+            try:
+                return apply(a, b)
+            except ZeroDivisionError:
+                return None
+        return compute
 
     def referenced_columns(self) -> frozenset[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
@@ -290,9 +364,9 @@ class InList(Expression):
     operand: Expression
     values: tuple[Any, ...]
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        value = self.operand.evaluate(row)
-        return value in self.values
+    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
+        operand, values = self.operand._bind(reader), self.values
+        return lambda row: operand(row) in values
 
     def referenced_columns(self) -> frozenset[str]:
         return self.operand.referenced_columns()
@@ -312,9 +386,9 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        is_null = self.operand.evaluate(row) is None
-        return not is_null if self.negated else is_null
+    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
+        operand, negated = self.operand._bind(reader), self.negated
+        return lambda row: (operand(row) is None) is not negated
 
     def referenced_columns(self) -> frozenset[str]:
         return self.operand.referenced_columns()

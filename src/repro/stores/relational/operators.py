@@ -1,8 +1,24 @@
-"""Volcano-style physical operators for the relational engine.
+"""Physical operators for the relational engine.
 
-Each operator is an iterator over row dictionaries.  The set matches the
-operators the paper lists as what SQL queries are lowered to (§III-A-1):
-projection, hash, sort, group-by and join, plus scans, filters and limits.
+The set matches the operators the paper lists as what SQL queries are
+lowered to (§III-A-1): projection, hash, sort, group-by and join, plus scans,
+filters and limits.
+
+Operators are *positional and plan-typed*: each carries the ``schema`` of
+its output, computed from its inputs' schemas and its own parameters when the
+tree is built, and produces row tuples laid out in that schema.  Column names
+resolve to tuple positions (and predicates compile to closures over them)
+once per tree, never per row, and no schema is inferred from the values
+flowing through.  Engine and adapters build trees over
+:class:`~repro.datamodel.table.Table` inputs and read the result with
+:meth:`PhysicalOperator.to_table`.  Dictionaries survive only at the public
+edge: :class:`TableScan` also accepts dict rows (the materialized views'
+Z-set state) and :meth:`PhysicalOperator.execute` returns dict rows.
+
+Key columns (sort, group-by, join and top-k keys, aggregate inputs) the input
+lacks read as ``None``, as a dict row without that key always did;
+projections and expressions reject unknown columns with
+:class:`~repro.exceptions.QueryError` when the tree is built.
 
 The sort operator has two implementations: the engine's native CPU sort
 (Timsort) and a software model of a *bitonic sorting network*, the algorithm
@@ -15,9 +31,14 @@ from __future__ import annotations
 
 import abc
 import heapq
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from repro.datamodel.schema import Column, DataType, Schema
+from repro.datamodel.table import Row, Table
 from repro.exceptions import QueryError
 from repro.stores.relational.expressions import Expression
 
@@ -25,26 +46,46 @@ RowDict = dict[str, Any]
 
 
 class PhysicalOperator(abc.ABC):
-    """Base class for iterator-model physical operators."""
+    """Base class of the physical operators."""
+
+    #: Schema of the rows this operator produces, fixed at construction.
+    schema: Schema
 
     @abc.abstractmethod
-    def __iter__(self) -> Iterator[RowDict]:
-        """Yield output rows."""
+    def rows(self) -> Iterable[Row]:
+        """Produce the output rows as tuples laid out in :attr:`schema`."""
+
+    def to_table(self) -> Table:
+        """Materialize the output as a plan-typed :class:`Table`."""
+        return Table.wrap(self.schema, list(self.rows()))
 
     def execute(self) -> list[RowDict]:
-        """Materialize all output rows."""
-        return list(self)
+        """Materialize the output as dict rows (the public-edge form)."""
+        names = self.schema.names
+        return [dict(zip(names, row)) for row in self.rows()]
 
 
 class TableScan(PhysicalOperator):
-    """Full sequential scan over an iterable of row dictionaries."""
+    """Leaf of every tree: a :class:`Table`, or an iterable of dict rows.
 
-    def __init__(self, rows: Iterable[RowDict]) -> None:
-        self._rows = rows
+    Dict rows carry no declared schema, so one is inferred from them here —
+    the only place in the operator tree that looks at values for types.
+    """
 
-    def __iter__(self) -> Iterator[RowDict]:
-        for row in self._rows:
-            yield dict(row)
+    def __init__(self, source: Table | Iterable[Mapping[str, Any]]) -> None:
+        if isinstance(source, Table):
+            self.schema, self._rows = source.schema, source.rows
+            return
+        dicts = list(source)
+        self.schema = Schema.infer(dicts) if dicts else Schema([])
+        names = self.schema.names
+        try:  # rows that all carry every key convert at C speed
+            self._rows = list(map(_tuple_of(names), dicts))
+        except KeyError:
+            self._rows = [tuple(row.get(name) for name in names) for row in dicts]
+
+    def rows(self) -> list[Row]:
+        return self._rows
 
 
 class Filter(PhysicalOperator):
@@ -52,33 +93,26 @@ class Filter(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator, predicate: Expression) -> None:
         self._child = child
-        self._predicate = predicate
+        self.schema = child.schema
+        self._test = predicate.compile(child.schema)
 
-    def __iter__(self) -> Iterator[RowDict]:
-        for row in self._child:
-            if self._predicate.evaluate(row):
-                yield row
+    def rows(self) -> Iterable[Row]:
+        return filter(self._test, self._child.rows())
 
 
 class Project(PhysicalOperator):
-    """Keep only named columns, or compute derived columns from expressions."""
+    """Keep only the named columns, in the given order."""
 
-    def __init__(self, child: PhysicalOperator, columns: Sequence[str],
-                 computed: Mapping[str, Expression] | None = None) -> None:
+    def __init__(self, child: PhysicalOperator, columns: Sequence[str]) -> None:
         self._child = child
-        self._columns = list(columns)
-        self._computed = dict(computed or {})
+        missing = [name for name in columns if name not in child.schema]
+        if missing:
+            raise QueryError(f"projection references unknown column {missing[0]!r}")
+        self.schema = child.schema.project(columns)
+        self._pick = tuple_reader(child.schema, columns)
 
-    def __iter__(self) -> Iterator[RowDict]:
-        for row in self._child:
-            out: RowDict = {}
-            for name in self._columns:
-                if name not in row:
-                    raise QueryError(f"projection references unknown column {name!r}")
-                out[name] = row[name]
-            for name, expr in self._computed.items():
-                out[name] = expr.evaluate(row)
-            yield out
+    def rows(self) -> Iterable[Row]:
+        return map(self._pick, self._child.rows())
 
 
 class Limit(PhysicalOperator):
@@ -88,120 +122,110 @@ class Limit(PhysicalOperator):
         if n < 0:
             raise QueryError("LIMIT must be non-negative")
         self._child = child
+        self.schema = child.schema
         self._n = n
 
-    def __iter__(self) -> Iterator[RowDict]:
-        count = 0
-        for row in self._child:
-            if count >= self._n:
-                return
-            yield row
-            count += 1
+    def rows(self) -> Iterable[Row]:
+        return itertools.islice(self._child.rows(), self._n)
 
 
 class Sort(PhysicalOperator):
-    """In-memory sort by one or more columns (CPU Timsort path)."""
+    """In-memory sort by one or more columns (CPU Timsort path).
+
+    ``None`` sorts first (last when ``descending``).
+    """
 
     def __init__(self, child: PhysicalOperator, by: Sequence[str], *,
                  descending: bool = False) -> None:
         self._child = child
-        self._by = list(by)
+        self.schema = child.schema
+        self._readers = [column_reader(child.schema, name) for name in by]
         self._descending = descending
 
-    def __iter__(self) -> Iterator[RowDict]:
-        rows = list(self._child)
-        rows.sort(key=_sort_key(self._by), reverse=self._descending)
-        yield from rows
+    def rows(self) -> list[Row]:
+        readers = self._readers
+
+        def key(row: Row) -> tuple:
+            return tuple(((value := read(row)) is not None, value)
+                         for read in readers)
+
+        return sorted(self._child.rows(), key=key, reverse=self._descending)
 
 
-class HashJoin(PhysicalOperator):
-    """Equi-join using an in-memory hash table built on the right input."""
+class _Join(PhysicalOperator):
+    """Shared shape of the equi-joins: key readers and the output schema.
+
+    Output rows are the left row followed by the right row's columns whose
+    names the left side lacks (nullable under ``how="left"``, where unmatched
+    left rows pad them with ``None``).
+    """
+
+    _SUPPORTED: tuple[str, ...] = ("inner",)
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_key: str, right_key: str, *, how: str = "inner") -> None:
-        if how not in ("inner", "left"):
+        if how not in self._SUPPORTED:
             raise QueryError(f"unsupported join type {how!r}")
-        self._left = left
-        self._right = right
-        self._left_key = left_key
-        self._right_key = right_key
-        self._how = how
+        self._left, self._right, self._how = left, right, how
+        self._left_key = column_reader(left.schema, left_key)
+        self._right_key = column_reader(right.schema, right_key)
+        extra = [c for c in right.schema if c.name not in left.schema]
+        self._extra = tuple_reader(right.schema, [c.name for c in extra])
+        if how == "left":
+            extra = [Column(c.name, c.dtype, nullable=True) for c in extra]
+        self.schema = Schema(list(left.schema) + extra)
 
-    def __iter__(self) -> Iterator[RowDict]:
-        buckets: dict[Any, list[RowDict]] = {}
-        right_columns: set[str] = set()
-        for row in self._right:
-            right_columns.update(row.keys())
-            key = row.get(self._right_key)
-            if key is None:
-                continue
-            buckets.setdefault(key, []).append(row)
-        null_right = {name: None for name in right_columns}
-        for left_row in self._left:
-            key = left_row.get(self._left_key)
-            matches = buckets.get(key, []) if key is not None else []
+
+class HashJoin(_Join):
+    """Equi-join using an in-memory hash table built on the right input."""
+
+    _SUPPORTED = ("inner", "left")
+
+    def rows(self) -> Iterable[Row]:
+        left_key, right_key, extra = self._left_key, self._right_key, self._extra
+        buckets: dict[Any, list[Row]] = {}
+        for row in self._right.rows():
+            key = right_key(row)
+            if key is not None:
+                buckets.setdefault(key, []).append(extra(row))
+        padding = (None,) * (len(self.schema) - len(self._left.schema)) \
+            if self._how == "left" else None
+        for left_row in self._left.rows():
+            key = left_key(left_row)
+            matches = buckets.get(key) if key is not None else None
             if matches:
-                for right_row in matches:
-                    merged = dict(left_row)
-                    for name, value in right_row.items():
-                        if name not in merged:
-                            merged[name] = value
-                    yield merged
-            elif self._how == "left":
-                merged = dict(left_row)
-                for name, value in null_right.items():
-                    if name not in merged:
-                        merged[name] = value
-                yield merged
+                for right_extra in matches:
+                    yield left_row + right_extra
+            elif padding is not None:
+                yield left_row + padding
 
 
-class SortMergeJoin(PhysicalOperator):
-    """Equi-join by sorting both inputs on the key and merging.
+class SortMergeJoin(_Join):
+    """Inner equi-join by sorting both inputs on the key and merging.
 
     This is the join used in the paper's §III walk-through (Admission ⋈
     Patients sorted on admission date), where the sort phase is the offload
     candidate.
     """
 
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
-                 left_key: str, right_key: str) -> None:
-        self._left = left
-        self._right = right
-        self._left_key = left_key
-        self._right_key = right_key
-
-    def __iter__(self) -> Iterator[RowDict]:
-        left_rows = sorted(
-            (r for r in self._left if r.get(self._left_key) is not None),
-            key=lambda r: r[self._left_key],
-        )
-        right_rows = sorted(
-            (r for r in self._right if r.get(self._right_key) is not None),
-            key=lambda r: r[self._right_key],
-        )
-        i = j = 0
-        while i < len(left_rows) and j < len(right_rows):
-            lkey = left_rows[i][self._left_key]
-            rkey = right_rows[j][self._right_key]
-            if lkey < rkey:
-                i += 1
-            elif lkey > rkey:
+    def rows(self) -> Iterable[Row]:
+        left_key, right_key, extra = self._left_key, self._right_key, self._extra
+        left_rows = sorted((r for r in self._left.rows() if left_key(r) is not None),
+                           key=left_key)
+        right_rows = sorted((r for r in self._right.rows()
+                             if right_key(r) is not None), key=right_key)
+        j = 0
+        for key, left_run in itertools.groupby(left_rows, key=left_key):
+            while j < len(right_rows) and right_key(right_rows[j]) < key:
                 j += 1
-            else:
-                j_end = j
-                while j_end < len(right_rows) and right_rows[j_end][self._right_key] == lkey:
-                    j_end += 1
-                i_end = i
-                while i_end < len(left_rows) and left_rows[i_end][self._left_key] == lkey:
-                    i_end += 1
-                for li in range(i, i_end):
-                    for rj in range(j, j_end):
-                        merged = dict(left_rows[li])
-                        for name, value in right_rows[rj].items():
-                            if name not in merged:
-                                merged[name] = value
-                        yield merged
-                i, j = i_end, j_end
+            j_end = j
+            while j_end < len(right_rows) and right_key(right_rows[j_end]) == key:
+                j_end += 1
+            extras = [extra(row) for row in right_rows[j:j_end]]
+            for left_row in left_run:
+                for right_extra in extras:
+                    yield left_row + right_extra
+            j = j_end
 
 
 @dataclass(frozen=True)
@@ -221,84 +245,151 @@ class AggregateSpec:
             raise QueryError(f"aggregate {self.function!r} requires a column")
 
 
+def aggregate_dtype(function: str, source: Column | None) -> DataType:
+    """Output type of ``function`` over ``source`` (``None``: not in the input).
+
+    ``sum``/``min``/``max`` keep the source type, except that summing
+    booleans counts them (Python and SQL both give an integer).
+    """
+    if function == "count":
+        return DataType.INT
+    if function == "avg" or source is None:
+        return DataType.FLOAT
+    if function == "sum" and source.dtype is DataType.BOOL:
+        return DataType.INT
+    return source.dtype
+
+
 class GroupByAggregate(PhysicalOperator):
-    """Hash group-by with the standard SQL aggregates."""
+    """Hash group-by with the standard SQL aggregates, groups in first-seen
+    order; with no grouping columns an empty input still yields one row."""
 
     def __init__(self, child: PhysicalOperator, group_by: Sequence[str],
                  aggregates: Sequence[AggregateSpec]) -> None:
         self._child = child
-        self._group_by = list(group_by)
-        self._aggregates = list(aggregates)
+        source = child.schema
+        # A single grouping column hashes its bare value, not a 1-tuple.
+        self._n_keys = len(group_by)
+        self._key = column_reader(source, group_by[0]) if self._n_keys == 1 \
+            else tuple_reader(source, group_by)
+        self._folds = [_fold(spec.function, None if spec.column is None
+                             else column_reader(source, spec.column))
+                       for spec in aggregates]
+        self.schema = Schema(
+            [source[name] if name in source else Column(name, DataType.STRING)
+             for name in group_by]
+            + [Column(spec.alias, aggregate_dtype(
+                spec.function, source[spec.column] if spec.column in source else None))
+               for spec in aggregates])
 
-    def __iter__(self) -> Iterator[RowDict]:
-        groups: dict[tuple, list[RowDict]] = {}
-        order: list[tuple] = []
-        for row in self._child:
-            key = tuple(row.get(name) for name in self._group_by)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        if not self._group_by and not groups:
-            # Aggregates over an empty input still produce a single row.
+    def rows(self) -> list[Row]:
+        key_of = self._key
+        groups: dict[Any, list[Row]] = defaultdict(list)
+        for row in self._child.rows():
+            groups[key_of(row)].append(row)
+        if not groups and self._n_keys == 0:
             groups[()] = []
-            order.append(())
-        for key in order:
-            rows = groups[key]
-            out: RowDict = dict(zip(self._group_by, key))
-            for spec in self._aggregates:
-                out[spec.alias] = _aggregate(spec, rows)
-            yield out
+        folds, single = self._folds, self._n_keys == 1
+        return [((key,) if single else key) + tuple(fold(members) for fold in folds)
+                for key, members in groups.items()]
 
 
 class TopK(PhysicalOperator):
-    """Heap-based top-k by a column, equivalent to ORDER BY ... LIMIT k."""
+    """Heap-based top-k by a column, equivalent to ORDER BY ... LIMIT k.
+
+    Rows whose ``by`` value is ``None`` never qualify.
+    """
 
     def __init__(self, child: PhysicalOperator, by: str, k: int, *,
                  descending: bool = True) -> None:
         if k < 0:
             raise QueryError("k must be non-negative")
         self._child = child
-        self._by = by
+        self.schema = child.schema
+        self._by = column_reader(child.schema, by)
         self._k = k
         self._descending = descending
 
-    def __iter__(self) -> Iterator[RowDict]:
-        rows = [r for r in self._child if r.get(self._by) is not None]
-        if self._k == 0:
-            return
-        if self._descending:
-            top = heapq.nlargest(self._k, rows, key=lambda r: r[self._by])
-        else:
-            top = heapq.nsmallest(self._k, rows, key=lambda r: r[self._by])
-        yield from top
+    def rows(self) -> list[Row]:
+        by = self._by
+        candidates = (row for row in self._child.rows() if by(row) is not None)
+        select = heapq.nlargest if self._descending else heapq.nsmallest
+        return select(self._k, candidates, key=by)
 
 
-def _aggregate(spec: AggregateSpec, rows: list[RowDict]) -> Any:
-    if spec.function == "count":
-        if spec.column is None:
-            return len(rows)
-        return sum(1 for r in rows if r.get(spec.column) is not None)
-    values = [r[spec.column] for r in rows if r.get(spec.column) is not None]
-    if not values:
-        return None
-    if spec.function == "sum":
-        return sum(values)
-    if spec.function == "avg":
-        return sum(values) / len(values)
-    if spec.function == "min":
-        return min(values)
-    return max(values)
+def build_operator(kind: str, params: Mapping[str, Any],
+                   *children: PhysicalOperator) -> PhysicalOperator:
+    """The physical operator for one IR-style ``(kind, params)`` step.
+
+    The one place parameter names and defaults are read, for the adapters'
+    federated path and the views' bounded recompute alike.
+    """
+    if kind == "join":
+        left, right = children
+        left_key, right_key = str(params["left_key"]), str(params["right_key"])
+        if params.get("algorithm", "hash") == "sort_merge":
+            return SortMergeJoin(left, right, left_key, right_key)
+        return HashJoin(left, right, left_key, right_key,
+                        how=str(params.get("how", "inner")))
+    (child,) = children
+    if kind == "filter":
+        return Filter(child, params["predicate"])
+    if kind == "project":
+        return Project(child, list(params.get("columns") or []))
+    if kind == "aggregate":
+        return GroupByAggregate(child, list(params.get("group_by") or []),
+                                list(params.get("aggregates") or []))
+    if kind == "sort":
+        return Sort(child, [str(params["by"])],
+                    descending=bool(params.get("descending", False)))
+    if kind == "limit":
+        return Limit(child, int(params["n"]))
+    if kind == "top_k":
+        return TopK(child, str(params["by"]), int(params["k"]),
+                    descending=bool(params.get("descending", True)))
+    raise QueryError(f"no physical operator for kind {kind!r}")
 
 
-def _sort_key(by: Sequence[str]) -> Callable[[RowDict], tuple]:
-    def key(row: RowDict) -> tuple:
-        parts = []
-        for name in by:
-            value = row.get(name)
-            parts.append((value is not None, value))
-        return tuple(parts)
-    return key
+def column_reader(schema: Schema, name: str) -> Callable[[Row], Any]:
+    """``row -> value`` of one key column (``None`` when the schema lacks it)."""
+    if name in schema:
+        return itemgetter(schema.index_of(name))
+    return lambda row: None
+
+
+def tuple_reader(schema: Schema, names: Sequence[str]) -> Callable[[Row], tuple]:
+    """``row -> tuple`` of the named columns (``None`` for ones the schema lacks)."""
+    if all(name in schema for name in names):
+        return _tuple_of([schema.index_of(name) for name in names])
+    readers = [column_reader(schema, name) for name in names]
+    return lambda row: tuple(read(row) for read in readers)
+
+
+def _tuple_of(keys: Sequence[Any]) -> Callable[[Any], tuple]:
+    """``row -> (row[k] for k in keys)``; ``itemgetter`` alone is not a tuple for <2 keys."""
+    if not keys:
+        return lambda row: ()
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda row: (row[key],)
+    return itemgetter(*keys)
+
+
+def _fold(function: str, read: Callable[[Row], Any] | None
+          ) -> Callable[[list[Row]], Any]:
+    """``group rows -> aggregate value``: ``count(*)`` (no ``read``) counts
+    rows, everything else skips ``None`` and is ``None`` over no other input."""
+    if read is None:
+        return len
+    if function == "count":
+        return lambda rows: sum(1 for row in rows if read(row) is not None)
+    reduce = {"sum": sum, "min": min, "max": max,
+              "avg": lambda values: sum(values) / len(values)}[function]
+
+    def fold(rows: list[Row]) -> Any:
+        values = [value for value in map(read, rows) if value is not None]
+        return reduce(values) if values else None
+    return fold
 
 
 # -- bitonic sorting network ----------------------------------------------------------------

@@ -9,7 +9,7 @@ and for the accelerator placement pass (operator kind).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.exceptions import PlanError

@@ -17,7 +17,7 @@ of its output — the DBSP "lifted" form of the corresponding batch operator:
   recomputes the full (small, post-aggregation) output on change, emitting
   the output *diff* so downstream operators stay incremental.
 
-Semantics deliberately mirror the relational engine's volcano operators
+Semantics deliberately mirror the relational engine's physical operators
 (:mod:`repro.stores.relational.operators`) — the differential tests assert
 refresh-equals-recompute across randomized mutation streams.
 """
@@ -31,11 +31,8 @@ from typing import Any, Sequence
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.operators import (
     AggregateSpec,
-    HashJoin,
-    Limit,
-    Sort,
     TableScan,
-    TopK,
+    build_operator,
 )
 from repro.views.zset import ZSet, freeze_row, thaw_row
 
@@ -53,12 +50,13 @@ class DeltaFilter(DeltaOperator):
 
     def __init__(self, predicate: Expression) -> None:
         self.predicate = predicate
+        self._test = predicate.compile()  # over thawed dict rows, by name
 
     def apply(self, *deltas: ZSet) -> ZSet:
         (delta,) = deltas
         out = ZSet()
         for frozen, weight in delta.items():
-            if self.predicate.evaluate(thaw_row(frozen)):
+            if self._test(thaw_row(frozen)):
                 out.add(frozen, weight)
         return out
 
@@ -256,7 +254,7 @@ class DeltaAggregate(DeltaOperator):
 class DeltaRecompute(DeltaOperator):
     """Bounded-recompute fallback for operators with no delta form.
 
-    Maintains each input's full Z-set and re-executes the underlying volcano
+    Maintains each input's full Z-set and re-executes the underlying physical
     operator *chain* over the expanded rows when any delta arrives, emitting
     the output diff.  Used for ``sort``/``limit``/``top_k`` (whose outputs
     are order- or cutoff-sensitive) and non-inner joins; these typically sit
@@ -301,28 +299,9 @@ class DeltaRecompute(DeltaOperator):
         return diff
 
     def _recompute(self) -> list[dict[str, Any]]:
-        rows = [state.to_rows() for state in self._inputs]
-        bottom_kind, bottom_params = self.stages[0]
-        if bottom_kind == "join":
-            operator = HashJoin(TableScan(rows[0]), TableScan(rows[1]),
-                                str(bottom_params["left_key"]),
-                                str(bottom_params["right_key"]),
-                                how=str(bottom_params.get("how", "inner")))
-        else:
-            operator = self._stage_operator(bottom_kind, bottom_params,
-                                            TableScan(rows[0]))
-        for kind, params in self.stages[1:]:
-            operator = self._stage_operator(kind, params, operator)
+        scans = [TableScan(state.to_rows()) for state in self._inputs]
+        (kind, params), *upper = self.stages
+        operator = build_operator(kind, params, *scans)
+        for kind, params in upper:
+            operator = build_operator(kind, params, operator)
         return operator.execute()
-
-    @staticmethod
-    def _stage_operator(kind: str, params: dict[str, Any], child):
-        if kind == "sort":
-            return Sort(child, [str(params["by"])],
-                        descending=bool(params.get("descending", False)))
-        if kind == "limit":
-            return Limit(child, int(params["n"]))
-        if kind == "top_k":
-            return TopK(child, str(params["by"]), int(params["k"]),
-                        descending=bool(params.get("descending", True)))
-        raise ValueError(f"DeltaRecompute cannot re-execute kind {kind!r}")

@@ -28,17 +28,7 @@ from repro.cluster.scatter import (
 from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import RelationalEngine
-from repro.stores.relational.operators import AggregateSpec, GroupByAggregate
-
-
-class _Rows:
-    """A leaf physical operator over materialized rows."""
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def __iter__(self):
-        return iter(self._rows)
+from repro.stores.relational.operators import AggregateSpec, GroupByAggregate, TableScan
 
 
 AGGREGATES = [
@@ -86,7 +76,7 @@ def _partition(rng: random.Random, rows: list[dict], shards: int) -> list[list[d
 
 def _single_node(rows: list[dict], group_by: list[str],
                  aggregates: list[AggregateSpec]) -> list[dict]:
-    return list(GroupByAggregate(_Rows(rows), group_by, aggregates))
+    return GroupByAggregate(TableScan(rows), group_by, aggregates).execute()
 
 
 def _sharded(parts: list[list[dict]], group_by: list[str],
@@ -179,12 +169,12 @@ def test_global_top_k_matches_single_node(seed, descending):
     k = rng.choice([0, 1, 3, 10])
     parts = []
     for shard_rows in _partition(rng, rows, rng.randint(1, 4)):
-        local = list(TopK(_Rows(shard_rows), "score", k, descending=descending))
+        local = TopK(TableScan(shard_rows), "score", k, descending=descending).execute()
         parts.append(Table.from_dicts(local) if local
                      else Table(make_schema(("item", DataType.INT),
                                             ("score", DataType.FLOAT)), []))
     combined = _global_top_k(parts, "score", k, descending)
-    reference = list(TopK(_Rows(rows), "score", k, descending=descending))
+    reference = TopK(TableScan(rows), "score", k, descending=descending).execute()
 
     combined_rows = combined.to_dicts()
     # None scores never qualify (single-node drops them before the heap).

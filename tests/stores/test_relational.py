@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from repro import col
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import QueryError, StorageError
 from repro.stores.base import Capability
@@ -153,3 +157,83 @@ class TestEngine:
     def test_empty_result_keeps_schema(self, relational_engine: RelationalEngine):
         result = relational_engine.execute_sql("SELECT pid FROM patients WHERE age > 200")
         assert result.num_rows == 0
+
+
+class TestCopyOnWriteUpdates:
+    """``update_rows`` builds the changed table beside the live one."""
+
+    ROWS = 2_000
+
+    def _engine(self) -> RelationalEngine:
+        engine = RelationalEngine("cow")
+        schema = make_schema(("id", DataType.INT), ("grp", DataType.INT),
+                             ("amount", DataType.FLOAT))
+        engine.load_table("facts", Table(
+            schema, [(i, i % 7, 0.0) for i in range(self.ROWS)]), page_capacity=64)
+        return engine
+
+    def test_concurrent_reader_never_sees_a_partial_update(self):
+        engine = self._engine()
+        everything = col("id") >= 0
+        torn: list[set] = []
+        scans = 0
+        done = threading.Event()
+
+        def reader() -> None:
+            nonlocal scans
+            while not done.is_set():
+                # Each statement sets one amount on every row, so one scan
+                # must never mix two amounts.
+                amounts = set(engine.scan("facts").column("amount"))
+                scans += 1
+                if len(amounts) != 1:
+                    torn.append(amounts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=reader)
+        try:
+            thread.start()
+            for step in range(1, 40):
+                assert len(engine.update_rows(
+                    "facts", everything, {"amount": float(step)})) == self.ROWS
+        finally:
+            done.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert scans > 0
+        assert torn == []
+
+    def test_update_shares_untouched_pages_and_indexes(self):
+        engine = self._engine()
+        engine.create_index("facts", "grp", kind="hash")
+        engine.create_index("facts", "amount", kind="sorted")
+        before = engine._stored("facts")
+        old_pages = list(before.heap.pages())
+        engine.update_rows("facts", col("id").eq(70), {"amount": 5.0})
+        after = engine._stored("facts")
+        assert after is not before
+        new_pages = list(after.heap.pages())
+        touched = [i for i, (old, new) in enumerate(zip(old_pages, new_pages))
+                   if old is not new]
+        assert touched == [70 // 64]
+        # The live page the readers may still hold was left as it was.
+        assert old_pages[70 // 64].rows[70 % 64] == (70, 0, 0.0)
+        assert after.hash_indexes["grp"] is before.hash_indexes["grp"]
+        assert after.sorted_indexes["amount"] is not before.sorted_indexes["amount"]
+
+    def test_index_on_updated_column_answers_with_new_values(self):
+        engine = self._engine()
+        engine.create_index("facts", "grp", kind="hash")
+        engine.create_index("facts", "amount", kind="sorted")
+        engine.update_rows("facts", col("id") < 10, {"grp": 99, "amount": 7.5})
+        assert sorted(engine.index_lookup("facts", "grp", 99).column("id")) == \
+            list(range(10))
+        assert 0 not in engine.index_lookup("facts", "grp", 0).column("id")
+        assert sorted(engine.range_lookup("facts", "amount", 7.0, 8.0)
+                      .column("id")) == list(range(10))
+        assert len(engine.index_lookup("facts", "amount", 0.0)) == self.ROWS - 10
+        # Inserts after the swap keep maintaining shared and rebuilt indexes.
+        engine.insert("facts", [(self.ROWS, 99, 7.5)])
+        assert len(engine.index_lookup("facts", "grp", 99)) == 11

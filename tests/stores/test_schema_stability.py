@@ -1,0 +1,140 @@
+"""Result schemas come from the plan, never from the surviving values.
+
+The ROADMAP example: a predicated scan over ``(pid:int, score:float,
+name:string)`` used to come back typed ``score:float``, ``score:int`` or
+``score:string`` depending on whether the matching rows carried floats,
+int-valued numbers or only ``None`` — and an empty result took a fourth
+path.  Every relational operator, on the single-engine route and on the
+4-shard scatter route, must return the schema derived from its inputs'
+schemas and its parameters, whichever rows match.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import DataflowProgram, col
+from repro.core import build_cpu_polystore
+from repro.datamodel import Column, DataType, Schema, Table, make_schema
+from repro.ir.nodes import Operator
+from repro.middleware.adapters import RelationalAdapter
+from repro.stores import RelationalEngine
+from repro.stores.relational.planner import JoinPlan, ScanPlan
+
+PEOPLE = make_schema(("pid", DataType.INT), ("score", DataType.FLOAT),
+                     ("name", DataType.STRING))
+TAGS = make_schema(("pid", DataType.INT), ("tag", DataType.STRING))
+
+#: One row per way a FLOAT cell can look: a float, an int-valued number, NULL.
+PEOPLE_ROWS = [(1, 1.5, "ann"), (2, 2, "bob"), (3, None, "cat"), (4, 4.25, None)]
+TAG_ROWS = [(1, "a"), (2, "b"), (3, "c"), (4, None)]
+
+#: Which rows survive the scan's predicate -> what the old inference saw.
+SELECTIONS = {
+    "float": col("pid").eq(1),
+    "int-valued": col("pid").eq(2),
+    "null": col("pid").eq(3),
+    "none-match": col("pid").eq(99),
+}
+
+AGGREGATED = Schema([
+    Column("name", DataType.STRING), Column("n", DataType.INT),
+    Column("total", DataType.FLOAT), Column("lo", DataType.FLOAT),
+    Column("hi", DataType.STRING), Column("mean", DataType.FLOAT),
+])
+JOINED = Schema(list(PEOPLE) + [Column("tag", DataType.STRING)])
+
+#: operator name -> (dataflow builder over the filtered scan, plan-derived schema)
+OPERATORS = {
+    "filter": (lambda people, tags: people, PEOPLE),
+    "project": (lambda people, tags: people.project("score", "name"),
+                PEOPLE.project(["score", "name"])),
+    "aggregate": (lambda people, tags: people.aggregate(
+        ["name"], n=("count", None), total=("sum", "score"), lo=("min", "score"),
+        hi=("max", "name"), mean=("avg", "score")), AGGREGATED),
+    "sort": (lambda people, tags: people.sort("score"), PEOPLE),
+    "limit": (lambda people, tags: people.limit(5), PEOPLE),
+    "top_k": (lambda people, tags: people.top_k("score", 2), PEOPLE),
+    "hash_join": (lambda people, tags: people.join(tags, on="pid"), JOINED),
+    "left_join": (lambda people, tags: people.join(tags, on="pid", how="left"),
+                  JOINED),
+}
+
+
+def _system(sharded: bool):
+    if sharded:
+        system = build_cpu_polystore([])
+        engine = system.register_sharded_engine("db", RelationalEngine, 4)
+    else:
+        engine = RelationalEngine("db")
+        system = build_cpu_polystore([engine])
+    engine.load_table("people", Table(PEOPLE, PEOPLE_ROWS))
+    engine.load_table("tags", Table(TAGS, TAG_ROWS))
+    return system
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["single", "4-shard"])
+def system(request):
+    return _system(request.param)
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_result_schema_is_plan_derived(system, operator, selection):
+    build, expected = OPERATORS[operator]
+    source = system.dataset("db")
+    people = source.table("people").filter(SELECTIONS[selection])
+    program = DataflowProgram(f"{operator}-{selection}")
+    program.output("out", build(people, source.table("tags")))
+    result = system.execute(program).output("out")
+    if operator == "hash_join":
+        # The optimizer may commute an inner join's inputs (a plan decision):
+        # same typed columns, either side first.
+        assert sorted(result.schema, key=lambda c: c.name) == \
+            sorted(expected, key=lambda c: c.name)
+    else:
+        assert result.schema == expected
+    if selection == "none-match":
+        assert len(result) == 0
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
+def test_sort_merge_join_schema(selection):
+    """The sort-merge algorithm is reachable through the adapter and the planner."""
+    engine = RelationalEngine("db")
+    engine.load_table("people", Table(PEOPLE, PEOPLE_ROWS))
+    engine.load_table("tags", Table(TAGS, TAG_ROWS))
+    adapter = RelationalAdapter(engine)
+    people = adapter.execute(Operator(
+        "scan", {"table": "people", "predicate": SELECTIONS[selection]},
+        engine="db"), [])
+    joined = adapter.execute(
+        Operator("join", {"left_key": "pid", "right_key": "pid",
+                          "algorithm": "sort_merge"}, ["l", "r"], "db"),
+        [people, engine.scan("tags")])
+    assert people.schema == PEOPLE
+    assert joined.schema == JOINED
+    planned = engine.execute_plan(JoinPlan(
+        ScanPlan("people"), ScanPlan("tags"), "pid", "pid", algorithm="sort_merge"))
+    assert planned.schema == JOINED
+
+
+def test_engine_top_k_keeps_table_schema():
+    engine = RelationalEngine("db")
+    engine.load_table("people", Table(PEOPLE, PEOPLE_ROWS))
+    assert engine.top_k("people", "score", 2).schema == PEOPLE
+    assert engine.top_k("people", "score", 0).schema == PEOPLE
+
+
+@pytest.mark.parametrize("where", ["pid = 2", "pid = 3", "pid = 99"])
+def test_sql_aggregate_types_follow_the_source_column(where):
+    """``min(name)`` is a string whatever matches (it used to come back FLOAT
+    when nothing did, and typed by the first surviving value otherwise)."""
+    engine = RelationalEngine("db")
+    engine.load_table("people", Table(PEOPLE, PEOPLE_ROWS))
+    result = engine.execute_sql(
+        "SELECT pid, min(name) AS first_name, sum(score) AS total, count(*) AS n "
+        f"FROM people WHERE {where} GROUP BY pid")
+    assert result.schema == make_schema(
+        ("pid", DataType.INT), ("first_name", DataType.STRING),
+        ("total", DataType.FLOAT), ("n", DataType.INT))
