@@ -7,6 +7,8 @@ accelerated migration and operator offload.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from benchmarks._emit import report_info
@@ -35,7 +37,15 @@ def test_mode_ordering(mimic_system):
     """The headline E7 comparison (not timed; charged costs compared directly)."""
     system = mimic_system["system"]
     program = build_mimic_program(epochs=2)
-    results = system.compare_modes(program)
+    # Host-run operators are charged their measured wall time and each run
+    # is ~20 ms: a full collection (~40 ms over pytest's heap) landing inside
+    # one of the three would decide the comparison, so none may start here.
+    gc.collect()
+    gc.disable()
+    try:
+        results = system.compare_modes(program)
+    finally:
+        gc.enable()
     charged = {mode: r.total_time_s for mode, r in results.items()}
     assert charged["polystore++"] <= charged["cpu_polystore"] * 1.25
     assert charged["cpu_polystore"] <= charged["one_size_fits_all"] * 1.25

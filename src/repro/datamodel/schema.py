@@ -10,7 +10,6 @@ about cross-engine data movement without knowing engine internals.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -163,16 +162,16 @@ class Schema:
         """
         if not rows:
             raise SchemaError("cannot infer schema from an empty sample")
-        order = list(rows[0])
-        if len(set().union(*rows)) != len(order):
-            # Some later row introduces a key: keep first-seen order.
-            order = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
-        columns = []
-        for name in order:
-            first = next((value for row in rows
-                          if (value := row.get(name)) is not None), None)
-            columns.append(Column(name, DataType.STRING if first is None
-                                  else _infer_dtype(first)))
+        order: list[str] = []
+        seen: dict[str, DataType | None] = {}
+        for row in rows:
+            for key, value in row.items():
+                if key not in seen:
+                    seen[key] = None
+                    order.append(key)
+                if seen[key] is None and value is not None:
+                    seen[key] = _infer_dtype(value)
+        columns = [Column(name, seen[name] or DataType.STRING) for name in order]
         return cls(columns)
 
     # -- container protocol ----------------------------------------------------

@@ -27,10 +27,12 @@ def apply_predicate(table: Table, node: Operator) -> Table:
     The pushdown pass absorbs filters into leaf reads of every data model;
     each adapter funnels its result table through here so predicate
     semantics match the relational engine exactly.  Nodes without a
-    predicate pass through untouched.
+    predicate pass through untouched, and so does an empty table: the empty
+    result of a schemaless read (key/value, graph nodes) has only a
+    placeholder schema, which does not know the predicate's columns.
     """
     predicate = node.params.get("predicate")
-    if not isinstance(predicate, Expression):
+    if not isinstance(predicate, Expression) or not len(table):
         return table
     return Filter(TableScan(table), predicate).to_table()
 
@@ -61,11 +63,19 @@ class Adapter(abc.ABC):
         the plan-derived result schema) match wherever they came from.
         """
         self._require_inputs(node, inputs, 2 if node.kind == "join" else 1)
-        scans = [TableScan(self._as_table(value, node)) for value in inputs]
+        tables = [self._as_table(value, node) for value in inputs]
         if node.kind == "filter" and not isinstance(node.params.get("predicate"),
                                                     Expression):
             raise AdapterError(f"filter {node.op_id} has no predicate expression")
-        return build_operator(node.kind, node.params, *scans).to_table()
+        if node.kind in ("filter", "project") and not len(tables[0]):
+            # Nothing to read, and a schemaless read's empty result may not
+            # declare the columns named: keep those its schema has.
+            schema = tables[0].schema
+            names = node.params.get("columns") if node.kind == "project" else schema.names
+            return Table.wrap(schema.project(
+                [name for name in names or () if name in schema]), [])
+        return build_operator(node.kind, node.params,
+                              *map(TableScan, tables)).to_table()
 
     @staticmethod
     def _as_table(value: Any, node: Operator) -> Table:

@@ -460,7 +460,9 @@ class Executor:
                 {"kernel": offload.kernel}
         if node.kind == "filter" and device.supports("filter"):
             predicate = node.params.get("predicate")
-            if isinstance(predicate, Expression):
+            # An empty input goes back to the adapter: nothing to stream, and
+            # a schemaless read's placeholder schema cannot bind the predicate.
+            if isinstance(predicate, Expression) and len(table):
                 kept, offload = device.offload("filter", table.rows,
                                                predicate.compile(table.schema))
                 return Table.wrap(table.schema, kept), offload.total_s, \

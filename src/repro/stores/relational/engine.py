@@ -10,7 +10,7 @@ per-operation metrics that the Polystore++ middleware's optimizer consumes.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Table
@@ -73,58 +73,6 @@ class StoredTable:
         index.bulk_load((row[position], rid)
                         for rid, row in self.heap.scan_with_rids())
         return index
-
-    def without_rows(self, matches: Callable[[tuple], Any]
-                     ) -> tuple["StoredTable", list[tuple]]:
-        """A copy without the rows ``matches`` accepts, plus those rows.
-
-        Row ids move, so heap and indexes are rebuilt from the survivors.
-        """
-        kept: list[tuple] = []
-        deleted: list[tuple] = []
-        for row in self.heap.scan():
-            (deleted if matches(row) else kept).append(row)
-        if not deleted:
-            return self, deleted
-        rebuilt = StoredTable(self.name, self.schema, self.heap.page_capacity)
-        rebuilt.hash_indexes = {c: HashIndex(c) for c in self.hash_indexes}
-        rebuilt.sorted_indexes = {c: SortedIndex(c) for c in self.sorted_indexes}
-        for row in kept:
-            rebuilt.insert(row)
-        return rebuilt, deleted
-
-    def with_updates(self, matches: Callable[[tuple], Any], updates: Mapping[str, Any]
-                     ) -> tuple["StoredTable", list[tuple[tuple, tuple]]]:
-        """A copy-on-write sibling with ``updates`` set on matching rows.
-
-        Returns the sibling and the ``(old_row, new_row)`` pairs.  Row ids do
-        not move: only pages holding a matching row are copied, and only
-        indexes on an updated column are rebuilt; everything else is shared.
-        """
-        names = self.schema.names
-        replaced: dict[int, list[tuple]] = {}
-        updated: list[tuple[tuple, tuple]] = []
-        for page in self.heap.pages():
-            hits = [slot for slot, row in enumerate(page.rows) if matches(row)]
-            if not hits:
-                continue
-            rows = replaced[page.page_id] = list(page.rows)
-            for slot in hits:
-                old = rows[slot]
-                rows[slot] = tuple(updates.get(name, value)
-                                   for name, value in zip(names, old))
-                updated.append((old, rows[slot]))
-        if not updated:
-            return self, updated
-        sibling = StoredTable(self.name, self.schema, self.heap.page_capacity)
-        sibling.heap = self.heap.replace_pages(replaced)
-        sibling.hash_indexes = {
-            c: sibling.build_index(c, HashIndex) if c in updates else index
-            for c, index in self.hash_indexes.items()}
-        sibling.sorted_indexes = {
-            c: sibling.build_index(c, SortedIndex) if c in updates else index
-            for c, index in self.sorted_indexes.items()}
-        return sibling, updated
 
     def statistics(self) -> dict[str, Any]:
         """Table statistics for the catalog and cost models."""
@@ -263,13 +211,12 @@ class RelationalEngine(Engine):
     def delete_rows(self, table: str, predicate: Expression) -> list[tuple]:
         """Delete every row satisfying ``predicate``; returns the deleted rows.
 
-        The heap and all indexes are rebuilt from the surviving rows (row
-        ids move); the deletions land in the changelog as weight ``-1``
-        entries.
+        The heap and all indexes are rebuilt from the surviving rows; the
+        deletions land in the changelog as weight ``-1`` entries.
         """
         batch = None
         with self._write_lock:
-            deleted = self._rewrite_rows(table, predicate, None)
+            deleted, _ = self._rewrite_rows(table, predicate, None)
             if deleted:
                 batch = self.mark_data_changed(
                     table_scope(table),
@@ -284,8 +231,7 @@ class RelationalEngine(Engine):
         """Set columns on every row satisfying ``predicate``.
 
         Returns ``(old_row, new_row)`` pairs; each update is logged as a
-        ``-1``/``+1`` entry pair (the Z-set form of an upsert).  Copy-on-write:
-        see :meth:`StoredTable.with_updates`.
+        ``-1``/``+1`` entry pair (the Z-set form of an upsert).
         """
         batch = None
         with self._write_lock:
@@ -293,7 +239,7 @@ class RelationalEngine(Engine):
             for column in updates:
                 if column not in stored.schema:
                     raise StorageError(f"table {table!r} has no column {column!r}")
-            updated = self._rewrite_rows(table, predicate, updates)
+            _, updated = self._rewrite_rows(table, predicate, dict(updates))
             if updated:
                 entries: list[tuple[tuple, int]] = []
                 for old, new in updated:
@@ -321,25 +267,40 @@ class RelationalEngine(Engine):
                     self.data_version_for(table_scope(table)))
 
     def _rewrite_rows(self, table: str, predicate: Expression,
-                      updates: Mapping[str, Any] | None) -> list:
-        """Apply a delete (``updates is None``) or an update; returns the change.
-
-        Lock-free readers hold whichever :class:`StoredTable` they looked up,
-        so a live page is never modified in place: the changed table is built
-        beside the old one and published by one ``self._tables`` assignment.
-        """
+                      updates: dict[str, Any] | None
+                      ) -> tuple[list[tuple], list[tuple[tuple, tuple]]]:
+        """Rebuild a table's heap applying a delete or update in one pass."""
         stored = self._stored(table)
-        matches = predicate.compile(stored.schema)
-        operation = "delete" if updates is None else "update"
+        names = stored.schema.names
+        kept: list[tuple] = []
+        deleted: list[tuple] = []
+        updated: list[tuple[tuple, tuple]] = []
+        operation = "update" if updates is not None else "delete"
+        matches = predicate.compile()
         with self.metrics.timed(self.name, operation, table=table) as timer:
-            if updates is None:
-                rebuilt, changed = stored.without_rows(matches)
-            else:
-                rebuilt, changed = stored.with_updates(matches, updates)
-            timer.rows_in = len(changed)
-        if changed:
+            for row in stored.heap.scan():
+                row_t = tuple(row)
+                if not matches(dict(zip(names, row_t))):
+                    kept.append(row_t)
+                    continue
+                if updates is None:
+                    deleted.append(row_t)
+                else:
+                    new_row = tuple(updates.get(name, value)
+                                    for name, value in zip(names, row_t))
+                    updated.append((row_t, new_row))
+                    kept.append(new_row)
+            timer.rows_in = len(deleted) + len(updated)
+        if deleted or updated:
+            rebuilt = StoredTable(table, stored.schema, stored.heap.page_capacity)
+            rebuilt.hash_indexes = {c: type(i)(c)
+                                    for c, i in stored.hash_indexes.items()}
+            rebuilt.sorted_indexes = {c: type(i)(c)
+                                      for c, i in stored.sorted_indexes.items()}
+            for row_t in kept:
+                rebuilt.insert(row_t)
             self._tables[table] = rebuilt
-        return changed
+        return deleted, updated
 
     def insert_dicts(self, table: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert dictionary rows into a table."""

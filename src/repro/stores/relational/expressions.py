@@ -230,16 +230,7 @@ class Comparison(Expression):
 
     def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
         compare_values = _COMPARISONS[self.op]
-        left = self.left._bind(reader)
-        if isinstance(self.right, Literal) and self.right.value is not None:
-            # The common ``column <op> constant`` shape: one call per row.
-            constant = self.right.value
-
-            def test_constant(row: Any) -> bool:
-                value = left(row)
-                return value is not None and bool(compare_values(value, constant))
-            return test_constant
-        right = self.right._bind(reader)
+        left, right = self.left._bind(reader), self.right._bind(reader)
 
         def test(row: Any) -> bool:
             a, b = left(row), right(row)

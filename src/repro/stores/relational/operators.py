@@ -30,6 +30,7 @@ stages so the FPGA simulator can map them onto pipeline cycles.
 from __future__ import annotations
 
 import abc
+import functools
 import heapq
 import itertools
 from collections import defaultdict
@@ -79,10 +80,7 @@ class TableScan(PhysicalOperator):
         dicts = list(source)
         self.schema = Schema.infer(dicts) if dicts else Schema([])
         names = self.schema.names
-        try:  # rows that all carry every key convert at C speed
-            self._rows = list(map(_tuple_of(names), dicts))
-        except KeyError:
-            self._rows = [tuple(row.get(name) for name in names) for row in dicts]
+        self._rows = [tuple(row.get(name) for name in names) for row in dicts]
 
     def rows(self) -> list[Row]:
         return self._rows
@@ -268,10 +266,8 @@ class GroupByAggregate(PhysicalOperator):
                  aggregates: Sequence[AggregateSpec]) -> None:
         self._child = child
         source = child.schema
-        # A single grouping column hashes its bare value, not a 1-tuple.
-        self._n_keys = len(group_by)
-        self._key = column_reader(source, group_by[0]) if self._n_keys == 1 \
-            else tuple_reader(source, group_by)
+        self._key = tuple_reader(source, group_by)
+        self._ungrouped = not group_by
         self._folds = [_fold(spec.function, None if spec.column is None
                              else column_reader(source, spec.column))
                        for spec in aggregates]
@@ -284,13 +280,13 @@ class GroupByAggregate(PhysicalOperator):
 
     def rows(self) -> list[Row]:
         key_of = self._key
-        groups: dict[Any, list[Row]] = defaultdict(list)
+        groups: dict[tuple, list[Row]] = defaultdict(list)
         for row in self._child.rows():
             groups[key_of(row)].append(row)
-        if not groups and self._n_keys == 0:
+        if not groups and self._ungrouped:
             groups[()] = []
-        folds, single = self._folds, self._n_keys == 1
-        return [((key,) if single else key) + tuple(fold(members) for fold in folds)
+        folds = self._folds
+        return [key + tuple(fold(members) for fold in folds)
                 for key, members in groups.items()]
 
 
@@ -359,20 +355,17 @@ def column_reader(schema: Schema, name: str) -> Callable[[Row], Any]:
 
 def tuple_reader(schema: Schema, names: Sequence[str]) -> Callable[[Row], tuple]:
     """``row -> tuple`` of the named columns (``None`` for ones the schema lacks)."""
-    if all(name in schema for name in names):
-        return _tuple_of([schema.index_of(name) for name in names])
-    readers = [column_reader(schema, name) for name in names]
-    return lambda row: tuple(read(row) for read in readers)
+    return _tuple_at(tuple(schema.index_of(name) if name in schema else None
+                           for name in names))
 
 
-def _tuple_of(keys: Sequence[Any]) -> Callable[[Any], tuple]:
-    """``row -> (row[k] for k in keys)``; ``itemgetter`` alone is not a tuple for <2 keys."""
-    if not keys:
-        return lambda row: ()
-    if len(keys) == 1:
-        (key,) = keys
-        return lambda row: (row[key],)
-    return itemgetter(*keys)
+@functools.lru_cache(maxsize=512)
+def _tuple_at(positions: tuple[int | None, ...]) -> Callable[[Row], tuple]:
+    """Generated as ``lambda row: (row[2], None, row[0],)``: one call per row
+    for any arity (a loop over per-column readers costs 3x per group-by key);
+    cached, as generating one costs more than a small shard merge reads."""
+    cells = "".join("None," if i is None else f"row[{i}]," for i in positions)
+    return eval(f"lambda row: ({cells})")
 
 
 def _fold(function: str, read: Callable[[Row], Any] | None

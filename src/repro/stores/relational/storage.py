@@ -9,7 +9,7 @@ engine reports "pages read" metrics to the middleware optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row, Table
@@ -69,22 +69,6 @@ class HeapStorage:
             self.insert(row, validate=validate)
         return len(rows)
 
-    def replace_pages(self, replaced: Mapping[int, list[Row]]) -> "HeapStorage":
-        """A copy-on-write sibling of this heap.
-
-        Pages named in ``replaced`` get the given row lists (same length, so
-        row ids do not move); every other :class:`Page` object is shared with
-        this heap, which is left untouched for readers still scanning it.
-        """
-        sibling = HeapStorage(self.schema, self.page_capacity)
-        sibling._pages = [
-            Page(page.page_id, page.capacity, replaced[page.page_id])
-            if page.page_id in replaced else page
-            for page in self._pages
-        ]
-        sibling._num_rows = self._num_rows
-        return sibling
-
     # -- reads ----------------------------------------------------------------
 
     def fetch(self, page_id: int, slot: int) -> Row:
@@ -98,10 +82,6 @@ class HeapStorage:
         """Yield every row in insertion order (a full sequential scan)."""
         for page in self._pages:
             yield from page.rows
-
-    def pages(self) -> Iterator[Page]:
-        """Yield the heap's pages in order (rows are read-only to callers)."""
-        return iter(self._pages)
 
     def scan_with_rids(self) -> Iterator[tuple[tuple[int, int], Row]]:
         """Yield ``((page_id, slot), row)`` pairs in insertion order."""

@@ -102,6 +102,101 @@ class TestNoSQLAdapters:
                                      engine="notes-db"), [])
 
 
+class TestSchemalessEmptyReads:
+    """An empty key/value or graph read has only a placeholder schema.
+
+    Filters and projections over it name columns that schema cannot know;
+    with no row to read they return an empty table instead of rejecting the
+    column (a typed table's projection still gets its plan-derived schema).
+    """
+
+    PREDICATE = compare("tier", "=", 1)
+
+    def test_kv_read_with_pushed_predicate_and_no_matching_key(self):
+        engine = KeyValueEngine()
+        engine.put("other/1", {"uid": 1, "tier": 1})
+        table = KeyValueAdapter(engine).execute(
+            Operator("kv_get", {"key_prefix": "user/", "predicate": self.PREDICATE},
+                     engine="kv"), [])
+        assert len(table) == 0
+
+    @pytest.mark.parametrize("kind, params", [
+        ("filter", {"predicate": PREDICATE}),
+        ("project", {"columns": ["key", "tier"]}),
+    ])
+    def test_filter_and_project_over_an_empty_read(self, kind, params):
+        adapter = KeyValueAdapter(KeyValueEngine())
+        empty = adapter.execute(Operator("kv_get", {"key_prefix": "user/"},
+                                         engine="kv"), [])
+        result = adapter.execute(Operator(kind, params, ["x"], "kv"), [empty])
+        assert len(result) == 0
+        assert list(result.schema.names) == ["key"]
+
+    def test_projecting_an_empty_typed_table_keeps_the_projection_schema(
+            self, relational_engine):
+        adapter = RelationalAdapter(relational_engine)
+        patients = adapter.execute(Operator("scan", {"table": "patients"},
+                                            engine="testdb"), [])
+        nobody = adapter.execute(
+            Operator("filter", {"predicate": compare("age", ">", 200)}, ["x"],
+                     "testdb"), [patients])
+        projected = adapter.execute(
+            Operator("project", {"columns": ["age", "pid"]}, ["x"], "testdb"),
+            [nobody])
+        assert projected.schema == patients.schema.project(["age", "pid"])
+
+    @pytest.mark.parametrize("mode", ["cpu", "accelerated"])
+    def test_fewer_keys_than_shards(self, mode):
+        from repro import build_accelerated_polystore, build_cpu_polystore
+        from repro.eide.dataflow import DataflowProgram, dataset
+        from repro.eide.expressions import col
+
+        build = build_cpu_polystore if mode == "cpu" else build_accelerated_polystore
+        system = build([])
+        engine = system.register_sharded_engine("profiles", KeyValueEngine, 4)
+        for uid in (1, 2):
+            engine.put(f"user/{uid}", {"uid": uid, "tier": uid % 3})
+        reads = dataset("profiles").kv(key_prefix="user/")
+        program = DataflowProgram("profile")
+        program.output("filtered", reads.filter(col("tier") == 1))
+        program.output("projected", reads.project(["key", "tier"]))
+        program.output("both", reads.filter(col("tier") == 1).project(["tier"]))
+        result = system.execute(program)
+        assert result.output("filtered").to_dicts() == [{"key": 1, "uid": 1, "tier": 1}]
+        assert sorted(result.output("projected").to_dicts(),
+                      key=lambda row: row["key"]) == [
+            {"key": 1, "tier": 1}, {"key": 2, "tier": 2}]
+        assert result.output("both").to_dicts() == [{"tier": 1}]
+
+    def test_offloaded_filter_over_an_empty_read_falls_back(self):
+        from repro.accelerators.fpga import FPGAAccelerator
+
+        catalog = Catalog()
+        catalog.register_engine(KeyValueEngine("kv"))
+        fpga = FPGAAccelerator()
+        catalog.register_accelerator(fpga)
+        graph = IRGraph("offload")
+        read = graph.add(Operator("kv_get", {"key_prefix": "user/"}, engine="kv"))
+        kept = graph.add(Operator("filter", {"predicate": self.PREDICATE},
+                                  [read.op_id], "kv", accelerator=fpga.profile.name))
+        graph.mark_output(kept.op_id)
+        outputs, report = Executor(catalog).execute(graph)
+        assert len(outputs[kept.op_id]) == 0
+        assert report.records[-1].details == {"fallback": True}
+
+    def test_filter_over_a_label_with_no_nodes(self):
+        from repro import build_cpu_polystore
+        from repro.eide.dataflow import DataflowProgram, dataset
+        from repro.eide.expressions import col
+        from repro.stores import GraphEngine
+
+        system = build_cpu_polystore([GraphEngine("social")])
+        program = DataflowProgram("nobody")
+        program.output("people", dataset("social").graph().nodes("person")
+                       .filter(col("age") > 30))
+        assert len(system.execute(program).output("people")) == 0
+
+
 class TestMLAdapter:
     def test_train_then_predict(self, mimic_engines):
         adapter = MLAdapter(mimic_engines["ml"])

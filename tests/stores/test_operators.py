@@ -127,6 +127,33 @@ class TestOperators:
                                   [AggregateSpec("count", None, "n")]).execute()
         assert result == [{"n": 0}]
 
+    def test_aggregates_over_several_columns_of_a_streamed_input(self):
+        # A filter hands over a one-shot iterator; several aggregates read
+        # it, and all but count(*) skip nulls.
+        rows = ROWS + [{"pid": 5, "age": None, "ward": "icu", "cost": None}]
+        result = GroupByAggregate(
+            Filter(TableScan(rows), compare("ward", "!=", "general")),
+            ["ward"],
+            [AggregateSpec("count", None, "n"), AggregateSpec("count", "age", "aged"),
+             AggregateSpec("sum", "cost", "total"), AggregateSpec("max", "age", "oldest"),
+             AggregateSpec("min", "cost", "cheapest")],
+        ).execute()
+        assert result == [
+            {"ward": "icu", "n": 3, "aged": 2, "total": 350.0, "oldest": 85,
+             "cheapest": 100.0},
+            {"ward": "recovery", "n": 1, "aged": 1, "total": 80.0, "oldest": 51,
+             "cheapest": 80.0},
+        ]
+
+    def test_aggregate_of_only_nulls_is_null_and_empty_global_still_answers(self):
+        rows = [{"g": 1, "v": None}, {"g": 1, "v": None}]
+        specs = [AggregateSpec("sum", "v", "s"), AggregateSpec("count", "v", "c")]
+        assert GroupByAggregate(TableScan(rows), ["g"], specs).execute() == [
+            {"g": 1, "s": None, "c": 0}]
+        assert GroupByAggregate(TableScan([]), [], specs).execute() == [
+            {"s": None, "c": 0}]
+        assert GroupByAggregate(TableScan([]), ["g"], specs).execute() == []
+
     def test_invalid_aggregate_function(self):
         with pytest.raises(QueryError):
             AggregateSpec("median", "cost", "m")

@@ -159,8 +159,9 @@ class TestEngine:
         assert result.num_rows == 0
 
 
-class TestCopyOnWriteUpdates:
-    """``update_rows`` builds the changed table beside the live one."""
+class TestUpdatesPublishAtomically:
+    """``update_rows`` builds the changed table beside the live one and
+    publishes it in one step; a retired table stays as its readers found it."""
 
     ROWS = 2_000
 
@@ -205,23 +206,64 @@ class TestCopyOnWriteUpdates:
         assert scans > 0
         assert torn == []
 
-    def test_update_shares_untouched_pages_and_indexes(self):
+    def test_retired_table_is_untouched_by_later_inserts(self):
         engine = self._engine()
         engine.create_index("facts", "grp", kind="hash")
-        engine.create_index("facts", "amount", kind="sorted")
-        before = engine._stored("facts")
-        old_pages = list(before.heap.pages())
+        engine.create_index("facts", "id", kind="sorted")
+        retired = engine._stored("facts")
         engine.update_rows("facts", col("id").eq(70), {"amount": 5.0})
-        after = engine._stored("facts")
-        assert after is not before
-        new_pages = list(after.heap.pages())
-        touched = [i for i, (old, new) in enumerate(zip(old_pages, new_pages))
-                   if old is not new]
-        assert touched == [70 // 64]
-        # The live page the readers may still hold was left as it was.
-        assert old_pages[70 // 64].rows[70 % 64] == (70, 0, 0.0)
-        assert after.hash_indexes["grp"] is before.hash_indexes["grp"]
-        assert after.sorted_indexes["amount"] is not before.sorted_indexes["amount"]
+        # Enough inserts to fill the open last page and spill into new ones.
+        engine.insert("facts", [(self.ROWS + i, 3, 1.0) for i in range(200)])
+        live = engine._stored("facts")
+        assert live.hash_indexes["grp"] is not retired.hash_indexes["grp"]
+        assert len(live.hash_indexes["grp"]) == self.ROWS + 200
+        # A reader still holding the retired table sees exactly what it held:
+        # no appended row, and every index entry resolves in its heap.
+        assert len(list(retired.heap.scan())) == self.ROWS
+        assert len(retired.hash_indexes["grp"]) == self.ROWS
+        for rid in retired.hash_indexes["grp"].lookup(3):
+            assert retired.heap.fetch(*rid)[1] == 3
+        assert len(list(retired.sorted_indexes["id"].range(self.ROWS))) == 0
+
+    def test_concurrent_index_reader_survives_updates_and_inserts(self):
+        engine = self._engine()
+        engine.create_index("facts", "grp", kind="hash")
+        failures: list[object] = []
+        lookups = 0
+        done = threading.Event()
+
+        def reader() -> None:
+            nonlocal lookups
+            while not done.is_set():
+                try:
+                    amounts = set(engine.index_lookup("facts", "grp", 3)
+                                  .column("amount"))
+                except Exception as exc:  # a rid its heap cannot resolve
+                    failures.append(exc)
+                    return
+                lookups += 1
+                if len(amounts) != 1:
+                    failures.append(amounts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=reader)
+        try:
+            thread.start()
+            next_id = self.ROWS
+            for step in range(1, 40):
+                engine.update_rows("facts", col("id") >= 0, {"amount": float(step)})
+                # Inserts (new pages every few steps) carry the current amount.
+                engine.insert("facts", [(next_id + i, 3, float(step))
+                                        for i in range(20)])
+                next_id += 20
+        finally:
+            done.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert lookups > 0
+        assert failures == []
 
     def test_index_on_updated_column_answers_with_new_values(self):
         engine = self._engine()
@@ -234,6 +276,6 @@ class TestCopyOnWriteUpdates:
         assert sorted(engine.range_lookup("facts", "amount", 7.0, 8.0)
                       .column("id")) == list(range(10))
         assert len(engine.index_lookup("facts", "amount", 0.0)) == self.ROWS - 10
-        # Inserts after the swap keep maintaining shared and rebuilt indexes.
+        # Inserts after the swap keep maintaining the rebuilt indexes.
         engine.insert("facts", [(self.ROWS, 99, 7.5)])
         assert len(engine.index_lookup("facts", "grp", 99)) == 11
