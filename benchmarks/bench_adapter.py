@@ -13,7 +13,7 @@ import pytest
 from repro.accelerators import CGRAAccelerator, KernelSpec
 from repro.catalog import Catalog
 from repro.compiler import Compiler
-from repro.eide import HeterogeneousProgram
+from repro.eide import DataflowProgram, dataset
 from repro.middleware.adapters import RelationalAdapter
 from repro.stores.relational import RelationalEngine
 from repro.datamodel import DataType, Table, make_schema
@@ -29,14 +29,12 @@ def engine() -> RelationalEngine:
     return engine
 
 
-def wide_program(width: int) -> HeterogeneousProgram:
+def wide_program(width: int) -> DataflowProgram:
     """A program with ``width`` independent SQL fragments (a wide IR)."""
-    program = HeterogeneousProgram(f"wide-{width}")
+    program = DataflowProgram(f"wide-{width}")
     for index in range(width):
-        program.sql(f"q{index}",
-                    f"SELECT k, v FROM facts WHERE k > {index} ORDER BY v LIMIT 10",
-                    engine="adapter-db")
-        program.output(f"q{index}")
+        program.output(f"q{index}", dataset("adapter-db").sql(
+            f"SELECT k, v FROM facts WHERE k > {index} ORDER BY v LIMIT 10"))
     return program
 
 

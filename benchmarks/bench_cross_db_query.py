@@ -14,7 +14,7 @@ from benchmarks._emit import report_info
 from repro.accelerators import FPGAAccelerator, MigrationASIC
 from repro.core import PolystorePlusPlus
 from repro.datamodel import DataType, Table, make_schema
-from repro.eide import HeterogeneousProgram
+from repro.eide import DataflowProgram, dataset
 from repro.stores import RelationalEngine
 from repro.workloads.generator import rng_for
 
@@ -47,15 +47,14 @@ def build_two_database_deployment(rows: int) -> PolystorePlusPlus:
     return system
 
 
-def cross_db_program() -> HeterogeneousProgram:
+def cross_db_program() -> DataflowProgram:
     """Project both tables on pid, join across databases, sort by admission date."""
-    program = HeterogeneousProgram("admission-history")
-    program.sql("admissions", "SELECT pid, admit_date, ward FROM admissions", engine="db1")
-    program.sql("patients", "SELECT pid, age, gender FROM patients", engine="db2")
-    program.join("history", left="admissions", right="patients", on="pid", engine="db1")
-    program.python("sorted_history", lambda table: table.sort(["admit_date"]),
-                   inputs=["history"], engine="db1")
-    program.output("sorted_history")
+    admissions = dataset("db1").sql("SELECT pid, admit_date, ward FROM admissions")
+    patients = dataset("db2").sql("SELECT pid, age, gender FROM patients")
+    history = admissions.join(patients, on="pid", engine="db1")
+    program = DataflowProgram("admission-history")
+    program.output("sorted_history", history.apply(
+        lambda table: table.sort(["admit_date"]), engine="db1"))
     return program
 
 

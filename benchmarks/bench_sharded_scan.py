@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 
-from repro import HeterogeneousProgram
+from repro import DataflowProgram, dataset
 from repro.cluster import HashPartitioner
 from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
@@ -49,15 +49,11 @@ def _deployment(num_shards: int):
     return system, engine
 
 
-def _program() -> HeterogeneousProgram:
-    program = HeterogeneousProgram("sharded-scan-agg")
-    program.sql(
-        "result",
+def _program() -> DataflowProgram:
+    program = DataflowProgram("sharded-scan-agg")
+    program.output("result", dataset("salesdb").sql(
         "SELECT customer, sum(amount) AS total, count(*) AS n FROM sales "
-        "WHERE amount > 100.0 GROUP BY customer",
-        engine="salesdb",
-    )
-    program.output("result")
+        "WHERE amount > 100.0 GROUP BY customer"))
     return program
 
 

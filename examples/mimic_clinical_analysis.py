@@ -5,11 +5,10 @@ stay in hospital for more than five days, joining admissions (relational),
 bedside vitals (timeseries) and clinical notes (text), then training a neural
 network — and compares the three execution modes.
 
-This example deliberately stays on the **legacy fluent builder API**
-(``HeterogeneousProgram``): it doubles as the regression check that the
-compatibility shim over the dataflow lowering keeps old-style programs
-working unchanged (quickstart and the recommendation pipeline show the
-dataflow API).
+The program is the paper's mixed-language form: its relational read is SQL
+text (``dataset("clinical-db").sql("SELECT ...")``) composed with stream,
+text and ML operators (quickstart and the recommendation pipeline compose
+typed expressions instead).
 
 Run with:  python examples/mimic_clinical_analysis.py
 """

@@ -4,8 +4,8 @@ The public API is intentionally small; most users need only:
 
 * :class:`repro.PolystorePlusPlus` — build a deployment, register engines and
   accelerators, execute heterogeneous programs.
-* :class:`repro.HeterogeneousProgram` — describe a workload spanning SQL,
-  streams, graphs, text and ML.
+* :class:`repro.DataflowProgram` over :func:`repro.dataset` reads — describe
+  a workload spanning SQL, streams, graphs, text and ML.
 * The engines in :mod:`repro.stores` and the simulated accelerators in
   :mod:`repro.accelerators` for lower-level use.
 """
@@ -30,7 +30,6 @@ from repro.core import (
 from repro.eide import (
     DataflowProgram,
     Dataset,
-    HeterogeneousProgram,
     Param,
     col,
     compile_natural_language,
@@ -50,7 +49,6 @@ __all__ = [
     "Session",
     "PreparedProgram",
     "CancellationToken",
-    "HeterogeneousProgram",
     "Param",
     "DataflowProgram",
     "Dataset",

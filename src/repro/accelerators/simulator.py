@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.accelerators.base import Accelerator, HostCPU, KernelSpec
+from repro.accelerators.base import Accelerator, HostCPU
 from repro.accelerators.kernels import KernelRegistry, WorkEstimate
 from repro.exceptions import AcceleratorError
 

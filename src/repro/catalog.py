@@ -3,7 +3,7 @@
 The catalog knows every registered data-processing engine and hardware
 accelerator, which data model each engine speaks, and (through the engines'
 own statistics) roughly how much data each holds.  The compiler's frontend
-uses it to bind fragments to engines; the placement pass and the optimizer
+uses it to bind operators to engines; the placement pass and the optimizer
 use it to enumerate offload targets; the executor uses it to find the engine
 or device an operator was bound to.
 """
@@ -15,24 +15,6 @@ from typing import Any
 from repro.accelerators.base import Accelerator
 from repro.exceptions import CatalogError
 from repro.stores.base import DataModel, Engine
-
-#: Fragment paradigm -> data model of the engine expected to run it.
-_PARADIGM_MODELS: dict[str, DataModel] = {
-    "sql": DataModel.RELATIONAL,
-    "join": DataModel.RELATIONAL,
-    "kv_lookup": DataModel.KEY_VALUE,
-    "timeseries_summary": DataModel.TIMESERIES,
-    "window_aggregate": DataModel.TIMESERIES,
-    "graph_query": DataModel.GRAPH,
-    "text_search": DataModel.DOCUMENT,
-    "text_features": DataModel.DOCUMENT,
-    "feature_matrix": DataModel.TENSOR,
-    "train": DataModel.TENSOR,
-    "predict": DataModel.TENSOR,
-    "kmeans": DataModel.TENSOR,
-    "python": DataModel.RELATIONAL,
-}
-
 
 class Catalog:
     """Registry of engines, accelerators and their metadata."""
@@ -80,22 +62,6 @@ class Catalog:
     def engines_with_model(self, model: DataModel) -> list[Engine]:
         """Engines speaking the given data model."""
         return [e for e in self._engines.values() if e.data_model is model]
-
-    def default_engine_for(self, paradigm: str) -> Engine:
-        """The engine a fragment of ``paradigm`` is bound to when none is named.
-
-        The first registered engine with the paradigm's expected data model
-        wins; a :class:`CatalogError` is raised when none exists.
-        """
-        model = _PARADIGM_MODELS.get(paradigm)
-        if model is None:
-            raise CatalogError(f"no default data model known for paradigm {paradigm!r}")
-        candidates = self.engines_with_model(model)
-        if not candidates:
-            raise CatalogError(
-                f"no registered engine speaks {model.value!r} (needed by {paradigm!r})"
-            )
-        return candidates[0]
 
     # -- accelerator lookup ---------------------------------------------------------------
 

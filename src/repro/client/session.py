@@ -5,7 +5,7 @@ deployment.  It separates *plan construction* from *execution* the way
 relation-tree libraries separate building an expression from handing it to
 an engine:
 
-* :meth:`Session.prepare` compiles a :class:`HeterogeneousProgram` once and
+* :meth:`Session.prepare` compiles a :class:`DataflowProgram` once and
   caches the plan in the session's LRU :class:`~repro.client.cache.PlanCache`
   (keyed by program fingerprint + mode + compiler options + deployment
   generation).
@@ -30,7 +30,7 @@ from repro.cancellation import CancellationToken
 from repro.compiler.pipeline import CompilerOptions
 from repro.eide.dataflow import DataflowProgram
 from repro.eide.expressions import bind_params
-from repro.eide.program import HeterogeneousProgram, Param
+from repro.eide.program import Param
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.ir.graph import IRGraph
 from repro.stores.relational.expressions import Expression
@@ -40,9 +40,6 @@ from repro.client.cache import CachedPlan, PlanCache, ScanSnapshot
 
 if TYPE_CHECKING:  # avoid a circular import; the system creates sessions
     from repro.core.system import ExecutionResult, ModePlan, PolystorePlusPlus
-
-#: Programs sessions accept: the legacy fragment builder or a dataflow program.
-Program = HeterogeneousProgram | DataflowProgram
 
 
 def _resolve_token(deadline_s: float | None,
@@ -97,7 +94,7 @@ class PreparedProgram:
     (and, for pure subtrees, engine reads) across many :meth:`run` calls.
     """
 
-    def __init__(self, session: "Session", program: "Program",
+    def __init__(self, session: "Session", program: DataflowProgram,
                  plan: "ModePlan", entry: CachedPlan,
                  options: CompilerOptions | None = None) -> None:
         self._session = session
@@ -111,7 +108,7 @@ class PreparedProgram:
     # -- introspection -------------------------------------------------------------------
 
     @property
-    def program(self) -> "Program":
+    def program(self) -> DataflowProgram:
         """The source program (frozen if prepared with ``freeze=True``)."""
         return self._program
 
@@ -294,7 +291,7 @@ class Session:
 
     # -- preparation ---------------------------------------------------------------------
 
-    def prepare(self, program: "Program", *, mode: str = "polystore++",
+    def prepare(self, program: DataflowProgram, *, mode: str = "polystore++",
                 options: CompilerOptions | None = None,
                 freeze: bool = True) -> PreparedProgram:
         """Compile ``program`` (or reuse a cached plan) for repeated execution.
@@ -328,7 +325,7 @@ class Session:
         return (fingerprint, plan.mode, plan.compile_options,
                 self.system.plan_generation)
 
-    def _lookup_or_compile(self, program: "Program",
+    def _lookup_or_compile(self, program: DataflowProgram,
                            plan: "ModePlan") -> CachedPlan:
         obs = self.system.obs
         fingerprint = program.fingerprint()
@@ -358,7 +355,7 @@ class Session:
             self.plan_cache.put(key, entry)
             return entry
 
-    def _fresh_entry(self, program: "Program", plan: "ModePlan",
+    def _fresh_entry(self, program: DataflowProgram, plan: "ModePlan",
                      entry: CachedPlan, options: CompilerOptions | None
                      ) -> tuple["ModePlan", CachedPlan, bool]:
         """Revalidate a prepared program's plan + entry against the deployment.
@@ -367,8 +364,8 @@ class Session:
         execution mode is re-resolved (migration strategy and serializer may
         have changed) and the plan recompiled (through the cache) against the
         new deployment.  The program fingerprint is re-checked on every run,
-        so even an end-run around :meth:`HeterogeneousProgram.freeze` (for
-        example mutating ``fragment().params`` in place) can never replay a
+        so even an end-run around :meth:`DataflowProgram.freeze` (for
+        example mutating a ``DataflowNode.params`` in place) can never replay a
         stale plan — the changed program simply recompiles.
 
         With the deployment unchanged, the entry is additionally checked for
@@ -412,7 +409,7 @@ class Session:
                 return True
         return False
 
-    def _reoptimize_if_stale(self, program: "Program", plan: "ModePlan",
+    def _reoptimize_if_stale(self, program: DataflowProgram, plan: "ModePlan",
                              entry: CachedPlan) -> CachedPlan:
         """Age a drifted plan: re-compile with fed-back statistics.
 
@@ -465,7 +462,7 @@ class Session:
 
     # -- one-shot execution --------------------------------------------------------------
 
-    def execute(self, program: "Program", *, mode: str = "polystore++",
+    def execute(self, program: DataflowProgram, *, mode: str = "polystore++",
                 options: CompilerOptions | None = None,
                 deadline_s: float | None = None,
                 cancellation: CancellationToken | None = None
@@ -491,7 +488,7 @@ class Session:
 
     # -- concurrent execution ------------------------------------------------------------
 
-    def submit(self, item: "Program | PreparedProgram", *,
+    def submit(self, item: "DataflowProgram | PreparedProgram", *,
                mode: str = "polystore++", options: CompilerOptions | None = None,
                **run_kwargs: Any) -> "Future[ExecutionResult]":
         """Schedule one execution on the session's worker pool.
@@ -509,7 +506,7 @@ class Session:
             self._submitted += 1
         return self._worker_pool().submit(prepared.run, **run_kwargs)
 
-    def run_batch(self, items: "Iterable[Program | PreparedProgram]", *,
+    def run_batch(self, items: "Iterable[DataflowProgram | PreparedProgram]", *,
                   mode: str = "polystore++",
                   options: CompilerOptions | None = None,
                   **run_kwargs: Any) -> list["ExecutionResult"]:

@@ -1,13 +1,9 @@
 """Compiler frontend: lower a program's dataflow trees to the IR.
 
-Both program flavours take the same path: a legacy
-:class:`~repro.eide.program.HeterogeneousProgram` first converts into its
-canonical :class:`~repro.eide.dataflow.DataflowProgram` form (its SQL
-fragments parsed into structured plans), and a dataflow program built with
-:class:`~repro.eide.dataflow.Dataset` handles *is already* that form.  The
-trees are value-semantics IR operators, so lowering is a structural walk:
-shared subtrees (datasets feeding several consumers, legacy fragments
-referenced by several fragments) lower once.
+A :class:`~repro.eide.dataflow.DataflowProgram`'s trees are value-semantics
+IR operators (``.sql()`` text was parsed into them when the program was
+built), so lowering is a structural walk: shared subtrees (datasets feeding
+several consumers) lower once.
 
 After lowering, :func:`insert_migrations` adds explicit ``migrate``
 operators on every cross-engine data-flow edge — the data-movement operators
@@ -18,17 +14,13 @@ from __future__ import annotations
 
 from repro.catalog import Catalog
 from repro.eide.dataflow import (
-    KIND_PARADIGMS,
     DataflowNode,
     DataflowProgram,
+    resolve_node_engine,
 )
-from repro.eide.program import HeterogeneousProgram
 from repro.exceptions import CompilationError
 from repro.ir.graph import IRGraph
 from repro.ir.nodes import Operator
-
-#: Programs the frontend accepts.
-Program = HeterogeneousProgram | DataflowProgram
 
 
 class Frontend:
@@ -37,14 +29,12 @@ class Frontend:
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
 
-    def lower(self, program: Program) -> IRGraph:
+    def lower(self, program: DataflowProgram) -> IRGraph:
         """Lower every output tree, wire shared subtrees, insert migrations."""
-        flow = (program if isinstance(program, DataflowProgram)
-                else program.to_dataflow())
-        graph = IRGraph(flow.name)
-        labels = _effective_labels(flow)
+        graph = IRGraph(program.name)
+        labels = _effective_labels(program)
         lowered: dict[int, str] = {}
-        for name, root in flow.output_items():
+        for name, root in program.output_items():
             graph.mark_output(self._lower_node(graph, root, labels, lowered))
         insert_migrations(graph)
         return graph
@@ -65,30 +55,28 @@ class Frontend:
         return operator.op_id
 
     def _engine_name(self, node: DataflowNode) -> str:
-        if node.engine is not None:
-            if not self.catalog.has_engine(node.engine):
-                where = f" (fragment {node.label!r})" if node.label else ""
-                raise CompilationError(
-                    f"operator {node.kind!r}{where} targets unknown engine "
-                    f"{node.engine!r}"
-                )
-            return node.engine
-        paradigm = KIND_PARADIGMS.get(node.kind)
-        if paradigm is None:
+        if node.engine is not None and not self.catalog.has_engine(node.engine):
+            where = f" (fragment {node.label!r})" if node.label else ""
             raise CompilationError(
-                f"no default engine rule for operator kind {node.kind!r}; "
-                f"bind it to an engine explicitly"
+                f"operator {node.kind!r}{where} targets unknown engine "
+                f"{node.engine!r}"
             )
-        return self.catalog.default_engine_for(paradigm).name
+        engine = resolve_node_engine(node, self.catalog)
+        if engine is None:
+            raise CompilationError(
+                f"no registered engine to default operator kind {node.kind!r} "
+                f"to; bind it to an engine explicitly"
+            )
+        return engine
 
 
 def _effective_labels(flow: DataflowProgram) -> dict[int, str]:
     """Fragment labels per node: explicit labels flow down to unlabeled
-    children (as legacy fragments named their whole subtree), first label
-    wins for shared nodes.  Computed here rather than written onto the
-    trees, so one dataset object may appear in several programs — and each
-    output *root* is forced to its program-level output name, which must win
-    over any ``.named()`` label for the result to resolve under it."""
+    children, first label wins for shared nodes.  Computed here rather than
+    written onto the trees, so one dataset object may appear in several
+    programs — and each output *root* is forced to its program-level output
+    name, which must win over any ``.named()`` label for the result to
+    resolve under it."""
     labels: dict[int, str] = {}
 
     def visit(node: DataflowNode, inherited: str) -> None:

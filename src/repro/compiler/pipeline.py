@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.accelerators.simulator import OffloadPlanner, PlacementDecision
 from repro.catalog import Catalog
 from repro.compiler.annotate import annotate_graph, total_estimated_bytes
-from repro.compiler.frontend import Frontend, Program
+from repro.compiler.frontend import Frontend
 from repro.compiler.passes import (
     absorb_into_leaves,
     choose_join_algorithms,
@@ -27,6 +27,7 @@ from repro.compiler.passes import (
     reorder_joins,
 )
 from repro.compiler.passes.placement import place_accelerators
+from repro.eide.dataflow import DataflowProgram
 from repro.ir.graph import IRGraph
 from repro.ir.validation import assert_valid
 
@@ -109,7 +110,7 @@ class Compiler:
         self.stats = stats
         self.frontend = Frontend(catalog)
 
-    def compile(self, program: Program,
+    def compile(self, program: DataflowProgram,
                 options: CompilerOptions | None = None) -> CompilationResult:
         """Run the full pipeline on ``program``."""
         started = time.perf_counter()

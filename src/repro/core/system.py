@@ -19,9 +19,8 @@ from repro.accelerators.base import Accelerator, HostCPU
 from repro.accelerators.kernels import KernelRegistry
 from repro.accelerators.simulator import Objective, OffloadPlanner
 from repro.catalog import Catalog
-from repro.compiler.frontend import Program
 from repro.compiler.pipeline import CompilationResult, Compiler, CompilerOptions
-from repro.eide.dataflow import DatasetSource
+from repro.eide.dataflow import DataflowProgram, DatasetSource
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.middleware.executor import ExecutionReport
 from repro.middleware.feedback import RuntimeStats
@@ -94,7 +93,6 @@ class SystemConfig:
     """Deployment configuration for a Polystore++ instance."""
 
     migration_strategy: str = "binary_pipe"
-    accelerated_migration_strategy: str = "accelerated"
     objective: Objective = Objective.LATENCY
     host: HostCPU = field(default_factory=HostCPU)
     host_cores: int = 1
@@ -107,14 +105,9 @@ class SystemConfig:
     #: costs and the compiler, offload planner and plan-aging logic consume
     #: them.  Disabling freezes every plan at its a-priori estimates.
     adaptive_feedback: bool = True
-    #: EWMA smoothing factor for runtime observations (higher = faster).
-    feedback_smoothing: float = 0.5
     #: Estimate-vs-observation row ratio beyond which a cached plan is aged
     #: and re-compiled with fed-back statistics; ``None`` disables aging.
     reoptimize_drift_factor: float | None = 4.0
-    #: Observed cardinality below which feedback never steers decisions
-    #: (cardinality overrides, placement host times, plan aging).
-    feedback_min_rows: int = 512
     #: Data directory for durable storage; ``None`` keeps the deployment
     #: fully in-memory (see :mod:`repro.durability`).
     data_dir: str | None = None
@@ -137,30 +130,15 @@ class SystemConfig:
     #: ring-buffer slow-query log with their plan fingerprint and
     #: per-stage breakdown.
     obs_slow_query_ms: float = 250.0
-    #: Finished spans retained for export (ring buffer).
-    obs_span_buffer: int = 8192
     #: Start the background sampling profiler with the deployment.  Off by
     #: default — with it off the profiler thread never exists and the
     #: prepared hot path is byte-identical to PR 7's.
     obs_profile_enabled: bool = False
     #: Profiler sweep rate (stack samples per second across all threads).
     obs_profile_hz: float = 67.0
-    #: Structured-log ring buffer capacity (records retained).
-    obs_log_capacity: int = 2048
-    #: Minimum structured-log level retained ("debug", "info", "warning",
-    #: "error").
-    obs_log_level: str = "info"
     #: Serving tier (:meth:`PolystorePlusPlus.serve`): worker sessions in a
     #: server's bounded pool — also its admission-control slot count.
     serve_pool_size: int = 4
-    #: Total admission-queue bound across tenants; beyond it requests are
-    #: rejected with a retryable ``OVERLOADED`` error.
-    serve_max_queue: int = 64
-    #: Admission-queue bound for any single tenant.
-    serve_queue_per_tenant: int = 32
-    #: Deadline applied to served requests that do not send their own;
-    #: ``None`` leaves them unbounded.
-    serve_default_deadline_s: float | None = None
 
 
 class PolystorePlusPlus:
@@ -178,18 +156,12 @@ class PolystorePlusPlus:
         self.obs = (Observability(
             sample_rate=self.config.obs_trace_sample_rate,
             slow_query_ms=self.config.obs_slow_query_ms,
-            span_buffer=self.config.obs_span_buffer,
             profile_hz=self.config.obs_profile_hz,
-            log_capacity=self.config.obs_log_capacity,
-            log_level=self.config.obs_log_level,
         ) if self.config.obs_enabled else Observability.disabled())
         if self.config.obs_enabled and self.config.obs_profile_enabled:
             self.obs.profiler.start()
         #: Observed per-operator runtime statistics (populated by executors).
-        self.runtime_stats = RuntimeStats(
-            smoothing=self.config.feedback_smoothing,
-            min_actionable_rows=self.config.feedback_min_rows,
-        )
+        self.runtime_stats = RuntimeStats()
         self._network = SimulatedNetwork()
         self._serializer_accelerator: Accelerator | None = None
         #: Whether the serializer was pinned by an explicit
@@ -518,7 +490,7 @@ class PolystorePlusPlus:
                               objective=self.config.objective,
                               host_cores=self.config.host_cores)
 
-    def compile(self, program: Program, *,
+    def compile(self, program: DataflowProgram, *,
                 accelerated: bool = True,
                 options: CompilerOptions | None = None) -> CompilationResult:
         """Compile a heterogeneous program against this deployment.
@@ -558,7 +530,7 @@ class PolystorePlusPlus:
         if mode == "cpu_polystore":
             return ModePlan(mode, False, compile_options,
                             self.config.migration_strategy)
-        migration_strategy = (self.config.accelerated_migration_strategy
+        migration_strategy = ("accelerated"
                               if self._serializer_accelerator is not None
                               else self.config.migration_strategy)
         return ModePlan(mode, True, compile_options, migration_strategy)
@@ -602,19 +574,15 @@ class PolystorePlusPlus:
         """
         from repro.serve import PolystoreServer, ServeConfig
 
+        overrides = {"max_queue": max_queue,
+                     "max_queue_per_tenant": max_queue_per_tenant,
+                     "default_deadline_s": default_deadline_s}
         config = ServeConfig(
             host=host, port=port,
             pool_size=(self.config.serve_pool_size
                        if pool_size is None else pool_size),
-            max_queue=(self.config.serve_max_queue
-                       if max_queue is None else max_queue),
-            max_queue_per_tenant=(self.config.serve_queue_per_tenant
-                                  if max_queue_per_tenant is None
-                                  else max_queue_per_tenant),
-            default_deadline_s=(self.config.serve_default_deadline_s
-                                if default_deadline_s is None
-                                else default_deadline_s),
             default_tenant=default_tenant,
+            **{k: v for k, v in overrides.items() if v is not None},
         )
         server = PolystoreServer(self, config)
         self._servers.add(server)
@@ -629,7 +597,7 @@ class PolystorePlusPlus:
                 self._default_session = self.session(name="default")
             return self._default_session
 
-    def execute(self, program: Program, *, mode: str = "polystore++",
+    def execute(self, program: DataflowProgram, *, mode: str = "polystore++",
                 options: CompilerOptions | None = None) -> ExecutionResult:
         """Compile (or reuse a cached plan) and run a program once.
 
@@ -639,7 +607,7 @@ class PolystorePlusPlus:
         """
         return self.default_session().execute(program, mode=mode, options=options)
 
-    def compare_modes(self, program: Program,
+    def compare_modes(self, program: DataflowProgram,
                       modes: tuple[str, ...] = EXECUTION_MODES
                       ) -> dict[str, ExecutionResult]:
         """Run the same program under several modes (experiments E7/E8/E9)."""

@@ -10,7 +10,7 @@ about cross-engine data movement without knowing engine internals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 

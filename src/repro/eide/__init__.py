@@ -1,13 +1,10 @@
 """EIDE: the expressive programming environment for heterogeneous programs.
 
-Two ways to author a program:
-
-* the **dataflow API** (:mod:`repro.eide.dataflow`) — composable
-  :class:`Dataset` expression trees with structured predicates
-  (``dataset("db").table("orders").filter(col("age") > 60)``), and
-* the **legacy fragment builder** (:class:`HeterogeneousProgram`) — a thin
-  compatibility shim that converts into the same dataflow form, so both
-  flavours fingerprint, cache and lower identically.
+One program form: the **dataflow API** (:mod:`repro.eide.dataflow`) —
+composable :class:`Dataset` expression trees over engine reads, with
+structured predicates (``dataset("db").table("orders").filter(col("age") > 60)``)
+or SQL text (``dataset("db").sql("SELECT ... WHERE age > 60")``), which
+parses into the same tree.
 """
 
 from repro.eide.dataflow import (
@@ -16,24 +13,19 @@ from repro.eide.dataflow import (
     Dataset,
     DatasetSource,
     dataset,
-    to_dataflow,
     view_dataset,
 )
 from repro.eide.expressions import Col, canonicalize, col, lit
 from repro.eide.natural_language import compile_natural_language, recognize_intent
-from repro.eide.program import PARADIGMS, HeterogeneousProgram, Param, SubProgram
+from repro.eide.program import Param
 
 __all__ = [
-    "HeterogeneousProgram",
-    "SubProgram",
     "Param",
-    "PARADIGMS",
     "DataflowProgram",
     "Dataset",
     "DatasetSource",
     "DataflowNode",
     "dataset",
-    "to_dataflow",
     "view_dataset",
     "col",
     "lit",

@@ -1,10 +1,9 @@
 """The composable dataflow API: typed expression trees over engine scans.
 
-This is the client-facing redesign of the EIDE: instead of wiring named
-fragments with SQL strings and ad-hoc kwargs, a program is built from
-:class:`Dataset` handles.  Each engine scan (``dataset("salesdb").table(...)``,
-``.kv(...)``, ``.timeseries(...)``, ``.text()``, ``.graph()``) returns a
-lazily-built expression tree that is composed with ``.filter(col("age") > 60)``,
+A program is built from :class:`Dataset` handles.  Each engine read
+(``dataset("salesdb").table(...)``, ``.sql("SELECT ...")``, ``.kv(...)``,
+``.timeseries(...)``, ``.text()``, ``.graph()``) returns a lazily-built
+expression tree that is composed with ``.filter(col("age") > 60)``,
 ``.project(...)``, ``.join(...)``, ``.aggregate(...)``, ``.train(...)`` and
 ``.apply(fn)``.  Nothing executes until the tree is handed to
 :meth:`~repro.client.Session.prepare` or
@@ -14,10 +13,10 @@ The tree vocabulary is deliberately the IR operator vocabulary
 (:data:`repro.ir.nodes.OPERATOR_KINDS`): a :class:`DataflowNode` is a
 value-semantics IR operator, so lowering is a structural walk and the
 compiler's passes see *structured* predicate payloads instead of opaque SQL.
-The legacy :class:`~repro.eide.program.HeterogeneousProgram` converts into
-the same trees (:func:`to_dataflow`, parsing its SQL fragments once), which
-makes it a thin compatibility shim: equivalent old- and new-API programs
-produce identical fingerprints, identical IR and share one plan-cache entry.
+SQL text is one more source: :meth:`DatasetSource.sql` parses it, when the
+program is built, into the same tree the combinators build, so a ``.sql()``
+read and its expression twin produce identical fingerprints, identical IR and
+share one plan-cache entry.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.eide.expressions import as_predicate, find_params
-from repro.eide.program import HeterogeneousProgram, Param, canonical_value
+from repro.eide.program import Param, canonical_value
 from repro.exceptions import CompilationError
+from repro.stores.base import DataModel
 from repro.stores.relational.operators import AggregateSpec
 
 #: Dataflow node kinds that read engine state (no dataflow inputs).
@@ -38,22 +38,22 @@ SOURCE_KINDS = frozenset({
     "graph_match", "text_search", "keyword_features",
 })
 
-#: Node kind -> data model family, used to resolve default engines when a
-#: dataset was built without naming one (mirrors the legacy paradigm table).
-KIND_PARADIGMS: dict[str, str] = {
-    "scan": "sql", "index_seek": "sql", "filter": "sql", "project": "sql",
-    "aggregate": "sql", "sort": "sql", "limit": "sql", "top_k": "sql",
-    "union": "sql", "materialize": "sql",
-    "join": "join",
-    "kv_get": "kv_lookup", "kv_range": "kv_lookup",
-    "ts_range": "window_aggregate", "window_aggregate": "window_aggregate",
-    "ts_summarize": "timeseries_summary",
-    "graph_nodes": "graph_query", "shortest_path": "graph_query",
-    "neighborhood": "graph_query", "graph_match": "graph_query",
-    "text_search": "text_search", "keyword_features": "text_features",
-    "feature_matrix": "feature_matrix", "train": "train",
-    "predict": "predict", "kmeans": "kmeans",
-    "python_udf": "python",
+#: Node kind -> data model of the engine that runs it when the dataset was
+#: built without naming one (the first registered engine of that model wins).
+KIND_MODELS: dict[str, DataModel] = {
+    kind: model
+    for model, kinds in {
+        DataModel.RELATIONAL: ("scan", "index_seek", "filter", "project",
+                               "aggregate", "sort", "limit", "top_k", "union",
+                               "materialize", "join", "python_udf"),
+        DataModel.KEY_VALUE: ("kv_get", "kv_range"),
+        DataModel.TIMESERIES: ("ts_range", "ts_summarize", "window_aggregate"),
+        DataModel.GRAPH: ("graph_nodes", "shortest_path", "neighborhood",
+                          "graph_match"),
+        DataModel.DOCUMENT: ("text_search", "keyword_features"),
+        DataModel.TENSOR: ("feature_matrix", "train", "predict", "kmeans"),
+    }.items()
+    for kind in kinds
 }
 
 
@@ -62,7 +62,7 @@ class DataflowNode:
     """One value-semantics operator of a dataflow expression tree.
 
     Nodes are shared by reference when a :class:`Dataset` feeds several
-    consumers (the subtree then lowers once, like a named legacy fragment).
+    consumers (the subtree then lowers once).
     ``label`` carries the fragment name for reports and output naming; it is
     excluded from the canonical form so renaming intermediates never changes
     a fingerprint.
@@ -237,10 +237,9 @@ class Dataset:
 
     def _chain(self, kind: str, params: dict[str, Any], *,
                engine: str | None = None) -> "Dataset":
-        # Row-shaped combinators inherit the source engine unless overridden,
-        # mirroring how a legacy SQL fragment bound its whole plan to one
-        # engine; ML heads pass an explicit engine (or None for the default
-        # tensor engine).
+        # Row-shaped combinators inherit the source engine unless overridden
+        # (as a ``.sql()`` read binds its whole plan to one engine); ML heads
+        # pass an explicit engine (or None for the default tensor engine).
         if engine is None and kind not in ("feature_matrix", "train", "predict",
                                            "kmeans"):
             engine = self.node.engine
@@ -281,6 +280,11 @@ class DatasetSource:
             "table": str(name),
             "columns": list(columns) if columns else None,
         }, (), self.engine))
+
+    def sql(self, query: str) -> Dataset:
+        """A ``SELECT`` statement, parsed here into the tree the combinators
+        would build, with the whole plan bound to this engine."""
+        return Dataset(_sql_to_node(query, self.engine))
 
     def index_seek(self, table: str, column: str, value: Any) -> Dataset:
         """An index lookup on one column value."""
@@ -404,23 +408,19 @@ def dataset(engine: str | None = None) -> DatasetSource:
 
 
 def resolve_node_engine(node: DataflowNode, catalog: Any) -> str | None:
-    """The engine a dataflow node would execute on, or ``None``.
+    """The engine a dataflow node executes on, or ``None`` when there is none.
 
-    Mirrors the frontend's default-engine rule without raising: explicit
-    bindings win, otherwise the node's paradigm resolves through the
-    catalog.  Shared by the view registry (which engines to subscribe to)
-    and the incremental compiler (which engine a delta source reads) so the
-    two can never disagree.
+    The one default-engine rule: an explicit binding wins, otherwise the
+    first registered engine speaking the kind's data model.  The frontend
+    (which raises on ``None``), the view registry (which engines to
+    subscribe to) and the incremental compiler (which engine a delta source
+    reads) all resolve through here, so they can never disagree.
     """
     if node.engine is not None:
         return node.engine
-    paradigm = KIND_PARADIGMS.get(node.kind)
-    if paradigm is None:
-        return None
-    try:
-        return catalog.default_engine_for(paradigm).name
-    except Exception:  # noqa: BLE001 - no engine registered for the paradigm
-        return None
+    model = KIND_MODELS.get(node.kind)
+    candidates = catalog.engines_with_model(model) if model is not None else ()
+    return candidates[0].name if candidates else None
 
 
 def view_dataset(name: str) -> Dataset:
@@ -436,15 +436,7 @@ def view_dataset(name: str) -> Dataset:
 
 
 class DataflowProgram:
-    """A named set of output datasets — the unit sessions prepare and run.
-
-    Implements the same protocol as the legacy
-    :class:`~repro.eide.program.HeterogeneousProgram` (``name`` /
-    ``fingerprint`` / ``freeze`` / ``declared_params``), so
-    :meth:`~repro.client.Session.prepare`,
-    :meth:`~repro.core.system.PolystorePlusPlus.execute` and the plan cache
-    accept either interchangeably.
-    """
+    """A named set of output datasets — the unit sessions prepare and run."""
 
     def __init__(self, name: str) -> None:
         if not name:
@@ -495,9 +487,9 @@ class DataflowProgram:
     def fingerprint(self) -> str:
         """Deterministic identity hash over the canonical dataflow form.
 
-        Structurally equivalent programs — whether built through this API or
-        the legacy builder — produce the same fingerprint and therefore share
-        one plan-cache entry.
+        Structurally equivalent programs — whether read with ``.sql()`` text
+        or composed from combinators — produce the same fingerprint and
+        therefore share one plan-cache entry.
         """
         if not self._outputs:
             raise CompilationError(f"program {self.name!r} declares no outputs")
@@ -555,86 +547,7 @@ def fingerprint_outputs(name: str, outputs: dict[str, DataflowNode]) -> str:
     return digest.hexdigest()
 
 
-# -- legacy conversion ------------------------------------------------------------------
-
-
-def to_dataflow(program: HeterogeneousProgram) -> DataflowProgram:
-    """Convert a legacy fragment program into its canonical dataflow form.
-
-    SQL fragments are parsed here (once per conversion) into the same
-    structured plans the new API builds directly, so the fingerprint and the
-    lowered IR are identical whichever API authored the program.
-    """
-    flow = DataflowProgram(program.name)
-    trees: dict[str, DataflowNode] = {}
-    for fragment in program.fragments:
-        node = _fragment_to_node(fragment, trees)
-        for member in node.walk():
-            if member.label is None:
-                member.label = fragment.name
-        trees[fragment.name] = node
-    for output in program.outputs:
-        flow.output(output, Dataset(trees[output]))
-    return flow
-
-
-def _fragment_to_node(fragment: Any, trees: dict[str, DataflowNode]) -> DataflowNode:
-    paradigm = fragment.paradigm
-    params = fragment.params
-    engine = fragment.engine
-    inputs = tuple(trees[name] for name in fragment.inputs)
-    if paradigm == "sql":
-        return _sql_to_node(fragment, engine)
-    if paradigm == "kv_lookup":
-        return DataflowNode("kv_get", {"keys": params.get("keys"),
-                                       "key_prefix": params.get("key_prefix")},
-                            inputs, engine)
-    if paradigm == "timeseries_summary":
-        return DataflowNode("ts_summarize", {
-            "series_prefix": params["series_prefix"],
-            "start": params.get("start"), "end": params.get("end"),
-        }, inputs, engine)
-    if paradigm == "window_aggregate":
-        return DataflowNode("window_aggregate", {
-            "series": params["series"], "window_s": params["window_s"],
-            "aggregation": params.get("aggregation", "mean"),
-        }, inputs, engine)
-    if paradigm == "graph_query":
-        return _graph_to_node(fragment, engine, inputs)
-    if paradigm == "text_search":
-        return DataflowNode("text_search", {
-            "query": params["query"], "top_k": params.get("top_k", 10),
-        }, inputs, engine)
-    if paradigm == "text_features":
-        return DataflowNode("keyword_features", {
-            "keywords": list(params["keywords"]),
-            "doc_prefix": params.get("doc_prefix"),
-            "id_column": params.get("id_column", "doc_id"),
-        }, inputs, engine)
-    if paradigm == "join":
-        return DataflowNode("join", {
-            "left_key": params["left_key"], "right_key": params["right_key"],
-            "how": params.get("how", "inner"),
-        }, inputs, engine)
-    if paradigm == "feature_matrix":
-        return DataflowNode("feature_matrix", {
-            "feature_columns": params.get("feature_columns"),
-            "label_column": params.get("label_column"),
-        }, inputs, engine)
-    if paradigm == "train":
-        return DataflowNode("train", dict(params), inputs, engine)
-    if paradigm == "predict":
-        return DataflowNode("predict", {"model_name": params["model_name"]},
-                            inputs, engine)
-    if paradigm == "kmeans":
-        return DataflowNode("kmeans", {"n_clusters": params["n_clusters"]},
-                            inputs, engine)
-    if paradigm == "python":
-        return DataflowNode("python_udf", {"fn": params["fn"]}, inputs, engine)
-    raise CompilationError(f"cannot convert paradigm {paradigm!r} to dataflow")
-
-
-def _sql_to_node(fragment: Any, engine: str | None) -> DataflowNode:
+def _sql_to_node(query: str, engine: str | None) -> DataflowNode:
     from repro.stores.relational.planner import (
         AggregatePlan,
         FilterPlan,
@@ -647,9 +560,8 @@ def _sql_to_node(fragment: Any, engine: str | None) -> DataflowNode:
     )
     from repro.stores.relational.sql import parse_select
 
-    query = fragment.params.get("query")
     if not query:
-        raise CompilationError(f"SQL fragment {fragment.name!r} has no query text")
+        raise CompilationError("sql() needs query text")
     plan = build_plan(parse_select(query))
 
     def convert(plan: Any) -> DataflowNode:
@@ -683,21 +595,3 @@ def _sql_to_node(fragment: Any, engine: str | None) -> DataflowNode:
         raise CompilationError(f"cannot lower plan node {type(plan).__name__}")
 
     return convert(plan)
-
-
-def _graph_to_node(fragment: Any, engine: str | None,
-                   inputs: tuple[DataflowNode, ...]) -> DataflowNode:
-    operation = fragment.params.get("operation")
-    params = {k: v for k, v in fragment.params.items() if k != "operation"}
-    kind_by_operation = {
-        "nodes": "graph_nodes",
-        "shortest_path": "shortest_path",
-        "neighborhood": "neighborhood",
-        "match": "graph_match",
-    }
-    kind = kind_by_operation.get(operation or "")
-    if kind is None:
-        raise CompilationError(
-            f"unknown graph operation {operation!r} in fragment {fragment.name!r}"
-        )
-    return DataflowNode(kind, params, inputs, engine)

@@ -1,48 +1,27 @@
-"""The heterogeneous-program model produced by the EIDE.
+"""Runtime-bound placeholders and the canonical parameter form fingerprints hash.
 
-A :class:`HeterogeneousProgram` is the paper's Figure 5: an annotated
-data-flow graph of *fragments*, each written in a different paradigm (SQL,
-graph queries, stream features, text features, ML training/inference,
-arbitrary Python) and targeting a different data store.  The program also
-carries the deployment configuration (which engines and accelerators exist),
-exactly as the paper's EIDE "is used by users to declare the configuration
-for a Polystore++ system".
-
-The class exposes a fluent builder API so the examples read close to the
-paper's pseudo-programs:
-
-.. code-block:: python
-
-    program = HeterogeneousProgram("icu-stay")
-    program.sql("admissions", "SELECT pid, age FROM admissions WHERE age > 60",
-                engine="clinical-db")
-    program.timeseries_summary("vitals", series_prefix="hr/", engine="monitors")
-    program.join("features", left="admissions", right="vitals", on="pid")
-    program.train("model", features="features", label_column="long_stay")
-    program.output("model")
+Both live here (not in :mod:`repro.eide.dataflow`) because persisted view
+definitions pickle :class:`Param` by this import path.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
-
-from repro.exceptions import CompilationError
+from dataclasses import dataclass
+from typing import Any
 
 _MISSING = object()
 
 
 @dataclass(frozen=True)
 class Param:
-    """A runtime-bound placeholder inside a fragment's parameters.
+    """A runtime-bound placeholder inside an operator's parameters.
 
     Prepared programs (``Session.prepare``) compile once with the placeholder
     in place and substitute the bound value on every
     :meth:`~repro.client.PreparedProgram.run` call, like a prepared
-    statement's ``?`` markers.  Placeholders may appear anywhere in a
-    fragment's ``params`` except inside SQL text (SQL is parsed at compile
-    time).
+    statement's ``?`` markers.  Placeholders may appear anywhere in an
+    operator's ``params`` except inside SQL text (``.sql()`` parses when the
+    program is built).
     """
 
     name: str
@@ -60,10 +39,10 @@ class Param:
 
 
 def canonical_value(value: Any) -> str:
-    """A deterministic string form of a fragment parameter value.
+    """A deterministic string form of an operator parameter value.
 
-    Containers are recursed; dictionaries are key-sorted.  Callables (the
-    ``python`` paradigm's functions) are identified *by identity*, not by
+    Containers are recursed; dictionaries are key-sorted.  Callables
+    (``.apply(fn)`` functions) are identified *by identity*, not by
     content — two distinct function objects never collide, so a plan cached
     for one can never be replayed for the other.
     """
@@ -84,288 +63,3 @@ def canonical_value(value: Any) -> str:
         qualname = getattr(value, "__qualname__", type(value).__name__)
         return f"<callable {module}.{qualname}@{id(value):x}>"
     return f"<{type(value).__name__}:{value!r}>"
-
-#: Paradigms a fragment may be written in.
-PARADIGMS = frozenset({
-    "sql", "kv_lookup", "timeseries_summary", "window_aggregate", "graph_query",
-    "text_search", "text_features", "join", "feature_matrix", "train", "predict",
-    "kmeans", "python",
-})
-
-
-@dataclass
-class SubProgram:
-    """One fragment of a heterogeneous program.
-
-    Attributes:
-        name: Unique fragment name; later fragments reference it as an input.
-        paradigm: Which frontend lowers this fragment (one of :data:`PARADIGMS`).
-        params: Paradigm-specific parameters (the SQL text, the series prefix,
-            the model hyper-parameters, ...).
-        engine: Name of the engine this fragment targets (``None`` lets the
-            compiler's placement pass choose).
-        inputs: Names of fragments whose outputs this fragment consumes.
-    """
-
-    name: str
-    paradigm: str
-    params: dict[str, Any] = field(default_factory=dict)
-    engine: str | None = None
-    inputs: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.paradigm not in PARADIGMS:
-            raise CompilationError(f"unknown paradigm {self.paradigm!r}")
-        if not self.name:
-            raise CompilationError("fragment name must be non-empty")
-
-
-class HeterogeneousProgram:
-    """An ordered collection of fragments plus program outputs."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._fragments: dict[str, SubProgram] = {}
-        self._order: list[str] = []
-        self._outputs: list[str] = []
-        self._frozen = False
-
-    # -- generic construction ---------------------------------------------------------
-
-    def add_fragment(self, fragment: SubProgram) -> SubProgram:
-        """Add a fragment, checking name uniqueness and input availability."""
-        self._check_mutable()
-        if fragment.name in self._fragments:
-            raise CompilationError(f"duplicate fragment name {fragment.name!r}")
-        for dependency in fragment.inputs:
-            if dependency not in self._fragments:
-                raise CompilationError(
-                    f"fragment {fragment.name!r} depends on unknown fragment {dependency!r}"
-                )
-        self._fragments[fragment.name] = fragment
-        self._order.append(fragment.name)
-        return fragment
-
-    def output(self, name: str) -> None:
-        """Mark a fragment as a program output."""
-        self._check_mutable()
-        if name not in self._fragments:
-            raise CompilationError(f"unknown fragment {name!r}")
-        if name not in self._outputs:
-            self._outputs.append(name)
-
-    # -- fluent builders ------------------------------------------------------------------
-
-    def sql(self, name: str, query: str, *, engine: str | None = None) -> SubProgram:
-        """A SQL fragment executed on a relational engine."""
-        return self.add_fragment(SubProgram(name, "sql", {"query": query}, engine))
-
-    def kv_lookup(self, name: str, keys: Sequence[str] | None = None, *,
-                  key_prefix: str | None = None, engine: str | None = None) -> SubProgram:
-        """A key/value point or prefix lookup fragment."""
-        params: dict[str, Any] = {}
-        if keys is not None:
-            params["keys"] = list(keys)
-        if key_prefix is not None:
-            params["key_prefix"] = key_prefix
-        if not params:
-            raise CompilationError("kv_lookup needs keys or a key_prefix")
-        return self.add_fragment(SubProgram(name, "kv_lookup", params, engine))
-
-    def timeseries_summary(self, name: str, *, series_prefix: str,
-                           start: float | None = None, end: float | None = None,
-                           engine: str | None = None) -> SubProgram:
-        """Per-series summary features (count/mean/min/max/last) for a prefix."""
-        params = {"series_prefix": series_prefix, "start": start, "end": end}
-        return self.add_fragment(SubProgram(name, "timeseries_summary", params, engine))
-
-    def window_aggregate(self, name: str, *, series: str, window_s: float,
-                         aggregation: str = "mean",
-                         engine: str | None = None) -> SubProgram:
-        """Tumbling-window aggregation over one series."""
-        params = {"series": series, "window_s": window_s, "aggregation": aggregation}
-        return self.add_fragment(SubProgram(name, "window_aggregate", params, engine))
-
-    def graph_query(self, name: str, *, operation: str, engine: str | None = None,
-                    **params: Any) -> SubProgram:
-        """A graph fragment: ``operation`` is ``nodes``, ``shortest_path``,
-        ``neighborhood`` or ``match``."""
-        return self.add_fragment(
-            SubProgram(name, "graph_query", {"operation": operation, **params}, engine)
-        )
-
-    def text_search(self, name: str, query: str, *, top_k: int = 10,
-                    engine: str | None = None) -> SubProgram:
-        """A ranked text search fragment."""
-        return self.add_fragment(
-            SubProgram(name, "text_search", {"query": query, "top_k": top_k}, engine)
-        )
-
-    def text_features(self, name: str, *, keywords: Sequence[str],
-                      doc_prefix: str | None = None, id_column: str = "doc_id",
-                      engine: str | None = None) -> SubProgram:
-        """Keyword-count features per document."""
-        params = {"keywords": list(keywords), "doc_prefix": doc_prefix,
-                  "id_column": id_column}
-        return self.add_fragment(SubProgram(name, "text_features", params, engine))
-
-    def join(self, name: str, *, left: str, right: str, on: str | None = None,
-             left_key: str | None = None, right_key: str | None = None,
-             how: str = "inner", engine: str | None = None) -> SubProgram:
-        """Join the outputs of two fragments on a key column."""
-        if on is not None:
-            left_key = right_key = on
-        if left_key is None or right_key is None:
-            raise CompilationError("join needs either on= or both left_key= and right_key=")
-        params = {"left_key": left_key, "right_key": right_key, "how": how}
-        return self.add_fragment(SubProgram(name, "join", params, engine, [left, right]))
-
-    def feature_matrix(self, name: str, *, source: str,
-                       feature_columns: Sequence[str] | None = None,
-                       label_column: str | None = None,
-                       engine: str | None = None) -> SubProgram:
-        """Convert a tabular fragment into a dense feature matrix (and labels)."""
-        params = {"feature_columns": list(feature_columns) if feature_columns else None,
-                  "label_column": label_column}
-        return self.add_fragment(SubProgram(name, "feature_matrix", params, engine, [source]))
-
-    def train(self, name: str, *, features: str, label_column: str,
-              model_name: str | None = None, model_type: str = "mlp",
-              hidden_dims: tuple[int, ...] = (32,), epochs: int = 5,
-              batch_size: int = 32, engine: str | None = None) -> SubProgram:
-        """Train a classifier on the output of a tabular fragment."""
-        params = {
-            "model_name": model_name or name,
-            "model_type": model_type,
-            "label_column": label_column,
-            "hidden_dims": tuple(hidden_dims),
-            "epochs": epochs,
-            "batch_size": batch_size,
-        }
-        return self.add_fragment(SubProgram(name, "train", params, engine, [features]))
-
-    def predict(self, name: str, *, model: str, features: str,
-                engine: str | None = None) -> SubProgram:
-        """Score a trained model on the output of a tabular fragment."""
-        params = {"model_name": model}
-        return self.add_fragment(SubProgram(name, "predict", params, engine, [features]))
-
-    def kmeans(self, name: str, *, features: str, n_clusters: int,
-               engine: str | None = None) -> SubProgram:
-        """Cluster the output of a tabular fragment."""
-        params = {"n_clusters": n_clusters}
-        return self.add_fragment(SubProgram(name, "kmeans", params, engine, [features]))
-
-    def python(self, name: str, fn: Callable[..., Any], *, inputs: Sequence[str] = (),
-               engine: str | None = None) -> SubProgram:
-        """An arbitrary Python transformation of upstream fragment outputs."""
-        return self.add_fragment(
-            SubProgram(name, "python", {"fn": fn}, engine, list(inputs))
-        )
-
-    # -- identity ----------------------------------------------------------------------------
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise CompilationError(
-                f"program {self.name!r} is frozen; prepared programs cannot be mutated"
-            )
-
-    @property
-    def frozen(self) -> bool:
-        """Whether :meth:`freeze` was called (structure is now immutable)."""
-        return self._frozen
-
-    def freeze(self) -> "HeterogeneousProgram":
-        """Make the program immutable and pin its fingerprint.
-
-        Sessions freeze programs on :meth:`~repro.client.Session.prepare` so
-        a cached plan can never silently diverge from a later mutation.
-        Returns ``self`` for chaining.
-        """
-        self._frozen = True
-        return self
-
-    def to_dataflow(self):
-        """This program's canonical dataflow form (SQL parsed into trees).
-
-        The compiler frontend and :meth:`fingerprint` both go through this
-        conversion, which makes the fragment builder a compatibility shim
-        over the dataflow API: an equivalent program written with
-        :class:`~repro.eide.dataflow.Dataset` handles produces the same
-        fingerprint, shares the same cached plan and lowers to the same IR.
-        """
-        from repro.eide.dataflow import to_dataflow
-
-        return to_dataflow(self)
-
-    def fingerprint(self) -> str:
-        """A deterministic identity hash over the canonical dataflow form.
-
-        Covers the program name, the output names and the full structure of
-        every output's expression tree (operator kinds, engine bindings and
-        canonicalized parameters — SQL text is parsed first, so reformatted
-        but equivalent queries hash identically).  ``python`` fragments'
-        callables are hashed by identity — see :func:`canonical_value`.  The
-        plan cache keys on this.
-        """
-        if not self._fragments:
-            # Degenerate but fingerprintable: hash the bare name.
-            return hashlib.sha256(self.name.encode()).hexdigest()
-        return self.to_dataflow().fingerprint()
-
-    def declared_params(self) -> dict[str, Param]:
-        """All :class:`Param` placeholders appearing in fragment parameters."""
-        found: dict[str, Param] = {}
-
-        def visit(value: Any) -> None:
-            if isinstance(value, Param):
-                found[value.name] = value
-            elif isinstance(value, dict):
-                for v in value.values():
-                    visit(v)
-            elif isinstance(value, (list, tuple, set, frozenset)):
-                for v in value:
-                    visit(v)
-
-        for fragment in self.fragments:
-            visit(fragment.params)
-        return found
-
-    # -- access ------------------------------------------------------------------------------
-
-    @property
-    def fragments(self) -> list[SubProgram]:
-        """Fragments in declaration order."""
-        return [self._fragments[name] for name in self._order]
-
-    @property
-    def outputs(self) -> list[str]:
-        """Names of output fragments (defaults to the last fragment)."""
-        if self._outputs:
-            return list(self._outputs)
-        return [self._order[-1]] if self._order else []
-
-    def fragment(self, name: str) -> SubProgram:
-        """The fragment with the given name."""
-        try:
-            return self._fragments[name]
-        except KeyError as exc:
-            raise CompilationError(f"unknown fragment {name!r}") from exc
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def paradigms_used(self) -> list[str]:
-        """Distinct paradigms appearing in the program."""
-        return sorted({fragment.paradigm for fragment in self.fragments})
-
-    def describe(self) -> str:
-        """Multi-line summary of the program (the annotated data-flow graph)."""
-        lines = [f"HeterogeneousProgram({self.name!r}, fragments={len(self)})"]
-        for fragment in self.fragments:
-            deps = ", ".join(fragment.inputs) if fragment.inputs else "-"
-            engine = fragment.engine or "<auto>"
-            lines.append(f"  {fragment.name}: {fragment.paradigm} @ {engine} <- [{deps}]")
-        lines.append(f"  outputs: {', '.join(self.outputs)}")
-        return "\n".join(lines)

@@ -23,7 +23,6 @@ from repro.middleware.optimizer.multi_objective import (
     ParetoArchive,
     hypervolume_2d,
     is_pareto_efficient,
-    pareto_front,
 )
 from repro.middleware.optimizer.random_forest import RandomForestRegressor
 

@@ -140,7 +140,7 @@ class CostModel:
     def accelerated_cost(self, node: Operator, planner: OffloadPlanner
                          ) -> CostEstimate | None:
         """Estimated cost of ``node`` on its best accelerator, if any."""
-        from repro.compiler.passes.placement import _KIND_TO_OPERATOR, _work_estimate
+        from repro.compiler.passes.placement import _KIND_TO_OPERATOR
 
         operator = _KIND_TO_OPERATOR.get(node.kind)
         if operator is None:

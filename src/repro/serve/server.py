@@ -60,7 +60,7 @@ _SWEEP_INTERVAL_S = 0.025
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Front-end configuration (defaults come from ``SystemConfig``)."""
+    """Front-end configuration (``system.serve(...)`` keywords override it)."""
 
     host: str = "127.0.0.1"
     port: int = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.exceptions import QueryError
 from repro.stores.graph.graph import Edge, Node, PropertyGraph

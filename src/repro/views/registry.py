@@ -21,8 +21,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.datamodel.table import Table
-from repro.eide.dataflow import DataflowNode, DataflowProgram, Dataset, to_dataflow
-from repro.eide.program import HeterogeneousProgram
+from repro.eide.dataflow import DataflowNode, DataflowProgram, Dataset
 from repro.exceptions import ConfigurationError
 from repro.stores.changelog import DeltaBatch
 from repro.views.view import (
@@ -199,8 +198,7 @@ class ViewRegistry:
         with self._lock:
             return bool(self._by_canonical)
 
-    def rewrite(self, program: "DataflowProgram | HeterogeneousProgram"
-                ) -> "DataflowProgram | HeterogeneousProgram":
+    def rewrite(self, program: DataflowProgram) -> DataflowProgram:
         """Substitute registered-view subtrees with ``view_read`` operators.
 
         Matching is by canonical structural form, largest subtree first.
@@ -213,8 +211,6 @@ class ViewRegistry:
             by_canonical = dict(self._by_canonical)
         if not by_canonical:
             return program
-        flow = (program if isinstance(program, DataflowProgram)
-                else to_dataflow(program))
         converted: dict[int, DataflowNode] = {}
         changed = False
 
@@ -239,8 +235,8 @@ class ViewRegistry:
             converted[id(node)] = rebuilt
             return rebuilt
 
-        rewritten = DataflowProgram(flow.name)
-        for output_name, root in flow.output_items():
+        rewritten = DataflowProgram(program.name)
+        for output_name, root in program.output_items():
             rewritten.output(output_name, Dataset(convert(root)))
         return rewritten if changed else program
 

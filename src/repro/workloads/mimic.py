@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Table
-from repro.eide.program import HeterogeneousProgram
+from repro.eide.dataflow import DataflowProgram, dataset
 from repro.stores.graph.engine import GraphEngine
 from repro.stores.relational.engine import RelationalEngine
 from repro.stores.text.engine import TextEngine
@@ -123,40 +123,33 @@ def build_mimic_program(*, relational: str = "clinical-db", timeseries: str = "m
                         text: str = "notes-db", ml: str = "dnn-engine",
                         min_age: int | None = None,
                         keywords: tuple[str, ...] = ("sepsis", "ventilator", "stable"),
-                        epochs: int = 3) -> HeterogeneousProgram:
+                        epochs: int = 3) -> DataflowProgram:
     """The Figure 2 heterogeneous program: will the patient stay > 5 days.
 
     P (admissions, relational) ⋈ S (vital-sign summaries, stream) ⋈ notes
     features (text) -> feature vector -> neural-network training.
     """
-    program = HeterogeneousProgram("mimic-icu-stay")
     where = f" WHERE age >= {min_age}" if min_age is not None else ""
-    program.sql(
-        "admissions",
+    admissions = dataset(relational).sql(
         "SELECT pid, age, num_procedures, prior_admissions, long_stay "
-        f"FROM admissions{where}",
-        engine=relational,
-    )
-    program.timeseries_summary("vitals", series_prefix="hr/", engine=timeseries)
-    program.text_features("note_features", keywords=keywords, doc_prefix="note/",
-                          id_column="pid", engine=text)
-    program.join("clinical", left="admissions", right="vitals", on="pid")
-    program.join("features", left="clinical", right="note_features", on="pid")
-    program.train("stay_model", features="features", label_column="long_stay",
-                  hidden_dims=(32, 16), epochs=epochs, engine=ml)
-    program.output("stay_model")
+        f"FROM admissions{where}").named("admissions")
+    vitals = dataset(timeseries).timeseries("hr/").named("vitals")
+    note_features = dataset(text).text().keyword_features(
+        keywords, doc_prefix="note/", id_column="pid").named("note_features")
+    clinical = admissions.join(vitals, on="pid").named("clinical")
+    features = clinical.join(note_features, on="pid").named("features")
+    program = DataflowProgram("mimic-icu-stay")
+    program.output("stay_model", features.train(
+        label_column="long_stay", model_name="stay_model", hidden_dims=(32, 16),
+        epochs=epochs, engine=ml))
     return program
 
 
 def build_admission_history_program(pid: int, *, relational: str = "clinical-db"
-                                    ) -> HeterogeneousProgram:
+                                    ) -> DataflowProgram:
     """The §III walk-through query: a patient's admissions sorted by date."""
-    program = HeterogeneousProgram("mimic-admission-history")
-    program.sql(
-        "history",
+    program = DataflowProgram("mimic-admission-history")
+    program.output("history", dataset(relational).sql(
         f"SELECT pid, admit_date, diagnosis FROM admissions WHERE pid = {pid} "
-        "ORDER BY admit_date",
-        engine=relational,
-    )
-    program.output("history")
+        "ORDER BY admit_date"))
     return program

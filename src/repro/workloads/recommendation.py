@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Table
-from repro.eide.program import HeterogeneousProgram
+from repro.eide.dataflow import DataflowProgram, dataset
 from repro.stores.keyvalue.engine import KeyValueEngine
 from repro.stores.relational.engine import RelationalEngine
 from repro.stores.timeseries.engine import TimeseriesEngine
@@ -110,37 +110,28 @@ def load_recommendation(dataset: RecommendationDataset, *, relational: Relationa
 
 def build_recommendation_program(*, relational: str = "sales-db", keyvalue: str = "profiles",
                                  timeseries: str = "clickstream", ml: str = "reco-ml",
-                                 epochs: int = 3) -> HeterogeneousProgram:
+                                 epochs: int = 3) -> DataflowProgram:
     """The Figure 1 recommendation program across RDBMS, KV and timeseries stores."""
-    program = HeterogeneousProgram("next-best-offer")
-    program.sql(
-        "spend",
+    spend = dataset(relational).sql(
         "SELECT customer_id, sum(amount) AS total_spend, count(*) AS n_orders "
-        "FROM transactions GROUP BY customer_id",
-        engine=relational,
-    )
-    program.kv_lookup("profiles", key_prefix="customer/", engine=keyvalue)
-    program.timeseries_summary("engagement", series_prefix="clicks/",
-                               engine=timeseries)
-    program.join("behaviour", left="spend", right="engagement",
-                 left_key="customer_id", right_key="pid")
-    program.join("features", left="behaviour", right="profiles",
-                 left_key="customer_id", right_key="customer_id")
-    program.train("offer_model", features="features", label_column="converted",
-                  epochs=epochs, engine=ml)
-    program.output("offer_model")
+        "FROM transactions GROUP BY customer_id").named("spend")
+    profiles = dataset(keyvalue).kv(key_prefix="customer/").named("profiles")
+    engagement = dataset(timeseries).timeseries("clicks/").named("engagement")
+    behaviour = spend.join(engagement, left_key="customer_id",
+                           right_key="pid").named("behaviour")
+    features = behaviour.join(profiles, on="customer_id").named("features")
+    program = DataflowProgram("next-best-offer")
+    program.output("offer_model", features.train(
+        label_column="converted", model_name="offer_model", epochs=epochs,
+        engine=ml))
     return program
 
 
 def build_top_spenders_program(k: int = 10, *, relational: str = "sales-db"
-                               ) -> HeterogeneousProgram:
+                               ) -> DataflowProgram:
     """A reporting query: the top-k customers by total spend."""
-    program = HeterogeneousProgram("top-spenders")
-    program.sql(
-        "top",
+    program = DataflowProgram("top-spenders")
+    program.output("top", dataset(relational).sql(
         "SELECT customer_id, sum(amount) AS total_spend FROM transactions "
-        f"GROUP BY customer_id ORDER BY total_spend DESC LIMIT {k}",
-        engine=relational,
-    )
-    program.output("top")
+        f"GROUP BY customer_id ORDER BY total_spend DESC LIMIT {k}"))
     return program

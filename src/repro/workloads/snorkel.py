@@ -8,7 +8,7 @@ provides:
 * a generator for an unlabeled-documents table plus labeling functions,
 * :func:`run_labeling_pipeline` — the epoch/batch loop issuing a SQL query
   per batch, applying labeling functions, and taking SGD steps,
-* a heterogeneous-program builder expressing the same pipeline so the
+* a dataflow-program builder expressing the same pipeline so the
   Polystore++ compiler can see (and deduplicate/accelerate) the repeated
   ``load_data`` scans.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Table
-from repro.eide.program import HeterogeneousProgram
+from repro.eide.dataflow import DataflowProgram, dataset
 from repro.stores.ml.logistic import LogisticRegression
 from repro.stores.relational.engine import RelationalEngine
 from repro.workloads.generator import rng_for
@@ -172,21 +172,18 @@ def run_labeling_pipeline(relational: RelationalEngine, *, table_name: str = "do
 
 
 def build_snorkel_program(*, relational: str = "corpus-db", ml: str = "label-ml",
-                          epochs: int = 3) -> HeterogeneousProgram:
+                          epochs: int = 3) -> DataflowProgram:
     """The same pipeline as one declarative heterogeneous program.
 
     Expressed this way, the Polystore++ compiler sees a single ``load_data``
     scan feeding training (instead of one SQL round trip per batch), so CSE
     and data-access offload apply.
     """
-    program = HeterogeneousProgram("snorkel-labeling")
-    program.sql(
-        "load_data",
+    load_data = dataset(relational).sql(
         "SELECT doc_id, length, num_tables, num_figures, caption_overlap, header_score, "
-        "true_label FROM documents",
-        engine=relational,
-    )
-    program.train("label_model", features="load_data", label_column="true_label",
-                  model_type="logistic", epochs=epochs, engine=ml)
-    program.output("label_model")
+        "true_label FROM documents").named("load_data")
+    program = DataflowProgram("snorkel-labeling")
+    program.output("label_model", load_data.train(
+        label_column="true_label", model_name="label_model",
+        model_type="logistic", epochs=epochs, engine=ml))
     return program

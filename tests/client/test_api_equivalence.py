@@ -1,10 +1,10 @@
-"""Old-API vs new-API equivalence: fingerprints, IR, plan cache, outputs.
+"""SQL-text vs typed-expression equivalence: fingerprints, IR, plan cache, outputs.
 
-For each example pipeline, the legacy ``HeterogeneousProgram`` build and the
-equivalent ``Dataset`` expression build must produce the same fingerprint
-(so they share one plan-cache entry), lower to the identical optimized IR,
-and return identical results under both the accelerated ``polystore++`` mode
-and a baseline mode.
+For each example pipeline, the build whose relational part is ``.sql(text)``
+and the build that composes the same part from typed combinators must
+produce the same fingerprint (so they share one plan-cache entry), lower to
+the identical optimized IR, and return identical results under both the
+accelerated ``polystore++`` mode and a baseline mode.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro import DataflowProgram, HeterogeneousProgram, col, dataset
+from repro import DataflowProgram, col, dataset
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import (
@@ -34,41 +34,29 @@ from repro.workloads import (
 # -- pipeline pairs ---------------------------------------------------------------------
 
 
-def quickstart_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
+def quickstart_pair() -> tuple[DataflowProgram, DataflowProgram]:
     """The quickstart pipeline: SQL aggregate + session features -> train."""
-    old = HeterogeneousProgram("quickstart")
-    old.sql(
-        "spend",
+    def build(spend) -> DataflowProgram:
+        sessions = dataset("telemetry").timeseries("sessions/").named("sessions")
+        features = spend.named("spend").join(
+            sessions, left_key="customer_id", right_key="pid").named("features")
+        program = DataflowProgram("quickstart")
+        program.output("return_model", features.train(
+            label_column="any_return", model_name="return_model", epochs=2,
+            engine="ml"))
+        return program
+
+    return (build(dataset("ordersdb").sql(
         "SELECT customer_id, sum(amount) AS total_spend, count(*) AS n_orders, "
-        "max(returned) AS any_return FROM orders GROUP BY customer_id",
-        engine="ordersdb",
-    )
-    old.timeseries_summary("sessions", series_prefix="sessions/", engine="telemetry")
-    old.join("features", left="spend", right="sessions",
-             left_key="customer_id", right_key="pid")
-    old.train("return_model", features="features", label_column="any_return",
-              epochs=2, engine="ml")
-    old.output("return_model")
-
-    spend = (dataset("ordersdb").table("orders")
-             .aggregate(["customer_id"],
-                        total_spend=("sum", "amount"),
-                        n_orders=("count", None),
-                        any_return=("max", "returned"))
-             .named("spend"))
-    sessions = dataset("telemetry").timeseries("sessions/").named("sessions")
-    features = spend.join(sessions, left_key="customer_id",
-                          right_key="pid").named("features")
-    model = features.train(label_column="any_return", model_name="return_model",
-                           epochs=2, engine="ml")
-    new = DataflowProgram("quickstart")
-    new.output("return_model", model)
-    return old, new
+        "max(returned) AS any_return FROM orders GROUP BY customer_id")),
+            build(dataset("ordersdb").table("orders").aggregate(
+                ["customer_id"], total_spend=("sum", "amount"),
+                n_orders=("count", None), any_return=("max", "returned"))))
 
 
-def recommendation_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
+def recommendation_pair() -> tuple[DataflowProgram, DataflowProgram]:
     """The Figure 1 recommendation pipeline across three stores."""
-    old = build_recommendation_program(epochs=2)
+    from_sql = build_recommendation_program(epochs=2)
 
     spend = (dataset("sales-db").table("transactions")
              .aggregate(["customer_id"],
@@ -82,27 +70,27 @@ def recommendation_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
                               right_key="customer_id").named("features")
     model = features.train(label_column="converted", model_name="offer_model",
                            epochs=2, engine="reco-ml")
-    new = DataflowProgram("next-best-offer")
-    new.output("offer_model", model)
-    return old, new
+    typed = DataflowProgram("next-best-offer")
+    typed.output("offer_model", model)
+    return from_sql, typed
 
 
-def top_spenders_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
+def top_spenders_pair() -> tuple[DataflowProgram, DataflowProgram]:
     """The reporting query: top-k customers by total spend."""
-    old = build_top_spenders_program(5)
+    from_sql = build_top_spenders_program(5)
 
     top = (dataset("sales-db").table("transactions")
            .aggregate(["customer_id"], total_spend=("sum", "amount"))
            .sort("total_spend", descending=True)
            .limit(5))
-    new = DataflowProgram("top-spenders")
-    new.output("top", top)
-    return old, new
+    typed = DataflowProgram("top-spenders")
+    typed.output("top", top)
+    return from_sql, typed
 
 
-def mimic_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
+def mimic_pair() -> tuple[DataflowProgram, DataflowProgram]:
     """The Figure 2 ICU-stay pipeline (relational + stream + text -> train)."""
-    old = build_mimic_program(min_age=40, epochs=2)
+    from_sql = build_mimic_program(min_age=40, epochs=2)
 
     admissions = (dataset("clinical-db")
                   .table("admissions")
@@ -119,9 +107,9 @@ def mimic_pair() -> tuple[HeterogeneousProgram, DataflowProgram]:
     features = clinical.join(notes, on="pid").named("features")
     model = features.train(label_column="long_stay", model_name="stay_model",
                            hidden_dims=(32, 16), epochs=2, engine="dnn-engine")
-    new = DataflowProgram("mimic-icu-stay")
-    new.output("stay_model", model)
-    return old, new
+    typed = DataflowProgram("mimic-icu-stay")
+    typed.output("stay_model", model)
+    return from_sql, typed
 
 
 # -- deployments ------------------------------------------------------------------------
@@ -185,26 +173,26 @@ def _comparable(value) -> object:
 
 @pytest.mark.parametrize("pipeline", sorted(PAIRS))
 def test_fingerprints_match(pipeline):
-    old, new = PAIRS[pipeline]()
-    assert old.fingerprint() == new.fingerprint()
+    from_sql, typed = PAIRS[pipeline]()
+    assert from_sql.fingerprint() == typed.fingerprint()
 
 
 @pytest.mark.parametrize("pipeline", sorted(PAIRS))
 def test_optimized_ir_is_identical(pipeline, request):
-    old, new = PAIRS[pipeline]()
+    from_sql, typed = PAIRS[pipeline]()
     system = _system_for(pipeline, request)
-    old_graph = system.compile(old).graph
-    new_graph = system.compile(new).graph
-    assert old_graph.render() == new_graph.render()
+    sql_graph = system.compile(from_sql).graph
+    typed_graph = system.compile(typed).graph
+    assert sql_graph.render() == typed_graph.render()
 
 
 @pytest.mark.parametrize("pipeline", sorted(PAIRS))
 def test_programs_share_one_plan_cache_entry(pipeline, request):
-    old, new = PAIRS[pipeline]()
+    from_sql, typed = PAIRS[pipeline]()
     system = _system_for(pipeline, request)
     with system.session(name="equivalence") as session:
-        first = session.prepare(old)
-        second = session.prepare(new)
+        first = session.prepare(from_sql)
+        second = session.prepare(typed)
         assert first.fingerprint == second.fingerprint
         stats = session.stats()["plan_cache"]
         assert stats["size"] == 1 and stats["hits"] == 1
@@ -213,16 +201,16 @@ def test_programs_share_one_plan_cache_entry(pipeline, request):
 @pytest.mark.parametrize("pipeline", sorted(PAIRS))
 @pytest.mark.parametrize("mode", ["polystore++", "cpu_polystore"])
 def test_outputs_identical_across_apis(pipeline, mode, request):
-    old, new = PAIRS[pipeline]()
+    from_sql, typed = PAIRS[pipeline]()
     system = _system_for(pipeline, request)
-    old_result = system.execute(old, mode=mode)
-    new_result = system.execute(new, mode=mode)
-    assert list(old_result.outputs) == list(new_result.outputs)
-    for name in old_result.outputs:
-        old_value = _comparable(old_result.output(name))
-        new_value = _comparable(new_result.output(name))
-        if isinstance(old_value, dict):  # model metrics
-            for metric, value in old_value.items():
-                assert math.isclose(value, new_value[metric], rel_tol=1e-9), metric
+    sql_result = system.execute(from_sql, mode=mode)
+    typed_result = system.execute(typed, mode=mode)
+    assert list(sql_result.outputs) == list(typed_result.outputs)
+    for name in sql_result.outputs:
+        sql_value = _comparable(sql_result.output(name))
+        typed_value = _comparable(typed_result.output(name))
+        if isinstance(sql_value, dict):  # model metrics
+            for metric, value in sql_value.items():
+                assert math.isclose(value, typed_value[metric], rel_tol=1e-9), metric
         else:
-            assert old_value == new_value
+            assert sql_value == typed_value

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import DataflowProgram, dataset
 from repro.client import PlanCache
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
@@ -24,18 +25,14 @@ def _small_system():
     return build_accelerated_polystore([relational, timeseries])
 
 
-def _orders_program():
-    from repro import HeterogeneousProgram
-
-    program = HeterogeneousProgram("orders-by-customer")
-    program.sql("spend",
-                "SELECT customer_id, sum(amount) AS total FROM orders "
-                "GROUP BY customer_id", engine="ordersdb")
-    program.timeseries_summary("sessions", series_prefix="sessions/",
-                               engine="telemetry")
-    program.join("features", left="spend", right="sessions",
-                 left_key="customer_id", right_key="pid")
-    program.output("features")
+def _orders_program(where: str = "") -> DataflowProgram:
+    spend = dataset("ordersdb").sql(
+        f"SELECT customer_id, sum(amount) AS total FROM orders {where}"
+        "GROUP BY customer_id")
+    sessions = dataset("telemetry").timeseries("sessions/")
+    program = DataflowProgram("orders-by-customer")
+    program.output("features", spend.join(sessions, left_key="customer_id",
+                                          right_key="pid"))
     return program
 
 
@@ -105,22 +102,10 @@ class TestSessionPlanCaching:
 
     def test_program_mutation_changes_fingerprint(self):
         program_a = _orders_program()
-        program_b = _orders_program()
-        assert program_a.fingerprint() == program_b.fingerprint()
-        # Mutating structure that feeds an output changes the identity.
-        program_b.fragment("spend").params["query"] = (
-            "SELECT customer_id, sum(amount) AS total FROM orders "
-            "WHERE amount > 1 GROUP BY customer_id")
+        assert program_a.fingerprint() == _orders_program().fingerprint()
+        # Structure that feeds an output is part of the identity.
+        program_b = _orders_program("WHERE amount > 1 ")
         assert program_a.fingerprint() != program_b.fingerprint()
-
-    def test_dead_fragments_do_not_change_fingerprint(self):
-        # Fingerprints cover the output-reachable dataflow only: a fragment
-        # no output depends on cannot affect results, so two such programs
-        # correctly share one cached plan.
-        program_a = _orders_program()
-        program_b = _orders_program()
-        program_b.sql("extra", "SELECT * FROM orders", engine="ordersdb")
-        assert program_a.fingerprint() == program_b.fingerprint()
 
     def test_one_shot_execute_reuses_cached_plans(self):
         system = _small_system()
@@ -300,8 +285,7 @@ class TestSnapshotRelease:
         assert entry.snapshot.pinned > 0
         # Preparing a different program evicts the first entry...
         other = _orders_program()
-        other.sql("extra", "SELECT * FROM orders", engine="ordersdb")
-        other.output("extra")
+        other.output("extra", dataset("ordersdb").sql("SELECT * FROM orders"))
         session.prepare(other)
         # ...and the eviction callback released its pinned engine reads.
         assert entry.snapshot.pinned == 0
@@ -353,8 +337,7 @@ class TestSnapshotRelease:
         snapshot_ref = weakref.ref(prepared._entry.snapshot)
         entry_ref = weakref.ref(prepared._entry)
         other = _orders_program()
-        other.sql("extra", "SELECT * FROM orders", engine="ordersdb")
-        other.output("extra")
+        other.output("extra", dataset("ordersdb").sql("SELECT * FROM orders"))
         session.prepare(other)  # evicts the first entry from the LRU
         del prepared  # drop the only remaining strong reference
         gc.collect()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import HeterogeneousProgram, Param
+from repro import DataflowProgram, Dataset, Param, col, dataset
 from repro.client import PreparedProgram
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
@@ -29,34 +29,28 @@ def deployment():
     return build_accelerated_polystore([relational, timeseries, ml])
 
 
-def query_program() -> HeterogeneousProgram:
-    program = HeterogeneousProgram("spend-features")
-    program.sql("spend",
-                "SELECT customer_id, sum(amount) AS total_spend, count(*) AS n "
-                "FROM orders GROUP BY customer_id", engine="ordersdb")
-    program.timeseries_summary("sessions", series_prefix="sessions/",
-                               engine="telemetry")
-    program.join("features", left="spend", right="sessions",
-                 left_key="customer_id", right_key="pid")
-    program.output("features")
+def _features(spend_sql: str, end=None) -> Dataset:
+    spend = dataset("ordersdb").sql(spend_sql)
+    sessions = dataset("telemetry").timeseries("sessions/", end=end)
+    return spend.join(sessions, left_key="customer_id", right_key="pid")
+
+
+def query_program(end=None) -> DataflowProgram:
+    program = DataflowProgram("spend-features")
+    program.output("features", _features(
+        "SELECT customer_id, sum(amount) AS total_spend, count(*) AS n "
+        "FROM orders GROUP BY customer_id", end))
     return program
 
 
-def train_program() -> HeterogeneousProgram:
-    program = query_program()
-    # Rebuild with a training head so ML work stays un-pinnable.
-    trained = HeterogeneousProgram("spend-model")
-    trained.sql("spend",
-                "SELECT customer_id, sum(amount) AS total_spend, "
-                "max(returned) AS any_return FROM orders GROUP BY customer_id",
-                engine="ordersdb")
-    trained.timeseries_summary("sessions", series_prefix="sessions/",
-                               engine="telemetry")
-    trained.join("features", left="spend", right="sessions",
-                 left_key="customer_id", right_key="pid")
-    trained.train("model", features="features", label_column="any_return",
-                  epochs=2, engine="ml")
-    trained.output("model")
+def train_program() -> DataflowProgram:
+    # A training head keeps the ML work un-pinnable.
+    features = _features(
+        "SELECT customer_id, sum(amount) AS total_spend, "
+        "max(returned) AS any_return FROM orders GROUP BY customer_id")
+    trained = DataflowProgram("spend-model")
+    trained.output("model", features.train(
+        label_column="any_return", model_name="model", epochs=2, engine="ml"))
     return trained
 
 
@@ -68,7 +62,7 @@ class TestPreparedPrograms:
         assert isinstance(prepared, PreparedProgram)
         assert program.frozen
         with pytest.raises(CompilationError):
-            program.sql("late", "SELECT * FROM orders", engine="ordersdb")
+            program.output("late", dataset("ordersdb").sql("SELECT * FROM orders"))
 
     def test_prepared_outputs_match_one_shot(self, deployment):
         session = deployment.session()
@@ -143,12 +137,15 @@ class TestReviewRegressions:
 
     def test_in_place_params_mutation_recompiles(self, deployment):
         session = deployment.session()
-        program = query_program()
+        wanted = dataset("ordersdb").table("orders").filter(col("customer_id") < 20)
+        program = DataflowProgram("spend")
+        program.output("features", wanted.aggregate(["customer_id"],
+                                                    n=("count", None)))
         prepared = session.prepare(program, freeze=False)
         assert len(prepared.run().output("features")) == 20
-        program.fragment("spend").params["query"] = (
-            "SELECT customer_id, sum(amount) AS total_spend, count(*) AS n "
-            "FROM orders WHERE customer_id < 5 GROUP BY customer_id")
+        wanted.node.params["predicate"] = \
+            dataset("ordersdb").table("orders").filter(
+                col("customer_id") < 5).node.params["predicate"]
         assert len(prepared.run().output("features")) == 5
 
     def test_mode_plan_reresolved_after_deployment_change(self, deployment):
@@ -157,9 +154,8 @@ class TestReviewRegressions:
         system = build_cpu_polystore([RelationalEngine("soloDB")])
         system.engine("soloDB").load_table(
             "t", Table(make_schema(("x", DataType.INT)), [(1,), (2,)]))
-        program = HeterogeneousProgram("solo")
-        program.sql("rows", "SELECT x FROM t", engine="soloDB")
-        program.output("rows")
+        program = DataflowProgram("solo")
+        program.output("rows", dataset("soloDB").sql("SELECT x FROM t"))
         session = system.session()
         prepared = session.prepare(program, mode="polystore++")
         assert prepared._plan.migration_strategy == "binary_pipe"
@@ -187,11 +183,9 @@ class TestRuntimeParameters:
     def test_param_binding_and_defaults(self, deployment):
         # The summary window's end time is bound per run, prepared once.
         session = deployment.session()
-        parameterized = HeterogeneousProgram("bounded-sessions")
-        parameterized.timeseries_summary("sessions", series_prefix="sessions/",
-                                         end=Param("end", default=None),
-                                         engine="telemetry")
-        parameterized.output("sessions")
+        parameterized = DataflowProgram("bounded-sessions")
+        parameterized.output("sessions", dataset("telemetry").timeseries(
+            "sessions/", end=Param("end", default=None)))
         prepared = session.prepare(parameterized)
         assert set(prepared.parameters()) == {"end"}
         everything = prepared.run()
@@ -204,10 +198,9 @@ class TestRuntimeParameters:
 
     def test_unknown_parameter_rejected(self, deployment):
         session = deployment.session()
-        parameterized = HeterogeneousProgram("bounded")
-        parameterized.timeseries_summary("sessions", series_prefix="sessions/",
-                                         end=Param("end", default=None),
-                                         engine="telemetry")
+        parameterized = DataflowProgram("bounded")
+        parameterized.output("sessions", dataset("telemetry").timeseries(
+            "sessions/", end=Param("end", default=None)))
         prepared = session.prepare(parameterized)
         with pytest.raises(ExecutionError, match="unknown parameter"):
             prepared.run(limit=5)
@@ -284,8 +277,7 @@ class TestSatelliteFixes:
 
 class TestParamDefaultPinning:
     def test_argumentless_runs_of_param_programs_reuse_pins(self, deployment):
-        program = query_program()
-        program.fragment("sessions").params["end"] = Param("end", default=None)
+        program = query_program(end=Param("end", default=None))
         session = deployment.session()
         prepared = session.prepare(program)
         first = prepared.run()
@@ -296,8 +288,7 @@ class TestParamDefaultPinning:
         assert replay.output("features").rows == first.output("features").rows
 
     def test_explicit_bindings_still_bypass_pins(self, deployment):
-        program = query_program()
-        program.fragment("sessions").params["end"] = Param("end", default=None)
+        program = query_program(end=Param("end", default=None))
         session = deployment.session()
         prepared = session.prepare(program)
         full = prepared.run()

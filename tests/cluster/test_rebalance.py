@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import HeterogeneousProgram
+from repro import DataflowProgram, dataset
 from repro.cluster import (
     HashPartitioner,
     RangePartitioner,
@@ -32,10 +32,9 @@ def _sharded_deployment(num_shards: int = 2):
 
 
 def _count_program():
-    program = HeterogeneousProgram("count")
-    program.sql("result", "SELECT count(*) AS n, sum(amount) AS total FROM orders",
-                engine="ordersdb")
-    program.output("result")
+    program = DataflowProgram("count")
+    program.output("result", dataset("ordersdb").sql(
+        "SELECT count(*) AS n, sum(amount) AS total FROM orders"))
     return program
 
 

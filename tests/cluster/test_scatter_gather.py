@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import HeterogeneousProgram
+from repro import DataflowProgram, Dataset, dataset
 from repro.cluster import ShardedEngine, combine_partial_aggregates, decompose_aggregates
 from repro.core import build_accelerated_polystore, build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
@@ -35,11 +35,14 @@ def _sharded_system(num_shards: int = 4):
     return system, engine
 
 
-def _sql_program(query: str) -> HeterogeneousProgram:
-    program = HeterogeneousProgram("q")
-    program.sql("result", query, engine="ordersdb")
-    program.output("result")
+def _program(name: str, result: Dataset) -> DataflowProgram:
+    program = DataflowProgram(name)
+    program.output("result", result)
     return program
+
+
+def _sql_program(query: str) -> DataflowProgram:
+    return _program("q", dataset("ordersdb").sql(query))
 
 
 def _rows(result):
@@ -156,9 +159,7 @@ class TestRoutedReads:
         system = build_cpu_polystore([])
         engine = system.register_sharded_engine("profiles", KeyValueEngine, 4)
         engine.put_many({f"user/{i}": {"uid": i, "score": float(i)} for i in range(40)})
-        program = HeterogeneousProgram("kv")
-        program.kv_lookup("result", keys=["user/3", "user/17"], engine="profiles")
-        program.output("result")
+        program = _program("kv", dataset("profiles").kv(["user/3", "user/17"]))
         result = system.execute(program)
         rows = result.output("result").to_dicts()
         assert sorted(r["uid"] for r in rows) == [3, 17]
@@ -170,9 +171,7 @@ class TestRoutedReads:
         engine = system.register_sharded_engine("profiles", KeyValueEngine, 3)
         engine.put_many({f"user/{i}": {"uid": i} for i in range(30)})
         engine.put("other/1", {"uid": -1})
-        program = HeterogeneousProgram("kv")
-        program.kv_lookup("result", key_prefix="user/", engine="profiles")
-        program.output("result")
+        program = _program("kv", dataset("profiles").kv(key_prefix="user/"))
         rows = system.execute(program).output("result").to_dicts()
         assert sorted(r["uid"] for r in rows) == list(range(30))
 
@@ -189,10 +188,7 @@ class TestTimeseriesScatter:
         reference = build_cpu_polystore([reference_engine])
 
         def program():
-            p = HeterogeneousProgram("ts")
-            p.timeseries_summary("result", series_prefix="hr/", engine="monitors")
-            p.output("result")
-            return p
+            return _program("ts", dataset("monitors").timeseries("hr/"))
 
         expected = sorted(reference.execute(program()).output("result").to_dicts(),
                           key=lambda r: r["pid"])
@@ -208,9 +204,7 @@ class TestTextScatter:
         for i in range(30):
             body = "sepsis " * (i % 5 + 1) + "stable vitals"
             engine.add_document(f"note/{i}", body)
-        program = HeterogeneousProgram("txt")
-        program.text_search("result", "sepsis", top_k=5, engine="notes")
-        program.output("result")
+        program = _program("txt", dataset("notes").text().search("sepsis", top_k=5))
         result = system.execute(program)
         rows = result.output("result").to_dicts()
         assert len(rows) == 5
@@ -228,25 +222,19 @@ class TestFallbacksAndMixing:
         system = build_cpu_polystore([kv])
         engine = system.register_sharded_engine("ordersdb", RelationalEngine, 3)
         engine.load_table("orders", Table(_schema(), ROWS))
-        program = HeterogeneousProgram("mix")
-        program.sql("spend", "SELECT customer, sum(amount) AS total FROM orders "
-                    "GROUP BY customer", engine="ordersdb")
-        program.kv_lookup("tiers", key_prefix="cust/", engine="profiles")
-        program.join("result", left="spend", right="tiers",
-                     left_key="customer", right_key="customer")
-        program.output("result")
+        spend = dataset("ordersdb").sql(
+            "SELECT customer, sum(amount) AS total FROM orders GROUP BY customer")
+        tiers = dataset("profiles").kv(key_prefix="cust/")
+        program = _program("mix", spend.join(tiers, on="customer"))
         rows = system.execute(program).output("result").to_dicts()
         assert len(rows) == 7
         assert all("tier" in row and "total" in row for row in rows)
 
     def test_python_udf_gathers_sharded_input(self):
         system, _ = _sharded_system(3)
-        program = HeterogeneousProgram("udf")
-        program.sql("scan_all", "SELECT order_id, amount FROM orders",
-                    engine="ordersdb")
-        program.python("result", lambda table: {"rows": len(table)},
-                       inputs=["scan_all"], engine="ordersdb")
-        program.output("result")
+        program = _program("udf", dataset("ordersdb").sql(
+            "SELECT order_id, amount FROM orders"
+        ).apply(lambda table: {"rows": len(table)}, engine="ordersdb"))
         result = system.execute(program)
         assert result.output("result") == {"rows": len(ROWS)}
 
@@ -333,9 +321,7 @@ class TestShardedOrdering:
 
     def test_prefix_lookup_preserves_key_order(self):
         reference_system, sharded_system = self._kv_pair()
-        program = HeterogeneousProgram("kv")
-        program.kv_lookup("result", key_prefix="user/", engine="profiles")
-        program.output("result")
+        program = _program("kv", dataset("profiles").kv(key_prefix="user/"))
         expected = reference_system.execute(program).output("result").to_dicts()
         actual = sharded_system.execute(program).output("result").to_dicts()
         assert actual == expected  # identical rows in identical (key) order

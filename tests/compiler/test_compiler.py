@@ -16,7 +16,7 @@ from repro.compiler.passes import (
     push_down_filters,
     reorder_joins,
 )
-from repro.eide import HeterogeneousProgram
+from repro.eide import DataflowProgram, dataset
 from repro.exceptions import CompilationError
 from repro.ir import IRGraph, Operator, assert_valid
 from repro.stores import MLEngine, RelationalEngine, TextEngine, TimeseriesEngine
@@ -33,15 +33,20 @@ def catalog(mimic_engines) -> Catalog:
 
 
 @pytest.fixture
-def mimic_program() -> HeterogeneousProgram:
+def mimic_program() -> DataflowProgram:
     return build_mimic_program(epochs=1)
+
+
+def sql_program(query: str, engine: str | None = "clinical-db") -> DataflowProgram:
+    program = DataflowProgram("p")
+    program.output("q", dataset(engine).sql(query))
+    return program
 
 
 class TestFrontend:
     def test_sql_fragment_lowered_to_relational_operators(self, catalog):
-        program = HeterogeneousProgram("p")
-        program.sql("q", "SELECT pid, age FROM admissions WHERE age > 60 ORDER BY age",
-                    engine="clinical-db")
+        program = sql_program(
+            "SELECT pid, age FROM admissions WHERE age > 60 ORDER BY age")
         graph = Frontend(catalog).lower(program)
         kinds = {node.kind for node in graph.nodes()}
         assert {"scan", "filter", "project", "sort"} <= kinds
@@ -55,16 +60,20 @@ class TestFrontend:
             assert node.params["source_engine"] != node.params["target_engine"]
 
     def test_unknown_engine_rejected(self, catalog):
-        program = HeterogeneousProgram("p")
-        program.sql("q", "SELECT pid FROM admissions", engine="missing-db")
+        program = sql_program("SELECT pid FROM admissions", engine="missing-db")
         with pytest.raises(CompilationError):
             Frontend(catalog).lower(program)
 
     def test_default_engine_chosen_by_paradigm(self, catalog):
-        program = HeterogeneousProgram("p")
-        program.sql("q", "SELECT pid FROM admissions")
+        program = sql_program("SELECT pid FROM admissions", engine=None)
         graph = Frontend(catalog).lower(program)
         assert all(node.engine == "clinical-db" for node in graph.nodes())
+
+    def test_default_without_an_engine_of_that_model_rejected(self, catalog):
+        program = DataflowProgram("p")
+        program.output("q", dataset(None).kv(key_prefix="user/"))
+        with pytest.raises(CompilationError, match="kv_get"):
+            Frontend(catalog).lower(program)
 
     def test_insert_migrations_idempotent(self, catalog, mimic_program):
         graph = Frontend(catalog).lower(mimic_program)
@@ -73,8 +82,7 @@ class TestFrontend:
 
 class TestAnnotation:
     def test_scan_rows_come_from_catalog(self, catalog):
-        program = HeterogeneousProgram("p")
-        program.sql("q", "SELECT pid FROM admissions", engine="clinical-db")
+        program = sql_program("SELECT pid FROM admissions")
         graph = Frontend(catalog).lower(program)
         annotate_graph(graph, catalog)
         scan = graph.nodes_of_kind("scan")[0]
@@ -82,8 +90,7 @@ class TestAnnotation:
         assert scan.estimated_bytes > 0
 
     def test_filter_reduces_estimate(self, catalog):
-        program = HeterogeneousProgram("p")
-        program.sql("q", "SELECT pid FROM admissions WHERE age > 60", engine="clinical-db")
+        program = sql_program("SELECT pid FROM admissions WHERE age > 60")
         graph = Frontend(catalog).lower(program)
         annotate_graph(graph, catalog)
         scan = graph.nodes_of_kind("scan")[0]
@@ -93,14 +100,9 @@ class TestAnnotation:
 
 class TestPasses:
     def _relational_graph(self, catalog) -> IRGraph:
-        program = HeterogeneousProgram("p")
-        program.sql(
-            "q",
+        return Frontend(catalog).lower(sql_program(
             "SELECT name FROM admissions JOIN visits ON admissions.pid = visits.pid "
-            "WHERE age > 60 AND ward = 'icu'",
-            engine="clinical-db",
-        )
-        return Frontend(catalog).lower(program)
+            "WHERE age > 60 AND ward = 'icu'"))
 
     def test_pushdown_moves_filter_below_join(self, catalog, mimic_engines):
         from repro.datamodel import Table
@@ -184,8 +186,7 @@ class TestPasses:
         assert join.params["algorithm"] == "sort_merge"
 
     def test_infer_columns_for_scan(self, catalog):
-        program = HeterogeneousProgram("p")
-        program.sql("q", "SELECT pid FROM admissions", engine="clinical-db")
+        program = sql_program("SELECT pid FROM admissions")
         graph = Frontend(catalog).lower(program)
         columns = infer_columns(graph, catalog)
         scan = graph.nodes_of_kind("scan")[0]

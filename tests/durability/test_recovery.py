@@ -9,6 +9,9 @@ never crashed.
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro import PolystorePlusPlus, col
@@ -413,6 +416,25 @@ class TestViewRecovery:
         assert "spend" not in reborn.views.names()  # salesdb not back yet
         reborn.register_engine(RelationalEngine("salesdb"))
         assert "spend" in reborn.views.names()
+
+
+    def test_views_file_written_by_an_older_release_restores(self, tmp_path):
+        # data/views.pkl was written by PR 14 (9444e7a), the last commit with
+        # the fragment builder: one manual view ``spend_sorted`` =
+        # orders.filter(amount > 1.0).aggregate([customer], total=sum(amount))
+        # .sort(total) over salesdb.  (Views reject ``Param`` placeholders, so
+        # no persisted definition can hold one.)
+        shutil.copy(Path(__file__).parent / "data" / "views.pkl",
+                    tmp_path / "views.pkl")
+        db = RelationalEngine("salesdb")
+        db.create_table("orders", SCHEMA)
+        db.insert("orders", [(i, f"c{i % 4}", float(i % 7)) for i in range(50)])
+        reborn = PolystorePlusPlus(data_dir=str(tmp_path))
+        reborn.register_engine(db)
+        assert reborn.views.names() == ["spend_sorted"]
+        assert reborn.view("spend_sorted").read()[0].to_dicts() == [
+            {"customer": "c3", "total": 32.0}, {"customer": "c2", "total": 35.0},
+            {"customer": "c1", "total": 36.0}, {"customer": "c0", "total": 37.0}]
 
 
 class TestDescribe:

@@ -6,13 +6,11 @@ import pytest
 
 from repro.eide import (
     DataflowProgram,
-    HeterogeneousProgram,
     Param,
     canonicalize,
     col,
     dataset,
     lit,
-    to_dataflow,
 )
 from repro.eide.expressions import bind_params, find_params
 from repro.exceptions import CompilationError
@@ -223,31 +221,35 @@ class TestDataflowProgram:
 
 
 class TestLegacyConversion:
+    """SQL text, the pre-dataflow authoring surface, is one more source."""
+
     def test_sql_fragments_parse_into_trees(self):
-        program = HeterogeneousProgram("legacy")
-        program.sql("q", "SELECT pid FROM t WHERE age > 60", engine="db")
-        flow = to_dataflow(program)
-        (name, root), = flow.output_items()
-        assert name == "q"
-        kinds = [node.kind for node in root.walk()]
-        assert kinds == ["scan", "filter", "project"]
+        root = dataset("db").sql("SELECT pid FROM t WHERE age > 60").node
+        assert [node.kind for node in root.walk()] == ["scan", "filter", "project"]
+        assert {node.engine for node in root.walk()} == {"db"}
         filter_node = [n for n in root.walk() if n.kind == "filter"][0]
         assert isinstance(filter_node.params["predicate"], Comparison)
+        with pytest.raises(CompilationError):
+            dataset("db").sql("")
 
     def test_legacy_fingerprint_ignores_sql_formatting(self):
-        one = HeterogeneousProgram("p")
-        one.sql("q", "SELECT pid FROM t WHERE age > 60", engine="db")
-        two = HeterogeneousProgram("p")
-        two.sql("q", "SELECT  pid  FROM  t  WHERE  age > 60", engine="db")
+        one = DataflowProgram("p")
+        one.output("q", dataset("db").sql("SELECT pid FROM t WHERE age > 60"))
+        two = DataflowProgram("p")
+        two.output("q", dataset("db").sql("SELECT  pid  FROM  t  WHERE  age > 60"))
         assert one.fingerprint() == two.fingerprint()
 
-    def test_shared_fragment_converts_once(self):
-        program = HeterogeneousProgram("p")
-        program.sql("base", "SELECT pid FROM t", engine="db")
-        program.join("selfjoin", left="base", right="base", on="pid")
-        flow = to_dataflow(program)
-        (_, root), = flow.output_items()
-        assert root.inputs[0] is root.inputs[1]
+    def test_shared_fragment_converts_once(self, relational_engine):
+        from repro.catalog import Catalog
+        from repro.compiler.frontend import Frontend
+
+        base = dataset("testdb").sql("SELECT pid FROM patients")
+        program = DataflowProgram("p")
+        program.output("selfjoin", base.join(base, on="pid"))
+        catalog = Catalog()
+        catalog.register_engine(relational_engine)
+        graph = Frontend(catalog).lower(program)
+        assert [node.kind for node in graph.nodes()].count("scan") == 1
 
 
 class TestLiteralHelpers:
