@@ -9,9 +9,11 @@ Replay goes back through the engines' own mutators wherever possible (the
 to repeat).  Re-running the mutator regenerates the *same* changelog batch,
 the same version-counter bumps and the same heap/memtable layout the live
 process produced — which is what makes the recovered scoped data versions
-byte-compatible with a never-crashed twin.  The two relational cases whose
-mutators cannot reproduce heap order from entries alone (``delete`` /
-``update``) are replayed by an order-preserving rewrite below.
+byte-compatible with a never-crashed twin.  The two relational mutators that
+take a predicate (``delete_rows`` / ``update_rows``) log the rows they
+matched, not the predicate: replay runs the engine's own page-level rewrite
+with a matcher that finds those rows by value, in scan order, so live,
+replayed and sharded tables share one rewrite and one resulting scan order.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def dump_state(engine: Engine, store: "EngineStore | None" = None) -> dict[str, 
             tables[name] = {
                 "schema": stored.schema,
                 "page_capacity": stored.heap.page_capacity,
-                "rows": [tuple(row) for row in stored.heap.scan()],
+                "rows": list(stored.heap.scan()),
                 "hash_indexes": sorted(stored.hash_indexes),
                 "sorted_indexes": sorted(stored.sorted_indexes),
             }
@@ -153,13 +155,11 @@ def restore_state(engine: Engine, state: dict[str, Any],
         tables: dict[str, StoredTable] = {}
         for name, spec in state["tables"].items():
             stored = StoredTable(name, spec["schema"], spec["page_capacity"])
-            # Index objects go in first so inserts maintain them.
+            stored.heap.insert_many(spec["rows"])
             for column in spec["hash_indexes"]:
-                stored.hash_indexes[column] = HashIndex(column)
+                stored.hash_indexes[column] = stored.build_index(column, HashIndex)
             for column in spec["sorted_indexes"]:
-                stored.sorted_indexes[column] = SortedIndex(column)
-            for row in spec["rows"]:
-                stored.insert(row)
+                stored.sorted_indexes[column] = stored.build_index(column, SortedIndex)
             tables[name] = stored
         engine._tables = tables
         return
@@ -256,14 +256,11 @@ def _replay_relational(engine: RelationalEngine, kind: str,
         # in the gap's op.  Re-land them and re-mark the gap so counters
         # and the changelog match the crashed process exactly.
         table = args["table"]
-        stored = engine._tables[table]
-        for row in args["rows"]:
-            stored.insert(row)
+        for _ in engine._tables[table].insert_each(args["rows"]):
+            pass
         engine.mark_data_changed(table_scope(table),
                                  op=("insert_torn", dict(args)))
-    elif kind == "delete":
-        _replay_rewrite(engine, args["table"], entries, kind)
-    elif kind == "update":
+    elif kind in ("delete", "update"):
         _replay_rewrite(engine, args["table"], entries, kind)
     else:
         raise StorageError(f"unknown relational op {kind!r}")
@@ -271,42 +268,30 @@ def _replay_relational(engine: RelationalEngine, kind: str,
 
 def _replay_rewrite(engine: RelationalEngine, table: str, entries: Any,
                     kind: str) -> None:
-    """Order-preserving replay of a logged delete/update.
+    """Replay a logged delete/update through the engine's own rewrite.
 
-    Rebuilds the heap by walking it in scan order — removing each ``-1``
-    row occurrence (delete) or substituting its paired ``+1`` row in place
-    (update) — which reproduces the heap layout the live ``_rewrite_rows``
-    pass left behind, so post-recovery scans return rows in the same order.
+    The matcher takes each logged ``-1`` row off the heap by value, one
+    occurrence per entry in scan order — equal rows satisfy a predicate
+    alike, so these are the occurrences the live statement matched — and an
+    update puts the paired ``+1`` row in its slot.
     """
-    stored = engine._tables[table]
     if kind == "delete":
-        removals = Counter(row for row, _ in entries)
-        replacements: dict[tuple, deque] = {}
+        pending = Counter(row for row, _ in entries)
+
+        def matches(row: tuple) -> bool:
+            if pending.get(row, 0) > 0:
+                pending[row] -= 1
+                return True
+            return False
+
+        engine._rewrite(table, kind, matches)
     else:
-        removals = Counter()
-        replacements = {}
+        queued: dict[tuple, deque] = {}
         pairs = iter(entries)
         for (old, _), (new, _) in zip(pairs, pairs):
-            replacements.setdefault(old, deque()).append(new)
-    kept: list[tuple] = []
-    for row in stored.heap.scan():
-        row_t = tuple(row)
-        if removals.get(row_t, 0) > 0:
-            removals[row_t] -= 1
-            continue
-        queued = replacements.get(row_t)
-        if queued:
-            kept.append(queued.popleft())
-            continue
-        kept.append(row_t)
-    rebuilt = StoredTable(table, stored.schema, stored.heap.page_capacity)
-    for column in stored.hash_indexes:
-        rebuilt.hash_indexes[column] = HashIndex(column)
-    for column in stored.sorted_indexes:
-        rebuilt.sorted_indexes[column] = SortedIndex(column)
-    for row_t in kept:
-        rebuilt.insert(row_t)
-    engine._tables[table] = rebuilt
+            queued.setdefault(old, deque()).append(new)
+        engine._rewrite(table, kind, lambda row: bool(queued.get(row)),
+                        lambda row: queued[row].popleft())
     engine.mark_data_changed(table_scope(table), entries=entries,
                              op=(kind, {"table": table}))
 

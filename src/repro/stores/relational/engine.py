@@ -10,10 +10,10 @@ per-operation metrics that the Polystore++ middleware's optimizer consumes.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
-from repro.datamodel.table import Table
+from repro.datamodel.table import Row, Table
 from repro.exceptions import QueryError, StorageError
 from repro.stores.base import Capability, Concurrency, DataModel, Engine
 from repro.stores.changelog import table_scope
@@ -57,14 +57,20 @@ class StoredTable:
         self.hash_indexes: dict[str, HashIndex] = {}
         self.sorted_indexes: dict[str, SortedIndex] = {}
 
-    def insert(self, row: Sequence[Any], *, validate: bool = False) -> None:
-        """Insert one positional row, maintaining all indexes."""
-        rid = self.heap.insert(row, validate=validate)
-        row_t = tuple(row)
-        for column, index in self.hash_indexes.items():
-            index.insert(row_t[self.schema.index_of(column)], rid)
-        for column, index in self.sorted_indexes.items():
-            index.insert(row_t[self.schema.index_of(column)], rid)
+    def insert_each(self, rows: Iterable[Sequence[Any]], *,
+                    validate: bool = False) -> Iterator[Row]:
+        """Insert rows in order, yielding each as a tuple once it is in the
+        heap and every index (a caller that sees this fail knows what landed)."""
+        keyed = [(self.schema.index_of(column), index)
+                 for indexes in (self.hash_indexes, self.sorted_indexes)
+                 for column, index in indexes.items()]
+        insert = self.heap.insert
+        for row in rows:
+            row_t = tuple(row)
+            rid = insert(row_t, validate=validate)
+            for position, index in keyed:
+                index.insert(row_t[position], rid)
+            yield row_t
 
     def build_index(self, column: str, kind: type) -> HashIndex | SortedIndex:
         """A ``kind`` index over ``column``, loaded from the current heap."""
@@ -73,6 +79,37 @@ class StoredTable:
         index.bulk_load((row[position], rid)
                         for rid, row in self.heap.scan_with_rids())
         return index
+
+    def rewritten(self, matches: Callable[[Row], Any],
+                  patch: Callable[[Row], Row] | None = None
+                  ) -> tuple["StoredTable", list[Row], list[Row], int]:
+        """The table a delete (no ``patch``) or an update leaves, beside this one.
+
+        The one primitive behind ``delete_rows``, ``update_rows`` and their
+        WAL replay.  Pages are shared as :meth:`HeapStorage.rewrite` says and
+        this table is not touched, so a reader holding it keeps resolving
+        every row id of every index it holds.  An update keeps row ids: an
+        index none of whose keys changed is copied, not reloaded; an index
+        whose keys did change — after a delete, where row ids move, every
+        index — is loaded from the new heap.  Returns the table (this one if
+        nothing matched), matched rows, replacements and pages copied.
+        """
+        heap, matched, patched, copied = self.heap.rewrite(matches, patch)
+        if not matched:
+            return self, matched, patched, 0
+        sibling = StoredTable(self.name, self.schema, heap.page_capacity)
+        sibling.heap = heap
+        for ours, theirs in ((self.hash_indexes, sibling.hash_indexes),
+                             (self.sorted_indexes, sibling.sorted_indexes)):
+            for column, index in ours.items():
+                position = self.schema.index_of(column)
+                if patch is not None and all(
+                        old[position] == new[position]
+                        for old, new in zip(matched, patched)):
+                    theirs[column] = index.copy()
+                else:
+                    theirs[column] = sibling.build_index(column, type(index))
+        return sibling, matched, patched, copied
 
     def statistics(self) -> dict[str, Any]:
         """Table statistics for the catalog and cost models."""
@@ -137,20 +174,23 @@ class RelationalEngine(Engine):
 
     def create_index(self, table: str, column: str, *, kind: str = "hash") -> None:
         """Create a secondary index on an existing table column."""
-        stored = self._stored(table)
-        if column not in stored.schema:
-            raise StorageError(f"table {table!r} has no column {column!r}")
-        if kind == "hash":
-            stored.hash_indexes[column] = stored.build_index(column, HashIndex)
-        elif kind == "sorted":
-            stored.sorted_indexes[column] = stored.build_index(column, SortedIndex)
-        else:
-            raise StorageError(f"unknown index kind {kind!r}")
-        # Index DDL changes no data version, so it never reaches the
-        # changelog — report it on the durability side channel instead.
-        self.emit_durability_meta(("create_index", {"table": table,
-                                                    "column": column,
-                                                    "kind": kind}))
+        # Under the write lock: no insert grows the heap while the index loads,
+        # no update retires the table the index is about to be attached to.
+        with self._write_lock:
+            stored = self._stored(table)
+            if column not in stored.schema:
+                raise StorageError(f"table {table!r} has no column {column!r}")
+            if kind == "hash":
+                stored.hash_indexes[column] = stored.build_index(column, HashIndex)
+            elif kind == "sorted":
+                stored.sorted_indexes[column] = stored.build_index(column, SortedIndex)
+            else:
+                raise StorageError(f"unknown index kind {kind!r}")
+            # Index DDL changes no data version, so it never reaches the
+            # changelog — report it on the durability side channel instead.
+            self.emit_durability_meta(("create_index", {"table": table,
+                                                        "column": column,
+                                                        "kind": kind}))
 
     def list_tables(self) -> list[str]:
         """Names of all registered tables."""
@@ -181,9 +221,8 @@ class RelationalEngine(Engine):
                 try:
                     with self.metrics.timed(self.name, "insert",
                                             table=table) as timer:
-                        for row in rows:
-                            stored.insert(row, validate=validate)
-                            inserted.append(tuple(row))
+                        for row in stored.insert_each(rows, validate=validate):
+                            inserted.append(row)
                         timer.rows_in = len(inserted)
                 except BaseException:
                     if inserted:
@@ -211,12 +250,15 @@ class RelationalEngine(Engine):
     def delete_rows(self, table: str, predicate: Expression) -> list[tuple]:
         """Delete every row satisfying ``predicate``; returns the deleted rows.
 
-        The heap and all indexes are rebuilt from the surviving rows; the
-        deletions land in the changelog as weight ``-1`` entries.
+        Pages holding a deleted row are copied without it, all others are
+        shared with the table readers may still hold (see
+        :meth:`StoredTable.rewritten`); the deletions land in the changelog
+        as weight ``-1`` entries.
         """
         batch = None
         with self._write_lock:
-            deleted, _ = self._rewrite_rows(table, predicate, None)
+            deleted, _ = self._rewrite(
+                table, "delete", predicate.compile(self._stored(table).schema))
             if deleted:
                 batch = self.mark_data_changed(
                     table_scope(table),
@@ -235,11 +277,16 @@ class RelationalEngine(Engine):
         """
         batch = None
         with self._write_lock:
-            stored = self._stored(table)
+            schema = self._stored(table).schema
             for column in updates:
-                if column not in stored.schema:
+                if column not in schema:
                     raise StorageError(f"table {table!r} has no column {column!r}")
-            _, updated = self._rewrite_rows(table, predicate, dict(updates))
+            names, sets = schema.names, dict(updates)
+            olds, news = self._rewrite(
+                table, "update", predicate.compile(schema),
+                lambda row: tuple(sets.get(name, value)
+                                  for name, value in zip(names, row)))
+            updated = list(zip(olds, news))
             if updated:
                 entries: list[tuple[tuple, int]] = []
                 for old, new in updated:
@@ -266,41 +313,23 @@ class RelationalEngine(Engine):
             return (self.scan(table, columns), self.changelog.latest_seq,
                     self.data_version_for(table_scope(table)))
 
-    def _rewrite_rows(self, table: str, predicate: Expression,
-                      updates: dict[str, Any] | None
-                      ) -> tuple[list[tuple], list[tuple[tuple, tuple]]]:
-        """Rebuild a table's heap applying a delete or update in one pass."""
+    def _rewrite(self, table: str, operation: str,
+                 matches: Callable[[Row], Any],
+                 patch: Callable[[Row], Row] | None = None
+                 ) -> tuple[list[Row], list[Row]]:
+        """Run a delete or update (:meth:`StoredTable.rewritten`) and publish
+        it in one step; returns matched rows and replacements.  Callers hold
+        the write lock; readers take ``self._tables[name]`` once, so they see
+        the table before the statement or after it.
+        """
         stored = self._stored(table)
-        names = stored.schema.names
-        kept: list[tuple] = []
-        deleted: list[tuple] = []
-        updated: list[tuple[tuple, tuple]] = []
-        operation = "update" if updates is not None else "delete"
-        matches = predicate.compile()
         with self.metrics.timed(self.name, operation, table=table) as timer:
-            for row in stored.heap.scan():
-                row_t = tuple(row)
-                if not matches(dict(zip(names, row_t))):
-                    kept.append(row_t)
-                    continue
-                if updates is None:
-                    deleted.append(row_t)
-                else:
-                    new_row = tuple(updates.get(name, value)
-                                    for name, value in zip(names, row_t))
-                    updated.append((row_t, new_row))
-                    kept.append(new_row)
-            timer.rows_in = len(deleted) + len(updated)
-        if deleted or updated:
-            rebuilt = StoredTable(table, stored.schema, stored.heap.page_capacity)
-            rebuilt.hash_indexes = {c: type(i)(c)
-                                    for c, i in stored.hash_indexes.items()}
-            rebuilt.sorted_indexes = {c: type(i)(c)
-                                      for c, i in stored.sorted_indexes.items()}
-            for row_t in kept:
-                rebuilt.insert(row_t)
-            self._tables[table] = rebuilt
-        return deleted, updated
+            sibling, matched, patched, copied = stored.rewritten(matches, patch)
+            timer.rows_in = len(matched)
+            timer.details["pages_copied"] = copied
+            timer.details["pages_shared"] = sibling.heap.num_pages - copied
+        self._tables[table] = sibling
+        return matched, patched
 
     def insert_dicts(self, table: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert dictionary rows into a table."""

@@ -40,6 +40,13 @@ class HashIndex:
         for key, rid in entries:
             self.insert(key, rid)
 
+    def copy(self) -> "HashIndex":
+        """An independent index holding the same entries."""
+        twin = HashIndex(self.column)
+        twin._buckets = {key: list(rids) for key, rids in self._buckets.items()}
+        twin._num_entries = self._num_entries
+        return twin
+
     def __len__(self) -> int:
         return self._num_entries
 
@@ -76,6 +83,14 @@ class SortedIndex:
         """Insert many ``(key, rid)`` entries."""
         for key, rid in entries:
             self.insert(key, rid)
+
+    def copy(self) -> "SortedIndex":
+        """An independent index holding the same entries."""
+        self._flush()
+        twin = SortedIndex(self.column)
+        # Shared, not copied: a flush replaces the arrays, never edits them.
+        twin._keys, twin._rids = self._keys, self._rids
+        return twin
 
     def _flush(self) -> None:
         if not self._pending:

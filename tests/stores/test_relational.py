@@ -8,10 +8,12 @@ import threading
 import pytest
 
 from repro import col
+from repro.cluster import ShardedEngine
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import QueryError, StorageError
 from repro.stores.base import Capability
 from repro.stores.relational import RelationalEngine, parse_select
+from repro.stores.relational.index import HashIndex, SortedIndex
 from repro.stores.relational.planner import (
     AggregatePlan,
     FilterPlan,
@@ -279,3 +281,157 @@ class TestUpdatesPublishAtomically:
         # Inserts after the swap keep maintaining the rebuilt indexes.
         engine.insert("facts", [(self.ROWS, 99, 7.5)])
         assert len(engine.index_lookup("facts", "grp", 99)) == 11
+
+
+class TestWritesCostThePagesTheyTouch:
+    """An update or delete copies the pages holding a match and shares the
+    rest with the table it replaces — checked by counts, not timings."""
+
+    ROWS = 50_000
+
+    SCHEMA = make_schema(("id", DataType.INT), ("grp", DataType.INT),
+                         ("amount", DataType.FLOAT))
+
+    def _table(self) -> Table:
+        return Table(self.SCHEMA, [(i, i % 7, 0.0) for i in range(self.ROWS)])
+
+    @staticmethod
+    def _last(engine: RelationalEngine, operation: str) -> dict:
+        record = engine.metrics.records[-1]
+        assert record.operation == operation
+        return record.details
+
+    def test_update_shares_untouched_pages_and_indexes(self, monkeypatch):
+        engine = RelationalEngine("cow")
+        engine.load_table("facts", self._table(), page_capacity=256)
+        engine.create_index("facts", "grp", kind="hash")
+        engine.create_index("facts", "id", kind="sorted")
+        engine.create_index("facts", "amount", kind="sorted")
+        pages = engine.table_statistics("facts")["pages"]
+        loads: list[str] = []
+        for kind in (HashIndex, SortedIndex):
+            monkeypatch.setattr(
+                kind, "bulk_load",
+                lambda self, entries, _load=kind.bulk_load:
+                    (loads.append(self.column), _load(self, entries))[1])
+        in_range = (col("id") >= 20_000) & (col("id") < 20_100)
+        assert len(engine.update_rows("facts", in_range, {"amount": 5.0})) == 100
+        details = self._last(engine, "update")
+        # 100 consecutive rows lie on at most 2 pages; the open last page is
+        # the one page a sibling never shares.
+        assert details["pages_copied"] <= 2 + 1
+        assert details["pages_copied"] + details["pages_shared"] == pages
+        # Only the index whose keys changed is loaded again.
+        assert loads == ["amount"]
+        assert len(engine.index_lookup("facts", "grp", 3)) == self.ROWS // 7 + 1
+        assert len(engine.range_lookup("facts", "amount", 5.0, 5.0)) == 100
+        assert engine.range_lookup("facts", "id", 20_050, 20_050).rows == \
+            [(20_050, 20_050 % 7, 5.0)]
+
+    def test_each_shard_shares_its_untouched_pages(self):
+        sharded = ShardedEngine("facts4", RelationalEngine, num_shards=4)
+        sharded.load_table("facts", self._table(), shard_key="id",
+                           page_capacity=256)
+        in_range = (col("id") >= 20_000) & (col("id") < 20_100)
+        assert len(sharded.update_rows("facts", in_range, {"amount": 5.0})) == 100
+        for shard in sharded.shards:
+            details = self._last(shard, "update")
+            assert details["pages_copied"] <= 2 + 1
+            assert details["pages_copied"] + details["pages_shared"] == \
+                shard.table_statistics("facts")["pages"]
+
+    def test_delete_drops_emptied_pages_and_copies_the_boundary(self):
+        engine = RelationalEngine("cow")
+        engine.load_table("facts", self._table(), page_capacity=256)
+        pages = engine.table_statistics("facts")["pages"]
+        assert len(engine.delete_rows("facts", col("id") < 5_000)) == 5_000
+        details = self._last(engine, "delete")
+        # 5 000 = 19 whole pages and part of the 20th.
+        assert details["pages_copied"] <= 1 + 1
+        assert engine.table_statistics("facts")["pages"] == pages - 19
+        assert details["pages_copied"] + details["pages_shared"] == pages - 19
+        assert engine.scan("facts").column("id") == list(range(5_000, self.ROWS))
+
+    def test_an_under_full_page_that_becomes_the_last_one_is_not_shared(self):
+        engine = RelationalEngine("cow")
+        schema = make_schema(("id", DataType.INT))
+        engine.load_table("t", Table(schema, [(i,) for i in range(12)]),
+                          page_capacity=4)
+        engine.delete_rows("t", col("id").eq(5))      # page 1 keeps 4, 6, 7
+        retired = engine._stored("t")
+        engine.delete_rows("t", col("id") >= 8)       # drops page 2 only
+        assert self._last(engine, "delete") == {
+            "table": "t", "pages_copied": 1, "pages_shared": 1}
+        engine.insert("t", [(20,), (21,)])
+        assert engine.scan("t").column("id") == [0, 1, 2, 3, 4, 6, 7, 20, 21]
+        assert engine.table_statistics("t")["pages"] == 3
+        assert [row[0] for row in retired.heap.scan()] == \
+            [0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11]
+
+    def test_a_statement_matching_nothing_publishes_nothing(self):
+        engine = RelationalEngine("cow")
+        engine.load_table("facts", self._table(), page_capacity=256)
+        before = engine._stored("facts")
+        assert engine.update_rows("facts", col("id") < 0, {"amount": 1.0}) == []
+        assert engine.delete_rows("facts", col("id") < 0) == []
+        assert engine._stored("facts") is before
+        assert self._last(engine, "delete")["pages_copied"] == 0
+
+
+class TestCreateIndexSerializesWithWrites:
+    """``create_index`` takes the write lock: it neither loads from a heap an
+    insert is growing nor attaches to a table an update is about to retire."""
+
+    ROUNDS = 8
+
+    def _round(self) -> None:
+        engine = RelationalEngine("ddl")
+        schema = make_schema(("id", DataType.INT), ("grp", DataType.INT),
+                             ("amount", DataType.FLOAT))
+        engine.load_table("facts", Table(
+            schema, [(i, i % 5, 0.0) for i in range(1_500)]), page_capacity=64)
+        failures: list[BaseException] = []
+        started = threading.Barrier(3)
+        done = threading.Event()
+
+        def writer(first_id: int) -> None:
+            try:
+                started.wait(timeout=30)
+                while not done.is_set():
+                    engine.insert("facts", [(first_id + i, (first_id + i) % 5, 0.0)
+                                            for i in range(10)])
+                    engine.update_rows("facts", col("id").eq(first_id),
+                                       {"amount": 1.0})
+                    first_id += 10
+            except BaseException as exc:
+                failures.append(exc)
+                raise
+
+        threads = [threading.Thread(target=writer, args=(base,))
+                   for base in (1_000_000, 2_000_000)]
+        try:
+            for thread in threads:
+                thread.start()
+            started.wait(timeout=30)
+            engine.create_index("facts", "grp", kind="hash")
+            engine.create_index("facts", "id", kind="sorted")
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        scanned = engine.scan("facts")
+        for group in range(5):
+            assert len(engine.index_lookup("facts", "grp", group)) == \
+                scanned.column("grp").count(group)
+        assert len(engine.range_lookup("facts", "id")) == len(scanned)
+
+    def test_index_created_beside_inserts_and_updates_misses_no_row(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(self.ROUNDS):
+                self._round()
+        finally:
+            sys.setswitchinterval(interval)
