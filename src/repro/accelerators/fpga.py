@@ -125,10 +125,9 @@ class FPGAAccelerator(Accelerator):
                                  window_s: float, aggregation: str = "mean"
                                  ) -> tuple[list[tuple[float, float]], KernelSpec]:
         """Streaming tumbling-window aggregation over (timestamp, value) pairs."""
-        from repro.stores.timeseries.series import Point
         from repro.stores.timeseries.window import tumbling_window
 
-        results = tumbling_window((Point(t, v) for t, v in points), window_s, aggregation)
+        results = tumbling_window(points, window_s, aggregation)
         output = [(r.window_start, r.value) for r in results]
         spec = KernelSpec(
             name="window_aggregate",

@@ -45,16 +45,20 @@ def table_to_matrix(table: Table, feature_columns: Sequence[str] | None = None) 
         ]
     if not feature_columns:
         raise DataModelError("no numeric columns available for matrix conversion")
-    columns = []
     for name in feature_columns:
-        column = table.schema[name]
-        if column.dtype is DataType.STRING or column.dtype is DataType.BYTES:
+        dtype = table.schema[name].dtype
+        if dtype is DataType.STRING or dtype is DataType.BYTES:
             raise DataModelError(f"column {name!r} is not numeric")
-        values = [float(v) if v is not None else float("nan") for v in table.column(name)]
-        columns.append(values)
-    if not columns:
-        return np.zeros((len(table), 0), dtype=np.float64)
-    return np.array(columns, dtype=np.float64).T
+    by_column = dict(zip(table.schema.names, zip(*table.rows)))   # {} when empty
+    return np.array([numeric_column(by_column.get(name, ()))
+                     for name in feature_columns]).T
+
+
+def numeric_column(values: Sequence[Any]) -> np.ndarray:
+    """One table column as a float64 vector, ``None`` read as ``nan``."""
+    if None in values:
+        values = [np.nan if v is None else v for v in values]
+    return np.array(values, dtype=np.float64)
 
 
 def matrix_to_table(matrix: np.ndarray, column_names: Sequence[str] | None = None) -> Table:

@@ -6,8 +6,9 @@ network pipes that skip the textual round trip, and with accelerator-offloaded
 serialization.  This module implements the two software formats:
 
 * :class:`CsvSerializer` — textual, quotes strings, parses back by column type.
-* :class:`BinarySerializer` — fixed-width little-endian encoding with a
-  length-prefixed variable section, close to what an optimized pipe would send.
+* :class:`BinarySerializer` — column-at-a-time little-endian encoding (fixed
+  width, or length-prefixed for variable-width types), close to what an
+  optimized pipe would send.
 
 Both serializers also report *transformation cost* estimates (number of value
 conversions performed), which the migration cost model and benchmarks use to
@@ -21,6 +22,7 @@ import csv
 import io
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.datamodel.schema import DataType, Schema
 from repro.datamodel.table import Table
@@ -96,26 +98,27 @@ class CsvSerializer:
 class BinarySerializer:
     """Compact binary encoding used by the Pipegen-style migration path.
 
-    Layout per row: a null bitmap (one byte per column), then each non-null
-    value either as a fixed-width little-endian field or, for variable-width
-    types, a 4-byte length prefix followed by UTF-8/raw bytes.
+    Columnar layout: the row count, then per column one null byte per row
+    followed by that column's non-null values as one packed vector —
+    fixed-width little-endian fields, or for variable-width types every
+    4-byte length first and the UTF-8/raw bytes after them.
     """
 
     def serialize(self, table: Table) -> tuple[bytes, SerializationReport]:
         """Encode ``table`` as binary bytes."""
-        out = bytearray()
-        out += struct.pack("<I", len(table))
+        parts = [struct.pack("<I", len(table))]
         conversions = 0
-        dtypes = table.schema.dtypes
-        for row in table:
-            bitmap = bytes(1 if value is None else 0 for value in row)
-            out += bitmap
-            for dtype, value in zip(dtypes, row):
-                if value is None:
-                    continue
-                out += _pack_value(dtype, value)
-                conversions += 1
-        payload = bytes(out)
+        for dtype, column in zip(table.schema.dtypes, zip(*table.rows)):
+            parts.append(bytes([value is None for value in column]))
+            code, convert = _WIRE[dtype]
+            values = [convert(value) for value in column if value is not None]
+            conversions += len(values)
+            if dtype.fixed_width is None:
+                parts.append(struct.pack(f"<{len(values)}I", *map(len, values)))
+                parts.append(b"".join(values))
+            else:
+                parts.append(struct.pack(f"<{len(values)}{code}", *values))
+        payload = b"".join(parts)
         return payload, SerializationReport(len(payload), conversions, len(table))
 
     def deserialize(self, payload: bytes, schema: Schema) -> tuple[Table, SerializationReport]:
@@ -125,26 +128,36 @@ class BinarySerializer:
             raise DataModelError("binary payload too short")
         (n_rows,) = struct.unpack_from("<I", view, 0)
         offset = 4
-        n_cols = len(schema)
-        dtypes = schema.dtypes
-        rows = []
+        columns = []
         conversions = 0
-        for _ in range(n_rows):
-            if offset + n_cols > len(view):
-                raise DataModelError("truncated binary payload (null bitmap)")
-            bitmap = view[offset:offset + n_cols]
-            offset += n_cols
-            values = []
-            for col, dtype in enumerate(dtypes):
-                if bitmap[col]:
-                    values.append(None)
-                    continue
-                value, offset = _unpack_value(dtype, view, offset)
-                values.append(value)
-                conversions += 1
-            rows.append(tuple(values))
-        table = Table(schema, rows)
-        return table, SerializationReport(len(payload), conversions, n_rows)
+        for dtype in schema.dtypes:
+            if offset + n_rows > len(view):
+                raise DataModelError("truncated binary payload (null bytes)")
+            nulls = bytes(view[offset:offset + n_rows])
+            offset += n_rows
+            count = nulls.count(0)
+            code, _ = _WIRE[dtype]
+            fmt = f"<{count}{code}"
+            try:
+                values = struct.unpack_from(fmt, view, offset)
+            except struct.error as exc:
+                raise DataModelError("truncated binary payload") from exc
+            offset += struct.calcsize(fmt)
+            if dtype.fixed_width is None:
+                ends = list(accumulate(values, initial=offset))
+                if ends[-1] > len(view):
+                    raise DataModelError("truncated binary payload (varlen field)")
+                values = [bytes(view[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+                if dtype is not DataType.BYTES:
+                    values = [raw.decode("utf-8") for raw in values]
+                offset = ends[-1]
+            conversions += count
+            if count < n_rows:
+                present = iter(values)
+                values = [None if null else next(present) for null in nulls]
+            columns.append(values)
+        rows = list(zip(*columns)) if columns else [()] * n_rows
+        return Table.wrap(schema, rows), SerializationReport(len(payload), conversions, n_rows)
 
 
 def _parse_text(dtype: DataType, text: str):
@@ -159,38 +172,17 @@ def _parse_text(dtype: DataType, text: str):
     return text
 
 
-def _pack_value(dtype: DataType, value) -> bytes:
-    if dtype is DataType.INT:
-        return struct.pack("<q", int(value))
-    if dtype in (DataType.FLOAT, DataType.TIMESTAMP):
-        return struct.pack("<d", float(value))
-    if dtype is DataType.BOOL:
-        return struct.pack("<?", bool(value))
-    if dtype is DataType.BYTES:
-        raw = bytes(value)
-        return struct.pack("<I", len(raw)) + raw
-    raw = str(value).encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
+def _utf8(value) -> bytes:
+    return str(value).encode("utf-8")
 
 
-def _unpack_value(dtype: DataType, view: memoryview, offset: int):
-    try:
-        if dtype is DataType.INT:
-            (value,) = struct.unpack_from("<q", view, offset)
-            return value, offset + 8
-        if dtype in (DataType.FLOAT, DataType.TIMESTAMP):
-            (value,) = struct.unpack_from("<d", view, offset)
-            return value, offset + 8
-        if dtype is DataType.BOOL:
-            (value,) = struct.unpack_from("<?", view, offset)
-            return value, offset + 1
-        (length,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        raw = bytes(view[offset:offset + length])
-        if len(raw) != length:
-            raise DataModelError("truncated binary payload (varlen field)")
-        if dtype is DataType.BYTES:
-            return raw, offset + length
-        return raw.decode("utf-8"), offset + length
-    except struct.error as exc:
-        raise DataModelError("truncated binary payload") from exc
+#: dtype -> (struct code of one packed value, coercion applied before packing);
+#: for the variable-width types the packed vector is their byte lengths.
+_WIRE = {
+    DataType.INT: ("q", int),
+    DataType.FLOAT: ("d", float),
+    DataType.TIMESTAMP: ("d", float),
+    DataType.BOOL: ("?", bool),
+    DataType.BYTES: ("I", bytes),
+    DataType.STRING: ("I", _utf8),
+}

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.datamodel.conversion import table_to_matrix
+from repro.datamodel.conversion import numeric_column, table_to_matrix
 from repro.datamodel.schema import Column, DataType
 from repro.datamodel.table import Table
 from repro.exceptions import AdapterError
@@ -51,8 +51,11 @@ class MLAdapter(Adapter):
 
     def _normalize(self, model_name: str, features: np.ndarray, *,
                    fit: bool) -> np.ndarray:
-        """Z-score features, fitting the statistics at training time."""
-        if fit:
+        """Z-score features, fitting the statistics at training time.
+
+        Zero rows have no statistics to fit; the model's previous ones stay.
+        """
+        if fit and len(features):
             mean = features.mean(axis=0)
             std = features.std(axis=0)
             std[std == 0] = 1.0
@@ -95,8 +98,7 @@ class MLAdapter(Adapter):
             raise AdapterError(f"train {node.op_id} found no numeric feature columns")
         features = table_to_matrix(table, feature_columns)
         features = np.nan_to_num(features, nan=0.0)
-        labels = np.array([float(v) if v is not None else 0.0
-                           for v in table.column(label_column)])
+        labels = np.nan_to_num(numeric_column(table.column(label_column)), nan=0.0)
         model_name = str(node.params.get("model_name", node.op_id))
         features = self._normalize(model_name, features, fit=True)
         self._feature_columns[model_name] = list(feature_columns)

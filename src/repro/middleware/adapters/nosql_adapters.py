@@ -19,7 +19,7 @@ from repro.middleware.adapters.base import Adapter, apply_predicate
 from repro.stores.graph.engine import GraphEngine
 from repro.stores.keyvalue.engine import KeyValueEngine
 from repro.stores.text.engine import TextEngine
-from repro.stores.timeseries.engine import TimeseriesEngine
+from repro.stores.timeseries.engine import SUMMARY_FIELDS, TimeseriesEngine
 
 
 def _key_value_to_cell(value: Any) -> Any:
@@ -97,12 +97,12 @@ class TimeseriesAdapter(Adapter):
         if node.kind in ("filter", "project"):
             return self._table_operator(node, inputs)
         if node.kind == "ts_range":
-            points = self.engine.query_range(str(node.params["series"]),
-                                             node.params.get("start"),
-                                             node.params.get("end"))
-            return Table(Schema([Column("timestamp", DataType.FLOAT),
-                                 Column("value", DataType.FLOAT)]),
-                         [(p.timestamp, p.value) for p in points])
+            columns = self.engine.range_columns(str(node.params["series"]),
+                                                node.params.get("start"),
+                                                node.params.get("end"))
+            return Table.wrap(Schema([Column("timestamp", DataType.FLOAT),
+                                      Column("value", DataType.FLOAT)]),
+                              list(zip(*columns)))
         if node.kind == "window_aggregate":
             results = self.engine.window_aggregate(
                 str(node.params["series"]),
@@ -129,29 +129,21 @@ class TimeseriesAdapter(Adapter):
             candidates = [key for key in series_keys if self.engine.has_series(key)]
         else:
             candidates = self.engine.list_series()
-        rows = []
-        for series_key in candidates:
-            if not series_key.startswith(prefix):
-                continue
-            entity = _coerce_key(series_key[len(prefix):])
-            summary = self.engine.summarize(series_key, start, end)
-            rows.append({
-                key_column: entity,
-                "vital_count": summary["count"],
-                "vital_mean": summary["mean"],
-                "vital_min": summary["min"],
-                "vital_max": summary["max"],
-                "vital_last": summary["last"],
-            })
-        if not rows:
-            schema = Schema([Column(key_column, DataType.INT),
-                             Column("vital_count", DataType.FLOAT),
-                             Column("vital_mean", DataType.FLOAT),
-                             Column("vital_min", DataType.FLOAT),
-                             Column("vital_max", DataType.FLOAT),
-                             Column("vital_last", DataType.FLOAT)])
-            return apply_predicate(Table(schema, []), node)
-        return apply_predicate(Table.from_dicts(rows), node)
+        keys = [key for key in candidates if key.startswith(prefix)]
+        # Series suffixes are usually numeric ids; keep joins typed.  One
+        # declared schema whether or not any series matched.
+        entities: list[Any] = [key[len(prefix):] for key in keys]
+        dtype = DataType.STRING
+        try:
+            entities, dtype = [int(entity) for entity in entities], DataType.INT
+        except ValueError:
+            pass
+        schema = Schema([Column(key_column, dtype),
+                         *(Column(f"vital_{name}", DataType.FLOAT)
+                           for name in SUMMARY_FIELDS)])
+        summaries = self.engine.summarize_many(keys, start, end)
+        rows = [(entity, *summary) for entity, summary in zip(entities, summaries)]
+        return apply_predicate(Table.wrap(schema, rows), node)
 
 
 class GraphAdapter(Adapter):

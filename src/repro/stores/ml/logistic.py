@@ -48,6 +48,8 @@ class LogisticRegression:
         rng = np.random.default_rng(seed)
         losses = []
         n = x.shape[0]
+        if n == 0:   # an epoch over no rows has no loss to record
+            return losses
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch_size):

@@ -99,6 +99,8 @@ class MLPClassifier:
         rng = np.random.default_rng(seed)
         history = TrainingHistory()
         n = x.shape[0]
+        if n == 0:   # an epoch over no rows has no loss to record
+            return history
         for _ in range(epochs):
             order = rng.permutation(n) if shuffle else np.arange(n)
             for start in range(0, n, batch_size):

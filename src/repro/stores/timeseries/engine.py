@@ -8,7 +8,7 @@ downsampling and per-patient feature extraction.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.exceptions import StorageError
 from repro.stores.base import Capability, Concurrency, DataModel, Engine
@@ -20,6 +20,9 @@ from repro.stores.timeseries.window import (
     moving_average,
     tumbling_window,
 )
+
+#: The statistics of one series summary, in the order ``summarize_many`` packs them.
+SUMMARY_FIELDS = ("count", "mean", "min", "max", "last")
 
 
 class TimeseriesEngine(Engine):
@@ -97,27 +100,28 @@ class TimeseriesEngine(Engine):
             if all(series.tags.get(k) == v for k, v in tag_filter.items())
         )
 
+    def range_columns(self, key: str, start: float | None = None,
+                      end: float | None = None) -> tuple[list[float], list[float]]:
+        """The ``(timestamps, values)`` of a series within ``[start, end)``."""
+        series = self.series(key)
+        with self.metrics.timed(self.name, "range_scan", series=key) as timer:
+            columns = series.between(start, end)
+            timer.rows_out = len(columns[0])
+        return columns
+
     def query_range(self, key: str, start: float | None = None,
                     end: float | None = None) -> list[Point]:
         """Points of a series within ``[start, end)``."""
-        series = self.series(key)
-        with self.metrics.timed(self.name, "range_scan", series=key) as timer:
-            points = list(series.between(start, end))
-            timer.rows_out = len(points)
-        return points
+        return list(map(Point, *self.range_columns(key, start, end)))
 
     def stream(self, key: str, start: float | None = None,
                end: float | None = None, *, batch_size: int = 256
                ) -> Iterator[list[Point]]:
         """Yield a series range in batches, as a streaming scan would."""
-        batch: list[Point] = []
-        for point in self.series(key).between(start, end):
-            batch.append(point)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+        timestamps, values = self.series(key).between(start, end)
+        for lo in range(0, len(values), batch_size):
+            yield list(map(Point, timestamps[lo:lo + batch_size],
+                           values[lo:lo + batch_size]))
 
     def latest(self, key: str) -> Point:
         """Most recent point of a series."""
@@ -131,7 +135,7 @@ class TimeseriesEngine(Engine):
         """Tumbling-window aggregation of one series."""
         with self.metrics.timed(self.name, "window_aggregate", series=key,
                                 window_s=window_s, aggregation=aggregation) as timer:
-            points = self.series(key).between(start, end)
+            points = zip(*self.series(key).between(start, end))
             result = tumbling_window(points, window_s, aggregation)
             timer.rows_out = len(result)
         return result
@@ -144,26 +148,32 @@ class TimeseriesEngine(Engine):
         """Moving average over a series."""
         return moving_average(list(self.series(key)), window)
 
+    def summarize_many(self, keys: Sequence[str], start: float | None = None,
+                       end: float | None = None) -> list[tuple[float, ...]]:
+        """Summary statistics of many series' ranges, in ``keys`` order.
+
+        One :data:`SUMMARY_FIELDS` tuple per key, all zero for an empty range.
+        This is the per-patient vital-sign feature extraction used when the
+        MIMIC workload builds its feature vector: one call and one metrics
+        record (``rows_out`` = samples read) for the batch, none for an
+        empty batch.
+        """
+        summaries: list[tuple[float, ...]] = []
+        if not keys:
+            return summaries
+        with self.metrics.timed(self.name, "summarize", series=len(keys)) as timer:
+            for key in keys:
+                _, values = self.series(key).between(start, end)
+                timer.rows_out += len(values)
+                summaries.append((float(len(values)), sum(values) / len(values),
+                                  min(values), max(values), values[-1])
+                                 if values else (0.0,) * len(SUMMARY_FIELDS))
+        return summaries
+
     def summarize(self, key: str, start: float | None = None,
                   end: float | None = None) -> dict[str, float]:
-        """Summary statistics (count/mean/min/max/last) for a series range.
-
-        This is the per-patient vital-sign feature extraction used when the
-        MIMIC workload builds its feature vector.
-        """
-        with self.metrics.timed(self.name, "summarize", series=key) as timer:
-            points = list(self.series(key).between(start, end))
-            timer.rows_out = len(points)
-        if not points:
-            return {"count": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0, "last": 0.0}
-        values = [p.value for p in points]
-        return {
-            "count": float(len(values)),
-            "mean": sum(values) / len(values),
-            "min": min(values),
-            "max": max(values),
-            "last": values[-1],
-        }
+        """Summary statistics (count/mean/min/max/last) for one series range."""
+        return dict(zip(SUMMARY_FIELDS, self.summarize_many([key], start, end)[0]))
 
     def statistics(self) -> dict[str, Any]:
         """Engine statistics for the catalog."""

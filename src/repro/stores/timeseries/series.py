@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.exceptions import StorageError
 
 
-@dataclass(frozen=True)
-class Point:
-    """One observation: a timestamp and a value, with optional tags."""
+class Point(NamedTuple):
+    """One observation: a timestamp and a value."""
 
     timestamp: float
     value: float
@@ -49,12 +47,15 @@ class Series:
             self.append(timestamp, value)
 
     def between(self, start: float | None = None, end: float | None = None
-                ) -> Iterator[Point]:
-        """Points with ``start <= timestamp < end`` (open ends allowed)."""
+                ) -> tuple[list[float], list[float]]:
+        """The ``(timestamps, values)`` slices with ``start <= timestamp < end``.
+
+        Open ends are allowed.  Two parallel lists, not points: the engine's
+        scans and summaries read a column at a time.
+        """
         lo = 0 if start is None else bisect.bisect_left(self._timestamps, start)
         hi = len(self._timestamps) if end is None else bisect.bisect_left(self._timestamps, end)
-        for i in range(lo, hi):
-            yield Point(self._timestamps[i], self._values[i])
+        return self._timestamps[lo:hi], self._values[lo:hi]
 
     def latest(self) -> Point:
         """The most recent point."""
@@ -84,5 +85,4 @@ class Series:
         return len(self._timestamps)
 
     def __iter__(self) -> Iterator[Point]:
-        for timestamp, value in zip(self._timestamps, self._values):
-            yield Point(timestamp, value)
+        return map(Point, self._timestamps, self._values)

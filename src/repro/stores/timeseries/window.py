@@ -43,10 +43,11 @@ def supported_aggregations() -> tuple[str, ...]:
     return tuple(sorted(_AGGREGATORS))
 
 
-def tumbling_window(points: Iterable[Point], window_s: float,
+def tumbling_window(points: Iterable[tuple[float, float]], window_s: float,
                     aggregation: str = "mean") -> list[WindowResult]:
     """Aggregate points into fixed, non-overlapping windows of ``window_s`` seconds.
 
+    ``points`` are ``(timestamp, value)`` pairs (:class:`Point` is one).
     Windows are aligned to multiples of ``window_s``; empty windows are not
     emitted.
     """
@@ -57,9 +58,9 @@ def tumbling_window(points: Iterable[Point], window_s: float,
             f"unknown aggregation {aggregation!r}; supported: {supported_aggregations()}"
         )
     buckets: dict[float, list[float]] = {}
-    for point in points:
-        start = math.floor(point.timestamp / window_s) * window_s
-        buckets.setdefault(start, []).append(point.value)
+    for timestamp, value in points:
+        start = math.floor(timestamp / window_s) * window_s
+        buckets.setdefault(start, []).append(value)
     fn = _AGGREGATORS[aggregation]
     return [
         WindowResult(window_start=start, value=float(fn(values)), count=len(values))

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.datamodel import DataType, Table, make_schema
+from repro.datamodel import Column, DataType, Table, make_schema
 from repro.datamodel.conversion import (
     documents_to_table,
     kv_pairs_to_table,
@@ -43,6 +44,20 @@ class TestMatrix:
     def test_string_column_rejected(self, table: Table):
         with pytest.raises(DataModelError):
             table_to_matrix(table, ["note"])
+
+    def test_matrix_is_built_from_columns(self, table: Table):
+        """Column at a time, ``None`` -> ``nan`` only where a column holds one;
+        same values, dtype and memory layout as the per-cell build."""
+        flags = table.with_column(Column("flag", DataType.BOOL), [True, None, False])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = table_to_matrix(flags, ["score", "pid", "flag"])
+            empty = table_to_matrix(Table(flags.schema, []), ["score", "pid"])
+        expected = np.array([[0.5, 1.0, 1.0], [0.9, 2.0, np.nan], [np.nan, 3.0, 0.0]])
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix, expected, equal_nan=True)
+        assert matrix.flags.f_contiguous
+        assert empty.shape == (0, 2)
 
     def test_matrix_to_table_roundtrip(self):
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]])

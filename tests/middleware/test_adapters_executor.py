@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.catalog import Catalog
 from repro.compiler import Compiler
-from repro.datamodel import Table
+from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import AdapterError, CatalogError, ExecutionError
 from repro.ir import IRGraph, Operator
 from repro.middleware.adapters import (
@@ -220,6 +222,33 @@ class TestMLAdapter:
             adapter.execute(Operator("train", {"model_name": "m",
                                                "label_column": "missing"}, ["f"], "ml"),
                             [features])
+
+    @pytest.mark.parametrize("model_type", ["mlp", "logistic"])
+    def test_training_on_no_rows_is_silent(self, mimic_engines, model_type):
+        """Zero rows: nothing to normalise, no epoch to score — and no numpy
+        ``Mean of empty slice`` on the way to ``rows: 0``, accuracy 0.0."""
+        adapter = MLAdapter(mimic_engines["ml"])
+        empty = Table(make_schema(("pid", DataType.INT), ("x1", DataType.FLOAT),
+                                  ("long_stay", DataType.INT)), [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = adapter.execute(
+                Operator("train", {"model_name": "m0", "label_column": "long_stay",
+                                   "model_type": model_type, "epochs": 2},
+                         ["f"], "ml"), [empty])
+        assert result["rows"] == 0
+        assert result["metrics"]["accuracy"] == 0.0
+
+    def test_labels_are_read_as_a_column(self, mimic_engines):
+        """A NULL label counts as 0, as before."""
+        adapter = MLAdapter(mimic_engines["ml"])
+        features = Table(make_schema(("x1", DataType.FLOAT), ("y", DataType.INT)),
+                         [(float(i), None if i % 2 else 1) for i in range(40)])
+        result = adapter.execute(
+            Operator("train", {"model_name": "m1", "label_column": "y", "epochs": 1},
+                     ["f"], "ml"), [features])
+        assert result["rows"] == 40
+        assert 0.0 <= result["metrics"]["accuracy"] <= 1.0
 
     def test_predict_unknown_model(self, mimic_engines):
         adapter = MLAdapter(mimic_engines["ml"])

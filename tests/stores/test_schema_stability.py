@@ -17,8 +17,8 @@ from repro import DataflowProgram, col
 from repro.core import build_cpu_polystore
 from repro.datamodel import Column, DataType, Schema, Table, make_schema
 from repro.ir.nodes import Operator
-from repro.middleware.adapters import RelationalAdapter
-from repro.stores import RelationalEngine
+from repro.middleware.adapters import RelationalAdapter, TimeseriesAdapter
+from repro.stores import RelationalEngine, TimeseriesEngine
 from repro.stores.relational.planner import JoinPlan, ScanPlan
 
 PEOPLE = make_schema(("pid", DataType.INT), ("score", DataType.FLOAT),
@@ -138,3 +138,67 @@ def test_sql_aggregate_types_follow_the_source_column(where):
     assert result.schema == make_schema(
         ("pid", DataType.INT), ("first_name", DataType.STRING),
         ("total", DataType.FLOAT), ("n", DataType.INT))
+
+
+# -- ts_summarize: one declared schema, rows or no rows -------------------------------
+
+SUMMARY = make_schema(
+    ("pid", DataType.INT), ("vital_count", DataType.FLOAT),
+    ("vital_mean", DataType.FLOAT), ("vital_min", DataType.FLOAT),
+    ("vital_max", DataType.FLOAT), ("vital_last", DataType.FLOAT))
+
+#: case -> (summary read over the ``monitors`` dataset, rows expected)
+SUMMARIES = {
+    "rows": (lambda ts: ts.timeseries("hr/"), 6),
+    "no-series-under-prefix": (lambda ts: ts.timeseries("bp/"), 0),
+    "predicate-matches-nothing":
+        (lambda ts: ts.timeseries("hr/").filter(col("vital_mean") > 1e9), 0),
+    "series-keys-name-a-missing-series":
+        (lambda ts: ts.timeseries("hr/").filter(col("pid") == 999), 0),
+}
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["single", "4-shard"])
+def monitors(request):
+    if request.param:
+        system = build_cpu_polystore([])
+        engine = system.register_sharded_engine("monitors", TimeseriesEngine, 4)
+    else:
+        engine = TimeseriesEngine("monitors")
+        system = build_cpu_polystore([engine])
+    for pid in range(6):
+        engine.append_many(f"hr/{pid}", [(float(t), 60.0 + pid + t) for t in range(5)])
+    for bed in ("a", "b"):
+        engine.append_many(f"bed/{bed}", [(0.0, 1.0)])
+    return system
+
+
+@pytest.mark.parametrize("case", SUMMARIES)
+def test_ts_summarize_schema_is_declared(monitors, case):
+    build, rows = SUMMARIES[case]
+    program = DataflowProgram(f"summary-{case}")
+    program.output("out", build(monitors.dataset("monitors")))
+    result = monitors.execute(program).output("out")
+    assert result.schema == SUMMARY
+    assert len(result) == rows
+
+
+def test_ts_summarize_key_is_a_string_when_suffixes_are_not_numeric(monitors):
+    program = DataflowProgram("summary-named")
+    program.output("out", monitors.dataset("monitors").timeseries("bed/"))
+    result = monitors.execute(program).output("out")
+    assert result.schema == Schema([Column("pid", DataType.STRING), *list(SUMMARY)[1:]])
+    assert sorted(result.column("pid")) == ["a", "b"]
+
+
+def test_ts_summarize_key_is_one_type_when_only_some_suffixes_are_numeric():
+    """``bed/a`` beside ``bed/7`` on one engine: a STRING column of strings, not
+    an int among strings typed by whichever series sorts first.  (Shards of a
+    ``ShardedEngine`` each type their own part, as for key/value reads.)"""
+    engine = TimeseriesEngine("monitors")
+    for bed in ("a", "7"):
+        engine.append_many(f"bed/{bed}", [(0.0, 1.0)])
+    result = TimeseriesAdapter(engine).execute(
+        Operator("ts_summarize", {"series_prefix": "bed/"}, engine="monitors"), [])
+    assert result.schema[0] == Column("pid", DataType.STRING)
+    assert result.column("pid") == ["7", "a"]
