@@ -13,12 +13,11 @@ on the engine.  Two ways to get the fresh answer:
   re-executes from the base table.
 
 The refresh must win on charged time by at least ``VIEWS_MIN_SPEEDUP`` and
-both answers must be identical.  The bar is 3x, re-derived by measurement
-when the relational pipeline went positional (PR 14): the old 5x bar leaned
-on the recompute paying two table <-> dict round trips.  At 100k rows / 1%
-delta the recompute fell 262 -> 27-35 ms charged and the refresh 22.8 ->
-5.3-6.8 ms, so the ratio moved from ~11.5x to 4.7-5.7x over five runs; 3x
-leaves the same kind of headroom the old bar had.
+both answers must be identical.  The bar is 3x.  Measured at 100k rows / 1%
+delta, five runs on one box: recompute 40-57 ms charged, refresh 1.3-2.0 ms,
+28-31x (PR 18, positional plan-typed Z-sets; the parent on the same box:
+42-51 ms against 6.3-8.7 ms, 5.1-7.0x).  The bar stays where PR 14 put it —
+it guards against the refresh going O(base), not against a slow constant.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_incremental_views.py -q
 Smoke mode (CI):  VIEWS_BENCH_ITERS=1 PYTHONPATH=src python -m pytest ...

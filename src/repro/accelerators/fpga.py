@@ -90,9 +90,9 @@ class FPGAAccelerator(Accelerator):
         )
         return result, spec
 
-    def _kernel_filter(self, rows: Sequence[dict[str, Any]],
-                       predicate: Callable[[dict[str, Any]], bool]
-                       ) -> tuple[list[dict[str, Any]], KernelSpec]:
+    def _kernel_filter(self, rows: Sequence[tuple],
+                       predicate: Callable[[tuple], bool]
+                       ) -> tuple[list[tuple], KernelSpec]:
         """Streaming filter: evaluate a predicate per row, emit survivors."""
         kept = [row for row in rows if predicate(row)]
         spec = KernelSpec(
@@ -105,17 +105,17 @@ class FPGAAccelerator(Accelerator):
         )
         return kept, spec
 
-    def _kernel_project(self, rows: Sequence[dict[str, Any]], columns: Sequence[str]
-                        ) -> tuple[list[dict[str, Any]], KernelSpec]:
+    def _kernel_project(self, rows: Sequence[tuple], positions: Sequence[int]
+                        ) -> tuple[list[tuple], KernelSpec]:
         """Streaming projection: strip unused columns before they reach the host."""
-        projected = [{name: row.get(name) for name in columns} for row in rows]
+        projected = [tuple(row[i] for i in positions) for row in rows]
         input_width = max(1, len(rows[0])) * _VALUE_BYTES if rows else _ROW_BYTES
-        output_width = max(1, len(columns)) * _VALUE_BYTES
+        output_width = max(1, len(positions)) * _VALUE_BYTES
         spec = KernelSpec(
             name="project",
             bytes_in=len(rows) * input_width,
             bytes_out=len(projected) * output_width,
-            flops=len(rows) * max(1, len(columns)),
+            flops=len(rows) * max(1, len(positions)),
             elements=len(rows),
             pipelineable=True,
         )

@@ -21,22 +21,6 @@ from repro.stores.relational.expressions import Expression
 from repro.stores.relational.operators import Filter, TableScan, build_operator
 
 
-def apply_predicate(table: Table, node: Operator) -> Table:
-    """Evaluate a node's structured ``predicate`` parameter against a table.
-
-    The pushdown pass absorbs filters into leaf reads of every data model;
-    each adapter funnels its result table through here so predicate
-    semantics match the relational engine exactly.  Nodes without a
-    predicate pass through untouched, and so does an empty table: the empty
-    result of a schemaless read (key/value, graph nodes) has only a
-    placeholder schema, which does not know the predicate's columns.
-    """
-    predicate = node.params.get("predicate")
-    if not isinstance(predicate, Expression) or not len(table):
-        return table
-    return Filter(TableScan(table), predicate).to_table()
-
-
 class Adapter(abc.ABC):
     """Translates and executes IR operators on one engine."""
 
@@ -64,18 +48,35 @@ class Adapter(abc.ABC):
         """
         self._require_inputs(node, inputs, 2 if node.kind == "join" else 1)
         tables = [self._as_table(value, node) for value in inputs]
-        if node.kind == "filter" and not isinstance(node.params.get("predicate"),
-                                                    Expression):
-            raise AdapterError(f"filter {node.op_id} has no predicate expression")
-        if node.kind in ("filter", "project") and not len(tables[0]):
+        if node.kind == "filter":
+            if not isinstance(node.params.get("predicate"), Expression):
+                raise AdapterError(f"filter {node.op_id} has no predicate expression")
+            return self._apply_predicate(tables[0], node)
+        if node.kind == "project" and not len(tables[0]):
             # Nothing to read, and a schemaless read's empty result may not
             # declare the columns named: keep those its schema has.
             schema = tables[0].schema
-            names = node.params.get("columns") if node.kind == "project" else schema.names
             return Table.wrap(schema.project(
-                [name for name in names or () if name in schema]), [])
+                [name for name in node.params.get("columns") or ()
+                 if name in schema]), [])
         return build_operator(node.kind, node.params,
                               *map(TableScan, tables)).to_table()
+
+    @staticmethod
+    def _apply_predicate(table: Table, node: Operator) -> Table:
+        """Evaluate a node's structured ``predicate`` parameter against a table.
+
+        Shared by ``filter`` operators and the leaf reads of every data
+        model (whose filters the pushdown pass absorbs), so predicate
+        semantics match the relational engine exactly.  Nodes without a
+        predicate pass through untouched, and so does an empty table: the
+        empty result of a schemaless read (key/value, graph nodes) has only a
+        placeholder schema, which does not know the predicate's columns.
+        """
+        predicate = node.params.get("predicate")
+        if not isinstance(predicate, Expression) or not len(table):
+            return table
+        return Filter(TableScan(table), predicate).to_table()
 
     @staticmethod
     def _as_table(value: Any, node: Operator) -> Table:

@@ -15,7 +15,7 @@ from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Table
 from repro.exceptions import AdapterError
 from repro.ir.nodes import Operator
-from repro.middleware.adapters.base import Adapter, apply_predicate
+from repro.middleware.adapters.base import Adapter
 from repro.stores.graph.engine import GraphEngine
 from repro.stores.keyvalue.engine import KeyValueEngine
 from repro.stores.text.engine import TextEngine
@@ -63,7 +63,7 @@ class KeyValueAdapter(Adapter):
             pairs = list(self.engine.range(node.params.get("start"), node.params.get("end")))
         table = self._pairs_to_table(pairs, node.params.get("key_prefix"),
                                      node.params.get("key_column", "key"))
-        return apply_predicate(table, node)
+        return self._apply_predicate(table, node)
 
     @staticmethod
     def _pairs_to_table(pairs: list[tuple[str, Any]], prefix: str | None,
@@ -143,7 +143,7 @@ class TimeseriesAdapter(Adapter):
                            for name in SUMMARY_FIELDS)])
         summaries = self.engine.summarize_many(keys, start, end)
         rows = [(entity, *summary) for entity, summary in zip(entities, summaries)]
-        return apply_predicate(Table.wrap(schema, rows), node)
+        return self._apply_predicate(Table.wrap(schema, rows), node)
 
 
 class GraphAdapter(Adapter):
@@ -234,5 +234,5 @@ class TextAdapter(Adapter):
         if not rows:
             columns = [Column(id_column, DataType.STRING)]
             columns += [Column(f"kw_{k}", DataType.FLOAT) for k in keywords]
-            return apply_predicate(Table(Schema(columns), []), node)
-        return apply_predicate(Table.from_dicts(rows), node)
+            return self._apply_predicate(Table(Schema(columns), []), node)
+        return self._apply_predicate(Table.from_dicts(rows), node)

@@ -16,7 +16,7 @@ from typing import Any
 
 from repro.exceptions import AdapterError
 from repro.ir.nodes import Operator
-from repro.middleware.adapters.base import Adapter, apply_predicate
+from repro.middleware.adapters.base import Adapter
 from repro.stores.relational.engine import RelationalEngine
 
 
@@ -41,14 +41,14 @@ class RelationalAdapter(Adapter):
                                      list(columns) if columns else None)
             # A structured predicate absorbed by the pushdown pass evaluates
             # engine-side, before anything crosses the adapter boundary.
-            return apply_predicate(table, node)
+            return self._apply_predicate(table, node)
         if kind == "index_seek":
             table = self.engine.index_lookup(str(node.params["table"]),
                                              str(node.params["column"]),
                                              node.params["value"])
             # A seek converted from a predicated scan: apply the residual
             # conjuncts (and the cheap equality re-check) engine-side.
-            table = apply_predicate(table, node)
+            table = self._apply_predicate(table, node)
             columns = node.params.get("columns")
             if columns:
                 table = table.project(list(columns))

@@ -448,8 +448,8 @@ class Executor:
             # Fall back to the engine when the input shape does not fit the kernel.
             return self._execute_on_engine(node, inputs), 0.0, {"fallback": True}
         table: Table = inputs[0]
-        # Kernels stream the table's own row tuples and results keep its
-        # schema; only the project kernel is specified over dict rows.
+        # Kernels stream the table's own row tuples; results are typed by
+        # the plan (the table's schema, or its projection).
         if node.kind == "sort" and device.supports("bitonic_sort"):
             by = column_reader(table.schema, str(node.params["by"]))
             descending = bool(node.params.get("descending", False))
@@ -469,9 +469,11 @@ class Executor:
                     {"kernel": offload.kernel}
         if node.kind == "project" and device.supports("project"):
             columns = list(node.params.get("columns") or [])
-            projected, offload = device.offload("project", table.to_dicts(), columns)
-            return Table.from_dicts(projected, table.schema.project(columns)), \
-                offload.total_s, {"kernel": offload.kernel}
+            schema = table.schema.project(columns)
+            projected, offload = device.offload(
+                "project", table.rows, [table.schema.index_of(c) for c in columns])
+            return Table.wrap(schema, projected), offload.total_s, \
+                {"kernel": offload.kernel}
         if node.kind == "window_aggregate" and device.supports("window_aggregate"):
             engine_value = self._execute_on_engine(node, inputs)
             estimate = device.estimate(_window_spec_from_table(table))

@@ -10,8 +10,10 @@ Every node implements its semantics exactly once, in ``_bind``: it receives
 a function that turns a column name into a ``row -> value`` reader and
 returns a ``row -> value`` closure.  Binding readers that index tuple
 positions gives the engine's compiled form; binding readers that look names
-up in a mapping gives :meth:`Expression.evaluate`, the dict-row form the
-Z-set view operators use.
+up in a mapping gives :meth:`Expression.evaluate`, the public-edge form for
+a caller holding one row as a ``{column: value}`` mapping.  Nothing on an
+execution path uses it: the views' delta operators compile against their
+Z-sets' schemas like every other operator.
 """
 
 from __future__ import annotations

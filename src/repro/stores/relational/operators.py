@@ -12,8 +12,11 @@ once per tree, never per row, and no schema is inferred from the values
 flowing through.  Engine and adapters build trees over
 :class:`~repro.datamodel.table.Table` inputs and read the result with
 :meth:`PhysicalOperator.to_table`.  Dictionaries survive only at the public
-edge: :class:`TableScan` also accepts dict rows (the materialized views'
-Z-set state) and :meth:`PhysicalOperator.execute` returns dict rows.
+edge: :class:`TableScan` also accepts dict rows and
+:meth:`PhysicalOperator.execute` returns dict rows.  The views' delta
+operators bind by building the matching operator here over an empty scan and
+reusing its ``schema`` and public readers, so both routes resolve names and
+type results in one place.
 
 Key columns (sort, group-by, join and top-k keys, aggregate inputs) the input
 lacks read as ``None``, as a dict row without that key always did;
@@ -92,10 +95,11 @@ class Filter(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, predicate: Expression) -> None:
         self._child = child
         self.schema = child.schema
-        self._test = predicate.compile(child.schema)
+        #: ``row -> bool``, the predicate compiled against the child's schema.
+        self.test = predicate.compile(child.schema)
 
     def rows(self) -> Iterable[Row]:
-        return filter(self._test, self._child.rows())
+        return filter(self.test, self._child.rows())
 
 
 class Project(PhysicalOperator):
@@ -107,10 +111,11 @@ class Project(PhysicalOperator):
         if missing:
             raise QueryError(f"projection references unknown column {missing[0]!r}")
         self.schema = child.schema.project(columns)
-        self._pick = tuple_reader(child.schema, columns)
+        #: ``row -> projected row``.
+        self.pick = tuple_reader(child.schema, columns)
 
     def rows(self) -> Iterable[Row]:
-        return map(self._pick, self._child.rows())
+        return map(self.pick, self._child.rows())
 
 
 class Limit(PhysicalOperator):
@@ -165,10 +170,11 @@ class _Join(PhysicalOperator):
         if how not in self._SUPPORTED:
             raise QueryError(f"unsupported join type {how!r}")
         self._left, self._right, self._how = left, right, how
-        self._left_key = column_reader(left.schema, left_key)
-        self._right_key = column_reader(right.schema, right_key)
+        self.left_key = column_reader(left.schema, left_key)
+        self.right_key = column_reader(right.schema, right_key)
         extra = [c for c in right.schema if c.name not in left.schema]
-        self._extra = tuple_reader(right.schema, [c.name for c in extra])
+        #: ``right row -> the columns it appends to a matching left row``.
+        self.extra = tuple_reader(right.schema, [c.name for c in extra])
         if how == "left":
             extra = [Column(c.name, c.dtype, nullable=True) for c in extra]
         self.schema = Schema(list(left.schema) + extra)
@@ -180,7 +186,7 @@ class HashJoin(_Join):
     _SUPPORTED = ("inner", "left")
 
     def rows(self) -> Iterable[Row]:
-        left_key, right_key, extra = self._left_key, self._right_key, self._extra
+        left_key, right_key, extra = self.left_key, self.right_key, self.extra
         buckets: dict[Any, list[Row]] = {}
         for row in self._right.rows():
             key = right_key(row)
@@ -207,7 +213,7 @@ class SortMergeJoin(_Join):
     """
 
     def rows(self) -> Iterable[Row]:
-        left_key, right_key, extra = self._left_key, self._right_key, self._extra
+        left_key, right_key, extra = self.left_key, self.right_key, self.extra
         left_rows = sorted((r for r in self._left.rows() if left_key(r) is not None),
                            key=left_key)
         right_rows = sorted((r for r in self._right.rows()
@@ -266,11 +272,15 @@ class GroupByAggregate(PhysicalOperator):
                  aggregates: Sequence[AggregateSpec]) -> None:
         self._child = child
         source = child.schema
-        self._key = tuple_reader(source, group_by)
+        #: ``row -> group key`` (the leading columns of an output row).
+        self.key = tuple_reader(source, group_by)
         self._ungrouped = not group_by
-        self._folds = [_fold(spec.function, None if spec.column is None
-                             else column_reader(source, spec.column))
-                       for spec in aggregates]
+        #: Per aggregate, ``row -> input value`` (``None`` for ``count(*)``).
+        self.readers = [None if spec.column is None
+                        else column_reader(source, spec.column)
+                        for spec in aggregates]
+        self._folds = [_fold(spec.function, read)
+                       for spec, read in zip(aggregates, self.readers)]
         self.schema = Schema(
             [source[name] if name in source else Column(name, DataType.STRING)
              for name in group_by]
@@ -279,7 +289,7 @@ class GroupByAggregate(PhysicalOperator):
                for spec in aggregates])
 
     def rows(self) -> list[Row]:
-        key_of = self._key
+        key_of = self.key
         groups: dict[tuple, list[Row]] = defaultdict(list)
         for row in self._child.rows():
             groups[key_of(row)].append(row)

@@ -12,7 +12,7 @@ matching program subtrees to read the maintained state.
 from repro.views.incremental import DeltaProgram, ResyncRequired, compile_incremental
 from repro.views.registry import ViewRegistry
 from repro.views.view import MaintenancePolicy, MaterializedView, RefreshOutcome
-from repro.views.zset import ZSet, freeze_row, thaw_row
+from repro.views.zset import ZSet
 
 __all__ = [
     "DeltaProgram",
@@ -23,6 +23,4 @@ __all__ = [
     "ViewRegistry",
     "ZSet",
     "compile_incremental",
-    "freeze_row",
-    "thaw_row",
 ]

@@ -17,121 +17,142 @@ of its output — the DBSP "lifted" form of the corresponding batch operator:
   recomputes the full (small, post-aggregation) output on change, emitting
   the output *diff* so downstream operators stay incremental.
 
-Semantics deliberately mirror the relational engine's physical operators
-(:mod:`repro.stores.relational.operators`) — the differential tests assert
-refresh-equals-recompute across randomized mutation streams.
+Operators are positional and plan-typed like the physical operators they
+lift (:mod:`repro.stores.relational.operators`): on its first application —
+the seed pass — each one *binds* by building that operator over empty scans
+of its input deltas' schemas and keeping its output ``schema`` and compiled
+readers, so names resolve and results are typed in one place for both routes
+(the differential tests assert refresh equals recompute, rows and schema).
 """
 
 from __future__ import annotations
 
 import abc
 from collections import Counter
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.stores.relational.expressions import Expression
+from repro.datamodel.schema import Schema
+from repro.datamodel.table import Row, Table
 from repro.stores.relational.operators import (
-    AggregateSpec,
+    PhysicalOperator,
     TableScan,
     build_operator,
 )
-from repro.views.zset import ZSet, freeze_row, thaw_row
+from repro.views.zset import ZSet
 
 
 class DeltaOperator(abc.ABC):
     """One lifted operator: Z-set deltas in, Z-set delta out (stateful)."""
 
-    @abc.abstractmethod
+    #: Layout of the output deltas; ``None`` until the first application.
+    schema: Schema | None = None
+
+    def __init__(self, stages: Sequence[tuple[str, Mapping[str, Any]]]) -> None:
+        if not stages:
+            raise ValueError("a delta operator lifts at least one stage")
+        #: The ``(kind, params)`` physical steps lifted, bottom-most first:
+        #: one, except for :class:`DeltaRecompute`.
+        self.stages = [(kind, dict(params)) for kind, params in stages]
+
+    def _physical(self, *tables: Table) -> PhysicalOperator:
+        """The lifted physical operator (chain) over ``tables``."""
+        (kind, params), *upper = self.stages
+        operator = build_operator(kind, params, *map(TableScan, tables))
+        for kind, params in upper:
+            operator = build_operator(kind, params, operator)
+        return operator
+
     def apply(self, *deltas: ZSet) -> ZSet:
         """Advance the operator's state by the input deltas; returns δout."""
+        if self.schema is None:
+            schemas = [delta.schema for delta in deltas]
+            physical = self._physical(*map(Table.empty, schemas))
+            self._bind(physical, *schemas)
+            self.schema = physical.schema
+        return self._apply(*deltas)
+
+    @abc.abstractmethod
+    def _bind(self, physical: Any, *schemas: Schema) -> None:
+        """Keep what ``physical`` — the lifted operator built over empty
+        inputs of ``schemas`` — resolved: its compiled readers."""
+
+    @abc.abstractmethod
+    def _apply(self, *deltas: ZSet) -> ZSet:
+        """:meth:`apply` once bound."""
 
 
 class DeltaFilter(DeltaOperator):
     """Linear: ``δout = σ(δin)``."""
 
-    def __init__(self, predicate: Expression) -> None:
-        self.predicate = predicate
-        self._test = predicate.compile()  # over thawed dict rows, by name
+    def _bind(self, physical: Any, *schemas: Schema) -> None:
+        self._test = physical.test
 
-    def apply(self, *deltas: ZSet) -> ZSet:
+    def _apply(self, *deltas: ZSet) -> ZSet:
         (delta,) = deltas
-        out = ZSet()
-        for frozen, weight in delta.items():
-            if self._test(thaw_row(frozen)):
-                out.add(frozen, weight)
-        return out
+        return delta.select(self._test)
 
 
 class DeltaProject(DeltaOperator):
     """Linear (bag projection): ``δout = π(δin)``; weights merge on collision."""
 
-    def __init__(self, columns: Sequence[str]) -> None:
-        self.columns = list(columns)
+    def _bind(self, physical: Any, *schemas: Schema) -> None:
+        self._pick = physical.pick
 
-    def apply(self, *deltas: ZSet) -> ZSet:
+    def _apply(self, *deltas: ZSet) -> ZSet:
         (delta,) = deltas
-        out = ZSet()
-        for frozen, weight in delta.items():
-            row = thaw_row(frozen)
-            projected = {name: row.get(name) for name in self.columns}
-            out.add(freeze_row(projected), weight)
+        out, pick = ZSet(self.schema), self._pick
+        for row, weight in delta.items():
+            out.add(pick(row), weight)
         return out
 
 
-def _join_merge(left_row: dict[str, Any], right_row: dict[str, Any]) -> dict[str, Any]:
-    """Merge join sides the way :class:`HashJoin` does (left columns win)."""
-    merged = dict(left_row)
-    for name, value in right_row.items():
-        if name not in merged:
-            merged[name] = value
-    return merged
-
-
 class DeltaJoin(DeltaOperator):
-    """Bilinear inner equi-join over maintained key-indexed Z-sets."""
+    """Bilinear inner equi-join over maintained key-indexed Z-sets.
 
-    def __init__(self, left_key: str, right_key: str) -> None:
-        self.left_key = left_key
-        self.right_key = right_key
-        #: key value -> {frozen_row: weight}; rows with NULL keys are dropped
-        #: on the way in, matching ``HashJoin``.
-        self._left: dict[Any, dict[tuple, int]] = {}
-        self._right: dict[Any, dict[tuple, int]] = {}
+    Output rows are laid out as :class:`HashJoin`'s: the left row, then the
+    right row's columns the left side lacks — so the right side's state only
+    keeps those (``extra``) columns.  Rows with NULL keys never match.
+    """
+
+    def _bind(self, physical: Any, *schemas: Schema) -> None:
+        self._left_key, self._right_key = physical.left_key, physical.right_key
+        self._extra = physical.extra
+        #: key value -> {left row | right extra columns: weight}
+        self._left: dict[Any, dict[Row, int]] = {}
+        self._right: dict[Any, dict[Row, int]] = {}
 
     @staticmethod
-    def _absorb(index: dict[Any, dict[tuple, int]], key: Any,
-                frozen: tuple, weight: int) -> None:
+    def _absorb(index: dict[Any, dict[Row, int]], key: Any,
+                row: Row, weight: int) -> None:
         bucket = index.setdefault(key, {})
-        total = bucket.get(frozen, 0) + weight
+        total = bucket.get(row, 0) + weight
         if total == 0:
-            bucket.pop(frozen, None)
+            bucket.pop(row, None)
             if not bucket:
                 index.pop(key, None)
         else:
-            bucket[frozen] = total
+            bucket[row] = total
 
-    def apply(self, *deltas: ZSet) -> ZSet:
+    def _apply(self, *deltas: ZSet) -> ZSet:
         delta_left, delta_right = deltas
-        out = ZSet()
+        out = ZSet(self.schema)
         # δA ⋈ B (old right state)
-        for frozen, weight in delta_left.items():
-            row = thaw_row(frozen)
-            key = row.get(self.left_key)
+        for row, weight in delta_left.items():
+            key = self._left_key(row)
             if key is None:
                 continue
-            for right_frozen, right_weight in self._right.get(key, {}).items():
-                merged = _join_merge(row, thaw_row(right_frozen))
-                out.add(freeze_row(merged), weight * right_weight)
-            self._absorb(self._left, key, frozen, weight)
+            for extra, right_weight in self._right.get(key, {}).items():
+                out.add(row + extra, weight * right_weight)
+            self._absorb(self._left, key, row, weight)
         # A' ⋈ δB (left state already advanced: covers the δA ⋈ δB term)
-        for frozen, weight in delta_right.items():
-            row = thaw_row(frozen)
-            key = row.get(self.right_key)
+        for row, weight in delta_right.items():
+            key = self._right_key(row)
             if key is None:
                 continue
-            for left_frozen, left_weight in self._left.get(key, {}).items():
-                merged = _join_merge(thaw_row(left_frozen), row)
-                out.add(freeze_row(merged), left_weight * weight)
-            self._absorb(self._right, key, frozen, weight)
+            extra = self._extra(row)
+            for left_row, left_weight in self._left.get(key, {}).items():
+                out.add(left_row + extra, left_weight * weight)
+            self._absorb(self._right, key, extra, weight)
         return out
 
 
@@ -160,93 +181,85 @@ class DeltaAggregate(DeltaOperator):
     an empty input still produce one row, like ``GroupByAggregate``).
     """
 
-    def __init__(self, group_by: Sequence[str],
-                 aggregates: Sequence[AggregateSpec]) -> None:
-        self.group_by = list(group_by)
-        self.specs = list(aggregates)
+    def _bind(self, physical: Any, *schemas: Schema) -> None:
+        ((_, params),) = self.stages
+        self._key = physical.key
+        #: ``(function, row -> input value | None for count(*))`` per aggregate.
+        self._inputs = [(spec.function, read) for spec, read
+                        in zip(params.get("aggregates") or [], physical.readers)]
+        self._grouped = bool(params.get("group_by"))
         self._groups: dict[tuple, _GroupState] = {}
-        #: Whether the global group's time-zero row was emitted yet (global
-        #: aggregates produce one row even over an empty input).
-        self._genesis_done = bool(self.group_by)
+        #: Whether the global group's time-zero row was emitted yet.
+        self._genesis_done = self._grouped
 
-    def apply(self, *deltas: ZSet) -> ZSet:
+    def _apply(self, *deltas: ZSet) -> ZSet:
         (delta,) = deltas
-        touched: dict[tuple, ZSet] = {}
-        for frozen, weight in delta.items():
-            row = thaw_row(frozen)
-            key = tuple(row.get(name) for name in self.group_by)
-            if key not in touched:
-                touched[key] = ZSet()
-            touched[key].add(frozen, weight)
+        groups, key_of, inputs = self._groups, self._key, self._inputs
+        #: touched group key -> its output row before this delta
+        touched: dict[tuple, Row | None] = {}
         if not self._genesis_done:
             # First application (the seed pass, over an empty view state):
             # force the global group through so its row is emitted even when
             # the seed itself is empty — ``GroupByAggregate`` yields one row
             # for aggregates over zero input rows.
-            touched.setdefault((), ZSet())
+            touched[()] = None
+            groups[()] = _GroupState(len(inputs))
             self._genesis_done = True
-        out = ZSet()
-        for key, group_delta in touched.items():
-            before = self._output_row(key)
-            self._advance(key, group_delta)
-            after = self._output_row(key)
-            if before is not None:
-                out.add(freeze_row(before), -1)
-            if after is not None:
-                out.add(freeze_row(after), 1)
-        return out
-
-    def _advance(self, key: tuple, group_delta: ZSet) -> None:
-        state = self._groups.get(key)
-        if state is None:
-            state = self._groups[key] = _GroupState(len(self.specs))
-        for frozen, weight in group_delta.items():
-            row = thaw_row(frozen)
+        for row, weight in delta.items():
+            key = key_of(row)
+            state = groups.get(key)
+            if key not in touched:
+                touched[key] = self._output_row(key, state)
+            if state is None:
+                state = groups[key] = _GroupState(len(inputs))
             state.weight += weight
-            for i, spec in enumerate(self.specs):
-                if spec.column is None:
-                    continue
-                value = row.get(spec.column)
+            for i, (function, read) in enumerate(inputs):
+                value = read(row) if read is not None else None
                 if value is None:
                     continue
                 state.nonnull[i] += weight
-                if spec.function in ("sum", "avg"):
+                if function in ("sum", "avg"):
                     state.sums[i] += value * weight
-                elif spec.function in ("min", "max"):
+                elif function in ("min", "max"):
                     state.values[i][value] += weight
                     if state.values[i][value] == 0:
                         del state.values[i][value]
-        if state.weight < 0 or any(n < 0 for n in state.nonnull):
-            raise ValueError(
-                f"group {key!r} reached negative multiplicity; "
-                f"delta state diverged from the base data"
-            )
-        if state.weight == 0 and self.group_by:
-            del self._groups[key]
+        out = ZSet(self.schema)
+        for key, before in touched.items():
+            state = groups[key]
+            if state.weight < 0 or any(n < 0 for n in state.nonnull):
+                raise ValueError(
+                    f"group {key!r} reached negative multiplicity; "
+                    f"delta state diverged from the base data"
+                )
+            if state.weight == 0 and self._grouped:
+                del groups[key]
+                state = None
+            if before is not None:
+                out.add(before, -1)
+            if state is not None:
+                out.add(self._output_row(key, state), 1)
+        return out
 
-    def _output_row(self, key: tuple) -> dict[str, Any] | None:
+    def _output_row(self, key: tuple, state: _GroupState | None) -> Row | None:
         """The group's current output row (``None`` when the group is absent)."""
-        state = self._groups.get(key)
         if state is None:
             return None
-        if state.weight == 0 and self.group_by:
-            return None
-        row: dict[str, Any] = dict(zip(self.group_by, key))
-        for i, spec in enumerate(self.specs):
-            row[spec.alias] = self._aggregate_value(state, i, spec)
-        return row
+        return key + tuple(self._aggregate_value(state, i, function, read)
+                           for i, (function, read) in enumerate(self._inputs))
 
     @staticmethod
-    def _aggregate_value(state: _GroupState, i: int, spec: AggregateSpec) -> Any:
-        if spec.function == "count":
-            return state.weight if spec.column is None else state.nonnull[i]
+    def _aggregate_value(state: _GroupState, i: int, function: str,
+                         read: Any) -> Any:
+        if function == "count":
+            return state.weight if read is None else state.nonnull[i]
         if state.nonnull[i] == 0:
             return None  # sum/avg/min/max over zero non-NULL rows
-        if spec.function == "sum":
+        if function == "sum":
             return state.sums[i]
-        if spec.function == "avg":
+        if function == "avg":
             return state.sums[i] / state.nonnull[i]
-        if spec.function == "min":
+        if function == "min":
             return min(state.values[i])
         return max(state.values[i])
 
@@ -271,37 +284,26 @@ class DeltaRecompute(DeltaOperator):
     #: on one of these materializes the operator's row order verbatim.
     ORDERED_KINDS = frozenset({"sort", "top_k", "limit"})
 
-    def __init__(self, stages: Sequence[tuple[str, dict[str, Any]]],
-                 n_inputs: int) -> None:
-        if not stages:
-            raise ValueError("DeltaRecompute needs at least one stage")
-        #: ``(kind, params)`` pairs, bottom-most first.
-        self.stages = [(kind, dict(params)) for kind, params in stages]
-        self._inputs = [ZSet() for _ in range(n_inputs)]
-        self._last_output = ZSet()
-        #: The most recent recomputed rows, in operator order.
-        self.ordered_rows: list[dict[str, Any]] = []
-
     @property
     def kind(self) -> str:
         """The top-most (output-shaping) stage's kind."""
         return self.stages[-1][0]
 
-    def apply(self, *deltas: ZSet) -> ZSet:
+    def _bind(self, physical: Any, *schemas: Schema) -> None:
+        self._inputs = [ZSet(schema) for schema in schemas]
+        self._last_output = ZSet(physical.schema)
+        #: The most recent recomputed rows, in operator order.
+        self.ordered_rows: list[Row] = []
+
+    def _apply(self, *deltas: ZSet) -> ZSet:
         for state, delta in zip(self._inputs, deltas):
             state.update(delta)
         if all(delta.is_empty for delta in deltas):
-            return ZSet()
-        self.ordered_rows = self._recompute()
-        new_output = ZSet.from_rows(self.ordered_rows)
+            return ZSet(self.schema)
+        output = self._physical(*(Table.wrap(state.schema, state.to_rows())
+                                  for state in self._inputs)).to_table()
+        self.ordered_rows = output.rows
+        new_output = ZSet.from_table(output)
         diff = ZSet.diff(new_output, self._last_output)
         self._last_output = new_output
         return diff
-
-    def _recompute(self) -> list[dict[str, Any]]:
-        scans = [TableScan(state.to_rows()) for state in self._inputs]
-        (kind, params), *upper = self.stages
-        operator = build_operator(kind, params, *scans)
-        for kind, params in upper:
-            operator = build_operator(kind, params, operator)
-        return operator.execute()

@@ -20,6 +20,13 @@ same :class:`~repro.middleware.executor.report.TaskRecord` charged-time
 accounting as any other program — views don't get a parallel bookkeeping
 path.
 
+A compiled program is untyped until its **seed pass**: the sources' first
+(full) reads fix the schemas their deltas are laid out in, and each operator
+binds to its inputs' schemas as the seed reaches it.  A source keeps that
+schema for the life of the program; one that cannot (a schemaless leaf grew
+a column) raises :class:`ResyncRequired`, like a changelog gap, and the view
+compiles and seeds a fresh program.
+
 Kinds outside filter/project/inner-join/aggregate (+ the bounded-recompute
 set) make the view non-incremental: :func:`compile_incremental` returns
 ``None`` and the view falls back to full recomputation on every refresh.
@@ -27,10 +34,11 @@ set) make the view non-incremental: :func:`compile_incremental` returns
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.catalog import Catalog
-from repro.datamodel.table import Table
+from repro.datamodel.schema import Schema
+from repro.datamodel.table import Row, Table
 from repro.eide.dataflow import DataflowNode, resolve_node_engine
 from repro.exceptions import ExecutionError
 from repro.ir.graph import IRGraph
@@ -38,7 +46,7 @@ from repro.ir.nodes import Operator
 from repro.stores.changelog import leaf_read_scope, table_scope
 from repro.stores.base import DataModel
 from repro.stores.relational.expressions import Expression
-from repro.stores.relational.operators import AggregateSpec
+from repro.stores.relational.operators import tuple_reader
 from repro.views.delta_ops import (
     DeltaAggregate,
     DeltaFilter,
@@ -47,11 +55,12 @@ from repro.views.delta_ops import (
     DeltaProject,
     DeltaRecompute,
 )
-from repro.views.zset import ZSet, freeze_row
+from repro.views.zset import ZSet
 
 
 class ResyncRequired(ExecutionError):
-    """A source can no longer maintain its state from deltas (gap/truncation)."""
+    """A source can no longer maintain its state from deltas (gap, truncation,
+    or a leaf whose schema changed under the delta program bound to it)."""
 
 
 class ChangelogSource:
@@ -63,6 +72,11 @@ class ChangelogSource:
         self.table = table
         self.columns = list(columns) if columns else None
         self.cursor = 0
+        #: Bound by :meth:`resync` (the seed): the deltas' schema, and the
+        #: reader cutting a logged full row down to ``columns``.  A table only
+        #: changes shape through DDL, whose gap forces a rebuild that rebinds.
+        self._schema: Schema | None = None
+        self._pick: Callable[[Row], Row] | None = None
         #: Scoped data version at the last pull/resync.  Cross-checked so a
         #: mutation that bumped the scope *without* logging a batch (a write
         #: applied directly to a shard instance, bypassing the facade log)
@@ -104,7 +118,6 @@ class ChangelogSource:
 
     def pull(self, catalog: Catalog) -> ZSet:
         """The table's delta since the cursor; raises :class:`ResyncRequired`."""
-        engine = catalog.engine(self.engine_name)
         batches, trustworthy, head = self._probe(catalog)
         if not trustworthy:
             raise ResyncRequired(
@@ -112,15 +125,10 @@ class ChangelogSource:
                 f"fell out of retention past cursor {self.cursor}, or the "
                 f"table changed outside the log"
             )
-        delta = ZSet()
-        if batches:
-            names = engine.table_schema(self.table).names
-            for batch in batches:
-                for record, weight in batch.entries:
-                    row = dict(zip(names, record))
-                    if self.columns is not None:
-                        row = {name: row.get(name) for name in self.columns}
-                    delta.add(freeze_row(row), weight)
+        delta, pick = ZSet(self._schema), self._pick
+        for batch in batches:
+            for record, weight in batch.entries:
+                delta.add(record if pick is None else pick(record), weight)
         # Advance to the head even when nothing matched: a complete
         # scope-filtered read provably missed nothing, and a lagging cursor
         # would let heavy writes to *other* scopes trim the log past it.
@@ -150,18 +158,25 @@ class ChangelogSource:
             # The fresh off-log baseline: a direct-shard write after this
             # snapshot moves the version past the (unchanged) log mark.
             self._scoped_version = version
-            return ZSet.from_rows(table.to_dicts())
+            return self._bound(engine, table)
         for _ in range(self.RESYNC_ATTEMPTS):
             before = engine.changelog.latest_seq
             table = engine.scan(self.table, self.columns)
             if engine.changelog.latest_seq == before:
                 self.cursor = before
-                return ZSet.from_rows(table.to_dicts())
+                return self._bound(engine, table)
         raise ResyncRequired(
             f"could not capture a quiescent snapshot of "
             f"{self.engine_name}.{self.table}: writes kept landing during "
             f"{self.RESYNC_ATTEMPTS} re-read attempts"
         )
+
+    def _bound(self, engine: Any, snapshot: Table) -> ZSet:
+        """Bind the delta layout to a resync's snapshot; returns it as a Z-set."""
+        self._schema = snapshot.schema
+        self._pick = (tuple_reader(engine.table_schema(self.table), self.columns)
+                      if self.columns else None)
+        return ZSet.from_table(snapshot)
 
     def changed(self, catalog: Catalog) -> bool:
         """Whether the table changed (logged or off-log) past the cursor.
@@ -186,7 +201,9 @@ class SnapshotDiffSource:
     """Delta source that re-reads a non-relational leaf and diffs snapshots.
 
     Only re-reads when the leaf's *scoped* data version moved, so an
-    untouched side input costs nothing per refresh.
+    untouched side input costs nothing per refresh.  The operators above are
+    bound to the schema of the seed's read; a re-read typed differently (a
+    schemaless leaf grew a column) raises :class:`ResyncRequired`.
     """
 
     def __init__(self, kind: str, params: dict[str, Any], engine_name: str) -> None:
@@ -195,23 +212,29 @@ class SnapshotDiffSource:
         self.engine_name = engine_name
         self.scope = leaf_read_scope(kind, params)
         self._version: int | None = None
-        self._previous = ZSet()
+        self._previous: ZSet | None = None
 
     def pull(self, catalog: Catalog) -> ZSet:
         engine = catalog.engine(self.engine_name)
         version = engine.data_version_for(self.scope)
-        if version == self._version:
-            return ZSet()
+        previous = self._previous
+        if previous is not None and version == self._version:
+            return ZSet(previous.schema)
         snapshot = self._read(catalog)
-        delta = ZSet.diff(snapshot, self._previous)
+        if previous is None:
+            previous = ZSet(snapshot.schema)
+        elif snapshot.schema != previous.schema:
+            raise ResyncRequired(
+                f"{self.describe()} now reads {snapshot.schema!r}; the delta "
+                f"program is bound to {previous.schema!r}"
+            )
         self._previous = snapshot
         self._version = version
-        return delta
+        return ZSet.diff(snapshot, previous)
 
     def resync(self, catalog: Catalog) -> ZSet:
         """Forget the previous snapshot and re-read from scratch."""
-        self._previous = ZSet()
-        self._version = None
+        self._previous = None
         return self.pull(catalog)
 
     def changed(self, catalog: Catalog) -> bool:
@@ -236,9 +259,7 @@ class SnapshotDiffSource:
             graph, mode="view_maintenance")
         value = next(iter(outputs.values()))
         if isinstance(value, Table):
-            return ZSet.from_rows(value.to_dicts())
-        if isinstance(value, list) and all(isinstance(r, dict) for r in value):
-            return ZSet.from_rows(value)
+            return ZSet.from_table(value)
         raise ResyncRequired(
             f"leaf {self.kind!r} on {self.engine_name!r} produced "
             f"{type(value).__name__}, not rows; it cannot be maintained"
@@ -278,16 +299,13 @@ class DeltaProgram:
         """Switch the next execution between seeding and delta pulling."""
         self._mode["seed"] = seed
 
-    @property
-    def ordered_root(self) -> bool:
-        """Whether the root recomputes an ordered result (sort/top-k/limit)."""
-        return (isinstance(self.root_op, DeltaRecompute)
-                and self.root_op.kind in DeltaRecompute.ORDERED_KINDS)
-
-    def ordered_rows(self) -> list[dict[str, Any]]:
-        """The root's most recent ordered output (ordered roots only)."""
-        assert isinstance(self.root_op, DeltaRecompute)
-        return list(self.root_op.ordered_rows)
+    def ordered_rows(self) -> list[Row] | None:
+        """The root's latest output in operator order; ``None`` unless the
+        root recomputes an ordered result (sort/top-k/limit)."""
+        root = self.root_op
+        if isinstance(root, DeltaRecompute) and root.kind in root.ORDERED_KINDS:
+            return root.ordered_rows
+        return None
 
     def any_source_changed(self, catalog: Catalog) -> bool:
         """Cheap staleness probe: did any source move past its cursor?"""
@@ -352,7 +370,7 @@ def compile_incremental(name: str, root: DataflowNode,
                     # linear operator would cut arbitrary rows.  Such views
                     # refresh by full recomputation instead.
                     return None
-            delta_op: DeltaOperator | None = DeltaRecompute(stages, n_inputs=1)
+            delta_op: DeltaOperator | None = DeltaRecompute(stages)
             children: tuple[DataflowNode, ...] = (current,)
             label = "/".join(kind for kind, _ in stages)
         else:
@@ -398,22 +416,16 @@ def _source_fn(source: Source, catalog: Catalog, mode: dict[str, bool]):
     return pull
 
 
+#: Kinds with a delta form of their own (joins: inner only).
+_LIFTED = {"filter": DeltaFilter, "project": DeltaProject, "join": DeltaJoin,
+           "aggregate": DeltaAggregate}
+
+
 def _operator_for(node: DataflowNode) -> DeltaOperator | None:
-    kind = node.kind
-    params = node.params
-    if kind == "filter":
-        predicate = params.get("predicate")
-        if not isinstance(predicate, Expression):
-            return None
-        return DeltaFilter(predicate)
-    if kind == "project":
-        return DeltaProject(list(params.get("columns") or []))
-    if kind == "join":
-        if params.get("how", "inner") == "inner":
-            return DeltaJoin(str(params["left_key"]), str(params["right_key"]))
-        return DeltaRecompute([("join", params)], n_inputs=2)
-    if kind == "aggregate":
-        specs = [spec if isinstance(spec, AggregateSpec) else AggregateSpec(*spec)
-                 for spec in params.get("aggregates") or []]
-        return DeltaAggregate(list(params.get("group_by") or []), specs)
-    return None
+    kind, params = node.kind, node.params
+    if kind == "filter" and not isinstance(params.get("predicate"), Expression):
+        return None
+    lifted = _LIFTED.get(kind)
+    if kind == "join" and params.get("how", "inner") != "inner":
+        lifted = DeltaRecompute
+    return lifted([(kind, params)]) if lifted is not None else None

@@ -1,13 +1,13 @@
 """Materialized views: registered dataflow queries kept fresh from deltas.
 
 A :class:`MaterializedView` is a named :class:`~repro.eide.dataflow.Dataset`
-expression registered on the system.  Its **initial run** goes through the
-ordinary compile/execute pipeline (plan cache, scatter-gather, accelerator
-placement — everything a normal program gets) and establishes the view's
-schema and full-recompute cost baseline.  After that, the incremental
-compiler pass (:mod:`repro.views.incremental`) maintains the materialized
-state from the engines' scoped changelogs: a refresh costs time proportional
-to the *delta*, not the base data.
+expression registered on the system.  The incremental compiler pass
+(:mod:`repro.views.incremental`) lowers it to a delta program, a seed pass
+over the base data fills the state and fixes the view's schema, and from
+then on the state is maintained from the engines' scoped changelogs: a
+refresh costs time proportional to the *delta*, not the base data.  Trees
+with no delta form run through the ordinary compile/execute pipeline on
+every refresh instead.
 
 Maintenance policies (:class:`MaintenancePolicy`):
 
@@ -28,9 +28,9 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.datamodel.table import Table
+from repro.datamodel.table import Row, Table
 from repro.eide.dataflow import DataflowProgram, Dataset
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, QueryError
 from repro.middleware.executor import Executor
 from repro.stores.changelog import DeltaBatch
 from repro.views.incremental import DeltaProgram, ResyncRequired, compile_incremental
@@ -112,17 +112,16 @@ class MaterializedView:
         self._lock = threading.RLock()
         self._ready = False
         self._delta: DeltaProgram | None = None
-        self._state = ZSet()
-        self._ordered_rows: list[dict[str, Any]] | None = None
-        self._schema = None
-        self._columns: list[str] = []
+        #: The content of an incremental view with an unordered root; ordered
+        #: roots and direct-run views keep their rows, in order, in ``_table``.
+        self._state: ZSet | None = None
+        #: The materialized result, dropped when ``_state`` moves on: polls of
+        #: a fresh view must not re-expand and re-sort the state.
+        self._table: Table | None = None
         #: engine name -> data_version watched by the full-recompute path.
         self._watched: dict[str, int] = {}
         self._version = 0
         self._last_refresh_monotonic = 0.0
-        #: ``(state version, materialized table)`` — reads of a fresh view
-        #: must not re-expand and re-sort the whole state every poll.
-        self._materialized: tuple[int, Table] | None = None
         #: Source engines, resolved once (the expression tree is immutable).
         self._source_engines: set[str] | None = None
         # accounting ---------------------------------------------------------
@@ -178,40 +177,9 @@ class MaterializedView:
     # -- initialization ------------------------------------------------------------------
 
     def initialize(self) -> None:
-        """Materialize the view through the normal compile/execute pipeline.
-
-        The full run establishes the output schema and the recompute cost
-        baseline; when the tree is delta-composable, the incremental plan is
-        then compiled and seeded so subsequent refreshes consume changelogs.
-        """
+        """Materialize the view for the first time (see :meth:`_full_refresh`)."""
         with self._lock:
-            session = self.system.default_session()
-            prepared = session.prepare(self._program, freeze=False)
-            # Watched versions are captured before the run (used only by the
-            # non-incremental path): a write landing mid-run must leave the
-            # view stale, not be marked as seen.
-            self._snapshot_watched()
-            result = prepared.run(reuse_scans=False)
-            value = result.output(self.name)
-            table = self._as_table(value)
-            self.initial_charged_s = result.total_time_s
-            self._schema = table.schema
-            self._columns = list(table.schema.names)
-            self._delta = compile_incremental(self.name, self.root,
-                                              self.system.catalog)
-            if self._delta is not None:
-                charged, delta, _ = self._run_delta(seed=True)
-                self._apply_output(delta)
-                self.initial_charged_s += charged
-            else:
-                # Non-incremental views materialize the program's own rows
-                # verbatim — including whatever order a trailing sort/top_k
-                # produced, which a Z-set expansion would destroy.  The
-                # watched versions were captured *before* the run: a write
-                # landing mid-recompute keeps the view stale (one spare
-                # refresh) instead of being silently marked as seen.
-                self._state = ZSet.from_rows(table.to_dicts())
-                self._ordered_rows = table.to_dicts()
+            self.initial_charged_s = self._full_refresh().charged_time_s
             self._last_refresh_monotonic = time.monotonic()
             self._version += 1
             self._ready = True
@@ -222,7 +190,7 @@ class MaterializedView:
             return value
         if (isinstance(value, list) and value
                 and all(isinstance(r, dict) for r in value)):
-            return Table.from_dicts(value)
+            return Table.from_dicts(value)  # a UDF's dict rows: the public edge
         raise ConfigurationError(
             f"materialized views require tabular results; the program "
             f"produced {type(value).__name__}"
@@ -283,27 +251,35 @@ class MaterializedView:
             return outcome
 
     def _full_refresh(self) -> RefreshOutcome:
-        """Rebuild state from the base data (charged as the work it does)."""
-        # Rebuild the delta program with fresh operator state and seed it
-        # from a full base read: the seed's output delta IS the new content,
-        # so the base is scanned exactly once.
+        """Build the content from the base data: compile + seed, else direct run.
+
+        A fresh delta program is seeded from a full base read: the seed's
+        output delta IS the new content (the base is scanned once) and its
+        schema the view's.  A tree with no delta form — or whose seed cannot
+        bind yet, an empty schemaless read having only a placeholder schema —
+        runs the view's program through the ordinary pipeline and keeps its
+        table verbatim, row order included; the next rebuild tries again.
+        """
         self._delta = compile_incremental(self.name, self.root,
                                           self.system.catalog)
         if self._delta is not None:
-            self._state = ZSet()
-            self._ordered_rows = None
-            charged, delta, pulled = self._run_delta(seed=True)
-            self._apply_output(delta)
-            return RefreshOutcome(kind="full", charged_time_s=charged,
-                                  delta_rows=delta.total_weight,
-                                  input_rows=pulled)
+            try:
+                charged, delta, pulled = self._run_delta(seed=True)
+            except QueryError:
+                self._delta = None
+            else:
+                self._apply_output(delta, seed=True)
+                return RefreshOutcome(kind="full", charged_time_s=charged,
+                                      delta_rows=delta.total_weight,
+                                      input_rows=pulled)
         session = self.system.default_session()
         prepared = session.prepare(self._program, freeze=False)
-        self._snapshot_watched()  # before the run: mid-run writes stay stale
+        # Watched versions are captured before the run: a write landing
+        # mid-run must leave the view stale, not be marked as seen.
+        self._snapshot_watched()
         result = prepared.run(reuse_scans=False)
-        table = self._as_table(result.output(self.name))
-        self._state = ZSet.from_rows(table.to_dicts())
-        self._ordered_rows = table.to_dicts()  # keep the program's own order
+        self._state = None
+        self._table = table = self._as_table(result.output(self.name))
         return RefreshOutcome(kind="full", charged_time_s=result.total_time_s,
                               delta_rows=len(table), input_rows=len(table))
 
@@ -335,10 +311,19 @@ class MaterializedView:
                      if record.op_id in source_ids)
         return report.total_time_s, delta, pulled
 
-    def _apply_output(self, delta: ZSet) -> None:
-        self._state.update(delta)
-        if self._delta is not None and self._delta.ordered_root:
-            self._ordered_rows = self._delta.ordered_rows()
+    def _apply_output(self, delta: ZSet, *, seed: bool = False) -> None:
+        assert self._delta is not None
+        ordered = self._delta.ordered_rows()
+        if ordered is not None:
+            self._state, self._table = None, Table.wrap(delta.schema, ordered)
+        elif seed:
+            # Adopted, not copied: every delta a program hands out is its
+            # caller's own object.
+            self._state, self._table = delta, None
+        elif not delta.is_empty:
+            assert self._state is not None
+            self._state.update(delta)
+            self._table = None
 
     def _finish_refresh(self, outcome: RefreshOutcome) -> None:
         if outcome.kind == "noop":
@@ -436,22 +421,15 @@ class MaterializedView:
         return age >= self.policy.staleness_s
 
     def _materialize(self) -> Table:
-        cached = self._materialized
-        if cached is not None and cached[0] == self._version:
-            table = cached[1]
-        else:
-            rows = (self._ordered_rows if self._ordered_rows is not None
-                    else _canonical_rows(self._state, self._columns))
-            if not rows and self._schema is not None:
-                table = Table(self._schema, [])
-            else:
-                ordered = [{name: row.get(name) for name in self._columns}
-                           for row in rows]
-                table = Table.from_dicts(ordered)
-            self._materialized = (self._version, table)
+        table = self._table
+        if table is None:
+            assert self._state is not None
+            rows = self._state.to_rows()
+            rows.sort(key=_canonical_key)
+            table = self._table = Table.wrap(self._state.schema, rows)
         # Hand out a container-level copy: callers own their results and may
         # mutate them, which must never reach the cached materialization.
-        return Table(table.schema, list(table.rows))
+        return Table.wrap(table.schema, list(table.rows))
 
     # -- write notifications (registry-dispatched) ---------------------------------------
 
@@ -498,8 +476,8 @@ class MaterializedView:
                 "policy": self.policy.mode,
                 "incremental": self.incremental,
                 "version": self._version,
-                "rows": len(self._ordered_rows) if self._ordered_rows is not None
-                        else len(self._state),
+                "rows": len(self._state if self._state is not None
+                            else self._table),
                 "refreshes": self.refreshes,
                 "incremental_refreshes": self.incremental_refreshes,
                 "full_recomputes": self.full_recomputes,
@@ -518,20 +496,18 @@ class MaterializedView:
                 f"policy={self.policy.mode!r}, incremental={self.incremental})")
 
 
-def _canonical_rows(state: ZSet, columns: list[str]) -> list[dict[str, Any]]:
-    """Expand a state Z-set into deterministically ordered rows."""
-    rows = state.to_rows()
+def _canonical_key(row: Row) -> tuple:
+    """Sort key giving an unordered state's rows one deterministic order."""
+    return tuple(map(_canonical_part, row))
 
-    def part(value: Any) -> tuple:
-        if value is None:
-            return (0,)
-        if isinstance(value, bool):
-            return (1, int(value))
-        if isinstance(value, (int, float)):
-            return (2, float(value))
-        if isinstance(value, str):
-            return (3, value)
-        return (4, repr(value))
 
-    rows.sort(key=lambda row: tuple(part(row.get(name)) for name in columns))
-    return rows
+def _canonical_part(value: Any) -> tuple:
+    if value is None:
+        return (0,)
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float)):
+        return (2, float(value))
+    if isinstance(value, str):
+        return (3, value)
+    return (4, repr(value))

@@ -1,4 +1,4 @@
-"""Z-sets: the weighted-record algebra incremental maintenance computes in.
+"""Z-sets: the weighted-table algebra incremental maintenance computes in.
 
 A Z-set (DBSP's generalized multiset) maps records to integer weights: a
 weight of ``+2`` means the record appears twice, ``-1`` cancels one earlier
@@ -8,113 +8,93 @@ deltas and operator outputs are Z-sets, which is what makes the delta
 operators composable: addition is associative and commutative, so batches
 may be applied in any order and still converge to the same state.
 
-Records are row dictionaries; they are *frozen* to sorted item tuples for
-hashing, and thawed back on the way out.
+A Z-set here is a *weighted table*: a :class:`~repro.datamodel.schema.Schema`
+plus positional row tuples laid out in it — the same tuples ``Table.rows``,
+the heap and ``DeltaBatch.entries`` hold, hashed as they are.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Callable, Iterator
 
-#: A hashable row: ``((column, value), ...)`` sorted by column name.
-FrozenRow = tuple
-
-
-def freeze_row(row: dict[str, Any]) -> FrozenRow:
-    """A hashable, order-independent form of a row dictionary."""
-    return tuple(sorted(row.items()))
-
-
-def thaw_row(frozen: FrozenRow) -> dict[str, Any]:
-    """The row dictionary back from its frozen form."""
-    return dict(frozen)
+from repro.datamodel.schema import Schema
+from repro.datamodel.table import Row, Table
 
 
 class ZSet:
-    """A mapping of frozen records to non-zero integer weights."""
+    """Rows laid out in :attr:`schema`, each with a non-zero integer weight."""
 
-    __slots__ = ("_weights",)
+    __slots__ = ("schema", "_weights")
 
-    def __init__(self) -> None:
-        self._weights: dict[FrozenRow, int] = {}
-
-    # -- construction -------------------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[dict[str, Any]], weight: int = 1) -> "ZSet":
-        """A Z-set with ``weight`` per row (rows may repeat)."""
-        zset = cls()
-        for row in rows:
-            zset.add(freeze_row(row), weight)
-        return zset
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        self._weights: dict[Row, int] = {}
 
     @classmethod
-    def from_entries(cls, entries: Iterable[tuple[dict[str, Any], int]]) -> "ZSet":
-        """A Z-set from ``(row_dict, weight)`` pairs."""
-        zset = cls()
-        for row, weight in entries:
-            zset.add(freeze_row(row), weight)
+    def from_table(cls, table: Table) -> "ZSet":
+        """A table's rows at weight ``+1`` each (repeated rows add up)."""
+        zset = cls(table.schema)
+        weights = zset._weights
+        for row in table.rows:
+            weights[row] = weights.get(row, 0) + 1
         return zset
 
     # -- algebra ------------------------------------------------------------------------
 
-    def add(self, frozen: FrozenRow, weight: int) -> None:
+    def add(self, row: Row, weight: int) -> None:
         """Sum ``weight`` into a record, annihilating at zero."""
         if weight == 0:
             return
-        total = self._weights.get(frozen, 0) + weight
+        total = self._weights.get(row, 0) + weight
         if total == 0:
-            self._weights.pop(frozen, None)
+            del self._weights[row]
         else:
-            self._weights[frozen] = total
+            self._weights[row] = total
 
     def update(self, other: "ZSet") -> None:
-        """Sum another Z-set into this one (in-place addition)."""
-        for frozen, weight in other._weights.items():
-            self.add(frozen, weight)
+        """Sum another Z-set of the same schema into this one."""
+        for row, weight in other._weights.items():
+            self.add(row, weight)
 
-    def negated(self) -> "ZSet":
-        """A new Z-set with every weight negated."""
-        out = ZSet()
-        out._weights = {frozen: -weight for frozen, weight in self._weights.items()}
+    def select(self, test: Callable[[Row], bool]) -> "ZSet":
+        """The records ``test`` keeps, weights unchanged (the linear ``σ``)."""
+        out = ZSet(self.schema)
+        out._weights = {row: weight for row, weight in self._weights.items()
+                        if test(row)}
         return out
 
     @staticmethod
     def diff(new: "ZSet", old: "ZSet") -> "ZSet":
         """``new - old``: the delta that turns ``old`` into ``new``."""
-        out = ZSet()
-        for frozen, weight in new._weights.items():
-            out.add(frozen, weight - old.weight(frozen))
-        for frozen, weight in old._weights.items():
-            if frozen not in new._weights:
-                out.add(frozen, -weight)
+        out = ZSet(new.schema)
+        for row, weight in new._weights.items():
+            out.add(row, weight - old._weights.get(row, 0))
+        for row, weight in old._weights.items():
+            if row not in new._weights:
+                out.add(row, -weight)
         return out
 
     # -- access -------------------------------------------------------------------------
 
-    def weight(self, frozen: FrozenRow) -> int:
-        """The weight of one record (0 when absent)."""
-        return self._weights.get(frozen, 0)
-
-    def items(self) -> Iterator[tuple[FrozenRow, int]]:
-        """``(frozen_row, weight)`` pairs (weights never zero)."""
+    def items(self) -> Iterator[tuple[Row, int]]:
+        """``(row, weight)`` pairs (weights never zero)."""
         return iter(self._weights.items())
 
-    def to_rows(self) -> list[dict[str, Any]]:
+    def to_rows(self) -> list[Row]:
         """Rows with multiplicity expanded; raises on negative weights.
 
         A negative weight surviving in a *state* Z-set means more deletions
         than insertions were observed for a record — the delta stream and
         the base diverged, and the caller must resync from the base data.
         """
-        rows: list[dict[str, Any]] = []
-        for frozen, weight in self._weights.items():
+        rows: list[Row] = []
+        for row, weight in self._weights.items():
             if weight < 0:
                 raise ValueError(
-                    f"record {dict(frozen)!r} has negative weight {weight}; "
+                    f"record {row!r} has negative weight {weight}; "
                     f"delta state diverged from the base data"
                 )
-            rows.extend(thaw_row(frozen) for _ in range(weight))
+            rows.extend([row] * weight)
         return rows
 
     @property
@@ -125,10 +105,11 @@ class ZSet:
     @property
     def total_weight(self) -> int:
         """Sum of absolute weights (the delta's size in rows)."""
-        return sum(abs(w) for w in self._weights.values())
+        return sum(map(abs, self._weights.values()))
 
     def __len__(self) -> int:
         return len(self._weights)
 
     def __repr__(self) -> str:
-        return f"ZSet(records={len(self._weights)}, rows={self.total_weight})"
+        return (f"ZSet({self.schema!r}, records={len(self._weights)}, "
+                f"rows={self.total_weight})")

@@ -37,12 +37,49 @@ class TestFunctionalKernels:
 
     def test_fpga_filter_and_project(self):
         fpga = FPGAAccelerator()
-        rows = [{"a": i, "b": i * 2} for i in range(10)]
-        kept, _ = fpga.offload("filter", rows, lambda r: r["a"] >= 5)
+        rows = [(i, i * 2) for i in range(10)]  # laid out (a, b)
+        kept, _ = fpga.offload("filter", rows, lambda r: r[0] >= 5)
         assert len(kept) == 5
-        projected, report = fpga.offload("project", rows, ["a"])
-        assert projected[0] == {"a": 0}
-        assert report.bytes_moved > 0
+        projected, report = fpga.offload("project", rows, [0])
+        assert projected[0] == (0,)
+        # Streaming tuples and positions charges what streaming dict rows and
+        # names did: the spec counts rows and columns, not their Python form.
+        assert fpga._kernel_project(rows, [0])[1] == KernelSpec(
+            "project", bytes_in=160, bytes_out=80, flops=10, elements=10,
+            pipelineable=True)
+        assert (report.bytes_moved, report.transfer_s, report.compute_s) == \
+            (240, 2e-08, 4.015625e-08)
+
+    def test_offloaded_project_charge_is_unchanged(self):
+        """Literals captured with the dict-row kernel (a5c0a97)."""
+        from repro.catalog import Catalog
+        from repro.ir.graph import IRGraph
+        from repro.ir.nodes import Operator
+        from repro.middleware.executor import Executor
+        from repro.stores import RelationalEngine
+
+        catalog = Catalog()
+        db = RelationalEngine("db")
+        schema = make_schema(("a", DataType.INT), ("b", DataType.FLOAT),
+                             ("c", DataType.STRING))
+        db.load_table("t", Table(schema, [(i, i * 1.5, str(i)) for i in range(10)]))
+        catalog.register_engine(db)
+        fpga = FPGAAccelerator()
+        catalog.register_accelerator(fpga)
+        graph = IRGraph("offload")
+        read = graph.add(Operator("scan", {"table": "t"}, engine="db"))
+        projected = graph.add(Operator("project", {"columns": ["c", "a"]},
+                                       [read.op_id], "db",
+                                       accelerator=fpga.profile.name))
+        graph.mark_output(projected.op_id)
+        outputs, report = Executor(catalog).execute(graph)
+        table = outputs[projected.op_id]
+        assert table.schema == schema.project(["c", "a"])
+        assert table.rows[:2] == [("0", 0), ("1", 1)]
+        record = report.records[-1]
+        assert record.details == {"kernel": "project"}
+        assert record.charged_time_s == 0.00015007364583333332
+        assert fpga.reports[-1].bytes_moved == 400
 
     def test_gpu_gemm_matches_numpy(self):
         gpu = GPUAccelerator()

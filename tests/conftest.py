@@ -82,3 +82,23 @@ def mimic_accelerated_system(mimic_engines):
         mimic_engines["relational"], mimic_engines["timeseries"],
         mimic_engines["text"], mimic_engines["ml"],
     ])
+
+
+@pytest.fixture(autouse=True)
+def _views_type_like_the_direct_run(monkeypatch):
+    """Suite-wide oracle: whenever any test creates an incremental view, the
+    schema its delta program bound to on the seed pass must equal the schema
+    of a direct run of the same program through the ordinary pipeline."""
+    from repro.views.view import MaterializedView
+
+    seed = MaterializedView.initialize
+
+    def initialize(view):
+        seed(view)
+        if view.incremental:
+            direct = view.system.default_session().prepare(
+                view._program, freeze=False).run(reuse_scans=False)
+            maintained = view._table if view._state is None else view._state
+            assert maintained.schema == direct.output(view.name).schema
+
+    monkeypatch.setattr(MaterializedView, "initialize", initialize)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import DataflowProgram, col
+from repro.compiler.pipeline import CompilerOptions
 from repro.core import build_cpu_polystore
 from repro.datamodel import Column, DataType, Schema, Table, make_schema
 from repro.ir.nodes import Operator
@@ -202,3 +203,82 @@ def test_ts_summarize_key_is_one_type_when_only_some_suffixes_are_numeric():
         Operator("ts_summarize", {"series_prefix": "bed/"}, engine="monitors"), [])
     assert result.schema[0] == Column("pid", DataType.STRING)
     assert result.column("pid") == ["7", "a"]
+
+
+# -- materialized views: every maintenance route types like the direct run ------------
+
+#: ``score`` is FLOAT but only ever holds ints; ``visits`` only ever holds NULL.
+VISITS = make_schema(("pid", DataType.INT), ("score", DataType.FLOAT),
+                     ("name", DataType.STRING), ("visits", DataType.INT))
+VISIT_ROWS = [(1, 1, "ann", None), (2, 2, "bob", None), (3, None, "cat", None)]
+MORE_VISIT_ROWS = [(4, 4, "dan", None), (5, 7, None, None)]
+
+#: view shape -> (dataflow builder over the ``visits`` table, incremental?)
+VIEW_SHAPES = {
+    "filter": (lambda t: t.filter(col("pid") > 0), True),
+    "project": (lambda t: t.project("score", "visits"), True),
+    "aggregate": (lambda t: t.aggregate(
+        ["name"], total=("sum", "score"), lo=("min", "visits"),
+        mean=("avg", "score"), n=("count", None)), True),
+    "global-aggregate": (lambda t: t.aggregate(
+        [], total=("sum", "score"), hi=("max", "visits")), True),
+    "sort": (lambda t: t.sort("score"), True),
+    "top_k": (lambda t: t.top_k("score", 2), True),
+    "udf": (lambda t: t.apply(lambda table: table), False),
+}
+
+
+def _insert(view, engine):
+    engine.insert("visits", MORE_VISIT_ROWS)
+
+
+def _insert_and_refresh(view, engine):
+    engine.insert("visits", MORE_VISIT_ROWS)
+    view.refresh()
+
+
+def _insert_and_rebuild(view, engine):
+    engine.insert("visits", MORE_VISIT_ROWS)
+    view.refresh(force_full=True)
+
+
+def _empty(view, engine):
+    engine.delete_rows("visits", col("pid") > 0)
+    view.refresh()
+
+
+#: route -> (maintenance policy, steps; the view is checked after each)
+VIEW_ROUTES = {
+    "eager": ("eager", [_insert]),
+    "deferred": ("deferred", [_insert]),
+    "manual-refresh": ("manual", [_insert_and_refresh]),
+    "force-full": ("manual", [_insert_and_rebuild]),
+    "empties-and-refills": ("manual", [_empty, _insert_and_refresh]),
+}
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["single", "4-shard"])
+@pytest.mark.parametrize("route", VIEW_ROUTES)
+@pytest.mark.parametrize("shape", VIEW_SHAPES)
+def test_view_schema_matches_the_direct_run(shape, route, sharded):
+    if sharded:
+        system = build_cpu_polystore([])
+        engine = system.register_sharded_engine("db", RelationalEngine, 4)
+    else:
+        engine = RelationalEngine("db")
+        system = build_cpu_polystore([engine])
+    engine.load_table("visits", Table(VISITS, VISIT_ROWS))
+    build, incremental = VIEW_SHAPES[shape]
+    policy, steps = VIEW_ROUTES[route]
+    expr = build(system.dataset("db").table("visits"))
+    view = system.create_view("v", expr, policy=policy)
+    assert view.incremental is incremental
+    program = DataflowProgram(f"direct-{shape}")
+    program.output("out", expr)
+    for step in [lambda view, engine: None, *steps]:  # as created, then each step
+        step(view, engine)
+        direct = system.execute(
+            program, options=CompilerOptions(use_views=False)).output("out")
+        table = view.read()[0]
+        assert table.schema == direct.schema
+        assert sorted(table.rows, key=repr) == sorted(direct.rows, key=repr)

@@ -56,15 +56,30 @@ def _agg_expr(system):
                        hi=("max", "value")))
 
 
-def _recompute(system, expr):
+def _recompute_table(system, expr):
     program = DataflowProgram("differential-recompute")
     program.output("res", Dataset(expr.node))
     result = system.execute(program, options=CompilerOptions(use_views=False))
-    return result.output("res").to_dicts()
+    return result.output("res")
+
+
+def _recompute(system, expr):
+    return _recompute_table(system, expr).to_dicts()
 
 
 def _canon(rows):
     return sorted(tuple(sorted(r.items())) for r in rows)
+
+
+def _assert_matches(table, system, expr, step, *, ordered=False):
+    """The maintained table equals a from-scratch run: schema, then rows."""
+    expected = _recompute_table(system, expr)
+    assert table.schema == expected.schema, f"schema drifted at step {step}"
+    if ordered:
+        assert table.rows == expected.rows, f"diverged at step {step}"
+    else:
+        assert _canon(table.to_dicts()) == _canon(expected.to_dicts()), \
+            f"diverged at step {step}"
 
 
 def _mutate(engine, rng, next_id, step):
@@ -105,8 +120,7 @@ def test_grouped_aggregate_differential(seed, sharded):
     for step in range(10):
         next_id = _mutate(engine, rng, next_id, step)
         view.refresh()
-        assert _canon(view.read()[0].to_dicts()) == \
-            _canon(_recompute(system, expr)), f"diverged at step {step}"
+        _assert_matches(view.read()[0], system, expr, step)
     # The stream must have exercised the incremental path, not fallbacks.
     assert view.incremental_refreshes > 0
     assert view.full_recomputes == 0
@@ -127,9 +141,7 @@ def test_prepared_program_over_view_matches_recompute(seed):
     next_id = 20_000
     for step in range(8):
         next_id = _mutate(engine, rng, next_id, step)
-        got = prepared.run().output("res").to_dicts()
-        assert _canon(got) == _canon(_recompute(system, expr)), \
-            f"diverged at step {step}"
+        _assert_matches(prepared.run().output("res"), system, expr, step)
 
 
 @pytest.mark.parametrize("seed", [11, 42])
@@ -151,8 +163,7 @@ def test_join_view_differential(seed):
             engine.update_rows("dims", col("grp") == rng.choice(GROUPS),
                                {"weight": rng.randint(0, 5)})
         view.refresh()
-        assert _canon(view.read()[0].to_dicts()) == \
-            _canon(_recompute(system, expr)), f"diverged at step {step}"
+        _assert_matches(view.read()[0], system, expr, step)
     assert view.full_recomputes == 0
 
 
@@ -171,11 +182,12 @@ def test_sort_then_limit_chain_differential(seed):
     for step in range(8):
         next_id = _mutate(engine, rng, next_id, step)
         view.refresh()
-        got = view.read()[0].to_dicts()
-        expected = _recompute(system, expr)
+        got = view.read()[0]
+        expected = _recompute_table(system, expr)
+        assert got.schema == expected.schema, f"schema drifted at step {step}"
         # The descending sort's value order must match exactly (ties among
         # equal values may legitimately differ in row identity).
-        assert [r["value"] for r in got] == [r["value"] for r in expected], \
+        assert got.column("value") == expected.column("value"), \
             f"diverged at step {step}"
 
 
@@ -303,8 +315,7 @@ def test_top_k_view_differential_with_exact_order(seed):
         next_id = _mutate(engine, rng, next_id, step)
         view.refresh()
         # Ordered roots must match the recompute row-for-row, order included.
-        assert view.read()[0].to_dicts() == _recompute(system, expr), \
-            f"diverged at step {step}"
+        _assert_matches(view.read()[0], system, expr, step, ordered=True)
 
 
 def test_avg_over_zero_non_null_rows():
@@ -355,6 +366,5 @@ def test_sharded_base_with_rebalance_mid_stream(seed):
         if step == 2:
             system.rebalance_sharded_engine("base", 5)
         view.refresh()
-        assert _canon(view.read()[0].to_dicts()) == \
-            _canon(_recompute(system, expr)), f"diverged at step {step}"
+        _assert_matches(view.read()[0], system, expr, step)
     assert isinstance(engine, ShardedEngine) and engine.num_shards == 5

@@ -33,11 +33,16 @@ def _spend_expr(system):
             .aggregate(["region"], total=("sum", "amount"), n=("count", None)))
 
 
-def _recompute(system, expr):
+def _direct(system, expr):
+    """The expression run from the base data, bypassing every view."""
     program = DataflowProgram("recompute-baseline")
     program.output("res", Dataset(expr.node))
     result = system.execute(program, options=CompilerOptions(use_views=False))
-    return _sorted_rows(result.output("res").to_dicts())
+    return result.output("res")
+
+
+def _recompute(system, expr):
+    return _sorted_rows(_direct(system, expr).to_dicts())
 
 
 def _sorted_rows(rows):
@@ -281,16 +286,11 @@ class TestFallbacks:
     def test_diverged_state_recovers_on_read(self):
         # Regression: a negative-weight record surfacing at materialization
         # must trigger a full rebuild instead of wedging every view_read.
-        from repro.views.zset import ZSet, freeze_row
-
         system, _ = _system()
         expr = _spend_expr(system)
         view = system.create_view("spend", expr, policy="deferred")
-        poisoned = ZSet()
-        poisoned.add(freeze_row({"region": "ghost", "total": 1.0, "n": 1}), -1)
-        view._state.update(poisoned)
-        view._materialized = None  # drop the cached table
-        view._version += 1
+        view._state.add(("ghost", 1.0, 1), -1)  # laid out region, total, n
+        view._table = None  # drop the cached table
         table, charged, _ = view.read()
         assert charged > 0.0  # the recovery rebuild was charged
         assert _sorted_rows(table.to_dicts()) == _recompute(system, expr)
@@ -468,6 +468,52 @@ class TestSnapshotDiffSources:
         kv.delete("user/0")
         assert view.refresh().kind == "incremental"
         assert _sorted_rows(view.read()[0].to_dicts()) == _recompute(system, expr)
+
+    @staticmethod
+    def _scores_view(system):
+        """A filtered prefix read registered while no ``user/`` key exists."""
+        kv = system.register_engine(KeyValueEngine("profiles"))
+        kv.put("other/0", {"unrelated": True})
+        expr = (system.dataset("profiles").kv(key_prefix="user/")
+                .filter(col("score") > 1.0))
+        view = system.create_view("scores", expr, policy="manual")
+        for i in range(6):
+            kv.put(f"user/{i}", {"grp": REGIONS[i % 3], "score": float(i)})
+        return kv, expr, view
+
+    def test_kv_view_created_over_an_empty_prefix_serves_every_column(self):
+        # Regression: the view kept the placeholder schema of the empty read
+        # it was created over and served only ``key`` forever.
+        system, _ = _system()
+        _, expr, view = self._scores_view(system)
+        view.refresh()
+        table = view.read()[0]
+        direct = _direct(system, expr)
+        assert table.schema == direct.schema
+        assert table.schema.names == ("key", "grp", "score")
+        assert sorted(table.rows) == sorted(direct.rows)
+        assert len(table) == 4
+        # Bound now: further writes are maintained from deltas.
+        assert view.incremental
+
+    def test_kv_view_picks_up_a_new_field_after_one_full_refresh(self):
+        system, _ = _system()
+        kv, expr, view = self._scores_view(system)
+        view.refresh()
+        kv.put("user/6", {"grp": "north", "score": 6.0, "vip": True})
+        outcome = view.refresh()
+        assert outcome.kind == "full"
+        assert "resync_reason" in outcome.details
+        table = view.read()[0]
+        direct = _direct(system, expr)
+        assert table.schema == direct.schema
+        assert table.schema.names == ("key", "grp", "score", "vip")
+        assert sorted(table.rows, key=repr) == sorted(direct.rows, key=repr)
+        # The rebuilt program is bound to the grown schema: deltas again.
+        kv.put("user/7", {"grp": "south", "score": 7.0, "vip": False})
+        assert view.refresh().kind == "incremental"
+        assert view.read()[0].schema == _direct(system, expr).schema
+        assert len(view.read()[0]) == 6
 
     def test_view_with_join_over_two_tables(self):
         system, db = _system()
