@@ -4,7 +4,7 @@ Create sessions through :meth:`repro.PolystorePlusPlus.session`; the classes
 here are what it hands back.
 """
 
-from repro.client.cache import SNAPSHOT_KINDS, CachedPlan, PlanCache, ScanSnapshot
+from repro.client.cache import CachedPlan, PlanCache, ScanSnapshot
 from repro.client.session import PreparedProgram, Session
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "PlanCache",
     "ScanSnapshot",
     "CachedPlan",
-    "SNAPSHOT_KINDS",
 ]

@@ -30,22 +30,9 @@ from repro.cluster.scatter import ShardedValue
 from repro.compiler.pipeline import CompilationResult
 from repro.datamodel.table import Table
 from repro.ir.graph import IRGraph
+from repro.ir.kinds import KINDS
 from repro.middleware.executor.report import TaskRecord
 from repro.stores.changelog import leaf_read_scope
-
-#: Operator kinds whose results are pure functions of engine state and
-#: upstream values — the only kinds a prepared program may pin.
-SNAPSHOT_KINDS = frozenset({
-    "scan", "index_seek", "filter", "project", "join", "aggregate", "sort",
-    "limit", "top_k",
-    "kv_get", "kv_range",
-    "ts_range", "window_aggregate", "ts_summarize",
-    "graph_match", "shortest_path", "neighborhood", "graph_nodes",
-    "text_search", "keyword_features",
-    "feature_matrix", "predict",
-    "migrate", "materialize", "union",
-})
-
 
 class PlanCache:
     """A thread-safe LRU cache of compiled plans with hit/miss statistics.
@@ -159,8 +146,9 @@ class ScanSnapshot:
     """Pinned pure-operator results for one compiled plan.
 
     Implements the executor's ``ResultCache`` protocol.  Entries are only
-    pinned for operators whose whole upstream subtree consists of
-    :data:`SNAPSHOT_KINDS`; each entry is validated against the *scoped*
+    pinned for operators whose whole upstream subtree consists of *pure*
+    kinds (:data:`repro.ir.kinds.KINDS`: results that are functions of engine
+    state and upstream values only); each entry is validated against the *scoped*
     data versions of the leaf reads that subtree depends on before every
     run.  Scoping is what keeps unrelated writes from unpinning everything:
     a scan of ``orders`` depends on ``(engine, "table:orders")``, so a write
@@ -187,7 +175,7 @@ class ScanSnapshot:
         """Map each pinnable op id to the scoped reads its subtree depends on."""
         eligible: dict[str, frozenset[SnapshotDep]] = {}
         for node in graph.topological_order():
-            if node.kind not in SNAPSHOT_KINDS:
+            if not KINDS[node.kind].pure:
                 continue
             if any(input_id not in eligible for input_id in node.inputs):
                 continue

@@ -42,6 +42,7 @@ from repro.datamodel.table import Row, Table
 from repro.middleware.adapters import Adapter, adapter_for
 from repro.middleware.feedback.stats import RuntimeStats
 from repro.obs import Observability
+from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
 from repro.stores.base import Engine
 from repro.stores.relational.operators import (
@@ -52,20 +53,6 @@ from repro.stores.relational.operators import (
     column_reader,
     tuple_reader,
 )
-
-#: Leaf reads that fan out across every shard (engine state is partitioned).
-LEAF_KINDS = frozenset({
-    "scan", "index_seek", "kv_get", "kv_range",
-    "ts_range", "window_aggregate", "ts_summarize",
-    "text_search", "keyword_features",
-})
-
-#: Operators applied to each partition independently (stay sharded).
-PARTWISE_KINDS = frozenset({"filter", "project"})
-
-#: Operators that gather the partitions back into one value.
-MERGE_KINDS = frozenset({"aggregate", "sort", "limit", "top_k"})
-
 
 @dataclass(frozen=True)
 class ShardedValue:
@@ -188,14 +175,14 @@ class ScatterGather:
             # ``can_execute`` raises a clean error instead of a duck-typed
             # adapter misreading the node.
             return None
-        if node.kind in LEAF_KINDS and not node.inputs:
+        role = KINDS[node.kind].scatter
+        if role == "leaf" and not node.inputs:
             return self._execute_leaf(engine, node, pool)
-        if (node.kind in PARTWISE_KINDS and len(inputs) == 1
-                and isinstance(inputs[0], ShardedValue)):
-            return self._execute_partwise(engine, node, inputs[0], pool)
-        if (node.kind in MERGE_KINDS and len(inputs) == 1
-                and isinstance(inputs[0], ShardedValue)):
-            return self._execute_merge(engine, node, inputs[0], pool)
+        if len(inputs) == 1 and isinstance(inputs[0], ShardedValue):
+            if role == "partwise":
+                return self._execute_partwise(engine, node, inputs[0], pool)
+            if role == "merge":
+                return self._execute_merge(engine, node, inputs[0], pool)
         return None
 
     # -- leaf reads --------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A :class:`ShardedEngine` wraps ``N`` instances of one substrate engine type
 behind a pluggable :class:`~repro.cluster.partition.Partitioner` and presents
 itself to the middleware as a single :class:`~repro.stores.base.Engine`: it
-registers in the catalog, declares its shards' data model, capabilities and
-concurrency contract, and aggregates the per-shard ``data_version`` counters
+registers in the catalog, declares its shards' data model and concurrency
+contract, and aggregates the per-shard ``data_version`` counters
 so a write to *any* shard invalidates every pinned scan snapshot that read
 this engine.
 
@@ -39,7 +39,7 @@ from repro.cluster.partition import HashPartitioner, Partitioner
 from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Row, Table
 from repro.exceptions import ConfigurationError, StorageError
-from repro.stores.base import Capability, DataModel, Engine
+from repro.stores.base import DataModel, Engine
 from repro.stores.changelog import DeltaBatch, table_scope
 
 #: Data models the scatter-gather executor can partition correctly.  Graph
@@ -226,9 +226,6 @@ class ShardedEngine(Engine):
         return self.data_model in PARTITIONABLE_MODELS
 
     # -- Engine contract --------------------------------------------------------------
-
-    def capabilities(self) -> frozenset[Capability]:
-        return self.primary.capabilities()
 
     @property
     def data_version(self) -> int:

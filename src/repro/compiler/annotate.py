@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.catalog import Catalog
 from repro.ir.graph import IRGraph
+from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
 from repro.stores.relational.expressions import Expression
 
@@ -93,30 +94,19 @@ def _estimate_rows(graph: IRGraph, node: Operator, catalog: Catalog | None) -> i
         return min(input_rows[0], int(node.params.get("n", input_rows[0])))
     if kind == "top_k":
         return min(input_rows[0], int(node.params.get("k", input_rows[0])))
-    if kind in ("kv_get",):
+    if kind == "kv_get":
         keys = node.params.get("keys")
         return len(keys) if keys else _DEFAULT_ROWS
-    if kind in ("ts_range", "window_aggregate"):
-        return _DEFAULT_ROWS
-    if kind == "ts_summarize":
-        return _DEFAULT_ROWS
-    if kind in ("graph_match", "graph_nodes", "neighborhood"):
-        return _DEFAULT_ROWS
     if kind == "shortest_path":
         return 1
-    if kind in ("text_search",):
+    if kind == "text_search":
         return int(node.params.get("top_k", 10))
-    if kind == "keyword_features":
-        return _DEFAULT_ROWS
+    if KINDS[kind].source:
+        return _DEFAULT_ROWS  # every other engine read: no statistics to consult
     if kind in ("train", "kmeans"):
         return 1
-    if kind == "predict":
-        return input_rows[0] if input_rows else _DEFAULT_ROWS
-    if kind in ("migrate", "materialize", "project", "sort", "python_udf",
-                "feature_matrix", "matmul", "gemv", "union"):
-        if kind == "union":
-            return sum(input_rows) if input_rows else _DEFAULT_ROWS
-        return input_rows[0] if input_rows else _DEFAULT_ROWS
+    if kind == "union":
+        return sum(input_rows) if input_rows else _DEFAULT_ROWS
     return input_rows[0] if input_rows else _DEFAULT_ROWS
 
 

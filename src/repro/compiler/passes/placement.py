@@ -16,23 +16,11 @@ from typing import TYPE_CHECKING
 from repro.accelerators.kernels import WorkEstimate
 from repro.accelerators.simulator import OffloadPlanner, PlacementDecision
 from repro.ir.graph import IRGraph
+from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
 
 if TYPE_CHECKING:  # runtime stats are duck-typed to keep the layering acyclic
     from repro.middleware.feedback import RuntimeStats
-
-#: IR kind -> abstract operator name in the kernel registry.
-_KIND_TO_OPERATOR = {
-    "sort": "sort",
-    "filter": "filter",
-    "project": "project",
-    "window_aggregate": "window_aggregate",
-    "matmul": "gemm",
-    "gemv": "gemv",
-    "train": "train",
-    "predict": "predict",
-    "migrate": "serialize",
-}
 
 
 def place_accelerators(graph: IRGraph, planner: OffloadPlanner,
@@ -48,7 +36,7 @@ def place_accelerators(graph: IRGraph, planner: OffloadPlanner,
     """
     decisions: list[PlacementDecision] = []
     for node in graph.topological_order():
-        operator = _KIND_TO_OPERATOR.get(node.kind)
+        operator = KINDS[node.kind].kernel
         if operator is None:
             continue
         work = _work_estimate(graph, node)
@@ -87,7 +75,7 @@ def _work_estimate(graph: IRGraph, node: Operator) -> WorkEstimate:
     rows = max(node.estimated_rows, input_rows, 1)
     row_bytes = max(8, node.estimated_bytes // max(1, node.estimated_rows)) \
         if node.estimated_rows else 64
-    if node.kind in ("train", "predict", "matmul", "gemv"):
+    if KINDS[node.kind].matrix:
         features = int(node.params.get("feature_count", 16))
         hidden = 32
         if node.kind == "train":

@@ -22,6 +22,7 @@ from typing import Any
 
 from repro.catalog import Catalog
 from repro.ir.graph import IRGraph
+from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
 from repro.stores.relational.expressions import (
     ColumnRef,
@@ -159,12 +160,6 @@ def _push_into_join(graph: IRGraph, filter_node: Operator, join_node: Operator,
 
 # -- absorbing filters into leaf reads --------------------------------------------------
 
-#: Leaf reads that accept a structured ``predicate`` parameter.
-ABSORBING_LEAF_KINDS = frozenset({
-    "scan", "kv_get", "kv_range", "ts_summarize", "keyword_features",
-})
-
-
 def absorb_into_leaves(graph: IRGraph, catalog: Catalog | None = None) -> int:
     """Merge filters that directly follow a leaf read into the leaf.
 
@@ -182,7 +177,7 @@ def absorb_into_leaves(graph: IRGraph, catalog: Catalog | None = None) -> int:
             if node.kind != "filter" or len(node.inputs) != 1:
                 continue
             leaf = graph.node(node.inputs[0])
-            if leaf.kind not in ABSORBING_LEAF_KINDS or leaf.inputs:
+            if not KINDS[leaf.kind].absorbs or leaf.inputs:
                 continue
             if len(graph.consumers(leaf.op_id)) != 1:
                 continue  # another consumer needs the unfiltered read

@@ -10,13 +10,13 @@ expression tree that is composed with ``.filter(col("age") > 60)``,
 :meth:`~repro.core.system.PolystorePlusPlus.execute`.
 
 The tree vocabulary is deliberately the IR operator vocabulary
-(:data:`repro.ir.nodes.OPERATOR_KINDS`): a :class:`DataflowNode` is a
+(:data:`repro.ir.kinds.KINDS`): a :class:`DataflowNode` is a
 value-semantics IR operator, so lowering is a structural walk and the
 compiler's passes see *structured* predicate payloads instead of opaque SQL.
 SQL text is one more source: :meth:`DatasetSource.sql` parses it, when the
-program is built, into the same tree the combinators build, so a ``.sql()``
-read and its expression twin produce identical fingerprints, identical IR and
-share one plan-cache entry.
+program is built, and folds it into the same tree the combinators build, so
+a ``.sql()`` read and its expression twin produce identical fingerprints,
+identical IR and share one plan-cache entry.
 """
 
 from __future__ import annotations
@@ -28,34 +28,10 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.eide.expressions import as_predicate, find_params
 from repro.eide.program import Param, canonical_value
 from repro.exceptions import CompilationError
+from repro.ir.kinds import KINDS
 from repro.stores.base import DataModel
 from repro.stores.relational.operators import AggregateSpec
-
-#: Dataflow node kinds that read engine state (no dataflow inputs).
-SOURCE_KINDS = frozenset({
-    "scan", "index_seek", "kv_get", "kv_range", "ts_range", "ts_summarize",
-    "window_aggregate", "graph_nodes", "shortest_path", "neighborhood",
-    "graph_match", "text_search", "keyword_features",
-})
-
-#: Node kind -> data model of the engine that runs it when the dataset was
-#: built without naming one (the first registered engine of that model wins).
-KIND_MODELS: dict[str, DataModel] = {
-    kind: model
-    for model, kinds in {
-        DataModel.RELATIONAL: ("scan", "index_seek", "filter", "project",
-                               "aggregate", "sort", "limit", "top_k", "union",
-                               "materialize", "join", "python_udf"),
-        DataModel.KEY_VALUE: ("kv_get", "kv_range"),
-        DataModel.TIMESERIES: ("ts_range", "ts_summarize", "window_aggregate"),
-        DataModel.GRAPH: ("graph_nodes", "shortest_path", "neighborhood",
-                          "graph_match"),
-        DataModel.DOCUMENT: ("text_search", "keyword_features"),
-        DataModel.TENSOR: ("feature_matrix", "train", "predict", "kmeans"),
-    }.items()
-    for kind in kinds
-}
-
+from repro.stores.relational.sql import lower_select, parse_select
 
 @dataclass(eq=False)
 class DataflowNode:
@@ -240,8 +216,7 @@ class Dataset:
         # Row-shaped combinators inherit the source engine unless overridden
         # (as a ``.sql()`` read binds its whole plan to one engine); ML heads
         # pass an explicit engine (or None for the default tensor engine).
-        if engine is None and kind not in ("feature_matrix", "train", "predict",
-                                           "kmeans"):
+        if engine is None and KINDS[kind].model is not DataModel.TENSOR:
             engine = self.node.engine
         return Dataset(DataflowNode(kind, params, (self.node,), engine))
 
@@ -284,7 +259,19 @@ class DatasetSource:
     def sql(self, query: str) -> Dataset:
         """A ``SELECT`` statement, parsed here into the tree the combinators
         would build, with the whole plan bound to this engine."""
-        return Dataset(_sql_to_node(query, self.engine))
+        if not query:
+            raise CompilationError("sql() needs query text")
+
+        def step(kind: str, params: dict[str, Any],
+                 *children: DataflowNode) -> DataflowNode:
+            if kind == "filter":
+                params = {"predicate": as_predicate(params["predicate"])}
+            return DataflowNode(kind, params, children, self.engine)
+
+        return Dataset(lower_select(
+            parse_select(query),
+            lambda table: self.table(table).node,
+            step))
 
     def index_seek(self, table: str, column: str, value: Any) -> Dataset:
         """An index lookup on one column value."""
@@ -418,7 +405,7 @@ def resolve_node_engine(node: DataflowNode, catalog: Any) -> str | None:
     """
     if node.engine is not None:
         return node.engine
-    model = KIND_MODELS.get(node.kind)
+    model = KINDS[node.kind].model
     candidates = catalog.engines_with_model(model) if model is not None else ()
     return candidates[0].name if candidates else None
 
@@ -545,53 +532,3 @@ def fingerprint_outputs(name: str, outputs: dict[str, DataflowNode]) -> str:
         digest.update(b"\x1f")
         digest.update(node.canonical().encode())
     return digest.hexdigest()
-
-
-def _sql_to_node(query: str, engine: str | None) -> DataflowNode:
-    from repro.stores.relational.planner import (
-        AggregatePlan,
-        FilterPlan,
-        JoinPlan,
-        LimitPlan,
-        ProjectPlan,
-        ScanPlan,
-        SortPlan,
-        build_plan,
-    )
-    from repro.stores.relational.sql import parse_select
-
-    if not query:
-        raise CompilationError("sql() needs query text")
-    plan = build_plan(parse_select(query))
-
-    def convert(plan: Any) -> DataflowNode:
-        if isinstance(plan, ScanPlan):
-            return DataflowNode("scan", {"table": plan.table,
-                                         "columns": plan.columns}, (), engine)
-        if isinstance(plan, FilterPlan):
-            return DataflowNode("filter",
-                                {"predicate": as_predicate(plan.predicate)},
-                                (convert(plan.child),), engine)
-        if isinstance(plan, ProjectPlan):
-            return DataflowNode("project", {"columns": list(plan.columns)},
-                                (convert(plan.child),), engine)
-        if isinstance(plan, JoinPlan):
-            return DataflowNode("join", {
-                "left_key": plan.left_key, "right_key": plan.right_key,
-                "how": plan.how, "algorithm": plan.algorithm,
-            }, (convert(plan.left), convert(plan.right)), engine)
-        if isinstance(plan, AggregatePlan):
-            return DataflowNode("aggregate", {
-                "group_by": list(plan.group_by),
-                "aggregates": list(plan.aggregates),
-            }, (convert(plan.child),), engine)
-        if isinstance(plan, SortPlan):
-            return DataflowNode("sort", {"by": plan.by,
-                                         "descending": plan.descending},
-                                (convert(plan.child),), engine)
-        if isinstance(plan, LimitPlan):
-            return DataflowNode("limit", {"n": plan.n},
-                                (convert(plan.child),), engine)
-        raise CompilationError(f"cannot lower plan node {type(plan).__name__}")
-
-    return convert(plan)

@@ -28,10 +28,6 @@ class QueryError(PolystoreError):
     """A query could not be parsed or is semantically invalid."""
 
 
-class PlanError(PolystoreError):
-    """A logical or physical plan is malformed or cannot be produced."""
-
-
 class IRError(PolystoreError):
     """An intermediate-representation graph is invalid."""
 
@@ -85,7 +81,3 @@ class ConfigurationError(PolystoreError):
 
 class CatalogError(PolystoreError):
     """The global catalog does not know about a referenced object."""
-
-
-class UnsupportedOperationError(PolystoreError):
-    """The requested operation is not supported by the target engine."""

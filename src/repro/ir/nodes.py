@@ -17,33 +17,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import IRError
+from repro.ir.kinds import KINDS
 
-#: Operator kinds understood by the compiler, adapters and cost models.
-OPERATOR_KINDS = frozenset({
-    # relational
-    "scan", "index_seek", "filter", "project", "join", "aggregate", "sort",
-    "limit", "top_k",
-    # key/value
-    "kv_get", "kv_range",
-    # timeseries
-    "ts_range", "window_aggregate", "ts_summarize",
-    # graph
-    "graph_match", "shortest_path", "neighborhood", "graph_nodes",
-    # text
-    "text_search", "keyword_features",
-    # array / ML
-    "matmul", "gemv", "train", "predict", "kmeans", "feature_matrix",
-    # data movement and glue
-    "migrate", "materialize", "union", "python_udf",
-    # materialized-view reads (served by the view registry, not an engine)
-    "view_read",
-})
-
-#: Kinds that are candidates for accelerator offload (paper §III-A).
-ACCELERABLE_KINDS = frozenset({
-    "sort", "filter", "project", "window_aggregate", "matmul", "gemv",
-    "train", "predict", "migrate",
-})
 
 @dataclass
 class Operator:
@@ -54,7 +29,7 @@ class Operator:
             :class:`~repro.ir.graph.IRGraph` on :meth:`~IRGraph.add` (each
             graph numbers its own operators, so ids are deterministic per
             graph and independent of any global state).
-        kind: Operator kind, one of :data:`OPERATOR_KINDS`.
+        kind: Operator kind, a row of :data:`repro.ir.kinds.KINDS`.
         params: Operator-specific parameters (table names, predicates,
             hyper-parameters, ...).
         inputs: ``op_id``\\ s of producer nodes whose outputs this node reads.
@@ -75,7 +50,7 @@ class Operator:
     op_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in OPERATOR_KINDS:
+        if self.kind not in KINDS:
             raise IRError(f"unknown operator kind {self.kind!r}")
 
     # -- annotation helpers -----------------------------------------------------------
@@ -101,7 +76,7 @@ class Operator:
     @property
     def is_accelerable(self) -> bool:
         """Whether this operator kind is an offload candidate."""
-        return self.kind in ACCELERABLE_KINDS
+        return KINDS[self.kind].kernel is not None
 
     def describe(self) -> str:
         """One-line rendering used by plan dumps and the executor log."""

@@ -5,66 +5,8 @@ from __future__ import annotations
 
 from repro.exceptions import IRError
 from repro.ir.graph import IRGraph
-from repro.ir.nodes import OPERATOR_KINDS, Operator
-
-#: Parameters each operator kind must carry to be executable by an adapter.
-_REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
-    "scan": ("table",),
-    "index_seek": ("table", "column", "value"),
-    "join": ("left_key", "right_key"),
-    "aggregate": ("aggregates",),
-    "sort": ("by",),
-    "limit": ("n",),
-    "top_k": ("by", "k"),
-    "kv_get": ("keys",),
-    "ts_range": ("series",),
-    "window_aggregate": ("window_s",),
-    "ts_summarize": ("series_prefix",),
-    "graph_match": ("start_label",),
-    "shortest_path": ("start", "end"),
-    "text_search": ("query",),
-    "keyword_features": ("keywords",),
-    "train": ("model_name",),
-    "predict": ("model_name",),
-    "kmeans": ("n_clusters",),
-    "migrate": ("source_engine", "target_engine"),
-    "python_udf": ("fn",),
-    "view_read": ("view",),
-}
-
-#: How many data-flow inputs each kind expects (None = any number).
-_EXPECTED_INPUTS: dict[str, int | None] = {
-    "scan": 0,
-    "index_seek": 0,
-    "kv_get": 0,
-    "ts_range": 0,
-    "ts_summarize": 0,
-    "graph_match": 0,
-    "graph_nodes": 0,
-    "shortest_path": 0,
-    "text_search": 0,
-    "join": 2,
-    "union": None,
-    "filter": 1,
-    "project": 1,
-    "aggregate": 1,
-    "sort": 1,
-    "limit": 1,
-    "top_k": 1,
-    "window_aggregate": None,
-    "keyword_features": None,
-    "matmul": 2,
-    "gemv": 2,
-    "train": None,
-    "predict": 1,
-    "kmeans": 1,
-    "feature_matrix": None,
-    "migrate": 1,
-    "materialize": 1,
-    "python_udf": None,
-    "neighborhood": 0,
-    "view_read": 0,
-}
+from repro.ir.kinds import KINDS
+from repro.ir.nodes import Operator
 
 
 def validate_graph(graph: IRGraph) -> list[str]:
@@ -87,16 +29,16 @@ def validate_graph(graph: IRGraph) -> list[str]:
 def validate_operator(node: Operator) -> list[str]:
     """Validate one operator's kind, parameters and input arity."""
     problems: list[str] = []
-    if node.kind not in OPERATOR_KINDS:
+    row = KINDS.get(node.kind)
+    if row is None:
         problems.append(f"{node.op_id}: unknown kind {node.kind!r}")
         return problems
-    for param in _REQUIRED_PARAMS.get(node.kind, ()):
+    for param in row.required:
         if param not in node.params:
             problems.append(f"{node.op_id}: {node.kind} is missing parameter {param!r}")
-    expected = _EXPECTED_INPUTS.get(node.kind)
-    if expected is not None and len(node.inputs) != expected:
+    if row.inputs is not None and len(node.inputs) != row.inputs:
         problems.append(
-            f"{node.op_id}: {node.kind} expects {expected} inputs, has {len(node.inputs)}"
+            f"{node.op_id}: {node.kind} expects {row.inputs} inputs, has {len(node.inputs)}"
         )
     return problems
 

@@ -31,6 +31,7 @@ from repro.cluster.sharded import ShardedEngine
 from repro.datamodel.table import Table
 from repro.exceptions import CatalogError, ExecutionError
 from repro.ir.graph import IRGraph
+from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
 from repro.middleware.adapters import Adapter, adapter_for
 from repro.middleware.executor.report import ExecutionReport, TaskRecord
@@ -284,15 +285,15 @@ class Executor:
         simulated_extra = 0.0
         offloaded = False
         details: dict[str, Any] = {}
+        row = KINDS[node.kind]
         if node.kind == "migrate":
             value, simulated_extra, details = self._execute_migration(node, inputs)
-        elif node.accelerator and node.kind in ("sort", "filter", "project",
-                                                "window_aggregate"):
+        elif node.accelerator and row.kernel and not row.matrix:
             value, simulated_extra, details = self._execute_offloaded(node, inputs)
             offloaded = True
         else:
             value = self._execute_on_engine(node, inputs)
-            if node.accelerator and node.kind in ("train", "predict", "matmul", "gemv"):
+            if node.accelerator and row.matrix:
                 # The GEMM work ran functionally on the host ML engine; charge
                 # the device's simulated time instead of the Python time.
                 simulated_extra, details = self._charge_ml_offload(node)

@@ -20,44 +20,12 @@ from typing import TYPE_CHECKING
 from repro.accelerators.kernels import WorkEstimate
 from repro.accelerators.simulator import OffloadPlanner
 from repro.ir.graph import IRGraph
+from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
 from repro.stores.base import OperationMetrics
 
 if TYPE_CHECKING:  # runtime stats are duck-typed to keep the layering acyclic
     from repro.middleware.feedback import RuntimeStats
-
-#: Default per-row processing cost (seconds) by operator kind on a CPU engine.
-_DEFAULT_ROW_COSTS: dict[str, float] = {
-    "scan": 2e-7,
-    "index_seek": 5e-6,
-    "filter": 1.5e-7,
-    "project": 1e-7,
-    "join": 6e-7,
-    "aggregate": 4e-7,
-    "sort": 8e-7,
-    "limit": 1e-8,
-    "top_k": 3e-7,
-    "kv_get": 2e-6,
-    "kv_range": 4e-7,
-    "ts_range": 2e-7,
-    "window_aggregate": 3e-7,
-    "ts_summarize": 4e-7,
-    "graph_match": 1e-6,
-    "graph_nodes": 3e-7,
-    "shortest_path": 2e-6,
-    "neighborhood": 1e-6,
-    "text_search": 2e-6,
-    "keyword_features": 1.5e-6,
-    "train": 5e-6,
-    "predict": 8e-7,
-    "kmeans": 3e-6,
-    "feature_matrix": 2e-7,
-    "matmul": 1e-6,
-    "gemv": 4e-7,
-    "python_udf": 5e-7,
-    "union": 1e-7,
-    "materialize": 1e-7,
-}
 
 #: Cost per migrated byte on the default network, by strategy.
 _MIGRATION_BYTE_COSTS: dict[str, float] = {
@@ -86,7 +54,9 @@ class CostEstimate:
 class CostModel:
     """Estimates operator, migration and plan costs."""
 
-    row_costs: dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_ROW_COSTS))
+    #: Per-row processing cost (seconds) by operator kind on a CPU engine.
+    row_costs: dict[str, float] = field(
+        default_factory=lambda: {kind: row.row_cost for kind, row in KINDS.items()})
     migration_byte_costs: dict[str, float] = field(
         default_factory=lambda: dict(_MIGRATION_BYTE_COSTS))
     fixed_overhead_s: float = 5e-5
@@ -105,7 +75,7 @@ class CostModel:
         if observed is not None:
             return observed
         rows = max(1, node.estimated_rows)
-        per_row = self.row_costs.get(node.kind, 5e-7)
+        per_row = self.row_costs[node.kind]
         if node.kind == "sort":
             import math
 
@@ -140,9 +110,7 @@ class CostModel:
     def accelerated_cost(self, node: Operator, planner: OffloadPlanner
                          ) -> CostEstimate | None:
         """Estimated cost of ``node`` on its best accelerator, if any."""
-        from repro.compiler.passes.placement import _KIND_TO_OPERATOR
-
-        operator = _KIND_TO_OPERATOR.get(node.kind)
+        operator = KINDS[node.kind].kernel
         if operator is None:
             return None
         # Build the same work estimate placement uses, but without graph context
@@ -203,7 +171,7 @@ class CostModel:
         observed: dict[str, list[float]] = {}
         kind_by_operation = {
             "scan": "scan", "index_seek": "index_seek", "range_seek": "index_seek",
-            "execute_plan": "scan", "window_aggregate": "window_aggregate",
+            "execute_sql": "scan", "window_aggregate": "window_aggregate",
             "range_scan": "ts_range", "pattern_match": "graph_match",
             "shortest_path": "shortest_path", "tfidf_search": "text_search",
             "train_classifier": "train", "predict": "predict", "kmeans": "kmeans",

@@ -2,7 +2,6 @@
 
 from repro.stores.array import ArrayEngine
 from repro.stores.base import (
-    Capability,
     Concurrency,
     DataModel,
     Engine,
@@ -18,7 +17,6 @@ from repro.stores.timeseries import TimeseriesEngine
 
 __all__ = [
     "Engine",
-    "Capability",
     "Concurrency",
     "DataModel",
     "MetricsRecorder",

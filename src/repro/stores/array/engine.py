@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.exceptions import StorageError
 from repro.stores.array.chunks import ChunkedArray
-from repro.stores.base import Capability, Concurrency, DataModel, Engine
+from repro.stores.base import Concurrency, DataModel, Engine
 
 
 class ArrayEngine(Engine):
@@ -27,14 +27,6 @@ class ArrayEngine(Engine):
         super().__init__(name)
         self._arrays: dict[str, ChunkedArray] = {}
         self._chunk_shape = chunk_shape
-
-    def capabilities(self) -> frozenset[Capability]:
-        return frozenset({
-            Capability.MATMUL,
-            Capability.SLICE,
-            Capability.AGGREGATE,
-            Capability.SCAN,
-        })
 
     # -- storage -----------------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 Every substrate engine (relational, key/value, timeseries, graph, array,
 text, ML) implements :class:`Engine`.  The middleware only depends on this
-interface: engine capabilities drive operator placement, and the metrics each
-engine records after executing a native request feed the optimizer's cost
-models (paper §III, "adapter ... collects the performance metrics after the
-workload execution and sends it to the middleware's optimizer").
+interface: an engine declares its data model and concurrency contract (which
+operator kinds run on it is the business of its adapter and of
+:mod:`repro.ir.kinds`), and the metrics each engine records after executing a
+native request feed the optimizer's cost models (paper §III, "adapter ...
+collects the performance metrics after the workload execution and sends it
+to the middleware's optimizer").
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from __future__ import annotations
 import abc
 import enum
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
-from repro.exceptions import UnsupportedOperationError
 from repro.stores.changelog import ChangeLog
 
 
@@ -46,35 +48,6 @@ class Concurrency(enum.Enum):
     THREAD_SAFE = "thread_safe"
 
 
-class Capability(enum.Enum):
-    """Native operations an engine can execute without middleware help.
-
-    The compiler's placement pass consults these to decide which IR operators
-    can be pushed down into which engine.
-    """
-
-    SCAN = "scan"
-    INDEX_SEEK = "index_seek"
-    FILTER = "filter"
-    PROJECT = "project"
-    JOIN = "join"
-    SORT = "sort"
-    GROUP_BY = "group_by"
-    AGGREGATE = "aggregate"
-    POINT_LOOKUP = "point_lookup"
-    RANGE_SCAN = "range_scan"
-    WINDOW_AGGREGATE = "window_aggregate"
-    DOWNSAMPLE = "downsample"
-    PATTERN_MATCH = "pattern_match"
-    SHORTEST_PATH = "shortest_path"
-    NEIGHBORHOOD = "neighborhood"
-    MATMUL = "matmul"
-    SLICE = "slice"
-    TEXT_SEARCH = "text_search"
-    TRAIN_MODEL = "train_model"
-    PREDICT = "predict"
-
-
 @dataclass
 class OperationMetrics:
     """Metrics recorded for one native engine operation."""
@@ -88,11 +61,18 @@ class OperationMetrics:
     details: dict[str, Any] = field(default_factory=dict)
 
 
+#: Records a :class:`MetricsRecorder` keeps: every native call adds one, and
+#: the only reader (cost-model recalibration) wants recent behaviour, so a
+#: long-lived server must not hold them all.
+METRICS_CAPACITY = 4096
+
+
 class MetricsRecorder:
-    """Accumulates :class:`OperationMetrics` for an engine instance."""
+    """The most recent :data:`METRICS_CAPACITY` :class:`OperationMetrics` of
+    an engine instance (a ring: the oldest record makes room for the newest)."""
 
     def __init__(self) -> None:
-        self._records: list[OperationMetrics] = []
+        self._records: deque[OperationMetrics] = deque(maxlen=METRICS_CAPACITY)
 
     def record(self, metrics: OperationMetrics) -> None:
         """Store one operation's metrics."""
@@ -104,13 +84,14 @@ class MetricsRecorder:
 
     @property
     def records(self) -> list[OperationMetrics]:
-        """All recorded metrics, oldest first."""
+        """The retained metrics, oldest first."""
         return list(self._records)
 
     def total_time(self, operation: str | None = None) -> float:
-        """Total wall time across records, optionally filtered by operation."""
+        """Total wall time across retained records, optionally filtered by operation."""
+        # Over a copy: a deque may not be iterated while another thread appends.
         return sum(
-            r.wall_time_s for r in self._records
+            r.wall_time_s for r in self.records
             if operation is None or r.operation == operation
         )
 
@@ -239,22 +220,6 @@ class Engine(abc.ABC):
         if self._durability_meta is not None:
             self._durability_meta(op)
 
-    @abc.abstractmethod
-    def capabilities(self) -> frozenset[Capability]:
-        """The native operations this engine supports."""
-
-    def supports(self, capability: Capability) -> bool:
-        """Whether this engine natively supports ``capability``."""
-        return capability in self.capabilities()
-
-    def require(self, capability: Capability) -> None:
-        """Raise :class:`UnsupportedOperationError` unless supported."""
-        if not self.supports(capability):
-            raise UnsupportedOperationError(
-                f"engine {self.name!r} ({type(self).__name__}) does not support "
-                f"{capability.value}"
-            )
-
     def describe(self) -> dict[str, Any]:
         """A small metadata dictionary used by the catalog and the EIDE config."""
         return {
@@ -262,7 +227,6 @@ class Engine(abc.ABC):
             "type": type(self).__name__,
             "data_model": self.data_model.value,
             "concurrency": self.concurrency.value,
-            "capabilities": sorted(c.value for c in self.capabilities()),
         }
 
     def __repr__(self) -> str:

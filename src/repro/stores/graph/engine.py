@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.stores.base import Capability, Concurrency, DataModel, Engine
+from repro.stores.base import Concurrency, DataModel, Engine
 from repro.stores.graph.graph import Edge, Node, PropertyGraph
 from repro.stores.graph.query import (
     Match,
@@ -34,15 +34,6 @@ class GraphEngine(Engine):
     def __init__(self, name: str = "graph") -> None:
         super().__init__(name)
         self.graph = PropertyGraph()
-
-    def capabilities(self) -> frozenset[Capability]:
-        return frozenset({
-            Capability.PATTERN_MATCH,
-            Capability.SHORTEST_PATH,
-            Capability.NEIGHBORHOOD,
-            Capability.SCAN,
-            Capability.FILTER,
-        })
 
     # -- writes -----------------------------------------------------------------
 

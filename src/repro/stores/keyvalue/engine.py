@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.exceptions import StorageError
-from repro.stores.base import Capability, Concurrency, DataModel, Engine
+from repro.stores.base import Concurrency, DataModel, Engine
 from repro.stores.changelog import kv_scope
 from repro.stores.keyvalue.memtable import TOMBSTONE, MemTable
 from repro.stores.keyvalue.sstable import SSTable, merge_sstables
@@ -42,13 +42,6 @@ class KeyValueEngine(Engine):
     def attach_spill(self, sink: Any) -> None:
         """Install (or with ``None`` remove) the durability spill sink."""
         self._spill = sink
-
-    def capabilities(self) -> frozenset[Capability]:
-        return frozenset({
-            Capability.POINT_LOOKUP,
-            Capability.RANGE_SCAN,
-            Capability.SCAN,
-        })
 
     # -- writes -----------------------------------------------------------------
 

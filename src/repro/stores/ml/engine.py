@@ -16,7 +16,7 @@ import numpy as np
 from repro.datamodel.conversion import table_to_matrix
 from repro.datamodel.table import Table
 from repro.exceptions import StorageError
-from repro.stores.base import Capability, DataModel, Engine
+from repro.stores.base import DataModel, Engine
 from repro.stores.ml.kmeans import KMeansResult, kmeans
 from repro.stores.ml.logistic import LogisticRegression
 from repro.stores.ml.nn import MLPClassifier, TrainingHistory
@@ -32,13 +32,6 @@ class MLEngine(Engine):
         super().__init__(name)
         self.ops = TensorOps()
         self._models: dict[str, Any] = {}
-
-    def capabilities(self) -> frozenset[Capability]:
-        return frozenset({
-            Capability.TRAIN_MODEL,
-            Capability.PREDICT,
-            Capability.MATMUL,
-        })
 
     # -- training -----------------------------------------------------------------
 

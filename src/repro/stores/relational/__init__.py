@@ -1,4 +1,4 @@
-"""Relational store: SQL parsing, planning, indexes and positional physical operators."""
+"""Relational store: SQL parsing and lowering, indexes and positional physical operators."""
 
 from repro.stores.relational.engine import RelationalEngine, StoredTable
 from repro.stores.relational.expressions import (
@@ -10,17 +10,15 @@ from repro.stores.relational.expressions import (
     or_,
 )
 from repro.stores.relational.operators import AggregateSpec, bitonic_sort
-from repro.stores.relational.planner import LogicalPlan, build_plan
-from repro.stores.relational.sql import parse_select
+from repro.stores.relational.sql import lower_select, parse_select
 
 __all__ = [
     "RelationalEngine",
     "StoredTable",
     "AggregateSpec",
     "bitonic_sort",
-    "LogicalPlan",
-    "build_plan",
     "parse_select",
+    "lower_select",
     "column",
     "literal",
     "compare",

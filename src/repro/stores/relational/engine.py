@@ -2,8 +2,8 @@
 
 A from-scratch, single-node relational store: tables live in heap pages
 (:mod:`repro.stores.relational.storage`), optional secondary indexes provide
-point/range access paths, a small SQL dialect is parsed and planned, and
-positional, plan-typed operators execute the plan.  The engine records
+point/range access paths, and a small SQL dialect is parsed and folded into
+the positional, plan-typed operators that execute it.  The engine records
 per-operation metrics that the Polystore++ middleware's optimizer consumes.
 """
 
@@ -14,36 +14,13 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row, Table
-from repro.exceptions import QueryError, StorageError
-from repro.stores.base import Capability, Concurrency, DataModel, Engine
+from repro.exceptions import StorageError
+from repro.stores.base import Concurrency, DataModel, Engine
 from repro.stores.changelog import table_scope
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.index import HashIndex, SortedIndex
-from repro.stores.relational.operators import (
-    Filter,
-    GroupByAggregate,
-    HashJoin,
-    Limit,
-    PhysicalOperator,
-    Project,
-    Sort,
-    SortMergeJoin,
-    TableScan,
-    TopK,
-)
-from repro.stores.relational.planner import (
-    AggregatePlan,
-    FilterPlan,
-    IndexSeekPlan,
-    JoinPlan,
-    LimitPlan,
-    LogicalPlan,
-    ProjectPlan,
-    ScanPlan,
-    SortPlan,
-    build_plan,
-)
-from repro.stores.relational.sql import parse_select
+from repro.stores.relational.operators import TableScan, TopK, build_operator
+from repro.stores.relational.sql import lower_select, parse_select
 from repro.stores.relational.storage import HeapStorage
 
 
@@ -131,18 +108,6 @@ class RelationalEngine(Engine):
         #: Serializes mutations against each other and against
         #: :meth:`snapshot_scan`; plain reads stay lock-free.
         self._write_lock = threading.RLock()
-
-    def capabilities(self) -> frozenset[Capability]:
-        return frozenset({
-            Capability.SCAN,
-            Capability.INDEX_SEEK,
-            Capability.FILTER,
-            Capability.PROJECT,
-            Capability.JOIN,
-            Capability.SORT,
-            Capability.GROUP_BY,
-            Capability.AGGREGATE,
-        })
 
     # -- DDL ---------------------------------------------------------------------
 
@@ -345,19 +310,13 @@ class RelationalEngine(Engine):
     # -- query execution ------------------------------------------------------------
 
     def execute_sql(self, sql: str) -> Table:
-        """Parse, plan and execute a SELECT statement."""
+        """Parse a SELECT statement, fold it into physical operators and run them."""
         statement = parse_select(sql)
-        plan = build_plan(statement)
-        return self.execute_plan(plan)
-
-    def plan_sql(self, sql: str) -> LogicalPlan:
-        """Parse and plan a SELECT statement without executing it."""
-        return build_plan(parse_select(sql))
-
-    def execute_plan(self, plan: LogicalPlan) -> Table:
-        """Execute a logical plan and return the result table."""
-        with self.metrics.timed(self.name, "execute_plan", plan=plan.describe()) as timer:
-            result = self._lower(plan).to_table()
+        with self.metrics.timed(self.name, "execute_sql", table=statement.table) as timer:
+            result = lower_select(
+                statement,
+                lambda table: TableScan(self._stored(table).heap.to_table()),
+                build_operator).to_table()
             timer.rows_out = len(result)
         return result
 
@@ -416,35 +375,6 @@ class RelationalEngine(Engine):
         """Top-k rows of a table by one column."""
         scan = TableScan(self._stored(table).heap.to_table())
         return TopK(scan, by, k, descending=descending).to_table()
-
-    # -- plan lowering -------------------------------------------------------------------
-
-    def _lower(self, plan: LogicalPlan) -> PhysicalOperator:
-        if isinstance(plan, ScanPlan):
-            operator: PhysicalOperator = TableScan(
-                self._stored(plan.table).heap.to_table())
-            if plan.columns is not None:
-                operator = Project(operator, plan.columns)
-            return operator
-        if isinstance(plan, IndexSeekPlan):
-            return TableScan(self.index_lookup(plan.table, plan.column, plan.value))
-        if isinstance(plan, FilterPlan):
-            return Filter(self._lower(plan.child), plan.predicate)
-        if isinstance(plan, ProjectPlan):
-            return Project(self._lower(plan.child), plan.columns)
-        if isinstance(plan, JoinPlan):
-            left = self._lower(plan.left)
-            right = self._lower(plan.right)
-            if plan.algorithm == "sort_merge":
-                return SortMergeJoin(left, right, plan.left_key, plan.right_key)
-            return HashJoin(left, right, plan.left_key, plan.right_key, how=plan.how)
-        if isinstance(plan, AggregatePlan):
-            return GroupByAggregate(self._lower(plan.child), plan.group_by, plan.aggregates)
-        if isinstance(plan, SortPlan):
-            return Sort(self._lower(plan.child), [plan.by], descending=plan.descending)
-        if isinstance(plan, LimitPlan):
-            return Limit(self._lower(plan.child), plan.n)
-        raise QueryError(f"cannot lower plan node {type(plan).__name__}")
 
     def _stored(self, name: str) -> StoredTable:
         try:

@@ -11,15 +11,16 @@ The parser covers the subset used by the paper's example workloads:
     [ORDER BY col [ASC|DESC]]
     [LIMIT n]
 
-The output is a :class:`SelectStatement` describing the query; the planner
-turns it into a logical plan.
+The output is a :class:`SelectStatement` describing the query;
+:func:`lower_select` folds it into operators of the IR vocabulary
+(:data:`repro.ir.kinds.KINDS`), whatever tree the caller builds from them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from repro.exceptions import QueryError
 from repro.stores.relational.expressions import (
@@ -31,6 +32,7 @@ from repro.stores.relational.expressions import (
     IsNull,
     Literal,
 )
+from repro.stores.relational.operators import AggregateSpec
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -353,3 +355,53 @@ def parse_select(sql: str) -> SelectStatement:
     if not tokens:
         raise QueryError("empty query")
     return _Parser(tokens).parse_select()
+
+
+_Node = TypeVar("_Node")
+
+
+def lower_select(statement: SelectStatement, scan: Callable[[str], _Node],
+                 step: Callable[..., _Node]) -> _Node:
+    """Fold a parsed SELECT into a tree of IR-vocabulary operators.
+
+    ``scan(table)`` builds a leaf, ``step(kind, params, *children)`` every
+    operator above it, with the ``(kind, params)`` names
+    :func:`~repro.stores.relational.operators.build_operator` and
+    :class:`~repro.eide.dataflow.DataflowNode` share — so the engine folds a
+    statement into physical operators and ``dataset(engine).sql(text)`` into
+    a dataflow tree with the same walk.  Canonical order, bottom to top:
+    scans, joins, filter, aggregate or projection, sort, limit; the
+    compiler's passes rearrange from there (pushdown, join reordering).
+    """
+    node = scan(statement.table)
+    for join in statement.joins:
+        node = step("join", {"left_key": _bare(join.left_key),
+                             "right_key": _bare(join.right_key),
+                             "how": join.how, "algorithm": "hash"},
+                    node, scan(join.table))
+    if statement.where is not None:
+        node = step("filter", {"predicate": statement.where}, node)
+    aggregates = [
+        AggregateSpec(item.aggregate, _bare(item.argument) if item.argument else None,
+                      item.output_name)
+        for item in statement.items if item.aggregate is not None
+    ]
+    if aggregates or statement.group_by:
+        node = step("aggregate", {"group_by": [_bare(c) for c in statement.group_by],
+                                  "aggregates": aggregates}, node)
+    elif not statement.select_star:
+        columns = [_bare(item.column) for item in statement.items
+                   if item.column is not None]
+        if columns:
+            node = step("project", {"columns": columns}, node)
+    if statement.order_by is not None:
+        node = step("sort", {"by": _bare(statement.order_by),
+                             "descending": statement.order_descending}, node)
+    if statement.limit is not None:
+        node = step("limit", {"n": statement.limit}, node)
+    return node
+
+
+def _bare(name: str) -> str:
+    """A column name without its table qualifier."""
+    return name.split(".")[-1]

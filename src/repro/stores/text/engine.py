@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.exceptions import StorageError
-from repro.stores.base import Capability, Concurrency, DataModel, Engine
+from repro.stores.base import Concurrency, DataModel, Engine
 from repro.stores.changelog import docs_scope
 from repro.stores.text.inverted_index import InvertedIndex
 from repro.stores.text.tokenizer import term_frequencies, tokenize
@@ -27,13 +27,6 @@ class TextEngine(Engine):
         super().__init__(name)
         self._documents: dict[str, dict[str, Any]] = {}
         self._index = InvertedIndex()
-
-    def capabilities(self) -> frozenset[Capability]:
-        return frozenset({
-            Capability.TEXT_SEARCH,
-            Capability.SCAN,
-            Capability.FILTER,
-        })
 
     # -- writes -----------------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.exceptions import StorageError
-from repro.stores.base import Capability, Concurrency, DataModel, Engine
+from repro.stores.base import Concurrency, DataModel, Engine
 from repro.stores.changelog import series_scope
 from repro.stores.timeseries.series import Point, Series
 from repro.stores.timeseries.window import (
@@ -34,15 +34,6 @@ class TimeseriesEngine(Engine):
     def __init__(self, name: str = "timeseries") -> None:
         super().__init__(name)
         self._series: dict[str, Series] = {}
-
-    def capabilities(self) -> frozenset[Capability]:
-        return frozenset({
-            Capability.SCAN,
-            Capability.RANGE_SCAN,
-            Capability.WINDOW_AGGREGATE,
-            Capability.DOWNSAMPLE,
-            Capability.FILTER,
-        })
 
     # -- writes ---------------------------------------------------------------------
 

@@ -42,6 +42,7 @@ from repro.datamodel.table import Row, Table
 from repro.eide.dataflow import DataflowNode, resolve_node_engine
 from repro.exceptions import ExecutionError
 from repro.ir.graph import IRGraph
+from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
 from repro.stores.changelog import leaf_read_scope, table_scope
 from repro.stores.base import DataModel
@@ -271,13 +272,6 @@ class SnapshotDiffSource:
 
 Source = ChangelogSource | SnapshotDiffSource
 
-#: Leaf kinds a SnapshotDiffSource can maintain (tabular adapter outputs).
-_DIFFABLE_LEAVES = frozenset({
-    "scan", "index_seek", "kv_get", "kv_range", "ts_range", "ts_summarize",
-    "window_aggregate", "keyword_features", "text_search", "graph_nodes",
-})
-
-
 class DeltaProgram:
     """A compiled delta pipeline, executed through the ordinary executor."""
 
@@ -403,7 +397,7 @@ def _source_for(node: DataflowNode, engine_name: str,
     if node.kind == "scan" and engine.data_model is DataModel.RELATIONAL:
         return ChangelogSource(engine_name, str(node.params["table"]),
                                node.params.get("columns"))
-    if node.kind in _DIFFABLE_LEAVES:
+    if KINDS[node.kind].diffable:  # a tabular adapter output
         return SnapshotDiffSource(node.kind, node.params, engine_name)
     return None
 

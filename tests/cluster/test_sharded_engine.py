@@ -41,7 +41,6 @@ class TestConstruction:
         template = RelationalEngine("t")
         assert engine.data_model is template.data_model
         assert engine.concurrency is Concurrency.THREAD_SAFE
-        assert engine.capabilities() == template.capabilities()
 
     def test_explicit_partitioner(self):
         engine = ShardedEngine("db", RelationalEngine,

@@ -11,15 +11,8 @@ from repro import col
 from repro.cluster import ShardedEngine
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import QueryError, StorageError
-from repro.stores.base import Capability
-from repro.stores.relational import RelationalEngine, parse_select
+from repro.stores.relational import RelationalEngine, lower_select, parse_select
 from repro.stores.relational.index import HashIndex, SortedIndex
-from repro.stores.relational.planner import (
-    AggregatePlan,
-    FilterPlan,
-    JoinPlan,
-    build_plan,
-)
 from repro.stores.relational.storage import HeapStorage
 
 
@@ -65,22 +58,45 @@ class TestSqlParser:
             parse_select("SELECT a FROM t garbage garbage")
 
 
+def _lowered(sql: str) -> tuple:
+    """``lower_select`` folded into plain ``(kind, params, children)`` tuples."""
+    return lower_select(parse_select(sql),
+                        lambda table: ("scan", {"table": table}, ()),
+                        lambda kind, params, *children: (kind, params, children))
+
+
+def _walk(node: tuple):
+    yield node
+    for child in node[2]:
+        yield from _walk(child)
+
+
 class TestPlanner:
     def test_plan_shape_for_join_query(self):
-        plan = build_plan(parse_select(
-            "SELECT a FROM t JOIN u ON t.id = u.id WHERE t.a > 1 ORDER BY a"))
-        kinds = [type(node).__name__ for node in plan.walk()]
-        assert "SortPlan" in kinds and "FilterPlan" in kinds and "JoinPlan" in kinds
+        plan = _lowered(
+            "SELECT a FROM t JOIN u ON t.id = u.id WHERE t.a > 1 ORDER BY a")
+        # Canonical order, top to bottom; the join reads both tables.
+        assert [kind for kind, _, _ in _walk(plan)] == [
+            "sort", "project", "filter", "join", "scan", "scan"]
+        join = next(node for node in _walk(plan) if node[0] == "join")
+        assert join[1] == {"left_key": "id", "right_key": "id",
+                           "how": "inner", "algorithm": "hash"}
+        assert [child[1]["table"] for child in join[2]] == ["t", "u"]
 
     def test_aggregate_plan(self):
-        plan = build_plan(parse_select(
-            "SELECT region, count(*) AS n FROM t GROUP BY region"))
-        aggregate_nodes = [n for n in plan.walk() if isinstance(n, AggregatePlan)]
-        assert aggregate_nodes and aggregate_nodes[0].group_by == ("region",)
+        plan = _lowered("SELECT region, count(*) AS n FROM t GROUP BY region")
+        aggregate_nodes = [n for n in _walk(plan) if n[0] == "aggregate"]
+        assert aggregate_nodes and aggregate_nodes[0][1]["group_by"] == ["region"]
+        (spec,) = aggregate_nodes[0][1]["aggregates"]
+        assert (spec.function, spec.column, spec.alias) == ("count", None, "n")
 
     def test_render_is_multiline(self):
-        plan = build_plan(parse_select("SELECT a FROM t WHERE a = 1"))
-        assert len(plan.render().splitlines()) >= 2
+        def render(kind, params, *children):
+            return [kind] + ["  " + line for child in children for line in child]
+
+        lines = lower_select(parse_select("SELECT a FROM t WHERE a = 1"),
+                             lambda table: [f"scan {table}"], render)
+        assert lines == ["project", "  filter", "    scan t"]
 
 
 class TestHeapStorage:
@@ -103,10 +119,6 @@ class TestHeapStorage:
 
 
 class TestEngine:
-    def test_capabilities(self, relational_engine: RelationalEngine):
-        assert relational_engine.supports(Capability.JOIN)
-        assert not relational_engine.supports(Capability.TEXT_SEARCH)
-
     def test_duplicate_table_rejected(self, relational_engine: RelationalEngine):
         with pytest.raises(StorageError):
             relational_engine.create_table("patients", relational_engine.table_schema("patients"))

@@ -20,7 +20,7 @@ from repro.datamodel import Column, DataType, Schema, Table, make_schema
 from repro.ir.nodes import Operator
 from repro.middleware.adapters import RelationalAdapter, TimeseriesAdapter
 from repro.stores import RelationalEngine, TimeseriesEngine
-from repro.stores.relational.planner import JoinPlan, ScanPlan
+from repro.stores.relational.operators import TableScan, build_operator
 
 PEOPLE = make_schema(("pid", DataType.INT), ("score", DataType.FLOAT),
                      ("name", DataType.STRING))
@@ -101,7 +101,8 @@ def test_result_schema_is_plan_derived(system, operator, selection):
 
 @pytest.mark.parametrize("selection", SELECTIONS)
 def test_sort_merge_join_schema(selection):
-    """The sort-merge algorithm is reachable through the adapter and the planner."""
+    """The sort-merge algorithm is reachable through the adapter and through
+    ``build_operator``, the step ``execute_sql`` folds a statement with."""
     engine = RelationalEngine("db")
     engine.load_table("people", Table(PEOPLE, PEOPLE_ROWS))
     engine.load_table("tags", Table(TAGS, TAG_ROWS))
@@ -115,8 +116,9 @@ def test_sort_merge_join_schema(selection):
         [people, engine.scan("tags")])
     assert people.schema == PEOPLE
     assert joined.schema == JOINED
-    planned = engine.execute_plan(JoinPlan(
-        ScanPlan("people"), ScanPlan("tags"), "pid", "pid", algorithm="sort_merge"))
+    planned = build_operator(
+        "join", {"left_key": "pid", "right_key": "pid", "algorithm": "sort_merge"},
+        TableScan(engine.scan("people")), TableScan(engine.scan("tags"))).to_table()
     assert planned.schema == JOINED
 
 
