@@ -18,6 +18,7 @@ from repro.exceptions import AdapterError
 from repro.ir.nodes import Operator
 from repro.middleware.adapters.base import Adapter
 from repro.stores.relational.engine import RelationalEngine
+from repro.stores.relational.expressions import Expression
 
 
 class RelationalAdapter(Adapter):
@@ -37,11 +38,13 @@ class RelationalAdapter(Adapter):
         kind = node.kind
         if kind == "scan":
             columns = node.params.get("columns")
-            table = self.engine.scan(str(node.params["table"]),
-                                     list(columns) if columns else None)
+            predicate = node.params.get("predicate")
             # A structured predicate absorbed by the pushdown pass evaluates
-            # engine-side, before anything crosses the adapter boundary.
-            return self._apply_predicate(table, node)
+            # engine-side, on full rows inside the page walk and before the
+            # projection; nothing unfiltered crosses the adapter boundary.
+            return self.engine.scan(
+                str(node.params["table"]), list(columns) if columns else None,
+                predicate if isinstance(predicate, Expression) else None)
         if kind == "index_seek":
             table = self.engine.index_lookup(str(node.params["table"]),
                                              str(node.params["column"]),

@@ -57,9 +57,9 @@ class StoredTable:
                         for rid, row in self.heap.scan_with_rids())
         return index
 
-    def rewritten(self, matches: Callable[[Row], Any],
+    def rewritten(self, matches: Expression | Callable[[Row], Any],
                   patch: Callable[[Row], Row] | None = None
-                  ) -> tuple["StoredTable", list[Row], list[Row], int]:
+                  ) -> tuple["StoredTable", list[Row], list[Row], int, int]:
         """The table a delete (no ``patch``) or an update leaves, beside this one.
 
         The one primitive behind ``delete_rows``, ``update_rows`` and their
@@ -69,11 +69,11 @@ class StoredTable:
         index none of whose keys changed is copied, not reloaded; an index
         whose keys did change — after a delete, where row ids move, every
         index — is loaded from the new heap.  Returns the table (this one if
-        nothing matched), matched rows, replacements and pages copied.
+        nothing matched), matched rows, replacements, pages copied and examined.
         """
-        heap, matched, patched, copied = self.heap.rewrite(matches, patch)
+        heap, matched, patched, copied, examined = self.heap.rewrite(matches, patch)
         if not matched:
-            return self, matched, patched, 0
+            return self, matched, patched, 0, examined
         sibling = StoredTable(self.name, self.schema, heap.page_capacity)
         sibling.heap = heap
         for ours, theirs in ((self.hash_indexes, sibling.hash_indexes),
@@ -86,7 +86,7 @@ class StoredTable:
                     theirs[column] = index.copy()
                 else:
                     theirs[column] = sibling.build_index(column, type(index))
-        return sibling, matched, patched, copied
+        return sibling, matched, patched, copied, examined
 
     def statistics(self) -> dict[str, Any]:
         """Table statistics for the catalog and cost models."""
@@ -222,8 +222,7 @@ class RelationalEngine(Engine):
         """
         batch = None
         with self._write_lock:
-            deleted, _ = self._rewrite(
-                table, "delete", predicate.compile(self._stored(table).schema))
+            deleted, _ = self._rewrite(table, "delete", predicate)
             if deleted:
                 batch = self.mark_data_changed(
                     table_scope(table),
@@ -248,7 +247,7 @@ class RelationalEngine(Engine):
                     raise StorageError(f"table {table!r} has no column {column!r}")
             names, sets = schema.names, dict(updates)
             olds, news = self._rewrite(
-                table, "update", predicate.compile(schema),
+                table, "update", predicate,
                 lambda row: tuple(sets.get(name, value)
                                   for name, value in zip(names, row)))
             updated = list(zip(olds, news))
@@ -279,7 +278,7 @@ class RelationalEngine(Engine):
                     self.data_version_for(table_scope(table)))
 
     def _rewrite(self, table: str, operation: str,
-                 matches: Callable[[Row], Any],
+                 matches: Expression | Callable[[Row], Any],
                  patch: Callable[[Row], Row] | None = None
                  ) -> tuple[list[Row], list[Row]]:
         """Run a delete or update (:meth:`StoredTable.rewritten`) and publish
@@ -289,10 +288,13 @@ class RelationalEngine(Engine):
         """
         stored = self._stored(table)
         with self.metrics.timed(self.name, operation, table=table) as timer:
-            sibling, matched, patched, copied = stored.rewritten(matches, patch)
+            sibling, matched, patched, copied, examined = stored.rewritten(
+                matches, patch)
             timer.rows_in = len(matched)
-            timer.details["pages_copied"] = copied
-            timer.details["pages_shared"] = sibling.heap.num_pages - copied
+            timer.details.update(
+                pages_copied=copied, pages_shared=sibling.heap.num_pages - copied,
+                pages_examined=examined,
+                pages_skipped=stored.heap.num_pages - examined)
         self._tables[table] = sibling
         return matched, patched
 
@@ -322,15 +324,20 @@ class RelationalEngine(Engine):
 
     # -- direct native operations (used by the adapter) ---------------------------------
 
-    def scan(self, table: str, columns: Sequence[str] | None = None) -> Table:
-        """Full scan of a table, optionally projecting columns."""
+    def scan(self, table: str, columns: Sequence[str] | None = None,
+             predicate: Expression | None = None) -> Table:
+        """The rows of a table satisfying ``predicate`` (all, without one),
+        found page by page (:meth:`HeapStorage.select`), then projected."""
         stored = self._stored(table)
         with self.metrics.timed(self.name, "scan", table=table) as timer:
-            result = stored.heap.to_table()
+            rows, timer.rows_in, examined, pages = stored.heap.select(predicate)
+            result = Table.wrap(stored.schema, rows)
+            if columns is not None:
+                result = result.project(columns)
             timer.rows_out = len(result)
             timer.bytes_out = result.estimated_bytes()
-        if columns is not None:
-            result = result.project(columns)
+            timer.details.update(pages_examined=examined,
+                                 pages_skipped=pages - examined)
         return result
 
     def has_index(self, table: str, column: str) -> bool:

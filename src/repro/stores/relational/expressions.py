@@ -446,3 +446,61 @@ def split_conjunction(expression: Expression) -> list[Expression]:
             parts.extend(split_conjunction(operand))
         return parts
     return [expression]
+
+
+#: ``literal op column`` read as ``column op literal``.
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "=="}
+
+
+def page_test(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | None:
+    """A conservative ``page -> may a row of it satisfy predicate``, or ``None``
+    when the predicate constrains no column.
+
+    ``page.bounds(position)`` is a column's ``(min, max)`` over its values
+    that are neither ``None`` nor NaN (none of the comparisons here holds for
+    those), or ``None`` for unknown.  Only the leading conjuncts of the form
+    column ``= == < <= > >=`` literal (either way round) or column ``IN``
+    literals constrain: a row failing conjunct *k* never evaluates conjunct
+    *k + 1*, so a conjunct may rule a page out only if none before it could
+    have raised there.  Unknown bounds, or a ``TypeError`` comparing them with
+    the literal, mean "may match": the rows are evaluated, and raise what
+    they raise.
+    """
+    checks: list[tuple[int, str, tuple[Any, ...]]] = []
+    for conjunct in split_conjunction(predicate):
+        if isinstance(conjunct, InList):
+            subject, op, values = conjunct.operand, "=", conjunct.values
+        elif isinstance(conjunct, Comparison) and conjunct.op in _MIRRORED:
+            subject, op, other = conjunct.left, conjunct.op, conjunct.right
+            if isinstance(subject, Literal):
+                subject, op, other = other, _MIRRORED[op], subject
+            if not isinstance(other, Literal):
+                break
+            values = (other.value,)
+        else:
+            break
+        if not isinstance(subject, ColumnRef):
+            break
+        checks.append((schema.index_of(subject.name), op, values))
+    if not checks:
+        return None
+
+    def may_match(page: Any) -> bool:
+        for position, op, values in checks:
+            bounds = page.bounds(position)
+            if bounds is None:
+                return True
+            low, high = bounds
+            try:
+                if op[0] == "=":
+                    # Written so that a NaN (equal to nothing, yet ``in``
+                    # finds it by identity) rules nothing out.
+                    possible = not all(v < low or v > high for v in values)
+                else:  # ``column < v`` can hold on the page iff ``min < v`` does
+                    possible = _COMPARISONS[op](low if op[0] == "<" else high, values[0])
+            except TypeError:
+                return True
+            if not possible:
+                return False
+        return True
+    return may_match

@@ -3,19 +3,22 @@
 Tables are stored as a list of fixed-capacity pages of rows.  The page
 structure exists so that the cost model can reason about page reads (the
 sequential-scan vs index-seek distinction in paper §III-A-2), so the
-engine reports "pages read" metrics to the middleware optimizer, and so an
-update or delete copies only the pages it touches (:meth:`HeapStorage.rewrite`).
+engine reports "pages read" metrics to the middleware optimizer, so an
+update or delete copies only the pages it touches (:meth:`HeapStorage.rewrite`),
+and so a predicate is evaluated only on the pages whose per-column min/max
+summaries (:meth:`Page.bounds`) say a row could satisfy it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count
-from typing import Any, Callable, Iterator, Sequence
+from itertools import chain, compress, count
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row, Table
 from repro.exceptions import StorageError
+from repro.stores.relational.expressions import Expression, page_test
 
 DEFAULT_PAGE_CAPACITY = 256
 
@@ -26,6 +29,25 @@ class Page:
 
     capacity: int
     rows: list[Row] = field(default_factory=list)
+    #: Column position -> what :meth:`bounds` found, filled on first use.
+    _bounds: dict[int, tuple[Any, Any] | None] = field(
+        default_factory=dict, repr=False, compare=False)
+
+    def bounds(self, position: int) -> tuple[Any, Any] | None:
+        """``(min, max)`` of one column's values, leaving out ``None`` and NaN;
+        ``None`` when none is left or they do not order against each other.
+
+        Computed once and kept, so only for a page that no longer changes:
+        one that is not the last of the page list it was reached through.
+        """
+        if position not in self._bounds:
+            try:
+                values = [v for v in (row[position] for row in self.rows)
+                          if v is not None and v == v]
+                self._bounds[position] = (min(values), max(values)) if values else None
+            except (TypeError, ValueError):
+                self._bounds[position] = None
+        return self._bounds[position]
 
     @property
     def is_full(self) -> bool:
@@ -72,21 +94,35 @@ class HeapStorage:
             self.insert(tuple(row), validate=validate)
         return len(rows)
 
-    def rewrite(self, matches: Callable[[Row], Any],
+    def _examine(self, pages: list[Page], predicate: Expression | None
+                 ) -> list[bool]:
+        """For each of ``pages`` (the page list, sliced once), whether a row of
+        it may satisfy ``predicate`` going by its summary.  The last page may
+        still be taking inserts: it is never summarised, always examined."""
+        may_match = (page_test(predicate, self.schema)
+                     if predicate is not None and len(pages) > 1 else None)
+        if may_match is None:
+            return [True] * len(pages)
+        return [may_match(page) for page in pages[:-1]] + [True]
+
+    def rewrite(self, matches: Expression | Callable[[Row], Any],
                 patch: Callable[[Row], Row] | None = None
-                ) -> tuple["HeapStorage", list[Row], list[Row], int]:
+                ) -> tuple["HeapStorage", list[Row], list[Row], int, int]:
         """A sibling heap without the matching rows, or with them patched.
 
-        ``matches`` is called once per row, in scan order.  With ``patch`` a
-        matching row is replaced in its slot by ``patch(row)`` (row ids stay);
-        without, it is dropped, survivors close up inside their page and a
-        page left empty disappears (row ids move).  Interior pages may stay
-        under-full: only the last page takes inserts, so scan order is kept.
+        ``matches`` is called once per row, in scan order — given as a
+        predicate expression, only on the pages whose summaries do not rule it
+        out.  With ``patch`` a matching row is replaced in its slot by
+        ``patch(row)`` (row ids stay); without, it is dropped, survivors close
+        up inside their page and a page left empty disappears (row ids move).
+        Interior pages may stay under-full: only the last page takes inserts,
+        so scan order is kept.
 
         A page without a match is shared with this heap and a page with one
         is copied; an open last page is always copied, so rows inserted into
         the sibling never show up here.  Returns the sibling, the matched
-        rows, their replacements (none for a delete) and the pages copied.
+        rows, their replacements (none for a delete), the pages copied and
+        the pages examined.
         """
         sibling = HeapStorage(self.schema, self.page_capacity)
         pages = sibling._pages
@@ -94,9 +130,13 @@ class HeapStorage:
         patched: list[Row] = []
         copied = 0
         tail_shared = False
-        for page in self._pages:
+        predicate = matches if isinstance(matches, Expression) else None
+        if predicate is not None:
+            matches = predicate.compile(self.schema)
+        examine = self._examine(self._pages, predicate)
+        for page, candidate in zip(self._pages, examine):
             rows = page.rows
-            flags = list(map(matches, rows))
+            flags = list(map(matches, rows)) if candidate else ()
             if not any(flags):
                 pages.append(page)
                 tail_shared = True
@@ -119,7 +159,7 @@ class HeapStorage:
             pages[-1] = Page(self.page_capacity, list(pages[-1].rows))
             copied += 1
         sibling._num_rows = self._num_rows - (len(matched) if patch is None else 0)
-        return sibling, matched, patched, copied
+        return sibling, matched, patched, copied, sum(examine)
 
     # -- reads ----------------------------------------------------------------
 
@@ -143,7 +183,26 @@ class HeapStorage:
 
     def to_table(self) -> Table:
         """Materialize the heap as a :class:`Table`."""
-        return Table.wrap(self.schema, list(self.scan()))
+        return Table.wrap(self.schema, self.select()[0])
+
+    def select(self, predicate: Expression | None = None
+               ) -> tuple[list[Row], int, int, int]:
+        """The rows satisfying ``predicate`` (all, without one), in scan order.
+
+        The predicate is evaluated page by page and only on pages whose
+        summaries do not rule it out.  Returns the rows, the rows examined,
+        the pages examined and the pages there were.
+        """
+        pages = candidates = self._pages[:]
+        if predicate is None:
+            chunks: list[Iterable[Row]] = [page.rows for page in pages]
+        else:
+            test = predicate.compile(self.schema)
+            candidates = list(compress(pages, self._examine(pages, predicate)))
+            chunks = [filter(test, page.rows) for page in candidates]
+        return (list(chain.from_iterable(chunks)),
+                sum(len(page.rows) for page in candidates),
+                len(candidates), len(pages))
 
     # -- statistics -------------------------------------------------------------
 

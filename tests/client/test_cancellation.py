@@ -143,11 +143,11 @@ class TestScatterCancellation:
         scans = []
 
         class HookedEngine(RelationalEngine):
-            def scan(self, table, columns=None):
+            def scan(self, table, columns=None, predicate=None):
                 scans.append(self.name)
                 if len(scans) == 1:
                     token.cancel("stop after first shard")
-                return super().scan(table, columns)
+                return super().scan(table, columns, predicate)
 
         num_shards = 4
         system = _build_system(sharded=True, shard_factory=HookedEngine,
@@ -168,9 +168,9 @@ class TestScatterCancellation:
         scans = []
 
         class CountingEngine(RelationalEngine):
-            def scan(self, table, columns=None):
+            def scan(self, table, columns=None, predicate=None):
                 scans.append(self.name)
-                return super().scan(table, columns)
+                return super().scan(table, columns, predicate)
 
         system = _build_system(sharded=True, shard_factory=CountingEngine,
                                num_shards=4)

@@ -373,7 +373,8 @@ class TestWritesCostThePagesTheyTouch:
         retired = engine._stored("t")
         engine.delete_rows("t", col("id") >= 8)       # drops page 2 only
         assert self._last(engine, "delete") == {
-            "table": "t", "pages_copied": 1, "pages_shared": 1}
+            "table": "t", "pages_copied": 1, "pages_shared": 1,
+            "pages_examined": 1, "pages_skipped": 2}
         engine.insert("t", [(20,), (21,)])
         assert engine.scan("t").column("id") == [0, 1, 2, 3, 4, 6, 7, 20, 21]
         assert engine.table_statistics("t")["pages"] == 3
