@@ -274,11 +274,11 @@ def test_cancelled_request_stops_before_all_shards():
     scans: list[str] = []
 
     class HookedEngine(RelationalEngine):
-        def scan(self, table, columns=None):
+        def scan(self, table, columns=None, predicate=None):
             scans.append(self.name)
             if len(scans) == 1:
                 token.cancel("benchmark cancel after first shard")
-            return super().scan(table, columns)
+            return super().scan(table, columns, predicate)
 
     num_shards = 4
     system = PolystorePlusPlus(SystemConfig(

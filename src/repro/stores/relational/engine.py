@@ -288,13 +288,11 @@ class RelationalEngine(Engine):
         """
         stored = self._stored(table)
         with self.metrics.timed(self.name, operation, table=table) as timer:
-            sibling, matched, patched, copied, examined = stored.rewritten(
-                matches, patch)
+            sibling, matched, patched, copied, examined = stored.rewritten(matches, patch)
             timer.rows_in = len(matched)
             timer.details.update(
                 pages_copied=copied, pages_shared=sibling.heap.num_pages - copied,
-                pages_examined=examined,
-                pages_skipped=stored.heap.num_pages - examined)
+                pages_examined=examined, pages_skipped=stored.heap.num_pages - examined)
         self._tables[table] = sibling
         return matched, patched
 
@@ -336,8 +334,7 @@ class RelationalEngine(Engine):
                 result = result.project(columns)
             timer.rows_out = len(result)
             timer.bytes_out = result.estimated_bytes()
-            timer.details.update(pages_examined=examined,
-                                 pages_skipped=pages - examined)
+            timer.details.update(pages_examined=examined, pages_skipped=pages - examined)
         return result
 
     def has_index(self, table: str, column: str) -> bool:

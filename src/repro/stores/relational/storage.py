@@ -30,8 +30,7 @@ class Page:
     capacity: int
     rows: list[Row] = field(default_factory=list)
     #: Column position -> what :meth:`bounds` found, filled on first use.
-    _bounds: dict[int, tuple[Any, Any] | None] = field(
-        default_factory=dict, repr=False, compare=False)
+    _bounds: dict[int, Any] = field(default_factory=dict, repr=False, compare=False)
 
     def bounds(self, position: int) -> tuple[Any, Any] | None:
         """``(min, max)`` of one column's values, leaving out ``None`` and NaN;
@@ -190,16 +189,16 @@ class HeapStorage:
         """The rows satisfying ``predicate`` (all, without one), in scan order.
 
         The predicate is evaluated page by page and only on pages whose
-        summaries do not rule it out.  Returns the rows, the rows examined,
-        the pages examined and the pages there were.
+        summaries do not rule it out; an empty heap does not even bind it.
+        Returns the rows, the rows examined, the pages examined and the pages
+        there were.
         """
         pages = candidates = self._pages[:]
-        if predicate is None:
-            chunks: list[Iterable[Row]] = [page.rows for page in pages]
-        else:
+        chunks: Iterable[Iterable[Row]] = (page.rows for page in pages)
+        if predicate is not None and pages:
             test = predicate.compile(self.schema)
             candidates = list(compress(pages, self._examine(pages, predicate)))
-            chunks = [filter(test, page.rows) for page in candidates]
+            chunks = (filter(test, page.rows) for page in candidates)
         return (list(chain.from_iterable(chunks)),
                 sum(len(page.rows) for page in candidates),
                 len(candidates), len(pages))
