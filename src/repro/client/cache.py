@@ -125,7 +125,7 @@ def _protective_copy(value: Any) -> Any:
     key-assignment on returned results.
     """
     if isinstance(value, Table):
-        return Table(value.schema, value.rows)
+        return Table.wrap(value.schema, list(value.rows))
     if isinstance(value, ShardedValue):
         # Sharded partitions pin like any other pure value; each partition
         # container is copied so consumers can't poison the pinned original.

@@ -310,13 +310,29 @@ class RelationalEngine(Engine):
     # -- query execution ------------------------------------------------------------
 
     def execute_sql(self, sql: str) -> Table:
-        """Parse a SELECT statement, fold it into physical operators and run them."""
+        """Parse a SELECT statement, fold it into physical operators and run them.
+
+        Without a join the ``WHERE`` goes to the leaf, which evaluates it page
+        by page and only where the summaries allow (:meth:`HeapStorage.select`).
+        """
         statement = parse_select(sql)
+        pushed = None
+        if not statement.joins:
+            pushed, statement.where = statement.where, None
         with self.metrics.timed(self.name, "execute_sql", table=statement.table) as timer:
-            result = lower_select(
-                statement,
-                lambda table: TableScan(self._stored(table).heap.to_table()),
-                build_operator).to_table()
+            details = timer.details
+            details.update(pages_examined=0, pages_skipped=0)
+
+            def leaf(table: str) -> TableScan:
+                stored = self._stored(table)
+                if pushed is not None and not stored.heap.num_rows:
+                    pushed.compile(stored.schema)  # select binds nothing over no rows; SQL does
+                rows, _, examined, pages = stored.heap.select(pushed)
+                details["pages_examined"] += examined
+                details["pages_skipped"] += pages - examined
+                return TableScan(Table.wrap(stored.schema, rows))
+
+            result = lower_select(statement, leaf, build_operator).to_table()
             timer.rows_out = len(result)
         return result
 
@@ -324,14 +340,14 @@ class RelationalEngine(Engine):
 
     def scan(self, table: str, columns: Sequence[str] | None = None,
              predicate: Expression | None = None) -> Table:
-        """The rows of a table satisfying ``predicate`` (all, without one),
-        found page by page (:meth:`HeapStorage.select`), then projected."""
+        """The rows of a table satisfying ``predicate`` (all, without one), cut
+        down to ``columns`` if given: filtered and projected page by page in one
+        pass (:meth:`HeapStorage.select`)."""
         stored = self._stored(table)
         with self.metrics.timed(self.name, "scan", table=table) as timer:
-            rows, timer.rows_in, examined, pages = stored.heap.select(predicate)
-            result = Table.wrap(stored.schema, rows)
-            if columns is not None:
-                result = result.project(columns)
+            rows, timer.rows_in, examined, pages = stored.heap.select(predicate, columns)
+            result = Table.wrap(
+                stored.schema if columns is None else stored.schema.project(columns), rows)
             timer.rows_out = len(result)
             timer.bytes_out = result.estimated_bytes()
             timer.details.update(pages_examined=examined, pages_skipped=pages - examined)
@@ -377,7 +393,8 @@ class RelationalEngine(Engine):
 
     def top_k(self, table: str, by: str, k: int, *, descending: bool = True) -> Table:
         """Top-k rows of a table by one column."""
-        scan = TableScan(self._stored(table).heap.to_table())
+        stored = self._stored(table)
+        scan = TableScan(Table.wrap(stored.schema, stored.heap.select()[0]))
         return TopK(scan, by, k, descending=descending).to_table()
 
     def _stored(self, name: str) -> StoredTable:

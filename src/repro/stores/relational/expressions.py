@@ -2,18 +2,20 @@
 
 Expressions appear in WHERE predicates, projections and join conditions.
 They form a small tree of :class:`Expression` nodes which can be compiled
-into a closure over row tuples (:meth:`Expression.compile`), inspected for
+into a function of row tuples (:meth:`Expression.compile`), inspected for
 referenced columns (used by the compiler's predicate-pushdown pass) and
 estimated for selectivity (used by the cost model).
 
-Every node implements its semantics exactly once, in ``_bind``: it receives
-a function that turns a column name into a ``row -> value`` reader and
-returns a ``row -> value`` closure.  Binding readers that index tuple
-positions gives the engine's compiled form; binding readers that look names
-up in a mapping gives :meth:`Expression.evaluate`, the public-edge form for
-a caller holding one row as a ``{column: value}`` mapping.  Nothing on an
-execution path uses it: the views' delta operators compile against their
-Z-sets' schemas like every other operator.
+Every node implements its semantics exactly once, in ``_emit``: it writes
+itself as Python source over ``row[i]`` into a
+:class:`~repro.stores.relational.kernels.Source`, which binds its literals as
+arguments and compiles the text once per expression shape.  The same text is
+what ``HeapStorage.select`` inlines into its page walk.  ``None`` operands
+make a comparison false and arithmetic ``None``, ``/`` and ``%`` by zero give
+``None``, ``and`` / ``or`` keep their operands' order and short-circuit, and
+operands are evaluated left to right before any is tested for ``None``.
+:meth:`Expression.evaluate` is the public-edge form for a caller holding one
+row as a ``{column: value}`` mapping; nothing on an execution path uses it.
 """
 
 from __future__ import annotations
@@ -21,32 +23,19 @@ from __future__ import annotations
 import abc
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
-from repro.datamodel.schema import Schema
+from repro.datamodel.schema import DataType, Schema
 from repro.exceptions import QueryError
+from repro.stores.relational.kernels import Source
 
-#: ``row -> value``: a compiled expression, or a reader of one column.
-RowFn = Callable[[Any], Any]
+#: Comparison operators, as written in an expression and in generated source.
+_COMPARISONS = {"=": "==", "==": "==", "!=": "!=", "<>": "!=",
+                "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
-_COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": operator.eq,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "%": operator.mod,
-}
+#: Arithmetic operators; ``div`` / ``mod`` give ``None`` on a zero divisor.
+_ARITHMETIC = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
+               "/": "div({}, {})", "%": "mod({}, {})"}
 
 
 class Expression(abc.ABC):
@@ -61,35 +50,33 @@ class Expression(abc.ABC):
     predicates.
     """
 
-    def compile(self, schema: Schema | None = None) -> RowFn:
-        """Resolve every column reference once; returns ``row -> value``.
+    #: Whether ``_emit``'s text is right only as a truth value.
+    _truth_only: ClassVar[bool] = False
 
-        With a ``schema`` the closure reads positional row tuples laid out in
-        that schema, and a reference to a column the schema lacks raises
-        :class:`QueryError` here rather than on the first row.  Without one it
-        reads ``{column: value}`` mappings by name.
+    def compile(self, schema: Schema) -> Callable[[Any], Any]:
+        """``row -> value`` over positional row tuples laid out in ``schema``.
+
+        A reference to a column the schema lacks raises :class:`QueryError`
+        here rather than on the first row.
         """
-        if schema is None:
-            return self._bind(_read_by_name)
-
-        def read_by_position(name: str) -> RowFn:
-            if name not in schema:
-                raise QueryError(f"unknown column {name!r} in expression")
-            return operator.itemgetter(schema.index_of(name))
-
-        return self._bind(read_by_position)
+        out = Source(schema)
+        return out.kernel("row", "row", f"return {out.value(self)}")
 
     def evaluate(self, row: Mapping[str, Any]) -> Any:
         """Evaluate against one row given as ``{column: value}``.
 
-        Compiles per call: loops over many rows should hoist
-        :meth:`compile` instead.
+        Binds per call: loops over many rows should hoist :meth:`compile`.
         """
-        return self.compile()(row)
+        names = sorted(self.referenced_columns())
+        for name in names:
+            if name not in row:
+                raise QueryError(f"unknown column {name!r} in expression")
+        return self.compile(Schema.from_pairs([(name, DataType.STRING) for name in names])
+                            )(tuple(row[name] for name in names))
 
     @abc.abstractmethod
-    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
-        """This node's semantics as a closure; ``reader(name)`` reads a column."""
+    def _emit(self, out: Source) -> str:
+        """This node's semantics as Python source over ``row[i]``."""
 
     @abc.abstractmethod
     def referenced_columns(self) -> frozenset[str]:
@@ -174,23 +161,14 @@ def _as_operand(value: Any) -> "Expression":
     return value if isinstance(value, Expression) else Literal(value)
 
 
-def _read_by_name(name: str) -> RowFn:
-    def read(row: Mapping[str, Any]) -> Any:
-        try:
-            return row[name]
-        except KeyError as exc:
-            raise QueryError(f"unknown column {name!r} in expression") from exc
-    return read
-
-
 @dataclass(frozen=True)
 class ColumnRef(Expression):
     """A reference to a column by name."""
 
     name: str
 
-    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
-        return reader(self.name)
+    def _emit(self, out: Source) -> str:
+        return out.column(self.name)
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset({self.name})
@@ -205,9 +183,8 @@ class Literal(Expression):
 
     value: Any
 
-    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
-        value = self.value
-        return lambda row: value
+    def _emit(self, out: Source) -> str:
+        return out.constant(self.value)
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset()
@@ -230,16 +207,11 @@ class Comparison(Expression):
         if self.op not in _COMPARISONS:
             raise QueryError(f"unknown comparison operator {self.op!r}")
 
-    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
-        compare_values = _COMPARISONS[self.op]
-        left, right = self.left._bind(reader), self.right._bind(reader)
+    _truth_only = True
 
-        def test(row: Any) -> bool:
-            a, b = left(row), right(row)
-            if a is None or b is None:
-                return False
-            return bool(compare_values(a, b))
-        return test
+    def _emit(self, out: Source) -> str:
+        (a, b), present = out.operands(self.left, self.right)
+        return f"({present} and {a} {_COMPARISONS[self.op]} {b})"
 
     def referenced_columns(self) -> frozenset[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
@@ -270,25 +242,12 @@ class BooleanOp(Expression):
         if self.op in ("and", "or") and len(self.operands) < 2:
             raise QueryError(f"{self.op.upper()} needs at least two operands")
 
-    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
-        tests = [operand._bind(reader) for operand in self.operands]
-        if self.op == "not":
-            negated = tests[0]
-            return lambda row: not negated(row)
-        if self.op == "and":
-            def test_all(row: Any) -> bool:
-                for operand in tests:
-                    if not operand(row):
-                        return False
-                return True
-            return test_all
+    _truth_only = True
 
-        def test_any(row: Any) -> bool:
-            for operand in tests:
-                if operand(row):
-                    return True
-            return False
-        return test_any
+    def _emit(self, out: Source) -> str:
+        tests = [out.value(operand, truth=True) for operand in self.operands]
+        return f"(not {tests[0]})" if self.op == "not" \
+            else "(" + f" {self.op} ".join(tests) + ")"
 
     def referenced_columns(self) -> frozenset[str]:
         columns: frozenset[str] = frozenset()
@@ -329,19 +288,9 @@ class Arithmetic(Expression):
         if self.op not in _ARITHMETIC:
             raise QueryError(f"unknown arithmetic operator {self.op!r}")
 
-    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
-        apply = _ARITHMETIC[self.op]
-        left, right = self.left._bind(reader), self.right._bind(reader)
-
-        def compute(row: Any) -> Any:
-            a, b = left(row), right(row)
-            if a is None or b is None:
-                return None
-            try:
-                return apply(a, b)
-            except ZeroDivisionError:
-                return None
-        return compute
+    def _emit(self, out: Source) -> str:
+        (a, b), present = out.operands(self.left, self.right)
+        return f"({_ARITHMETIC[self.op].format(a, b)} if {present} else None)"
 
     def referenced_columns(self) -> frozenset[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
@@ -357,9 +306,8 @@ class InList(Expression):
     operand: Expression
     values: tuple[Any, ...]
 
-    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
-        operand, values = self.operand._bind(reader), self.values
-        return lambda row: operand(row) in values
+    def _emit(self, out: Source) -> str:
+        return f"({out.value(self.operand)} in {out.constant(self.values)})"
 
     def referenced_columns(self) -> frozenset[str]:
         return self.operand.referenced_columns()
@@ -379,9 +327,8 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def _bind(self, reader: Callable[[str], RowFn]) -> RowFn:
-        operand, negated = self.operand._bind(reader), self.negated
-        return lambda row: (operand(row) is None) is not negated
+    def _emit(self, out: Source) -> str:
+        return f"({out.value(self.operand)} is{' not' * self.negated} None)"
 
     def referenced_columns(self) -> frozenset[str]:
         return self.operand.referenced_columns()
@@ -448,6 +395,8 @@ def split_conjunction(expression: Expression) -> list[Expression]:
     return [expression]
 
 
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
 #: ``literal op column`` read as ``column op literal``.
 _MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "=="}
 
@@ -497,7 +446,7 @@ def page_test(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | 
                     # finds it by identity) rules nothing out.
                     possible = not all(v < low or v > high for v in values)
                 else:  # ``column < v`` can hold on the page iff ``min < v`` does
-                    possible = _COMPARISONS[op](low if op[0] == "<" else high, values[0])
+                    possible = _ORDERINGS[op](low if op[0] == "<" else high, values[0])
             except TypeError:
                 return True
             if not possible:

@@ -7,9 +7,10 @@ filters and limits.
 Operators are *positional and plan-typed*: each carries the ``schema`` of
 its output, computed from its inputs' schemas and its own parameters when the
 tree is built, and produces row tuples laid out in that schema.  Column names
-resolve to tuple positions (and predicates compile to closures over them)
-once per tree, never per row, and no schema is inferred from the values
-flowing through.  Engine and adapters build trees over
+resolve to tuple positions once per tree, never per row — predicates, tuple
+readers and the group-aggregate loop are generated for those positions by
+:mod:`~repro.stores.relational.kernels` — and no schema is inferred from the
+values flowing through.  Engine and adapters build trees over
 :class:`~repro.datamodel.table.Table` inputs and read the result with
 :meth:`PhysicalOperator.to_table`.  Dictionaries survive only at the public
 edge: :class:`TableScan` also accepts dict rows and
@@ -36,7 +37,7 @@ import abc
 import functools
 import heapq
 import itertools
-from collections import defaultdict
+import textwrap
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -45,6 +46,7 @@ from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Row, Table
 from repro.exceptions import QueryError
 from repro.stores.relational.expressions import Expression
+from repro.stores.relational.kernels import Source
 
 RowDict = dict[str, Any]
 
@@ -266,7 +268,12 @@ def aggregate_dtype(function: str, source: Column | None) -> DataType:
 
 class GroupByAggregate(PhysicalOperator):
     """Hash group-by with the standard SQL aggregates, groups in first-seen
-    order; with no grouping columns an empty input still yields one row."""
+    order; with no grouping columns an empty input still yields one row.
+
+    ``count(*)`` counts rows and every other aggregate skips ``None``: ``sum``
+    is the left fold from ``0``, ``avg`` that over the number folded, ``min`` /
+    ``max`` the first extreme; all but the counts are ``None`` over no value.
+    """
 
     def __init__(self, child: PhysicalOperator, group_by: Sequence[str],
                  aggregates: Sequence[AggregateSpec]) -> None:
@@ -274,13 +281,11 @@ class GroupByAggregate(PhysicalOperator):
         source = child.schema
         #: ``row -> group key`` (the leading columns of an output row).
         self.key = tuple_reader(source, group_by)
-        self._ungrouped = not group_by
         #: Per aggregate, ``row -> input value`` (``None`` for ``count(*)``).
         self.readers = [None if spec.column is None
                         else column_reader(source, spec.column)
                         for spec in aggregates]
-        self._folds = [_fold(spec.function, read)
-                       for spec, read in zip(aggregates, self.readers)]
+        self._kernel = _aggregate_kernel(source, tuple(group_by), tuple(aggregates))
         self.schema = Schema(
             [source[name] if name in source else Column(name, DataType.STRING)
              for name in group_by]
@@ -289,15 +294,7 @@ class GroupByAggregate(PhysicalOperator):
                for spec in aggregates])
 
     def rows(self) -> list[Row]:
-        key_of = self.key
-        groups: dict[tuple, list[Row]] = defaultdict(list)
-        for row in self._child.rows():
-            groups[key_of(row)].append(row)
-        if not groups and self._ungrouped:
-            groups[()] = []
-        folds = self._folds
-        return [key + tuple(fold(members) for fold in folds)
-                for key, members in groups.items()]
+        return self._kernel(self._child.rows())
 
 
 class TopK(PhysicalOperator):
@@ -365,34 +362,53 @@ def column_reader(schema: Schema, name: str) -> Callable[[Row], Any]:
 
 def tuple_reader(schema: Schema, names: Sequence[str]) -> Callable[[Row], tuple]:
     """``row -> tuple`` of the named columns (``None`` for ones the schema lacks)."""
-    return _tuple_at(tuple(schema.index_of(name) if name in schema else None
-                           for name in names))
+    out = Source(schema)
+    return out.kernel("tuple", "row", f"return {out.cells(names)}")
+
+
+#: Per aggregate function: its accumulator slots' initial values, the step for
+#: a non-``None`` value ``v`` (``a`` is the group's accumulators, ``{i}`` and
+#: ``{j}`` its first two slots) and the result.
+_ACCUMULATORS = {
+    "count": (["0"], "a[{i}] += 1", "a[{i}]"),
+    "sum": (["None"], "s = a[{i}]; a[{i}] = (0 if s is None else s) + v", "a[{i}]"),
+    "avg": (["0", "0"], "a[{i}] += 1; a[{j}] = a[{j}] + v",
+            "(a[{j}] / a[{i}] if a[{i}] else None)"),
+    "min": (["None"], "s = a[{i}]\nif s is None or v < s: a[{i}] = v", "a[{i}]"),
+    "max": (["None"], "s = a[{i}]\nif s is None or v > s: a[{i}] = v", "a[{i}]"),
+}
 
 
 @functools.lru_cache(maxsize=512)
-def _tuple_at(positions: tuple[int | None, ...]) -> Callable[[Row], tuple]:
-    """Generated as ``lambda row: (row[2], None, row[0],)``: one call per row
-    for any arity (a loop over per-column readers costs 3x per group-by key);
-    cached, as generating one costs more than a small shard merge reads."""
-    cells = "".join("None," if i is None else f"row[{i}]," for i in positions)
-    return eval(f"lambda row: ({cells})")
-
-
-def _fold(function: str, read: Callable[[Row], Any] | None
-          ) -> Callable[[list[Row]], Any]:
-    """``group rows -> aggregate value``: ``count(*)`` (no ``read``) counts
-    rows, everything else skips ``None`` and is ``None`` over no other input."""
-    if read is None:
-        return len
-    if function == "count":
-        return lambda rows: sum(1 for row in rows if read(row) is not None)
-    reduce = {"sum": sum, "min": min, "max": max,
-              "avg": lambda values: sum(values) / len(values)}[function]
-
-    def fold(rows: list[Row]) -> Any:
-        values = [value for value in map(read, rows) if value is not None]
-        return reduce(values) if values else None
-    return fold
+def _aggregate_kernel(schema: Schema, group_by: tuple[str, ...],
+                      aggregates: tuple[AggregateSpec, ...]
+                      ) -> Callable[[Iterable[Row]], list[Row]]:
+    """``rows -> output rows``: one pass, one accumulator list per group in a
+    dict keyed by the group — by the bare value when one column groups.
+    Cached whole: it binds no literal, and writing it costs a small merge."""
+    out = Source(schema)
+    scalar = len(group_by) == 1
+    key = out.column(group_by[0], or_none=True) if scalar else out.cells(group_by)
+    initial: list[str] = []
+    results = ""
+    steps: dict[str | None, str] = {}  # by input cell; None (count(*)): every row
+    for spec in aggregates:
+        slots, step, result = _ACCUMULATORS[spec.function]
+        at = {"i": len(initial), "j": len(initial) + 1}
+        initial += slots
+        results += result.format(**at) + ","
+        cell = spec.column and out.column(spec.column, or_none=True)
+        steps[cell] = steps.get(cell, "") + step.format(**at) + "\n"
+    fresh = f"[{', '.join(initial)}]"
+    loop = f"key = {key}\na = find(key)\nif a is None:\n    groups[key] = a = {fresh}\n"
+    for cell, step in steps.items():
+        loop += step if cell is None else \
+            f"v = {cell}\nif v is not None:\n{textwrap.indent(step, '    ')}"
+    return out.kernel(
+        "aggregate", "rows",
+        f"groups = {{}}\nfind = groups.get\nfor row in rows:\n{textwrap.indent(loop, '    ')}"
+        + ("" if group_by else f"if not groups: groups[()] = {fresh}\n")
+        + f"return [{'(key,)' if scalar else 'key'} + ({results}) for key, a in groups.items()]")
 
 
 # -- bitonic sorting network ----------------------------------------------------------------

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.datamodel.schema import Schema
-from repro.datamodel.table import Row, Table
+from repro.datamodel.table import Row
 from repro.exceptions import StorageError
 from repro.stores.relational.expressions import Expression, page_test
+from repro.stores.relational.kernels import Source
 
 DEFAULT_PAGE_CAPACITY = 256
 
@@ -180,27 +181,30 @@ class HeapStorage:
             for slot, row in enumerate(page.rows):
                 yield (number, slot), row
 
-    def to_table(self) -> Table:
-        """Materialize the heap as a :class:`Table`."""
-        return Table.wrap(self.schema, self.select()[0])
-
-    def select(self, predicate: Expression | None = None
+    def select(self, predicate: Expression | None = None,
+               columns: Sequence[str] | None = None
                ) -> tuple[list[Row], int, int, int]:
-        """The rows satisfying ``predicate`` (all, without one), in scan order.
+        """The rows satisfying ``predicate`` (all, without one), in scan order,
+        cut down to ``columns`` if given.
 
-        The predicate is evaluated page by page and only on pages whose
-        summaries do not rule it out; an empty heap does not even bind it.
-        Returns the rows, the rows examined, the pages examined and the pages
-        there were.
+        One generated walk filters and projects page by page, and only the
+        pages whose summaries do not rule the predicate out; an empty heap
+        does not even bind it.  Returns the rows, the rows examined, the pages
+        examined and the pages there were.
         """
         pages = candidates = self._pages[:]
-        chunks: Iterable[Iterable[Row]] = (page.rows for page in pages)
-        if predicate is not None and pages:
-            test = predicate.compile(self.schema)
+        rows: list[Row] = []
+        if pages and (predicate is not None or columns is not None):
+            out = Source(self.schema)
+            cells = "row" if columns is None else out.cells(columns)
+            where = "" if predicate is None else f"\n    if {out.value(predicate, truth=True)}"
+            walk = out.kernel("select", "pages, rows", "for page in pages:\n"
+                              f"    rows.extend([{cells} for row in page.rows{where}])")
             candidates = list(compress(pages, self._examine(pages, predicate)))
-            chunks = (filter(test, page.rows) for page in candidates)
-        return (list(chain.from_iterable(chunks)),
-                sum(len(page.rows) for page in candidates),
+            walk(candidates, rows)
+        else:
+            rows.extend(chain.from_iterable(page.rows for page in pages))
+        return (rows, sum(len(page.rows) for page in candidates),
                 len(candidates), len(pages))
 
     # -- statistics -------------------------------------------------------------

@@ -205,6 +205,35 @@ class TestDataVersionInvalidation:
         assert prepared._entry.snapshot.pinned > 0
 
 
+class TestProtectiveCopy:
+    def test_a_pinned_table_is_copied_by_container_not_row_by_row(self):
+        from collections import namedtuple
+
+        from repro.client.cache import _protective_copy
+
+        # A tuple subclass: re-tupling a row would hand back a different object.
+        Order = namedtuple("Order", "order_id amount")
+        schema = make_schema(("order_id", DataType.INT), ("amount", DataType.FLOAT))
+        pinned = Table.wrap(schema, [Order(i, float(i)) for i in range(5)])
+        copy = _protective_copy(pinned)
+        assert copy.schema is pinned.schema and copy.rows is not pinned.rows
+        assert all(mine is theirs for mine, theirs in zip(copy.rows, pinned.rows))
+        copy.rows.append((9, 9.0))
+        copy.rows.pop(0)
+        assert len(pinned) == 5 and pinned.rows[0] == (0, 0.0)
+
+    def test_mutating_a_replayed_result_never_reaches_the_pin(self):
+        system = _small_system()
+        prepared = system.session().prepare(_orders_program())
+        first = prepared.run().output("features")
+        expected = list(first.rows)
+        first.rows.pop()
+        first.rows.append(("poison",))
+        replay = prepared.run()
+        assert replay.report.cached_tasks > 0
+        assert replay.output("features").rows == expected
+
+
 class TestScopedInvalidation:
     """Satellite: ``data_version`` is per-table/namespace, not per-engine."""
 

@@ -173,6 +173,37 @@ class TestEngine:
         assert result.num_rows == 0
 
 
+class TestSqlWhereGoesToTheLeaf:
+    """A join-free statement's ``WHERE`` is evaluated inside the page walk."""
+
+    SCHEMA = make_schema(("id", DataType.INT), ("grp", DataType.INT))
+
+    def test_a_selective_statement_examines_the_pages_that_can_match(self):
+        engine = RelationalEngine("skip")
+        engine.load_table("facts", Table(self.SCHEMA, [(i, i % 7) for i in range(50_000)]))
+        pages = engine.table_statistics("facts")["pages"]
+        result = engine.execute_sql("SELECT id, grp FROM facts WHERE id < 300")
+        assert result.rows == [(i, i % 7) for i in range(300)]
+        record = engine.metrics.records[-1]
+        assert record.operation == "execute_sql"
+        # The two pages of the range, and the open last page.
+        assert record.details["pages_examined"] <= 3
+        assert record.details["pages_examined"] + record.details["pages_skipped"] == pages
+        engine.execute_sql("SELECT count(*) AS n FROM facts")
+        assert engine.metrics.records[-1].details["pages_skipped"] == 0
+
+    def test_an_unknown_where_column_is_rejected_even_over_no_rows(self):
+        engine = RelationalEngine("none")
+        engine.create_table("facts", self.SCHEMA)
+        assert engine.execute_sql("SELECT id FROM facts WHERE id < 3").rows == []
+        with pytest.raises(QueryError, match="nowhere"):
+            engine.execute_sql("SELECT id FROM facts WHERE nowhere < 3")
+        engine.create_table("tags", make_schema(("id", DataType.INT)))
+        with pytest.raises(QueryError, match="nowhere"):
+            engine.execute_sql(
+                "SELECT grp FROM facts JOIN tags ON facts.id = tags.id WHERE nowhere < 3")
+
+
 class TestUpdatesPublishAtomically:
     """``update_rows`` builds the changed table beside the live one and
     publishes it in one step; a retired table stays as its readers found it."""
