@@ -30,7 +30,7 @@ from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import RelationalEngine
 
-N_ROWS = 32_000
+N_ROWS = 8000
 NUM_SHARDS = 4
 N_CUSTOMERS = 64
 TARGET_CUSTOMER = 7

@@ -46,16 +46,15 @@ class RelationalAdapter(Adapter):
                 str(node.params["table"]), list(columns) if columns else None,
                 predicate if isinstance(predicate, Expression) else None)
         if kind == "index_seek":
-            table = self.engine.index_lookup(str(node.params["table"]),
-                                             str(node.params["column"]),
-                                             node.params["value"])
-            # A seek converted from a predicated scan: apply the residual
-            # conjuncts (and the cheap equality re-check) engine-side.
-            table = self._apply_predicate(table, node)
+            # A seek converted from a predicated scan: the residual conjuncts
+            # (and the cheap equality re-check) and the projection apply
+            # engine-side, in one pass over the rows the index found.
             columns = node.params.get("columns")
-            if columns:
-                table = table.project(list(columns))
-            return table
+            predicate = node.params.get("predicate")
+            return self.engine.index_lookup(
+                str(node.params["table"]), str(node.params["column"]),
+                node.params["value"], list(columns) if columns else None,
+                predicate if isinstance(predicate, Expression) else None)
         if kind == "python_udf":
             fn = node.params["fn"]
             return fn(*inputs)

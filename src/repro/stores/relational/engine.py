@@ -17,6 +17,7 @@ from repro.datamodel.table import Row, Table
 from repro.exceptions import StorageError
 from repro.stores.base import Concurrency, DataModel, Engine
 from repro.stores.changelog import table_scope
+from repro.stores.relational import kernels
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.index import HashIndex, SortedIndex
 from repro.stores.relational.operators import TableScan, TopK, build_operator
@@ -345,9 +346,9 @@ class RelationalEngine(Engine):
         pass (:meth:`HeapStorage.select`)."""
         stored = self._stored(table)
         with self.metrics.timed(self.name, "scan", table=table) as timer:
+            schema = stored.schema if columns is None else stored.schema.project(columns)
             rows, timer.rows_in, examined, pages = stored.heap.select(predicate, columns)
-            result = Table.wrap(
-                stored.schema if columns is None else stored.schema.project(columns), rows)
+            result = Table.wrap(schema, rows)
             timer.rows_out = len(result)
             timer.bytes_out = result.estimated_bytes()
             timer.details.update(pages_examined=examined, pages_skipped=pages - examined)
@@ -365,19 +366,26 @@ class RelationalEngine(Engine):
             return False
         return column in stored.hash_indexes or column in stored.sorted_indexes
 
-    def index_lookup(self, table: str, column: str, value: Any) -> Table:
-        """Equality lookup through an index (hash preferred, sorted fallback)."""
+    def index_lookup(self, table: str, column: str, value: Any,
+                     columns: Sequence[str] | None = None,
+                     predicate: Expression | None = None) -> Table:
+        """Equality lookup through an index (hash preferred, sorted fallback);
+        the rows found are filtered by ``predicate`` and cut down to ``columns``
+        in one generated pass, as :meth:`scan`'s are."""
         stored = self._stored(table)
         with self.metrics.timed(self.name, "index_seek", table=table, column=column) as timer:
+            schema = stored.schema if columns is None else stored.schema.project(columns)
             if column in stored.hash_indexes:
                 rids = stored.hash_indexes[column].lookup(value)
             elif column in stored.sorted_indexes:
                 rids = stored.sorted_indexes[column].lookup(value)
             else:
                 raise StorageError(f"no index on {table}.{column}")
-            rows = [stored.heap.fetch(*rid) for rid in rids]
+            rows = stored.heap.fetch_many(rids)
+            if rows and (predicate is not None or columns is not None):
+                rows = kernels.select(stored.schema, predicate, columns)((rows,))
             timer.rows_out = len(rows)
-        return Table.wrap(stored.schema, rows)
+        return Table.wrap(schema, rows)
 
     def range_lookup(self, table: str, column: str, low: Any = None,
                      high: Any = None) -> Table:
@@ -386,8 +394,7 @@ class RelationalEngine(Engine):
         if column not in stored.sorted_indexes:
             raise StorageError(f"no sorted index on {table}.{column}")
         with self.metrics.timed(self.name, "range_seek", table=table, column=column) as timer:
-            rids = list(stored.sorted_indexes[column].range(low, high))
-            rows = [stored.heap.fetch(*rid) for rid in rids]
+            rows = stored.heap.fetch_many(list(stored.sorted_indexes[column].range(low, high)))
             timer.rows_out = len(rows)
         return Table.wrap(stored.schema, rows)
 

@@ -10,10 +10,11 @@ Every node implements its semantics exactly once, in ``_emit``: it writes
 itself as Python source over ``row[i]`` into a
 :class:`~repro.stores.relational.kernels.Source`, which binds its literals as
 arguments and compiles the text once per expression shape.  The same text is
-what ``HeapStorage.select`` inlines into its page walk.  ``None`` operands
-make a comparison false and arithmetic ``None``, ``/`` and ``%`` by zero give
-``None``, ``and`` / ``or`` keep their operands' order and short-circuit, and
-operands are evaluated left to right before any is tested for ``None``.
+what ``kernels.select`` inlines into its filter-and-project pass.  ``None``
+operands make a comparison false and arithmetic ``None``, ``/`` and ``%`` by
+zero give ``None``, ``and`` / ``or`` keep their operands' order and
+short-circuit, and operands are evaluated left to right before any is tested
+for ``None``.
 :meth:`Expression.evaluate` is the public-edge form for a caller holding one
 row as a ``{column: value}`` mapping; nothing on an execution path uses it.
 """
@@ -67,12 +68,9 @@ class Expression(abc.ABC):
 
         Binds per call: loops over many rows should hoist :meth:`compile`.
         """
-        names = sorted(self.referenced_columns())
-        for name in names:
-            if name not in row:
-                raise QueryError(f"unknown column {name!r} in expression")
-        return self.compile(Schema.from_pairs([(name, DataType.STRING) for name in names])
-                            )(tuple(row[name] for name in names))
+        names = sorted(name for name in self.referenced_columns() if name in row)
+        layout = Schema.from_pairs([(name, DataType.STRING) for name in names])
+        return self.compile(layout)(tuple(row[name] for name in names))
 
     @abc.abstractmethod
     def _emit(self, out: Source) -> str:

@@ -15,9 +15,9 @@ values flowing through.  Engine and adapters build trees over
 :meth:`PhysicalOperator.to_table`.  Dictionaries survive only at the public
 edge: :class:`TableScan` also accepts dict rows and
 :meth:`PhysicalOperator.execute` returns dict rows.  The views' delta
-operators bind by building the matching operator here over an empty scan and
-reusing its ``schema`` and public readers, so both routes resolve names and
-type results in one place.
+operators bind by building the matching operator here over an empty scan for
+its ``schema`` and taking their readers from the functions below (a join's
+from the operator), so both routes resolve names and type results in one place.
 
 Key columns (sort, group-by, join and top-k keys, aggregate inputs) the input
 lacks read as ``None``, as a dict row without that key always did;
@@ -46,7 +46,7 @@ from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Row, Table
 from repro.exceptions import QueryError
 from repro.stores.relational.expressions import Expression
-from repro.stores.relational.kernels import Source
+from repro.stores.relational import kernels
 
 RowDict = dict[str, Any]
 
@@ -97,11 +97,10 @@ class Filter(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, predicate: Expression) -> None:
         self._child = child
         self.schema = child.schema
-        #: ``row -> bool``, the predicate compiled against the child's schema.
-        self.test = predicate.compile(child.schema)
+        self._select = kernels.select(child.schema, predicate)
 
-    def rows(self) -> Iterable[Row]:
-        return filter(self.test, self._child.rows())
+    def rows(self) -> list[Row]:
+        return self._select((self._child.rows(),))
 
 
 class Project(PhysicalOperator):
@@ -278,20 +277,8 @@ class GroupByAggregate(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, group_by: Sequence[str],
                  aggregates: Sequence[AggregateSpec]) -> None:
         self._child = child
-        source = child.schema
-        #: ``row -> group key`` (the leading columns of an output row).
-        self.key = tuple_reader(source, group_by)
-        #: Per aggregate, ``row -> input value`` (``None`` for ``count(*)``).
-        self.readers = [None if spec.column is None
-                        else column_reader(source, spec.column)
-                        for spec in aggregates]
-        self._kernel = _aggregate_kernel(source, tuple(group_by), tuple(aggregates))
-        self.schema = Schema(
-            [source[name] if name in source else Column(name, DataType.STRING)
-             for name in group_by]
-            + [Column(spec.alias, aggregate_dtype(
-                spec.function, source[spec.column] if spec.column in source else None))
-               for spec in aggregates])
+        self._kernel, self.schema = _aggregate(
+            child.schema, tuple(group_by), tuple(aggregates))
 
     def rows(self) -> list[Row]:
         return self._kernel(self._child.rows())
@@ -362,8 +349,8 @@ def column_reader(schema: Schema, name: str) -> Callable[[Row], Any]:
 
 def tuple_reader(schema: Schema, names: Sequence[str]) -> Callable[[Row], tuple]:
     """``row -> tuple`` of the named columns (``None`` for ones the schema lacks)."""
-    out = Source(schema)
-    return out.kernel("tuple", "row", f"return {out.cells(names)}")
+    out = kernels.Source(schema)
+    return out.kernel("tuple", "row", f"return {out.cells(names, or_none=True)}")
 
 
 #: Per aggregate function: its accumulator slots' initial values, the step for
@@ -380,15 +367,23 @@ _ACCUMULATORS = {
 
 
 @functools.lru_cache(maxsize=512)
-def _aggregate_kernel(schema: Schema, group_by: tuple[str, ...],
-                      aggregates: tuple[AggregateSpec, ...]
-                      ) -> Callable[[Iterable[Row]], list[Row]]:
-    """``rows -> output rows``: one pass, one accumulator list per group in a
-    dict keyed by the group — by the bare value when one column groups.
-    Cached whole: it binds no literal, and writing it costs a small merge."""
-    out = Source(schema)
+def _aggregate(source: Schema, group_by: tuple[str, ...], aggregates: tuple[AggregateSpec, ...]
+               ) -> tuple[Callable[[Iterable[Row]], list[Row]], Schema]:
+    """What a :class:`GroupByAggregate` derives from its parameters, cached
+    whole (writing the loop costs ~15 µs, more than it takes over 100 rows): the
+    output schema, and ``rows -> output rows`` — one pass, one accumulator list
+    per group in a dict keyed by the group, by the bare value when one column
+    groups."""
+    schema = Schema(
+        [source[name] if name in source else Column(name, DataType.STRING)
+         for name in group_by]
+        + [Column(spec.alias, aggregate_dtype(
+            spec.function, source[spec.column] if spec.column in source else None))
+           for spec in aggregates])
+    out = kernels.Source(source)
     scalar = len(group_by) == 1
-    key = out.column(group_by[0], or_none=True) if scalar else out.cells(group_by)
+    key = out.column(group_by[0], or_none=True) if scalar \
+        else out.cells(group_by, or_none=True)
     initial: list[str] = []
     results = ""
     steps: dict[str | None, str] = {}  # by input cell; None (count(*)): every row
@@ -408,7 +403,8 @@ def _aggregate_kernel(schema: Schema, group_by: tuple[str, ...],
         "aggregate", "rows",
         f"groups = {{}}\nfind = groups.get\nfor row in rows:\n{textwrap.indent(loop, '    ')}"
         + ("" if group_by else f"if not groups: groups[()] = {fresh}\n")
-        + f"return [{'(key,)' if scalar else 'key'} + ({results}) for key, a in groups.items()]")
+        + f"return [{'(key,)' if scalar else 'key'} + ({results}) for key, a in groups.items()]"
+    ), schema
 
 
 # -- bitonic sorting network ----------------------------------------------------------------

@@ -18,8 +18,8 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row
 from repro.exceptions import StorageError
+from repro.stores.relational import kernels
 from repro.stores.relational.expressions import Expression, page_test
-from repro.stores.relational.kernels import Source
 
 DEFAULT_PAGE_CAPACITY = 256
 
@@ -165,10 +165,15 @@ class HeapStorage:
 
     def fetch(self, page: int, slot: int) -> Row:
         """Fetch one row by its row identifier."""
+        return self.fetch_many([(page, slot)])[0]
+
+    def fetch_many(self, rids: Sequence[tuple[int, int]]) -> list[Row]:
+        """The rows at the given ``(page, slot)`` identifiers, in their order."""
+        pages = self._pages
         try:
-            return self._pages[page].rows[slot]
+            return [pages[page].rows[slot] for page, slot in rids]
         except IndexError as exc:
-            raise StorageError(f"invalid row id ({page}, {slot})") from exc
+            raise StorageError(f"invalid row id among {rids[:3]}") from exc
 
     def scan(self) -> Iterator[Row]:
         """Yield every row in insertion order (a full sequential scan)."""
@@ -193,17 +198,12 @@ class HeapStorage:
         examined and the pages there were.
         """
         pages = candidates = self._pages[:]
-        rows: list[Row] = []
         if pages and (predicate is not None or columns is not None):
-            out = Source(self.schema)
-            cells = "row" if columns is None else out.cells(columns)
-            where = "" if predicate is None else f"\n    if {out.value(predicate, truth=True)}"
-            walk = out.kernel("select", "pages, rows", "for page in pages:\n"
-                              f"    rows.extend([{cells} for row in page.rows{where}])")
+            walk = kernels.select(self.schema, predicate, columns)
             candidates = list(compress(pages, self._examine(pages, predicate)))
-            walk(candidates, rows)
+            rows = walk([page.rows for page in candidates])
         else:
-            rows.extend(chain.from_iterable(page.rows for page in pages))
+            rows = list(chain.from_iterable(page.rows for page in pages))
         return (rows, sum(len(page.rows) for page in candidates),
                 len(candidates), len(pages))
 

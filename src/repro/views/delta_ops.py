@@ -20,8 +20,9 @@ of its output — the DBSP "lifted" form of the corresponding batch operator:
 Operators are positional and plan-typed like the physical operators they
 lift (:mod:`repro.stores.relational.operators`): on its first application —
 the seed pass — each one *binds* by building that operator over empty scans
-of its input deltas' schemas and keeping its output ``schema`` and compiled
-readers, so names resolve and results are typed in one place for both routes
+of its input deltas' schemas and keeping its output ``schema`` (and a join's
+readers); the rest it takes from the generator that operator's loop comes
+from, so names resolve and results are typed in one place for both routes
 (the differential tests assert refresh equals recompute, rows and schema).
 """
 
@@ -37,6 +38,8 @@ from repro.stores.relational.operators import (
     PhysicalOperator,
     TableScan,
     build_operator,
+    column_reader,
+    tuple_reader,
 )
 from repro.views.zset import ZSet
 
@@ -85,7 +88,8 @@ class DeltaFilter(DeltaOperator):
     """Linear: ``δout = σ(δin)``."""
 
     def _bind(self, physical: Any, *schemas: Schema) -> None:
-        self._test = physical.test
+        ((_, params),) = self.stages
+        self._test = params["predicate"].compile(schemas[0])
 
     def _apply(self, *deltas: ZSet) -> ZSet:
         (delta,) = deltas
@@ -183,10 +187,10 @@ class DeltaAggregate(DeltaOperator):
 
     def _bind(self, physical: Any, *schemas: Schema) -> None:
         ((_, params),) = self.stages
-        self._key = physical.key
+        self._key = tuple_reader(schemas[0], params.get("group_by") or [])
         #: ``(function, row -> input value | None for count(*))`` per aggregate.
-        self._inputs = [(spec.function, read) for spec, read
-                        in zip(params.get("aggregates") or [], physical.readers)]
+        self._inputs = [(spec.function, spec.column and column_reader(schemas[0], spec.column))
+                        for spec in params.get("aggregates") or []]
         self._grouped = bool(params.get("group_by"))
         self._groups: dict[tuple, _GroupState] = {}
         #: Whether the global group's time-zero row was emitted yet.

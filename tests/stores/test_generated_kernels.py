@@ -10,6 +10,7 @@ fold from ``0`` (what the views' running ``DeltaAggregate`` computes; builtin
 from __future__ import annotations
 
 import functools
+import gc
 import linecache
 import operator
 import traceback
@@ -24,11 +25,14 @@ from repro.compiler.pipeline import CompilerOptions
 from repro.core import build_cpu_polystore
 from repro.datamodel import Column, DataType, Schema, Table, make_schema
 from repro.eide.dataflow import Dataset
+from repro.exceptions import QueryError
 from repro.stores import RelationalEngine
 from repro.stores.relational.kernels import factory
 from repro.stores.relational.operators import (
     AggregateSpec,
+    Filter,
     GroupByAggregate,
+    Project,
     TableScan,
     aggregate_dtype,
 )
@@ -189,6 +193,36 @@ def test_a_scan_with_columns_and_a_predicate_is_one_pass(monkeypatch):
     assert engine.scan("people", ["name", "pid"]).rows[:1] == [("0", 0)]
 
 
+def test_a_filter_and_an_index_seek_are_one_pass_each():
+    """Neither calls a row function per row: a ``Filter`` is the select kernel
+    over one chunk, and a seek filters and projects the rows its index found in
+    that same kernel — the answers of the scan that walks every page."""
+    rows = [(i % 7, str(i)) for i in range(600)]
+    scan = Project(TableScan(Table.wrap(POINTS, rows)), ["pid", "name"])  # rows() is an iterator
+    physical = Filter(scan, col("name") > "58")
+    assert physical._select.__code__.co_filename.startswith("<kernel select ")
+    assert physical.rows() == [row for row in rows if row[1] > "58"]
+
+    engine = RelationalEngine("db")
+    engine.load_table("people", Table(POINTS, rows))
+    engine.create_index("people", "pid")
+    residual = (col("pid") == 3) & (col("name") > "58")
+    sought = engine.index_lookup("people", "pid", 3, ["name"], residual)
+    assert sought.rows == engine.scan("people", ["name"], residual).rows == \
+        [(name,) for pid, name in rows if pid == 3 and name > "58"]
+    assert sought.schema.names == ("name",)
+    assert engine.index_lookup("people", "pid", 3).rows == [r for r in rows if r[0] == 3]
+
+
+def test_an_unknown_projected_column_is_an_error_not_a_column_of_nones():
+    engine = RelationalEngine("db")
+    engine.load_table("people", Table(POINTS, [(1, "a")]))
+    with pytest.raises(QueryError, match="nope"):
+        engine._stored("people").heap.select(columns=["nope"])
+    with pytest.raises(Exception, match="nope"):
+        engine.scan("people", ["nope"])
+
+
 def test_the_aggregate_holds_accumulators_not_rows():
     rows = [(i % 10, "a", float(i), None) for i in range(10_000)]
     physical = GroupByAggregate(
@@ -226,3 +260,16 @@ def test_a_row_that_raises_shows_the_generated_predicate():
     assert "<kernel aggregate " in text and "if s is None or v < s: a[0] = v" in text
     filename = physical._kernel.__code__.co_filename
     assert filename.startswith("<kernel aggregate ") and linecache.getlines(filename)
+
+
+def test_a_kernel_text_goes_when_its_last_function_does():
+    """``linecache`` holds a text while the cached factory or a kernel it bound
+    is alive, no longer: a server fed ad-hoc shapes does not keep them all."""
+    kernel = (col("pid") % 977 > 5).compile(POINTS)
+    filename = kernel.__code__.co_filename
+    factory.cache_clear()
+    gc.collect()
+    assert linecache.getlines(filename)  # the kernel is still callable: so is its text
+    del kernel
+    gc.collect()
+    assert filename not in linecache.cache
