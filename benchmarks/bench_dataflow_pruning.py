@@ -30,12 +30,13 @@ from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import RelationalEngine
 
-N_ROWS = 8000
+N_ROWS = 32000
 NUM_SHARDS = 4
 N_CUSTOMERS = 64
 TARGET_CUSTOMER = 7
-#: Timed repetitions per configuration; CI smoke mode sets 1.
-ITERATIONS = max(1, int(os.environ.get("PRUNING_BENCH_ITERS", "5")))
+#: Timed repetitions per configuration; CI smoke mode sets 1.  Never fewer
+#: than three: one sample of a 0.1 ms charged read is mostly scheduler noise.
+ITERATIONS = max(3, int(os.environ.get("PRUNING_BENCH_ITERS", "5")))
 #: Required charged-time advantage of the pruned read over full scatter.
 MIN_SPEEDUP = float(os.environ.get("PRUNING_MIN_SPEEDUP", "2.0"))
 
