@@ -12,8 +12,9 @@ directory, which is the recovery path a real crash would exercise.
 Built-in points (see :mod:`repro.durability.wal` / ``manager``):
 
 * ``"wal.append"`` — die mid-append, leaving a torn trailing record,
-* ``"snapshot.write"`` — die after writing a snapshot's temp file but
-  before the atomic rename (the manifest never references it),
+* ``"snapshot.write"`` — die after writing a checkpoint file's temp file
+  (page segment or snapshot) but before the atomic rename (the manifest
+  never references it),
 * ``"rebalance.cutover"`` — die after the new shard generation is
   snapshotted but before the facade manifest swap (recovery must come back
   on the *old* topology).

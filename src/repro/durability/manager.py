@@ -6,7 +6,8 @@ supported engine registered on its system:
 * an :class:`EngineStore` per plain engine hooks the engine's changelog
   (every :class:`~repro.stores.changelog.DeltaBatch` becomes one WAL
   record, appended under the log lock so WAL order equals sequence order)
-  and checkpoints — atomic snapshot, WAL rotation, manifest swap — every
+  and checkpoints — sealed heap pages not yet on disk into one segment
+  file, atomic snapshot naming them, WAL rotation, manifest swap — every
   ``snapshot_every`` records;
 * a :class:`ShardedStore` per :class:`~repro.cluster.ShardedEngine` nests
   one ``EngineStore`` per shard (per-shard WALs) under a facade store that
@@ -29,13 +30,17 @@ import pickle
 import shutil
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.durability import faults
 from repro.durability.snapshot import (
+    SEGMENT_HEADER,
+    SNAPSHOT_PREFIX,
     load_manifest,
     load_snapshot,
+    read_record,
     snapshot_id,
     snapshot_name,
     write_atomic,
@@ -55,12 +60,11 @@ from repro.durability.state import (
 from repro.durability.wal import (
     Liveness,
     WalWriter,
-    decode_stream,
     encode_record,
     read_records,
     segment_index,
 )
-from repro.exceptions import ConfigurationError, StorageError
+from repro.exceptions import ConfigurationError
 from repro.obs import Observability
 from repro.stores.base import Engine
 from repro.stores.changelog import DeltaBatch
@@ -74,6 +78,7 @@ if TYPE_CHECKING:
 VIEWS_FILE = "views.pkl"
 SSTABLE_PREFIX = "sst-"
 SSTABLE_SUFFIX = ".pkl"
+PAGES_PREFIX = "seg-"
 
 
 def _sanitize(name: str) -> str:
@@ -95,6 +100,10 @@ class EngineStore:
         self._snap_id = 0
         self._sst_seq = 0
         self._since_checkpoint = 0
+        #: Page-segment file -> pages written into it, for every segment a
+        #: page of the last dump still names (:meth:`seal`).
+        self._segments: dict[str, int] = {}
+        self._sealed = {"pages_written": 0, "pages_reused": 0}
         self.recovery: dict[str, Any] = {}
 
     # -- attach / restore ------------------------------------------------------------
@@ -227,20 +236,53 @@ class EngineStore:
 
     def load_sstable(self, name: str) -> SSTable:
         """Load one spilled SSTable file back into memory."""
-        records, torn = decode_stream((self.directory / name).read_bytes())
-        if torn or len(records) != 1:
-            raise StorageError(f"spilled SSTable {name!r} is corrupt")
-        sst = SSTable(decode_entries(records[0]))
+        sst = SSTable(decode_entries(read_record(self.directory / name)))
         sst._spill_file = name
         return sst
+
+    # -- relational page segments ------------------------------------------------------
+
+    def seal(self, pages: list[tuple[Any, Any]]) -> None:
+        """Give every sealed heap page (paired with its table's plain
+        columns) a ref into a segment file of this directory.
+
+        A page keeps the ref an earlier checkpoint gave it while at least
+        half of that segment's pages are still named; the rest — new pages,
+        the copies a rewrite made, the survivors of a segment gone mostly
+        dead — go into one new segment, one fsync.  A segment left without a
+        named page drops out of ``_segments``; :meth:`_gc` unlinks it once
+        the manifest that stopped naming it is in place.
+        """
+        live = Counter(page._ref[0] for page, _ in pages if page._ref is not None)
+        self._segments = {name: size for name, size in self._segments.items()
+                          if 2 * live[name] >= size}
+        fresh = [(page, columns) for page, columns in pages
+                 if page._ref is None or page._ref[0] not in self._segments]
+        if fresh:
+            name = f"{PAGES_PREFIX}{self._snap_id:08d}.pkl"
+            write_atomic(self.directory / name, encode_record(
+                [(columns, page.rows) for page, columns in fresh]),
+                header=SEGMENT_HEADER, fault=self.liveness)
+            for index, (page, _) in enumerate(fresh):
+                page._ref = (name, index)
+            self._segments[name] = len(fresh)
+        self._sealed = {"pages_written": len(fresh),
+                       "pages_reused": len(pages) - len(fresh)}
+
+    def load_segment(self, name: str) -> list[Any]:
+        """The ``(columns, rows)`` pages of one segment a snapshot names."""
+        pages = read_record(self.directory / name, SEGMENT_HEADER)
+        self._segments[name] = len(pages)
+        return pages
 
     # -- checkpoint ---------------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Snapshot atomically, rotate the WAL, swap the manifest, GC.
+        """Write what is not on disk yet (sealed pages, SSTables) and the
+        snapshot naming it, rotate the WAL, swap the manifest, GC.
 
-        A crash at any point leaves the previous manifest + a longer WAL —
-        recovery replays more, but never diverges.
+        A crash at any point leaves the previous manifest, every file it
+        names + a longer WAL — recovery replays more, but never diverges.
         """
         if not self.liveness.alive or self._wal is None:
             return
@@ -248,10 +290,10 @@ class EngineStore:
         obs = self.manager.obs
         checkpoint_start = time.perf_counter()
         self._snap_id += 1
-        payload = {"state": dump_state(engine, self),
-                   "counters": dump_counters(engine)}
         with obs.tracer.span(f"snapshot:{engine.name}", "durability",
                              engine=engine.name, snapshot_id=self._snap_id):
+            payload = {"state": dump_state(engine, self),
+                       "counters": dump_counters(engine)}
             name = write_snapshot(self.directory, self._snap_id, payload,
                                   self.liveness)
         segment = self._wal.rotate()
@@ -281,10 +323,12 @@ class EngineStore:
             "snapshot_id": self._snap_id,
             "wal_segment": self._wal.segment if self._wal is not None else None,
             "since_checkpoint": self._since_checkpoint,
+            **self._sealed,
+            "segments": len(self._segments),
         }
 
     def _gc(self) -> None:
-        keep = {snapshot_name(self._snap_id)}
+        keep = {snapshot_name(self._snap_id), *self._segments}
         if isinstance(self.engine, KeyValueEngine):
             keep |= {f for f in (getattr(sst, "_spill_file", None)
                                  for sst in self.engine._sstables) if f}
@@ -298,10 +342,8 @@ class EngineStore:
             if segment is not None:
                 if segment < current_segment:
                     entry.unlink(missing_ok=True)
-            elif (snapshot_id(name) is not None
-                  or name.endswith(".tmp")
-                  or (name.startswith(SSTABLE_PREFIX)
-                      and name.endswith(SSTABLE_SUFFIX))):
+            elif (name.endswith(".tmp") or name.startswith(
+                    (SNAPSHOT_PREFIX, SSTABLE_PREFIX, PAGES_PREFIX))):
                 entry.unlink(missing_ok=True)
 
     # -- detach -------------------------------------------------------------------------
@@ -697,10 +739,7 @@ class DurabilityManager:
         path = self._views_path()
         if not path.exists():
             return {}
-        records, torn = decode_stream(path.read_bytes())
-        if torn or len(records) != 1:
-            raise StorageError(f"corrupt view registry file {path}")
-        return dict(records[0])
+        return dict(read_record(path))
 
     def _write_view_specs(self) -> None:
         if not self.liveness.alive:

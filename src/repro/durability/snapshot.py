@@ -1,16 +1,19 @@
-"""Atomic snapshot and manifest files for the durability subsystem.
+"""Atomic snapshot, page-segment and manifest files for the durability subsystem.
 
-Snapshots are single framed records (same length+crc32 framing as the WAL)
-written to a temp file and renamed into place, so a reader either sees a
-complete, checksummed snapshot or none at all.  The manifest is a small
-JSON file — also written atomically — naming the snapshot to restore from
-and the WAL segment to replay after it:
+Every file here is written to a temp file and renamed into place
+(:func:`write_atomic`), so a reader sees a complete file or none.  A snapshot
+(``snap-%08d.pkl``) is one framed record (the WAL's length+crc32 framing); a
+page segment (``seg-%08d.pkl``) is the same behind a magic + format-version
+header, and holds sealed relational heap pages as plain builtins.  The
+manifest is a small JSON file naming the snapshot to restore from and the WAL
+segment to replay after it:
 
 ``{"snapshot_id", "snapshot", "wal_segment", "scoped_versions", ...}``
 
-The recovery invariant: the state in the manifest's snapshot equals the
-integral of every WAL record up to (excluding) ``wal_segment``, so restore
-= load snapshot + replay segments ``>= wal_segment``.
+The recovery invariant: the state in the manifest's snapshot — with the pages
+its refs name in segment files — equals the integral of every WAL record up
+to (excluding) ``wal_segment``, so restore = load snapshot + replay segments
+``>= wal_segment``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from repro.exceptions import StorageError
 MANIFEST_NAME = "manifest.json"
 SNAPSHOT_PREFIX = "snap-"
 SNAPSHOT_SUFFIX = ".pkl"
+#: A page segment is this magic + one-byte format version, then one record.
+SEGMENT_HEADER = b"PSPPSEG" + bytes([1])
 
 
 def snapshot_name(snapshot_id: int) -> str:
@@ -42,47 +47,47 @@ def snapshot_id(name: str) -> int | None:
     return int(digits) if digits.isdigit() else None
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temp file + fsync + rename."""
+def write_atomic(path: Path, data: bytes, *, header: bytes = b"",
+                 fault: Liveness | None = None) -> None:
+    """Write ``header + data`` to ``path`` via a temp file + fsync + rename.
+
+    Given ``fault`` (the writer's liveness), an armed ``"snapshot.write"``
+    fault point dies after the temp file is written but before the rename —
+    no manifest ever names the half-taken file and recovery uses the
+    previous checkpoint.
+    """
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
+        handle.write(header)
         handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
+    if fault is not None and faults.trip("snapshot.write"):
+        fault.kill()
+        raise faults.InjectedFault(f"fault point 'snapshot.write' fired at {path}")
     os.replace(tmp, path)
+
+
+def read_record(path: Path, header: bytes = b"") -> Any:
+    """The one checksum-verified record ``path`` holds behind ``header``."""
+    data = path.read_bytes()
+    records, torn = decode_stream(data[len(header):])
+    if not data.startswith(header) or torn or len(records) != 1:
+        raise StorageError(f"{path} is corrupt or of an unknown format")
+    return records[0]
 
 
 def write_snapshot(directory: Path, snap_id: int, payload: Any,
                    liveness: Liveness) -> str:
-    """Atomically persist one snapshot payload; returns its filename.
-
-    An armed ``"snapshot.write"`` fault point dies after the temp file is
-    written but before the rename — the manifest never references the
-    half-taken snapshot and recovery uses the previous one.
-    """
+    """Atomically persist one snapshot payload; returns its filename."""
     name = snapshot_name(snap_id)
-    path = directory / name
-    data = encode_record(payload)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    if faults.trip("snapshot.write"):
-        liveness.kill()
-        raise faults.InjectedFault(
-            f"fault point 'snapshot.write' fired in {directory}"
-        )
-    os.replace(tmp, path)
+    write_atomic(directory / name, encode_record(payload), fault=liveness)
     return name
 
 
 def load_snapshot(directory: Path, name: str) -> Any:
     """Load and checksum-verify one snapshot file."""
-    records, torn = decode_stream((directory / name).read_bytes())
-    if len(records) != 1 or torn:
-        raise StorageError(f"snapshot {name!r} in {directory} is corrupt")
-    return records[0]
+    return read_record(directory / name)
 
 
 def write_manifest(directory: Path, manifest: dict[str, Any]) -> None:

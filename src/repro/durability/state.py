@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import TYPE_CHECKING, Any
 
+from repro.datamodel.schema import Column, DataType, Schema
 from repro.exceptions import StorageError
 from repro.stores.base import Engine
 from repro.stores.changelog import table_scope
@@ -29,6 +30,7 @@ from repro.stores.keyvalue.memtable import TOMBSTONE, MemTable
 from repro.stores.keyvalue.sstable import SSTable
 from repro.stores.relational.engine import RelationalEngine, StoredTable
 from repro.stores.relational.index import HashIndex, SortedIndex
+from repro.stores.relational.storage import HeapStorage, Page
 from repro.stores.text.engine import TextEngine
 from repro.stores.timeseries.engine import TimeseriesEngine
 from repro.stores.timeseries.series import Series
@@ -104,12 +106,26 @@ def dump_state(engine: Engine, store: "EngineStore | None" = None) -> dict[str, 
         tables = {}
         for name, stored in engine._tables.items():
             tables[name] = {
-                "schema": stored.schema,
+                "schema": [(c.name, c.dtype.value, c.nullable) for c in stored.schema],
                 "page_capacity": stored.heap.page_capacity,
-                "rows": list(stored.heap.scan()),
+                # Sliced once: every page but the last is sealed, never to change.
+                "pages": stored.heap._pages[:],
                 "hash_indexes": sorted(stored.hash_indexes),
                 "sorted_indexes": sorted(stored.sorted_indexes),
             }
+        if store is not None:
+            store.seal([(page, spec["schema"]) for spec in tables.values()
+                        for page in spec["pages"][:-1]])
+        for spec in tables.values():
+            # A sealed page goes by the ref the store gave it; the open last
+            # page (without a store, every page) goes as its rows — and keeps
+            # no ref (a full page left last by a delete had one), so every ref
+            # a store meets on a sealed page is one it gave or restored.
+            pages = spec["pages"]
+            if store is not None and pages:
+                pages[-1]._ref = None
+            spec["pages"] = [list(page.rows) if store is None or page is pages[-1]
+                             else page._ref for page in pages]
         return {"model": "relational", "tables": tables}
     if isinstance(engine, KeyValueEngine):
         sstables = []
@@ -152,10 +168,33 @@ def restore_state(engine: Engine, state: dict[str, Any],
                   store: "EngineStore | None" = None) -> None:
     """Rebuild an engine's data structures from a snapshot payload."""
     if isinstance(engine, RelationalEngine):
+        named = {entry[0] for spec in state["tables"].values()
+                 for entry in spec.get("pages", ()) if isinstance(entry, tuple)}
+        if named and store is None:
+            raise StorageError("page refs need a store to load their segments")
+        segments = {name: store.load_segment(name) for name in named}
         tables: dict[str, StoredTable] = {}
         for name, spec in state["tables"].items():
-            stored = StoredTable(name, spec["schema"], spec["page_capacity"])
-            stored.heap.insert_many(spec["rows"])
+            columns, capacity = spec["schema"], spec["page_capacity"]
+            # The parent's format pickled the Schema itself and holds the whole
+            # table under "rows": cut it into full pages, as inserting it did.
+            schema = columns if isinstance(columns, Schema) else Schema(
+                Column(n, DataType(dtype), nullable) for n, dtype, nullable in columns)
+            entries = spec["pages"] if "pages" in spec else [
+                spec["rows"][at:at + capacity]
+                for at in range(0, len(spec["rows"]), capacity)]
+            pages = []
+            for entry in entries:
+                if isinstance(entry, tuple):  # (segment, index) of a sealed page
+                    written_for, rows = segments[entry[0]][entry[1]]
+                    if written_for != columns:
+                        raise StorageError(
+                            f"page {entry} was not written for table {name!r}")
+                    pages.append(Page(capacity, rows, _ref=entry))
+                else:
+                    pages.append(Page(capacity, entry))
+            stored = StoredTable(name, schema, capacity)
+            stored.heap = HeapStorage.from_pages(schema, capacity, pages)
             for column in spec["hash_indexes"]:
                 stored.hash_indexes[column] = stored.build_index(column, HashIndex)
             for column in spec["sorted_indexes"]:

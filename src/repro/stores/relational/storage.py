@@ -32,6 +32,9 @@ class Page:
     rows: list[Row] = field(default_factory=list)
     #: Column position -> what :meth:`bounds` found, filled on first use.
     _bounds: dict[int, Any] = field(default_factory=dict, repr=False, compare=False)
+    #: ``(segment file, index)`` once a checkpoint has written this page — only
+    #: ever a sealed one, so the bytes on disk stay the page's rows.
+    _ref: tuple[str, int] | None = field(default=None, repr=False, compare=False)
 
     def bounds(self, position: int) -> tuple[Any, Any] | None:
         """``(min, max)`` of one column's values, leaving out ``None`` and NaN;
@@ -73,6 +76,15 @@ class HeapStorage:
         self.page_capacity = page_capacity
         self._pages: list[Page] = []
         self._num_rows = 0
+
+    @classmethod
+    def from_pages(cls, schema: Schema, page_capacity: int,
+                   pages: list[Page]) -> "HeapStorage":
+        """A heap over ``pages`` as they are: boundaries, and so row ids, kept."""
+        heap = cls(schema, page_capacity)
+        heap._pages = pages
+        heap._num_rows = sum(len(page.rows) for page in pages)
+        return heap
 
     # -- writes ---------------------------------------------------------------
 

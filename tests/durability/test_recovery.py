@@ -307,7 +307,7 @@ class TestRewriteRecovery:
         self._check(db, tmp_path, 1)
         # Empty the last page (ids 56..59 and the three late rows): the
         # under-full page before it (48, 49, 53, 54, 55) becomes the last one
-        # and takes the next inserts; a restored table is laid out compactly.
+        # and takes the next inserts — in a restored table too, page for page.
         db.delete_rows("orders", (col("order_id") >= 56) | (col("order_id") < 9))
         db.insert("orders", [(100 + i, "c1", 4.0) for i in range(11)])
         db.update_rows("orders", col("customer").eq("c1"), {"amount": 4.0})

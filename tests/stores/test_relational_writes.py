@@ -5,18 +5,25 @@ One Hypothesis state machine drives random ``insert`` / ``update_rows`` /
 and, after every step, compares with the model: scan order, what each
 statement returned, the changelog entries it logged, and every index —
 hash and sorted, on columns the updates set and on ones they never touch.
-Two more engines follow along, one fed only the logged batches through WAL
-replay and one rebuilt from a state dump at every check, and must answer
-exactly as the live one does.
+Three more engines follow along and must answer exactly as the live one does:
+one fed only the logged batches through WAL replay, one rebuilt from a state
+dump at every check, and one fed the same batches inside a durable system in a
+temporary directory, which is checkpointed, closed or killed, and reopened
+from its page segments at random points — its page boundaries and counters,
+not only its rows, must stay the live engine's.
 """
 
 from __future__ import annotations
+
+import shutil
+import tempfile
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro import col
+from repro import PolystorePlusPlus, col
+from repro.core.system import SystemConfig
 from repro.datamodel import DataType, make_schema
 from repro.durability.state import dump_state, replay_record, restore_state
 from repro.stores.changelog import table_scope
@@ -48,6 +55,12 @@ _updates = st.fixed_dictionaries(
 ).filter(bool)
 
 
+def _layout(engine) -> tuple[list[int], int]:
+    """Rows held by each heap page of ``t``, in order, and the heap's row count."""
+    heap = engine._tables["t"].heap
+    return [len(page.rows) for page in heap._pages], heap.num_rows
+
+
 class RelationalWrites(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
@@ -63,6 +76,18 @@ class RelationalWrites(RuleBasedStateMachine):
         self.wal = wal
         # Four rows a page: statements cross, empty and drop pages all the time.
         self.live.create_table("t", SCHEMA, page_capacity=4)
+        self.data_dir = tempfile.mkdtemp(prefix="relational-writes-")
+        self._open()
+
+    def _open(self) -> None:
+        # Checkpoints only where a rule asks for one.
+        self.system = PolystorePlusPlus(SystemConfig(
+            data_dir=self.data_dir, durability_snapshot_every=10_000))
+        self.durable = self.system.register_engine(RelationalEngine("durable"))
+
+    def teardown(self) -> None:
+        self.system.close()
+        shutil.rmtree(self.data_dir, ignore_errors=True)
 
     def _logged(self, seq_before: int) -> list[tuple]:
         batches, complete = self.live.changelog.read_since(seq_before, SCOPE)
@@ -106,13 +131,30 @@ class RelationalWrites(RuleBasedStateMachine):
         self.live.create_index("t", column, kind=kind)
         self.indexes.add((column, kind))
 
+    @rule()
+    def checkpoint(self):
+        self.system.durability.checkpoint()
+
+    @rule(clean=st.booleans())
+    def reopen(self, clean):
+        """Close (a last checkpoint) or kill (the WAL tail stays), then come
+        back from the directory alone."""
+        if not clean:
+            self.system.durability.liveness.kill()
+        self.system.close()
+        self._open()
+        report = self.system.durability.recovery_report()["durable"]
+        assert report["restored"] and (not clean or not report["replayed_batches"])
+
     @invariant()
     def every_engine_agrees_with_the_model(self):
         while self.wal:
-            replay_record(self.replayed, self.wal.pop(0))
+            record = self.wal.pop(0)
+            replay_record(self.replayed, record)
+            replay_record(self.durable, record)
         restored = RelationalEngine("restored")
         restore_state(restored, dump_state(self.live))
-        for engine in (self.live, self.replayed, restored):
+        for engine in (self.live, self.replayed, restored, self.durable):
             assert engine.scan("t").rows == self.model
             assert engine.table_statistics("t")["rows"] == len(self.model)
             for column, kind in self.indexes:
@@ -135,6 +177,12 @@ class RelationalWrites(RuleBasedStateMachine):
                         == between, (engine.name, column)
         assert self.replayed.data_version_for(SCOPE) == \
             self.live.data_version_for(SCOPE)
+        live, durable = self.live, self.durable
+        assert _layout(durable) == _layout(live) == _layout(restored)
+        assert (durable.data_version, durable.data_version_for(SCOPE),
+                durable.changelog.latest_seq) == (
+            live.data_version, live.data_version_for(SCOPE),
+            live.changelog.latest_seq)
 
 
 RelationalWrites.TestCase.settings = settings(
