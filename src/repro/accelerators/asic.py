@@ -12,12 +12,7 @@ that "achieve extremely high performance and efficiency for these operators"
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
 from repro.accelerators.base import Accelerator, DeploymentMode, DeviceProfile, KernelSpec
-from repro.exceptions import AcceleratorError
 
 #: Default profile loosely modelled on a first-generation inference TPU.
 DEFAULT_TPU_PROFILE = DeviceProfile(
@@ -46,13 +41,13 @@ DEFAULT_MIGRATION_ASIC_PROFILE = DeviceProfile(
 class TPUAccelerator(Accelerator):
     """A systolic matrix engine supporting only GEMM and GEMV."""
 
+    kernels = frozenset({"gemm", "gemv"})
+
     def __init__(self, profile: DeviceProfile = DEFAULT_TPU_PROFILE,
                  mode: DeploymentMode = DeploymentMode.STANDALONE, *,
                  systolic_dim: int = 256) -> None:
         super().__init__(profile, mode)
         self.systolic_dim = systolic_dim
-        self.register_kernel("gemm", self._kernel_gemm)
-        self.register_kernel("gemv", self._kernel_gemv)
 
     def _compute_time(self, spec: KernelSpec) -> float:
         base = super()._compute_time(spec)
@@ -62,72 +57,12 @@ class TPUAccelerator(Accelerator):
             return base / fill
         return base
 
-    def _kernel_gemm(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, KernelSpec]:
-        """Dense matrix-matrix multiply."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2:
-            raise AcceleratorError("TPU gemm expects 2-D operands")
-        result = a @ b
-        spec = KernelSpec(
-            name="gemm",
-            bytes_in=int(a.nbytes + b.nbytes),
-            bytes_out=int(result.nbytes),
-            flops=int(2 * a.shape[0] * a.shape[1] * b.shape[1]),
-            elements=int(result.size),
-        )
-        return result, spec
-
-    def _kernel_gemv(self, a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, KernelSpec]:
-        """Dense matrix-vector multiply."""
-        a = np.asarray(a, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        result = a @ x
-        spec = KernelSpec(
-            name="gemv",
-            bytes_in=int(a.nbytes + x.nbytes),
-            bytes_out=int(result.nbytes),
-            flops=int(2 * a.shape[0] * a.shape[1]),
-            elements=int(result.size),
-        )
-        return result, spec
-
 
 class MigrationASIC(Accelerator):
     """A bump-in-the-wire serialization engine for cross-engine data movement."""
 
+    kernels = frozenset({"serialize", "deserialize"})
+
     def __init__(self, profile: DeviceProfile = DEFAULT_MIGRATION_ASIC_PROFILE,
                  mode: DeploymentMode = DeploymentMode.BUMP_IN_THE_WIRE) -> None:
         super().__init__(profile, mode)
-        self.register_kernel("serialize", self._kernel_serialize)
-        self.register_kernel("deserialize", self._kernel_deserialize)
-
-    def _kernel_serialize(self, table: Any) -> tuple[bytes, KernelSpec]:
-        """Binary-encode a table on the wire path."""
-        from repro.datamodel.serialization import BinarySerializer
-
-        payload, report = BinarySerializer().serialize(table)
-        spec = KernelSpec(
-            name="serialize",
-            bytes_in=table.estimated_bytes(),
-            bytes_out=len(payload),
-            flops=report.value_conversions,
-            elements=report.rows,
-            pipelineable=True,
-        )
-        return payload, spec
-
-    def _kernel_deserialize(self, payload: bytes, schema: Any) -> tuple[Any, KernelSpec]:
-        """Binary-decode a payload on the wire path."""
-        from repro.datamodel.serialization import BinarySerializer
-
-        table, report = BinarySerializer().deserialize(payload, schema)
-        spec = KernelSpec(
-            name="deserialize",
-            bytes_in=len(payload),
-            bytes_out=table.estimated_bytes(),
-            flops=report.value_conversions,
-            elements=report.rows,
-            pipelineable=True,
-        )
-        return table, spec

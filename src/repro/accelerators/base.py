@@ -1,13 +1,13 @@
-"""Accelerator abstraction and the simulated offload machinery.
+"""What a simulated accelerator is: a cost model.
 
-The paper's Polystore++ deploys accelerators in three modes (§I):
-*standalone*, *coprocessor*, and *bump-in-the-wire*.  Since no FPGA/GPU/CGRA
-hardware is available here, each accelerator is an analytical simulator: the
-kernel's *result* is computed functionally in Python (so downstream operators
-receive correct data), while its *cost* is charged from a device profile —
-transfer bandwidth, dispatch overhead, device throughput, pipelining — and a
-Roofline ceiling.  The middleware treats the returned simulated time as the
-operator's execution time when comparing placements.
+The paper deploys accelerators *standalone*, as *coprocessors* and
+*bump-in-the-wire* (§I).  With no FPGA/GPU/CGRA here, a device computes
+nothing: it is a :class:`DeviceProfile`, a ``_compute_time`` model over a
+:class:`KernelSpec` and the kernel names it offers.  Every operator runs on
+its engine; one placed on a device is *charged* ``estimate(spec).total_s``.
+Which kernel serves which operator kind, and how work becomes a spec, is one
+table, :data:`repro.accelerators.kernels.DEFAULT_MAPPINGS`, read by the
+planner with estimated work and by executor and migrator with observed work.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.accelerators.logca import LogCAModel, LogCAParameters
 from repro.accelerators.roofline import RooflineModel
-from repro.exceptions import AcceleratorError
 
 
 class DeploymentMode(enum.Enum):
@@ -106,53 +105,24 @@ class OffloadReport:
 class Accelerator(abc.ABC):
     """Base class for simulated hardware accelerators.
 
-    Subclasses register functional kernels with :meth:`register_kernel`; each
-    kernel is a Python callable producing the real result.  :meth:`offload`
-    runs the kernel, estimates its device cost and returns both.
+    A subclass names the kernels it offers in ``kernels`` and may specialize
+    :meth:`_compute_time`; it implements no operator.
     """
+
+    #: Names of the kernels this device offers.
+    kernels: frozenset[str] = frozenset()
 
     def __init__(self, profile: DeviceProfile, mode: DeploymentMode) -> None:
         self.profile = profile
         self.mode = mode
-        self._kernels: dict[str, Callable[..., tuple[Any, KernelSpec]]] = {}
         self._configured_kernel: str | None = None
-        self.reports: list[OffloadReport] = []
-
-    # -- kernel registry -------------------------------------------------------------
-
-    def register_kernel(self, name: str,
-                        fn: Callable[..., tuple[Any, KernelSpec]]) -> None:
-        """Register a functional kernel.
-
-        ``fn(*args, **kwargs)`` must return ``(result, KernelSpec)`` where the
-        spec describes the work just performed.
-        """
-        self._kernels[name] = fn
-
-    def supported_kernels(self) -> frozenset[str]:
-        """Names of kernels this device can execute."""
-        return frozenset(self._kernels)
 
     def supports(self, kernel: str) -> bool:
-        """Whether ``kernel`` is registered on this device."""
-        return kernel in self._kernels
-
-    # -- offload ------------------------------------------------------------------------
-
-    def offload(self, kernel: str, *args: Any, **kwargs: Any) -> tuple[Any, OffloadReport]:
-        """Execute ``kernel`` functionally and charge its simulated device cost."""
-        if kernel not in self._kernels:
-            raise AcceleratorError(
-                f"device {self.profile.name!r} has no kernel {kernel!r}; "
-                f"available: {sorted(self._kernels)}"
-            )
-        result, spec = self._kernels[kernel](*args, **kwargs)
-        report = self.estimate(spec)
-        self.reports.append(report)
-        return result, report
+        """Whether this device offers ``kernel``."""
+        return kernel in self.kernels
 
     def estimate(self, spec: KernelSpec) -> OffloadReport:
-        """Simulated cost of running ``spec`` on this device (no execution)."""
+        """Simulated cost of running ``spec`` on this device."""
         profile = self.profile
         bytes_moved = spec.bytes_in + spec.bytes_out
         transfer_s = bytes_moved / (profile.transfer_bandwidth_gbs * 1e9) \
@@ -211,21 +181,6 @@ class Accelerator(abc.ABC):
             beta=beta,
         ))
 
-    # -- bookkeeping --------------------------------------------------------------------------
-
-    def total_simulated_time(self) -> float:
-        """Sum of simulated offload time across all reports."""
-        return sum(r.total_s for r in self.reports)
-
-    def total_energy(self) -> float:
-        """Sum of simulated energy across all reports."""
-        return sum(r.energy_j for r in self.reports)
-
-    def reset_reports(self) -> None:
-        """Clear accumulated offload reports."""
-        self.reports.clear()
-        self._configured_kernel = None
-
     def describe(self) -> dict[str, Any]:
         """Metadata used by the EIDE configuration and the catalog."""
         return {
@@ -235,7 +190,7 @@ class Accelerator(abc.ABC):
             "peak_gflops": self.profile.peak_gflops,
             "transfer_bandwidth_gbs": self.profile.transfer_bandwidth_gbs,
             "power_w": self.profile.power_w,
-            "kernels": sorted(self.supported_kernels()),
+            "kernels": sorted(self.kernels),
         }
 
     def __repr__(self) -> str:

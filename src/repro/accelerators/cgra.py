@@ -2,19 +2,14 @@
 
 The paper cites Plasticine-style CGRAs as reconfigurable like FPGAs but with
 much shorter reconfiguration times because they are built from coarse
-processing elements (§II-B).  The simulator reuses the parallel-pattern
-kernels (map, reduce, filter, sort) with a fast-reconfiguration profile and a
+processing elements (§II-B).  The simulator offers the parallel-pattern
+kernels (filter, sort, gemm) with a fast-reconfiguration profile and a
 pattern-level utilization model.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
-
-import numpy as np
-
 from repro.accelerators.base import Accelerator, DeploymentMode, DeviceProfile, KernelSpec
-from repro.stores.relational.operators import bitonic_sort
 
 #: Default profile loosely modelled on a Plasticine-class CGRA.
 DEFAULT_CGRA_PROFILE = DeviceProfile(
@@ -28,22 +23,17 @@ DEFAULT_CGRA_PROFILE = DeviceProfile(
     reconfiguration_s=50e-6,       # orders of magnitude faster than FPGA synthesis
 )
 
-_ROW_BYTES = 64
-
 
 class CGRAAccelerator(Accelerator):
-    """A CGRA executing parallel patterns: map, reduce, filter and sort."""
+    """A CGRA executing parallel patterns: filter, sort and dense products."""
+
+    kernels = frozenset({"filter", "sort", "gemm"})
 
     def __init__(self, profile: DeviceProfile = DEFAULT_CGRA_PROFILE,
                  mode: DeploymentMode = DeploymentMode.COPROCESSOR, *,
                  pattern_units: int = 64) -> None:
         super().__init__(profile, mode)
         self.pattern_units = pattern_units
-        self.register_kernel("map", self._kernel_map)
-        self.register_kernel("reduce", self._kernel_reduce)
-        self.register_kernel("filter", self._kernel_filter)
-        self.register_kernel("sort", self._kernel_sort)
-        self.register_kernel("gemm", self._kernel_gemm)
 
     def _compute_time(self, spec: KernelSpec) -> float:
         base = super()._compute_time(spec)
@@ -51,50 +41,3 @@ class CGRAAccelerator(Accelerator):
             # Fewer elements than pattern units leaves the fabric mostly idle.
             return base * (self.pattern_units / max(1, spec.elements)) * 0.25
         return base
-
-    # -- kernels ---------------------------------------------------------------------
-
-    def _kernel_map(self, array: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
-                    ) -> tuple[np.ndarray, KernelSpec]:
-        """Parallel map pattern."""
-        array = np.asarray(array, dtype=np.float64)
-        result = fn(array)
-        spec = KernelSpec("map", int(array.nbytes), int(np.asarray(result).nbytes),
-                          int(array.size), int(array.size), pipelineable=True)
-        return result, spec
-
-    def _kernel_reduce(self, array: np.ndarray) -> tuple[float, KernelSpec]:
-        """Parallel reduction pattern (sum)."""
-        array = np.asarray(array, dtype=np.float64)
-        result = float(array.sum())
-        spec = KernelSpec("reduce", int(array.nbytes), 8, int(array.size),
-                          int(array.size), pipelineable=True)
-        return result, spec
-
-    def _kernel_filter(self, rows: Sequence[dict[str, Any]],
-                       predicate: Callable[[dict[str, Any]], bool]
-                       ) -> tuple[list[dict[str, Any]], KernelSpec]:
-        """Parallel filter pattern over row dictionaries."""
-        kept = [row for row in rows if predicate(row)]
-        spec = KernelSpec("filter", len(rows) * _ROW_BYTES, len(kept) * _ROW_BYTES,
-                          len(rows), len(rows), pipelineable=True)
-        return kept, spec
-
-    def _kernel_sort(self, values: Sequence[Any], *,
-                     key: Callable[[Any], Any] | None = None,
-                     descending: bool = False) -> tuple[list[Any], KernelSpec]:
-        """Sorting via the same bitonic network the FPGA uses."""
-        result, stats = bitonic_sort(values, key=key, descending=descending)
-        spec = KernelSpec("sort", len(values) * _ROW_BYTES, len(values) * _ROW_BYTES,
-                          stats.comparisons, len(values), pipelineable=True)
-        return result, spec
-
-    def _kernel_gemm(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, KernelSpec]:
-        """Dense matrix multiply mapped onto the pattern fabric."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        result = a @ b
-        flops = 2 * a.shape[0] * a.shape[1] * (b.shape[1] if b.ndim > 1 else 1)
-        spec = KernelSpec("gemm", int(a.nbytes + b.nbytes), int(result.nbytes),
-                          int(flops), int(result.size))
-        return result, spec

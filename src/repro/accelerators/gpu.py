@@ -8,10 +8,6 @@ under-utilized below a few thousand threads).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
-import numpy as np
-
 from repro.accelerators.base import Accelerator, DeploymentMode, DeviceProfile, KernelSpec
 
 #: Default profile loosely modelled on a mid-range data-center GPU.
@@ -26,22 +22,17 @@ DEFAULT_GPU_PROFILE = DeviceProfile(
     reconfiguration_s=0.0,
 )
 
-_VALUE_BYTES = 8
-
 
 class GPUAccelerator(Accelerator):
-    """A GPU with GEMM/GEMV, element-wise map and reduction kernels."""
+    """A GPU with GEMM/GEMV and database scan+filter kernels."""
+
+    kernels = frozenset({"gemm", "gemv", "scan_filter"})
 
     def __init__(self, profile: DeviceProfile = DEFAULT_GPU_PROFILE,
                  mode: DeploymentMode = DeploymentMode.COPROCESSOR, *,
                  min_efficient_elements: int = 1 << 14) -> None:
         super().__init__(profile, mode)
         self.min_efficient_elements = min_efficient_elements
-        self.register_kernel("gemm", self._kernel_gemm)
-        self.register_kernel("gemv", self._kernel_gemv)
-        self.register_kernel("map", self._kernel_map)
-        self.register_kernel("reduce", self._kernel_reduce)
-        self.register_kernel("scan_filter", self._kernel_scan_filter)
 
     def _compute_time(self, spec: KernelSpec) -> float:
         base = super()._compute_time(spec)
@@ -50,79 +41,3 @@ class GPUAccelerator(Accelerator):
             utilization = max(0.05, spec.elements / self.min_efficient_elements)
             return base / utilization
         return base
-
-    # -- kernels ---------------------------------------------------------------------
-
-    def _kernel_gemm(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, KernelSpec]:
-        """Dense matrix-matrix multiply."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        result = a @ b
-        flops = 2 * a.shape[0] * a.shape[1] * b.shape[-1] if b.ndim > 1 \
-            else 2 * a.shape[0] * a.shape[1]
-        spec = KernelSpec(
-            name="gemm",
-            bytes_in=int(a.nbytes + b.nbytes),
-            bytes_out=int(result.nbytes),
-            flops=int(flops),
-            elements=int(result.size),
-        )
-        return result, spec
-
-    def _kernel_gemv(self, a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, KernelSpec]:
-        """Dense matrix-vector multiply."""
-        a = np.asarray(a, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        result = a @ x
-        spec = KernelSpec(
-            name="gemv",
-            bytes_in=int(a.nbytes + x.nbytes),
-            bytes_out=int(result.nbytes),
-            flops=int(2 * a.shape[0] * a.shape[1]),
-            elements=int(result.size),
-        )
-        return result, spec
-
-    def _kernel_map(self, array: np.ndarray, fn) -> tuple[np.ndarray, KernelSpec]:
-        """Element-wise map over a dense array."""
-        array = np.asarray(array, dtype=np.float64)
-        result = fn(array)
-        spec = KernelSpec(
-            name="map",
-            bytes_in=int(array.nbytes),
-            bytes_out=int(np.asarray(result).nbytes),
-            flops=int(array.size),
-            elements=int(array.size),
-        )
-        return result, spec
-
-    def _kernel_reduce(self, array: np.ndarray, *, axis: int | None = None
-                       ) -> tuple[np.ndarray | float, KernelSpec]:
-        """Sum-reduction over a dense array."""
-        array = np.asarray(array, dtype=np.float64)
-        result = array.sum(axis=axis)
-        out_bytes = int(np.asarray(result).nbytes)
-        spec = KernelSpec(
-            name="reduce",
-            bytes_in=int(array.nbytes),
-            bytes_out=out_bytes,
-            flops=int(array.size),
-            elements=int(array.size),
-        )
-        if np.isscalar(result) or getattr(result, "ndim", 0) == 0:
-            return float(result), spec
-        return result, spec
-
-    def _kernel_scan_filter(self, rows: Sequence[dict[str, Any]], predicate
-                            ) -> tuple[list[dict[str, Any]], KernelSpec]:
-        """Database-style parallel scan+filter."""
-        kept = [row for row in rows if predicate(row)]
-        row_bytes = max(1, len(rows[0])) * _VALUE_BYTES if rows else _VALUE_BYTES
-        spec = KernelSpec(
-            name="scan_filter",
-            bytes_in=len(rows) * row_bytes,
-            bytes_out=len(kept) * row_bytes,
-            flops=len(rows),
-            elements=len(rows),
-        )
-        return kept, spec

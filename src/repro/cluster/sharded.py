@@ -556,18 +556,30 @@ class ShardedEngine(Engine):
         for shard_index, shard_rows in regrouped.items():
             shards[shard_index].insert(table, shard_rows)
 
-    # -- write routing: key/value -----------------------------------------------------
+    # -- write routing: key/value, timeseries, text/document ---------------------------
 
-    def put(self, key: str, value: Any) -> None:
-        """Insert or overwrite ``key`` on its owning shard."""
+    def _routed(self, key: str, write: Callable[[Engine], Any], *,
+                overrides: bool = False) -> Any:
+        """Apply ``write`` to the key's owning shard, staged for the changelog
+        relay and mirrored to the pending shard set of a rebalance.
+
+        ``overrides``: the key's value is replaced, not extended, so the
+        rebalance's copy phase must not write its older value over it.
+        """
         with self._routed_write() as relay:
             owner = self._shards[self._partitioner.shard_for(key)]
             relay.stage(owner)
-            owner.put(key, value)
+            result = write(owner)
             if self._pending is not None:
                 shards, partitioner = self._pending
-                shards[partitioner.shard_for(key)].put(key, value)
-                self._pending_overrides.add(key)
+                write(shards[partitioner.shard_for(key)])
+                if overrides:
+                    self._pending_overrides.add(key)
+        return result
+
+    def put(self, key: str, value: Any) -> None:
+        """Insert or overwrite ``key`` on its owning shard."""
+        self._routed(key, lambda shard: shard.put(key, value), overrides=True)
 
     def put_many(self, items: Mapping[str, Any]) -> None:
         """Insert or overwrite many keys."""
@@ -576,63 +588,24 @@ class ShardedEngine(Engine):
 
     def delete(self, key: str) -> None:
         """Delete ``key`` from its owning shard."""
-        with self._routed_write() as relay:
-            owner = self._shards[self._partitioner.shard_for(key)]
-            relay.stage(owner)
-            owner.delete(key)
-            if self._pending is not None:
-                shards, partitioner = self._pending
-                shards[partitioner.shard_for(key)].delete(key)
-                self._pending_overrides.add(key)
-
-    # -- write routing: timeseries ----------------------------------------------------
+        self._routed(key, lambda shard: shard.delete(key), overrides=True)
 
     def create_series(self, key: str, tags: dict[str, str] | None = None) -> Any:
         """Create (or return) a series on its owning shard."""
-        with self._routed_write() as relay:
-            owner = self._shards[self._partitioner.shard_for(key)]
-            relay.stage(owner)
-            series = owner.create_series(key, tags)
-            if self._pending is not None:
-                shards, partitioner = self._pending
-                shards[partitioner.shard_for(key)].create_series(key, tags)
-        return series
+        return self._routed(key, lambda shard: shard.create_series(key, tags))
 
     def append(self, key: str, timestamp: float, value: float) -> None:
         """Append one point to the series' owning shard."""
-        with self._routed_write() as relay:
-            owner = self._shards[self._partitioner.shard_for(key)]
-            relay.stage(owner)
-            owner.append(key, timestamp, value)
-            if self._pending is not None:
-                shards, partitioner = self._pending
-                shards[partitioner.shard_for(key)].append(key, timestamp, value)
+        self._routed(key, lambda shard: shard.append(key, timestamp, value))
 
     def append_many(self, key: str, points: Iterable[tuple[float, float]]) -> int:
         """Append many points to the series' owning shard."""
         materialized = list(points)
-        with self._routed_write() as relay:
-            owner = self._shards[self._partitioner.shard_for(key)]
-            relay.stage(owner)
-            count = owner.append_many(key, materialized)
-            if self._pending is not None:
-                shards, partitioner = self._pending
-                shards[partitioner.shard_for(key)].append_many(key, materialized)
-        return int(count)
-
-    # -- write routing: text/document --------------------------------------------------
+        return int(self._routed(key, lambda shard: shard.append_many(key, materialized)))
 
     def add_document(self, doc_id: str, text: str, **kwargs: Any) -> Any:
         """Index one document on its owning shard (routed by ``doc_id``)."""
-        with self._routed_write() as relay:
-            owner = self._shards[self._partitioner.shard_for(doc_id)]
-            relay.stage(owner)
-            result = owner.add_document(doc_id, text, **kwargs)
-            if self._pending is not None:
-                shards, partitioner = self._pending
-                shards[partitioner.shard_for(doc_id)].add_document(
-                    doc_id, text, **kwargs)
-        return result
+        return self._routed(doc_id, lambda shard: shard.add_document(doc_id, text, **kwargs))
 
     # -- merged reads (direct native use; the executor scatter-gathers itself) --------
 

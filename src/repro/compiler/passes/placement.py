@@ -5,8 +5,8 @@ Answers the paper's "what functions should be accelerated" question
 work estimate from the cardinality annotations, asks the
 :class:`~repro.accelerators.simulator.OffloadPlanner` whether any attached
 device beats the host, and records the chosen device in the operator's
-``accelerator`` field.  The executor later routes such operators through the
-device's functional kernel.
+``accelerator`` field.  The executor later charges such operators by that
+device for the work their engine was observed to do.
 """
 
 from __future__ import annotations

@@ -101,8 +101,9 @@ def _swap_filter_project(graph: IRGraph, filter_node: Operator,
     project_columns = set(project_node.params.get("columns") or [])
     if project_columns and not predicate.referenced_columns() <= project_columns:
         return False
-    if len(graph.consumers(project_node.op_id)) != 1:
-        return False
+    if len(graph.consumers(project_node.op_id)) != 1 \
+            or project_node.op_id in graph.outputs:
+        return False  # someone else reads the unfiltered projection
     source = project_node.inputs[0]
     # Rewire: source -> filter -> project -> (old consumers of filter)
     filter_node.inputs = [source]

@@ -131,19 +131,6 @@ class Compiler:
         result.compile_time_s = time.perf_counter() - started
         return result
 
-    def optimize_graph(self, graph: IRGraph,
-                       options: CompilerOptions | None = None) -> CompilationResult:
-        """Apply passes to an already-lowered graph (used by tests and benches)."""
-        opts = options if options is not None else self.options
-        annotate_graph(graph, self.catalog, self.stats)
-        result = CompilationResult(graph=graph,
-                                   estimated_bytes_before=total_estimated_bytes(graph))
-        self._optimize(result, opts)
-        annotate_graph(graph, self.catalog, self.stats)
-        result.estimated_bytes_after = total_estimated_bytes(graph)
-        result.plan_fingerprint = _plan_fingerprint(graph)
-        return result
-
     def _optimize(self, result: CompilationResult, opts: CompilerOptions) -> None:
         graph = result.graph
         if opts.cse:

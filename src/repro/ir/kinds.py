@@ -47,8 +47,8 @@ class Kind:
     #: kind is an offload candidate (paper §III-A).
     kernel: str | None = None
     #: The offloaded work is a dense matrix product: placement sizes it by
-    #: matrix dimensions, and the executor runs it on the host engine and
-    #: charges the device's time instead of streaming rows through a kernel.
+    #: matrix dimensions, and the executor charges the device for the flops
+    #: the engine counted instead of the rows and bytes it streamed.
     matrix: bool = False
     #: Why the row is unusual (required when ``model`` is ``None``).
     note: str = ""

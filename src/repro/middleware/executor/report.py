@@ -43,29 +43,6 @@ class TaskRecord:
         """The time the scheduler charges this task (simulated when offloaded)."""
         return self.simulated_time_s
 
-    def to_dict(self) -> dict[str, Any]:
-        """Stable dictionary schema for exporters, benchmarks and logs.
-
-        Field names and presence are a compatibility surface: the slow-query
-        log, the benchmark ``--json`` emitter and external consumers all
-        read this shape — add fields, never rename or drop them.
-        """
-        return {
-            "op_id": self.op_id,
-            "kind": self.kind,
-            "engine": self.engine,
-            "accelerator": self.accelerator,
-            "stage": self.stage,
-            "wall_time_s": self.wall_time_s,
-            "charged_time_s": self.charged_time_s,
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "offloaded": self.offloaded,
-            "cached": self.cached,
-            "concurrent": self.concurrent,
-            "details": dict(self.details),
-        }
-
     def as_cached(self, stage: int, wall_time_s: float) -> "TaskRecord":
         """A copy of this record representing a snapshot replay at ``stage``.
 
@@ -182,20 +159,4 @@ class ExecutionReport:
             "observed_concurrency": self.observed_concurrency,
             "migration_time_s": self.migration_time_s,
             "migration_bytes": self.migration_bytes,
-        }
-
-    def to_dict(self) -> dict[str, Any]:
-        """Full stable-schema dictionary: the summary plus every record.
-
-        The flat keys are exactly :meth:`summary`; ``records`` holds each
-        task's :meth:`TaskRecord.to_dict`, and the two breakdowns mirror
-        :meth:`time_by_kind` / :meth:`time_by_engine`.  This is the one
-        serialization benchmarks and exporters share — hand-rolled report
-        formatting belongs here, not at call sites.
-        """
-        return {
-            **self.summary(),
-            "time_by_kind": self.time_by_kind(),
-            "time_by_engine": self.time_by_engine(),
-            "records": [record.to_dict() for record in self.records],
         }

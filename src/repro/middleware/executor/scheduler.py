@@ -8,8 +8,8 @@ platforms"):
   involved engine declares itself thread-safe
   (:class:`~repro.stores.base.Concurrency`), serial fallback otherwise,
 * dispatching each operator to its engine's adapter,
-* routing operators the placement pass bound to an accelerator through the
-  device's functional kernel (and charging its simulated time),
+* charging operators the placement pass bound to an accelerator by that
+  device, for the work the engine was observed to do,
 * invoking the data migrator for ``migrate`` operators,
 * serving operators from a prepared program's pinned scan snapshot (the
   ``result_cache``) and recording replays in the report,
@@ -24,6 +24,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Protocol
 
+import numpy as np
+
+from repro.accelerators.kernels import WorkEstimate, kernel_mapping
 from repro.cancellation import CancellationToken
 from repro.catalog import Catalog
 from repro.cluster.scatter import ScatterGather, ShardedValue, gather
@@ -39,8 +42,6 @@ from repro.middleware.feedback.stats import RuntimeStats
 from repro.middleware.migration import DataMigrator
 from repro.obs import Observability
 from repro.stores.base import Concurrency
-from repro.stores.relational.expressions import Expression
-from repro.stores.relational.operators import column_reader
 
 
 class ResultCache(Protocol):
@@ -282,26 +283,19 @@ class Executor:
         # Partitions only flow between operators the scatter path handles;
         # every other consumer sees the gathered (merged) value.
         inputs = [gather(value) for value in inputs]
-        simulated_extra = 0.0
-        offloaded = False
+        charged: float | None = None  # None: the operator is charged its wall time
         details: dict[str, Any] = {}
-        row = KINDS[node.kind]
+        offloaded = False
         if node.kind == "migrate":
-            value, simulated_extra, details = self._execute_migration(node, inputs)
-        elif node.accelerator and row.kernel and not row.matrix:
-            value, simulated_extra, details = self._execute_offloaded(node, inputs)
+            # Accelerated or not is the migrator's strategy and serializer
+            # device; a placement mark on a migrate is not read.
+            value, charged, details = self._execute_migration(node, inputs)
+        elif node.accelerator:
+            value, charged, details = self._run_offloaded(node, inputs, rows_in)
             offloaded = True
         else:
             value = self._execute_on_engine(node, inputs)
-            if node.accelerator and row.matrix:
-                # The GEMM work ran functionally on the host ML engine; charge
-                # the device's simulated time instead of the Python time.
-                simulated_extra, details = self._charge_ml_offload(node)
-                offloaded = True
         wall = time.perf_counter() - start
-        simulated = simulated_extra if offloaded or node.kind == "migrate" else wall
-        if node.kind == "migrate":
-            simulated = simulated_extra
         record = TaskRecord(
             op_id=node.op_id,
             kind=node.kind,
@@ -309,7 +303,7 @@ class Executor:
             accelerator=node.accelerator if offloaded else None,
             stage=stage,
             wall_time_s=wall,
-            simulated_time_s=simulated,
+            simulated_time_s=wall if charged is None else charged,
             rows_out=self._rows_of(value),
             rows_in=rows_in,
             offloaded=offloaded,
@@ -442,57 +436,38 @@ class Executor:
         }
         return received, migration.total_s, details
 
-    def _execute_offloaded(self, node: Operator,
-                           inputs: list[Any]) -> tuple[Any, float, dict[str, Any]]:
-        device = self.catalog.accelerator(str(node.accelerator))
-        if len(inputs) != 1 or not isinstance(inputs[0], Table):
-            # Fall back to the engine when the input shape does not fit the kernel.
-            return self._execute_on_engine(node, inputs), 0.0, {"fallback": True}
-        table: Table = inputs[0]
-        # Kernels stream the table's own row tuples; results are typed by
-        # the plan (the table's schema, or its projection).
-        if node.kind == "sort" and device.supports("bitonic_sort"):
-            by = column_reader(table.schema, str(node.params["by"]))
-            descending = bool(node.params.get("descending", False))
-            sorted_rows, offload = device.offload(
-                "bitonic_sort", table.rows,
-                key=lambda r: (by(r) is None, by(r)), descending=descending)
-            return Table.wrap(table.schema, sorted_rows), offload.total_s, \
-                {"kernel": offload.kernel}
-        if node.kind == "filter" and device.supports("filter"):
-            predicate = node.params.get("predicate")
-            # An empty input goes back to the adapter: nothing to stream, and
-            # a schemaless read's placeholder schema cannot bind the predicate.
-            if isinstance(predicate, Expression) and len(table):
-                kept, offload = device.offload("filter", table.rows,
-                                               predicate.compile(table.schema))
-                return Table.wrap(table.schema, kept), offload.total_s, \
-                    {"kernel": offload.kernel}
-        if node.kind == "project" and device.supports("project"):
-            columns = list(node.params.get("columns") or [])
-            schema = table.schema.project(columns)
-            projected, offload = device.offload(
-                "project", table.rows, [table.schema.index_of(c) for c in columns])
-            return Table.wrap(schema, projected), offload.total_s, \
-                {"kernel": offload.kernel}
-        if node.kind == "window_aggregate" and device.supports("window_aggregate"):
-            engine_value = self._execute_on_engine(node, inputs)
-            estimate = device.estimate(_window_spec_from_table(table))
-            return engine_value, estimate.total_s, {"kernel": "window_aggregate"}
-        return self._execute_on_engine(node, inputs), 0.0, {"fallback": True}
+    def _run_offloaded(self, node: Operator, inputs: list[Any],
+                       rows_in: int) -> tuple[Any, float, dict[str, Any]]:
+        """Run ``node`` on its engine; charge its device for the observed work.
 
-    def _charge_ml_offload(self, node: Operator) -> tuple[float, dict[str, Any]]:
-        device = self.catalog.accelerator(str(node.accelerator))
-        ml_engine = self.catalog.engine(str(node.engine))
-        counter = getattr(getattr(ml_engine, "ops", None), "counter", None)
-        flops = counter.flops if counter is not None else 0
-        bytes_moved = counter.bytes_moved if counter is not None else 0
-        from repro.accelerators.base import KernelSpec
+        The kernel and its spec come from the table the planner placed the
+        node with, so a device without a kernel for the kind is an error, not
+        a free operator.
+        """
+        device = self.catalog.accelerator(node.accelerator)
+        row = KINDS[node.kind]
+        # Resolved before the engine runs: a ``train`` changes its engine.
+        mapping = kernel_mapping(device, row.kernel)
+        value = self._execute_on_engine(node, inputs)
+        spec = mapping.spec(self._observed_work(node, inputs, value, rows_in))
+        return value, device.estimate(spec).total_s, \
+            {"kernel": spec.name, "flops": spec.flops}
 
-        spec = KernelSpec(name="gemm", bytes_in=bytes_moved, bytes_out=0,
-                          flops=flops, elements=max(1, flops // 2))
-        estimate = device.estimate(spec)
-        return estimate.total_s, {"kernel": "gemm", "flops": flops}
+    def _observed_work(self, node: Operator, inputs: list[Any], value: Any,
+                       rows_in: int) -> WorkEstimate:
+        """What the engine was just seen doing for ``node``, as a device prices it."""
+        if not KINDS[node.kind].matrix:
+            tables = [v for v in inputs if isinstance(v, Table)]
+            return WorkEstimate(
+                rows=max(rows_in, self._rows_of(value)),
+                bytes_in=sum(t.estimated_bytes() for t in tables) if tables else None,
+                bytes_out=value.estimated_bytes() if isinstance(value, Table) else None)
+        ops = getattr(self.catalog.engine(node.engine), "ops", None)
+        if ops is not None:
+            # The ML engine counts the flops and bytes of the products it runs.
+            return WorkEstimate(bytes_in=ops.counter.bytes_moved, flops=ops.counter.flops)
+        (m, k), right = np.shape(inputs[0]), np.shape(inputs[1])
+        return WorkEstimate(matrix_dims=(m, k, right[1] if len(right) > 1 else 1))
 
     # -- helpers --------------------------------------------------------------------------------
 
@@ -510,11 +485,3 @@ class Executor:
         if isinstance(total, int):
             return total
         return 1
-
-
-def _window_spec_from_table(table: Table):
-    from repro.accelerators.base import KernelSpec
-
-    return KernelSpec(name="window_aggregate", bytes_in=table.estimated_bytes(),
-                      bytes_out=table.estimated_bytes() // 4, flops=2 * len(table),
-                      elements=len(table), pipelineable=True)

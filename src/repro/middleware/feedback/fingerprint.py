@@ -17,7 +17,7 @@ plan (and only then drop the old plan's pinned scans).
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Mapping
+from typing import Any
 
 from repro.ir.graph import IRGraph
 from repro.ir.nodes import Operator
@@ -120,20 +120,3 @@ def baked_estimates(graph: IRGraph) -> dict[str, int]:
         if isinstance(fingerprint, str):
             baked[fingerprint] = node.estimated_rows
     return baked
-
-
-def node_fingerprint(node: Operator) -> str | None:
-    """The annotated fingerprint of a compiled node, if present."""
-    fingerprint = node.annotations.get(FINGERPRINT_KEY)
-    return fingerprint if isinstance(fingerprint, str) else None
-
-
-def graph_fingerprints(graph: IRGraph | Mapping[str, Operator]) -> dict[str, str]:
-    """Annotated ``op_id -> fingerprint`` map of an already-compiled graph."""
-    nodes = graph.nodes() if isinstance(graph, IRGraph) else graph.values()
-    result: dict[str, str] = {}
-    for node in nodes:
-        fingerprint = node.annotations.get(FINGERPRINT_KEY)
-        if isinstance(fingerprint, str):
-            result[node.op_id] = fingerprint
-    return result

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.accelerators.base import Accelerator
+from repro.accelerators.kernels import WorkEstimate, offload_cost
 from repro.datamodel.serialization import BinarySerializer, CsvSerializer
 from repro.datamodel.table import Table
 from repro.exceptions import MigrationError
@@ -145,29 +146,34 @@ class DataMigrator:
     # -- accelerated path ---------------------------------------------------------------
 
     def _accelerated_path(self, table: Table) -> tuple[MigrationReport, Table]:
-        if self.serializer_accelerator is None:
+        device = self.serializer_accelerator
+        if device is None:
             raise MigrationError(
                 "accelerated migration requires a serializer accelerator "
                 "(FPGA or migration ASIC) to be attached"
             )
-        device = self.serializer_accelerator
-        payload, serialize_report = device.offload("serialize", table)
+        serializer = BinarySerializer()
+        payload, wrote = serializer.serialize(table)
+        serialize_s = offload_cost(device, "serialize", WorkEstimate(
+            rows=wrote.rows, bytes_in=table.estimated_bytes(), bytes_out=len(payload),
+            flops=wrote.value_conversions)).total_s
         transfer = self.network.transfer(len(payload), rdma=True)
+        start = time.perf_counter()
+        received, read = serializer.deserialize(payload, table.schema)
         if device.supports("deserialize"):
-            received, deserialize_report = device.offload("deserialize", payload, table.schema)
-            deserialize_s = deserialize_report.total_s
+            deserialize_s = offload_cost(device, "deserialize", WorkEstimate(
+                rows=read.rows, bytes_in=len(payload), bytes_out=received.estimated_bytes(),
+                flops=read.value_conversions)).total_s
         else:
             # The FPGA only offloads the send side; the destination parses in software.
-            start = time.perf_counter()
-            received, _ = BinarySerializer().deserialize(payload, table.schema)
             deserialize_s = time.perf_counter() - start
         # Serialization streams into the transfer, so the two overlap.
-        pipelined = max(serialize_report.total_s, transfer.total_s)
+        pipelined = max(serialize_s, transfer.total_s)
         report = MigrationReport(
             strategy="accelerated",
             rows=len(table),
             payload_bytes=len(payload),
-            serialize_s=serialize_report.total_s,
+            serialize_s=serialize_s,
             transfer_s=transfer.total_s,
             deserialize_s=deserialize_s,
             total_s=pipelined + deserialize_s,

@@ -65,20 +65,6 @@ class Span:
         """Attach attributes (rows, cache outcome, resync cause, ...)."""
         self.attrs.update(attrs)
 
-    def to_dict(self) -> dict[str, Any]:
-        """Stable dictionary form (tests and the JSON exporters)."""
-        return {
-            "span_id": self.span_id,
-            "trace_id": self.trace_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "category": self.category,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "thread_id": self.thread_id,
-            "attrs": dict(self.attrs),
-        }
-
     def __repr__(self) -> str:
         return (f"Span({self.name!r}, cat={self.category!r}, "
                 f"id={self.span_id}, parent={self.parent_id})")

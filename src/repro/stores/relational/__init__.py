@@ -9,14 +9,13 @@ from repro.stores.relational.expressions import (
     not_,
     or_,
 )
-from repro.stores.relational.operators import AggregateSpec, bitonic_sort
+from repro.stores.relational.operators import AggregateSpec
 from repro.stores.relational.sql import lower_select, parse_select
 
 __all__ = [
     "RelationalEngine",
     "StoredTable",
     "AggregateSpec",
-    "bitonic_sort",
     "parse_select",
     "lower_select",
     "column",

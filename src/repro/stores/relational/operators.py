@@ -23,12 +23,6 @@ Key columns (sort, group-by, join and top-k keys, aggregate inputs) the input
 lacks read as ``None``, as a dict row without that key always did;
 projections and expressions reject unknown columns with
 :class:`~repro.exceptions.QueryError` when the tree is built.
-
-The sort operator has two implementations: the engine's native CPU sort
-(Timsort) and a software model of a *bitonic sorting network*, the algorithm
-the paper calls out as inherently pipeline-parallel and therefore a natural
-FPGA offload target.  The bitonic implementation counts its compare-exchange
-stages so the FPGA simulator can map them onto pipeline cycles.
 """
 
 from __future__ import annotations
@@ -405,74 +399,3 @@ def _aggregate(source: Schema, group_by: tuple[str, ...], aggregates: tuple[Aggr
         + ("" if group_by else f"if not groups: groups[()] = {fresh}\n")
         + f"return [{'(key,)' if scalar else 'key'} + ({results}) for key, a in groups.items()]"
     ), schema
-
-
-# -- bitonic sorting network ----------------------------------------------------------------
-
-
-@dataclass
-class BitonicSortStats:
-    """Work counters produced by :func:`bitonic_sort`.
-
-    Attributes:
-        n_padded: Input size after padding to the next power of two.
-        stages: Number of compare-exchange stages (the pipeline depth an FPGA
-            implementation would instantiate).
-        comparisons: Total compare-exchange operations performed.
-    """
-
-    n_padded: int
-    stages: int
-    comparisons: int
-
-
-def bitonic_sort(values: Sequence[Any], *, key: Callable[[Any], Any] | None = None,
-                 descending: bool = False) -> tuple[list[Any], BitonicSortStats]:
-    """Sort ``values`` with a bitonic sorting network.
-
-    The network's structure (log^2 n stages of n/2 independent compare-exchange
-    operations) is what makes it attractive for FPGA pipelining; the returned
-    statistics let the accelerator simulator translate the same work into
-    pipeline cycles.
-    """
-    items = list(values)
-    n = len(items)
-    if n <= 1:
-        return items, BitonicSortStats(n_padded=n, stages=0, comparisons=0)
-    key_fn = key if key is not None else (lambda x: x)
-
-    size = 1
-    while size < n:
-        size *= 2
-    sentinel = object()
-    padded: list[Any] = items + [sentinel] * (size - n)
-
-    def rank(item: Any) -> tuple[int, Any]:
-        # Sentinels sort after every real value so padding never interleaves.
-        if item is sentinel:
-            return (1, 0)
-        return (0, key_fn(item))
-
-    comparisons = 0
-    stages = 0
-    k = 2
-    while k <= size:
-        j = k // 2
-        while j >= 1:
-            stages += 1
-            for i in range(size):
-                partner = i ^ j
-                if partner > i:
-                    ascending = (i & k) == 0
-                    comparisons += 1
-                    a, b = padded[i], padded[partner]
-                    swap = rank(a) > rank(b) if ascending else rank(a) < rank(b)
-                    if swap:
-                        padded[i], padded[partner] = b, a
-            j //= 2
-        k *= 2
-
-    result = [item for item in padded if item is not sentinel]
-    if descending:
-        result.reverse()
-    return result, BitonicSortStats(n_padded=size, stages=stages, comparisons=comparisons)

@@ -17,8 +17,17 @@ from repro.accelerators import (
     TPUAccelerator,
     WorkEstimate,
 )
+from repro.accelerators.kernels import DEFAULT_MAPPINGS, kernel_mapping
+from repro.catalog import Catalog
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import AcceleratorError
+from repro.ir.graph import IRGraph
+from repro.ir.kinds import KINDS
+from repro.ir.nodes import Operator
+from repro.middleware.executor import Executor
+from repro.middleware.migration import DataMigrator
+from repro.stores import ArrayEngine, MLEngine, RelationalEngine, TimeseriesEngine
+from repro.stores.relational import compare
 
 
 @pytest.fixture
@@ -27,101 +36,195 @@ def fleet():
             MigrationASIC()]
 
 
-class TestFunctionalKernels:
-    def test_fpga_bitonic_sort_is_correct(self):
+def _deployment(devices):
+    """Fresh engines, identically loaded, with ``devices`` attached."""
+    catalog = Catalog()
+    db = RelationalEngine("db")
+    db.load_table("t", TABLE)
+    series = TimeseriesEngine("ts")
+    series.append_many("hr", [(float(i), float(i % 11)) for i in range(90)])
+    for engine in (db, series, MLEngine("ml"), ArrayEngine("arr")):
+        catalog.register_engine(engine)
+    for device in devices:
+        catalog.register_accelerator(device)
+    executor = Executor(catalog)
+    # ``predict`` scores a model that exists: train it on the host first.
+    _run(executor, "train", None)
+    return executor
+
+
+def _run(executor, operator, device):
+    """Run the one IR kind ``operator`` names, placed on ``device`` (or the host)."""
+    kind, engine, params, inputs = SHAPES[operator]
+    graph = IRGraph(operator)
+    leaves = [graph.add(leaf()).op_id for leaf in inputs]
+    node = graph.add(Operator(kind, params, leaves, engine, accelerator=device))
+    graph.mark_output(node.op_id)
+    outputs, report = executor.execute(graph)
+    return outputs[node.op_id], report.records[-1]
+
+
+TABLE = Table(make_schema(("a", DataType.INT), ("b", DataType.FLOAT), ("c", DataType.STRING)),
+              [(i, (i * 7) % 13 * 1.5, str(i)) for i in range(10)])
+FEATURES = Table.from_dicts([
+    {"pid": i, "x1": float(i % 7), "x2": float(i % 3), "long_stay": i % 2}
+    for i in range(120)])
+
+
+def _scan():
+    return Operator("scan", {"table": "t"}, engine="db")
+
+
+def _features():
+    return Operator("python_udf", {"fn": lambda: FEATURES})
+
+
+def _array(*shape):
+    return lambda: Operator("python_udf", {
+        "fn": lambda: np.arange(float(np.prod(shape))).reshape(shape)})
+
+
+#: kernel-table operator -> (IR kind, engine, params, leaf builders).
+SHAPES = {
+    "sort": ("sort", "db", {"by": "b", "descending": True}, [_scan]),
+    "filter": ("filter", "db", {"predicate": compare("a", ">=", 4)}, [_scan]),
+    "project": ("project", "db", {"columns": ["c", "a"]}, [_scan]),
+    "window_aggregate": ("window_aggregate", "ts", {"series": "hr", "window_s": 10.0}, []),
+    "gemm": ("matmul", "arr", {}, [_array(6, 4), _array(4, 5)]),
+    "gemv": ("gemv", "arr", {}, [_array(6, 4), _array(4, 1)]),
+    "train": ("train", "ml", {"model_name": "m", "label_column": "long_stay",
+                              "epochs": 3}, [_features]),
+    "predict": ("predict", "ml", {"model_name": "m"}, [_features]),
+}
+
+DEVICES = [FPGAAccelerator, GPUAccelerator, TPUAccelerator, MigrationASIC, CGRAAccelerator]
+
+
+def _same(left, right):
+    if isinstance(left, Table):
+        return left.schema == right.schema and left.rows == right.rows
+    if isinstance(left, np.ndarray):
+        return np.array_equal(left, right)
+    return left == right
+
+
+class TestOneOffloadPath:
+    """Every operator runs on its engine; a placed one is charged by its device."""
+
+    @pytest.mark.parametrize("device_cls, operator", [
+        (cls, operator) for cls in DEVICES for operator in SHAPES
+        if any(m.kernel in cls.kernels for m in DEFAULT_MAPPINGS[operator])])
+    def test_a_placed_node_returns_host_rows_and_is_charged(self, device_cls, operator):
+        """Fails at the parent: (cgra0, sort) ran free with ``{"fallback": True}``."""
+        device = device_cls()
+        expected, host = _run(_deployment([]), operator, None)
+        value, record = _run(_deployment([device]), operator, device.profile.name)
+        assert _same(value, expected)
+        assert not host.offloaded and host.accelerator is None
+        assert record.offloaded and record.accelerator == device.profile.name
+        assert record.charged_time_s > 0
+        assert record.details["kernel"] == kernel_mapping(device, operator).kernel
+        assert device.supports(record.details["kernel"])
+
+    def test_the_table_covers_every_offloadable_kind(self):
+        # ``migrate`` is accelerated by the migrator (below), not by placement.
+        assert {SHAPES[operator][0] for operator in SHAPES} == \
+            {name for name, row in KINDS.items() if row.kernel} - {"migrate"}
+        assert set(DEFAULT_MAPPINGS) - set(SHAPES) == {"serialize", "deserialize"}
+
+    @pytest.mark.parametrize("device_cls", [FPGAAccelerator, MigrationASIC])
+    def test_an_accelerated_migration_is_charged_by_its_serializer(self, device_cls):
+        device = device_cls()
+        received, report = DataMigrator(serializer_accelerator=device).migrate(
+            TABLE, strategy="accelerated")
+        assert received.schema == TABLE.schema and received.rows == TABLE.rows
+        assert report.serialization_offloaded
+        assert report.serialize_s >= device.profile.dispatch_overhead_s
+        assert report.deserialize_s > 0
+
+    @pytest.mark.parametrize("device_cls, operator", [
+        (GPUAccelerator, "sort"), (TPUAccelerator, "filter"),
+        (MigrationASIC, "train"), (FPGAAccelerator, "gemm")])
+    def test_a_device_without_a_kernel_for_the_kind_is_an_error(self, device_cls, operator):
+        device = device_cls()
+        executor = _deployment([device])
+        trained = executor.catalog.engine("ml").ops.counter.flops
+        with pytest.raises(AcceleratorError, match="has no kernel for"):
+            _run(executor, operator, device.profile.name)
+        # Refused before the engine ran.
+        assert executor.catalog.engine("ml").ops.counter.flops == trained
+
+    def test_a_kind_no_kernel_serves_is_an_error(self):
         fpga = FPGAAccelerator()
-        values, report = fpga.offload("bitonic_sort", [5, 2, 9, 1])
-        assert values == [1, 2, 5, 9]
-        assert report.total_s > 0
-        assert report.kernel == "bitonic_sort"
-
-    def test_fpga_filter_and_project(self):
-        fpga = FPGAAccelerator()
-        rows = [(i, i * 2) for i in range(10)]  # laid out (a, b)
-        kept, _ = fpga.offload("filter", rows, lambda r: r[0] >= 5)
-        assert len(kept) == 5
-        projected, report = fpga.offload("project", rows, [0])
-        assert projected[0] == (0,)
-        # Streaming tuples and positions charges what streaming dict rows and
-        # names did: the spec counts rows and columns, not their Python form.
-        assert fpga._kernel_project(rows, [0])[1] == KernelSpec(
-            "project", bytes_in=160, bytes_out=80, flops=10, elements=10,
-            pipelineable=True)
-        assert (report.bytes_moved, report.transfer_s, report.compute_s) == \
-            (240, 2e-08, 4.015625e-08)
-
-    def test_offloaded_project_charge_is_unchanged(self):
-        """Literals captured with the dict-row kernel (a5c0a97)."""
-        from repro.catalog import Catalog
-        from repro.ir.graph import IRGraph
-        from repro.ir.nodes import Operator
-        from repro.middleware.executor import Executor
-        from repro.stores import RelationalEngine
-
-        catalog = Catalog()
-        db = RelationalEngine("db")
-        schema = make_schema(("a", DataType.INT), ("b", DataType.FLOAT),
-                             ("c", DataType.STRING))
-        db.load_table("t", Table(schema, [(i, i * 1.5, str(i)) for i in range(10)]))
-        catalog.register_engine(db)
-        fpga = FPGAAccelerator()
-        catalog.register_accelerator(fpga)
-        graph = IRGraph("offload")
-        read = graph.add(Operator("scan", {"table": "t"}, engine="db"))
-        projected = graph.add(Operator("project", {"columns": ["c", "a"]},
-                                       [read.op_id], "db",
-                                       accelerator=fpga.profile.name))
-        graph.mark_output(projected.op_id)
-        outputs, report = Executor(catalog).execute(graph)
-        table = outputs[projected.op_id]
-        assert table.schema == schema.project(["c", "a"])
-        assert table.rows[:2] == [("0", 0), ("1", 1)]
-        record = report.records[-1]
-        assert record.details == {"kernel": "project"}
-        assert record.charged_time_s == 0.00015007364583333332
-        assert fpga.reports[-1].bytes_moved == 400
-
-    def test_gpu_gemm_matches_numpy(self):
-        gpu = GPUAccelerator()
-        a, b = np.random.default_rng(0).normal(size=(8, 8)), np.eye(8)
-        result, _ = gpu.offload("gemm", a, b)
-        assert np.allclose(result, a)
-
-    def test_tpu_rejects_non_2d(self):
+        graph = IRGraph("unplaceable")
+        read = graph.add(_scan())
+        node = graph.add(Operator("limit", {"n": 3}, [read.op_id], "db",
+                                  accelerator=fpga.profile.name))
+        graph.mark_output(node.op_id)
         with pytest.raises(AcceleratorError):
-            TPUAccelerator().offload("gemm", np.ones(3), np.ones(3))
+            _deployment([fpga]).execute(graph)
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(AcceleratorError):
-            GPUAccelerator().offload("bitonic_sort", [1, 2])
+    def test_charges_come_from_the_observed_work(self):
+        """Re-recorded with this change: one spec function per kernel, fed the
+        rows and bytes the engine was seen to read and write.
 
-    def test_migration_asic_roundtrip(self):
-        asic = MigrationASIC()
-        schema = make_schema(("a", DataType.INT), ("b", DataType.FLOAT))
-        table = Table(schema, [(i, i * 1.5) for i in range(20)])
-        payload, _ = asic.offload("serialize", table)
-        restored, _ = asic.offload("deserialize", payload, schema)
-        assert restored.rows == table.rows
+        ``TABLE`` is 10 rows of 40 bytes; the FPGA moves 12 GB/s, retires 256
+        operations a 250 MHz clock behind a 10-stage pipeline (16 stages for
+        a 10-element sorting network), dispatches in 150 us and takes 2 s to
+        load a different kernel.
+        """
+        fpga = FPGAAccelerator()
+        executor = _deployment([fpga])
+        records = {operator: _run(executor, operator, fpga.profile.name)[1]
+                   for operator in ("project", "sort", "filter")}
+        assert {operator: record.details for operator, record in records.items()} == {
+            "project": {"kernel": "project", "flops": 10},
+            # 10/2 * log2(10)^2 compare-exchanges
+            "sort": {"kernel": "bitonic_sort", "flops": 55},
+            "filter": {"kernel": "filter", "flops": 10},
+        }
+        charged = {operator: record.charged_time_s for operator, record in records.items()}
+        assert charged == pytest.approx({
+            # 400 B in, 320 B out (two columns of 16 B)
+            "project": 150e-6 + 720 / 12e9 + (10 / 256 + 10) / 250e6,
+            "sort": 2.0 + 150e-6 + 800 / 12e9 + (55 / 256 + 16) / 250e6,
+            # six of the ten rows survive
+            "filter": 2.0 + 150e-6 + 640 / 12e9 + (10 / 256 + 10) / 250e6,
+        }, abs=1e-12)
+        assert charged["project"] == pytest.approx(0.00015010015625, abs=1e-12)
 
-    def test_cgra_sort_and_reduce(self):
-        cgra = CGRAAccelerator()
-        values, _ = cgra.offload("sort", [3.0, 1.0, 2.0])
-        assert values == [1.0, 2.0, 3.0]
-        total, _ = cgra.offload("reduce", np.arange(10.0))
-        assert total == 45.0
+    def test_matrix_and_migration_charges_equal_the_parent(self):
+        """Pinned: what ``accelerators.charged_ms`` and
+        ``middleware.migration.charged_ms`` report on ``mimic_pipeline``.
+
+        Recipe: with ``PYTHONPATH`` on be1fbd7's ``src`` (``device.offload``
+        still behind the migrator, ``_charge_ml_offload`` behind the
+        executor), run this body — ``_deployment``, ``_run`` and ``SHAPES``
+        use nothing newer — and print the values with ``repr``.
+        """
+        executor = _deployment([GPUAccelerator(), TPUAccelerator()])
+        executor.catalog.engine("ml").ops.counter.reset()
+        _, train = _run(executor, "train", "gpu0")
+        _, predict = _run(executor, "predict", "tpu0")
+        assert train.charged_time_s == pytest.approx(0.00010259877333333332, abs=1e-12)
+        assert predict.charged_time_s == pytest.approx(0.00019507263999999998, abs=1e-12)
+        assert (train.details["flops"], predict.details["flops"]) == (322920, 354240)
+
+        table = Table(TABLE.schema, [(i, i * 1.5, str(i)) for i in range(200)])
+        received, asic = DataMigrator(serializer_accelerator=MigrationASIC()).migrate(
+            table, strategy="accelerated")
+        assert received.rows == table.rows and asic.payload_bytes == 5094
+        assert asic.serialize_s == pytest.approx(1.0523760000000001e-05, abs=1e-12)
+        assert asic.deserialize_s == pytest.approx(1.0523760000000001e-05, abs=1e-12)
+        assert asic.total_s == pytest.approx(0.00011469896000000002, abs=1e-12)
+        # The FPGA offloads the send side only; the receive side is wall time.
+        received, fpga = DataMigrator(serializer_accelerator=FPGAAccelerator()).migrate(
+            table, strategy="accelerated")
+        assert received.rows == table.rows
+        assert fpga.serialize_s == pytest.approx(0.00015114054166666665, abs=1e-12)
 
 
 class TestCostAccounting:
-    def test_reports_accumulate(self):
-        fpga = FPGAAccelerator()
-        fpga.offload("bitonic_sort", list(range(100)))
-        fpga.offload("filter", [{"a": 1}], lambda r: True)
-        assert len(fpga.reports) == 2
-        assert fpga.total_simulated_time() > 0
-        assert fpga.total_energy() > 0
-        fpga.reset_reports()
-        assert fpga.reports == []
-
     def test_reconfiguration_charged_on_kernel_change(self):
         fpga = FPGAAccelerator()
         first = fpga.estimate(KernelSpec("bitonic_sort", 1024, 1024, 1000, 100))

@@ -121,6 +121,54 @@ class TestPasses:
         ]
         assert pushed
 
+    def _filter_over_project(self, columns, predicate) -> tuple[IRGraph, Operator, Operator]:
+        graph = IRGraph("swap")
+        scan = graph.add(Operator("scan", {"table": "admissions"}, engine="clinical-db"))
+        project = graph.add(Operator("project", {"columns": columns},
+                                     [scan.op_id], "clinical-db"))
+        kept = graph.add(Operator("filter", {"predicate": predicate},
+                                  [project.op_id], "clinical-db"))
+        graph.mark_output(kept.op_id)
+        return graph, project, kept
+
+    def test_pushdown_swaps_filter_below_project(self, catalog):
+        from repro.middleware.executor import Executor
+
+        graph, project, kept = self._filter_over_project(
+            ["pid", "age"], compare("age", ">", 80))
+        plain = graph.copy()
+        assert push_down_filters(graph, catalog) == 1
+        assert_valid(graph)
+        assert graph.node(kept.op_id).inputs == plain.node(project.op_id).inputs
+        assert graph.node(project.op_id).inputs == [kept.op_id]
+        assert graph.outputs == [project.op_id]
+        swapped = Executor(catalog).execute(graph)[0][project.op_id]
+        expected = Executor(catalog).execute(plain)[0][kept.op_id]
+        assert swapped.schema == expected.schema and swapped.rows == expected.rows
+        assert 0 < len(swapped) < len(catalog.engine("clinical-db").scan("admissions"))
+
+    def test_pushdown_keeps_filter_above_a_projection_it_cannot_cross(self, catalog):
+        # The predicate reads a column the projection dropped.
+        graph, project, kept = self._filter_over_project(
+            ["pid"], compare("age", ">", 80))
+        assert push_down_filters(graph, catalog) == 0
+        assert graph.node(kept.op_id).inputs == [project.op_id]
+        # Another operator reads the unfiltered projection.
+        graph, project, kept = self._filter_over_project(
+            ["pid", "age"], compare("age", ">", 80))
+        graph.mark_output(graph.add(Operator(
+            "limit", {"n": 3}, [project.op_id], "clinical-db")).op_id)
+        assert push_down_filters(graph, catalog) == 0
+        assert graph.node(kept.op_id).inputs == [project.op_id]
+
+    def test_pushdown_keeps_filter_above_a_projection_that_is_an_output(self, catalog):
+        """At the parent the swap renamed the filtered output over the projection's."""
+        graph, project, kept = self._filter_over_project(
+            ["pid", "age"], compare("age", ">", 80))
+        graph.mark_output(project.op_id)
+        assert push_down_filters(graph, catalog) == 0
+        assert graph.outputs == [kept.op_id, project.op_id]
+
     def test_fusion_merges_adjacent_filters(self, catalog):
         graph = IRGraph("fusion")
         scan = graph.add(Operator("scan", {"table": "admissions"}, engine="clinical-db"))

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import PolystorePlusPlus, col
+from repro.cluster import ShardedEngine
 from repro.compiler.pipeline import CompilerOptions
 from repro.core.system import SystemConfig
 from repro.datamodel import DataType, Table, make_schema
@@ -71,8 +72,9 @@ def _ts_ops(ts):
 
 def _text_ops(text):
     for i in range(12):
-        text.add_document(f"d{i}", f"polystore shard number {i}", {"n": i})
-    text.remove_document("d3")
+        text.add_document(f"d{i}", f"polystore shard number {i}", metadata={"n": i})
+    if not isinstance(text, ShardedEngine):  # the fabric routes no document removal
+        text.remove_document("d3")
 
 
 def _engine_fingerprint(engine):
@@ -234,6 +236,39 @@ class TestHardKill:
         assert report["replayed_batches"] == 7
         assert kv2.get("pre/39") == 39 and kv2.get("post/6") == 6
         assert kv2.get("doomed") is None
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    @pytest.mark.parametrize("engine_cls", [TimeseriesEngine, TextEngine])
+    def test_kill_without_checkpoint_replays_timeseries_and_text(
+            self, tmp_path, engine_cls, sharded):
+        """Nothing was checkpointed: every op comes back through the WAL tail."""
+        def deploy(system):
+            if sharded:
+                return system.register_sharded_engine("store", engine_cls, 2)
+            return system.register_engine(engine_cls("store"))
+
+        ops = _ts_ops if engine_cls is TimeseriesEngine else _text_ops
+        engine = deploy(PolystorePlusPlus(_config(tmp_path)))
+        twin = deploy(PolystorePlusPlus())
+        for target in (engine, twin):
+            ops(target)
+        faults.arm("wal.append")
+        with pytest.raises(InjectedFault):
+            if engine_cls is TimeseriesEngine:
+                engine.append("cpu", 999.0, 1.0)
+            else:
+                engine.add_document("doomed", "polystore lost")
+
+        reborn = PolystorePlusPlus(data_dir=str(tmp_path))
+        recovered = deploy(reborn)
+        assert _engine_fingerprint(recovered)["scoped"] == \
+            _engine_fingerprint(twin)["scoped"]
+        pairs = zip(recovered.shards, twin.shards) if sharded else [(recovered, twin)]
+        for mine, theirs in pairs:
+            assert _engine_fingerprint(mine) == _engine_fingerprint(theirs)
+        report = reborn.durability.recovery_report()["store"]
+        assert report["replayed_batches"] >= 12
+        assert sum(r["truncated_records"] for r in report.get("shards", [report])) == 1
 
     def test_torn_multi_row_insert_recovers_consistently(self, tmp_path):
         system = PolystorePlusPlus(_config(tmp_path))

@@ -170,7 +170,7 @@ class TestSchemalessEmptyReads:
             {"key": 1, "tier": 1}, {"key": 2, "tier": 2}]
         assert result.output("both").to_dicts() == [{"tier": 1}]
 
-    def test_offloaded_filter_over_an_empty_read_falls_back(self):
+    def test_offloaded_filter_over_an_empty_read_streams_nothing(self):
         from repro.accelerators.fpga import FPGAAccelerator
 
         catalog = Catalog()
@@ -184,7 +184,10 @@ class TestSchemalessEmptyReads:
         graph.mark_output(kept.op_id)
         outputs, report = Executor(catalog).execute(graph)
         assert len(outputs[kept.op_id]) == 0
-        assert report.records[-1].details == {"fallback": True}
+        # No row to stream: the device is charged its dispatch, nothing more.
+        record = report.records[-1]
+        assert record.details == {"kernel": "filter", "flops": 0}
+        assert record.charged_time_s == fpga.profile.dispatch_overhead_s
 
     def test_filter_over_a_label_with_no_nodes(self):
         from repro import build_cpu_polystore

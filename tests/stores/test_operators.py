@@ -1,10 +1,8 @@
-"""Tests for volcano operators, expressions and the bitonic sorting network."""
+"""Tests for volcano operators and expressions."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import QueryError
 from repro.stores.relational.expressions import (
@@ -27,7 +25,6 @@ from repro.stores.relational.operators import (
     SortMergeJoin,
     TableScan,
     TopK,
-    bitonic_sort,
 )
 
 ROWS = [
@@ -157,39 +154,3 @@ class TestOperators:
     def test_invalid_aggregate_function(self):
         with pytest.raises(QueryError):
             AggregateSpec("median", "cost", "m")
-
-
-class TestBitonicSort:
-    def test_sorts_non_power_of_two(self):
-        values, stats = bitonic_sort([5, 1, 9, 3, 7, 2])
-        assert values == [1, 2, 3, 5, 7, 9]
-        assert stats.n_padded == 8
-
-    def test_descending(self):
-        values, _ = bitonic_sort([4, 1, 3], descending=True)
-        assert values == [4, 3, 1]
-
-    def test_key_function(self):
-        values, _ = bitonic_sort(ROWS, key=lambda r: r["age"])
-        assert [r["age"] for r in values] == [35, 51, 72, 85]
-
-    def test_empty_and_singleton(self):
-        assert bitonic_sort([])[0] == []
-        assert bitonic_sort([42])[0] == [42]
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(-1000, 1000), max_size=120))
-    def test_property_matches_builtin_sort(self, values):
-        result, stats = bitonic_sort(values)
-        assert result == sorted(values)
-        if len(values) > 1:
-            assert stats.comparisons > 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
-                    max_size=64))
-    def test_property_stage_count_is_log_squared(self, values):
-        _, stats = bitonic_sort(values)
-        n = stats.n_padded
-        log_n = n.bit_length() - 1
-        assert stats.stages == log_n * (log_n + 1) // 2
