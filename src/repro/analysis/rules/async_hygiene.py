@@ -1,9 +1,12 @@
-"""async-hygiene: the serving tier's event loop must never block.
+"""async-hygiene: the serving tier's event loop must never block unbounded.
 
 Every coroutine in ``src/repro/serve/`` runs on the server's single event
 loop thread, which owns all admission/coalescing state — one blocking call
-inside an ``async def`` stalls every connected client at once.  The rule
-flags, inside ``async def`` bodies in serve code:
+inside an ``async def`` stalls every connected client at once.  (The loop
+does run a registered program observed to take under one
+``sys.getswitchinterval()`` itself, from a plain callback; that bounded
+work is by design and outside this rule.)  The rule flags, inside
+``async def`` bodies in serve code:
 
 * ``time.sleep(...)`` — use ``await asyncio.sleep(...)``;
 * synchronous file or socket I/O (``open``/``os.open``, ``socket.*``

@@ -56,6 +56,8 @@ class AdmissionController:
         self._pass: dict[str, float] = {}
         self._global_pass = 0.0
         self._service_ewma_s = _DEFAULT_SERVICE_S
+        #: Program name -> EWMA of that program's own service time.
+        self.program_service_s: dict[str, float] = {}
         self.admitted_total = 0
         self.queued_total = 0
         self.rejected_total = 0
@@ -160,11 +162,14 @@ class AdmissionController:
 
     # -- feedback / introspection --------------------------------------------------------
 
-    def observe_service_time(self, seconds: float) -> None:
-        """Fold one completed request's service time into the EWMA."""
+    def observe_service_time(self, seconds: float, program: str | None = None) -> None:
+        """Fold one service time into the EWMA, and into ``program``'s own."""
         if seconds >= 0:
             self._service_ewma_s += _EWMA_ALPHA * (seconds
                                                    - self._service_ewma_s)
+            if program is not None:
+                ewma = self.program_service_s.setdefault(program, seconds)
+                self.program_service_s[program] = ewma + _EWMA_ALPHA * (seconds - ewma)
 
     def retry_after_hint(self) -> float:
         """How long a rejected client should wait before retrying.

@@ -93,20 +93,6 @@ def frame_length(prefix: bytes) -> int:
     return length
 
 
-async def read_frame(reader) -> dict[str, Any] | None:
-    """Read one frame from an asyncio stream; ``None`` on a clean EOF."""
-    import asyncio
-
-    try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid-frame") from None
-    body = await reader.readexactly(frame_length(prefix))
-    return decode_body(body)
-
-
 def read_frame_sync(sock: socket.socket) -> dict[str, Any] | None:
     """Blocking frame read from a plain socket; ``None`` on a clean EOF."""
     prefix = _recv_exact(sock, _LENGTH.size)
@@ -168,12 +154,10 @@ def serialize_value(value: Any) -> Any:
     dicts survive, exotic handles degrade to their string form.
     """
     if isinstance(value, Table):
-        columns = list(value.schema.names)
         return {
             "kind": "table",
-            "columns": columns,
-            "rows": [[row.get(name) for name in columns]
-                     for row in value.to_dicts()],
+            "columns": list(value.schema.names),
+            "rows": [list(row) for row in value.rows],
         }
     return value
 

@@ -11,13 +11,16 @@ bytes.
 Threading model — three kinds of threads, one owner per piece of state:
 
 * the **event-loop thread** owns every coordination structure (admission
-  queues, coalescing groups, the in-flight registry).  Requests, cancels
-  and completions are all funneled here via ``call_soon_threadsafe``, so
-  none of it needs locks;
-* **worker threads** (exactly ``pool_size``) each check a session out of a
-  queue, run the prepared program, and post the outcome back to the loop.
-  A busy worker is exactly one busy admission slot, so admission-control
-  saturation *is* session-pool saturation;
+  queues, coalescing groups, the in-flight registry, the free slots).
+  TCP frames are cut in the transport callback; other requests, cancels
+  and completions are funneled here via ``call_soon_threadsafe``, so none
+  of it needs locks.  The loop *runs* an admitted request itself when its
+  program's observed service time is below ``sys.getswitchinterval()`` and
+  a free slot has prepared it: a worker running Python yields the GIL to
+  the loop only once per switch interval anyway;
+* **worker threads** (exactly ``pool_size``) run every other request on
+  the slot the loop chose and post the outcome back; a held slot is one
+  busy admission slot, so admission saturation *is* session-pool saturation;
 * **client threads** only enqueue messages onto the loop and wait on
   per-request futures.
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import queue
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +53,6 @@ from repro.serve.protocol import (
     encode_frame,
     error_response,
     ok_response,
-    read_frame,
     serialize_outputs,
 )
 from repro.serve.quotas import QuotaManager
@@ -93,6 +96,8 @@ class RegisteredProgram:
     #: Whether identical concurrent requests may share one execution.
     #: Register write programs with ``coalesce=False``.
     coalesce: bool
+    #: The parameter names a request may bind.
+    params: frozenset
 
 
 class _Request:
@@ -130,6 +135,61 @@ class _SessionSlot:
         self.prepared: dict[str, Any] = {}
 
 
+class _Connection(asyncio.Protocol):
+    """One TCP client: frames are cut from the bytes as they arrive."""
+
+    def __init__(self, server: "PolystoreServer") -> None:
+        self._server = server
+        self._buffer = bytearray()
+        self._tracker: set[tuple[str, Any]] = set()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._server._connections.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        buffer, head = self._buffer, protocol.FRAME_PREFIX_BYTES
+        buffer += data
+        while len(buffer) >= head and not self._transport.is_closing():
+            try:
+                end = head + protocol.frame_length(buffer[:head])
+                if len(buffer) < end:
+                    return
+                message = protocol.decode_body(buffer[head:end])
+            except protocol.ProtocolError as exc:
+                self._deliver(error_response(None, protocol.BAD_REQUEST, str(exc)))
+                self._transport.close()
+                return
+            del buffer[:end]
+            self._server._handle_message(message, self._deliver, self._tracker)
+
+    def _deliver(self, response: dict[str, Any]) -> None:
+        try:  # a closed transport drops the write; only framing can raise
+            self._transport.write(encode_frame(response))
+        except protocol.ProtocolError:
+            pass  # a response over MAX_FRAME_BYTES has no frame to go in
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._server._connections.discard(self._transport)
+        # A dropped connection cancels whatever it still had in flight.
+        for key in list(self._tracker):
+            self._server._cancel_inflight(key, reason="client disconnected")
+
+
+def _malformed(registered: RegisteredProgram, params: Any,
+               deadline_s: Any) -> str | None:
+    """Why an execute request is a ``BAD_REQUEST``, or ``None``."""
+    if not isinstance(params, dict):
+        return "params must be an object"
+    unknown = sorted(set(params) - registered.params, key=str)
+    if unknown:
+        return f"unknown parameter(s) {unknown}; declared: {sorted(registered.params)}"
+    if deadline_s is not None and (isinstance(deadline_s, bool) or not (
+            isinstance(deadline_s, (int, float)) and deadline_s >= 0)):
+        return f"deadline_s must be a number >= 0, got {deadline_s!r}"
+    return None
+
+
 class PolystoreServer:
     """Async serving front-end over one Polystore++ deployment."""
 
@@ -151,9 +211,11 @@ class PolystoreServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
         self._tcp_server: asyncio.AbstractServer | None = None
+        self._connections: set[asyncio.Transport] = set()
         self._sweeper: "asyncio.Task | None" = None
         self._address: tuple[str, int] | None = None
-        self._slots: "queue.Queue[_SessionSlot]" = queue.Queue()
+        self._slots: list[_SessionSlot] = []
+        self._free: list[_SessionSlot] = []  # loop-owned: slots not running
         self._workers: ThreadPoolExecutor | None = None
         self._running = False
         self._shutting_down = False
@@ -170,8 +232,9 @@ class PolystoreServer:
         serving read must observe concurrent writes, so pinned-scan replay
         is deliberately not used here.
         """
-        registered = RegisteredProgram(name=name, program=program, mode=mode,
-                                       options=options, coalesce=coalesce)
+        registered = RegisteredProgram(
+            name=name, program=program, mode=mode, options=options,
+            coalesce=coalesce, params=frozenset(program.declared_params()))
         self._programs[name] = registered
         return registered
 
@@ -188,9 +251,9 @@ class PolystoreServer:
         if self._running:
             raise ConfigurationError("server already started")
         self._running = True
-        for index in range(self._config.pool_size):
-            self._slots.put(_SessionSlot(
-                self._system.session(name=f"serve-{index}")))
+        self._slots = [_SessionSlot(self._system.session(name=f"serve-{index}"))
+                       for index in range(self._config.pool_size)]
+        self._free = list(self._slots)
         self._workers = ThreadPoolExecutor(
             max_workers=self._config.pool_size,
             thread_name_prefix="polystore-serve")
@@ -216,10 +279,10 @@ class PolystoreServer:
             loop.close()
 
     async def _start_tcp(self) -> tuple[str, int]:
-        self._tcp_server = await asyncio.start_server(
-            self._serve_connection, self._config.host, self._config.port)
-        self._sweeper = asyncio.get_running_loop().create_task(
-            self._sweep_deadlines())
+        loop = asyncio.get_running_loop()
+        self._tcp_server = await loop.create_server(
+            lambda: _Connection(self), self._config.host, self._config.port)
+        self._sweeper = loop.create_task(self._sweep_deadlines())
         host, port = self._tcp_server.sockets[0].getsockname()[:2]
         return host, port
 
@@ -240,17 +303,15 @@ class PolystoreServer:
         if not self._running:
             return
         asyncio.run_coroutine_threadsafe(self._begin_shutdown(),
-                                         self._loop).result(timeout=10)
-        # Workers finish their in-flight requests; completions still flow
-        # through the live loop, so clients get real responses, not EOF.
+                                         self._loop).result()
         self._workers.shutdown(wait=True)
         # From here until the loop closes, call_soon_threadsafe would accept
         # callbacks the loop will never run; _submit checks this flag.
         self._loop_stopping = True
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._loop_thread.join(timeout=10)
-        while not self._slots.empty():
-            self._slots.get_nowait().session.close()
+        for slot in self._slots:
+            slot.session.close()
         self._running = False
         self._log.info("server_stop")
 
@@ -261,11 +322,18 @@ class PolystoreServer:
             self._sweeper.cancel()
         if self._tcp_server is not None:
             self._tcp_server.close()
-            await self._tcp_server.wait_closed()
         for request in self._admission.drain():
             self._finish_rejected(request, protocol.SHUTTING_DOWN,
                                   "server is shutting down",
                                   reason="shutdown")
+        # Running requests deliver through this loop first; then a client
+        # still connected reads EOF instead of waiting on a dead loop.
+        while self._admission.busy:
+            await asyncio.sleep(_SWEEP_INTERVAL_S)
+        for transport in list(self._connections):
+            transport.close()
+        if self._tcp_server is not None:
+            await self._tcp_server.wait_closed()
 
     def __enter__(self) -> "PolystoreServer":
         return self
@@ -280,34 +348,6 @@ class PolystoreServer:
         from repro.serve.client import InProcessClient
 
         return InProcessClient(self)
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        tracker: set[tuple[str, Any]] = set()
-
-        def deliver(response: dict[str, Any]) -> None:
-            try:
-                writer.write(encode_frame(response))
-            # repro: allow(cancellation-safety): sync write; only transport errors surface
-            except Exception:
-                pass  # client went away; the request already ran its course
-
-        try:
-            while True:
-                try:
-                    message = await read_frame(reader)
-                except protocol.ProtocolError as exc:
-                    deliver(error_response(None, protocol.BAD_REQUEST,
-                                           str(exc)))
-                    break
-                if message is None:
-                    break
-                self._handle_message(message, deliver, tracker)
-        finally:
-            # A dropped connection cancels whatever it still had in flight.
-            for key in list(tracker):
-                self._cancel_inflight(key, reason="client disconnected")
-            writer.close()
 
     def _submit(self, message: dict[str, Any], deliver: Any) -> None:
         """Thread-safe entry point used by the in-process transport."""
@@ -395,9 +435,10 @@ class PolystoreServer:
                 f"no program registered as {name!r}"))
             return
         params = message.get("params") or {}
-        if not isinstance(params, dict):
-            deliver(error_response(request_id, protocol.BAD_REQUEST,
-                                   "params must be an object"))
+        deadline_s = message.get("deadline_s", self._config.default_deadline_s)
+        problem = _malformed(registered, params, deadline_s)
+        if problem is not None:
+            deliver(error_response(request_id, protocol.BAD_REQUEST, problem))
             return
         if self._shutting_down:
             self._obs.serve_rejects_total.inc(tenant=tenant, reason="shutdown")
@@ -416,13 +457,16 @@ class PolystoreServer:
                                    f"tenant {tenant!r} is over its rate",
                                    retry_after_s=retry_after))
             return
-        deadline_s = message.get("deadline_s", self._config.default_deadline_s)
         token = CancellationToken(deadline_s=deadline_s)
         request = _Request(request_id, tenant, name, params, token, deliver,
                            time.monotonic(), tracker)
         inflight_key = (tenant, request_id)
+        # A cheap run may finish inline before the next frame is read:
+        # nothing could attach to it, so it takes no coalescing key.
+        observed_s = self._admission.program_service_s.get(name, float("inf"))
+        cheap = observed_s < sys.getswitchinterval()
 
-        if registered.coalesce:
+        if registered.coalesce and not cheap:
             request.key = coalesce_key(tenant, name, registered.mode, params)
         if request.key is not None:
             group = self._coalescer.lookup(request.key)
@@ -449,7 +493,7 @@ class PolystoreServer:
         if request.key is not None:
             request.group = self._coalescer.create(request.key, request_id)
         if decision == "run":
-            self._dispatch(request)
+            self._dispatch(request, inline=cheap)
         else:
             request.state = "queued"
             self._gauge_tenants.add(tenant)
@@ -524,24 +568,27 @@ class PolystoreServer:
 
     # -- dispatch and completion ---------------------------------------------------------
 
-    def _dispatch(self, request: _Request) -> None:
+    def _dispatch(self, request: _Request, *, inline: bool = False) -> None:
         now = time.monotonic()
         if request.state == "queued":
             self._obs.serve_queue_wait_seconds.observe(
                 now - request.enqueued_at, tenant=request.tenant)
         request.state = "running"
         request.started_at = now
-        self._workers.submit(self._run_request, request)
-
-    def _run_request(self, request: _Request) -> None:
-        """Worker thread: run the prepared program on a pooled session."""
         registered = self._programs[request.name]
-        slot = self._slots.get()
-        try:
-            outcome = self._run_on_slot(slot, registered, request)
-        finally:
-            self._slots.put(slot)
-        self._loop.call_soon_threadsafe(self._on_complete, request, outcome)
+        # A slot that has prepared the program, else the least-prepared one.
+        slot = max(self._free, key=lambda s: (request.name in s.prepared, -len(s.prepared)))
+        self._free.remove(slot)
+        if inline and request.name in slot.prepared:
+            self._on_complete(request, slot, self._run_on_slot(slot, registered, request))
+        else:
+            self._workers.submit(self._run_request, request, slot, registered)
+
+    def _run_request(self, request: _Request, slot: _SessionSlot,
+                     registered: RegisteredProgram) -> None:
+        """Worker thread: run the prepared program on the loop's slot."""
+        outcome = self._run_on_slot(slot, registered, request)
+        self._loop.call_soon_threadsafe(self._on_complete, request, slot, outcome)
 
     def _run_on_slot(self, slot: _SessionSlot, registered: RegisteredProgram,
                      request: _Request) -> tuple[str, Any, str]:
@@ -574,11 +621,12 @@ class PolystoreServer:
         }
         return "ok", payload, ""
 
-    def _on_complete(self, request: _Request,
+    def _on_complete(self, request: _Request, slot: _SessionSlot,
                      outcome: tuple[str, Any, str]) -> None:
         kind, payload, message = outcome
         now = time.monotonic()
-        self._admission.observe_service_time(now - request.started_at)
+        self._admission.observe_service_time(now - request.started_at, request.name)
+        self._free.append(slot)
         self._deliver_outcome(request, kind, payload, message, now,
                               coalesced=False)
         if request.group is not None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import socket
+import struct
+import sys
 import threading
 import time
 
@@ -98,6 +100,19 @@ class TestExecuteBasics:
                 {"op": "execute", "id": 2, "program": "patients_over",
                  "params": [1, 2]}, timeout=30)
             assert bad_params["error"]["code"] == protocol.BAD_REQUEST
+            for deadline in ("soon", -1, [1], True):
+                bad_deadline = client.request(
+                    {"op": "execute", "id": 3, "program": "patients_over",
+                     "deadline_s": deadline}, timeout=30)
+                assert bad_deadline["error"]["code"] == protocol.BAD_REQUEST, (
+                    deadline)
+            undeclared = client.request(
+                {"op": "execute", "id": 4, "program": "patients_over",
+                 "params": {"max_age": 3}}, timeout=30)
+            assert undeclared["error"]["code"] == protocol.BAD_REQUEST
+            assert "max_age" in undeclared["error"]["message"]
+            # Rejected before admission: nothing ran, nothing was charged.
+            assert client.stats(timeout=30)["admission"]["admitted_total"] == 0
 
     def test_programs_and_ping_and_stats(self):
         system = _system()
@@ -344,6 +359,170 @@ class TestCancellation:
         assert excinfo.value.retryable is False
 
 
+LOOP_THREAD = "polystore-serve-loop"
+WORKER_PREFIX = "polystore-serve_"
+
+
+def _recording_program(system, threads, name):
+    """A cheap program whose UDF records the thread each run executes on."""
+
+    def udf(table):
+        threads.append(threading.current_thread().name)
+        return table
+
+    return _gated_program(system, udf, name=name)
+
+
+def _run_until_inline(client, name, threads, limit=200):
+    """Execute ``name`` until a run lands on the loop thread."""
+    for _ in range(limit):
+        assert client.execute(name, timeout=30)["ok"]
+        if threads[-1] == LOOP_THREAD:
+            return
+    raise AssertionError(f"{name} never ran inline: {threads[-5:]}")
+
+
+class TestDispatchChoice:
+    def test_first_request_on_a_worker_then_cheap_runs_inline(self):
+        system = _system()
+        threads = []
+        with system.serve(pool_size=2) as server:
+            server.register("cheap", _recording_program(system, threads,
+                                                        "cheap"))
+            client = server.connect()
+            _run_until_inline(client, "cheap", threads)
+        assert threads[0].startswith(WORKER_PREFIX)
+        assert threads[-1] == LOOP_THREAD
+
+    def test_slow_program_stays_on_workers_and_is_cancellable(self):
+        system = _system()
+        threads = []
+        gate = threading.Event()
+        started = threading.Event()
+        gated = [False]
+
+        def udf(table):
+            threads.append(threading.current_thread().name)
+            if gated[0]:
+                started.set()
+                assert gate.wait(timeout=30)
+            else:
+                time.sleep(2 * sys.getswitchinterval())
+            return table
+
+        with system.serve(pool_size=1) as server:
+            server.register("slow", _gated_program(system, udf, name="slow"),
+                            coalesce=False)
+            client = server.connect()
+            for _ in range(4):
+                assert client.execute("slow", timeout=30)["ok"]
+            gated[0] = True
+            running = client.submit_execute("slow", request_id="target")
+            assert started.wait(timeout=30)
+            # Answered while the run is mid-UDF: the loop is not running it.
+            assert client.cancel("target", timeout=5) is True
+            gate.set()
+            response = running.result(timeout=30)
+        assert len(threads) == 5
+        assert all(name.startswith(WORKER_PREFIX) for name in threads)
+        assert response["error"]["code"] == protocol.CANCELLED
+
+    def test_cheap_program_answers_inline_while_a_worker_is_held(self):
+        system = _system()
+        threads = []
+        gate = threading.Event()
+        started = threading.Event()
+
+        def hold(table):
+            started.set()
+            assert gate.wait(timeout=30)
+            return table
+
+        with system.serve(pool_size=2) as server:
+            server.register("cheap", _recording_program(system, threads,
+                                                        "cheap"))
+            server.register("gated", _gated_program(system, hold),
+                            coalesce=False)
+            client = server.connect()
+            _run_until_inline(client, "cheap", threads)
+            held = client.submit_execute("gated")
+            assert started.wait(timeout=30)
+            begun = time.monotonic()
+            assert client.execute("cheap", timeout=1)["ok"]
+            assert time.monotonic() - begun < 1.0
+            assert threads[-1] == LOOP_THREAD
+            gate.set()
+            assert held.result(timeout=30)["ok"]
+
+    def test_a_slot_that_has_not_prepared_the_program_is_not_used_inline(self):
+        system = _system()
+        threads = []
+        with system.serve(pool_size=2) as server:
+            server.register("cheap", _recording_program(system, threads,
+                                                        "cheap"))
+            client = server.connect()
+            _run_until_inline(client, "cheap", threads)
+            # Every free slot forgets the program: the next run must prepare
+            # it, so it goes to a worker although the program is cheap.
+            server._call_on_loop(lambda: [slot.prepared.clear()
+                                          for slot in server._slots])
+            assert client.execute("cheap", timeout=30)["ok"]
+            assert threads[-1].startswith(WORKER_PREFIX)
+            _run_until_inline(client, "cheap", threads)
+
+    def test_inline_and_worker_runs_interleave_without_losing_slots(self):
+        # More client threads than cores, cheap reads (inline once warm)
+        # beside a slow program (always on workers): every answer is right,
+        # and every slot returns to the free list exactly once.
+        system = _system()
+        threads = []
+
+        def slow(table):
+            time.sleep(2 * sys.getswitchinterval())
+            return table
+
+        with system.serve(pool_size=2, max_queue=256,
+                          max_queue_per_tenant=256) as server:
+            server.register("cheap", _scan_program(system, name="cheap"))
+            server.register("slow", _gated_program(system, slow, name="slow"),
+                            coalesce=False)
+            server.register("where", _recording_program(system, threads,
+                                                        "where"))
+            client = server.connect()
+            _run_until_inline(client, "where", threads)
+            errors = []
+
+            def fire(worker):
+                for i in range(25):
+                    min_age = (worker * 25 + i) % 90
+                    try:
+                        if i % 5 == 4:
+                            assert client.execute("slow", timeout=30)["ok"]
+                        else:
+                            response = client.execute(
+                                "cheap", {"min_age": min_age}, timeout=30)
+                            assert _rows(response) == sorted(
+                                [pid, age, score] for pid, age, score in ROWS
+                                if age > min_age)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        errors.append(exc)
+
+            fleet = [threading.Thread(target=fire, args=(w,))
+                     for w in range(8)]
+            for thread in fleet:
+                thread.start()
+            for thread in fleet:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in fleet)
+            assert errors == []
+            state = server._call_on_loop(lambda: (
+                [id(slot) for slot in server._free], server.stats()))
+            assert sorted(state[0]) == sorted(id(s) for s in server._slots)
+            assert state[1]["inflight"] == 0
+            assert state[1]["admission"]["busy"] == 0
+            _run_until_inline(client, "where", threads)
+
+
 class TestObservability:
     def test_metrics_scrape_has_serve_families(self):
         system = _system()
@@ -471,7 +650,83 @@ class TestTcpTransport:
             outcome="cancelled") in (None, 1)
 
 
+class TestFrameParser:
+    """Frames are cut from whatever byte runs the transport hands over."""
+
+    @staticmethod
+    def _raw_socket(server):
+        sock = socket.create_connection(server.address, timeout=10)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    def test_frame_sent_one_byte_at_a_time(self):
+        system = _system()
+        with system.serve() as server, self._raw_socket(server) as sock:
+            for byte in protocol.encode_frame({"op": "ping", "id": "drip"}):
+                sock.sendall(bytes([byte]))
+                time.sleep(0.001)
+            assert protocol.read_frame_sync(sock) == protocol.ok_response(
+                "drip", pong=True)
+
+    def test_two_frames_in_one_send(self):
+        system = _system()
+        with system.serve() as server, self._raw_socket(server) as sock:
+            sock.sendall(protocol.encode_frame({"op": "ping", "id": "a"})
+                         + protocol.encode_frame({"op": "ping", "id": "b"}))
+            assert protocol.read_frame_sync(sock)["id"] == "a"
+            assert protocol.read_frame_sync(sock)["id"] == "b"
+
+    @pytest.mark.parametrize("payload", [
+        struct.pack(">I", protocol.MAX_FRAME_BYTES + 1),
+        struct.pack(">I", 8) + b"not json",
+    ], ids=["oversized_prefix", "non_json_body"])
+    def test_bad_frame_answers_bad_request_and_closes(self, payload):
+        system = _system()
+        with system.serve() as server, self._raw_socket(server) as sock:
+            sock.sendall(payload)
+            response = protocol.read_frame_sync(sock)
+            assert response["ok"] is False
+            assert response["error"]["code"] == protocol.BAD_REQUEST
+            assert protocol.read_frame_sync(sock) is None  # closed
+
+
 class TestShutdown:
+    def test_stop_closes_open_tcp_connections(self):
+        system = _system()
+        server = system.serve()
+        with TcpClient(*server.address) as tcp:
+            assert tcp.ping(timeout=30)
+            server.stop()
+            begun = time.monotonic()
+            with pytest.raises(protocol.ProtocolError):
+                tcp.ping(timeout=5)
+            assert time.monotonic() - begun < 1.0
+
+    def test_stop_delivers_running_tcp_work_before_closing(self):
+        system = _system()
+        gate = threading.Event()
+        started = threading.Event()
+
+        def udf(table):
+            started.set()
+            assert gate.wait(timeout=30)
+            return table
+
+        server = system.serve(pool_size=1)
+        server.register("gated", _gated_program(system, udf), coalesce=False)
+        with TcpClient(*server.address) as tcp:
+            tcp._sock.sendall(protocol.encode_frame(
+                {"op": "execute", "id": "last", "program": "gated"}))
+            assert started.wait(timeout=30)
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            gate.set()
+            assert tcp._await("last", 30)["ok"] is True
+            stopper.join(timeout=30)
+            assert not stopper.is_alive()
+            with pytest.raises(protocol.ProtocolError):
+                tcp.ping(timeout=5)
+
     def test_stop_is_idempotent_and_sessions_close(self):
         system = _system()
         server = system.serve()

@@ -22,8 +22,6 @@ ALLOWED = {
         (3, "the Table API itself: from_dicts/from_columns infer, head() shows dicts"),
     "datamodel/conversion.py":
         (2, "documents and graph nodes arrive as dicts; converting them is its job"),
-    "serve/protocol.py":
-        (1, "the JSON wire format is row objects"),
     "middleware/adapters/nosql_adapters.py":
         (3, "key/value, graph and text leaves are schemaless: typed from their records"),
     "middleware/adapters/base.py":
