@@ -3,7 +3,7 @@
 Adding a rule: create a module here that subclasses
 :class:`repro.analysis.core.Rule`, calls
 :func:`repro.analysis.core.register` at import time, and import it below.
-Document it in DESIGN.md ("Concurrency invariants & static checks") and
+Document it in DESIGN.md ("Invariants & static checks") and
 give it positive/negative fixture tests in ``tests/analysis/``.
 """
 

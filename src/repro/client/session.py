@@ -15,8 +15,8 @@ an engine:
   from a pinned :class:`~repro.client.cache.ScanSnapshot` validated against
   engine data versions.
 * :meth:`Session.submit` / :meth:`Session.run_batch` dispatch executions on
-  a thread pool, returning futures — the executor additionally overlaps
-  independent operators inside each run when engines are thread-safe.
+  a thread pool, returning futures; each run executes wholly on the pool
+  thread that picked it up.
 """
 
 from __future__ import annotations
@@ -535,7 +535,6 @@ class Session:
         )
         executor = Executor(system.catalog, migrator,
                             migration_strategy=plan.migration_strategy,
-                            max_workers=self.max_workers,
                             runtime_stats=system.feedback_stats,
                             views=system.views,
                             obs=system.obs,

@@ -12,24 +12,25 @@ Three operator classes are handled:
 * **partition-wise operators** (``filter``, ``project``) apply to each
   partition independently and stay sharded.
 * **merging operators** reassemble one value: ``aggregate`` computes
-  per-shard *partial* aggregates and combines them (``avg`` decomposes into
-  ``sum``/``count``), ``sort`` merges per-shard sorted runs in order,
-  ``limit``/``top_k``/``text_search`` re-apply their cut after concatenation.
+  per-shard *partial* aggregates and folds them in the generated aggregate
+  loop (``avg`` decomposes into ``sum``/``count``), ``sort`` merges
+  per-shard sorted runs in order, ``limit``/``top_k``/``text_search``
+  re-apply their cut after concatenation.
 
 Everything else returns ``None`` and the executor falls back to the primary
-shard.  Each shard subtask records its thread-CPU time; the scatter's charged
-(simulated) time is the *critical path* — the slowest shard plus the merge —
-which models the shards as separate machines the way migration and offload
-charges model the network and devices.
+shard.  Shard subtasks run one after another on the calling thread, and each
+records its thread-CPU time; the scatter's charged (simulated) time is the
+*critical path* — the slowest shard plus the merge — which models the shards
+as separate machines the way migration and offload charges model the network
+and devices.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Sequence
 
 from repro.cancellation import CancellationToken
@@ -40,7 +41,6 @@ from repro.stores.relational.expressions import Expression
 from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Row, Table
 from repro.middleware.adapters import Adapter, adapter_for
-from repro.middleware.feedback.stats import RuntimeStats
 from repro.obs import Observability
 from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
@@ -50,8 +50,8 @@ from repro.stores.relational.operators import (
     TableScan,
     TopK,
     aggregate_dtype,
+    aggregate_kernel,
     column_reader,
-    tuple_reader,
 )
 
 @dataclass(frozen=True)
@@ -112,56 +112,27 @@ class ScatterExecution:
     details: dict[str, Any] = field(default_factory=dict)
 
 
-class _ShardTask:
-    """One shard-local subtask: timed execution of a node on one shard."""
-
-    def __init__(self, adapter: Adapter, node: Operator, inputs: list[Any],
-                 cancellation: CancellationToken | None = None) -> None:
-        self.adapter = adapter
-        self.node = node
-        self.inputs = inputs
-        self.cancellation = cancellation
-
-    def run(self) -> tuple[Any, float]:
-        # A concurrent fan-out submits every subtask up front; pool-queued
-        # subtasks re-check here so a cancel stops them before they start.
-        if self.cancellation is not None:
-            self.cancellation.check()
-        # Thread CPU time models the shard as its own machine: under
-        # concurrent dispatch the GIL serializes the Python work, but each
-        # subtask's CPU time still reflects only its own share.
-        start = time.thread_time()
-        value = self.adapter.execute(self.node, self.inputs)
-        return value, time.thread_time() - start
-
-
 class ScatterGather:
-    """Plans and runs scatter-gather dispatch for one executor instance."""
+    """Plans and runs scatter-gather dispatch for one executor instance.
 
-    def __init__(self, stats: RuntimeStats | None = None, *,
-                 obs: Observability | None = None,
+    Every shard subtask runs on the calling thread, one after another.
+    """
+
+    def __init__(self, *, obs: Observability | None = None,
                  cancellation: CancellationToken | None = None) -> None:
         self._adapters: dict[int, Adapter] = {}
-        self._adapters_lock = threading.Lock()
         #: Cooperative cancellation token for the run this instance serves;
-        #: checked before each shard subtask is dispatched (and again at
-        #: subtask start on pool workers), so a cancelled fan-out stops
-        #: dispatching its remaining subtasks.
+        #: checked before each shard subtask, so a cancelled fan-out stops
+        #: at the next shard.
         self._cancellation = cancellation
         #: Observability hub: one span + one counter/histogram sample per
         #: shard subtask (inert shared hub when obs is off).
         self._obs = obs if obs is not None else Observability.disabled()
-        #: Runtime feedback store: per-shard subtask times are recorded after
-        #: every fan-out, and reads whose observed subtasks are smaller than
-        #: the thread-dispatch overhead are re-dispatched serially (the
-        #: charged critical path is thread-CPU based and unaffected; only
-        #: wall-clock dispatch overhead is saved).
-        self._stats = stats
 
     # -- public entry point ------------------------------------------------------------
 
-    def execute(self, engine: ShardedEngine, node: Operator, inputs: list[Any],
-                pool: ThreadPoolExecutor | None) -> ScatterExecution | None:
+    def execute(self, engine: ShardedEngine, node: Operator,
+                inputs: list[Any]) -> ScatterExecution | None:
         """Scatter-gather ``node`` across the engine's shards.
 
         Returns ``None`` when the operator is not partitionable here — the
@@ -177,29 +148,29 @@ class ScatterGather:
             return None
         role = KINDS[node.kind].scatter
         if role == "leaf" and not node.inputs:
-            return self._execute_leaf(engine, node, pool)
+            return self._execute_leaf(engine, node)
         if len(inputs) == 1 and isinstance(inputs[0], ShardedValue):
             if role == "partwise":
-                return self._execute_partwise(engine, node, inputs[0], pool)
+                return self._execute_partwise(engine, node, inputs[0])
             if role == "merge":
-                return self._execute_merge(engine, node, inputs[0], pool)
+                return self._execute_merge(engine, node, inputs[0])
         return None
 
     # -- leaf reads --------------------------------------------------------------------
 
-    def _execute_leaf(self, engine: ShardedEngine, node: Operator,
-                      pool: ThreadPoolExecutor | None) -> ScatterExecution | None:
+    def _execute_leaf(self, engine: ShardedEngine,
+                      node: Operator) -> ScatterExecution | None:
         # One atomic read: routing with one topology's partitioner into
         # another topology's shard list could tear across a rebalance cutover.
         shards, partitioner = engine.topology()
         routed = self._route(engine, node, partitioner)
         if routed is not None:
-            return self._execute_routed(engine, node, pool, shards, routed)
-        tasks = [self._task(self._adapter(shard), node, []) for shard in shards]
-        results, fan_out = self._fan_out(tasks, pool, (engine.name, node.kind))
+            return self._execute_routed(engine, node, shards, routed)
+        results = self._fan_out(engine.name, node.kind,
+                                [(self._adapter(shard), node, []) for shard in shards])
         parts = tuple(value for value, _ in results)
         times = [cpu for _, cpu in results]
-        details = {"shards": len(shards), "fan_out": fan_out,
+        details = {"shards": len(shards), "fan_out": "serial",
                    "shard_times_s": times,
                    "contacted_shards": [shard.name for shard in shards]}
         if node.kind == "text_search":
@@ -267,16 +238,11 @@ class ScatterGather:
         return plan
 
     def _execute_routed(self, engine: ShardedEngine, node: Operator,
-                        pool: ThreadPoolExecutor | None, shards: list[Engine],
+                        shards: list[Engine],
                         routed: dict[int, Operator]) -> ScatterExecution:
         indexes = sorted(routed)
-        tasks = [self._task(self._adapter(shards[index]), routed[index], [])
-                 for index in indexes]
-        # Routed subtasks are key-addressed lookups, orders of magnitude
-        # smaller than a full fan-out of the same kind — keep their observed
-        # times under a separate key so they cannot drag the full-scatter
-        # EWMA below the serial-dispatch threshold.
-        results, _ = self._fan_out(tasks, pool, (engine.name, f"{node.kind}@routed"))
+        results = self._fan_out(engine.name, node.kind, [
+            (self._adapter(shards[index]), routed[index], []) for index in indexes])
         parts = tuple(value for value, _ in results)
         times = [cpu for _, cpu in results]
         details: dict[str, Any] = {
@@ -295,37 +261,25 @@ class ScatterGather:
     # -- partition-wise operators ------------------------------------------------------
 
     def _execute_partwise(self, engine: ShardedEngine, node: Operator,
-                          sharded: ShardedValue,
-                          pool: ThreadPoolExecutor | None) -> ScatterExecution:
-        shards = engine.shards
-        tasks = [
-            self._task(self._adapter_for_index(shards, index), node, [part])
-            for part, index in zip(sharded.parts, sharded.shard_indexes)
-        ]
-        results, fan_out = self._fan_out(tasks, pool, (engine.name, node.kind))
+                          sharded: ShardedValue) -> ScatterExecution:
+        results = self._per_partition(engine, node, sharded)
         times = [cpu for _, cpu in results]
         # ordered_by is not propagated: partition-wise operators only ever
         # follow relational leaves today, whose partitions are unordered.
         value = ShardedValue(engine.name, tuple(v for v, _ in results),
                              sharded.shard_indexes)
         return ScatterExecution(value, max(times, default=0.0), {
-            "shards": len(tasks), "fan_out": fan_out, "merge": "deferred",
+            "shards": len(results), "fan_out": "serial", "merge": "deferred",
             "shard_times_s": times,
         })
 
     # -- merging operators -------------------------------------------------------------
 
     def _execute_merge(self, engine: ShardedEngine, node: Operator,
-                       sharded: ShardedValue,
-                       pool: ThreadPoolExecutor | None) -> ScatterExecution | None:
-        shards = engine.shards
+                       sharded: ShardedValue) -> ScatterExecution:
         if node.kind == "aggregate":
-            return self._execute_partial_aggregate(engine, node, sharded, pool)
-        tasks = [
-            self._task(self._adapter_for_index(shards, index), node, [part])
-            for part, index in zip(sharded.parts, sharded.shard_indexes)
-        ]
-        results, fan_out = self._fan_out(tasks, pool, (engine.name, node.kind))
+            return self._execute_partial_aggregate(engine, node, sharded)
+        results = self._per_partition(engine, node, sharded)
         parts = [value for value, _ in results]
         times = [cpu for _, cpu in results]
         merge_start = time.thread_time()
@@ -343,128 +297,79 @@ class ScatterGather:
             merge_name = "top_k"
         merge_s = time.thread_time() - merge_start
         return ScatterExecution(merged, max(times, default=0.0) + merge_s, {
-            "shards": len(tasks), "fan_out": fan_out, "merge": merge_name,
+            "shards": len(results), "fan_out": "serial", "merge": merge_name,
             "shard_times_s": times,
         })
 
     def _execute_partial_aggregate(self, engine: ShardedEngine, node: Operator,
-                                   sharded: ShardedValue,
-                                   pool: ThreadPoolExecutor | None) -> ScatterExecution:
+                                   sharded: ShardedValue) -> ScatterExecution:
         group_by = list(node.params.get("group_by") or [])
         aggregates = list(node.params.get("aggregates") or [])
         partial_specs, combines = decompose_aggregates(aggregates)
         partial_node = node.copy()
         partial_node.params = dict(node.params, group_by=group_by,
                                    aggregates=partial_specs)
-        shards = engine.shards
-        tasks = [
-            self._task(self._adapter_for_index(shards, index), partial_node, [part])
-            for part, index in zip(sharded.parts, sharded.shard_indexes)
-        ]
-        results, fan_out = self._fan_out(tasks, pool, (engine.name, node.kind))
+        results = self._per_partition(engine, partial_node, sharded)
         parts = [value for value, _ in results]
         times = [cpu for _, cpu in results]
         merge_start = time.thread_time()
         merged = combine_partial_aggregates(parts, group_by, combines)
         merge_s = time.thread_time() - merge_start
         return ScatterExecution(merged, max(times, default=0.0) + merge_s, {
-            "shards": len(tasks), "fan_out": fan_out, "merge": "aggregate_combine",
-            "shard_times_s": times,
+            "shards": len(results), "fan_out": "serial",
+            "merge": "aggregate_combine", "shard_times_s": times,
         })
 
     # -- dispatch helpers --------------------------------------------------------------
 
-    def _fan_out(self, tasks: list[_ShardTask], pool: ThreadPoolExecutor | None,
-                 key: tuple[str, str] | None = None
-                 ) -> tuple[list[tuple[Any, float]], str]:
-        """Run shard subtasks, concurrently when a pool is given.
-
-        ``key`` is the ``(engine, kind)`` the subtasks belong to: observed
-        per-shard times are recorded under it, and once the observed mean
-        subtask is smaller than the thread-dispatch overhead the fan-out
-        adaptively stays serial.
-        """
-        serial = (key is not None and self._stats is not None
-                  and self._stats.prefer_serial_fan_out(*key))
-        token = self._cancellation
-        obs = self._obs
-        if not obs.enabled:
-            if pool is not None and len(tasks) > 1 and not serial:
-                if token is not None:
-                    token.check()
-                futures = [pool.submit(task.run) for task in tasks]
-                results = [future.result() for future in futures]
-                fan_out = "concurrent"
-            else:
-                results, fan_out = self._run_serial(tasks, token), "serial"
-        else:
-            engine_label = key[0] if key is not None else "unknown"
-            kind = key[1] if key is not None else "op"
-            # Pool workers re-attach the dispatching thread's span so each
-            # subtask span parents under the scattered operator.
-            parent = obs.tracer.current()
-            if pool is not None and len(tasks) > 1 and not serial:
-                if token is not None:
-                    token.check()
-                futures = [pool.submit(self._run_subtask, task, index,
-                                       engine_label, kind, parent)
-                           for index, task in enumerate(tasks)]
-                results = [future.result() for future in futures]
-                fan_out = "concurrent"
-            else:
-                results = []
-                for index, task in enumerate(tasks):
-                    if token is not None:  # stop dispatching on cancel
-                        token.check()
-                    results.append(self._run_subtask(task, index, engine_label,
-                                                     kind, parent))
-                fan_out = "serial"
-        if key is not None and self._stats is not None:
-            self._stats.record_shard_times(key[0], key[1],
-                                           [cpu for _, cpu in results])
-        return results, fan_out
-
-    def _run_subtask(self, task: _ShardTask, index: int, engine_label: str,
-                     kind: str, parent: Any) -> tuple[Any, float]:
-        """One instrumented shard subtask (possibly on a pool worker)."""
-        obs = self._obs
-        with obs.tracer.attach(parent):
-            with obs.tracer.span(f"shard:{index}", "scatter",
-                                 engine=engine_label, kind=kind,
-                                 shard=index) as span:
-                value, cpu = task.run()
-                if span is not None:
-                    span.set(cpu_s=cpu)
-        obs.scatter_subtasks_total.inc(engine=engine_label)
-        obs.scatter_subtask_seconds.observe(cpu, engine=engine_label)
-        return value, cpu
-
-    def _task(self, adapter: Adapter, node: Operator,
-              inputs: list[Any]) -> _ShardTask:
-        return _ShardTask(adapter, node, inputs, self._cancellation)
-
-    @staticmethod
-    def _run_serial(tasks: list[_ShardTask],
-                    token: CancellationToken | None) -> list[tuple[Any, float]]:
-        results: list[tuple[Any, float]] = []
-        for task in tasks:
-            if token is not None:  # stop dispatching remaining subtasks
-                token.check()
-            results.append(task.run())
-        return results
-
-    def _adapter(self, shard: Engine) -> Adapter:
-        key = id(shard)
-        with self._adapters_lock:
-            if key not in self._adapters:
-                self._adapters[key] = adapter_for(shard)
-            return self._adapters[key]
-
-    def _adapter_for_index(self, shards: list[Engine], index: int) -> Adapter:
+    def _per_partition(self, engine: ShardedEngine, node: Operator,
+                       sharded: ShardedValue) -> list[tuple[Any, float]]:
+        """Run ``node`` over each partition on the shard that produced it."""
+        shards = engine.shards
         # Partitions may outlive a cutover mid-run; partition-wise operators
         # evaluate over materialized inputs, so any live shard's adapter is
         # semantically equivalent — clamp rather than fail.
-        return self._adapter(shards[min(index, len(shards) - 1)])
+        return self._fan_out(engine.name, node.kind, [
+            (self._adapter(shards[min(index, len(shards) - 1)]), node, [part])
+            for part, index in zip(sharded.parts, sharded.shard_indexes)])
+
+    def _fan_out(self, engine: str, kind: str,
+                 tasks: list[tuple[Adapter, Operator, list[Any]]]
+                 ) -> list[tuple[Any, float]]:
+        """Run shard subtasks in order: ``(value, thread-CPU seconds)`` each.
+
+        Thread CPU time models each shard as its own machine.  The token is
+        checked before every subtask, so a cancel stops the fan-out at the
+        next shard.
+        """
+        token = self._cancellation
+        obs = self._obs
+        results: list[tuple[Any, float]] = []
+        for index, (adapter, node, inputs) in enumerate(tasks):
+            if token is not None:
+                token.check()
+            if not obs.enabled:
+                start = time.thread_time()
+                value = adapter.execute(node, inputs)
+                results.append((value, time.thread_time() - start))
+                continue
+            with obs.tracer.span(f"shard:{index}", "scatter", engine=engine,
+                                 kind=kind, shard=index) as span:
+                start = time.thread_time()
+                value = adapter.execute(node, inputs)
+                cpu = time.thread_time() - start
+                if span is not None:
+                    span.set(cpu_s=cpu)
+            obs.scatter_subtasks_total.inc(engine=engine)
+            obs.scatter_subtask_seconds.observe(cpu, engine=engine)
+            results.append((value, cpu))
+        return results
+
+    def _adapter(self, shard: Engine) -> Adapter:
+        adapter = self._adapters.get(id(shard))
+        if adapter is None:
+            adapter = self._adapters[id(shard)] = adapter_for(shard)
+        return adapter
 
 
 def _leaf_order_column(node: Operator) -> str | None:
@@ -520,51 +425,63 @@ def decompose_aggregates(aggregates: Sequence[AggregateSpec]
     return partials, combines
 
 
+#: How a partial column folds across shards: counts (``avg``'s too) sum;
+#: ``sum`` / ``min`` / ``max`` fold with themselves.
+_FOLDS = {"count": "sum", "avg": "sum"}
+
+
 def combine_partial_aggregates(parts: Sequence[Table], group_by: Sequence[str],
                                combines: Sequence[CombineSpec]) -> Table:
     """Merge per-shard partial-aggregate tables into the final result.
 
-    Groups appearing on several shards are combined; SQL null semantics are
-    preserved (``sum``/``min``/``max`` over no non-null values stay ``None``).
-    The result's schema comes from the partials' plan-typed schemas and the
-    combine rules, never from the combined values.
+    The partial rows, in shard order, run through the generated aggregate
+    loop (:func:`~repro.stores.relational.operators.aggregate_kernel`)
+    grouped by the same columns, each partial column folded as
+    :data:`_FOLDS` says; an ``avg`` then divides its summed ``sum`` by its
+    summed ``count``.  Groups keep their first-seen order, and SQL null
+    semantics are preserved (``sum``/``min``/``max`` over no non-null values
+    stay ``None``).  The result's schema comes from the partials' plan-typed
+    schemas and the combine rules, never from the combined values.
+
+    Every partial row is laid out as ``group_by`` then the partials in
+    ``combines`` order: each shard ran the same ``aggregate`` node with the
+    :func:`decompose_aggregates` specs.
     """
-    partial_names = [name for combine in combines for name in combine.partials]
-    grouped: dict[tuple, list[list[Any]]] = {}
-    for part in parts:
-        key_of = tuple_reader(part.schema, group_by)
-        partials_of = tuple_reader(part.schema, partial_names)
-        for row in part.rows:
-            slots = grouped.get(key := key_of(row))
-            if slots is None:
-                slots = grouped[key] = [[] for _ in partial_names]
-            for slot, value in zip(slots, partials_of(row)):
-                slot.append(value)
-    if not group_by and not grouped:
-        grouped[()] = [[] for _ in partial_names]
-    rows = []
-    for key, slots in grouped.items():
-        partials = dict(zip(partial_names, slots))
-        rows.append(key + tuple(_combine_one(combine, partials)
-                                for combine in combines))
+    names = (*group_by, *(name for combine in combines for name in combine.partials))
+    # Only positions matter to the loop; dtypes come from _aggregate_schema.
+    layout = Schema([Column(name, DataType.FLOAT) for name in names])
+    folds = tuple(AggregateSpec(_FOLDS.get(combine.function, combine.function),
+                                name, name)
+                  for combine in combines for name in combine.partials)
+    fold, _ = aggregate_kernel(layout, tuple(group_by), folds)
+    finish = _finisher(len(group_by), combines)
+    rows = [finish(row) for row in fold(chain.from_iterable(part.rows for part in parts))]
     return Table.wrap(_aggregate_schema(parts, group_by, combines), rows)
 
 
-def _combine_one(combine: CombineSpec, partials: dict[str, list[Any]]) -> Any:
-    if combine.function == "avg":
-        total = sum(v for v in partials[combine.partials[0]] if v is not None)
-        count = sum(v for v in partials[combine.partials[1]] if v is not None)
-        return total / count if count else None
-    values = [v for v in partials[combine.partials[0]] if v is not None]
-    if combine.function == "count":
-        return int(sum(values))
-    if not values:
-        return None
-    if combine.function == "sum":
-        return sum(values)
-    if combine.function == "min":
-        return min(values)
-    return max(values)
+def _finisher(width: int, combines: Sequence[CombineSpec]
+              ) -> Callable[[Row], Row]:
+    """``folded row -> result row``: ``avg`` divides; a count over no
+    partial row (a global aggregate over nothing) is ``0``, not ``None``."""
+    steps: list[tuple[str, int]] = []
+    at = width
+    for combine in combines:
+        steps.append((combine.function, at))
+        at += len(combine.partials)
+
+    def finish(row: Row) -> Row:
+        out = list(row[:width])
+        for function, at in steps:
+            value = row[at]
+            if function == "avg":
+                count = row[at + 1]
+                value = value / count if count else None
+            elif function == "count" and value is None:
+                value = 0
+            out.append(value)
+        return tuple(out)
+
+    return finish
 
 
 def _aggregate_schema(parts: Sequence[Table], group_by: Sequence[str],

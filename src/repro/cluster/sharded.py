@@ -149,10 +149,8 @@ class ShardedEngine(Engine):
         #: last-write-wins, so replaying a pre-snapshot value over a newer
         #: dual-written one would lose the update (or resurrect a delete).
         self._pending_overrides: set[str] = set()
-        # Present the shards' contracts as this engine's own.
-        template = self._shards[0]
-        self.data_model = template.data_model
-        self.concurrency = template.concurrency
+        # Present the shards' data model as this engine's own.
+        self.data_model = self._shards[0].data_model
         if self.data_model not in PARTITIONABLE_MODELS:
             # A sharded graph/tensor engine would silently answer from the
             # primary shard only — reject loudly instead.

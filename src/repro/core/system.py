@@ -99,7 +99,8 @@ class SystemConfig:
     compiler_options: CompilerOptions = field(default_factory=CompilerOptions)
     #: Compiled-plan LRU capacity of each session created from this system.
     plan_cache_size: int = 64
-    #: Worker threads per session (batched submits and intra-stage dispatch).
+    #: Worker threads of each session's ``submit`` / ``run_batch`` pool; a
+    #: run itself executes on the one thread that runs it.
     session_workers: int = 4
     #: Close the measurement loop: the executor records observed operator
     #: costs and the compiler, offload planner and plan-aging logic consume

@@ -41,30 +41,9 @@ class MLAdapter(Adapter):
     def __init__(self, engine: MLEngine) -> None:
         super().__init__(engine)
         self.engine: MLEngine = engine
-        # Per-model feature statistics so inference normalizes like training did.
-        self._normalization: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # Per-model feature column lists so inference uses the training features.
-        self._feature_columns: dict[str, list[str]] = {}
 
     def supported_kinds(self) -> frozenset[str]:
         return frozenset({"train", "predict", "kmeans", "feature_matrix"})
-
-    def _normalize(self, model_name: str, features: np.ndarray, *,
-                   fit: bool) -> np.ndarray:
-        """Z-score features, fitting the statistics at training time.
-
-        Zero rows have no statistics to fit; the model's previous ones stay.
-        """
-        if fit and len(features):
-            mean = features.mean(axis=0)
-            std = features.std(axis=0)
-            std[std == 0] = 1.0
-            self._normalization[model_name] = (mean, std)
-        stats = self._normalization.get(model_name)
-        if stats is None:
-            return features
-        mean, std = stats
-        return (features - mean) / std
 
     def execute(self, node: Operator, inputs: list[Any]) -> Any:
         kind = node.kind
@@ -100,8 +79,7 @@ class MLAdapter(Adapter):
         features = np.nan_to_num(features, nan=0.0)
         labels = np.nan_to_num(numeric_column(table.column(label_column)), nan=0.0)
         model_name = str(node.params.get("model_name", node.op_id))
-        features = self._normalize(model_name, features, fit=True)
-        self._feature_columns[model_name] = list(feature_columns)
+        features = self.engine.fit_features(model_name, feature_columns, features)
         model_type = str(node.params.get("model_type", "mlp"))
         epochs = int(node.params.get("epochs", 5))
         batch_size = int(node.params.get("batch_size", 32))
@@ -133,13 +111,13 @@ class MLAdapter(Adapter):
         if not self.engine.has_model(model_name):
             raise AdapterError(f"predict {node.op_id}: model {model_name!r} is not trained")
         feature_columns = (node.params.get("feature_columns")
-                           or self._feature_columns.get(model_name)
+                           or self.engine.feature_columns(model_name)
                            or _numeric_feature_columns(
                                table, node.params.get("label_column"),
                                node.params.get("key_column", "pid")))
         feature_columns = [c for c in feature_columns if c in table.schema]
         features = np.nan_to_num(table_to_matrix(table, feature_columns), nan=0.0)
-        features = self._normalize(model_name, features, fit=False)
+        features = self.engine.standardize(model_name, features)
         probabilities = self.engine.predict_proba(model_name, features)
         predictions = (probabilities >= 0.5).astype(int)
         result = table.with_column(Column("probability", DataType.FLOAT),

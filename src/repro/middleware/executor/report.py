@@ -34,8 +34,6 @@ class TaskRecord:
     offloaded: bool = False
     #: Served from a prepared program's pinned scan snapshot (no real work).
     cached: bool = False
-    #: Dispatched concurrently with other operators of the same stage.
-    concurrent: bool = False
     details: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -55,7 +53,6 @@ class TaskRecord:
             stage=stage,
             wall_time_s=wall_time_s,
             cached=True,
-            concurrent=False,
             details=dict(self.details),
         )
 
@@ -69,7 +66,7 @@ class ExecutionReport:
     records: list[TaskRecord] = field(default_factory=list)
     migration_time_s: float = 0.0
     migration_bytes: int = 0
-    #: Measured wall time of the whole run (captures stage-level overlap).
+    #: Measured wall time of the whole run.
     elapsed_wall_s: float = 0.0
     #: Whether this run executed a plan that was re-compiled because observed
     #: cardinalities drifted past the estimates baked into the cached plan.
@@ -111,16 +108,11 @@ class ExecutionReport:
         return sum(1 for r in self.records if r.cached)
 
     @property
-    def concurrent_tasks(self) -> int:
-        """Number of operators dispatched in parallel with stage siblings."""
-        return sum(1 for r in self.records if r.concurrent)
-
-    @property
     def observed_concurrency(self) -> float:
         """Ratio of summed per-operator wall time to elapsed wall time.
 
-        Values above 1.0 mean independent operators genuinely overlapped;
-        exactly 1.0 is fully serial execution.  This is the measured
+        Every operator runs on the calling thread, so this reads 1.0; values
+        above it would mean operators overlapped.  It is the measured
         counterpart of the charged :attr:`pipelined_time_s` model.
         """
         if self.elapsed_wall_s <= 0.0:
@@ -150,7 +142,6 @@ class ExecutionReport:
             "operators": len(self.records),
             "offloaded": self.offloaded_tasks,
             "cached": self.cached_tasks,
-            "concurrent": self.concurrent_tasks,
             "reoptimized": self.reoptimized,
             "total_time_s": self.total_time_s,
             "pipelined_time_s": self.pipelined_time_s,

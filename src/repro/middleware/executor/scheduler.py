@@ -4,10 +4,11 @@ Responsibilities (paper §III, "Executor: manage and monitor execution across
 platforms"):
 
 * topological stage scheduling of the IR graph,
-* concurrent dispatch of independent operators within a stage when every
-  involved engine declares itself thread-safe
-  (:class:`~repro.stores.base.Concurrency`), serial fallback otherwise,
-* dispatching each operator to its engine's adapter,
+* dispatching each operator to its engine's adapter, on the calling thread:
+  the operators are Python under the GIL, so a pool could only interleave
+  them, and no measured run ever overlapped two (the charged model
+  :attr:`~repro.middleware.executor.report.ExecutionReport.pipelined_time_s`
+  prices stage overlap without threads),
 * charging operators the placement pass bound to an accelerator by that
   device, for the work the engine was observed to do,
 * invoking the data migrator for ``migrate`` operators,
@@ -19,9 +20,7 @@ platforms"):
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Protocol
 
 import numpy as np
@@ -41,7 +40,6 @@ from repro.middleware.executor.report import ExecutionReport, TaskRecord
 from repro.middleware.feedback.stats import RuntimeStats
 from repro.middleware.migration import DataMigrator
 from repro.obs import Observability
-from repro.stores.base import Concurrency
 
 
 class ResultCache(Protocol):
@@ -62,14 +60,16 @@ class Executor:
 
     def __init__(self, catalog: Catalog, migrator: DataMigrator | None = None, *,
                  migration_strategy: str | None = None,
-                 max_workers: int | None = 4,
+                 max_workers: int | None = None,
                  runtime_stats: RuntimeStats | None = None,
                  views: Any | None = None,
                  obs: Observability | None = None,
                  cancellation: CancellationToken | None = None) -> None:
+        # ``max_workers`` is accepted and ignored: every operator runs on the
+        # thread that calls :meth:`execute`.
         self.catalog = catalog
         #: Cooperative cancellation token checked between stages, at operator
-        #: starts and before shard-subtask dispatch (``None`` = never stop).
+        #: starts and before each shard subtask (``None`` = never stop).
         self.cancellation = cancellation
         #: Observability hub spans and operator metrics report into; the
         #: shared inert hub when the deployment runs with obs disabled.
@@ -79,23 +79,14 @@ class Executor:
         #: The deployment's view registry; ``view_read`` operators are served
         #: from it (policy-triggered refresh charges fold into the record).
         self.views = views
-        #: Upper bound on intra-stage worker threads; ``None`` or <2 disables
-        #: concurrent dispatch entirely.
-        self.max_workers = max_workers
         #: Feedback store observed operator costs are recorded into after
         #: every run (``None`` disables recording entirely).
         self.runtime_stats = runtime_stats
         self._adapters: dict[str, Adapter] = {}
-        self._scatter = ScatterGather(stats=runtime_stats, obs=self.obs,
-                                      cancellation=cancellation)
+        self._scatter = ScatterGather(obs=self.obs, cancellation=cancellation)
         #: Engine-name -> ShardedEngine (or None) resolution cache; checked
         #: for every node, so the catalog lookup must not repeat per node.
         self._sharded_engines: dict[str, ShardedEngine | None] = {}
-        #: Dedicated pool for shard fan-out; separate from the stage pool so
-        #: a stage task scattering across shards can never deadlock on its
-        #: own pool's slots.
-        self._shard_pool: ThreadPoolExecutor | None = None
-        self._shard_pool_lock = threading.Lock()
 
     # -- public API ---------------------------------------------------------------------
 
@@ -114,24 +105,15 @@ class Executor:
         if result_cache is not None:
             result_cache.begin_run(self.catalog)
         results: dict[str, Any] = {}
-        pool: ThreadPoolExecutor | None = None
         tracer = self.obs.tracer
-        try:
-            with tracer.span("execute", "executor", program=graph.name,
-                             mode=mode):
-                for stage_index, stage in enumerate(graph.stages()):
-                    if self.cancellation is not None:
-                        self.cancellation.check()
-                    with tracer.span(f"stage:{stage_index}", "executor",
-                                     stage=stage_index, operators=len(stage)):
-                        pool = self._execute_stage(stage, stage_index, results,
-                                                   report, result_cache, pool)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-            if self._shard_pool is not None:
-                self._shard_pool.shutdown(wait=True)
-                self._shard_pool = None
+        with tracer.span("execute", "executor", program=graph.name, mode=mode):
+            for stage_index, stage in enumerate(graph.stages()):
+                if self.cancellation is not None:
+                    self.cancellation.check()
+                with tracer.span(f"stage:{stage_index}", "executor",
+                                 stage=stage_index, operators=len(stage)):
+                    self._execute_stage(stage, stage_index, results, report,
+                                        result_cache)
         outputs: dict[str, Any] = {}
         for output_id in graph.outputs:
             node = graph.node(output_id)
@@ -180,9 +162,7 @@ class Executor:
 
     def _execute_stage(self, stage: list[Operator], stage_index: int,
                        results: dict[str, Any], report: ExecutionReport,
-                       result_cache: ResultCache | None,
-                       pool: ThreadPoolExecutor | None) -> ThreadPoolExecutor | None:
-        pending: list[Operator] = []
+                       result_cache: ResultCache | None) -> None:
         for node in stage:
             pinned = result_cache.lookup(node.op_id) if result_cache is not None else None
             if pinned is not None:
@@ -191,66 +171,15 @@ class Executor:
                 results[node.op_id] = value
                 report.add(record.as_cached(
                     stage_index, time.perf_counter() - replay_start))
-            else:
-                pending.append(node)
-        concurrent = [n for n in pending if self._concurrency_safe(n)]
-        produced: dict[str, tuple[Any, TaskRecord]] = {}
-        if len(concurrent) > 1 and (self.max_workers or 0) >= 2:
-            concurrent_ids = {n.op_id for n in concurrent}
-            serial = [n for n in pending if n.op_id not in concurrent_ids]
-            for node in concurrent:
-                # Warm the adapter and sharded-engine maps serially; the
-                # dicts are not guarded against worker-thread insertion.
-                self._adapter(str(node.engine))
-                self._sharded_engine(str(node.engine))
-            if pool is None:  # one pool per run, reused across stages
-                pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            # Capture the dispatching thread's current span so operator
-            # spans opened on pool workers parent under this stage.
-            parent_span = self.obs.tracer.current()
-            futures = {
-                node.op_id: pool.submit(
-                    self._execute_node_attached, parent_span, node,
-                    [results[i] for i in node.inputs], stage_index)
-                for node in concurrent
-            }
-            for node in concurrent:
-                value, record = futures[node.op_id].result()
-                record.concurrent = True
-                produced[node.op_id] = (value, record)
-        else:
-            serial = pending
-        for node in serial:
-            inputs = [results[input_id] for input_id in node.inputs]
-            produced[node.op_id] = self._execute_node(node, inputs, stage_index)
-        for node in stage:
-            if node.op_id not in produced:
-                continue  # replayed from the snapshot above
-            value, record = produced[node.op_id]
+                continue
+            value, record = self._execute_node(
+                node, [results[input_id] for input_id in node.inputs], stage_index)
             results[node.op_id] = value
             report.add(record)
             if result_cache is not None:
                 result_cache.store(node.op_id, value, record)
-        return pool
-
-    def _concurrency_safe(self, node: Operator) -> bool:
-        """Whether the node may run on a worker thread alongside siblings."""
-        if node.kind == "migrate" or node.accelerator or node.engine is None:
-            return False
-        try:
-            engine = self.catalog.engine(node.engine)
-        except CatalogError:
-            return False
-        return engine.concurrency is Concurrency.THREAD_SAFE
 
     # -- per-node execution --------------------------------------------------------------
-
-    def _execute_node_attached(self, parent_span: Any, node: Operator,
-                               inputs: list[Any], stage: int
-                               ) -> tuple[Any, TaskRecord]:
-        """Pool-worker entry: re-attach the dispatcher's span, then execute."""
-        with self.obs.tracer.attach(parent_span):
-            return self._execute_node(node, inputs, stage)
 
     def _execute_node(self, node: Operator, inputs: list[Any],
                       stage: int) -> tuple[Any, TaskRecord]:
@@ -326,8 +255,7 @@ class Executor:
         engine = self._sharded_engine(node.engine)
         if engine is None:
             return None
-        execution = self._scatter.execute(engine, node, inputs,
-                                          self._scatter_pool(engine))
+        execution = self._scatter.execute(engine, node, inputs)
         if execution is None:
             return None
         record = TaskRecord(
@@ -352,16 +280,6 @@ class Executor:
             self._sharded_engines[name] = (engine if isinstance(engine, ShardedEngine)
                                            else None)
         return self._sharded_engines[name]
-
-    def _scatter_pool(self, engine: ShardedEngine) -> ThreadPoolExecutor | None:
-        if engine.concurrency is not Concurrency.THREAD_SAFE:
-            return None
-        if (self.max_workers or 0) < 2:
-            return None
-        with self._shard_pool_lock:
-            if self._shard_pool is None:
-                self._shard_pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            return self._shard_pool
 
     def _execute_view_read(self, node: Operator, stage: int,
                            start: float) -> tuple[Any, TaskRecord]:

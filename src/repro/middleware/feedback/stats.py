@@ -3,12 +3,10 @@
 One :class:`RuntimeStats` instance lives on each
 :class:`~repro.core.system.PolystorePlusPlus` deployment.  The executor
 records every non-cached operator's charged time, output cardinality and
-input cardinality against the operator's structural fingerprint; the
-scatter-gather path additionally records per-shard subtask times so the
-dispatcher can adapt its fan-out strategy.  All observations are smoothed
-with an exponentially weighted moving average (EWMA), so a single outlier
-run cannot whipsaw the optimizer, and all methods are thread-safe — sessions
-execute concurrently against one store.
+input cardinality against the operator's structural fingerprint.  All
+observations are smoothed with an exponentially weighted moving average
+(EWMA), so a single outlier run cannot whipsaw the optimizer, and all
+methods are thread-safe — sessions execute concurrently against one store.
 """
 
 from __future__ import annotations
@@ -60,10 +58,6 @@ class ObservedOperator:
 class RuntimeStats:
     """Thread-safe per-operator runtime statistics with EWMA smoothing."""
 
-    #: Mean observed shard subtask time below which concurrent fan-out costs
-    #: more in thread dispatch than it saves; the scatter path goes serial.
-    SERIAL_FANOUT_THRESHOLD_S = 2e-4
-
     def __init__(self, smoothing: float = 0.5, *,
                  min_actionable_rows: int = 512,
                  max_operators: int = 4096) -> None:
@@ -79,12 +73,10 @@ class RuntimeStats:
         self.max_operators = max(1, max_operators)
         self._lock = threading.Lock()
         self._operators: "OrderedDict[str, ObservedOperator]" = OrderedDict()
-        #: (engine, kind) -> EWMA of the mean per-shard subtask time.
-        self._shard_times: "OrderedDict[tuple[str, str], float]" = OrderedDict()
         self._evicted = 0
         self._recorded = 0
 
-    # -- population (executor / scatter-gather) ----------------------------------------
+    # -- population (executor) --------------------------------------------------------
 
     def record(self, fingerprint: str, *, kind: str, target: str | None,
                time_s: float, rows_out: int, rows_in: int = 0) -> None:
@@ -109,21 +101,7 @@ class RuntimeStats:
                 self._operators.popitem(last=False)
                 self._evicted += 1
 
-    def record_shard_times(self, engine: str, kind: str,
-                           times_s: list[float]) -> None:
-        """Fold one scatter fan-out's per-shard subtask times into the store."""
-        if not times_s:
-            return
-        sample = sum(times_s) / len(times_s)
-        key = (engine, kind)
-        with self._lock:
-            self._shard_times[key] = _ewma(self._shard_times.get(key), sample,
-                                           self.smoothing)
-            self._shard_times.move_to_end(key)
-            while len(self._shard_times) > self.max_operators:
-                self._shard_times.popitem(last=False)
-
-    # -- consumption (annotate / placement / cost model / scatter) ---------------------
+    # -- consumption (annotate / placement / cost model) -------------------------------
 
     def observed(self, fingerprint: str | None) -> ObservedOperator | None:
         """A snapshot of the observations for ``fingerprint``, or ``None``."""
@@ -164,19 +142,12 @@ class RuntimeStats:
             return None
         return entry.time_for(target)
 
-    def prefer_serial_fan_out(self, engine: str, kind: str) -> bool:
-        """Whether shard subtasks of this kind are too small to thread-dispatch."""
-        with self._lock:
-            mean = self._shard_times.get((engine, kind))
-        return mean is not None and mean < self.SERIAL_FANOUT_THRESHOLD_S
-
     # -- management --------------------------------------------------------------------
 
     def clear(self) -> None:
         """Forget every observation (tests and benchmarks)."""
         with self._lock:
             self._operators.clear()
-            self._shard_times.clear()
             self._recorded = 0
             self._evicted = 0
 
@@ -185,7 +156,6 @@ class RuntimeStats:
         with self._lock:
             return {
                 "operators": len(self._operators),
-                "shard_keys": len(self._shard_times),
                 "recorded": self._recorded,
                 "evicted": self._evicted,
             }

@@ -12,8 +12,7 @@ Two read-side formats over the registry and tracer:
   complete events (``"ph": "X"``), loadable in ``about:tracing`` or
   Perfetto.  Each event carries ``span_id``/``parent_id`` in its ``args``
   so the span tree is recoverable exactly even where Perfetto's
-  per-track time-nesting heuristic cannot see it (spans that ran on pool
-  threads).
+  per-track time-nesting heuristic cannot see it.
 """
 
 from __future__ import annotations

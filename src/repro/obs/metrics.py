@@ -13,7 +13,7 @@ Design constraints, in order:
   instrumented hot paths never pay for dict lookups or lock acquisition
   unless observability is on.
 * **Thread-safe and monotonic.**  Counters only ever go up; concurrent
-  writers from session pools and shard pools must never lose increments.
+  writers from session pools and serve workers must never lose increments.
   One lock per child keeps contention local to the series being written.
 * **Fixed histogram buckets.**  Bucket boundaries are chosen at
   registration and never change, so concurrent observes are a bisect plus

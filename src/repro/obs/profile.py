@@ -6,7 +6,7 @@ into the *collapsed* form flamegraph tooling eats (``mod.func;mod.func N``).
 Each sample is additionally attributed to the span currently open on the
 sampled thread — read from the tracer's cross-thread mirror
 (:meth:`Tracer.current_spans_by_thread`) — so one request's samples can be
-pulled out afterwards even when its operators ran on pool threads.  That is
+pulled out afterwards even though the request ran on a worker thread.  That is
 what lets the slow-query log attach "here is where the wall time went" to
 every capture (:meth:`Observability.consider_slow`).
 

@@ -4,10 +4,10 @@ A :class:`Span` is one timed region of work — a session request, a compile,
 an executor stage, one operator, a per-shard scatter subtask, a view
 refresh, a WAL fsync.  Spans form a tree: the :class:`Tracer` keeps the
 *current* span in thread-local storage, and every span opened while another
-is current becomes its child.  Work handed to a pool thread re-attaches the
-parent explicitly (:meth:`Tracer.attach`), so scatter subtasks and
-concurrent stage operators nest under their dispatching operator even
-though they run elsewhere.
+is current becomes its child.  A request's operators and shard subtasks all
+run on the thread that opened it, so they nest with no hand-off; a thread
+that serves a request of its own (a serve worker, a ``Session.submit`` pool
+thread) opens its own :meth:`Tracer.request`.
 
 Sampling happens once per request (:meth:`Tracer.request`): a sampled-out
 request opens *no* spans at all — every child site checks "is a trace
@@ -93,26 +93,6 @@ class _SpanScope:
         self._tracer._finish(self.span, self._previous)
 
 
-class _AttachScope:
-    """Context manager installing an existing span as a thread's current."""
-
-    __slots__ = ("_tracer", "_previous", "_installed")
-
-    def __init__(self, tracer: "Tracer", span: Span | None) -> None:
-        self._tracer = tracer
-        self._installed = span is not None
-        if self._installed:
-            self._previous = tracer._current_span()
-            tracer._set_current(span)
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._installed:
-            self._tracer._set_current(self._previous)
-
-
 class Tracer:
     """Per-deployment span factory, sampler and ring buffer."""
 
@@ -178,15 +158,6 @@ class Tracer:
                     parent_id=parent.span_id, attrs=attrs)
         self._set_current(span)
         return _SpanScope(self, span, parent)
-
-    def attach(self, span: Span | None) -> _AttachScope:
-        """Install ``span`` as this thread's current span (pool workers).
-
-        The dispatching thread captures ``tracer.current()`` and the worker
-        wraps its body in ``with tracer.attach(captured):`` so spans opened
-        there parent correctly.  ``attach(None)`` is a no-op scope.
-        """
-        return _AttachScope(self, span if self.enabled else None)
 
     def current(self) -> Span | None:
         """The span currently open on this thread, if any."""

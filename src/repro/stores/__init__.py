@@ -2,7 +2,6 @@
 
 from repro.stores.array import ArrayEngine
 from repro.stores.base import (
-    Concurrency,
     DataModel,
     Engine,
     MetricsRecorder,
@@ -17,7 +16,6 @@ from repro.stores.timeseries import TimeseriesEngine
 
 __all__ = [
     "Engine",
-    "Concurrency",
     "DataModel",
     "MetricsRecorder",
     "OperationMetrics",

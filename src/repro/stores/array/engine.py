@@ -14,14 +14,13 @@ import numpy as np
 
 from repro.exceptions import StorageError
 from repro.stores.array.chunks import ChunkedArray
-from repro.stores.base import Concurrency, DataModel, Engine
+from repro.stores.base import DataModel, Engine
 
 
 class ArrayEngine(Engine):
     """A chunked dense-array store with matrix operators."""
 
     data_model = DataModel.ARRAY
-    concurrency = Concurrency.THREAD_SAFE
 
     def __init__(self, name: str = "array", *, chunk_shape: tuple[int, int] = (256, 256)) -> None:
         super().__init__(name)

@@ -34,20 +34,6 @@ class DataModel(enum.Enum):
     TENSOR = "tensor"
 
 
-class Concurrency(enum.Enum):
-    """How an engine tolerates concurrent dispatch from the executor.
-
-    The executor's stage scheduler only runs independent operators of one
-    stage in parallel when every involved engine declares
-    :attr:`THREAD_SAFE`; everything else falls back to serial dispatch.
-    """
-
-    #: Requests must be serialized (the engine mutates shared state).
-    SERIAL = "serial"
-    #: Read-path requests may run concurrently from multiple threads.
-    THREAD_SAFE = "thread_safe"
-
-
 @dataclass
 class OperationMetrics:
     """Metrics recorded for one native engine operation."""
@@ -140,10 +126,6 @@ class Engine(abc.ABC):
     #: Native data model; subclasses override.
     data_model: DataModel = DataModel.RELATIONAL
 
-    #: Concurrency contract; engines whose read path is safe to call from
-    #: multiple threads override with :attr:`Concurrency.THREAD_SAFE`.
-    concurrency: Concurrency = Concurrency.SERIAL
-
     def __init__(self, name: str) -> None:
         self.name = name
         self.metrics = MetricsRecorder()
@@ -226,7 +208,6 @@ class Engine(abc.ABC):
             "name": self.name,
             "type": type(self).__name__,
             "data_model": self.data_model.value,
-            "concurrency": self.concurrency.value,
         }
 
     def __repr__(self) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.stores.base import Concurrency, DataModel, Engine
+from repro.stores.base import DataModel, Engine
 from repro.stores.graph.graph import Edge, Node, PropertyGraph
 from repro.stores.graph.query import (
     Match,
@@ -29,7 +29,6 @@ class GraphEngine(Engine):
     """A property-graph store with pattern and path queries."""
 
     data_model = DataModel.GRAPH
-    concurrency = Concurrency.THREAD_SAFE
 
     def __init__(self, name: str = "graph") -> None:
         super().__init__(name)

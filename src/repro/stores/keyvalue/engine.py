@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.exceptions import StorageError
-from repro.stores.base import Concurrency, DataModel, Engine
+from repro.stores.base import DataModel, Engine
 from repro.stores.changelog import kv_scope
 from repro.stores.keyvalue.memtable import TOMBSTONE, MemTable
 from repro.stores.keyvalue.sstable import SSTable, merge_sstables
@@ -28,7 +28,6 @@ class KeyValueEngine(Engine):
     """An LSM-style key/value store with point and range reads."""
 
     data_model = DataModel.KEY_VALUE
-    concurrency = Concurrency.THREAD_SAFE
 
     def __init__(self, name: str = "keyvalue", *, memtable_capacity: int = 1024) -> None:
         super().__init__(name)

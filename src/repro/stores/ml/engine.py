@@ -9,7 +9,7 @@ simulator.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -32,6 +32,41 @@ class MLEngine(Engine):
         super().__init__(name)
         self.ops = TensorOps()
         self._models: dict[str, Any] = {}
+        #: Per model, the feature columns it was trained on and their z-score
+        #: statistics: a run that scores the model reads them from here, so
+        #: it need not be the run that trained it.
+        self._feature_columns: dict[str, list[str]] = {}
+        self._normalization: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    # -- features -----------------------------------------------------------------
+
+    def fit_features(self, model_name: str, columns: Sequence[str],
+                     features: np.ndarray) -> np.ndarray:
+        """Record ``model_name``'s feature columns and fit its z-score
+        statistics to ``features``; returns ``features`` standardized.
+
+        Zero rows have no statistics to fit; the model's previous ones stay.
+        """
+        self._feature_columns[model_name] = list(columns)
+        if len(features):
+            mean = features.mean(axis=0)
+            std = features.std(axis=0)
+            std[std == 0] = 1.0
+            self._normalization[model_name] = (mean, std)
+        self.mark_data_changed()
+        return self.standardize(model_name, features)
+
+    def feature_columns(self, model_name: str) -> list[str] | None:
+        """The columns ``model_name`` was trained on, if it was fitted here."""
+        return self._feature_columns.get(model_name)
+
+    def standardize(self, model_name: str, features: np.ndarray) -> np.ndarray:
+        """``features`` z-scored with ``model_name``'s training statistics."""
+        stats = self._normalization.get(model_name)
+        if stats is None:
+            return features
+        mean, std = stats
+        return (features - mean) / std
 
     # -- training -----------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row, Table
 from repro.exceptions import StorageError
-from repro.stores.base import Concurrency, DataModel, Engine
+from repro.stores.base import DataModel, Engine
 from repro.stores.changelog import table_scope
 from repro.stores.relational import kernels
 from repro.stores.relational.expressions import Expression
@@ -101,7 +101,6 @@ class RelationalEngine(Engine):
     """A single-node relational engine with SQL, indexes and join algorithms."""
 
     data_model = DataModel.RELATIONAL
-    concurrency = Concurrency.THREAD_SAFE
 
     def __init__(self, name: str = "relational") -> None:
         super().__init__(name)

@@ -271,7 +271,7 @@ class GroupByAggregate(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, group_by: Sequence[str],
                  aggregates: Sequence[AggregateSpec]) -> None:
         self._child = child
-        self._kernel, self.schema = _aggregate(
+        self._kernel, self.schema = aggregate_kernel(
             child.schema, tuple(group_by), tuple(aggregates))
 
     def rows(self) -> list[Row]:
@@ -361,13 +361,14 @@ _ACCUMULATORS = {
 
 
 @functools.lru_cache(maxsize=512)
-def _aggregate(source: Schema, group_by: tuple[str, ...], aggregates: tuple[AggregateSpec, ...]
-               ) -> tuple[Callable[[Iterable[Row]], list[Row]], Schema]:
+def aggregate_kernel(source: Schema, group_by: tuple[str, ...],
+                     aggregates: tuple[AggregateSpec, ...]
+                     ) -> tuple[Callable[[Iterable[Row]], list[Row]], Schema]:
     """What a :class:`GroupByAggregate` derives from its parameters, cached
     whole (writing the loop costs ~15 µs, more than it takes over 100 rows): the
     output schema, and ``rows -> output rows`` — one pass, one accumulator list
     per group in a dict keyed by the group, by the bare value when one column
-    groups."""
+    groups.  A sharded aggregate folds its shards' partial rows with it too."""
     schema = Schema(
         [source[name] if name in source else Column(name, DataType.STRING)
          for name in group_by]

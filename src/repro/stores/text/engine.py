@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.exceptions import StorageError
-from repro.stores.base import Concurrency, DataModel, Engine
+from repro.stores.base import DataModel, Engine
 from repro.stores.changelog import docs_scope
 from repro.stores.text.inverted_index import InvertedIndex
 from repro.stores.text.tokenizer import term_frequencies, tokenize
@@ -21,7 +21,6 @@ class TextEngine(Engine):
     """A document store with an inverted index and TF-IDF search."""
 
     data_model = DataModel.DOCUMENT
-    concurrency = Concurrency.THREAD_SAFE
 
     def __init__(self, name: str = "text") -> None:
         super().__init__(name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.exceptions import StorageError
-from repro.stores.base import Concurrency, DataModel, Engine
+from repro.stores.base import DataModel, Engine
 from repro.stores.changelog import series_scope
 from repro.stores.timeseries.series import Point, Series
 from repro.stores.timeseries.window import (
@@ -29,7 +29,6 @@ class TimeseriesEngine(Engine):
     """A timeseries store keyed by series name with tag support."""
 
     data_model = DataModel.TIMESERIES
-    concurrency = Concurrency.THREAD_SAFE
 
     def __init__(self, name: str = "timeseries") -> None:
         super().__init__(name)

@@ -256,7 +256,7 @@ class SnapshotDiffSource:
         node = graph.add(Operator(self.kind, dict(self.params), [],
                                   self.engine_name))
         graph.mark_output(node.op_id)
-        outputs, _ = Executor(catalog, max_workers=1).execute(
+        outputs, _ = Executor(catalog).execute(
             graph, mode="view_maintenance")
         value = next(iter(outputs.values()))
         if isinstance(value, Table):

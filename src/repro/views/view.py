@@ -290,7 +290,7 @@ class MaterializedView:
         ``pulled_rows`` is the total multiplicity the sources emitted.
         """
         assert self._delta is not None
-        executor = Executor(self.system.catalog, max_workers=1,
+        executor = Executor(self.system.catalog,
                             runtime_stats=self.system.feedback_stats,
                             obs=self.system.obs)
         self._delta.set_seed(seed)

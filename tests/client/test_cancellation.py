@@ -152,8 +152,8 @@ class TestScatterCancellation:
         num_shards = 4
         system = _build_system(sharded=True, shard_factory=HookedEngine,
                                num_shards=num_shards)
-        # max_workers=1 keeps the fan-out serial, so "stops dispatching" is
-        # deterministic: shard 0 runs, the loop checks the token, stops.
+        # The fan-out is serial on the calling thread, so "stops dispatching"
+        # is deterministic: shard 0 runs, the loop checks the token, stops.
         session = system.session(name="serial", max_workers=1)
         prepared = session.prepare(_program(system, "shardeddb"))
         with pytest.raises(CancelledError):

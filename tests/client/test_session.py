@@ -224,13 +224,6 @@ class TestConcurrentSessions:
             results = session.run_batch([prepared] * 8)
         assert all(r.output("features").to_dicts() == serial for r in results)
 
-    def test_intra_stage_concurrency_reported(self, deployment):
-        # spend (relational) and sessions (timeseries) share a stage and both
-        # engines are thread-safe, so the executor overlaps them.
-        result = deployment.execute(query_program())
-        assert result.report.concurrent_tasks >= 2
-        assert result.report.observed_concurrency >= 1.0
-
     def test_closed_session_rejects_work(self, deployment):
         session = deployment.session()
         session.close()

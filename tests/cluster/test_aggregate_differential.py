@@ -1,6 +1,6 @@
 """Randomized differential tests: sharded aggregation vs the single-node operator.
 
-``combine_partial_aggregates``/``_combine_one`` and ``_global_top_k`` must be
+``combine_partial_aggregates`` and ``_global_top_k`` must be
 indistinguishable from the single-node ``GroupByAggregate``/``TopK``
 operators for every aggregate function and null pattern.  Each trial builds
 a random table, partitions it across a random number of shards (some left
@@ -16,8 +16,11 @@ shard, ``min``/``max`` over strings, and int-vs-float ``sum``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DataflowProgram, dataset
 from repro.cluster.scatter import (
@@ -147,6 +150,50 @@ def test_empty_result_schema_preserves_dtypes():
     assert schema["int_avg"].dtype is DataType.FLOAT
     assert schema["int_count"].dtype is DataType.INT
     assert schema["n_rows"].dtype is DataType.INT
+
+
+# -- end to end: a ShardedEngine vs one RelationalEngine ---------------------------------
+
+_SCHEMA = make_schema(("id", DataType.INT), ("grp", DataType.INT),
+                      ("int_val", DataType.INT), ("float_val", DataType.FLOAT),
+                      ("label", DataType.STRING))
+_END_TO_END = dict(n=("count", None), n_int=("count", "int_val"),
+                   int_sum=("sum", "int_val"), float_sum=("sum", "float_val"),
+                   int_avg=("avg", "int_val"), float_avg=("avg", "float_val"),
+                   int_min=("min", "int_val"), float_max=("max", "float_val"),
+                   label_min=("min", "label"), label_max=("max", "label"))
+
+# Quarter-valued floats keep every sum exact in any order, so the two routes
+# must agree with ``==``.
+_rows = st.lists(st.tuples(
+    st.sampled_from([0, 1, 2, None]),
+    st.none() | st.integers(-50, 50),
+    st.none() | st.integers(-400, 400).map(lambda q: q / 4),
+    st.none() | st.sampled_from(["alpha", "beta", "gamma"]),
+), max_size=30)
+
+
+def _aggregated(system, engine: str, group_by: list[str]) -> Table:
+    program = DataflowProgram(f"agg-{engine}")
+    program.output("agg", dataset(engine).table("t").aggregate(group_by, **_END_TO_END))
+    return system.execute(program).output("agg")
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_rows, shards=st.integers(1, 5), grouped=st.booleans())
+def test_sharded_engine_aggregates_match_a_single_engine(rows, shards, grouped):
+    table = Table(_SCHEMA, [(i, *row) for i, row in enumerate(rows)])
+    single = RelationalEngine("one")
+    single.load_table("t", table)
+    system = build_cpu_polystore([single])
+    system.register_sharded_engine("many", RelationalEngine, shards) \
+        .load_table("t", table, shard_key="id")
+    group_by = ["grp"] if grouped else []
+
+    expected = _aggregated(system, "one", group_by)
+    actual = _aggregated(system, "many", group_by)
+    assert Counter(actual.rows) == Counter(expected.rows)
+    assert actual.schema == expected.schema
 
 
 # -- global top-k vs the single-node TopK operator --------------------------------------

@@ -9,7 +9,7 @@ from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import ConfigurationError, StorageError
 from repro.stores import KeyValueEngine, RelationalEngine, TimeseriesEngine
-from repro.stores.base import Concurrency, DataModel
+from repro.stores.base import DataModel
 
 
 def _orders_schema():
@@ -40,7 +40,6 @@ class TestConstruction:
         engine = ShardedEngine("db", RelationalEngine, 2)
         template = RelationalEngine("t")
         assert engine.data_model is template.data_model
-        assert engine.concurrency is Concurrency.THREAD_SAFE
 
     def test_explicit_partitioner(self):
         engine = ShardedEngine("db", RelationalEngine,

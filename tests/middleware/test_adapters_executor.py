@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
 import warnings
 
 import pytest
 
+from repro import DataflowProgram, dataset
+
 from repro.catalog import Catalog
 from repro.compiler import Compiler
+from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import AdapterError, CatalogError, ExecutionError
 from repro.ir import IRGraph, Operator
@@ -309,6 +313,8 @@ class TestExecutor:
         assert len(list(outputs.values())[0]) == 60
 
 class TestConcurrentStageDispatch:
+    """Stage siblings run one after another on the calling thread."""
+
     def _catalog(self, mimic_engines) -> Catalog:
         catalog = Catalog()
         for key in ("relational", "timeseries", "text", "ml"):
@@ -324,39 +330,62 @@ class TestConcurrentStageDispatch:
         graph.mark_output(right.op_id)
         return graph
 
-    def test_thread_safe_siblings_run_concurrently(self, mimic_engines):
-        catalog = self._catalog(mimic_engines)
-        _, report = Executor(catalog).execute(self._two_scan_graph())
-        assert all(record.concurrent for record in report.records)
-        assert report.concurrent_tasks == 2
-        assert report.elapsed_wall_s > 0
-
-    def test_disabled_workers_fall_back_to_serial(self, mimic_engines):
-        catalog = self._catalog(mimic_engines)
-        executor = Executor(catalog, max_workers=None)
-        _, report = executor.execute(self._two_scan_graph())
-        assert report.concurrent_tasks == 0
-
-    def test_serial_engine_is_never_dispatched_concurrently(self, mimic_engines):
-        # The ML engine declares Concurrency.SERIAL: even when two of its
-        # operators share a stage, dispatch stays on the calling thread.
-        from repro.stores.base import Concurrency
-
-        assert mimic_engines["ml"].concurrency is Concurrency.SERIAL
-        catalog = self._catalog(mimic_engines)
-        executor = Executor(catalog)
-        scan = Operator("scan", {"table": "admissions"}, engine="clinical-db")
-        assert executor._concurrency_safe(scan)
-        train = Operator("train", {"model_name": "m", "label_column": "y"},
-                         engine="dnn-engine")
-        assert not executor._concurrency_safe(train)
-        migrate = Operator("migrate", {}, engine="clinical-db")
-        assert not executor._concurrency_safe(migrate)
-
     def test_concurrent_outputs_match_serial(self, mimic_engines):
+        # Two sibling scans of one stage each give exactly what a direct read
+        # of the engine gives.
         catalog = self._catalog(mimic_engines)
-        graph = self._two_scan_graph()
-        parallel_out, _ = Executor(catalog).execute(graph)
-        serial_out, _ = Executor(catalog, max_workers=None).execute(graph)
-        for key in serial_out:
-            assert parallel_out[key].to_dicts() == serial_out[key].to_dicts()
+        outputs, _ = Executor(catalog).execute(self._two_scan_graph())
+        expected = mimic_engines["relational"].scan("admissions").to_dicts()
+        assert len(outputs) == 2
+        for table in outputs.values():
+            assert table.to_dicts() == expected
+
+
+def _labelled_rows(n: int = 400):
+    rng = random.Random(3)
+    rows = []
+    for pid in range(n):
+        a, b = rng.gauss(50, 10), rng.gauss(200, 30)
+        rows.append((pid, a, b, int(a + b / 4 > 100)))
+    return rows
+
+
+class TestModelsOutliveTheRun:
+    """A model trained in one run is scored in a later one exactly as in
+    the run that trained it: its feature columns and z-score statistics live
+    with the model in the ML engine, not in a per-run adapter."""
+
+    TRAIN = dict(label_column="y", model_name="m", model_type="logistic",
+                 epochs=20, engine="ml")
+
+    def _system(self):
+        db = RelationalEngine("db")
+        db.load_table("t", Table(make_schema(
+            ("pid", DataType.INT), ("a", DataType.FLOAT), ("b", DataType.FLOAT),
+            ("y", DataType.INT)), _labelled_rows()))
+        return build_cpu_polystore([db, MLEngine("ml")])
+
+    def _probabilities(self, result) -> list[float]:
+        return [row["probability"] for row in result.output("scores").to_dicts()]
+
+    @pytest.mark.parametrize("features_only", [False, True])
+    def test_separate_run_predict_matches_same_run(self, features_only):
+        def rows():
+            table = dataset("db").table("t")
+            return table.project(["pid", "a", "b"]) if features_only else table
+
+        together = DataflowProgram("together")
+        trained = dataset("db").table("t").train(**self.TRAIN)
+        together.output("scores", rows().apply(lambda scored, _model: scored, trained)
+                        .predict(model_name="m", engine="ml"))
+        expected = self._probabilities(self._system().execute(together))
+
+        system = self._system()
+        train = DataflowProgram("train")
+        train.output("model", dataset("db").table("t").train(**self.TRAIN))
+        assert system.execute(train).output("model")["metrics"]["accuracy"] > 0.95
+        predict = DataflowProgram("predict")
+        predict.output("scores", rows().predict(model_name="m", engine="ml"))
+        actual = self._probabilities(system.execute(predict))
+        assert len(set(actual)) > 1
+        assert actual == pytest.approx(expected)

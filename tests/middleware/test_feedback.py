@@ -99,14 +99,6 @@ class TestRuntimeStats:
         assert stats.observed_time("fp", "fpga0") == pytest.approx(0.001)
         assert stats.observed_time("fp", "gpu0") is None
 
-    def test_shard_times_drive_serial_fan_out(self):
-        stats = RuntimeStats()
-        stats.record_shard_times("shardeddb", "scan", [1e-5, 2e-5])
-        stats.record_shard_times("shardeddb", "sort", [0.05, 0.06])
-        assert stats.prefer_serial_fan_out("shardeddb", "scan")
-        assert not stats.prefer_serial_fan_out("shardeddb", "sort")
-        assert not stats.prefer_serial_fan_out("otherdb", "scan")
-
     def test_thread_safety_under_concurrent_records(self):
         stats = RuntimeStats()
 
@@ -193,37 +185,6 @@ class TestCostModelConsumesObservations:
         scan_cost = model.operator_cost(graph.nodes_of_kind("scan")[0]).time_s
         assert model.plan_cost(graph, stats=stats) == \
             pytest.approx(scan_cost + estimate.time_s)
-
-
-class TestScatterFanOutAdaptation:
-    def test_tiny_shard_subtasks_go_serial_after_observation(self):
-        from repro import DataflowProgram, dataset
-        from repro.core import build_cpu_polystore
-        from repro.datamodel import DataType, Table, make_schema
-        from repro.stores import RelationalEngine
-
-        system = build_cpu_polystore([])
-        engine = system.register_sharded_engine("tinydb", RelationalEngine, 4)
-        schema = make_schema(("id", DataType.INT), ("v", DataType.FLOAT))
-        engine.create_table("t", schema, shard_key="id")
-        engine.insert("t", [(i, float(i)) for i in range(32)])
-
-        program = DataflowProgram("tiny-scan")
-        program.output("all", dataset("tinydb").table("t"))
-        session = system.session(name="fanout")
-        prepared = session.prepare(program)
-
-        first = prepared.run(reuse_scans=False)
-        scan = [r for r in first.report.records if r.kind == "scan"][0]
-        assert scan.details["fan_out"] == "concurrent"  # no observations yet
-
-        second = prepared.run(reuse_scans=False)
-        scan = [r for r in second.report.records if r.kind == "scan"][0]
-        # Observed subtasks are microseconds: thread dispatch costs more than
-        # it saves, so the fan-out adaptively stays serial.
-        assert scan.details["fan_out"] == "serial"
-        assert second.output("all").to_dicts() == first.output("all").to_dicts()
-        session.close()
 
 
 class TestStatsRetention:

@@ -72,45 +72,44 @@ class TestProfileAggregate:
 
 class TestCrossThreadAttribution:
     def test_pool_worker_stack_attributes_to_dispatching_request_span(self):
-        """Satellite regression test: a worker thread that re-attaches the
-        dispatching request's span must have its sampled stacks attributed
-        to that request's trace, even though the request span lives in the
-        dispatching thread's thread-local."""
+        """A worker thread that serves a request opens its own request span,
+        as serve workers do; its sampled stacks must be attributed to that
+        request's trace, even though the span lives in the worker's
+        thread-local and the sampler runs on another thread."""
         tracer = Tracer(enabled=True, sample_rate=1.0)
         profiler = SamplingProfiler(tracer, hz=100.0)
         ready = threading.Event()
         release = threading.Event()
+        trace_ids = []
 
         def worker_hotspot():
             ready.set()
             release.wait(timeout=10)
 
-        with tracer.request("bench:attribution") as span:
-            assert span is not None
+        def worker():
+            with tracer.request("bench:attribution") as span:
+                trace_ids.append(span.trace_id)
+                worker_hotspot()
 
-            def worker():
-                with tracer.attach(span):
-                    worker_hotspot()
+        thread = threading.Thread(target=worker, name="pool-worker")
+        thread.start()
+        try:
+            assert ready.wait(timeout=10)
+            # Deterministic: sample while the worker is parked inside
+            # worker_hotspot — no background thread, no timing races.
+            recorded = profiler.sample_once()
+            assert recorded >= 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
 
-            thread = threading.Thread(target=worker, name="pool-worker")
-            thread.start()
-            try:
-                assert ready.wait(timeout=10)
-                # Deterministic: sample while the worker is parked inside
-                # worker_hotspot — no background thread, no timing races.
-                recorded = profiler.sample_once()
-                assert recorded >= 1
-            finally:
-                release.set()
-                thread.join(timeout=10)
-
-            trace_profile = profiler.profile(span.trace_id)
-            # The worker parks in Event.wait (pure Python, so it stacks
-            # above the hotspot); the hotspot frame must appear in the
-            # request-attributed stack all the same.
-            assert any("test_profile.worker_hotspot" in stack
-                       for stack in trace_profile.counts), (
-                sorted(trace_profile.counts))
+        trace_profile = profiler.profile(trace_ids[0])
+        # The worker parks in Event.wait (pure Python, so it stacks above
+        # the hotspot); the hotspot frame must appear in the
+        # request-attributed stack all the same.
+        assert any("test_profile.worker_hotspot" in stack
+                   for stack in trace_profile.counts), (
+            sorted(trace_profile.counts))
 
     def test_detached_threads_only_count_toward_the_global_profile(self):
         tracer = Tracer(enabled=True, sample_rate=1.0)

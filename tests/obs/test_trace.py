@@ -65,7 +65,7 @@ class TestExecutorNesting:
             assert stage.parent_id == execute.span_id
 
         # Every operator span hangs off the stage span whose index it ran
-        # in — even when the stage dispatched it to a pool thread.
+        # in.
         ops = by_name["op"]
         assert len(ops) == len(result.report.records)
         stage_by_id = {s.span_id: s for s in stages}

@@ -343,7 +343,7 @@ class TestTheScanLeafFiltersBeforeItProjects:
         node = self._node("narrow4")
         primary = adapter_for(sharded).execute(node, [])
         assert primary.schema.names == ("a",)
-        scattered = gather(ScatterGather().execute(sharded, node, [], None).value)
+        scattered = gather(ScatterGather().execute(sharded, node, []).value)
         assert scattered.schema.names == ("a",)
         assert sorted(scattered.column("a")) == [a for a, b in self.ROWS if b == 1]
 
