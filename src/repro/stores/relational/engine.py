@@ -245,11 +245,12 @@ class RelationalEngine(Engine):
             for column in updates:
                 if column not in schema:
                     raise StorageError(f"table {table!r} has no column {column!r}")
-            names, sets = schema.names, dict(updates)
-            olds, news = self._rewrite(
-                table, "update", predicate,
-                lambda row: tuple(sets.get(name, value)
-                                  for name, value in zip(names, row)))
+            # One generated tuple display per patched row, the new values bound.
+            out = kernels.Source(schema)
+            patch = out.kernel("patch", "row", "return (" + "".join(
+                (out.constant(updates[name]) if name in updates else out.column(name))
+                + "," for name in schema.names) + ")")
+            olds, news = self._rewrite(table, "update", predicate, patch)
             updated = list(zip(olds, news))
             if updated:
                 entries: list[tuple[tuple, int]] = []
