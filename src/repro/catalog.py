@@ -3,8 +3,8 @@
 The catalog knows every registered data-processing engine and hardware
 accelerator, which data model each engine speaks, and (through the engines'
 own statistics) roughly how much data each holds.  The compiler's frontend
-uses it to bind operators to engines; the placement pass and the optimizer
-use it to enumerate offload targets; the executor uses it to find the engine
+uses it to bind operators to engines; the placement pass uses it to
+enumerate offload targets; the executor uses it to find the engine
 or device an operator was bound to.
 """
 

@@ -10,8 +10,8 @@ deployment for each so benchmarks can compare like with like:
 * :func:`one_size_fits_all_latency` — an analytic estimate of the
   copy-everything-into-one-store approach: every non-relational dataset is
   first migrated (CSV) into the relational engine, then the whole program
-  runs there; the estimate combines measured migration costs with the cost
-  model's single-engine operator costs.
+  runs there; the estimate combines measured migration costs with the
+  operator-kind table's per-row costs.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from repro.accelerators.fpga import FPGAAccelerator
 from repro.accelerators.gpu import GPUAccelerator
 from repro.core.system import PolystorePlusPlus, SystemConfig
 from repro.datamodel.table import Table
+from repro.ir.kinds import KINDS
 from repro.middleware.migration import DataMigrator, SimulatedNetwork
-from repro.middleware.optimizer import CostModel
 from repro.stores.base import Engine
+
+#: Fixed per-program overhead of the single store's processing estimate.
+ONE_STORE_FIXED_OVERHEAD_S = 5e-5
 
 
 def build_cpu_polystore(engines: list[Engine], *,
@@ -74,16 +77,14 @@ class OneSizeFitsAllEstimate:
 
 
 def one_size_fits_all_latency(datasets: list[Table], *, processing_rows: int,
-                              cost_model: CostModel | None = None,
                               network: SimulatedNetwork | None = None
                               ) -> OneSizeFitsAllEstimate:
     """Estimate the one-size-fits-all latency for a workload.
 
     Every dataset is CSV-migrated into the single store (measured), then the
     program's operators run there over ``processing_rows`` rows (estimated
-    with the cost model's relational constants, no native-engine advantages).
+    with the kinds' per-row costs, no native-engine advantages).
     """
-    model = cost_model if cost_model is not None else CostModel()
     migrator = DataMigrator(network if network is not None else SimulatedNetwork())
     migration_time = 0.0
     migrated_bytes = 0
@@ -93,9 +94,9 @@ def one_size_fits_all_latency(datasets: list[Table], *, processing_rows: int,
         migrated_bytes += report.payload_bytes
     # On a single engine the cross-model operators degrade to generic scans,
     # joins and aggregations over the unioned data.
-    per_row = (model.row_costs["scan"] + model.row_costs["join"]
-               + model.row_costs["aggregate"] + model.row_costs["train"])
-    processing = model.fixed_overhead_s + per_row * max(1, processing_rows)
+    per_row = (KINDS["scan"].row_cost + KINDS["join"].row_cost
+               + KINDS["aggregate"].row_cost + KINDS["train"].row_cost)
+    processing = ONE_STORE_FIXED_OVERHEAD_S + per_row * max(1, processing_rows)
     return OneSizeFitsAllEstimate(
         migration_time_s=migration_time,
         migrated_bytes=migrated_bytes,

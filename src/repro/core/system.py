@@ -2,7 +2,7 @@
 
 :class:`PolystorePlusPlus` wires together the whole stack of the paper's
 Figure 4: the catalog of engines and accelerators, the compiler (frontend +
-L1 passes + accelerator placement), the middleware (optimizer cost model,
+L1 passes + accelerator placement), the middleware (runtime statistics,
 data migrator, executor) and returns execution results with full cost
 reports.  It also exposes the three execution modes the benchmarks compare
 (one-size-fits-all, CPU polystore, accelerated Polystore++).
@@ -25,7 +25,6 @@ from repro.exceptions import ConfigurationError, ExecutionError
 from repro.middleware.executor import ExecutionReport
 from repro.middleware.feedback import RuntimeStats
 from repro.middleware.migration import SimulatedNetwork
-from repro.middleware.optimizer import CostModel
 from repro.obs import (
     Observability,
     SloTracker,
@@ -151,7 +150,6 @@ class PolystorePlusPlus:
         if data_dir is not None:
             self.config.data_dir = data_dir
         self.catalog = Catalog()
-        self.cost_model = CostModel()
         #: The observability hub (metrics, traces, slow-query log); inert
         #: unless ``config.obs_enabled`` is set.
         self.obs = (Observability(
@@ -642,12 +640,3 @@ class PolystorePlusPlus:
     def view(self, name: str) -> MaterializedView:
         """A registered materialized view by name."""
         return self.views.get(name)
-
-    # -- calibration ---------------------------------------------------------------------------
-
-    def recalibrate_cost_model(self) -> int:
-        """Feed every engine's recorded metrics back into the cost model."""
-        metrics = []
-        for engine in self.catalog.engines():
-            metrics.extend(engine.metrics.records)
-        return self.cost_model.calibrate(metrics)

@@ -36,10 +36,6 @@ class CompilationError(PolystoreError):
     """The compiler could not translate a heterogeneous program to IR."""
 
 
-class OptimizationError(PolystoreError):
-    """The optimizer failed (empty design space, infeasible constraints, ...)."""
-
-
 class ExecutionError(PolystoreError):
     """The executor failed while running a physical plan."""
 

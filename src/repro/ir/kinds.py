@@ -30,7 +30,7 @@ class Kind:
     inputs: int | None
     #: Parameters an adapter needs to execute the kind.
     required: tuple[str, ...]
-    #: Default per-row cost (seconds) on a CPU engine, until calibrated.
+    #: Per-row cost (seconds) on a CPU engine.
     row_cost: float
     #: Reads engine state (as opposed to only its data-flow inputs).
     source: bool = False

@@ -1,10 +1,9 @@
-"""Polystore++ middleware: adapters, data migration, executor and optimizer."""
+"""Polystore++ middleware: adapters, data migration, executor and runtime feedback."""
 
 from repro.middleware.adapters import Adapter, adapter_for
 from repro.middleware.executor import ExecutionReport, Executor, TaskRecord
 from repro.middleware.feedback import ObservedOperator, RuntimeStats
 from repro.middleware.migration import DataMigrator, MigrationReport, SimulatedNetwork
-from repro.middleware.optimizer import ActiveLearningOptimizer, CostModel, DesignSpace
 
 __all__ = [
     "Adapter",
@@ -17,7 +16,4 @@ __all__ = [
     "DataMigrator",
     "MigrationReport",
     "SimulatedNetwork",
-    "CostModel",
-    "DesignSpace",
-    "ActiveLearningOptimizer",
 ]

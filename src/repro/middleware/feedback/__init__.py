@@ -14,10 +14,10 @@ package closes the loop:
 
 Consumers: :func:`~repro.compiler.annotate.annotate_graph` prefers observed
 cardinalities over the analytical model, accelerator placement feeds the
-measured host time into :meth:`~repro.accelerators.simulator.OffloadPlanner.
-decide`, the :class:`~repro.middleware.optimizer.CostModel` scales observed
-operator times, and the session layer uses drifted estimates to age cached
-plans (see :mod:`repro.client.cache`).
+measured host time (scaled to the current row estimate) into
+:meth:`~repro.accelerators.simulator.OffloadPlanner.decide`, and the session
+layer uses drifted estimates to age cached plans (see
+:mod:`repro.client.cache`).
 """
 
 from repro.middleware.feedback.fingerprint import (

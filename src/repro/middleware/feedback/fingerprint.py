@@ -1,12 +1,13 @@
 """Structural operator fingerprints: the keys runtime feedback is stored under.
 
 A fingerprint identifies one operator by *what it computes* — its kind, its
-engine binding, its canonical parameters and (recursively) its inputs'
-fingerprints — and deliberately excludes everything that varies between
-compiles of the same program: op ids, cardinality annotations and the
-accelerator chosen by placement.  Two plans that contain the same subtree
-therefore share observations, which is what lets a re-compile consume the
-statistics the previous plan's execution recorded.
+engine binding, its parameters in :func:`~repro.eide.program.canonical_value`
+form and (recursively) its inputs' fingerprints — and deliberately excludes
+everything that varies between compiles of the same program: op ids,
+cardinality annotations and the accelerator chosen by placement.  Two plans
+that contain the same subtree therefore share observations, which is what
+lets a re-compile consume the statistics the previous plan's execution
+recorded.
 
 The *plan* fingerprint is the complement: a hash over the whole optimized
 graph including accelerator placements, so the session layer can tell
@@ -17,8 +18,8 @@ plan (and only then drop the old plan's pinned scans).
 from __future__ import annotations
 
 import hashlib
-from typing import Any
 
+from repro.eide.program import canonical_value
 from repro.ir.graph import IRGraph
 from repro.ir.nodes import Operator
 
@@ -26,37 +27,12 @@ from repro.ir.nodes import Operator
 FINGERPRINT_KEY = "fingerprint"
 
 
-def _canonical(value: Any) -> str:
-    """Deterministic string form of an operator parameter value.
-
-    Mirrors :func:`repro.eide.program.canonical_value` (kept local so the IR
-    layer does not import the EIDE): containers recurse, dictionaries sort by
-    key, callables are identified by identity, and everything else falls back
-    to its (deterministic dataclass) ``repr``.
-    """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in value) + "]"
-    if isinstance(value, (set, frozenset)):
-        return "{" + ",".join(sorted(_canonical(v) for v in value)) + "}"
-    if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
-        return "{" + ",".join(f"{_canonical(k)}:{_canonical(v)}"
-                              for k, v in items) + "}"
-    if callable(value):
-        module = getattr(value, "__module__", "?")
-        qualname = getattr(value, "__qualname__", type(value).__name__)
-        return f"<callable {module}.{qualname}@{id(value):x}>"
-    return f"<{type(value).__name__}:{value!r}>"
-
-
 def operator_fingerprint(node: Operator, input_fingerprints: list[str]) -> str:
     """Structural fingerprint of one operator given its inputs' fingerprints."""
     digest = hashlib.sha256()
     digest.update(f"{node.kind}@{node.engine or '<unbound>'}".encode())
     digest.update(b"\x00")
-    digest.update(_canonical(node.params).encode())
+    digest.update(canonical_value(node.params).encode())
     for fingerprint in input_fingerprints:
         digest.update(b"\x1f")
         digest.update(fingerprint.encode())

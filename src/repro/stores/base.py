@@ -47,9 +47,9 @@ class OperationMetrics:
     details: dict[str, Any] = field(default_factory=dict)
 
 
-#: Records a :class:`MetricsRecorder` keeps: every native call adds one, and
-#: the only reader (cost-model recalibration) wants recent behaviour, so a
-#: long-lived server must not hold them all.
+#: Records a :class:`MetricsRecorder` keeps: every native call adds one and
+#: only inspection reads them back, so a long-lived server must not hold them
+#: all.
 METRICS_CAPACITY = 4096
 
 

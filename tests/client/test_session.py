@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import DataflowProgram, Dataset, Param, col, dataset
@@ -204,6 +206,18 @@ class TestRuntimeParameters:
         prepared = session.prepare(parameterized)
         with pytest.raises(ExecutionError, match="unknown parameter"):
             prepared.run(limit=5)
+
+    def test_explain_names_parameters_pins_and_the_plan(self, deployment):
+        prepared = deployment.session().prepare(
+            query_program(end=Param("end", default=None)))
+        bound = prepared.run(end=3.0)
+        text = prepared.explain()
+        assert "parameters: end" in text
+        pinnable = int(re.search(r"pinned scans: 0/(\d+)", text).group(1))
+        assert pinnable > 0  # an explicitly bound run pins nothing
+        assert bound.compilation.graph.render() in text
+        prepared.run()
+        assert f"pinned scans: {pinnable}/{pinnable}" in prepared.explain()
 
 
 class TestConcurrentSessions:

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro import DataflowProgram, dataset
 from repro.core import (
     EXECUTION_MODES,
     PolystorePlusPlus,
     build_accelerated_polystore,
+    build_cpu_polystore,
     one_size_fits_all_latency,
 )
+from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import CatalogError, ConfigurationError
-from repro.stores import RelationalEngine
+from repro.stores import MLEngine, RelationalEngine
 from repro.workloads import build_admission_history_program, build_mimic_program
 
 
@@ -72,9 +75,20 @@ class TestExecutionModes:
         history = result.output("history")
         assert all(row["pid"] == 5 for row in history.to_dicts())
 
-    def test_recalibration_uses_engine_metrics(self, mimic_cpu_system):
-        mimic_cpu_system.execute(build_mimic_program(epochs=1), mode="cpu_polystore")
-        assert mimic_cpu_system.recalibrate_cost_model() > 0
+    def test_kmeans_separates_two_blobs(self):
+        points = RelationalEngine("points-db")
+        blobs = [(float(i % 5), float(i % 3)) for i in range(20)] \
+            + [(100.0 + i % 5, 100.0 + i % 3) for i in range(20)]
+        points.load_table("points", Table(
+            make_schema(("x", DataType.FLOAT), ("y", DataType.FLOAT)), blobs))
+        system = build_cpu_polystore([points, MLEngine("ml")])
+        program = DataflowProgram("blobs")
+        program.output("clusters", dataset("points-db").table("points").kmeans(n_clusters=2))
+        clusters = system.execute(program).output("clusters")
+        labels = clusters["assignments"]
+        assert clusters["n_clusters"] == 2 and len(labels) == len(blobs)
+        assert len(set(labels[:20])) == len(set(labels[20:])) == 1
+        assert labels[0] != labels[20]
 
 
 class TestBaselines:

@@ -17,7 +17,6 @@ from repro.catalog import Catalog
 from repro.eide.dataflow import DataflowNode, resolve_node_engine
 from repro.ir import KINDS, Kind, Operator, validate_operator
 from repro.middleware.adapters import adapter_for
-from repro.middleware.optimizer.cost_model import CostModel
 from repro.stores import (
     ArrayEngine,
     GraphEngine,
@@ -131,7 +130,7 @@ PARENT_DEFAULT_ROW_COSTS = {
     "feature_matrix": 2e-7, "matmul": 1e-6, "gemv": 4e-7, "python_udf": 5e-7,
     "union": 1e-7, "materialize": 1e-7,
 }
-#: What ``CostModel.operator_cost`` fell back to for a kind with no entry.
+#: What the parent's per-kind cost lookup fell back to for a kind with no entry.
 PARENT_ROW_COST_FALLBACK = 5e-7
 
 
@@ -252,7 +251,7 @@ def test_offload():
 def test_row_costs():
     # Intended difference: ``migrate``/``view_read`` took the lookup's fallback;
     # their rows now hold that value.
-    assert CostModel().row_costs == {
+    assert {name: row.row_cost for name, row in KINDS.items()} == {
         **PARENT_DEFAULT_ROW_COSTS,
         "migrate": PARENT_ROW_COST_FALLBACK, "view_read": PARENT_ROW_COST_FALLBACK}
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.accelerators import FPGAAccelerator, KernelRegistry, OffloadPlanner, WorkEstimate
 from repro.compiler.annotate import annotate_graph
+from repro.compiler.passes.placement import place_accelerators
 from repro.ir.graph import IRGraph
 from repro.ir.nodes import Operator
 from repro.middleware.feedback import (
@@ -18,7 +19,6 @@ from repro.middleware.feedback import (
     operator_fingerprint,
     plan_fingerprint,
 )
-from repro.middleware.optimizer import CostModel
 
 
 def _graph() -> IRGraph:
@@ -167,24 +167,33 @@ class TestPlannerConsumesObservedHostTime:
         assert observed.host_time_s == pytest.approx(0.25)
 
 
-class TestCostModelConsumesObservations:
-    def test_observed_time_scales_with_estimate(self):
-        stats = RuntimeStats()
+class TestPlacementScalesObservedHostTime:
+    """An observed host time is scaled linearly to the row estimate placed at."""
+
+    @staticmethod
+    def _place(stats: RuntimeStats, rows: int):
         graph = _graph()
         fingerprints = fingerprint_graph(graph)
+        for node in graph.nodes():
+            node.estimated_rows = rows
         sort = graph.nodes_of_kind("sort")[0]
-        sort.estimated_rows = 2000
         stats.record(fingerprints[sort.op_id], kind="sort", target="db",
                      time_s=0.1, rows_out=1000, rows_in=1000)
-        model = CostModel()
-        estimate = model.operator_cost(sort, stats)
-        assert estimate.source == "observed"
-        assert estimate.time_s == pytest.approx(0.2)  # 2x the observed rows
-        plain = model.operator_cost(sort)
-        assert plain.source == "model"
-        scan_cost = model.operator_cost(graph.nodes_of_kind("scan")[0]).time_s
-        assert model.plan_cost(graph, stats=stats) == \
-            pytest.approx(scan_cost + estimate.time_s)
+        place_accelerators(graph, OffloadPlanner(KernelRegistry([FPGAAccelerator()])),
+                           stats)
+        return sort.annotations
+
+    def test_observed_time_scales_with_estimate(self):
+        at_observed = self._place(RuntimeStats(smoothing=1.0), 1000)
+        doubled = self._place(RuntimeStats(smoothing=1.0), 2000)
+        assert at_observed["placement_host_source"] == "observed"
+        assert at_observed["placement_host_time_s"] == pytest.approx(0.1)
+        assert doubled["placement_host_source"] == "observed"
+        assert doubled["placement_host_time_s"] == pytest.approx(0.2)
+
+    def test_below_the_actionable_floor_the_model_decides(self):
+        annotations = self._place(RuntimeStats(min_actionable_rows=5000), 2000)
+        assert annotations["placement_host_source"] == "model"
 
 
 class TestStatsRetention:

@@ -82,6 +82,17 @@ class TestArrayEngine:
         with pytest.raises(StorageError):
             ArrayEngine().load("ghost")
 
+    def test_shape_listing_and_statistics(self):
+        engine = ArrayEngine(chunk_shape=(2, 2))
+        engine.store("b", np.ones((3, 3)))
+        engine.store("a", np.zeros((2, 4)))
+        assert engine.list_arrays() == ["a", "b"]
+        assert engine.shape("b") == (3, 3)
+        stats = engine.statistics()
+        assert stats["arrays"] == 2
+        assert stats["total_bytes"] == (9 + 8) * 8
+        assert stats["total_chunks"] == 4 + 2
+
 
 class TestTokenizer:
     def test_tokenize_removes_stopwords_and_punctuation(self):
@@ -119,6 +130,16 @@ class TestInvertedIndex:
         ranked = index.tfidf_search("sepsis")
         assert ranked[0][0] == "d1"
 
+    def test_term_and_document_frequency(self):
+        index = InvertedIndex()
+        index.add("d1", "sepsis sepsis ventilator")
+        index.add("d2", "Sepsis resolved")
+        assert index.term_frequency("sepsis", "d1") == 2
+        assert index.term_frequency("SEPSIS", "d2") == 1
+        assert index.term_frequency("ventilator", "d2") == 0
+        assert index.document_frequency("sepsis") == 2
+        assert index.document_frequency("absent") == 0
+
 
 class TestTextEngine:
     def test_add_search_and_features(self):
@@ -134,6 +155,15 @@ class TestTextEngine:
         assert features == {"sepsis": 1.0, "stable": 0.0}
         assert engine.documents_matching({"pid": 1}) == ["note/1"]
         assert engine.vocabulary_size() > 0
+
+    def test_boolean_search(self):
+        engine = TextEngine()
+        engine.add_document("d1", "sepsis ventilator")
+        engine.add_document("d2", "stable recovery")
+        engine.add_document("d3", "sepsis stable")
+        assert engine.boolean_search(["sepsis", "stable"]) == {"d3"}
+        assert engine.boolean_search(["ventilator", "recovery"], mode="or") == {"d1", "d2"}
+        assert engine.boolean_search([]) == set()
 
     def test_remove_document(self):
         engine = TextEngine()

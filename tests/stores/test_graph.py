@@ -43,6 +43,15 @@ class TestGraphStructure:
         assert set(graph.neighbors("emergency", "transfer")) == {"icu", "general"}
         assert graph.degree("recovery") == 2
 
+    def test_edges_and_incoming_filter_by_label(self, ward_graph: GraphEngine):
+        graph = ward_graph.graph
+        assert len(list(graph.edges())) == 6
+        assert {(e.source, e.target) for e in graph.edges("admitted_to")} == \
+            {("p1", "emergency")}
+        assert {e.source for e in graph.incoming("recovery")} == {"general", "surgery"}
+        assert graph.incoming("emergency", "transfer") == []
+        assert [e.source for e in graph.incoming("emergency", "admitted_to")] == ["p1"]
+
 
 class TestQueries:
     def test_shortest_path_unweighted(self, ward_graph: GraphEngine):

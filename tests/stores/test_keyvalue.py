@@ -38,6 +38,12 @@ class TestSSTable:
         sstable = SSTable([(f"k{i}", i) for i in range(10)])
         assert [v for _, v in sstable.range("k2", "k5")] == [2, 3, 4]
 
+    def test_key_bounds(self):
+        sstable = SSTable([("apple", 1), ("kiwi", 2), ("pear", 3)])
+        assert (sstable.min_key, sstable.max_key) == ("apple", "pear")
+        empty = SSTable([])
+        assert (empty.min_key, empty.max_key, len(empty)) == (None, None, 0)
+
     def test_merge_prefers_newer_and_drops_tombstones(self):
         old = SSTable([("a", 1), ("b", 2)])
         new = SSTable([("a", 10), ("b", TOMBSTONE)])

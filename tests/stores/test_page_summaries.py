@@ -24,7 +24,6 @@ from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import QueryError
 from repro.ir.nodes import Operator
 from repro.middleware.adapters import adapter_for
-from repro.middleware.optimizer.cost_model import CostModel
 from repro.stores.changelog import table_scope
 from repro.stores.relational import RelationalEngine
 from repro.stores.relational.expressions import (
@@ -312,11 +311,6 @@ class TestAStatementCostsThePagesThatCanMatch:
         assert record.rows_in == 256 + self.ROWS % 256
         assert record.rows_out == 1
         assert record.bytes_out == result.estimated_bytes() < self.SCHEMA.row_width()
-        # The cost model prices a scan by the rows it examined.
-        model = CostModel()
-        assert model.calibrate([record], smoothing=1.0) == 1
-        assert model.row_costs["scan"] == pytest.approx(
-            record.wall_time_s / record.rows_in)
 
 
 class TestTheScanLeafFiltersBeforeItProjects:

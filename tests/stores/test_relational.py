@@ -155,6 +155,18 @@ class TestEngine:
         result = relational_engine.range_lookup("patients", "age", 50, 80)
         assert sorted(result.column("age")) == [51, 64, 72]
 
+    def test_insert_dicts_orders_by_schema_and_nulls_missing_keys(
+            self, relational_engine: RelationalEngine):
+        inserted = relational_engine.insert_dicts("patients", [
+            {"name": "kathleen", "pid": 6, "score": 0.5, "age": 40},
+            {"pid": 7, "age": 29},
+        ])
+        assert inserted == 2
+        rows = [row for row in relational_engine.scan("patients").to_dicts()
+                if row["pid"] >= 6]
+        assert rows == [{"pid": 6, "age": 40, "name": "kathleen", "score": 0.5},
+                        {"pid": 7, "age": 29, "name": None, "score": None}]
+
     def test_top_k(self, relational_engine: RelationalEngine):
         result = relational_engine.top_k("patients", "score", 2)
         assert result.column("score") == [0.9, 0.7]

@@ -93,6 +93,23 @@ class TestEngineSurface:
         batches = list(engine.stream("hr/1", batch_size=30))
         assert [len(b) for b in batches] == [30, 30, 30, 10]
 
+    def test_series_bounds_and_values(self, engine: TimeseriesEngine):
+        series = engine.series("hr/1")
+        assert (series.start, series.end) == (0.0, 99.0)
+        assert series.values()[:3] == [60.0, 61.0, 62.0]
+        empty = engine.series("bp/1")
+        assert (empty.start, empty.end, empty.values()) == (None, None, [])
+
+    def test_downsample_and_moving_average_read_the_stored_series(
+            self, engine: TimeseriesEngine):
+        points = engine.query_range("hr/1")
+        assert engine.downsample("hr/1", 10) == downsample(points, 10)
+        assert [p.timestamp for p in engine.downsample("hr/1", 10)] == \
+            [float(i) for i in range(0, 100, 10)]
+        smoothed = engine.moving_average("hr/1", 10)
+        assert smoothed == moving_average(points, 10)
+        assert all(p.value == 64.5 for p in smoothed[9:])
+
     def test_summarize(self, engine: TimeseriesEngine):
         summary = engine.summarize("hr/2")
         assert summary["count"] == 50.0

@@ -1,0 +1,105 @@
+"""Two end-to-end paths no suite workload or example drives.
+
+    PYTHONPATH=src python3 tools/scenarios.py serve   # every protocol op over TCP
+    PYTHONPATH=src python3 tools/scenarios.py crash   # durable writes, a kill, a reopen
+
+``serve`` starts a server on a loopback port and sends ``execute``,
+``cancel`` (of a request still running), ``metrics``, ``programs``,
+``stats``, ``ping`` and ``health`` through a :class:`TcpClient`.  ``crash``
+writes to a durable relational engine, kills it at the ``wal.append`` fault
+point, reopens the data directory and checks that the recovered table is the
+one written before the kill.  Each exits non-zero if an answer is wrong;
+``tools/unreached.py`` runs both under call tracing.
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+import threading
+import time
+
+from repro import DataflowProgram, Param, PolystorePlusPlus, SystemConfig, col
+from repro.core import build_cpu_polystore
+from repro.datamodel import DataType, Table, make_schema
+from repro.durability import InjectedFault, faults
+from repro.serve.client import ServeError, TcpClient
+from repro.stores import RelationalEngine
+
+SCHEMA = make_schema(("pid", DataType.INT), ("age", DataType.INT))
+ROWS = [(pid, 20 + pid % 60) for pid in range(200)]
+
+
+def _program(system, name, source):
+    program = DataflowProgram(name)
+    program.output("result", source(system.dataset("db").table("patients")))
+    return program
+
+
+def serve() -> None:
+    engine = RelationalEngine("db")
+    engine.load_table("patients", Table(SCHEMA, ROWS))
+    system = build_cpu_polystore([engine], config=SystemConfig(obs_enabled=True))
+
+    def slow(table):
+        time.sleep(0.5)
+        return table
+
+    with system.serve(pool_size=2) as server:
+        server.register("over", _program(
+            system, "over", lambda d: d.filter(col("age") > Param("min_age", default=0))))
+        # The trailing filter is the cancellation checkpoint after the UDF.
+        server.register("slow", _program(
+            system, "slow", lambda d: d.apply(slow).filter(col("age") >= 0)))
+        with TcpClient(*server.address) as tcp:
+            assert tcp.ping(timeout=30)
+            rows = tcp.execute("over", {"min_age": 70}, timeout=30)["outputs"]["result"]["rows"]
+            assert sorted(map(tuple, rows)) == [row for row in ROWS if row[1] > 70]
+            codes: list[str] = []
+
+            def run_slow() -> None:
+                try:
+                    tcp.execute("slow", request_id="slow-1", timeout=30)
+                except ServeError as exc:
+                    codes.append(exc.code)
+
+            worker = threading.Thread(target=run_slow)
+            worker.start()
+            time.sleep(0.1)
+            assert tcp.cancel("slow-1", timeout=30)
+            worker.join(30)
+            assert codes == ["CANCELLED"]
+            assert sorted(tcp.programs(timeout=30)) == ["over", "slow"]
+            assert "polystore_serve_requests_total" in tcp.metrics(timeout=30)
+            assert tcp.stats(timeout=30)
+            assert tcp.health(timeout=30)["status"] in ("ok", "warn", "fail")
+    system.close()
+
+
+def crash() -> None:
+    with tempfile.TemporaryDirectory(prefix="scenario-crash-") as data_dir:
+        system = PolystorePlusPlus(SystemConfig(
+            data_dir=data_dir, durability_sync="always", durability_snapshot_every=8))
+        db = system.register_engine(RelationalEngine("db"))
+        db.create_table("patients", SCHEMA)
+        for start in range(0, len(ROWS), 10):
+            db.insert("patients", ROWS[start:start + 10])
+        db.update_rows("patients", col("pid") == 7, {"age": 99})
+        db.delete_rows("patients", col("pid") < 5)
+        expected = sorted(db.snapshot_scan("patients")[0].rows)
+        faults.arm("wal.append")
+        try:
+            db.insert("patients", [(999, 1)])
+            raise AssertionError("the armed fault point did not fire")
+        except InjectedFault:
+            pass
+
+        reborn = PolystorePlusPlus(data_dir=data_dir)
+        reborn.register_engine(RelationalEngine("db"))
+        recovered = reborn.execute(_program(reborn, "all", lambda d: d)).output("result")
+        assert sorted(recovered.rows) == expected
+        reborn.close()
+
+
+if __name__ == "__main__":
+    {"serve": serve, "crash": crash}[sys.argv[1]]()

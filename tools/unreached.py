@@ -3,10 +3,12 @@
     python3 tools/unreached.py [--functions]
 
 Runs, under call tracing, the four suite workloads (``--seconds 2`` at
-``--trace 0`` and ``--trace 1``), the seven ``examples/*.py`` and the tier-1
-tests, then prints per module how many function lines were entered by no
-workload or example, and how many by nothing at all (``--functions`` also
-names the functions nothing entered).  Evidence for ROADMAP's "Delete by
+``--trace 0`` and ``--trace 1``), the seven ``examples/*.py``, the two
+``tools/scenarios.py`` paths (every serve protocol op over TCP; durable
+writes, a fault-point kill and a reopen) and the tier-1 tests, then prints
+per module how many function lines were entered by no workload, example or
+scenario, and how many by nothing at all (``--functions`` also names the
+functions nothing entered).  Evidence for ROADMAP's "Delete by
 evidence": a function only its own unit test enters is a candidate; so is one
 nothing enters.
 
@@ -116,6 +118,9 @@ def main() -> None:
         served |= traced("examples", [
             [python, path] for path in sorted(glob.glob(os.path.join("examples", "*.py")))],
             work)
+        served |= traced("scenarios", [
+            [python, os.path.join("tools", "scenarios.py"), name] for name in ("serve", "crash")],
+            work)
         tested = traced("tier-1", [[python, "-m", "pytest", "-q", "-p", "no:cacheprovider"]],
                         work)
     rows, idle = [], []
@@ -130,11 +135,11 @@ def main() -> None:
                     unentered += lines
                     idle.append((module, name, lines))
         rows.append((module, total, unserved, unentered))
-    print(f"{'module':<44}{'lines':>11}{'no workload/example':>21}{'nothing':>9}")
+    print(f"{'module':<44}{'lines':>11}{'no workload/example/scenario':>30}{'nothing':>9}")
     for module, total, unserved, unentered in sorted(rows, key=lambda r: (-r[2], r[0])):
         if unserved:
-            print(f"{module:<44}{total:>11}{unserved:>21}{unentered:>9}")
-    print(f"{'total':<44}{sum(r[1] for r in rows):>11}{sum(r[2] for r in rows):>21}"
+            print(f"{module:<44}{total:>11}{unserved:>30}{unentered:>9}")
+    print(f"{'total':<44}{sum(r[1] for r in rows):>11}{sum(r[2] for r in rows):>30}"
           f"{sum(r[3] for r in rows):>9}   ({len(idle)} functions entered by nothing)")
     if "--functions" in sys.argv[1:]:
         for module, name, lines in idle:
