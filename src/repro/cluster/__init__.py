@@ -14,16 +14,13 @@ from repro.cluster.partition import (
     canonical_key,
 )
 from repro.cluster.rebalance import RebalanceReport, ShardRebalancer
-from repro.cluster.scatter import (
-    ScatterExecution,
-    ScatterGather,
-    ShardedValue,
-    combine_partial_aggregates,
-    decompose_aggregates,
-    gather,
-)
+from repro.cluster.scatter import ScatterExecution, ScatterGather, ShardedValue, gather
 from repro.cluster.sharded import PARTITIONABLE_MODELS, ShardedEngine, ShardPayload
 from repro.cluster.adapter import ShardedAdapter
+from repro.stores.relational.operators import (
+    combine_partial_aggregates,
+    decompose_aggregates,
+)
 
 __all__ = [
     "Partitioner",

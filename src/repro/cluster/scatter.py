@@ -11,9 +11,10 @@ Three operator classes are handled:
   explicit keys) are *routed* to the owning shard(s) instead of broadcast.
 * **partition-wise operators** (``filter``, ``project``) apply to each
   partition independently and stay sharded.
-* **merging operators** reassemble one value: ``aggregate`` computes
-  per-shard *partial* aggregates and folds them in the generated aggregate
-  loop (``avg`` decomposes into ``sum``/``count``), ``sort`` merges
+* **merging operators** reassemble one value: ``aggregate`` folds per-shard
+  *partial* aggregates in the generated aggregate loop (``avg`` decomposes
+  into ``sum``/``count``) — computed by each shard's scan when the compiler
+  fused the two, by an aggregate per partition otherwise — ``sort`` merges
   per-shard sorted runs in order, ``limit``/``top_k``/``text_search``
   re-apply their cut after concatenation.
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Callable, Sequence
 
 from repro.cancellation import CancellationToken
@@ -43,15 +43,14 @@ from repro.datamodel.table import Row, Table
 from repro.middleware.adapters import Adapter, adapter_for
 from repro.obs import Observability
 from repro.ir.kinds import KINDS
-from repro.ir.nodes import Operator
+from repro.ir.nodes import COMBINE_PARTIALS, Operator
 from repro.stores.base import Engine
 from repro.stores.relational.operators import (
-    AggregateSpec,
     TableScan,
     TopK,
-    aggregate_dtype,
-    aggregate_kernel,
     column_reader,
+    combine_partial_aggregates,
+    decompose_aggregates,
 )
 
 @dataclass(frozen=True)
@@ -304,19 +303,24 @@ class ScatterGather:
     def _execute_partial_aggregate(self, engine: ShardedEngine, node: Operator,
                                    sharded: ShardedValue) -> ScatterExecution:
         group_by = list(node.params.get("group_by") or [])
-        aggregates = list(node.params.get("aggregates") or [])
-        partial_specs, combines = decompose_aggregates(aggregates)
-        partial_node = node.copy()
-        partial_node.params = dict(node.params, group_by=group_by,
-                                   aggregates=partial_specs)
-        results = self._per_partition(engine, partial_node, sharded)
-        parts = [value for value, _ in results]
-        times = [cpu for _, cpu in results]
+        combines = node.annotations.get(COMBINE_PARTIALS)
+        if combines is not None:
+            # Each shard's scan already folded its rows into partials.
+            parts, times = list(sharded.parts), []
+        else:
+            partial_specs, combines = decompose_aggregates(
+                list(node.params.get("aggregates") or []))
+            partial_node = node.copy()
+            partial_node.params = dict(node.params, group_by=group_by,
+                                       aggregates=partial_specs)
+            results = self._per_partition(engine, partial_node, sharded)
+            parts = [value for value, _ in results]
+            times = [cpu for _, cpu in results]
         merge_start = time.thread_time()
         merged = combine_partial_aggregates(parts, group_by, combines)
         merge_s = time.thread_time() - merge_start
         return ScatterExecution(merged, max(times, default=0.0) + merge_s, {
-            "shards": len(results), "fan_out": "serial",
+            "shards": len(parts), "fan_out": "serial",
             "merge": "aggregate_combine", "shard_times_s": times,
         })
 
@@ -382,135 +386,6 @@ def _leaf_order_column(node: Operator) -> str | None:
     if node.kind == "kv_range" or (node.kind == "kv_get"
                                    and not node.params.get("keys")):
         return str(node.params.get("key_column", "key"))
-    return None
-
-
-# -- partial aggregates ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CombineSpec:
-    """How one output aggregate combines from per-shard partial columns."""
-
-    alias: str
-    function: str
-    partials: tuple[str, ...]
-    #: Source column the aggregate reads (``None`` for ``count(*)``); the
-    #: empty-result path derives the output column's dtype from it.
-    column: str | None = None
-
-
-def decompose_aggregates(aggregates: Sequence[AggregateSpec]
-                         ) -> tuple[list[AggregateSpec], list[CombineSpec]]:
-    """Split aggregates into shard-local partials plus combine rules.
-
-    ``sum``/``count``/``min``/``max`` are algebraic and combine with
-    themselves; ``avg`` decomposes into a shard-local ``sum`` and ``count``.
-    """
-    partials: list[AggregateSpec] = []
-    combines: list[CombineSpec] = []
-    for position, spec in enumerate(aggregates):
-        if spec.function == "avg":
-            sum_alias = f"__p{position}_sum"
-            count_alias = f"__p{position}_count"
-            partials.append(AggregateSpec("sum", spec.column, sum_alias))
-            partials.append(AggregateSpec("count", spec.column, count_alias))
-            combines.append(CombineSpec(spec.alias, "avg", (sum_alias, count_alias),
-                                        spec.column))
-        else:
-            partial_alias = f"__p{position}_{spec.function}"
-            partials.append(AggregateSpec(spec.function, spec.column, partial_alias))
-            combines.append(CombineSpec(spec.alias, spec.function, (partial_alias,),
-                                        spec.column))
-    return partials, combines
-
-
-#: How a partial column folds across shards: counts (``avg``'s too) sum;
-#: ``sum`` / ``min`` / ``max`` fold with themselves.
-_FOLDS = {"count": "sum", "avg": "sum"}
-
-
-def combine_partial_aggregates(parts: Sequence[Table], group_by: Sequence[str],
-                               combines: Sequence[CombineSpec]) -> Table:
-    """Merge per-shard partial-aggregate tables into the final result.
-
-    The partial rows, in shard order, run through the generated aggregate
-    loop (:func:`~repro.stores.relational.operators.aggregate_kernel`)
-    grouped by the same columns, each partial column folded as
-    :data:`_FOLDS` says; an ``avg`` then divides its summed ``sum`` by its
-    summed ``count``.  Groups keep their first-seen order, and SQL null
-    semantics are preserved (``sum``/``min``/``max`` over no non-null values
-    stay ``None``).  The result's schema comes from the partials' plan-typed
-    schemas and the combine rules, never from the combined values.
-
-    Every partial row is laid out as ``group_by`` then the partials in
-    ``combines`` order: each shard ran the same ``aggregate`` node with the
-    :func:`decompose_aggregates` specs.
-    """
-    names = (*group_by, *(name for combine in combines for name in combine.partials))
-    # Only positions matter to the loop; dtypes come from _aggregate_schema.
-    layout = Schema([Column(name, DataType.FLOAT) for name in names])
-    folds = tuple(AggregateSpec(_FOLDS.get(combine.function, combine.function),
-                                name, name)
-                  for combine in combines for name in combine.partials)
-    fold, _ = aggregate_kernel(layout, tuple(group_by), folds)
-    finish = _finisher(len(group_by), combines)
-    rows = [finish(row) for row in fold(chain.from_iterable(part.rows for part in parts))]
-    return Table.wrap(_aggregate_schema(parts, group_by, combines), rows)
-
-
-def _finisher(width: int, combines: Sequence[CombineSpec]
-              ) -> Callable[[Row], Row]:
-    """``folded row -> result row``: ``avg`` divides; a count over no
-    partial row (a global aggregate over nothing) is ``0``, not ``None``."""
-    steps: list[tuple[str, int]] = []
-    at = width
-    for combine in combines:
-        steps.append((combine.function, at))
-        at += len(combine.partials)
-
-    def finish(row: Row) -> Row:
-        out = list(row[:width])
-        for function, at in steps:
-            value = row[at]
-            if function == "avg":
-                count = row[at + 1]
-                value = value / count if count else None
-            elif function == "count" and value is None:
-                value = 0
-            out.append(value)
-        return tuple(out)
-
-    return finish
-
-
-def _aggregate_schema(parts: Sequence[Table], group_by: Sequence[str],
-                      combines: Sequence[CombineSpec]) -> Schema:
-    """Typed schema of a combined-aggregate result.
-
-    Group columns take their dtype from whichever shard partial carries
-    them.  Aggregate columns follow the single-node rule
-    (:func:`~repro.stores.relational.operators.aggregate_dtype`) applied to
-    the partial column, whose own plan-typed dtype already derives from the
-    source column (``min``/``max`` preserve it, ``sum`` of ints stays int).
-    """
-    columns: list[Column] = []
-    for name in group_by:
-        columns.append(_part_column(parts, name) or Column(name, DataType.STRING))
-    for combine in combines:
-        source = _part_column(parts, combine.partials[0]) \
-            or _part_column(parts, combine.column)
-        columns.append(Column(combine.alias,
-                              aggregate_dtype(combine.function, source)))
-    return Schema(columns)
-
-
-def _part_column(parts: Sequence[Table], name: str | None) -> Column | None:
-    if name is None:
-        return None
-    for part in parts:
-        if name in part.schema:
-            return part.schema[name]
     return None
 
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.catalog import Catalog
 from repro.ir.graph import IRGraph
 from repro.ir.kinds import KINDS
-from repro.ir.nodes import Operator
+from repro.ir.nodes import COMBINE_PARTIALS, PARTIAL_AGGREGATE, Operator
 from repro.stores.relational.expressions import Expression
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the layering acyclic
@@ -75,8 +75,12 @@ def _estimate_rows(graph: IRGraph, node: Operator, catalog: Catalog | None) -> i
         # hand-built (predicate-less) seek uses the flat 1/100 factor.
         predicate = node.params.get("predicate")
         if isinstance(predicate, Expression):
-            return max(1, int(rows * predicate.estimated_selectivity()))
-        return rows if kind == "scan" else max(1, rows // 100)
+            rows = max(1, int(rows * predicate.estimated_selectivity()))
+        elif kind == "index_seek":
+            rows = max(1, rows // 100)
+        partial = node.annotations.get(PARTIAL_AGGREGATE)
+        # A scan that aggregates returns what the aggregate above it would.
+        return rows if partial is None else _aggregate_rows(rows, partial[0])
     if kind == "filter":
         predicate = node.params.get("predicate")
         selectivity = predicate.estimated_selectivity() \
@@ -86,10 +90,9 @@ def _estimate_rows(graph: IRGraph, node: Operator, catalog: Catalog | None) -> i
         left, right = (input_rows + [1, 1])[:2]
         return max(1, int(left * right * _JOIN_SELECTIVITY), min(left, right))
     if kind == "aggregate":
-        group_by = node.params.get("group_by") or []
-        if not group_by:
-            return 1
-        return max(1, input_rows[0] // 10)
+        if COMBINE_PARTIALS in node.annotations:
+            return input_rows[0]  # one row per partial group, estimated below
+        return _aggregate_rows(input_rows[0], node.params.get("group_by"))
     if kind == "limit":
         return min(input_rows[0], int(node.params.get("n", input_rows[0])))
     if kind == "top_k":
@@ -108,6 +111,10 @@ def _estimate_rows(graph: IRGraph, node: Operator, catalog: Catalog | None) -> i
     if kind == "union":
         return sum(input_rows) if input_rows else _DEFAULT_ROWS
     return input_rows[0] if input_rows else _DEFAULT_ROWS
+
+
+def _aggregate_rows(input_rows: int, group_by: object) -> int:
+    return max(1, input_rows // 10) if group_by else 1
 
 
 def _scan_rows(node: Operator, catalog: Catalog | None) -> int:

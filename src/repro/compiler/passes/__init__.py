@@ -2,7 +2,7 @@
 
 from repro.compiler.passes.cse import eliminate_common_subexpressions
 from repro.compiler.passes.dce import eliminate_dead_code
-from repro.compiler.passes.fusion import fuse_operators
+from repro.compiler.passes.fusion import fold_aggregates_into_scans, fuse_operators
 from repro.compiler.passes.join_reorder import choose_join_algorithms, reorder_joins
 from repro.compiler.passes.placement import place_accelerators
 from repro.compiler.passes.pushdown import (
@@ -18,6 +18,7 @@ __all__ = [
     "predicate_key_values",
     "infer_columns",
     "fuse_operators",
+    "fold_aggregates_into_scans",
     "eliminate_dead_code",
     "eliminate_common_subexpressions",
     "reorder_joins",

@@ -7,13 +7,18 @@ Three fusions are implemented:
 * adjacent filters become one filter with an AND-combined predicate,
 * adjacent projections keep only the outermost column list,
 * a projection directly above a scan is folded into the scan's column list
-  (so the engine never materializes dropped columns).
+  (so the engine never materializes dropped columns),
+* a group-aggregate directly above a scan is folded into the scan's page
+  walk (:func:`fold_aggregates_into_scans`; so the engine never materializes
+  the rows it aggregates).
 """
 
 from __future__ import annotations
 
 from repro.ir.graph import IRGraph
+from repro.ir.nodes import COMBINE_PARTIALS, PARTIAL_AGGREGATE, Operator
 from repro.stores.relational.expressions import Expression, and_
+from repro.stores.relational.operators import AggregateSpec, decompose_aggregates
 
 
 def fuse_operators(graph: IRGraph) -> int:
@@ -101,3 +106,69 @@ def _fuse_project_into_scan(graph: IRGraph) -> int:
         graph.prune(lambda n, dead=node.op_id: n.op_id != dead)
         fused += 1
     return fused
+
+
+def fold_aggregates_into_scans(graph: IRGraph) -> int:
+    """Fold each group-aggregate into the relational scan only it reads.
+
+    The scan's page walk folds the rows it selects into one partial row per
+    group (:func:`~repro.stores.relational.operators.decompose_aggregates`:
+    ``avg`` as ``sum`` and ``count``) and the aggregate combines the
+    partials — one part on a single engine, one per shard on a sharded one.
+    Count, sum, min and max partials fold exactly (DBSP linearity), so the
+    answer, its group order and its schema are the unfused plan's.
+
+    Both nodes stay and keep their parameters: the decision is the
+    :data:`~repro.ir.nodes.PARTIAL_AGGREGATE` annotation on the scan and
+    :data:`~repro.ir.nodes.COMBINE_PARTIALS` on the aggregate.  It is a
+    function of the plan's structure, so plan fingerprints do not record it.
+    The scan must be the aggregate's sole input on the same engine, read by
+    nothing else, not a program output, and — if it projects — keep every
+    column the aggregate reads.  A filter left between the two (pushdown
+    off) joins the scan's predicate first.  Returns the aggregates folded.
+    """
+    fused = 0
+    for node in list(graph.nodes()):
+        if node.kind != "aggregate" or len(node.inputs) != 1:
+            continue
+        group_by = list(node.params.get("group_by") or [])
+        aggregates = list(node.params.get("aggregates") or [])
+        if not all(isinstance(spec, AggregateSpec) for spec in aggregates):
+            continue
+        reads = {*group_by, *(spec.column for spec in aggregates if spec.column)}
+        child = _sole_input(graph, node)
+        if child is not None and child.kind == "filter" and len(child.inputs) == 1:
+            predicate = child.params.get("predicate")
+            scan = _sole_input(graph, child)
+            if (isinstance(predicate, Expression) and scan is not None
+                    and _scan_keeps(scan, reads | predicate.referenced_columns())):
+                existing = scan.params.get("predicate")
+                scan.params["predicate"] = (and_(existing, predicate)
+                                            if isinstance(existing, Expression)
+                                            else predicate)
+                graph.remove(child.op_id)
+                child = scan
+        if child is None or not _scan_keeps(child, reads):
+            continue
+        partials, combines = decompose_aggregates(aggregates)
+        child.annotations[PARTIAL_AGGREGATE] = (tuple(group_by), tuple(partials))
+        node.annotations[COMBINE_PARTIALS] = tuple(combines)
+        fused += 1
+    return fused
+
+
+def _sole_input(graph: IRGraph, node: Operator) -> Operator | None:
+    """``node``'s input if only ``node`` reads it, on the same engine, and it
+    is not a program output."""
+    child = graph.node(node.inputs[0])
+    if (child.engine != node.engine or child.op_id in graph.outputs
+            or len(graph.consumers(child.op_id)) != 1):
+        return None
+    return child
+
+
+def _scan_keeps(node: Operator, reads: set[str]) -> bool:
+    """Whether ``node`` is a relational scan whose rows carry ``reads``."""
+    columns = node.params.get("columns")
+    return (node.kind == "scan" and not node.inputs
+            and (not columns or reads <= set(columns)))

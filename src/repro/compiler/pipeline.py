@@ -22,6 +22,7 @@ from repro.compiler.passes import (
     choose_join_algorithms,
     eliminate_common_subexpressions,
     eliminate_dead_code,
+    fold_aggregates_into_scans,
     fuse_operators,
     push_down_filters,
     reorder_joins,
@@ -144,6 +145,9 @@ class Compiler:
             # leaf reads into the leaves as structured predicates (enables
             # engine-side evaluation and shard pruning).
             result.pass_counts["absorb"] = absorb_into_leaves(graph, self.catalog)
+        if opts.fusion:
+            # After absorption, so the scan's page walk already filters.
+            result.pass_counts["aggregate_into_scan"] = fold_aggregates_into_scans(graph)
         annotate_graph(graph, self.catalog, self.stats)
         if opts.join_reorder:
             result.pass_counts["join_reorder"] = reorder_joins(graph)

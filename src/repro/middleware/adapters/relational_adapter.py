@@ -3,7 +3,8 @@
 Two execution modes per operator:
 
 * *native* — leaf operators (``scan``, ``index_seek``) call straight into the
-  engine's storage and indexes.
+  engine's storage and indexes; a ``scan`` an aggregate was fused into returns
+  the partials that aggregate then combines.
 * *federated* — non-leaf operators receive already-materialized tables
   (possibly migrated from other engines) and are evaluated with the same
   physical operators the engine itself uses, so semantics match regardless of
@@ -15,10 +16,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.exceptions import AdapterError
-from repro.ir.nodes import Operator
+from repro.ir.nodes import COMBINE_PARTIALS, PARTIAL_AGGREGATE, Operator
 from repro.middleware.adapters.base import Adapter
 from repro.stores.relational.engine import RelationalEngine
 from repro.stores.relational.expressions import Expression
+from repro.stores.relational.operators import combine_partial_aggregates
 
 
 class RelationalAdapter(Adapter):
@@ -42,9 +44,19 @@ class RelationalAdapter(Adapter):
             # A structured predicate absorbed by the pushdown pass evaluates
             # engine-side, on full rows inside the page walk and before the
             # projection; nothing unfiltered crosses the adapter boundary.
-            return self.engine.scan(
-                str(node.params["table"]), list(columns) if columns else None,
-                predicate if isinstance(predicate, Expression) else None)
+            args = (str(node.params["table"]), list(columns) if columns else None,
+                    predicate if isinstance(predicate, Expression) else None)
+            partial = node.annotations.get(PARTIAL_AGGREGATE)
+            # Named only when set: a subclass overriding scan's three-argument
+            # form keeps serving plain scans.
+            return (self.engine.scan(*args) if partial is None
+                    else self.engine.scan(*args, partial=partial))
+        if kind == "aggregate" and COMBINE_PARTIALS in node.annotations:
+            self._require_inputs(node, inputs, 1)
+            return combine_partial_aggregates(
+                [self._as_table(inputs[0], node)],
+                list(node.params.get("group_by") or []),
+                node.annotations[COMBINE_PARTIALS])
         if kind == "index_seek":
             # A seek converted from a predicated scan: the residual conjuncts
             # (and the cheap equality re-check) and the projection apply

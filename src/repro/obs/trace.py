@@ -93,6 +93,24 @@ class _SpanScope:
         self._tracer._finish(self.span, self._previous)
 
 
+class _UnsampledScope:
+    """A sampled-out request: marks its thread while open, so a request
+    nested in it (a ``serve:`` request's ``request:`` run) records nothing
+    and makes no second sampling decision.  The mark goes on exit, raising
+    or not."""
+
+    __slots__ = ("_local",)
+
+    def __init__(self, local: threading.local) -> None:
+        self._local = local
+
+    def __enter__(self) -> None:
+        self._local.unsampled = True
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._local.unsampled = False
+
+
 class Tracer:
     """Per-deployment span factory, sampler and ring buffer."""
 
@@ -119,21 +137,24 @@ class Tracer:
 
     # -- span creation -------------------------------------------------------------------
 
-    def request(self, name: str, **attrs: Any) -> _SpanScope:
+    def request(self, name: str, **attrs: Any) -> _SpanScope | _UnsampledScope:
         """Open a root (request) span, subject to the sampling decision.
 
-        A sampled-out request returns a no-op scope: nothing is recorded
-        and no thread-local state is installed, so every downstream
-        :meth:`span` call short-circuits on "no current span".  When called
-        while a trace is already active on this thread, the new span simply
-        nests (no second sampling decision) — a one-shot ``execute`` whose
-        prepare and run both open request scopes produces one tree.
+        A sampled-out request returns a scope that records nothing and
+        installs no span, so every downstream :meth:`span` call
+        short-circuits on "no current span".  A request opened inside
+        another makes no second sampling decision: inside a sampled one it
+        nests — a one-shot ``execute`` whose prepare and run both open
+        request scopes produces one tree — and inside a sampled-out one it
+        records nothing either.
         """
         if not self.enabled:
             return _SpanScope(self, None, None)
         current = self._current_span()
         if current is not None:
             return self.span(name, "session", **attrs)
+        if getattr(self._local, "unsampled", False):
+            return _SpanScope(self, None, None)  # inside a sampled-out request
         with self._lock:
             self.requests_seen += 1
             sampled = (self.sample_rate >= 1.0
@@ -141,7 +162,7 @@ class Tracer:
             if sampled:
                 self.requests_sampled += 1
         if not sampled:
-            return _SpanScope(self, None, None)
+            return _UnsampledScope(self._local)
         span = Span(name, "session", trace_id=next(_ids), parent_id=None,
                     attrs=attrs)
         self._set_current(span)

@@ -20,7 +20,13 @@ from repro.stores.changelog import table_scope
 from repro.stores.relational import kernels
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.index import HashIndex, SortedIndex
-from repro.stores.relational.operators import TableScan, TopK, build_operator
+from repro.stores.relational.operators import (
+    AggregateSpec,
+    TableScan,
+    TopK,
+    aggregate_kernel,
+    build_operator,
+)
 from repro.stores.relational.sql import lower_select, parse_select
 from repro.stores.relational.storage import HeapStorage
 
@@ -340,14 +346,31 @@ class RelationalEngine(Engine):
     # -- direct native operations (used by the adapter) ---------------------------------
 
     def scan(self, table: str, columns: Sequence[str] | None = None,
-             predicate: Expression | None = None) -> Table:
+             predicate: Expression | None = None,
+             partial: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None
+             ) -> Table:
         """The rows of a table satisfying ``predicate`` (all, without one), cut
         down to ``columns`` if given: filtered and projected page by page in one
-        pass (:meth:`HeapStorage.select`)."""
+        pass (:meth:`HeapStorage.select`).
+
+        With ``partial`` — ``(group_by, aggregates)`` — the same pass folds
+        the rows into one row per group instead, groups in first-seen order
+        (:func:`~repro.stores.relational.operators.aggregate_kernel`): the
+        partials an aggregate fused into this scan combines.  The rows are
+        read before any projection, so ``columns`` only has to exist.
+        """
         stored = self._stored(table)
         with self.metrics.timed(self.name, "scan", table=table) as timer:
             schema = stored.schema if columns is None else stored.schema.project(columns)
-            rows, timer.rows_in, examined, pages = stored.heap.select(predicate, columns)
+            if partial is None:
+                rows, timer.rows_in, examined, pages = stored.heap.select(predicate, columns)
+            else:
+                chunks, pages = stored.heap.candidates(predicate)
+                fold, schema = aggregate_kernel(
+                    stored.schema, tuple(partial[0]), tuple(partial[1]),
+                    predicate if pages else None)  # over no page, bind nothing
+                rows = fold(chunks)
+                timer.rows_in, examined = sum(map(len, chunks)), len(chunks)
             result = Table.wrap(schema, rows)
             timer.rows_out = len(result)
             timer.bytes_out = result.estimated_bytes()

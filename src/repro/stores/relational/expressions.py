@@ -426,8 +426,8 @@ def page_test(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | 
             values = (other.value,)
         else:
             break
-        if not isinstance(subject, ColumnRef):
-            break
+        if not isinstance(subject, ColumnRef) or subject.name not in schema:
+            break  # an unknown column is the walk's QueryError, as a filter's
         checks.append((schema.index_of(subject.name), op, values))
     if not checks:
         return None

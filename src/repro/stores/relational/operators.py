@@ -275,7 +275,7 @@ class GroupByAggregate(PhysicalOperator):
             child.schema, tuple(group_by), tuple(aggregates))
 
     def rows(self) -> list[Row]:
-        return self._kernel(self._child.rows())
+        return self._kernel((self._child.rows(),))
 
 
 class TopK(PhysicalOperator):
@@ -359,16 +359,50 @@ _ACCUMULATORS = {
     "max": (["None"], "s = a[{i}]\nif s is None or v > s: a[{i}] = v", "a[{i}]"),
 }
 
+#: ``chunks -> output rows`` over lists of rows, and the output schema.
+AggregateKernel = tuple[Callable[[Iterable[Iterable[Row]]], list[Row]], Schema]
+
+
+def aggregate_kernel(source: Schema, group_by: tuple[str, ...],
+                     aggregates: tuple[AggregateSpec, ...],
+                     predicate: Expression | None = None) -> AggregateKernel:
+    """What a :class:`GroupByAggregate` derives from its parameters: the output
+    schema, and ``chunks -> output rows`` — one pass over every row of every
+    chunk, one accumulator list per group in a dict keyed by the group, by the
+    bare value when one column groups.
+
+    With ``predicate`` the same loop first tests each row and folds only
+    those that satisfy it: the page walk of a scan that feeds an aggregate
+    (:meth:`~repro.stores.relational.engine.RelationalEngine.scan`).  Only
+    the test is written per call; its literals are arguments of the
+    generated factory, so a new literal compiles nothing.
+    """
+    if predicate is None:
+        return _unfiltered_aggregate_kernel(source, group_by, aggregates)
+    schema, filtered, _ = _aggregate_loop(source, group_by, aggregates)
+    out = kernels.Source(source)
+    test = out.value(predicate, truth=True)
+    return out.kernel("aggregate", "chunks",
+                      f"{_LOOP_HEAD}        if {test}:\n{filtered}"), schema
+
+
+_LOOP_HEAD = "groups = {}\nfind = groups.get\nfor chunk in chunks:\n    for row in chunk:\n"
+
 
 @functools.lru_cache(maxsize=512)
-def aggregate_kernel(source: Schema, group_by: tuple[str, ...],
-                     aggregates: tuple[AggregateSpec, ...]
-                     ) -> tuple[Callable[[Iterable[Row]], list[Row]], Schema]:
-    """What a :class:`GroupByAggregate` derives from its parameters, cached
-    whole (writing the loop costs ~15 µs, more than it takes over 100 rows): the
-    output schema, and ``rows -> output rows`` — one pass, one accumulator list
-    per group in a dict keyed by the group, by the bare value when one column
-    groups.  A sharded aggregate folds its shards' partial rows with it too."""
+def _unfiltered_aggregate_kernel(source: Schema, group_by: tuple[str, ...],
+                                 aggregates: tuple[AggregateSpec, ...]) -> AggregateKernel:
+    schema, _, unfiltered = _aggregate_loop(source, group_by, aggregates)
+    return kernels.Source(source).kernel("aggregate", "chunks",
+                                         _LOOP_HEAD + unfiltered), schema
+
+
+@functools.lru_cache(maxsize=512)
+def _aggregate_loop(source: Schema, group_by: tuple[str, ...],
+                    aggregates: tuple[AggregateSpec, ...]) -> tuple[Schema, str, str]:
+    """The output schema, and the kernel text below the row loop, under a
+    row test and without one: writing it costs ~15 µs, more than the loop
+    takes over a hundred rows.  It reads columns only, so it binds no literal."""
     schema = Schema(
         [source[name] if name in source else Column(name, DataType.STRING)
          for name in group_by]
@@ -394,9 +428,131 @@ def aggregate_kernel(source: Schema, group_by: tuple[str, ...],
     for cell, step in steps.items():
         loop += step if cell is None else \
             f"v = {cell}\nif v is not None:\n{textwrap.indent(step, '    ')}"
-    return out.kernel(
-        "aggregate", "rows",
-        f"groups = {{}}\nfind = groups.get\nfor row in rows:\n{textwrap.indent(loop, '    ')}"
-        + ("" if group_by else f"if not groups: groups[()] = {fresh}\n")
-        + f"return [{'(key,)' if scalar else 'key'} + ({results}) for key, a in groups.items()]"
-    ), schema
+    tail = (("" if group_by else f"if not groups: groups[()] = {fresh}\n")
+            + f"return [{'(key,)' if scalar else 'key'} + ({results}) for key, a in groups.items()]")
+    return (schema, textwrap.indent(loop, " " * 12) + tail,
+            textwrap.indent(loop, " " * 8) + tail)
+
+
+# -- partial aggregates ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CombineSpec:
+    """How one output aggregate combines from partial-aggregate columns."""
+
+    alias: str
+    function: str
+    partials: tuple[str, ...]
+    #: Source column the aggregate reads (``None`` for ``count(*)``); the
+    #: empty-result path derives the output column's dtype from it.
+    column: str | None = None
+
+
+def decompose_aggregates(aggregates: Sequence[AggregateSpec]
+                         ) -> tuple[list[AggregateSpec], list[CombineSpec]]:
+    """Split aggregates into partials plus combine rules.
+
+    ``sum``/``count``/``min``/``max`` are algebraic and combine with
+    themselves; ``avg`` decomposes into a partial ``sum`` and ``count``.
+    """
+    partials: list[AggregateSpec] = []
+    combines: list[CombineSpec] = []
+    for position, spec in enumerate(aggregates):
+        if spec.function == "avg":
+            sum_alias = f"__p{position}_sum"
+            count_alias = f"__p{position}_count"
+            partials.append(AggregateSpec("sum", spec.column, sum_alias))
+            partials.append(AggregateSpec("count", spec.column, count_alias))
+            combines.append(CombineSpec(spec.alias, "avg", (sum_alias, count_alias),
+                                        spec.column))
+        else:
+            partial_alias = f"__p{position}_{spec.function}"
+            partials.append(AggregateSpec(spec.function, spec.column, partial_alias))
+            combines.append(CombineSpec(spec.alias, spec.function, (partial_alias,),
+                                        spec.column))
+    return partials, combines
+
+
+#: How a partial column folds: counts (``avg``'s too) sum; ``sum`` / ``min`` /
+#: ``max`` fold with themselves.
+_FOLDS = {"count": "sum", "avg": "sum"}
+
+
+def combine_partial_aggregates(parts: Sequence[Table], group_by: Sequence[str],
+                               combines: Sequence[CombineSpec]) -> Table:
+    """Merge partial-aggregate tables into the final result.
+
+    The partials come from the shards of a sharded aggregate, or from the
+    page walk of a scan that aggregated what it read.  Their rows, in part
+    order, run through the generated aggregate loop grouped by the same
+    columns, each partial column folded as :data:`_FOLDS` says; an ``avg``
+    then divides its summed ``sum`` by its summed ``count``.  Groups keep
+    their first-seen order, and SQL null semantics are preserved
+    (``sum``/``min``/``max`` over no non-null values stay ``None``).  The
+    result's schema comes from the partials' plan-typed schemas and the
+    combine rules, never from the combined values.
+
+    Every partial row is laid out as ``group_by`` then the partials in
+    ``combines`` order: each part was aggregated with the
+    :func:`decompose_aggregates` specs.
+    """
+    group_by, combines = tuple(group_by), tuple(combines)
+    fold, finish = _combiner(group_by, combines)
+    rows = finish(fold([part.rows for part in parts]))
+    schemas = tuple(part.schema for part in parts)
+    return Table.wrap(_combined_schema(schemas, group_by, combines), rows)
+
+
+@functools.lru_cache(maxsize=512)
+def _combiner(group_by: tuple[str, ...], combines: tuple[CombineSpec, ...]
+              ) -> tuple[Callable[[Iterable[Iterable[Row]]], list[Row]],
+                         Callable[[list[Row]], list[Row]]]:
+    """The fold over partial rows and the finisher, for one shape."""
+    names = (*group_by, *(name for combine in combines for name in combine.partials))
+    # Only positions matter to the loop; dtypes come from _combined_schema.
+    layout = Schema([Column(name, DataType.FLOAT) for name in names])
+    folds = tuple(AggregateSpec(_FOLDS.get(combine.function, combine.function),
+                                name, name)
+                  for combine in combines for name in combine.partials)
+    fold, _ = aggregate_kernel(layout, group_by, folds)
+    return fold, _finisher(len(group_by), combines)
+
+
+def _finisher(width: int, combines: Sequence[CombineSpec]
+              ) -> Callable[[list[Row]], list[Row]]:
+    """``folded rows -> result rows``, generated: ``avg`` divides; a count
+    over no partial row (a global aggregate over nothing) is ``0``, not
+    ``None``."""
+    cells = [f"row[{at}]" for at in range(width)]
+    at = width
+    for combine in combines:
+        if combine.function == "avg":
+            cells.append(f"(row[{at}] / row[{at + 1}] if row[{at + 1}] else None)")
+        elif combine.function == "count":
+            cells.append(f"(0 if row[{at}] is None else row[{at}])")
+        else:
+            cells.append(f"row[{at}]")
+        at += len(combine.partials)
+    return kernels.factory("finish", "rows", "return [("
+                           + "".join(cell + "," for cell in cells) + ") for row in rows]", 0)()
+
+
+@functools.lru_cache(maxsize=512)
+def _combined_schema(schemas: tuple[Schema, ...], group_by: tuple[str, ...],
+                     combines: tuple[CombineSpec, ...]) -> Schema:
+    """Typed schema of a combined-aggregate result.
+
+    Group columns take their dtype from whichever part carries them.
+    Aggregate columns follow :func:`aggregate_dtype` applied to the partial
+    column, whose own plan-typed dtype already derives from the source
+    column (``min``/``max`` preserve it, ``sum`` of ints stays int).
+    """
+    def column(name: str | None) -> Column | None:
+        return next((schema[name] for schema in schemas if name in schema), None)
+
+    columns = [column(name) or Column(name, DataType.STRING) for name in group_by]
+    for combine in combines:
+        source = column(combine.partials[0]) or column(combine.column)
+        columns.append(Column(combine.alias, aggregate_dtype(combine.function, source)))
+    return Schema(columns)

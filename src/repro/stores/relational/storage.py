@@ -198,6 +198,15 @@ class HeapStorage:
             for slot, row in enumerate(page.rows):
                 yield (number, slot), row
 
+    def candidates(self, predicate: Expression | None = None
+                   ) -> tuple[list[list[Row]], int]:
+        """The row lists of the pages whose summaries do not rule ``predicate``
+        out (every page's, without one), in scan order, and the number of
+        pages there were."""
+        pages = self._pages[:]
+        return ([page.rows for page in compress(pages, self._examine(pages, predicate))],
+                len(pages))
+
     def select(self, predicate: Expression | None = None,
                columns: Sequence[str] | None = None
                ) -> tuple[list[Row], int, int, int]:
@@ -205,19 +214,16 @@ class HeapStorage:
         cut down to ``columns`` if given.
 
         One generated walk filters and projects page by page, and only the
-        pages whose summaries do not rule the predicate out; an empty heap
-        does not even bind it.  Returns the rows, the rows examined, the pages
-        examined and the pages there were.
+        :meth:`candidates` pages; an empty heap does not even bind the
+        predicate.  Returns the rows, the rows examined, the pages examined
+        and the pages there were.
         """
-        pages = candidates = self._pages[:]
+        chunks, pages = self.candidates(predicate)
         if pages and (predicate is not None or columns is not None):
-            walk = kernels.select(self.schema, predicate, columns)
-            candidates = list(compress(pages, self._examine(pages, predicate)))
-            rows = walk([page.rows for page in candidates])
+            rows = kernels.select(self.schema, predicate, columns)(chunks)
         else:
-            rows = list(chain.from_iterable(page.rows for page in pages))
-        return (rows, sum(len(page.rows) for page in candidates),
-                len(candidates), len(pages))
+            rows = list(chain.from_iterable(chunks))
+        return rows, sum(map(len, chunks)), len(chunks), pages
 
     # -- statistics -------------------------------------------------------------
 

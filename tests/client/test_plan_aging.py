@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro import DataflowProgram, col, dataset
+from repro.compiler import CompilerOptions
 from repro.core import build_accelerated_polystore, build_cpu_polystore
 from repro.core.system import SystemConfig
 from repro.datamodel import DataType, Table, make_schema
@@ -98,7 +99,9 @@ class TestHarmlessDrift:
         program = DataflowProgram("open-flows")
         program.output("summary", flows)
 
-        prepared = session.prepare(program)
+        # Unfused, so the filtered scan reports its rows (a scan that folds
+        # the count into its page walk returns one, which is no drift).
+        prepared = session.prepare(program, options=CompilerOptions(fusion=False))
         prepared.run()
         original_plan = prepared.compilation.plan_fingerprint
         second = prepared.run()  # drift detected, re-compiled, plan unchanged

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import DataflowProgram, SystemConfig
 from repro.cluster import ShardedEngine
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.obs import ancestors, span_tree
+from repro.obs.trace import Tracer
 from repro.stores import RelationalEngine
 
 
@@ -98,6 +101,27 @@ class TestSampling:
                                   mode="polystore++") == 3
         assert obs.registry.value("polystore_operators_total",
                                   kind="scan") >= 1
+
+    def test_a_request_nested_in_an_unsampled_one_is_not_sampled_again(self):
+        class Draws:
+            values = [0.9, 0.1]
+
+            def random(self):
+                return self.values.pop(0)
+
+        tracer = Tracer(sample_rate=0.5, rng=Draws())
+        with pytest.raises(RuntimeError):
+            with tracer.request("serve:p"):
+                with tracer.request("request:p"):
+                    with tracer.span("execute", "executor"):
+                        raise RuntimeError("boom")
+        assert tracer.spans() == []
+        assert (tracer.requests_seen, tracer.requests_sampled) == (1, 0)
+        # The mark left with the request that set it, though its body raised.
+        with tracer.request("request:q"):
+            pass
+        assert [span.name for span in tracer.spans()] == ["request:q"]
+        assert (tracer.requests_seen, tracer.requests_sampled) == (2, 1)
 
     def test_nested_request_joins_the_active_trace(self):
         engine = RelationalEngine("ordersdb")
