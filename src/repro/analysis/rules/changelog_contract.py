@@ -48,7 +48,7 @@ MUTATING_CALLS = frozenset({
 })
 
 #: ``self.<attr>`` chains that are bookkeeping, not engine data state.
-_BOOKKEEPING_ATTRS = frozenset({"metrics", "changelog", "name"})
+_BOOKKEEPING_ATTRS = frozenset({"changelog", "name"})
 
 #: Calls that satisfy the contract directly.
 _MARKING_CALLS = frozenset({"mark_data_changed", "emit_durability_meta"})

@@ -323,13 +323,13 @@ def _replay_rewrite(engine: RelationalEngine, table: str, entries: Any,
                 return True
             return False
 
-        engine._rewrite(table, kind, matches)
+        engine._rewrite(table, matches)
     else:
         queued: dict[tuple, deque] = {}
         pairs = iter(entries)
         for (old, _), (new, _) in zip(pairs, pairs):
             queued.setdefault(old, deque()).append(new)
-        engine._rewrite(table, kind, lambda row: bool(queued.get(row)),
+        engine._rewrite(table, lambda row: bool(queued.get(row)),
                         lambda row: queued[row].popleft())
     engine.mark_data_changed(table_scope(table), entries=entries,
                              op=(kind, {"table": table}))

@@ -4,8 +4,8 @@ An adapter co-locates with each data-processing engine (paper §III, Figure 4)
 and translates IR operators into the engine's native calls.  The executor
 hands an adapter one operator plus the materialized outputs of the operator's
 inputs; the adapter returns the operator's output (usually a
-:class:`~repro.datamodel.table.Table`) and execution metrics flow back
-through the engine's :class:`~repro.stores.base.MetricsRecorder`.
+:class:`~repro.datamodel.table.Table`); the executor records what the call
+cost in the operator's :class:`~repro.middleware.executor.report.TaskRecord`.
 """
 
 from __future__ import annotations

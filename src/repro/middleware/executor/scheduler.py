@@ -366,24 +366,29 @@ class Executor:
         row = KINDS[node.kind]
         # Resolved before the engine runs: a ``train`` changes its engine.
         mapping = kernel_mapping(device, row.kernel)
+        ops = getattr(self.catalog.engine(node.engine), "ops", None)
+        # The ML engine's counter is cumulative: the node is charged what it adds.
+        before = None if ops is None else (ops.counter.flops, ops.counter.bytes_moved)
         value = self._execute_on_engine(node, inputs)
-        spec = mapping.spec(self._observed_work(node, inputs, value, rows_in))
+        spec = mapping.spec(self._observed_work(node, inputs, value, rows_in, before))
         return value, device.estimate(spec).total_s, \
             {"kernel": spec.name, "flops": spec.flops}
 
     def _observed_work(self, node: Operator, inputs: list[Any], value: Any,
-                       rows_in: int) -> WorkEstimate:
-        """What the engine was just seen doing for ``node``, as a device prices it."""
+                       rows_in: int, before: tuple[int, int] | None) -> WorkEstimate:
+        """What the engine was just seen doing for ``node``, as a device prices
+        it; ``before`` is the engine's ``(flops, bytes_moved)`` count ahead of
+        the node, if it counts them."""
         if not KINDS[node.kind].matrix:
             tables = [v for v in inputs if isinstance(v, Table)]
             return WorkEstimate(
                 rows=max(rows_in, self._rows_of(value)),
                 bytes_in=sum(t.estimated_bytes() for t in tables) if tables else None,
                 bytes_out=value.estimated_bytes() if isinstance(value, Table) else None)
-        ops = getattr(self.catalog.engine(node.engine), "ops", None)
-        if ops is not None:
-            # The ML engine counts the flops and bytes of the products it runs.
-            return WorkEstimate(bytes_in=ops.counter.bytes_moved, flops=ops.counter.flops)
+        if before is not None:
+            counter = self.catalog.engine(node.engine).ops.counter
+            return WorkEstimate(bytes_in=counter.bytes_moved - before[1],
+                                flops=counter.flops - before[0])
         (m, k), right = np.shape(inputs[0]), np.shape(inputs[1])
         return WorkEstimate(matrix_dims=(m, k, right[1] if len(right) > 1 else 1))
 

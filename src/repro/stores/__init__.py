@@ -1,12 +1,7 @@
 """Substrate data-processing engines federated by the polystore."""
 
 from repro.stores.array import ArrayEngine
-from repro.stores.base import (
-    DataModel,
-    Engine,
-    MetricsRecorder,
-    OperationMetrics,
-)
+from repro.stores.base import DataModel, Engine
 from repro.stores.graph import GraphEngine
 from repro.stores.keyvalue import KeyValueEngine
 from repro.stores.ml import MLEngine
@@ -17,8 +12,6 @@ from repro.stores.timeseries import TimeseriesEngine
 __all__ = [
     "Engine",
     "DataModel",
-    "MetricsRecorder",
-    "OperationMetrics",
     "RelationalEngine",
     "KeyValueEngine",
     "TimeseriesEngine",

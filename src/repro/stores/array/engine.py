@@ -33,10 +33,7 @@ class ArrayEngine(Engine):
         """Store a dense array under ``name``."""
         if name in self._arrays and not replace:
             raise StorageError(f"array {name!r} already exists")
-        with self.metrics.timed(self.name, "store", array=name) as timer:
-            chunked = ChunkedArray.from_numpy(array, self._chunk_shape)
-            timer.bytes_out = chunked.nbytes
-        self._arrays[name] = chunked
+        self._arrays[name] = ChunkedArray.from_numpy(array, self._chunk_shape)
         self.mark_data_changed()
 
     def load(self, name: str) -> np.ndarray:
@@ -60,27 +57,16 @@ class ArrayEngine(Engine):
     def slice(self, name: str, row_start: int, row_stop: int,
               col_start: int, col_stop: int) -> np.ndarray:
         """Window slice of a stored array (chunk-pruned)."""
-        chunked = self._chunked(name)
-        with self.metrics.timed(self.name, "slice", array=name) as timer:
-            result = chunked.slice(row_start, row_stop, col_start, col_stop)
-            timer.bytes_out = result.nbytes
-        return result
+        return self._chunked(name).slice(row_start, row_stop, col_start, col_stop)
 
     def matmul(self, left: str | np.ndarray, right: str | np.ndarray,
                *, store_as: str | None = None) -> np.ndarray:
-        """Matrix product of two arrays (stored names or dense arrays).
-
-        Records the floating-point operation count so accelerator simulators
-        can translate the same GEMM into offloaded cycles.
-        """
+        """Matrix product of two arrays (stored names or dense arrays)."""
         a = self._resolve(left)
         b = self._resolve(right)
         if a.shape[1] != b.shape[0]:
             raise StorageError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        with self.metrics.timed(self.name, "matmul") as timer:
-            result = a @ b
-            timer.bytes_out = result.nbytes
-            timer.details["flops"] = 2 * a.shape[0] * a.shape[1] * b.shape[1]
+        result = a @ b
         if store_as is not None:
             self.store(store_as, result, replace=True)
         return result
@@ -88,10 +74,7 @@ class ArrayEngine(Engine):
     def elementwise(self, name: str, fn: Callable[[np.ndarray], np.ndarray],
                     *, store_as: str | None = None) -> np.ndarray:
         """Apply an element-wise function to a stored array."""
-        array = self.load(name)
-        with self.metrics.timed(self.name, "elementwise", array=name) as timer:
-            result = fn(array)
-            timer.bytes_out = result.nbytes
+        result = fn(self.load(name))
         if store_as is not None:
             self.store(store_as, result, replace=True)
         return result
@@ -103,8 +86,7 @@ class ArrayEngine(Engine):
         reducers = {"sum": np.sum, "mean": np.mean, "min": np.min, "max": np.max}
         if reduction not in reducers:
             raise StorageError(f"unknown reduction {reduction!r}")
-        with self.metrics.timed(self.name, "reduce", array=name, reduction=reduction):
-            result = reducers[reduction](array, axis=axis)
+        result = reducers[reduction](array, axis=axis)
         if np.isscalar(result) or result.ndim == 0:
             return float(result)
         return result

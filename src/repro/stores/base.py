@@ -4,19 +4,16 @@ Every substrate engine (relational, key/value, timeseries, graph, array,
 text, ML) implements :class:`Engine`.  The middleware only depends on this
 interface: an engine declares its data model and concurrency contract (which
 operator kinds run on it is the business of its adapter and of
-:mod:`repro.ir.kinds`), and the metrics each engine records after executing a
-native request feed the optimizer's cost models (paper §III, "adapter ...
-collects the performance metrics after the workload execution and sends it
-to the middleware's optimizer").
+:mod:`repro.ir.kinds`).  An engine keeps no record of its calls: what an
+operator cost is the executor's
+:class:`~repro.middleware.executor.report.TaskRecord`, and those records feed
+:class:`~repro.middleware.feedback.stats.RuntimeStats`, which placement reads.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-import time
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from repro.stores.changelog import ChangeLog
@@ -34,92 +31,6 @@ class DataModel(enum.Enum):
     TENSOR = "tensor"
 
 
-@dataclass
-class OperationMetrics:
-    """Metrics recorded for one native engine operation."""
-
-    engine: str
-    operation: str
-    wall_time_s: float
-    rows_in: int = 0
-    rows_out: int = 0
-    bytes_out: int = 0
-    details: dict[str, Any] = field(default_factory=dict)
-
-
-#: Records a :class:`MetricsRecorder` keeps: every native call adds one and
-#: only inspection reads them back, so a long-lived server must not hold them
-#: all.
-METRICS_CAPACITY = 4096
-
-
-class MetricsRecorder:
-    """The most recent :data:`METRICS_CAPACITY` :class:`OperationMetrics` of
-    an engine instance (a ring: the oldest record makes room for the newest)."""
-
-    def __init__(self) -> None:
-        self._records: deque[OperationMetrics] = deque(maxlen=METRICS_CAPACITY)
-
-    def record(self, metrics: OperationMetrics) -> None:
-        """Store one operation's metrics."""
-        self._records.append(metrics)
-
-    def timed(self, engine: str, operation: str, **details: Any) -> "_Timer":
-        """Context manager that records wall time for ``operation``."""
-        return _Timer(self, engine, operation, details)
-
-    @property
-    def records(self) -> list[OperationMetrics]:
-        """The retained metrics, oldest first."""
-        return list(self._records)
-
-    def total_time(self, operation: str | None = None) -> float:
-        """Total wall time across retained records, optionally filtered by operation."""
-        # Over a copy: a deque may not be iterated while another thread appends.
-        return sum(
-            r.wall_time_s for r in self.records
-            if operation is None or r.operation == operation
-        )
-
-    def clear(self) -> None:
-        """Drop all recorded metrics."""
-        self._records.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-class _Timer:
-    """Implementation detail of :meth:`MetricsRecorder.timed`."""
-
-    def __init__(self, recorder: MetricsRecorder, engine: str, operation: str,
-                 details: dict[str, Any]) -> None:
-        self._recorder = recorder
-        self._engine = engine
-        self._operation = operation
-        self.details = details
-        self.rows_in = 0
-        self.rows_out = 0
-        self.bytes_out = 0
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        elapsed = time.perf_counter() - self._start
-        self._recorder.record(OperationMetrics(
-            engine=self._engine,
-            operation=self._operation,
-            wall_time_s=elapsed,
-            rows_in=self.rows_in,
-            rows_out=self.rows_out,
-            bytes_out=self.bytes_out,
-            details=dict(self.details),
-        ))
-
-
 class Engine(abc.ABC):
     """Abstract base class for every data-processing engine in the polystore."""
 
@@ -128,7 +39,6 @@ class Engine(abc.ABC):
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.metrics = MetricsRecorder()
         self._data_version = 0
         #: Mutations not attributed to any scope (invalidate everything).
         self._unscoped_version = 0

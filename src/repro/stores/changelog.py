@@ -265,6 +265,10 @@ class ChangeLog:
                 "max_rows": self.max_rows,
             }
 
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._batches)
+
     # -- durability ---------------------------------------------------------------------
 
     def attach_wal(self, sink: Listener) -> None:
@@ -290,22 +294,3 @@ class ChangeLog:
         with self._lock:
             if listener in self._listeners:
                 self._listeners.remove(listener)
-
-    # -- introspection ------------------------------------------------------------------
-
-    def stats(self) -> dict[str, int]:
-        """Retention and position counters."""
-        with self._lock:
-            return {
-                "batches": len(self._batches),
-                "capacity": self.capacity,
-                "retained_rows": self._retained_rows,
-                "max_rows": self.max_rows,
-                "latest_seq": self._next_seq - 1,
-                "oldest_retained": self._oldest_retained,
-                "listeners": len(self._listeners),
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._batches)

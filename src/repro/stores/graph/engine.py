@@ -2,9 +2,9 @@
 
 Wraps :class:`~repro.stores.graph.graph.PropertyGraph` with the engine
 interface: pattern matching, shortest paths, neighbourhood expansion and
-subtree extraction, all with metrics recording for the middleware optimizer.
-The MIMIC workload stores patient ward transfers here; the recommendation
-workload stores the customer/product interaction graph here.
+subtree extraction.  The MIMIC workload stores patient ward transfers here;
+the recommendation workload stores the customer/product interaction graph
+here.
 """
 
 from __future__ import annotations
@@ -53,26 +53,22 @@ class GraphEngine(Engine):
     def load_nodes(self, nodes: list[dict[str, Any]], *, label_key: str = "label",
                    id_key: str = "node_id") -> int:
         """Bulk-load nodes from dictionaries; returns the count loaded."""
-        with self.metrics.timed(self.name, "load_nodes") as timer:
-            for record in nodes:
-                properties = {k: v for k, v in record.items() if k not in (label_key, id_key)}
-                self.graph.add_node(str(record[id_key]), str(record[label_key]), properties)
-            timer.rows_in = len(nodes)
+        for record in nodes:
+            properties = {k: v for k, v in record.items() if k not in (label_key, id_key)}
+            self.graph.add_node(str(record[id_key]), str(record[label_key]), properties)
         if nodes:
             self.mark_data_changed()
         return len(nodes)
 
     def load_edges(self, edges: list[dict[str, Any]]) -> int:
         """Bulk-load edges from ``{"source", "target", "label", ...}`` dictionaries."""
-        with self.metrics.timed(self.name, "load_edges") as timer:
-            for record in edges:
-                properties = record.get("properties") or {
-                    k: v for k, v in record.items()
-                    if k not in ("source", "target", "label", "properties")
-                }
-                self.graph.add_edge(str(record["source"]), str(record["target"]),
-                                    str(record.get("label", "related")), properties)
-            timer.rows_in = len(edges)
+        for record in edges:
+            properties = record.get("properties") or {
+                k: v for k, v in record.items()
+                if k not in ("source", "target", "label", "properties")
+            }
+            self.graph.add_edge(str(record["source"]), str(record["target"]),
+                                str(record.get("label", "related")), properties)
         if edges:
             self.mark_data_changed()
         return len(edges)
@@ -82,19 +78,13 @@ class GraphEngine(Engine):
     def match(self, start_label: str, steps: list[PatternStep],
               start_filter: Callable[[Node], bool] | None = None) -> list[Match]:
         """Pattern matching starting from nodes with ``start_label``."""
-        with self.metrics.timed(self.name, "pattern_match", label=start_label) as timer:
-            matches = match_pattern(self.graph, start_label, steps, start_filter)
-            timer.rows_out = len(matches)
-        return matches
+        return match_pattern(self.graph, start_label, steps, start_filter)
 
     def shortest_path(self, start: str, end: str, *, weighted: bool = False,
                       edge_label: str | None = None) -> tuple[list[str], float]:
         """Shortest path between two nodes."""
-        with self.metrics.timed(self.name, "shortest_path") as timer:
-            path, cost = shortest_path(self.graph, start, end, weighted=weighted,
-                                       edge_label=edge_label)
-            timer.rows_out = len(path)
-        return path, cost
+        return shortest_path(self.graph, start, end, weighted=weighted,
+                             edge_label=edge_label)
 
     def reachable(self, start: str, *, max_depth: int | None = None,
                   edge_label: str | None = None) -> dict[str, int]:
@@ -115,10 +105,7 @@ class GraphEngine(Engine):
 
     def central_nodes(self, top_k: int = 10) -> list[tuple[str, int]]:
         """The ``top_k`` highest-degree nodes."""
-        with self.metrics.timed(self.name, "degree_centrality") as timer:
-            ranked = degree_centrality(self.graph, top_k=top_k)
-            timer.rows_out = len(ranked)
-        return ranked
+        return degree_centrality(self.graph, top_k=top_k)
 
     def node_properties(self, label: str) -> list[dict[str, Any]]:
         """All nodes of a label as flat property dictionaries (for migration)."""

@@ -44,22 +44,10 @@ class KeyValueEngine(Engine):
 
     # -- writes -----------------------------------------------------------------
 
-    def _live_value(self, key: str, default: Any = None) -> Any:
-        """Current live value without recording read metrics (write path)."""
-        found, value = self._memtable.get(key)
-        if not found:
-            for sstable in reversed(self._sstables):
-                found, value = sstable.get(key)
-                if found:
-                    break
-        if not found or value is TOMBSTONE:
-            return default
-        return value
-
     def put(self, key: str, value: Any) -> None:
         """Insert or overwrite ``key``."""
         sentinel = object()
-        previous = self._live_value(key, sentinel)
+        previous = self.get(key, sentinel)
         self._wal.append(("put", key, value))
         self._memtable.put(key, value)
         entries: list[tuple[Any, int]] = []
@@ -73,15 +61,13 @@ class KeyValueEngine(Engine):
 
     def put_many(self, items: dict[str, Any]) -> None:
         """Insert or overwrite many keys."""
-        with self.metrics.timed(self.name, "put_many") as timer:
-            for key, value in items.items():
-                self.put(key, value)
-            timer.rows_in = len(items)
+        for key, value in items.items():
+            self.put(key, value)
 
     def delete(self, key: str) -> None:
         """Delete ``key`` (tombstoned until the next compaction)."""
         sentinel = object()
-        previous = self._live_value(key, sentinel)
+        previous = self.get(key, sentinel)
         self._wal.append(("delete", key, None))
         self._memtable.delete(key)
         entries = [((key, previous), -1)] if previous is not sentinel else []
@@ -115,21 +101,17 @@ class KeyValueEngine(Engine):
         self.flush()
         if len(self._sstables) <= 1:
             return
-        with self.metrics.timed(self.name, "compact", full=full) as timer:
-            if full:
-                merged = merge_sstables(self._sstables)
-                self._sstables = [merged]
-                timer.rows_out = len(merged)
-            else:
-                i = len(self._sstables) - 1
-                while i >= 1:
-                    older, newer = self._sstables[i - 1], self._sstables[i]
-                    if len(newer) * 2 >= len(older):
-                        combined = merge_sstables(
-                            [older, newer], older=self._sstables[:i - 1])
-                        self._sstables[i - 1:i + 1] = [combined]
-                        timer.rows_out += len(combined)
-                    i -= 1
+        if full:
+            self._sstables = [merge_sstables(self._sstables)]
+        else:
+            i = len(self._sstables) - 1
+            while i >= 1:
+                older, newer = self._sstables[i - 1], self._sstables[i]
+                if len(newer) * 2 >= len(older):
+                    combined = merge_sstables(
+                        [older, newer], older=self._sstables[:i - 1])
+                    self._sstables[i - 1:i + 1] = [combined]
+                i -= 1
         if self._spill is not None:
             self._spill.compacted(self)
 
@@ -137,11 +119,15 @@ class KeyValueEngine(Engine):
 
     def get(self, key: str, default: Any = None) -> Any:
         """Value for ``key``, or ``default`` when missing or deleted."""
-        sentinel = object()
-        with self.metrics.timed(self.name, "get", key=key) as timer:
-            value = self._live_value(key, sentinel)
-            timer.rows_out = 0 if value is sentinel else 1
-        return default if value is sentinel else value
+        found, value = self._memtable.get(key)
+        if not found:
+            for sstable in reversed(self._sstables):
+                found, value = sstable.get(key)
+                if found:
+                    break
+        if not found or value is TOMBSTONE:
+            return default
+        return value
 
     def multi_get(self, keys: list[str]) -> dict[str, Any]:
         """Values for several keys; missing keys are omitted."""
@@ -160,17 +146,14 @@ class KeyValueEngine(Engine):
 
     def range(self, start: str | None = None, end: str | None = None) -> Iterator[tuple[str, Any]]:
         """Live entries with ``start <= key < end`` in key order."""
-        with self.metrics.timed(self.name, "range", start=start, end=end) as timer:
-            merged: dict[str, Any] = {}
-            for sstable in self._sstables:
-                for key, value in sstable.range(start, end):
-                    merged[key] = value
-            for key, value in self._memtable.items():
-                if (start is None or key >= start) and (end is None or key < end):
-                    merged[key] = value
-            live = [(k, v) for k, v in sorted(merged.items()) if v is not TOMBSTONE]
-            timer.rows_out = len(live)
-        yield from live
+        merged: dict[str, Any] = {}
+        for sstable in self._sstables:
+            for key, value in sstable.range(start, end):
+                merged[key] = value
+        for key, value in self._memtable.items():
+            if (start is None or key >= start) and (end is None or key < end):
+                merged[key] = value
+        yield from [(k, v) for k, v in sorted(merged.items()) if v is not TOMBSTONE]
 
     def scan(self) -> Iterator[tuple[str, Any]]:
         """Every live entry in key order."""

@@ -79,10 +79,7 @@ class MLEngine(Engine):
         x = self._as_matrix(features)
         model = MLPClassifier(x.shape[1], hidden_dims, learning_rate=learning_rate,
                               seed=seed, ops=self.ops)
-        with self.metrics.timed(self.name, "train_classifier", model=model_name) as timer:
-            history = model.fit(x, labels, epochs=epochs, batch_size=batch_size, seed=seed)
-            timer.rows_in = x.shape[0]
-            timer.details["flops"] = self.ops.counter.flops
+        history = model.fit(x, labels, epochs=epochs, batch_size=batch_size, seed=seed)
         self._models[model_name] = model
         self.mark_data_changed()
         return history
@@ -93,9 +90,7 @@ class MLEngine(Engine):
         """Train a logistic-regression model and register it."""
         x = self._as_matrix(features)
         model = LogisticRegression(x.shape[1], learning_rate=learning_rate, ops=self.ops)
-        with self.metrics.timed(self.name, "train_logistic", model=model_name) as timer:
-            losses = model.fit(x, labels, epochs=epochs, batch_size=batch_size, seed=seed)
-            timer.rows_in = x.shape[0]
+        losses = model.fit(x, labels, epochs=epochs, batch_size=batch_size, seed=seed)
         self._models[model_name] = model
         self.mark_data_changed()
         return losses
@@ -104,22 +99,15 @@ class MLEngine(Engine):
                 max_iterations: int = 50, seed: int = 0) -> KMeansResult:
         """Run k-means over a feature matrix."""
         x = self._as_matrix(features)
-        with self.metrics.timed(self.name, "kmeans", clusters=n_clusters) as timer:
-            result = kmeans(x, n_clusters, max_iterations=max_iterations, seed=seed,
-                            ops=self.ops)
-            timer.rows_in = x.shape[0]
-        return result
+        return kmeans(x, n_clusters, max_iterations=max_iterations, seed=seed,
+                      ops=self.ops)
 
     # -- inference ---------------------------------------------------------------------
 
     def predict(self, model_name: str, features: np.ndarray | Table) -> np.ndarray:
         """Hard predictions from a registered model."""
         model = self._model(model_name)
-        x = self._as_matrix(features)
-        with self.metrics.timed(self.name, "predict", model=model_name) as timer:
-            predictions = model.predict(x)
-            timer.rows_out = len(predictions)
-        return predictions
+        return model.predict(self._as_matrix(features))
 
     def predict_proba(self, model_name: str, features: np.ndarray | Table) -> np.ndarray:
         """Probability predictions from a registered model."""

@@ -8,7 +8,7 @@ which the GPU/TPU accelerator simulators translate into offloaded time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,29 +17,23 @@ from repro.exceptions import DataModelError
 
 @dataclass
 class OpCounter:
-    """Floating-point operation and byte counters for one model run."""
+    """Floating-point operation and byte counters, cumulative since the last
+    :meth:`reset`."""
 
     flops: int = 0
     bytes_moved: int = 0
     gemm_calls: int = 0
-    gemv_calls: int = 0
-    elementwise_calls: int = 0
-    per_op: dict[str, int] = field(default_factory=dict)
 
-    def add(self, op: str, flops: int, bytes_moved: int) -> None:
+    def add(self, flops: int, bytes_moved: int) -> None:
         """Record one operation."""
         self.flops += flops
         self.bytes_moved += bytes_moved
-        self.per_op[op] = self.per_op.get(op, 0) + flops
 
     def reset(self) -> None:
         """Zero every counter."""
         self.flops = 0
         self.bytes_moved = 0
         self.gemm_calls = 0
-        self.gemv_calls = 0
-        self.elementwise_calls = 0
-        self.per_op.clear()
 
 
 class TensorOps:
@@ -61,7 +55,7 @@ class TensorOps:
         result = a @ b
         flops = 2 * a.shape[0] * a.shape[1] * b.shape[1]
         self.counter.gemm_calls += 1
-        self.counter.add("gemm", flops, a.nbytes + b.nbytes + result.nbytes)
+        self.counter.add(flops, a.nbytes + b.nbytes + result.nbytes)
         return result
 
     def gemv(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -74,8 +68,7 @@ class TensorOps:
             raise DataModelError(f"gemv shape mismatch: {a.shape} x {x.shape}")
         result = a @ x
         flops = 2 * a.shape[0] * a.shape[1]
-        self.counter.gemv_calls += 1
-        self.counter.add("gemv", flops, a.nbytes + x.nbytes + result.nbytes)
+        self.counter.add(flops, a.nbytes + x.nbytes + result.nbytes)
         return result
 
     # -- element-wise -----------------------------------------------------------------
@@ -83,30 +76,26 @@ class TensorOps:
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Element-wise (broadcasting) addition."""
         result = np.asarray(a) + np.asarray(b)
-        self.counter.elementwise_calls += 1
-        self.counter.add("add", int(result.size), result.nbytes)
+        self.counter.add(int(result.size), result.nbytes)
         return result
 
     def relu(self, a: np.ndarray) -> np.ndarray:
         """Rectified linear unit."""
         result = np.maximum(np.asarray(a), 0.0)
-        self.counter.elementwise_calls += 1
-        self.counter.add("relu", int(result.size), result.nbytes)
+        self.counter.add(int(result.size), result.nbytes)
         return result
 
     def relu_grad(self, a: np.ndarray) -> np.ndarray:
         """Derivative of ReLU evaluated at the pre-activation ``a``."""
         result = (np.asarray(a) > 0.0).astype(np.float64)
-        self.counter.elementwise_calls += 1
-        self.counter.add("relu_grad", int(result.size), result.nbytes)
+        self.counter.add(int(result.size), result.nbytes)
         return result
 
     def sigmoid(self, a: np.ndarray) -> np.ndarray:
         """Numerically stable logistic sigmoid."""
         a = np.clip(np.asarray(a, dtype=np.float64), -60.0, 60.0)
         result = np.where(a >= 0, 1.0 / (1.0 + np.exp(-a)), np.exp(a) / (1.0 + np.exp(a)))
-        self.counter.elementwise_calls += 1
-        self.counter.add("sigmoid", 4 * int(result.size), result.nbytes)
+        self.counter.add(4 * int(result.size), result.nbytes)
         return result
 
     def softmax(self, a: np.ndarray) -> np.ndarray:
@@ -115,6 +104,5 @@ class TensorOps:
         shifted = a - a.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         result = exp / exp.sum(axis=-1, keepdims=True)
-        self.counter.elementwise_calls += 1
-        self.counter.add("softmax", 5 * int(result.size), result.nbytes)
+        self.counter.add(5 * int(result.size), result.nbytes)
         return result

@@ -3,8 +3,9 @@
 A from-scratch, single-node relational store: tables live in heap pages
 (:mod:`repro.stores.relational.storage`), optional secondary indexes provide
 point/range access paths, and a small SQL dialect is parsed and folded into
-the positional, plan-typed operators that execute it.  The engine records
-per-operation metrics that the Polystore++ middleware's optimizer consumes.
+the positional, plan-typed operators that execute it.  What a read or write
+examined is :class:`HeapStorage`'s return value; the engine keeps no record
+of it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class StoredTable:
 
     def rewritten(self, matches: Expression | Callable[[Row], Any],
                   patch: Callable[[Row], Row] | None = None
-                  ) -> tuple["StoredTable", list[Row], list[Row], int, int]:
+                  ) -> tuple["StoredTable", list[Row], list[Row]]:
         """The table a delete (no ``patch``) or an update leaves, beside this one.
 
         The one primitive behind ``delete_rows``, ``update_rows`` and their
@@ -76,11 +77,11 @@ class StoredTable:
         index none of whose keys changed is copied, not reloaded; an index
         whose keys did change — after a delete, where row ids move, every
         index — is loaded from the new heap.  Returns the table (this one if
-        nothing matched), matched rows, replacements, pages copied and examined.
+        nothing matched), matched rows and replacements.
         """
-        heap, matched, patched, copied, examined = self.heap.rewrite(matches, patch)
+        heap, matched, patched, _, _ = self.heap.rewrite(matches, patch)
         if not matched:
-            return self, matched, patched, 0, examined
+            return self, matched, patched
         sibling = StoredTable(self.name, self.schema, heap.page_capacity)
         sibling.heap = heap
         for ours, theirs in ((self.hash_indexes, sibling.hash_indexes),
@@ -93,7 +94,7 @@ class StoredTable:
                     theirs[column] = index.copy()
                 else:
                     theirs[column] = sibling.build_index(column, type(index))
-        return sibling, matched, patched, copied, examined
+        return sibling, matched, patched
 
     def statistics(self) -> dict[str, Any]:
         """Table statistics for the catalog and cost models."""
@@ -190,11 +191,8 @@ class RelationalEngine(Engine):
                 stored = self._stored(table)
                 inserted: list[tuple] = []
                 try:
-                    with self.metrics.timed(self.name, "insert",
-                                            table=table) as timer:
-                        for row in stored.insert_each(rows, validate=validate):
-                            inserted.append(row)
-                        timer.rows_in = len(inserted)
+                    for row in stored.insert_each(rows, validate=validate):
+                        inserted.append(row)
                 except BaseException:
                     if inserted:
                         # Rows landed in the heap before the failure: the
@@ -228,7 +226,7 @@ class RelationalEngine(Engine):
         """
         batch = None
         with self._write_lock:
-            deleted, _ = self._rewrite(table, "delete", predicate)
+            deleted, _ = self._rewrite(table, predicate)
             if deleted:
                 batch = self.mark_data_changed(
                     table_scope(table),
@@ -256,7 +254,7 @@ class RelationalEngine(Engine):
             patch = out.kernel("patch", "row", "return (" + "".join(
                 (out.constant(updates[name]) if name in updates else out.column(name))
                 + "," for name in schema.names) + ")")
-            olds, news = self._rewrite(table, "update", predicate, patch)
+            olds, news = self._rewrite(table, predicate, patch)
             updated = list(zip(olds, news))
             if updated:
                 entries: list[tuple[tuple, int]] = []
@@ -284,8 +282,7 @@ class RelationalEngine(Engine):
             return (self.scan(table, columns), self.changelog.latest_seq,
                     self.data_version_for(table_scope(table)))
 
-    def _rewrite(self, table: str, operation: str,
-                 matches: Expression | Callable[[Row], Any],
+    def _rewrite(self, table: str, matches: Expression | Callable[[Row], Any],
                  patch: Callable[[Row], Row] | None = None
                  ) -> tuple[list[Row], list[Row]]:
         """Run a delete or update (:meth:`StoredTable.rewritten`) and publish
@@ -293,13 +290,7 @@ class RelationalEngine(Engine):
         the write lock; readers take ``self._tables[name]`` once, so they see
         the table before the statement or after it.
         """
-        stored = self._stored(table)
-        with self.metrics.timed(self.name, operation, table=table) as timer:
-            sibling, matched, patched, copied, examined = stored.rewritten(matches, patch)
-            timer.rows_in = len(matched)
-            timer.details.update(
-                pages_copied=copied, pages_shared=sibling.heap.num_pages - copied,
-                pages_examined=examined, pages_skipped=stored.heap.num_pages - examined)
+        sibling, matched, patched = self._stored(table).rewritten(matches, patch)
         self._tables[table] = sibling
         return matched, patched
 
@@ -326,22 +317,14 @@ class RelationalEngine(Engine):
         pushed = None
         if not statement.joins:
             pushed, statement.where = statement.where, None
-        with self.metrics.timed(self.name, "execute_sql", table=statement.table) as timer:
-            details = timer.details
-            details.update(pages_examined=0, pages_skipped=0)
 
-            def leaf(table: str) -> TableScan:
-                stored = self._stored(table)
-                if pushed is not None and not stored.heap.num_rows:
-                    pushed.compile(stored.schema)  # select binds nothing over no rows; SQL does
-                rows, _, examined, pages = stored.heap.select(pushed)
-                details["pages_examined"] += examined
-                details["pages_skipped"] += pages - examined
-                return TableScan(Table.wrap(stored.schema, rows))
+        def leaf(table: str) -> TableScan:
+            stored = self._stored(table)
+            if pushed is not None and not stored.heap.num_rows:
+                pushed.compile(stored.schema)  # select binds nothing over no rows; SQL does
+            return TableScan(Table.wrap(stored.schema, stored.heap.select(pushed)[0]))
 
-            result = lower_select(statement, leaf, build_operator).to_table()
-            timer.rows_out = len(result)
-        return result
+        return lower_select(statement, leaf, build_operator).to_table()
 
     # -- direct native operations (used by the adapter) ---------------------------------
 
@@ -360,22 +343,14 @@ class RelationalEngine(Engine):
         read before any projection, so ``columns`` only has to exist.
         """
         stored = self._stored(table)
-        with self.metrics.timed(self.name, "scan", table=table) as timer:
-            schema = stored.schema if columns is None else stored.schema.project(columns)
-            if partial is None:
-                rows, timer.rows_in, examined, pages = stored.heap.select(predicate, columns)
-            else:
-                chunks, pages = stored.heap.candidates(predicate)
-                fold, schema = aggregate_kernel(
-                    stored.schema, tuple(partial[0]), tuple(partial[1]),
-                    predicate if pages else None)  # over no page, bind nothing
-                rows = fold(chunks)
-                timer.rows_in, examined = sum(map(len, chunks)), len(chunks)
-            result = Table.wrap(schema, rows)
-            timer.rows_out = len(result)
-            timer.bytes_out = result.estimated_bytes()
-            timer.details.update(pages_examined=examined, pages_skipped=pages - examined)
-        return result
+        schema = stored.schema if columns is None else stored.schema.project(columns)
+        if partial is None:
+            return Table.wrap(schema, stored.heap.select(predicate, columns)[0])
+        chunks, pages = stored.heap.candidates(predicate)
+        fold, schema = aggregate_kernel(
+            stored.schema, tuple(partial[0]), tuple(partial[1]),
+            predicate if pages else None)  # over no page, bind nothing
+        return Table.wrap(schema, fold(chunks))
 
     def has_index(self, table: str, column: str) -> bool:
         """Whether an equality-capable index exists on ``table.column``.
@@ -396,18 +371,16 @@ class RelationalEngine(Engine):
         the rows found are filtered by ``predicate`` and cut down to ``columns``
         in one generated pass, as :meth:`scan`'s are."""
         stored = self._stored(table)
-        with self.metrics.timed(self.name, "index_seek", table=table, column=column) as timer:
-            schema = stored.schema if columns is None else stored.schema.project(columns)
-            if column in stored.hash_indexes:
-                rids = stored.hash_indexes[column].lookup(value)
-            elif column in stored.sorted_indexes:
-                rids = stored.sorted_indexes[column].lookup(value)
-            else:
-                raise StorageError(f"no index on {table}.{column}")
-            rows = stored.heap.fetch_many(rids)
-            if rows and (predicate is not None or columns is not None):
-                rows = kernels.select(stored.schema, predicate, columns)((rows,))
-            timer.rows_out = len(rows)
+        schema = stored.schema if columns is None else stored.schema.project(columns)
+        if column in stored.hash_indexes:
+            rids = stored.hash_indexes[column].lookup(value)
+        elif column in stored.sorted_indexes:
+            rids = stored.sorted_indexes[column].lookup(value)
+        else:
+            raise StorageError(f"no index on {table}.{column}")
+        rows = stored.heap.fetch_many(rids)
+        if rows and (predicate is not None or columns is not None):
+            rows = kernels.select(stored.schema, predicate, columns)((rows,))
         return Table.wrap(schema, rows)
 
     def range_lookup(self, table: str, column: str, low: Any = None,
@@ -416,9 +389,7 @@ class RelationalEngine(Engine):
         stored = self._stored(table)
         if column not in stored.sorted_indexes:
             raise StorageError(f"no sorted index on {table}.{column}")
-        with self.metrics.timed(self.name, "range_seek", table=table, column=column) as timer:
-            rows = stored.heap.fetch_many(list(stored.sorted_indexes[column].range(low, high)))
-            timer.rows_out = len(rows)
+        rows = stored.heap.fetch_many(list(stored.sorted_indexes[column].range(low, high)))
         return Table.wrap(stored.schema, rows)
 
     def top_k(self, table: str, by: str, k: int, *, descending: bool = True) -> Table:

@@ -2,8 +2,9 @@
 
 Tables are stored as a list of fixed-capacity pages of rows.  The page
 structure exists so that the cost model can reason about page reads (the
-sequential-scan vs index-seek distinction in paper §III-A-2), so the
-engine reports "pages read" metrics to the middleware optimizer, so an
+sequential-scan vs index-seek distinction in paper §III-A-2), so a read or
+write can say how many pages it examined (:meth:`HeapStorage.select` and
+:meth:`HeapStorage.rewrite` return it), so an
 update or delete copies only the pages it touches (:meth:`HeapStorage.rewrite`),
 and so a predicate is evaluated only on the pages whose per-column min/max
 summaries (:meth:`Page.bounds`) say a row could satisfy it.

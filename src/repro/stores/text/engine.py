@@ -46,11 +46,9 @@ class TextEngine(Engine):
 
     def add_documents(self, documents: list[dict[str, Any]]) -> int:
         """Bulk-add documents of the form ``{"doc_id", "text", "metadata"?}``."""
-        with self.metrics.timed(self.name, "add_documents") as timer:
-            for doc in documents:
-                self.add_document(str(doc["doc_id"]), str(doc.get("text", "")),
-                                  doc.get("metadata"))
-            timer.rows_in = len(documents)
+        for doc in documents:
+            self.add_document(str(doc["doc_id"]), str(doc.get("text", "")),
+                              doc.get("metadata"))
         return len(documents)
 
     def remove_document(self, doc_id: str) -> None:
@@ -78,17 +76,11 @@ class TextEngine(Engine):
 
     def search(self, query: str, *, top_k: int = 10) -> list[tuple[str, float]]:
         """TF-IDF ranked search over all documents."""
-        with self.metrics.timed(self.name, "tfidf_search", query=query) as timer:
-            results = self._index.tfidf_search(query, top_k=top_k)
-            timer.rows_out = len(results)
-        return results
+        return self._index.tfidf_search(query, top_k=top_k)
 
     def boolean_search(self, terms: list[str], *, mode: str = "and") -> set[str]:
         """Boolean AND/OR search over all documents."""
-        with self.metrics.timed(self.name, "boolean_search") as timer:
-            results = self._index.boolean_search(terms, mode=mode)
-            timer.rows_out = len(results)
-        return results
+        return self._index.boolean_search(terms, mode=mode)
 
     def keyword_features(self, doc_id: str, keywords: list[str]) -> dict[str, float]:
         """Per-keyword term frequencies for one document.
@@ -96,8 +88,7 @@ class TextEngine(Engine):
         The MIMIC workload uses this to turn a clinical note into numeric
         features (e.g. counts of "sepsis", "ventilator", "stable").
         """
-        with self.metrics.timed(self.name, "keyword_features", doc=doc_id):
-            counts = term_frequencies(self.get(doc_id)["text"])
+        counts = term_frequencies(self.get(doc_id)["text"])
         return {keyword: float(counts.get(keyword.lower(), 0)) for keyword in keywords}
 
     def documents_matching(self, metadata_filter: dict[str, Any]) -> list[str]:

@@ -58,11 +58,9 @@ class TimeseriesEngine(Engine):
         """Append many points to one series; returns the count appended."""
         series = self.create_series(key)
         appended: list[tuple[tuple[float, float], int]] = []
-        with self.metrics.timed(self.name, "append_many", series=key) as timer:
-            for timestamp, value in points:
-                series.append(timestamp, value)
-                appended.append(((timestamp, value), 1))
-            timer.rows_in = len(appended)
+        for timestamp, value in points:
+            series.append(timestamp, value)
+            appended.append(((timestamp, value), 1))
         if appended:
             self.mark_data_changed(series_scope(key), entries=appended,
                                    op=("append_many", {"key": key}))
@@ -93,11 +91,7 @@ class TimeseriesEngine(Engine):
     def range_columns(self, key: str, start: float | None = None,
                       end: float | None = None) -> tuple[list[float], list[float]]:
         """The ``(timestamps, values)`` of a series within ``[start, end)``."""
-        series = self.series(key)
-        with self.metrics.timed(self.name, "range_scan", series=key) as timer:
-            columns = series.between(start, end)
-            timer.rows_out = len(columns[0])
-        return columns
+        return self.series(key).between(start, end)
 
     def query_range(self, key: str, start: float | None = None,
                     end: float | None = None) -> list[Point]:
@@ -123,12 +117,8 @@ class TimeseriesEngine(Engine):
                          start: float | None = None, end: float | None = None
                          ) -> list[WindowResult]:
         """Tumbling-window aggregation of one series."""
-        with self.metrics.timed(self.name, "window_aggregate", series=key,
-                                window_s=window_s, aggregation=aggregation) as timer:
-            points = zip(*self.series(key).between(start, end))
-            result = tumbling_window(points, window_s, aggregation)
-            timer.rows_out = len(result)
-        return result
+        points = zip(*self.series(key).between(start, end))
+        return tumbling_window(points, window_s, aggregation)
 
     def downsample(self, key: str, factor: int) -> list[Point]:
         """Decimate a series by ``factor``."""
@@ -144,20 +134,14 @@ class TimeseriesEngine(Engine):
 
         One :data:`SUMMARY_FIELDS` tuple per key, all zero for an empty range.
         This is the per-patient vital-sign feature extraction used when the
-        MIMIC workload builds its feature vector: one call and one metrics
-        record (``rows_out`` = samples read) for the batch, none for an
-        empty batch.
+        MIMIC workload builds its feature vector: one call for the batch.
         """
         summaries: list[tuple[float, ...]] = []
-        if not keys:
-            return summaries
-        with self.metrics.timed(self.name, "summarize", series=len(keys)) as timer:
-            for key in keys:
-                _, values = self.series(key).between(start, end)
-                timer.rows_out += len(values)
-                summaries.append((float(len(values)), sum(values) / len(values),
-                                  min(values), max(values), values[-1])
-                                 if values else (0.0,) * len(SUMMARY_FIELDS))
+        for key in keys:
+            _, values = self.series(key).between(start, end)
+            summaries.append((float(len(values)), sum(values) / len(values),
+                              min(values), max(values), values[-1])
+                             if values else (0.0,) * len(SUMMARY_FIELDS))
         return summaries
 
     def summarize(self, key: str, start: float | None = None,

@@ -201,14 +201,23 @@ class TestOneOffloadPath:
         still behind the migrator, ``_charge_ml_offload`` behind the
         executor), run this body — ``_deployment``, ``_run`` and ``SHAPES``
         use nothing newer — and print the values with ``repr``.
+
+        ``predict`` is re-pinned since: it was charged the ML engine's
+        cumulative count (train's 322 920 flops plus its own), and is now
+        charged the 31 320 flops and 128 448 bytes it adds.  On the TPU that
+        is 50 us dispatch + 128 448 B / 10 GB/s transfer + compute, which is
+        memory-bound on the roofline (128 448 B / 600 GB/s) and divided by the
+        systolic fill 15 660 / 256² for the 31 320 / 2 elements.
         """
         executor = _deployment([GPUAccelerator(), TPUAccelerator()])
         executor.catalog.engine("ml").ops.counter.reset()
         _, train = _run(executor, "train", "gpu0")
         _, predict = _run(executor, "predict", "tpu0")
         assert train.charged_time_s == pytest.approx(0.00010259877333333332, abs=1e-12)
-        assert predict.charged_time_s == pytest.approx(0.00019507263999999998, abs=1e-12)
-        assert (train.details["flops"], predict.details["flops"]) == (322920, 354240)
+        assert predict.charged_time_s == pytest.approx(
+            50e-6 + 128_448 / 10e9 + 128_448 / 600e9 / (15_660 / 256 ** 2), abs=1e-12)
+        assert predict.charged_time_s == pytest.approx(6.374070976245211e-05, abs=1e-12)
+        assert (train.details["flops"], predict.details["flops"]) == (322920, 31320)
 
         table = Table(TABLE.schema, [(i, i * 1.5, str(i)) for i in range(200)])
         received, asic = DataMigrator(serializer_accelerator=MigrationASIC()).migrate(
@@ -222,6 +231,14 @@ class TestOneOffloadPath:
             table, strategy="accelerated")
         assert received.rows == table.rows
         assert fpga.serialize_s == pytest.approx(0.00015114054166666665, abs=1e-12)
+
+    def test_each_offloaded_train_is_charged_its_own_flops(self):
+        """The ML engine's counter only grows (``_deployment`` already trained
+        once on the host): each run is charged what it adds, not the total."""
+        executor = _deployment([GPUAccelerator()])
+        records = [_run(executor, "train", "gpu0")[1] for _ in range(3)]
+        assert [record.details["flops"] for record in records] == [322920] * 3
+        assert len({record.charged_time_s for record in records}) == 1
 
 
 class TestCostAccounting:

@@ -121,6 +121,6 @@ class TestScope:
         assert run("""\
             class DemoEngine(Engine):
                 def scan(self, query):
-                    self.metrics.counters["scan"] += 1
+                    self.changelog.reads["scan"] += 1
                     return list(self._data)
             """) == []

@@ -1,8 +1,8 @@
 """Shard pruning: key predicates contact only the owning shard subset.
 
 Contact is asserted two ways: through the executor report's
-``contacted_shards`` detail, and through each shard engine's own metrics
-recorder (a shard whose record count did not grow was never touched).
+``contacted_shards`` detail, and through a spy counting calls of each shard
+engine's read methods (a shard none of them was called on was never touched).
 """
 
 from __future__ import annotations
@@ -19,13 +19,29 @@ from repro.stores import KeyValueEngine, RelationalEngine, TextEngine, Timeserie
 NUM_SHARDS = 4
 
 
-def _contacts(engine, action) -> list[int]:
-    """Indexes of shards whose metrics grew while ``action`` ran."""
-    before = [len(shard.metrics.records) for shard in engine.shards]
-    result = action()
-    after = [len(shard.metrics.records) for shard in engine.shards]
-    grown = [i for i, (a, b) in enumerate(zip(after, before)) if a > b]
-    return grown, result
+#: The engine methods an adapter reads a shard's data through.
+READS = ("scan", "index_lookup", "range_lookup", "execute_sql", "range_columns",
+         "window_aggregate", "summarize_many", "get", "multi_get", "range",
+         "search", "keyword_features", "documents_matching")
+
+
+def _contacts(engine, action) -> tuple[list[int], object]:
+    """Indexes of shards a read method was called on while ``action`` ran."""
+    calls = [0] * engine.num_shards
+
+    def counted(index, method):
+        def read(*args, **kwargs):
+            calls[index] += 1
+            return method(*args, **kwargs)
+        return read
+
+    with pytest.MonkeyPatch.context() as patch:
+        for index, shard in enumerate(engine.shards):
+            for name in READS:
+                if hasattr(shard, name):
+                    patch.setattr(shard, name, counted(index, getattr(shard, name)))
+        result = action()
+    return [i for i, n in enumerate(calls) if n], result
 
 
 @pytest.fixture

@@ -222,12 +222,6 @@ class TestWhatASummaryHolds:
 # -- counts: what a statement examines, copies and reports ------------------------------------
 
 
-def _last(engine: RelationalEngine, operation: str):
-    record = engine.metrics.records[-1]
-    assert record.operation == operation
-    return record
-
-
 @pytest.fixture
 def summaries(monkeypatch) -> list[Page]:
     """Every page a summary is taken of while the test runs."""
@@ -247,70 +241,71 @@ class TestAStatementCostsThePagesThatCanMatch:
         return Table(self.SCHEMA, [(i, i % 7, float(i % 1000))
                                    for i in range(self.ROWS)])
 
-    def test_a_range_update_examines_the_pages_of_its_range(self):
+    def test_a_range_update_examines_the_pages_of_its_range(self, heap_calls):
         engine = RelationalEngine("skip")
         engine.load_table("facts", self._table())
         pages = engine.table_statistics("facts")["pages"]
         in_range = (col("id") >= 20_000) & (col("id") < 20_100)
         assert len(engine.update_rows("facts", in_range, {"amount": 5.0})) == 100
-        details = _last(engine, "update").details
+        update = heap_calls.last("rewrite")
         # The one or two pages of the range, and the open last page.
-        assert details["pages_examined"] <= 3
-        assert details["pages_copied"] <= 2
-        assert details["pages_examined"] + details["pages_skipped"] == pages
+        assert update.pages_examined <= 3
+        assert update.pages_copied <= 2
+        assert update.pages_examined + update.pages_skipped == pages
 
-    def test_each_shard_examines_the_pages_of_its_part_of_the_range(self):
+    def test_each_shard_examines_the_pages_of_its_part_of_the_range(self, heap_calls):
         sharded = ShardedEngine("skip4", RelationalEngine, num_shards=4)
         sharded.load_table("facts", self._table(), shard_key="id")
         in_range = (col("id") >= 20_000) & (col("id") < 20_100)
+        heaps = [shard._stored("facts").heap for shard in sharded.shards]
         assert len(sharded.update_rows("facts", in_range, {"amount": 5.0})) == 100
-        for shard in sharded.shards:
-            assert _last(shard, "update").details["pages_examined"] <= 3
+        updates = [call for call in heap_calls if call.method == "rewrite"]
+        assert sorted(map(id, heaps)) == sorted(id(call.heap) for call in updates)
+        assert all(call.pages_examined <= 3 for call in updates)
 
     @pytest.mark.parametrize("k", [1, 7, 40])
-    def test_a_trim_examines_the_pages_it_trims(self, k):
+    def test_a_trim_examines_the_pages_it_trims(self, k, heap_calls):
         engine = RelationalEngine("skip")
         engine.load_table("facts", self._table())
         assert len(engine.delete_rows("facts", col("id") < k * 256)) == k * 256
-        assert _last(engine, "delete").details["pages_examined"] <= k + 1
+        assert heap_calls.last("rewrite").pages_examined <= k + 1
         assert engine.scan("facts").column("id") == list(range(k * 256, self.ROWS))
 
-    def test_a_predicate_no_page_rules_out_skips_nothing(self):
+    def test_a_predicate_no_page_rules_out_skips_nothing(self, heap_calls):
         engine = RelationalEngine("skip")
         table = self._table()
         engine.load_table("facts", table)
         result = engine.scan("facts", predicate=col("amount") > 100.0)
         assert result.rows == [row for row in table.rows if row[2] > 100.0]
         assert result.schema == self.SCHEMA
-        record = _last(engine, "scan")
-        assert record.details["pages_skipped"] == 0
-        assert record.rows_in == self.ROWS and record.rows_out == len(result)
+        select = heap_calls.last("select")
+        assert select.pages_skipped == 0
+        assert select.rows_in == self.ROWS
 
-    def test_a_single_page_table_never_takes_a_summary(self, summaries):
+    def test_a_single_page_table_never_takes_a_summary(self, summaries, heap_calls):
         engine = RelationalEngine("point")
         engine.load_table("facts", Table(self.SCHEMA, self._table().rows[:200]))
         in_range = (col("id") >= 20) & (col("id") < 30)
         assert len(engine.scan("facts", predicate=in_range)) == 10
-        assert _last(engine, "scan").details["pages_examined"] == 1
+        assert heap_calls.last("select").pages_examined == 1
         assert len(engine.update_rows("facts", in_range, {"amount": 5.0})) == 10
-        assert _last(engine, "update").details["pages_examined"] == 1
+        assert heap_calls.last("rewrite").pages_examined == 1
         assert len(engine.delete_rows("facts", in_range)) == 10
-        assert _last(engine, "delete").details["pages_examined"] == 1
+        assert heap_calls.last("rewrite").pages_examined == 1
         assert summaries == []
 
-    def test_a_scan_record_says_what_was_examined_and_what_was_returned(self):
+    def test_a_scan_examines_the_pages_that_can_hold_its_rows(self, heap_calls):
         engine = RelationalEngine("skip")
         engine.load_table("facts", self._table())
         result = engine.scan("facts", ["grp"], col("id").eq(20_000))
         assert result.rows == [(20_000 % 7,)]
-        record = _last(engine, "scan")
+        select = heap_calls.last("select")
         # The page holding the id, and the last page.
-        assert record.details == {
-            "table": "facts", "pages_examined": 2,
-            "pages_skipped": engine.table_statistics("facts")["pages"] - 2}
-        assert record.rows_in == 256 + self.ROWS % 256
-        assert record.rows_out == 1
-        assert record.bytes_out == result.estimated_bytes() < self.SCHEMA.row_width()
+        assert (select.pages_examined, select.pages_skipped) == (
+            2, engine.table_statistics("facts")["pages"] - 2)
+        assert select.heap is engine._stored("facts").heap
+        assert select.rows_in == 256 + self.ROWS % 256
+        assert result.estimated_bytes() < self.SCHEMA.row_width()
 
 
 class TestTheScanLeafFiltersBeforeItProjects:

@@ -175,11 +175,6 @@ class TestEngine:
         with pytest.raises(StorageError):
             relational_engine.scan("nope")
 
-    def test_metrics_recorded(self, relational_engine: RelationalEngine):
-        relational_engine.scan("patients")
-        operations = [m.operation for m in relational_engine.metrics.records]
-        assert "scan" in operations
-
     def test_empty_result_keeps_schema(self, relational_engine: RelationalEngine):
         result = relational_engine.execute_sql("SELECT pid FROM patients WHERE age > 200")
         assert result.num_rows == 0
@@ -190,19 +185,18 @@ class TestSqlWhereGoesToTheLeaf:
 
     SCHEMA = make_schema(("id", DataType.INT), ("grp", DataType.INT))
 
-    def test_a_selective_statement_examines_the_pages_that_can_match(self):
+    def test_a_selective_statement_examines_the_pages_that_can_match(self, heap_calls):
         engine = RelationalEngine("skip")
         engine.load_table("facts", Table(self.SCHEMA, [(i, i % 7) for i in range(50_000)]))
         pages = engine.table_statistics("facts")["pages"]
         result = engine.execute_sql("SELECT id, grp FROM facts WHERE id < 300")
         assert result.rows == [(i, i % 7) for i in range(300)]
-        record = engine.metrics.records[-1]
-        assert record.operation == "execute_sql"
+        (select,) = [call for call in heap_calls if call.method == "select"]
         # The two pages of the range, and the open last page.
-        assert record.details["pages_examined"] <= 3
-        assert record.details["pages_examined"] + record.details["pages_skipped"] == pages
+        assert select.pages_examined <= 3
+        assert select.pages_examined + select.pages_skipped == pages
         engine.execute_sql("SELECT count(*) AS n FROM facts")
-        assert engine.metrics.records[-1].details["pages_skipped"] == 0
+        assert heap_calls.last("select").pages_skipped == 0
 
     def test_an_unknown_where_column_is_rejected_even_over_no_rows(self):
         engine = RelationalEngine("none")
@@ -350,13 +344,7 @@ class TestWritesCostThePagesTheyTouch:
     def _table(self) -> Table:
         return Table(self.SCHEMA, [(i, i % 7, 0.0) for i in range(self.ROWS)])
 
-    @staticmethod
-    def _last(engine: RelationalEngine, operation: str) -> dict:
-        record = engine.metrics.records[-1]
-        assert record.operation == operation
-        return record.details
-
-    def test_update_shares_untouched_pages_and_indexes(self, monkeypatch):
+    def test_update_shares_untouched_pages_and_indexes(self, monkeypatch, heap_calls):
         engine = RelationalEngine("cow")
         engine.load_table("facts", self._table(), page_capacity=256)
         engine.create_index("facts", "grp", kind="hash")
@@ -371,11 +359,11 @@ class TestWritesCostThePagesTheyTouch:
                     (loads.append(self.column), _load(self, entries))[1])
         in_range = (col("id") >= 20_000) & (col("id") < 20_100)
         assert len(engine.update_rows("facts", in_range, {"amount": 5.0})) == 100
-        details = self._last(engine, "update")
+        update = heap_calls.last("rewrite")
         # 100 consecutive rows lie on at most 2 pages; the open last page is
         # the one page a sibling never shares.
-        assert details["pages_copied"] <= 2 + 1
-        assert details["pages_copied"] + details["pages_shared"] == pages
+        assert update.pages_copied <= 2 + 1
+        assert update.pages_copied + update.pages_shared == pages
         # Only the index whose keys changed is loaded again.
         assert loads == ["amount"]
         assert len(engine.index_lookup("facts", "grp", 3)) == self.ROWS // 7 + 1
@@ -383,31 +371,33 @@ class TestWritesCostThePagesTheyTouch:
         assert engine.range_lookup("facts", "id", 20_050, 20_050).rows == \
             [(20_050, 20_050 % 7, 5.0)]
 
-    def test_each_shard_shares_its_untouched_pages(self):
+    def test_each_shard_shares_its_untouched_pages(self, heap_calls):
         sharded = ShardedEngine("facts4", RelationalEngine, num_shards=4)
         sharded.load_table("facts", self._table(), shard_key="id",
                            page_capacity=256)
         in_range = (col("id") >= 20_000) & (col("id") < 20_100)
+        heaps = [shard._stored("facts").heap for shard in sharded.shards]
         assert len(sharded.update_rows("facts", in_range, {"amount": 5.0})) == 100
-        for shard in sharded.shards:
-            details = self._last(shard, "update")
-            assert details["pages_copied"] <= 2 + 1
-            assert details["pages_copied"] + details["pages_shared"] == \
+        updates = {call.heap: call for call in heap_calls if call.method == "rewrite"}
+        for shard, heap in zip(sharded.shards, heaps):
+            update = updates[heap]
+            assert update.pages_copied <= 2 + 1
+            assert update.pages_copied + update.pages_shared == \
                 shard.table_statistics("facts")["pages"]
 
-    def test_delete_drops_emptied_pages_and_copies_the_boundary(self):
+    def test_delete_drops_emptied_pages_and_copies_the_boundary(self, heap_calls):
         engine = RelationalEngine("cow")
         engine.load_table("facts", self._table(), page_capacity=256)
         pages = engine.table_statistics("facts")["pages"]
         assert len(engine.delete_rows("facts", col("id") < 5_000)) == 5_000
-        details = self._last(engine, "delete")
+        delete = heap_calls.last("rewrite")
         # 5 000 = 19 whole pages and part of the 20th.
-        assert details["pages_copied"] <= 1 + 1
+        assert delete.pages_copied <= 1 + 1
         assert engine.table_statistics("facts")["pages"] == pages - 19
-        assert details["pages_copied"] + details["pages_shared"] == pages - 19
+        assert delete.pages_copied + delete.pages_shared == pages - 19
         assert engine.scan("facts").column("id") == list(range(5_000, self.ROWS))
 
-    def test_an_under_full_page_that_becomes_the_last_one_is_not_shared(self):
+    def test_an_under_full_page_that_becomes_the_last_one_is_not_shared(self, heap_calls):
         engine = RelationalEngine("cow")
         schema = make_schema(("id", DataType.INT))
         engine.load_table("t", Table(schema, [(i,) for i in range(12)]),
@@ -415,23 +405,28 @@ class TestWritesCostThePagesTheyTouch:
         engine.delete_rows("t", col("id").eq(5))      # page 1 keeps 4, 6, 7
         retired = engine._stored("t")
         engine.delete_rows("t", col("id") >= 8)       # drops page 2 only
-        assert self._last(engine, "delete") == {
-            "table": "t", "pages_copied": 1, "pages_shared": 1,
-            "pages_examined": 1, "pages_skipped": 2}
+        delete = heap_calls.last("rewrite")
+        assert delete.heap is retired.heap
+        assert (delete.pages_copied, delete.pages_shared, delete.pages_examined,
+                delete.pages_skipped) == (1, 1, 1, 2)
         engine.insert("t", [(20,), (21,)])
         assert engine.scan("t").column("id") == [0, 1, 2, 3, 4, 6, 7, 20, 21]
         assert engine.table_statistics("t")["pages"] == 3
         assert [row[0] for row in retired.heap.scan()] == \
             [0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11]
 
-    def test_a_statement_matching_nothing_publishes_nothing(self):
+    def test_a_statement_matching_nothing_publishes_nothing(self, heap_calls):
         engine = RelationalEngine("cow")
         engine.load_table("facts", self._table(), page_capacity=256)
         before = engine._stored("facts")
         assert engine.update_rows("facts", col("id") < 0, {"amount": 1.0}) == []
         assert engine.delete_rows("facts", col("id") < 0) == []
         assert engine._stored("facts") is before
-        assert self._last(engine, "delete")["pages_copied"] == 0
+        # Each rewrite's sibling, with its copy of the open last page, is dropped.
+        published = engine._stored("facts").heap
+        assert sum(call.pages_copied for call in heap_calls
+                   if call.sibling is published) == 0
+        assert len(heap_calls) == 2
 
 
 class TestCreateIndexSerializesWithWrites:

@@ -175,8 +175,8 @@ def test_engine_and_program_routes_agree(system, reference, name):
         assert len(direct) > 0
 
 
-def test_execute_sql_records_one_metric(reference):
-    before = len(reference.metrics)
-    result = reference.execute_sql(STATEMENTS["everything"])
-    (record,) = reference.metrics.records[before:]
-    assert (record.operation, record.rows_out) == ("execute_sql", len(result))
+def test_execute_sql_walks_each_table_once(reference, heap_calls):
+    reference.execute_sql(STATEMENTS["everything"])
+    walked = [call.heap for call in heap_calls if call.method == "select"]
+    assert walked == [reference._stored(name).heap for name in ("people", "tags")]
+    assert all(call.pages_skipped == 0 for call in heap_calls)

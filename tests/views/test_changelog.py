@@ -302,17 +302,17 @@ class TestShardedChangelog:
     def test_bulk_batches_age_out_by_retained_rows(self):
         log = ChangeLog(capacity=100, max_rows=10)
         log.append("s", [(i, 1) for i in range(8)])
-        assert log.stats()["retained_rows"] == 8
+        assert log.retention_stats()["retained_rows"] == 8
         log.append("s", [(i, 1) for i in range(8)])  # 16 > 10: oldest drops
-        stats = log.stats()
-        assert stats["batches"] == 1 and stats["retained_rows"] == 8
+        stats = log.retention_stats()
+        assert stats["retained_batches"] == 1 and stats["retained_rows"] == 8
         _, complete = log.read_since(0, "s")
         assert not complete  # trimmed-past cursors resync
         # A single oversized batch ages out immediately; head cursors and
         # later appends keep working.
         head = log.latest_seq
         log.append("s", [(i, 1) for i in range(50)])
-        assert log.stats()["retained_rows"] == 0
+        assert log.retention_stats()["retained_rows"] == 0
         _, complete = log.read_since(head, "s")
         assert not complete
         log.append("s", [(0, 1)])
