@@ -11,6 +11,7 @@ of it.
 from __future__ import annotations
 
 import threading
+from itertools import chain, groupby
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
@@ -22,11 +23,13 @@ from repro.stores.relational import kernels
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.index import HashIndex, SortedIndex
 from repro.stores.relational.operators import (
+    RUN,
     AggregateSpec,
     TableScan,
     TopK,
     aggregate_kernel,
     build_operator,
+    vector_fold,
 )
 from repro.stores.relational.sql import lower_select, parse_select
 from repro.stores.relational.storage import HeapStorage
@@ -337,20 +340,41 @@ class RelationalEngine(Engine):
         pass (:meth:`HeapStorage.select`).
 
         With ``partial`` — ``(group_by, aggregates)`` — the same pass folds
-        the rows into one row per group instead, groups in first-seen order
-        (:func:`~repro.stores.relational.operators.aggregate_kernel`): the
-        partials an aggregate fused into this scan combines.  The rows are
-        read before any projection, so ``columns`` only has to exist.
+        the rows into one row per group instead, groups in first-seen order:
+        the partials an aggregate fused into this scan combines.  The rows are
+        read before any projection, so ``columns`` only has to exist.  Sealed
+        pages fold with numpy where it reads them exactly (``VectorFold``),
+        the rest with the row kernel (``aggregate_kernel``), into one dict:
+        the rows are the row kernel's, each group once, in first-seen order,
+        so ``combine_partial_aggregates`` only finishes this one part.
         """
         stored = self._stored(table)
         schema = stored.schema if columns is None else stored.schema.project(columns)
         if partial is None:
             return Table.wrap(schema, stored.heap.select(predicate, columns)[0])
-        chunks, pages = stored.heap.candidates(predicate)
-        fold, schema = aggregate_kernel(
-            stored.schema, tuple(partial[0]), tuple(partial[1]),
-            predicate if pages else None)  # over no page, bind nothing
-        return Table.wrap(schema, fold(chunks))
+        candidates, pages = stored.heap.candidates(predicate)
+        group_by, aggregates = tuple(partial[0]), tuple(partial[1])
+        fold, schema = aggregate_kernel(stored.schema, group_by, aggregates,
+                                        predicate if pages else None)  # over no page, bind nothing
+        vector = len(candidates) > 1 and vector_fold(stored.schema, group_by, aggregates,
+                                                     predicate)
+        groups: dict = {}
+        chunks: list[list[Row]] = []
+        # Up to RUN sealed pages of equal kinds fold as one run; the last page
+        # may still change, so the row kernel folds it, last, into the rows.
+        sealed = candidates[:-1] if vector else []
+        for kinds, run in chain.from_iterable(groupby(sealed[at:at + RUN], vector.kinds)
+                                              for at in range(0, len(sealed), RUN)):
+            run = list(run)
+            if kinds is not None:
+                if chunks:
+                    fold(chunks, groups)
+                    chunks = []
+                if vector.fold(run, groups):
+                    continue
+            chunks.extend(page.rows for page in run)
+        chunks.extend(page.rows for page in candidates[len(sealed):])
+        return Table.wrap(schema, fold(chunks, groups))
 
     def has_index(self, table: str, column: str) -> bool:
         """Whether an equality-capable index exists on ``table.column``.

@@ -69,6 +69,10 @@ def factory(kind: str, signature: str, body: str, literals: int
 class Source:
     """One kernel being written for rows laid out in ``schema``."""
 
+    #: What a column read indexes: ``row[i]``, or another name for one array
+    #: per column.
+    row = "row"
+
     def __init__(self, schema: Any) -> None:
         self._schema = schema
         self.constants: list[Any] = []
@@ -78,7 +82,7 @@ class Source:
         """``row[i]``.  A name the schema lacks reads ``None`` if ``or_none``
         (key columns) and is a :class:`QueryError` otherwise (expressions)."""
         if name in self._schema:
-            return _Atom(f"row[{self._schema.index_of(name)}]")
+            return _Atom(f"{self.row}[{self._schema.index_of(name)}]")
         if or_none:
             return _Atom("None")
         raise QueryError(f"unknown column {name!r} in expression")

@@ -36,10 +36,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Row, Table
 from repro.exceptions import QueryError
-from repro.stores.relational.expressions import Expression
+from repro.stores.relational.expressions import (ColumnRef, Comparison, Expression,
+                                                 Literal, split_conjunction)
 from repro.stores.relational import kernels
 
 RowDict = dict[str, Any]
@@ -275,7 +278,7 @@ class GroupByAggregate(PhysicalOperator):
             child.schema, tuple(group_by), tuple(aggregates))
 
     def rows(self) -> list[Row]:
-        return self._kernel((self._child.rows(),))
+        return self._kernel((self._child.rows(),), {})
 
 
 class TopK(PhysicalOperator):
@@ -359,17 +362,17 @@ _ACCUMULATORS = {
     "max": (["None"], "s = a[{i}]\nif s is None or v > s: a[{i}] = v", "a[{i}]"),
 }
 
-#: ``chunks -> output rows`` over lists of rows, and the output schema.
-AggregateKernel = tuple[Callable[[Iterable[Iterable[Row]]], list[Row]], Schema]
+#: ``(chunks, groups) -> output rows`` over lists of rows, and the output schema.
+AggregateKernel = tuple[Callable[[Iterable[Iterable[Row]], dict], list[Row]], Schema]
 
 
 def aggregate_kernel(source: Schema, group_by: tuple[str, ...],
                      aggregates: tuple[AggregateSpec, ...],
                      predicate: Expression | None = None) -> AggregateKernel:
     """What a :class:`GroupByAggregate` derives from its parameters: the output
-    schema, and ``chunks -> output rows`` — one pass over every row of every
-    chunk, one accumulator list per group in a dict keyed by the group, by the
-    bare value when one column groups.
+    schema, and ``(chunks, groups) -> output rows`` — one pass over every row
+    of every chunk, one accumulator list per group in ``groups`` (``{}`` to
+    start), keyed by the group, by the bare value when one column groups.
 
     With ``predicate`` the same loop first tests each row and folds only
     those that satisfy it: the page walk of a scan that feeds an aggregate
@@ -377,32 +380,23 @@ def aggregate_kernel(source: Schema, group_by: tuple[str, ...],
     the test is written per call; its literals are arguments of the
     generated factory, so a new literal compiles nothing.
     """
-    if predicate is None:
-        return _unfiltered_aggregate_kernel(source, group_by, aggregates)
-    schema, filtered, _ = _aggregate_loop(source, group_by, aggregates)
+    schema, loop = _aggregate_loop(source, group_by, aggregates)
     out = kernels.Source(source)
-    test = out.value(predicate, truth=True)
-    return out.kernel("aggregate", "chunks",
-                      f"{_LOOP_HEAD}        if {test}:\n{filtered}"), schema
+    # Without a predicate the test is ``True``, which compiles to nothing.
+    test = "True" if predicate is None else out.value(predicate, truth=True)
+    return out.kernel("aggregate", "chunks, groups",
+                      f"{_LOOP_HEAD}        if {test}:\n{loop}"), schema
 
 
-_LOOP_HEAD = "groups = {}\nfind = groups.get\nfor chunk in chunks:\n    for row in chunk:\n"
-
-
-@functools.lru_cache(maxsize=512)
-def _unfiltered_aggregate_kernel(source: Schema, group_by: tuple[str, ...],
-                                 aggregates: tuple[AggregateSpec, ...]) -> AggregateKernel:
-    schema, _, unfiltered = _aggregate_loop(source, group_by, aggregates)
-    return kernels.Source(source).kernel("aggregate", "chunks",
-                                         _LOOP_HEAD + unfiltered), schema
+_LOOP_HEAD = "find = groups.get\nfor chunk in chunks:\n    for row in chunk:\n"
 
 
 @functools.lru_cache(maxsize=512)
 def _aggregate_loop(source: Schema, group_by: tuple[str, ...],
-                    aggregates: tuple[AggregateSpec, ...]) -> tuple[Schema, str, str]:
-    """The output schema, and the kernel text below the row loop, under a
-    row test and without one: writing it costs ~15 µs, more than the loop
-    takes over a hundred rows.  It reads columns only, so it binds no literal."""
+                    aggregates: tuple[AggregateSpec, ...]) -> tuple[Schema, str]:
+    """The output schema, and the kernel text below the row test: writing it
+    costs ~15 µs, more than the loop takes over a hundred rows.  It reads
+    columns only, so it binds no literal."""
     schema = Schema(
         [source[name] if name in source else Column(name, DataType.STRING)
          for name in group_by]
@@ -430,8 +424,179 @@ def _aggregate_loop(source: Schema, group_by: tuple[str, ...],
             f"v = {cell}\nif v is not None:\n{textwrap.indent(step, '    ')}"
     tail = (("" if group_by else f"if not groups: groups[()] = {fresh}\n")
             + f"return [{'(key,)' if scalar else 'key'} + ({results}) for key, a in groups.items()]")
-    return (schema, textwrap.indent(loop, " " * 12) + tail,
-            textwrap.indent(loop, " " * 8) + tail)
+    return schema, textwrap.indent(loop, " " * 12) + tail
+
+
+# -- the vector fold over sealed pages -------------------------------------------------
+
+#: :class:`~repro.stores.relational.storage.PageColumn` kinds a sum reads.
+_NUMBERS = frozenset({int, bool, float})
+#: Int sums fold through float64 ``bincount`` weights, exact up to 2**53; int
+#: group keys fold as at most ``_SPAN`` dense slots; a page's string group
+#: column holds at most ``_FEW`` distinct values.  A run is at most ``RUN``
+#: pages: runs of 64 take ~40 % less time, but the extra writes the benchmark
+#: suite's timed ``scan_agg`` warm-up then fits lift its ``peak_rss_mb`` past
+#: the suite's 10 % bound.
+_EXACT, _SPAN, _FEW, RUN = 2 ** 53, 1 << 16, 64, 16
+
+
+def _comparable(literal: Any) -> frozenset[type]:
+    """The column kinds numpy compares with ``literal`` exactly as Python does."""
+    if type(literal) is float:
+        return frozenset({float})
+    if type(literal) in (int, bool) and -2 ** 63 <= literal < 2 ** 63:
+        return _NUMBERS if abs(literal) <= _EXACT else frozenset({int, bool})
+    return frozenset()
+
+
+class VectorFold:
+    """A fused scan-aggregate's fold of runs of sealed pages with numpy over
+    their :meth:`~repro.stores.relational.storage.Page.column` arrays, leaving
+    ``groups`` as the row kernel would: counts and int sums add exactly, and a
+    float sum stays one left fold, since ``np.bincount`` adds its weights in
+    order after the group's running total."""
+
+    def __init__(self, key: int | None, inputs: list[int | None], sums: list[bool],
+                 mask: Callable[[Any], Any] | None, tested: list[int],
+                 needs: dict[int, frozenset[type]]) -> None:
+        self._key, self._inputs, self._sums = key, inputs, sums
+        self._mask, self._tested = mask, tested
+        #: The columns read, the group column last, and the kinds each may be.
+        self._positions = sorted(needs, key=lambda position: position == key)
+        self._allowed = [needs[position] for position in self._positions]
+
+    def kinds(self, page: Any) -> tuple[type, ...] | None:
+        """The kinds of the columns read on ``page``, a sealed one, or ``None``
+        when the row kernel has to fold it."""
+        columns = list(map(page.column, self._positions))
+        if None in columns:
+            return None
+        kinds = tuple(column.kind for column in columns)
+        if all(map(frozenset.__contains__, self._allowed, kinds)) and (
+                self._key is None
+                or columns[-1].nulls is None and len(columns[-1].keys) <= _FEW):
+            return kinds
+        return None
+
+    def fold(self, run: list[Any], groups: dict) -> bool:
+        """Fold ``run``, pages of equal :meth:`kinds`, into ``groups``; or leave
+        it to the row kernel (``False``): an int sum could pass 2**53, a sum
+        would go on from a total of another type, int keys span too widely."""
+        parts = {at: [page.column(at) for page in run] for at in self._positions}
+        kinds = {at: columns[0].kind for at, columns in parts.items()}
+        values = {at: np.concatenate([column.values for column in columns],
+                                     dtype=np.float64 if kinds[at] is float else np.int64)
+                  for at, columns in parts.items()}
+        nulls = {at: np.concatenate([np.zeros(len(column.values), bool) if column.nulls
+                                     is None else column.nulls for column in columns])
+                 for at, columns in parts.items() if any(c.nulls is not None for c in columns)}
+        keep = self._mask(values) if self._mask else np.ones(sum(map(len, run)), bool)
+        for at in self._tested:
+            if at in nulls:
+                keep &= ~nulls[at]
+        if not keep.any():
+            return True
+        if self._key is None:
+            slots, names = np.zeros(np.count_nonzero(keep), np.intp), [()]
+        elif kinds[self._key] is str:
+            index: dict[str, int] = {}
+            slots = np.concatenate([np.array([index.setdefault(name, len(index))
+                                              for name in column.keys], np.intp)[column.values]
+                                    for column in parts[self._key]])[keep]
+            names = list(index)
+        else:  # dense slots from the least key up
+            slots = values[self._key][keep]
+            low = int(slots.min())
+            names = range(low, int(slots.max()) + 1)
+            if len(names) > _SPAN:
+                return False
+            names = (False, True)[low:names.stop] if kinds[self._key] is bool else names
+            slots -= low
+        width = len(names)
+        counts = np.bincount(slots, minlength=width)
+        order: dict[int, None] = {}  # the slots present, in first-seen order
+        start, step, present = 0, 1024, np.count_nonzero(counts)
+        while len(order) < present:
+            order.update(dict.fromkeys(slots[start:start + step].tolist()))
+            start, step = start + step, step * 4
+        keys = [names[slot] for slot in order]
+        found = [groups.get(key) for key in keys]
+        updates = []
+        for at, (position, is_sum) in enumerate(zip(self._inputs, self._sums)):
+            valid = ~nulls[position][keep] if position in nulls else slice(None)
+            chosen = slots[valid]
+            tally = (counts if position not in nulls
+                     else np.bincount(chosen, minlength=width)).tolist()
+            if not is_sum:
+                updates.append((at, None, tally))
+                continue
+            weights, floats = values[position][keep][valid], kinds[position] is float
+            running = [(slot, a[at]) for slot, a in zip(order, found)
+                       if a is not None and a[at] is not None]
+            if any(type(total) is not (float if floats else int) for _, total in running) \
+                    or not floats and weights.size and _EXACT < weights.size * max(
+                        -int(weights.min()), int(weights.max())):
+                return False
+            if floats and running:
+                chosen = np.concatenate([[slot for slot, _ in running], chosen])
+                weights = np.concatenate([[total for _, total in running], weights])
+            sums = np.bincount(chosen, weights, width).tolist()
+            updates.append((at, floats, [total if n else None
+                                         for total, n in zip(sums, tally)]))
+        fresh = [None if is_sum else 0 for is_sum in self._sums]
+        for slot, key, a in zip(order, keys, found):
+            if a is None:
+                groups[key] = a = list(fresh)
+            for at, floats, by_slot in updates:
+                if floats is None:
+                    a[at] += by_slot[slot]
+                elif by_slot[slot] is not None:
+                    a[at] = by_slot[slot] if floats \
+                        else (0 if a[at] is None else a[at]) + int(by_slot[slot])
+        return True
+
+
+def vector_fold(source: Schema, group_by: tuple[str, ...],
+                aggregates: tuple[AggregateSpec, ...],
+                predicate: Expression | None) -> VectorFold | None:
+    """The :class:`VectorFold` of a fused scan-aggregate, or ``None`` when every
+    page takes the row kernel: ``min``, ``max``, ``avg``, more than one group
+    column, a column the table lacks, or a predicate other than a conjunction
+    of column-against-number comparisons."""
+    names = [*group_by, *(spec.column for spec in aggregates if spec.column is not None)]
+    if len(group_by) > 1 or any(name not in source for name in names) or any(
+            spec.function not in ("count", "sum") for spec in aggregates):
+        return None
+    needs: dict[int, frozenset[type]] = {}
+
+    def need(name: str, kinds: frozenset[type]) -> int:
+        position = source.index_of(name)
+        needs[position] = needs.get(position, kinds) & kinds
+        return position
+
+    mask, tested = None, []
+    if predicate is not None:
+        out, tests = kernels.Source(source), []
+        out.row = "v"  # ``v[i]``: column ``i`` of a run of pages, one array
+        for conjunct in split_conjunction(predicate):
+            if not isinstance(conjunct, Comparison):
+                return None
+            column, literal = conjunct.left, conjunct.right
+            if isinstance(literal, ColumnRef):
+                column, literal = literal, column
+            if not (isinstance(column, ColumnRef) and column.name in source
+                    and isinstance(literal, Literal) and _comparable(literal.value)):
+                return None
+            tested.append(need(column.name, _comparable(literal.value)))
+            # ``((v[i] is not None) and v[i] > k0)``: the nulls are masked apart.
+            tests.append(out.value(conjunct, truth=True))
+        mask = out.kernel("mask", "v", "return " + " & ".join(tests))
+    inputs = [None if spec.column is None else need(
+        spec.column, _NUMBERS if spec.function == "sum" else _NUMBERS | {str})
+        for spec in aggregates]
+    key = need(group_by[0], frozenset({int, bool, str})) if group_by else None
+    return VectorFold(key, inputs, [spec.function == "sum" for spec in aggregates],
+                      mask, tested, needs)
 
 
 # -- partial aggregates ---------------------------------------------------------------
@@ -489,7 +654,9 @@ def combine_partial_aggregates(parts: Sequence[Table], group_by: Sequence[str],
     columns, each partial column folded as :data:`_FOLDS` says; an ``avg``
     then divides its summed ``sum`` by its summed ``count``.  Groups keep
     their first-seen order, and SQL null semantics are preserved
-    (``sum``/``min``/``max`` over no non-null values stay ``None``).  The
+    (``sum``/``min``/``max`` over no non-null values stay ``None``).  A single
+    part — a fused scan's output, or one shard's partial aggregate — already
+    holds each group once, in first-seen order, and is only finished.  The
     result's schema comes from the partials' plan-typed schemas and the
     combine rules, never from the combined values.
 
@@ -499,14 +666,15 @@ def combine_partial_aggregates(parts: Sequence[Table], group_by: Sequence[str],
     """
     group_by, combines = tuple(group_by), tuple(combines)
     fold, finish = _combiner(group_by, combines)
-    rows = finish(fold([part.rows for part in parts]))
+    rows = finish(parts[0].rows if len(parts) == 1
+                  else fold([part.rows for part in parts], {}))
     schemas = tuple(part.schema for part in parts)
     return Table.wrap(_combined_schema(schemas, group_by, combines), rows)
 
 
 @functools.lru_cache(maxsize=512)
 def _combiner(group_by: tuple[str, ...], combines: tuple[CombineSpec, ...]
-              ) -> tuple[Callable[[Iterable[Iterable[Row]]], list[Row]],
+              ) -> tuple[Callable[[Iterable[Iterable[Row]], dict], list[Row]],
                          Callable[[list[Row]], list[Row]]]:
     """The fold over partial rows and the finisher, for one shape."""
     names = (*group_by, *(name for combine in combines for name in combine.partials))

@@ -7,14 +7,19 @@ write can say how many pages it examined (:meth:`HeapStorage.select` and
 :meth:`HeapStorage.rewrite` return it), so an
 update or delete copies only the pages it touches (:meth:`HeapStorage.rewrite`),
 and so a predicate is evaluated only on the pages whose per-column min/max
-summaries (:meth:`Page.bounds`) say a row could satisfy it.
+summaries (:meth:`Page.bounds`) say a row could satisfy it.  A page that
+no longer changes also lends its columns as numpy arrays (:meth:`Page.column`)
+to the vector fold of a scan that aggregates what it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
-from typing import Any, Callable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row
@@ -25,6 +30,19 @@ from repro.stores.relational.expressions import Expression, page_test
 DEFAULT_PAGE_CAPACITY = 256
 
 
+class PageColumn(NamedTuple):
+    """A sealed page's column (:meth:`Page.column`): ``values`` in the
+    narrowest int or float dtype that holds them exactly, or codes into
+    ``keys`` (the distinct ``str`` cells, first seen first); ``0`` where
+    ``nulls`` (``None`` if no cell is ``None``) is set; ``kind``, the type of
+    every other cell."""
+
+    values: np.ndarray
+    nulls: np.ndarray | None
+    kind: type
+    keys: tuple[str, ...]
+
+
 @dataclass
 class Page:
     """A fixed-capacity container of rows."""
@@ -33,6 +51,9 @@ class Page:
     rows: list[Row] = field(default_factory=list)
     #: Column position -> what :meth:`bounds` found, filled on first use.
     _bounds: dict[int, Any] = field(default_factory=dict, repr=False, compare=False)
+    #: Column position -> what :meth:`column` built, filled on first use.
+    _columns: dict[int, PageColumn | None] = field(default_factory=dict, repr=False,
+                                                    compare=False)
     #: ``(segment file, index)`` once a checkpoint has written this page — only
     #: ever a sealed one, so the bytes on disk stay the page's rows.
     _ref: tuple[str, int] | None = field(default=None, repr=False, compare=False)
@@ -52,6 +73,51 @@ class Page:
             except (TypeError, ValueError):
                 self._bounds[position] = None
         return self._bounds[position]
+
+    def column(self, position: int) -> PageColumn | None:
+        """One column's cells as arrays; ``None`` unless the cells that are not
+        ``None`` share one type: ``int`` within int64, ``bool``, ``float``
+        without NaN or ``str``.  Built once and kept, as :meth:`bounds` is, so
+        only for a page that no longer changes (racers build equal columns)."""
+        try:
+            return self._columns[position]
+        except KeyError:
+            pass
+        cells = list(map(itemgetter(position), self.rows))
+        kinds = set(map(type, cells))
+        nulls = None
+        if type(None) in kinds:
+            kinds.discard(type(None))
+            nulls = np.fromiter((cell is None for cell in cells), bool, len(cells))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        built = None
+        if kind is str:
+            index: dict[str, int] = {}
+            codes = [0 if cell is None else index.setdefault(cell, len(index))
+                     for cell in cells]
+            built = PageColumn(np.array(codes, np.min_scalar_type(len(index))), nulls,
+                               str, tuple(index))
+        elif kind in (int, bool, float):
+            try:
+                values = np.array(cells if nulls is None else
+                                  [0 if cell is None else cell for cell in cells],
+                                  np.float64 if kind is float else np.int64)
+            except OverflowError:  # an int beyond int64
+                values = None
+            if values is not None and not np.isnan(values).any():
+                # Kept in the narrowest type that holds every cell exactly.
+                with np.errstate(over="ignore"):
+                    for narrow in (np.float32,) if kind is float else (np.int8, np.int16,
+                                                                       np.int32):
+                        if ((small := values.astype(narrow)) == values).all():
+                            values = small
+                            break
+                built = PageColumn(values, nulls, kind, ())
+        self._columns[position] = built
+        return built
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
     @property
     def is_full(self) -> bool:
@@ -200,13 +266,12 @@ class HeapStorage:
                 yield (number, slot), row
 
     def candidates(self, predicate: Expression | None = None
-                   ) -> tuple[list[list[Row]], int]:
-        """The row lists of the pages whose summaries do not rule ``predicate``
-        out (every page's, without one), in scan order, and the number of
-        pages there were."""
+                   ) -> tuple[list[Page], int]:
+        """The pages whose summaries do not rule ``predicate`` out (every page,
+        without one), in scan order, and the number of pages there were.  The
+        last of them is the heap's last page, the one that may still change."""
         pages = self._pages[:]
-        return ([page.rows for page in compress(pages, self._examine(pages, predicate))],
-                len(pages))
+        return list(compress(pages, self._examine(pages, predicate))), len(pages)
 
     def select(self, predicate: Expression | None = None,
                columns: Sequence[str] | None = None
@@ -219,7 +284,8 @@ class HeapStorage:
         predicate.  Returns the rows, the rows examined, the pages examined
         and the pages there were.
         """
-        chunks, pages = self.candidates(predicate)
+        candidates, pages = self.candidates(predicate)
+        chunks = [page.rows for page in candidates]
         if pages and (predicate is not None or columns is not None):
             rows = kernels.select(self.schema, predicate, columns)(chunks)
         else:

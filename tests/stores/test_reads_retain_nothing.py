@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import gc
 
+from repro import col
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import KeyValueEngine, RelationalEngine, TimeseriesEngine
+from repro.stores.relational.operators import AggregateSpec
 
 CALLS = 5_000
 
@@ -27,5 +29,22 @@ def test_5000_reads_on_three_engines_retain_no_objects():
     for _ in range(CALLS):
         for read in reads:
             read()
+    gc.collect()
+    assert len(gc.get_objects()) - before < 100
+
+
+def test_5000_fused_aggregate_reads_retain_no_objects():
+    # Four pages: three sealed ones fold from their column arrays, built by
+    # the warm-up read and kept on the pages; the last one takes the row kernel.
+    db = RelationalEngine("db")
+    db.load_table("t", Table(make_schema(("g", DataType.INT), ("a", DataType.FLOAT)),
+                             [(i % 5, float(i)) for i in range(1_000)]))
+    partial = (("g",), (AggregateSpec("count", None, "n"), AggregateSpec("sum", "a", "s")))
+    over = col("a") > 10.0
+    db.scan("t", None, over, partial=partial)
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(CALLS):
+        db.scan("t", None, over, partial=partial)
     gc.collect()
     assert len(gc.get_objects()) - before < 100
