@@ -1,7 +1,7 @@
 """E12 — the paper's §III walk-through: Admission ⋈ Patients across two databases.
 
 The Admission table lives in DB1 and the Patients table in DB2; DB2's
-projection is migrated to DB1, which sort-merges on the admission date.
+projection is migrated to DB1, which joins it and sorts on the admission date.
 Polystore++ accelerates both the sort (FPGA bitonic network) and the
 migration (offloaded serialization + RDMA), pipelining them to cut latency.
 """

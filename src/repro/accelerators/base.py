@@ -122,7 +122,10 @@ class Accelerator(abc.ABC):
         return kernel in self.kernels
 
     def estimate(self, spec: KernelSpec) -> OffloadReport:
-        """Simulated cost of running ``spec`` on this device."""
+        """Simulated cost of running ``spec`` on this device next.
+
+        Pricing leaves the device as it was: only :meth:`charge` loads a kernel.
+        """
         profile = self.profile
         bytes_moved = spec.bytes_in + spec.bytes_out
         transfer_s = bytes_moved / (profile.transfer_bandwidth_gbs * 1e9) \
@@ -131,7 +134,6 @@ class Accelerator(abc.ABC):
         reconfiguration_s = 0.0
         if self._configured_kernel is not None and self._configured_kernel != spec.name:
             reconfiguration_s = profile.reconfiguration_s
-        self._configured_kernel = spec.name
         if spec.pipelineable and self.mode is DeploymentMode.BUMP_IN_THE_WIRE:
             # Streaming kernels overlap transfer with compute.
             busy = max(transfer_s, compute_s)
@@ -153,6 +155,13 @@ class Accelerator(abc.ABC):
             bytes_moved=bytes_moved,
             pipelined=spec.pipelineable and self.mode is DeploymentMode.BUMP_IN_THE_WIRE,
         )
+
+    def charge(self, spec: KernelSpec) -> OffloadReport:
+        """Run ``spec`` on this device: its :meth:`estimate`, after which the
+        device holds ``spec``'s kernel."""
+        report = self.estimate(spec)
+        self._configured_kernel = spec.name
+        return report
 
     def _compute_time(self, spec: KernelSpec) -> float:
         """Device compute time for a kernel; subclasses may specialize."""

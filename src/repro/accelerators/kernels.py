@@ -155,8 +155,8 @@ def kernel_mapping(device: Accelerator, operator: str | None) -> KernelMapping:
 
 
 def offload_cost(device: Accelerator, operator: str, work: WorkEstimate) -> OffloadReport:
-    """What ``device`` charges for ``operator`` over ``work``."""
-    return device.estimate(kernel_mapping(device, operator).spec(work))
+    """What ``device`` charges for running ``operator`` over ``work``."""
+    return device.charge(kernel_mapping(device, operator).spec(work))
 
 
 class KernelRegistry:

@@ -63,13 +63,11 @@ class PlacementDecision:
 class OffloadPlanner:
     """Chooses a placement for each operator given a device fleet."""
 
-    def __init__(self, registry: KernelRegistry, host: HostCPU | None = None, *,
-                 objective: Objective = Objective.LATENCY,
-                 host_cores: int = 1) -> None:
+    def __init__(self, registry: KernelRegistry, *,
+                 objective: Objective = Objective.LATENCY) -> None:
         self.registry = registry
-        self.host = host if host is not None else HostCPU()
+        self.host = HostCPU()
         self.objective = objective
-        self.host_cores = host_cores
         self.decisions: list[PlacementDecision] = []
 
     # -- host model --------------------------------------------------------------------
@@ -77,7 +75,7 @@ class OffloadPlanner:
     def host_estimate(self, work: WorkEstimate, operator: str) -> tuple[float, float]:
         """Predicted (time, energy) of running ``operator`` on the host."""
         flops, bytes_moved = _host_work(work, operator)
-        time_s = self.host.execution_time_s(flops, bytes_moved, cores=self.host_cores)
+        time_s = self.host.execution_time_s(flops, bytes_moved)
         return time_s, self.host.energy_j(time_s)
 
     # -- decision ----------------------------------------------------------------------

@@ -229,16 +229,6 @@ def attr_chain(node: ast.AST) -> list[str] | None:
             return None
 
 
-def call_name(call: ast.Call) -> str | None:
-    """Terminal name of the called expression (``a.b.c()`` -> ``"c"``)."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
 def fstring_prefix(node: ast.AST) -> str | None:
     """Static leading text of a string or f-string expression.
 

@@ -71,11 +71,6 @@ class CancellationToken:
         """The reason passed to the first :meth:`cancel` call, if any."""
         return self._reason
 
-    @property
-    def deadline_s(self) -> float | None:
-        """Absolute deadline on the token's clock, or ``None``."""
-        return self._deadline
-
     def remaining_s(self) -> float | None:
         """Seconds until the deadline (``None`` without one, floored at 0)."""
         if self._deadline is None:

@@ -55,10 +55,6 @@ class Catalog:
         """All registered engines."""
         return list(self._engines.values())
 
-    def engine_names(self) -> list[str]:
-        """Names of registered engines."""
-        return sorted(self._engines)
-
     def engines_with_model(self, model: DataModel) -> list[Engine]:
         """Engines speaking the given data model."""
         return [e for e in self._engines.values() if e.data_model is model]
@@ -75,10 +71,6 @@ class Catalog:
     def accelerators(self) -> list[Accelerator]:
         """All registered accelerators."""
         return list(self._accelerators.values())
-
-    def has_accelerators(self) -> bool:
-        """Whether any accelerator is registered."""
-        return bool(self._accelerators)
 
     # -- statistics -------------------------------------------------------------------------
 

@@ -102,15 +102,9 @@ class PreparedProgram:
         self._plan = plan
         self._entry = entry
         self._options = options
-        self._runs = 0
         self._lock = threading.RLock()
 
     # -- introspection -------------------------------------------------------------------
-
-    @property
-    def program(self) -> DataflowProgram:
-        """The source program (frozen if prepared with ``freeze=True``)."""
-        return self._program
 
     @property
     def mode(self) -> str:
@@ -126,11 +120,6 @@ class PreparedProgram:
     def compilation(self):
         """The (possibly re-)compiled plan currently backing this program."""
         return self._entry.compilation
-
-    @property
-    def runs(self) -> int:
-        """How many times :meth:`run` completed on this handle."""
-        return self._runs
 
     @property
     def reoptimizations(self) -> int:
@@ -239,8 +228,6 @@ class PreparedProgram:
                                           snapshot, cancellation=cancellation)
         if reoptimized:
             result.report.reoptimized = True
-        with self._lock:
-            self._runs += 1
         return result
 
     def _check_bindings(self, params: dict[str, Any], entry: CachedPlan) -> None:

@@ -683,14 +683,6 @@ class ShardedEngine(Engine):
         merged["shards"] = len(per_shard)
         return merged
 
-    def statistics(self) -> dict[str, Any]:
-        """Aggregated engine statistics (duck-typed per substrate)."""
-        per_shard = []
-        for shard in self.shards:
-            stats_fn = getattr(shard, "statistics", None)
-            per_shard.append(stats_fn() if callable(stats_fn) else {})
-        return {"shards": len(per_shard), "per_shard": per_shard}
-
     # -- rebalancing hooks (driven by repro.cluster.rebalance) -------------------------
 
     @property

@@ -106,7 +106,7 @@ def _estimate_rows(graph: IRGraph, node: Operator, catalog: Catalog | None) -> i
         return int(node.params.get("top_k", 10))
     if KINDS[kind].source:
         return _DEFAULT_ROWS  # every other engine read: no statistics to consult
-    if kind in ("train", "kmeans"):
+    if kind == "train":
         return 1
     if kind == "union":
         return sum(input_rows) if input_rows else _DEFAULT_ROWS

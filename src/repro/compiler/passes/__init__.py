@@ -3,7 +3,7 @@
 from repro.compiler.passes.cse import eliminate_common_subexpressions
 from repro.compiler.passes.dce import eliminate_dead_code
 from repro.compiler.passes.fusion import fold_aggregates_into_scans, fuse_operators
-from repro.compiler.passes.join_reorder import choose_join_algorithms, reorder_joins
+from repro.compiler.passes.join_reorder import reorder_joins
 from repro.compiler.passes.placement import place_accelerators
 from repro.compiler.passes.pushdown import (
     absorb_into_leaves,
@@ -22,6 +22,5 @@ __all__ = [
     "eliminate_dead_code",
     "eliminate_common_subexpressions",
     "reorder_joins",
-    "choose_join_algorithms",
     "place_accelerators",
 ]

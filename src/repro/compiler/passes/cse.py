@@ -42,7 +42,7 @@ def eliminate_common_subexpressions(graph: IRGraph) -> int:
 
 def _signature(node: Operator) -> tuple | None:
     """A hashable structural signature, or ``None`` for nodes never merged."""
-    if node.kind in ("train", "kmeans", "python_udf", "migrate"):
+    if node.kind in ("train", "python_udf", "migrate"):
         # Training and UDFs may be stateful; migrations are placement artifacts.
         return None
     try:

@@ -3,8 +3,7 @@
 Hash joins build on their right input; making the smaller relation the build
 side keeps the hash table small and the probe stream large.  Using the
 cardinality annotations, this pass swaps join inputs so the estimated-smaller
-side sits on the right (the build side), and prefers sort-merge when both
-inputs are already sorted on the join keys.
+side sits on the right (the build side).
 """
 
 from __future__ import annotations
@@ -16,6 +15,9 @@ def reorder_joins(graph: IRGraph) -> int:
     """Swap join inputs so the smaller side is the build side; returns swap count."""
     swaps = 0
     for node in graph.nodes_of_kind("join"):
+        # Every join is a hash join.  The key stays so that plan fingerprints
+        # recorded while a second join algorithm existed keep matching.
+        node.params.setdefault("algorithm", "hash")
         if len(node.inputs) != 2:
             continue
         left = graph.node(node.inputs[0])
@@ -32,28 +34,3 @@ def reorder_joins(graph: IRGraph) -> int:
             )
             swaps += 1
     return swaps
-
-
-def choose_join_algorithms(graph: IRGraph, *, sort_merge_threshold: int = 100_000) -> int:
-    """Pick hash vs sort-merge per join; returns the number of changes.
-
-    Large inputs that a downstream operator wants sorted anyway (a ``sort``
-    consumer on the join key) are switched to sort-merge, matching the
-    paper's Admission/Patients walk-through where the sort feeding the merge
-    is the accelerated operator.
-    """
-    changes = 0
-    for node in graph.nodes_of_kind("join"):
-        consumers = graph.consumers(node.op_id)
-        wants_sorted = any(
-            c.kind == "sort" and c.params.get("by") in (node.params.get("left_key"),
-                                                        node.params.get("right_key"))
-            for c in consumers
-        )
-        total_rows = sum(graph.node(i).estimated_rows for i in node.inputs)
-        desired = "sort_merge" if (wants_sorted or total_rows >= sort_merge_threshold) \
-            else "hash"
-        if node.params.get("algorithm") != desired:
-            node.params["algorithm"] = desired
-            changes += 1
-    return changes

@@ -19,7 +19,6 @@ from repro.compiler.annotate import annotate_graph, total_estimated_bytes
 from repro.compiler.frontend import Frontend
 from repro.compiler.passes import (
     absorb_into_leaves,
-    choose_join_algorithms,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_aggregates_into_scans,
@@ -151,7 +150,6 @@ class Compiler:
         annotate_graph(graph, self.catalog, self.stats)
         if opts.join_reorder:
             result.pass_counts["join_reorder"] = reorder_joins(graph)
-            result.pass_counts["join_algorithms"] = choose_join_algorithms(graph)
         if opts.dce:
             result.pass_counts["dce"] = eliminate_dead_code(graph)
 

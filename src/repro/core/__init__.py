@@ -1,10 +1,8 @@
 """Core Polystore++ system: facade, execution modes and baselines."""
 
 from repro.core.baselines import (
-    OneSizeFitsAllEstimate,
     build_accelerated_polystore,
     build_cpu_polystore,
-    one_size_fits_all_latency,
 )
 from repro.core.system import (
     EXECUTION_MODES,
@@ -22,6 +20,4 @@ __all__ = [
     "EXECUTION_MODES",
     "build_cpu_polystore",
     "build_accelerated_polystore",
-    "one_size_fits_all_latency",
-    "OneSizeFitsAllEstimate",
 ]

@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.accelerators.base import Accelerator, HostCPU
+from repro.accelerators.base import Accelerator
 from repro.accelerators.kernels import KernelRegistry
 from repro.accelerators.simulator import Objective, OffloadPlanner
 from repro.catalog import Catalog
@@ -93,8 +93,6 @@ class SystemConfig:
 
     migration_strategy: str = "binary_pipe"
     objective: Objective = Objective.LATENCY
-    host: HostCPU = field(default_factory=HostCPU)
-    host_cores: int = 1
     compiler_options: CompilerOptions = field(default_factory=CompilerOptions)
     #: Compiled-plan LRU capacity of each session created from this system.
     plan_cache_size: int = 64
@@ -367,7 +365,6 @@ class PolystorePlusPlus:
         description["config"] = {
             "migration_strategy": self.config.migration_strategy,
             "objective": self.config.objective.value,
-            "host_cores": self.config.host_cores,
             "migration_serializer": serializer.profile.name if serializer else None,
             "migration_serializer_explicit": self._serializer_explicit,
             "plan_generation": self._plan_generation,
@@ -485,9 +482,7 @@ class PolystorePlusPlus:
     def offload_planner(self) -> OffloadPlanner:
         """An offload planner over the registered accelerator fleet."""
         registry = KernelRegistry(self.catalog.accelerators())
-        return OffloadPlanner(registry, self.config.host,
-                              objective=self.config.objective,
-                              host_cores=self.config.host_cores)
+        return OffloadPlanner(registry, objective=self.config.objective)
 
     def compile(self, program: DataflowProgram, *,
                 accelerated: bool = True,

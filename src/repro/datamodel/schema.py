@@ -234,16 +234,6 @@ class Schema:
         """Return a schema containing only ``names``, in the given order."""
         return Schema(self[name] for name in names)
 
-    def rename(self, mapping: Mapping[str, str]) -> "Schema":
-        """Return a schema with columns renamed according to ``mapping``."""
-        return Schema(
-            Column(mapping.get(c.name, c.name), c.dtype, c.nullable) for c in self._columns
-        )
-
-    def prefix(self, prefix: str) -> "Schema":
-        """Return a schema whose column names are ``prefix + name``."""
-        return self.rename({c.name: f"{prefix}{c.name}" for c in self._columns})
-
     def concat(self, other: "Schema") -> "Schema":
         """Concatenate two schemas (used by join outputs)."""
         return Schema(tuple(self._columns) + tuple(other._columns))
@@ -251,14 +241,6 @@ class Schema:
     def with_column(self, column: Column) -> "Schema":
         """Return a schema with ``column`` appended."""
         return Schema(tuple(self._columns) + (column,))
-
-    def drop(self, names: Sequence[str]) -> "Schema":
-        """Return a schema without the named columns."""
-        missing = [n for n in names if n not in self._index]
-        if missing:
-            raise SchemaError(f"cannot drop unknown columns {missing}")
-        dropset = set(names)
-        return Schema(c for c in self._columns if c.name not in dropset)
 
     def validate_row(self, row: Sequence[Any]) -> None:
         """Validate a positional row against this schema."""

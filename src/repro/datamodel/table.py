@@ -60,26 +60,6 @@ class Table:
                                  for row in rows])
 
     @classmethod
-    def from_columns(cls, columns: Mapping[str, Sequence[Any]],
-                     schema: Schema | None = None) -> "Table":
-        """Build a table from a mapping of column name to values."""
-        if not columns:
-            raise DataModelError("from_columns requires at least one column")
-        lengths = {len(values) for values in columns.values()}
-        if len(lengths) > 1:
-            raise DataModelError(f"columns have mismatched lengths: {sorted(lengths)}")
-        if schema is None:
-            sample = [{name: values[0] if values else None for name, values in columns.items()}]
-            schema = Schema.infer(sample)
-        names = schema.names
-        missing = [n for n in names if n not in columns]
-        if missing:
-            raise SchemaError(f"missing columns {missing}")
-        n_rows = lengths.pop() if lengths else 0
-        rows = [tuple(columns[name][i] for name in names) for i in range(n_rows)]
-        return cls.wrap(schema, rows)
-
-    @classmethod
     def empty(cls, schema: Schema) -> "Table":
         """An empty table with the given schema."""
         return cls.wrap(schema, [])
@@ -94,11 +74,6 @@ class Table:
 
     def __getitem__(self, index: int) -> Row:
         return self._rows[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Table):
-            return NotImplemented
-        return self._schema == other._schema and self._rows == other._rows
 
     def __repr__(self) -> str:
         return f"Table(schema={self._schema!r}, rows={len(self._rows)})"
@@ -119,11 +94,6 @@ class Table:
     def num_rows(self) -> int:
         """Number of rows."""
         return len(self._rows)
-
-    @property
-    def num_columns(self) -> int:
-        """Number of columns."""
-        return len(self._schema)
 
     def column(self, name: str) -> list[Any]:
         """All values of a single column, in row order."""
@@ -152,14 +122,6 @@ class Table:
             self._schema.validate_row(row_t)
         self._rows.append(row_t)
 
-    def append_dict(self, row: Mapping[str, Any], *, validate: bool = False) -> None:
-        """Append a row given as a dictionary."""
-        self.append(tuple(row.get(name) for name in self._schema.names), validate=validate)
-
-    def extend(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Append many positional rows."""
-        self._rows.extend(tuple(row) for row in rows)
-
     # -- relational-style derivations ----------------------------------------------------
 
     def select(self, predicate: Callable[[dict[str, Any]], bool]) -> "Table":
@@ -174,10 +136,6 @@ class Table:
         indexes = [self._schema.index_of(name) for name in names]
         rows = [tuple(row[i] for i in indexes) for row in self._rows]
         return Table.wrap(schema, rows)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """A table with columns renamed; data is shared."""
-        return Table.wrap(self._schema.rename(mapping), self._rows)
 
     def sort(self, by: Sequence[str], *, descending: bool = False) -> "Table":
         """A table sorted by the named columns.
@@ -208,16 +166,6 @@ class Table:
             raise SchemaError("cannot concat tables with different schemas")
         return Table.wrap(self._schema, self._rows + other._rows)
 
-    def distinct(self) -> "Table":
-        """A table with duplicate rows removed (order-preserving)."""
-        seen: set[Row] = set()
-        rows: list[Row] = []
-        for row in self._rows:
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        return Table.wrap(self._schema, rows)
-
     def with_column(self, column: Column, values: Sequence[Any]) -> "Table":
         """A table with one extra column appended."""
         if len(values) != len(self._rows):
@@ -227,10 +175,6 @@ class Table:
         schema = self._schema.with_column(column)
         rows = [row + (value,) for row, value in zip(self._rows, values)]
         return Table.wrap(schema, rows)
-
-    def head(self, n: int = 5) -> list[dict[str, Any]]:
-        """The first ``n`` rows as dictionaries, for interactive inspection."""
-        return self.limit(n).to_dicts()
 
 
 def make_schema(*pairs: tuple[str, DataType]) -> Schema:

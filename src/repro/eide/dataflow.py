@@ -185,10 +185,6 @@ class Dataset:
         """Score a trained model on this dataset's rows."""
         return self._chain("predict", {"model_name": model_name}, engine=engine)
 
-    def kmeans(self, *, n_clusters: int, engine: str | None = None) -> "Dataset":
-        """Cluster this dataset's rows."""
-        return self._chain("kmeans", {"n_clusters": int(n_clusters)}, engine=engine)
-
     # -- escape hatch ------------------------------------------------------------------
 
     def apply(self, fn: Callable[..., Any], *others: "Dataset",
@@ -500,17 +496,6 @@ class DataflowProgram:
     def output_items(self) -> list[tuple[str, DataflowNode]]:
         """``(name, root node)`` pairs, in declaration order."""
         return list(self._outputs.items())
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._walk_all())
-
-    def _walk_all(self) -> Iterable[DataflowNode]:
-        seen: set[int] = set()
-        for root in self._outputs.values():
-            for node in root.walk():
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    yield node
 
     def describe(self) -> str:
         """Multi-line summary of the program's expression trees."""

@@ -183,8 +183,3 @@ def bind_params(expression: Expression,
         return BooleanOp(expression.op,
                          tuple(bind_params(op, resolve) for op in expression.operands))
     return expression
-
-
-def has_params(expression: Expression) -> bool:
-    """Whether any ``Param`` placeholder appears inside the expression."""
-    return bool(find_params(expression))

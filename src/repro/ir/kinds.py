@@ -30,8 +30,6 @@ class Kind:
     inputs: int | None
     #: Parameters an adapter needs to execute the kind.
     required: tuple[str, ...]
-    #: Per-row cost (seconds) on a CPU engine.
-    row_cost: float
     #: Reads engine state (as opposed to only its data-flow inputs).
     source: bool = False
     #: A pure function of engine state and inputs: a prepared program may pin it.
@@ -59,59 +57,53 @@ _M = DataModel
 #: kind name -> its row.  Order is presentation only.
 KINDS: dict[str, Kind] = {row.name: row for row in (
     # relational
-    Kind("scan", _M.RELATIONAL, 0, ("table",), 2e-7, source=True, pure=True,
+    Kind("scan", _M.RELATIONAL, 0, ("table",), source=True, pure=True,
          absorbs=True, scatter="leaf", diffable=True),
-    Kind("index_seek", _M.RELATIONAL, 0, ("table", "column", "value"), 5e-6,
+    Kind("index_seek", _M.RELATIONAL, 0, ("table", "column", "value"),
          source=True, pure=True, scatter="leaf", diffable=True),
-    Kind("filter", _M.RELATIONAL, 1, (), 1.5e-7, pure=True, scatter="partwise",
-         kernel="filter"),
-    Kind("project", _M.RELATIONAL, 1, (), 1e-7, pure=True, scatter="partwise",
-         kernel="project"),
-    Kind("join", _M.RELATIONAL, 2, ("left_key", "right_key"), 6e-7, pure=True),
-    Kind("aggregate", _M.RELATIONAL, 1, ("aggregates",), 4e-7, pure=True,
-         scatter="merge"),
-    Kind("sort", _M.RELATIONAL, 1, ("by",), 8e-7, pure=True, scatter="merge",
-         kernel="sort"),
-    Kind("limit", _M.RELATIONAL, 1, ("n",), 1e-8, pure=True, scatter="merge"),
-    Kind("top_k", _M.RELATIONAL, 1, ("by", "k"), 3e-7, pure=True, scatter="merge"),
+    Kind("filter", _M.RELATIONAL, 1, (), pure=True, scatter="partwise", kernel="filter"),
+    Kind("project", _M.RELATIONAL, 1, (), pure=True, scatter="partwise", kernel="project"),
+    Kind("join", _M.RELATIONAL, 2, ("left_key", "right_key"), pure=True),
+    Kind("aggregate", _M.RELATIONAL, 1, ("aggregates",), pure=True, scatter="merge"),
+    Kind("sort", _M.RELATIONAL, 1, ("by",), pure=True, scatter="merge", kernel="sort"),
+    Kind("limit", _M.RELATIONAL, 1, ("n",), pure=True, scatter="merge"),
+    Kind("top_k", _M.RELATIONAL, 1, ("by", "k"), pure=True, scatter="merge"),
     # key/value
-    Kind("kv_get", _M.KEY_VALUE, 0, ("keys",), 2e-6, source=True, pure=True,
+    Kind("kv_get", _M.KEY_VALUE, 0, ("keys",), source=True, pure=True,
          absorbs=True, scatter="leaf", diffable=True),
-    Kind("kv_range", _M.KEY_VALUE, 0, (), 4e-7, source=True, pure=True,
+    Kind("kv_range", _M.KEY_VALUE, 0, (), source=True, pure=True,
          absorbs=True, scatter="leaf", diffable=True),
     # timeseries
-    Kind("ts_range", _M.TIMESERIES, 0, ("series",), 2e-7, source=True, pure=True,
+    Kind("ts_range", _M.TIMESERIES, 0, ("series",), source=True, pure=True,
          scatter="leaf", diffable=True),
-    Kind("window_aggregate", _M.TIMESERIES, None, ("window_s",), 3e-7, source=True,
+    Kind("window_aggregate", _M.TIMESERIES, None, ("window_s",), source=True,
          pure=True, scatter="leaf", diffable=True, kernel="window_aggregate"),
-    Kind("ts_summarize", _M.TIMESERIES, 0, ("series_prefix",), 4e-7, source=True,
+    Kind("ts_summarize", _M.TIMESERIES, 0, ("series_prefix",), source=True,
          pure=True, absorbs=True, scatter="leaf", diffable=True),
     # graph
-    Kind("graph_match", _M.GRAPH, 0, ("start_label",), 1e-6, source=True, pure=True),
-    Kind("shortest_path", _M.GRAPH, 0, ("start", "end"), 2e-6, source=True, pure=True),
-    Kind("neighborhood", _M.GRAPH, 0, (), 1e-6, source=True, pure=True),
-    Kind("graph_nodes", _M.GRAPH, 0, (), 3e-7, source=True, pure=True, diffable=True),
+    Kind("graph_match", _M.GRAPH, 0, ("start_label",), source=True, pure=True),
+    Kind("shortest_path", _M.GRAPH, 0, ("start", "end"), source=True, pure=True),
+    Kind("neighborhood", _M.GRAPH, 0, (), source=True, pure=True),
+    Kind("graph_nodes", _M.GRAPH, 0, (), source=True, pure=True, diffable=True),
     # text
-    Kind("text_search", _M.DOCUMENT, 0, ("query",), 2e-6, source=True, pure=True,
+    Kind("text_search", _M.DOCUMENT, 0, ("query",), source=True, pure=True,
          scatter="leaf", diffable=True),
-    Kind("keyword_features", _M.DOCUMENT, None, ("keywords",), 1.5e-6, source=True,
+    Kind("keyword_features", _M.DOCUMENT, None, ("keywords",), source=True,
          pure=True, absorbs=True, scatter="leaf", diffable=True),
-    # array / ML (train and kmeans keep state in their engine: never pinned)
-    Kind("matmul", _M.ARRAY, 2, (), 1e-6, kernel="gemm", matrix=True),
-    Kind("gemv", _M.ARRAY, 2, (), 4e-7, kernel="gemv", matrix=True),
-    Kind("train", _M.TENSOR, None, ("model_name",), 5e-6, kernel="train", matrix=True),
-    Kind("predict", _M.TENSOR, 1, ("model_name",), 8e-7, pure=True,
-         kernel="predict", matrix=True),
-    Kind("kmeans", _M.TENSOR, 1, ("n_clusters",), 3e-6),
-    Kind("feature_matrix", _M.TENSOR, None, (), 2e-7, pure=True),
+    # array / ML (train keeps state in its engine: never pinned)
+    Kind("matmul", _M.ARRAY, 2, (), kernel="gemm", matrix=True),
+    Kind("gemv", _M.ARRAY, 2, (), kernel="gemv", matrix=True),
+    Kind("train", _M.TENSOR, None, ("model_name",), kernel="train", matrix=True),
+    Kind("predict", _M.TENSOR, 1, ("model_name",), pure=True, kernel="predict", matrix=True),
+    Kind("feature_matrix", _M.TENSOR, None, (), pure=True),
     # data movement and glue
-    Kind("migrate", None, 1, ("source_engine", "target_engine"), 5e-7, pure=True,
+    Kind("migrate", None, 1, ("source_engine", "target_engine"), pure=True,
          kernel="serialize",
          note="inserted by the compiler between two engines it has already "
               "chosen; costed per byte, not per row"),
-    Kind("materialize", _M.RELATIONAL, 1, (), 1e-7, pure=True),
-    Kind("union", _M.RELATIONAL, None, (), 1e-7, pure=True),
-    Kind("python_udf", _M.RELATIONAL, None, ("fn",), 5e-7),
-    Kind("view_read", None, 0, ("view",), 5e-7,
+    Kind("materialize", _M.RELATIONAL, 1, (), pure=True),
+    Kind("union", _M.RELATIONAL, None, (), pure=True),
+    Kind("python_udf", _M.RELATIONAL, None, ("fn",)),
+    Kind("view_read", None, 0, ("view",),
          note="served by the view registry, not by an engine"),
 )}

@@ -36,14 +36,14 @@ def _numeric_feature_columns(table: Table, label_column: str | None,
 
 
 class MLAdapter(Adapter):
-    """Executes train/predict/kmeans/feature_matrix operators on the ML engine."""
+    """Executes train/predict/feature_matrix operators on the ML engine."""
 
     def __init__(self, engine: MLEngine) -> None:
         super().__init__(engine)
         self.engine: MLEngine = engine
 
     def supported_kinds(self) -> frozenset[str]:
-        return frozenset({"train", "predict", "kmeans", "feature_matrix"})
+        return frozenset({"train", "predict", "feature_matrix"})
 
     def execute(self, node: Operator, inputs: list[Any]) -> Any:
         kind = node.kind
@@ -55,9 +55,7 @@ class MLAdapter(Adapter):
             return table_to_matrix(table, columns)
         if kind == "train":
             return self._train(node, inputs)
-        if kind == "predict":
-            return self._predict(node, inputs)
-        return self._kmeans(node, inputs)
+        return self._predict(node, inputs)
 
     # -- operators ----------------------------------------------------------------------
 
@@ -124,21 +122,6 @@ class MLAdapter(Adapter):
                                    [float(p) for p in probabilities])
         return result.with_column(Column("prediction", DataType.INT),
                                   [int(p) for p in predictions])
-
-    def _kmeans(self, node: Operator, inputs: list[Any]) -> dict[str, Any]:
-        self._require_inputs(node, inputs, 1)
-        table = self._as_table(inputs[0], node)
-        feature_columns = node.params.get("feature_columns") or _numeric_feature_columns(
-            table, None, node.params.get("key_column"))
-        features = np.nan_to_num(table_to_matrix(table, feature_columns), nan=0.0)
-        result = self.engine.cluster(features, int(node.params["n_clusters"]),
-                                     seed=int(node.params.get("seed", 0)))
-        return {
-            "assignments": result.assignments.tolist(),
-            "inertia": result.inertia,
-            "iterations": result.iterations,
-            "n_clusters": int(node.params["n_clusters"]),
-        }
 
 
 class ArrayAdapter(Adapter):

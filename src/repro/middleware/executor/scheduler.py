@@ -371,7 +371,7 @@ class Executor:
         before = None if ops is None else (ops.counter.flops, ops.counter.bytes_moved)
         value = self._execute_on_engine(node, inputs)
         spec = mapping.spec(self._observed_work(node, inputs, value, rows_in, before))
-        return value, device.estimate(spec).total_s, \
+        return value, device.charge(spec).total_s, \
             {"kernel": spec.name, "flops": spec.flops}
 
     def _observed_work(self, node: Operator, inputs: list[Any], value: Any,

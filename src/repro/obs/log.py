@@ -177,11 +177,6 @@ class EventLog:
         return "".join(json.dumps(record, default=str) + "\n"
                        for record in self.records())
 
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._dups.clear()
-
     def describe(self) -> dict[str, Any]:
         with self._lock:
             retained = len(self._records)
@@ -205,9 +200,6 @@ class ComponentLogger:
     def __init__(self, log: EventLog, component: str) -> None:
         self._log = log
         self.component = component
-
-    def debug(self, event: str, **fields: Any) -> dict[str, Any] | None:
-        return self._log.emit("debug", self.component, event, **fields)
 
     def info(self, event: str, **fields: Any) -> dict[str, Any] | None:
         return self._log.emit("info", self.component, event, **fields)

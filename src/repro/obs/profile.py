@@ -246,11 +246,6 @@ class SamplingProfiler:
         with self._lock:
             return self._by_trace.pop(trace_id, None)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._global = Profile(period_s=self.period_s)
-            self._by_trace.clear()
-
     def describe(self) -> dict[str, Any]:
         with self._lock:
             return {

@@ -96,10 +96,6 @@ class SlowQueryLog:
         with self._lock:
             return [dict(entry) for entry in reversed(self._entries)]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -186,11 +186,6 @@ class Tracer:
             return None
         return self._current_span()
 
-    @property
-    def active(self) -> bool:
-        """Whether a sampled trace is open on this thread."""
-        return self.current() is not None
-
     # -- internals -----------------------------------------------------------------------
 
     def _current_span(self) -> Span | None:
@@ -220,11 +215,6 @@ class Tracer:
         """Finished spans currently retained, oldest first."""
         with self._lock:
             return list(self._finished)
-
-    def clear(self) -> None:
-        """Drop the retained spans (e.g. after an export)."""
-        with self._lock:
-            self._finished.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -188,10 +188,6 @@ class AdmissionController:
     def queued(self) -> int:
         return self._queued
 
-    def queue_depth(self, tenant: str) -> int:
-        queue = self._queues.get(tenant)
-        return len(queue) if queue is not None else 0
-
     def queue_depths(self) -> dict[str, int]:
         return {tenant: len(queue) for tenant, queue in self._queues.items()}
 

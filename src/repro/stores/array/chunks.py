@@ -9,7 +9,6 @@ the cost model estimates the bytes an array operator reads.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -86,10 +85,6 @@ class ChunkedArray:
                 out[r0 - row_start:r1 - row_start, c0 - col_start:c1 - col_start] = \
                     block[r0 - block_r0:r1 - block_r0, c0 - block_c0:c1 - block_c0]
         return out
-
-    def chunks(self) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
-        """All stored chunks keyed by grid position."""
-        yield from self._chunks.items()
 
     @property
     def num_chunks(self) -> int:

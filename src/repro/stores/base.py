@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.stores.changelog import ChangeLog
 
@@ -122,11 +122,3 @@ class Engine(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def iter_batches(rows: list, batch_size: int) -> Iterator[list]:
-    """Yield ``rows`` in contiguous batches of at most ``batch_size``."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    for start in range(0, len(rows), batch_size):
-        yield rows[start:start + batch_size]

@@ -96,11 +96,6 @@ class DeltaBatch:
     #: bumps only.
     op: tuple[str, Any] | None = None
 
-    @property
-    def rows(self) -> int:
-        """Total absolute multiplicity carried by this batch."""
-        return sum(abs(weight) for _, weight in self.entries)
-
 
 #: Listener signature: called synchronously after a batch is appended.
 Listener = Callable[[DeltaBatch], None]
@@ -264,10 +259,6 @@ class ChangeLog:
                 "capacity": self.capacity,
                 "max_rows": self.max_rows,
             }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._batches)
 
     # -- durability ---------------------------------------------------------------------
 

@@ -50,9 +50,6 @@ class MemTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._entries
-
     def clear(self) -> None:
         """Drop every entry (after a flush)."""
         self._entries.clear()

@@ -1,7 +1,6 @@
-"""ML/DL engine: counted tensor ops, MLP, logistic regression and k-means."""
+"""ML/DL engine: counted tensor ops, MLP and logistic regression."""
 
 from repro.stores.ml.engine import MLEngine
-from repro.stores.ml.kmeans import KMeansResult, kmeans
 from repro.stores.ml.logistic import LogisticRegression
 from repro.stores.ml.nn import MLPClassifier, TrainingHistory
 from repro.stores.ml.tensor_ops import OpCounter, TensorOps
@@ -11,8 +10,6 @@ __all__ = [
     "MLPClassifier",
     "TrainingHistory",
     "LogisticRegression",
-    "KMeansResult",
-    "kmeans",
     "TensorOps",
     "OpCounter",
 ]

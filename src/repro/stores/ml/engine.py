@@ -1,6 +1,6 @@
 """The ML/DL data-processing engine.
 
-Trains and serves models (MLP, logistic regression, k-means) on feature
+Trains and serves models (MLP, logistic regression) on feature
 matrices, typically produced by joining data from the other stores.  Work is
 counted through a shared :class:`TensorOps` instance so the middleware can
 decide whether the GEMM-heavy parts should be offloaded to a GPU/TPU
@@ -17,7 +17,6 @@ from repro.datamodel.conversion import table_to_matrix
 from repro.datamodel.table import Table
 from repro.exceptions import StorageError
 from repro.stores.base import DataModel, Engine
-from repro.stores.ml.kmeans import KMeansResult, kmeans
 from repro.stores.ml.logistic import LogisticRegression
 from repro.stores.ml.nn import MLPClassifier, TrainingHistory
 from repro.stores.ml.tensor_ops import TensorOps
@@ -94,13 +93,6 @@ class MLEngine(Engine):
         self._models[model_name] = model
         self.mark_data_changed()
         return losses
-
-    def cluster(self, features: np.ndarray | Table, n_clusters: int, *,
-                max_iterations: int = 50, seed: int = 0) -> KMeansResult:
-        """Run k-means over a feature matrix."""
-        x = self._as_matrix(features)
-        return kmeans(x, n_clusters, max_iterations=max_iterations, seed=seed,
-                      ops=self.ops)
 
     # -- inference ---------------------------------------------------------------------
 

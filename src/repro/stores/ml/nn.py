@@ -24,11 +24,6 @@ class TrainingHistory:
     accuracies: list[float] = field(default_factory=list)
 
     @property
-    def final_loss(self) -> float:
-        """Loss after the last epoch."""
-        return self.losses[-1] if self.losses else float("nan")
-
-    @property
     def final_accuracy(self) -> float:
         """Training accuracy after the last epoch."""
         return self.accuracies[-1] if self.accuracies else float("nan")

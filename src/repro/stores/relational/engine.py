@@ -108,7 +108,7 @@ class StoredTable:
 
 
 class RelationalEngine(Engine):
-    """A single-node relational engine with SQL, indexes and join algorithms."""
+    """A single-node relational engine with SQL, indexes and hash joins."""
 
     data_model = DataModel.RELATIONAL
 

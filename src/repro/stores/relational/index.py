@@ -50,14 +50,6 @@ class HashIndex:
     def __len__(self) -> int:
         return self._num_entries
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._buckets
-
-    @property
-    def num_keys(self) -> int:
-        """Number of distinct keys."""
-        return len(self._buckets)
-
 
 class SortedIndex:
     """Ordered index supporting equality and range lookups.
@@ -128,16 +120,3 @@ class SortedIndex:
             hi = bisect.bisect_right(self._keys, high) if include_high \
                 else bisect.bisect_left(self._keys, high)
         yield from self._rids[lo:hi]
-
-    def min_key(self) -> Any:
-        """Smallest indexed key (``None`` when empty)."""
-        self._flush()
-        return self._keys[0] if self._keys else None
-
-    def max_key(self) -> Any:
-        """Largest indexed key (``None`` when empty)."""
-        self._flush()
-        return self._keys[-1] if self._keys else None
-
-    def __len__(self) -> int:
-        return len(self._keys) + len(self._pending)

@@ -153,19 +153,17 @@ class Sort(PhysicalOperator):
         return sorted(self._child.rows(), key=key, reverse=self._descending)
 
 
-class _Join(PhysicalOperator):
-    """Shared shape of the equi-joins: key readers and the output schema.
+class HashJoin(PhysicalOperator):
+    """Equi-join using an in-memory hash table built on the right input.
 
     Output rows are the left row followed by the right row's columns whose
     names the left side lacks (nullable under ``how="left"``, where unmatched
     left rows pad them with ``None``).
     """
 
-    _SUPPORTED: tuple[str, ...] = ("inner",)
-
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_key: str, right_key: str, *, how: str = "inner") -> None:
-        if how not in self._SUPPORTED:
+        if how not in ("inner", "left"):
             raise QueryError(f"unsupported join type {how!r}")
         self._left, self._right, self._how = left, right, how
         self.left_key = column_reader(left.schema, left_key)
@@ -176,12 +174,6 @@ class _Join(PhysicalOperator):
         if how == "left":
             extra = [Column(c.name, c.dtype, nullable=True) for c in extra]
         self.schema = Schema(list(left.schema) + extra)
-
-
-class HashJoin(_Join):
-    """Equi-join using an in-memory hash table built on the right input."""
-
-    _SUPPORTED = ("inner", "left")
 
     def rows(self) -> Iterable[Row]:
         left_key, right_key, extra = self.left_key, self.right_key, self.extra
@@ -200,34 +192,6 @@ class HashJoin(_Join):
                     yield left_row + right_extra
             elif padding is not None:
                 yield left_row + padding
-
-
-class SortMergeJoin(_Join):
-    """Inner equi-join by sorting both inputs on the key and merging.
-
-    This is the join used in the paper's §III walk-through (Admission ⋈
-    Patients sorted on admission date), where the sort phase is the offload
-    candidate.
-    """
-
-    def rows(self) -> Iterable[Row]:
-        left_key, right_key, extra = self.left_key, self.right_key, self.extra
-        left_rows = sorted((r for r in self._left.rows() if left_key(r) is not None),
-                           key=left_key)
-        right_rows = sorted((r for r in self._right.rows()
-                             if right_key(r) is not None), key=right_key)
-        j = 0
-        for key, left_run in itertools.groupby(left_rows, key=left_key):
-            while j < len(right_rows) and right_key(right_rows[j]) < key:
-                j += 1
-            j_end = j
-            while j_end < len(right_rows) and right_key(right_rows[j_end]) == key:
-                j_end += 1
-            extras = [extra(row) for row in right_rows[j:j_end]]
-            for left_row in left_run:
-                for right_extra in extras:
-                    yield left_row + right_extra
-            j = j_end
 
 
 @dataclass(frozen=True)
@@ -314,8 +278,6 @@ def build_operator(kind: str, params: Mapping[str, Any],
     if kind == "join":
         left, right = children
         left_key, right_key = str(params["left_key"]), str(params["right_key"])
-        if params.get("algorithm", "hash") == "sort_merge":
-            return SortMergeJoin(left, right, left_key, right_key)
         return HashJoin(left, right, left_key, right_key,
                         how=str(params.get("how", "inner")))
     (child,) = children

@@ -130,11 +130,6 @@ class SelectStatement:
     limit: int | None = None
     select_star: bool = False
 
-    @property
-    def tables(self) -> list[str]:
-        """All referenced table names, FROM table first."""
-        return [self.table] + [j.table for j in self.joins]
-
 
 class _Parser:
     """Recursive-descent parser over the token list."""

@@ -110,6 +110,3 @@ class TextEngine(Engine):
             "terms": self._index.num_terms,
             "tokens": total_tokens,
         }
-
-    def __len__(self) -> int:
-        return len(self._documents)

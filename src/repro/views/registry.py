@@ -123,10 +123,6 @@ class ViewRegistry:
         with self._lock:
             return sorted(self._views)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._views)
-
     def __contains__(self, name: object) -> bool:
         with self._lock:
             return name in self._views

@@ -244,12 +244,22 @@ class TestOneOffloadPath:
 class TestCostAccounting:
     def test_reconfiguration_charged_on_kernel_change(self):
         fpga = FPGAAccelerator()
-        first = fpga.estimate(KernelSpec("bitonic_sort", 1024, 1024, 1000, 100))
-        second = fpga.estimate(KernelSpec("filter", 1024, 1024, 1000, 100))
-        third = fpga.estimate(KernelSpec("filter", 1024, 1024, 1000, 100))
+        first = fpga.charge(KernelSpec("bitonic_sort", 1024, 1024, 1000, 100))
+        second = fpga.charge(KernelSpec("filter", 1024, 1024, 1000, 100))
+        third = fpga.charge(KernelSpec("filter", 1024, 1024, 1000, 100))
         assert first.reconfiguration_s == 0.0
         assert second.reconfiguration_s == fpga.profile.reconfiguration_s
         assert third.reconfiguration_s == 0.0
+
+    def test_pricing_another_kernel_does_not_reconfigure_the_device(self):
+        """A planner pricing ``filter`` between two sorts leaves the sort loaded."""
+        fpga = FPGAAccelerator()
+        sort = KernelSpec("bitonic_sort", 1024, 1024, 1000, 100)
+        fpga.charge(sort)
+        priced = fpga.estimate(KernelSpec("filter", 1024, 1024, 1000, 100))
+        assert priced.reconfiguration_s == fpga.profile.reconfiguration_s
+        assert fpga.charge(sort).reconfiguration_s == 0.0
+        assert fpga.estimate(sort) == fpga.charge(sort)
 
     def test_larger_transfers_cost_more(self):
         gpu = GPUAccelerator()

@@ -8,7 +8,6 @@ from repro.catalog import Catalog
 from repro.compiler import Compiler, CompilerOptions, annotate_graph
 from repro.compiler.frontend import Frontend, insert_migrations
 from repro.compiler.passes import (
-    choose_join_algorithms,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fuse_operators,
@@ -220,18 +219,6 @@ class TestPasses:
         small.estimated_rows, big.estimated_rows = 10, 10_000
         assert reorder_joins(graph) == 1
         assert join.inputs == [big.op_id, small.op_id]
-
-    def test_join_algorithm_selection(self, catalog):
-        graph = IRGraph("algo")
-        a = graph.add(Operator("scan", {"table": "a"}, engine="clinical-db"))
-        b = graph.add(Operator("scan", {"table": "b"}, engine="clinical-db"))
-        join = graph.add(Operator("join", {"left_key": "k", "right_key": "k"},
-                                  [a.op_id, b.op_id], "clinical-db"))
-        sort = graph.add(Operator("sort", {"by": "k"}, [join.op_id], "clinical-db"))
-        graph.mark_output(sort.op_id)
-        a.estimated_rows = b.estimated_rows = 10
-        choose_join_algorithms(graph)
-        assert join.params["algorithm"] == "sort_merge"
 
     def test_infer_columns_for_scan(self, catalog):
         program = sql_program("SELECT pid FROM admissions")

@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import DataflowProgram, dataset
 from repro.core import (
     EXECUTION_MODES,
     PolystorePlusPlus,
     build_accelerated_polystore,
-    build_cpu_polystore,
-    one_size_fits_all_latency,
 )
-from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import CatalogError, ConfigurationError
-from repro.stores import MLEngine, RelationalEngine
+from repro.stores import RelationalEngine
 from repro.workloads import build_admission_history_program, build_mimic_program
 
 
@@ -75,30 +71,8 @@ class TestExecutionModes:
         history = result.output("history")
         assert all(row["pid"] == 5 for row in history.to_dicts())
 
-    def test_kmeans_separates_two_blobs(self):
-        points = RelationalEngine("points-db")
-        blobs = [(float(i % 5), float(i % 3)) for i in range(20)] \
-            + [(100.0 + i % 5, 100.0 + i % 3) for i in range(20)]
-        points.load_table("points", Table(
-            make_schema(("x", DataType.FLOAT), ("y", DataType.FLOAT)), blobs))
-        system = build_cpu_polystore([points, MLEngine("ml")])
-        program = DataflowProgram("blobs")
-        program.output("clusters", dataset("points-db").table("points").kmeans(n_clusters=2))
-        clusters = system.execute(program).output("clusters")
-        labels = clusters["assignments"]
-        assert clusters["n_clusters"] == 2 and len(labels) == len(blobs)
-        assert len(set(labels[:20])) == len(set(labels[20:])) == 1
-        assert labels[0] != labels[20]
-
 
 class TestBaselines:
-    def test_one_size_fits_all_estimate(self, mimic_engines):
-        dataset = mimic_engines["dataset"]
-        estimate = one_size_fits_all_latency([dataset.admissions],
-                                             processing_rows=len(dataset.admissions))
-        assert estimate.migration_time_s > 0
-        assert estimate.total_time_s > estimate.processing_time_s
-
     def test_build_accelerated_polystore_registers_fleet(self, mimic_engines):
         system = build_accelerated_polystore([mimic_engines["relational"]])
         names = {a["name"] for a in system.describe()["accelerators"]}

@@ -70,21 +70,10 @@ class TestSchema:
         with pytest.raises(SchemaError):
             schema.index_of("missing")
 
-    def test_project_and_drop(self):
+    def test_project(self):
         schema = Schema.from_pairs(
             [("a", DataType.INT), ("b", DataType.STRING), ("c", DataType.FLOAT)])
         assert schema.project(["c", "a"]).names == ("c", "a")
-        assert schema.drop(["b"]).names == ("a", "c")
-
-    def test_drop_unknown_raises(self):
-        schema = Schema.from_pairs([("a", DataType.INT)])
-        with pytest.raises(SchemaError):
-            schema.drop(["zzz"])
-
-    def test_rename_and_prefix(self):
-        schema = Schema.from_pairs([("a", DataType.INT), ("b", DataType.STRING)])
-        assert schema.rename({"a": "x"}).names == ("x", "b")
-        assert schema.prefix("t_").names == ("t_a", "t_b")
 
     def test_concat_and_with_column(self):
         left = Schema.from_pairs([("a", DataType.INT)])

@@ -21,15 +21,6 @@ class TestConstruction:
         assert table.schema.names == ("x", "y")
         assert table.num_rows == 2
 
-    def test_from_columns(self):
-        table = Table.from_columns({"x": [1, 2, 3], "y": [0.1, 0.2, 0.3]})
-        assert table.num_rows == 3
-        assert table.column("y") == [0.1, 0.2, 0.3]
-
-    def test_from_columns_mismatched_lengths(self):
-        with pytest.raises(DataModelError):
-            Table.from_columns({"x": [1, 2], "y": [1]})
-
     def test_validation_on_append(self, table: Table):
         with pytest.raises(SchemaError):
             table.append(("not int", "a", 0.5), validate=True)
@@ -61,9 +52,6 @@ class TestDerivations:
         with pytest.raises(DataModelError):
             table.limit(-1)
 
-    def test_distinct(self, table: Table):
-        assert table.distinct().num_rows == 3
-
     def test_concat_schema_mismatch(self, table: Table):
         other = Table(make_schema(("id", DataType.INT)), [(1,)])
         with pytest.raises(SchemaError):
@@ -82,13 +70,6 @@ class TestDerivations:
     def test_with_column_length_mismatch(self, table: Table):
         with pytest.raises(DataModelError):
             table.with_column(Column("flag", DataType.BOOL), [True])
-
-    def test_rename_shares_rows(self, table: Table):
-        renamed = table.rename({"id": "identifier"})
-        assert renamed.column("identifier") == table.column("id")
-
-    def test_to_dicts_head(self, table: Table):
-        assert table.head(2) == table.to_dicts()[:2]
 
     def test_estimated_bytes_scales_with_rows(self, table: Table):
         assert table.estimated_bytes() == table.schema.row_width() * len(table)

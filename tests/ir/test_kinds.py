@@ -2,8 +2,9 @@
 and equal to the fifteen hand-kept lists it replaced.
 
 The ``PARENT_*`` literals below were copied from the source at commit aee6108
-(the last one that kept them per module); each intended difference between
-them and the table is called out where it is asserted.
+(the last one that kept them per module), less the ``kmeans`` kind deleted
+since; each intended difference between them and the table is called out
+where it is asserted.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ PARENT_OPERATOR_KINDS = {
     "limit", "top_k", "kv_get", "kv_range", "ts_range", "window_aggregate",
     "ts_summarize", "graph_match", "shortest_path", "neighborhood",
     "graph_nodes", "text_search", "keyword_features", "matmul", "gemv", "train",
-    "predict", "kmeans", "feature_matrix", "migrate", "materialize", "union",
+    "predict", "feature_matrix", "migrate", "materialize", "union",
     "python_udf", "view_read",
 }
 PARENT_REQUIRED_PARAMS = {
@@ -62,7 +63,6 @@ PARENT_REQUIRED_PARAMS = {
     "keyword_features": ("keywords",),
     "train": ("model_name",),
     "predict": ("model_name",),
-    "kmeans": ("n_clusters",),
     "migrate": ("source_engine", "target_engine"),
     "python_udf": ("fn",),
     "view_read": ("view",),
@@ -73,7 +73,7 @@ PARENT_EXPECTED_INPUTS = {
     "join": 2, "union": None, "filter": 1, "project": 1, "aggregate": 1,
     "sort": 1, "limit": 1, "top_k": 1, "window_aggregate": None,
     "keyword_features": None, "matmul": 2, "gemv": 2, "train": None,
-    "predict": 1, "kmeans": 1, "feature_matrix": None, "migrate": 1,
+    "predict": 1, "feature_matrix": None, "migrate": 1,
     "materialize": 1, "python_udf": None, "neighborhood": 0, "view_read": 0,
 }
 PARENT_SOURCE_KINDS = {
@@ -89,7 +89,7 @@ PARENT_KIND_MODELS = {
     DataModel.TIMESERIES: {"ts_range", "ts_summarize", "window_aggregate"},
     DataModel.GRAPH: {"graph_nodes", "shortest_path", "neighborhood", "graph_match"},
     DataModel.DOCUMENT: {"text_search", "keyword_features"},
-    DataModel.TENSOR: {"feature_matrix", "train", "predict", "kmeans"},
+    DataModel.TENSOR: {"feature_matrix", "train", "predict"},
 }
 PARENT_SNAPSHOT_KINDS = {
     "scan", "index_seek", "filter", "project", "join", "aggregate", "sort",
@@ -120,18 +120,6 @@ PARENT_KIND_TO_OPERATOR = {
 #: device, and GEMM work run on the host and charged at the device's rate.
 PARENT_DEVICE_RUN = {"sort", "filter", "project", "window_aggregate"}
 PARENT_HOST_RUN_DEVICE_CHARGED = {"train", "predict", "matmul", "gemv"}
-PARENT_DEFAULT_ROW_COSTS = {
-    "scan": 2e-7, "index_seek": 5e-6, "filter": 1.5e-7, "project": 1e-7,
-    "join": 6e-7, "aggregate": 4e-7, "sort": 8e-7, "limit": 1e-8, "top_k": 3e-7,
-    "kv_get": 2e-6, "kv_range": 4e-7, "ts_range": 2e-7, "window_aggregate": 3e-7,
-    "ts_summarize": 4e-7, "graph_match": 1e-6, "graph_nodes": 3e-7,
-    "shortest_path": 2e-6, "neighborhood": 1e-6, "text_search": 2e-6,
-    "keyword_features": 1.5e-6, "train": 5e-6, "predict": 8e-7, "kmeans": 3e-6,
-    "feature_matrix": 2e-7, "matmul": 1e-6, "gemv": 4e-7, "python_udf": 5e-7,
-    "union": 1e-7, "materialize": 1e-7,
-}
-#: What the parent's per-kind cost lookup fell back to for a kind with no entry.
-PARENT_ROW_COST_FALLBACK = 5e-7
 
 
 def _where(**columns) -> set[str]:
@@ -150,7 +138,6 @@ def test_every_column_is_filled(name):
     assert isinstance(row.required, tuple) and all(
         isinstance(param, str) for param in row.required)
     assert row.inputs is None or row.inputs >= 0
-    assert row.row_cost > 0
     assert row.scatter in (None, "leaf", "partwise", "merge")
     for flag in ("source", "pure", "absorbs", "diffable", "matrix"):
         assert isinstance(getattr(row, flag), bool)
@@ -246,14 +233,6 @@ def test_offload():
     assert _where(matrix=True) == PARENT_HOST_RUN_DEVICE_CHARGED
     assert {name for name, row in KINDS.items()
             if row.kernel and not row.matrix} - {"migrate"} == PARENT_DEVICE_RUN
-
-
-def test_row_costs():
-    # Intended difference: ``migrate``/``view_read`` took the lookup's fallback;
-    # their rows now hold that value.
-    assert {name: row.row_cost for name, row in KINDS.items()} == {
-        **PARENT_DEFAULT_ROW_COSTS,
-        "migrate": PARENT_ROW_COST_FALLBACK, "view_read": PARENT_ROW_COST_FALLBACK}
 
 
 # -- the drift the table exposed (each fails at the parent commit) ------------------------

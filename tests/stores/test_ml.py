@@ -1,11 +1,9 @@
-"""Tests for the ML engine: tensor ops, models and clustering."""
+"""Tests for the ML engine: tensor ops, and models."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import DataModelError, StorageError
 from repro.stores.ml import (
@@ -13,7 +11,6 @@ from repro.stores.ml import (
     MLEngine,
     MLPClassifier,
     TensorOps,
-    kmeans,
 )
 
 
@@ -90,36 +87,6 @@ class TestModels:
             MLPClassifier(4).fit(x, y, epochs=0)
         with pytest.raises(DataModelError):
             MLPClassifier(0)
-
-
-class TestKMeans:
-    def test_separable_clusters_recovered(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(loc=(-5, -5), scale=0.5, size=(50, 2))
-        b = rng.normal(loc=(5, 5), scale=0.5, size=(50, 2))
-        result = kmeans(np.vstack([a, b]), 2, seed=1)
-        first_half = set(result.assignments[:50].tolist())
-        second_half = set(result.assignments[50:].tolist())
-        assert len(first_half) == 1 and len(second_half) == 1
-        assert first_half != second_half
-
-    def test_inertia_monotone_nonincreasing(self):
-        x, _ = make_blobs(120, seed=3)
-        result = kmeans(x, 3, seed=3)
-        assert all(later <= earlier + 1e-9 for earlier, later in
-                   zip(result.inertia_history, result.inertia_history[1:]))
-
-    def test_invalid_cluster_count(self):
-        with pytest.raises(DataModelError):
-            kmeans(np.ones((3, 2)), 5)
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(2, 5))
-    def test_property_every_point_assigned(self, k):
-        x = np.random.default_rng(k).normal(size=(40, 3))
-        result = kmeans(x, k, seed=k)
-        assert len(result.assignments) == 40
-        assert set(result.assignments.tolist()) <= set(range(k))
 
 
 class TestEngine:

@@ -22,7 +22,6 @@ from repro.stores.relational.operators import (
     Limit,
     Project,
     Sort,
-    SortMergeJoin,
     TableScan,
     TopK,
 )
@@ -102,13 +101,6 @@ class TestOperators:
                           how="left").execute()
         assert len(result) == 4
         assert any(r["payer"] is None for r in result)
-
-    def test_sort_merge_join_matches_hash_join(self):
-        right = [{"pid": p, "extra": p * 10} for p in (1, 2, 3, 3)]
-        hash_rows = HashJoin(TableScan(ROWS), TableScan(right), "pid", "pid").execute()
-        merge_rows = SortMergeJoin(TableScan(ROWS), TableScan(right), "pid", "pid").execute()
-        key = lambda r: (r["pid"], r.get("extra"))
-        assert sorted(hash_rows, key=key) == sorted(merge_rows, key=key)
 
     def test_group_by_aggregate(self):
         result = GroupByAggregate(

@@ -18,9 +18,8 @@ from repro.compiler.pipeline import CompilerOptions
 from repro.core import build_cpu_polystore
 from repro.datamodel import Column, DataType, Schema, Table, make_schema
 from repro.ir.nodes import Operator
-from repro.middleware.adapters import RelationalAdapter, TimeseriesAdapter
+from repro.middleware.adapters import TimeseriesAdapter
 from repro.stores import RelationalEngine, TimeseriesEngine
-from repro.stores.relational.operators import TableScan, build_operator
 
 PEOPLE = make_schema(("pid", DataType.INT), ("score", DataType.FLOAT),
                      ("name", DataType.STRING))
@@ -99,27 +98,20 @@ def test_result_schema_is_plan_derived(system, operator, selection):
         assert len(result) == 0
 
 
-@pytest.mark.parametrize("selection", SELECTIONS)
-def test_sort_merge_join_schema(selection):
-    """The sort-merge algorithm is reachable through the adapter and through
-    ``build_operator``, the step ``execute_sql`` folds a statement with."""
+def test_a_left_join_sorted_on_its_key_keeps_its_unmatched_rows():
+    """A ``sort`` on the join key reading a left join must not turn it inner."""
     engine = RelationalEngine("db")
-    engine.load_table("people", Table(PEOPLE, PEOPLE_ROWS))
-    engine.load_table("tags", Table(TAGS, TAG_ROWS))
-    adapter = RelationalAdapter(engine)
-    people = adapter.execute(Operator(
-        "scan", {"table": "people", "predicate": SELECTIONS[selection]},
-        engine="db"), [])
-    joined = adapter.execute(
-        Operator("join", {"left_key": "pid", "right_key": "pid",
-                          "algorithm": "sort_merge"}, ["l", "r"], "db"),
-        [people, engine.scan("tags")])
-    assert people.schema == PEOPLE
-    assert joined.schema == JOINED
-    planned = build_operator(
-        "join", {"left_key": "pid", "right_key": "pid", "algorithm": "sort_merge"},
-        TableScan(engine.scan("people")), TableScan(engine.scan("tags"))).to_table()
-    assert planned.schema == JOINED
+    engine.load_table("l", Table(make_schema(("k", DataType.INT), ("a", DataType.INT)),
+                                 [(1, 10), (2, 20), (3, 30)]))
+    engine.load_table("r", Table(make_schema(("k", DataType.INT), ("b", DataType.INT)),
+                                 [(1, 100)]))
+    system = build_cpu_polystore([engine])
+    source = system.dataset("db")
+    program = DataflowProgram("left-join-sorted")
+    program.output("out", source.table("l").join(source.table("r"), on="k", how="left")
+                   .sort("k"))
+    assert system.execute(program).output("out").rows == [
+        (1, 10, 100), (2, 20, None), (3, 30, None)]
 
 
 def test_engine_top_k_keeps_table_schema():

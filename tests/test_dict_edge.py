@@ -19,9 +19,7 @@ SITE = re.compile(r"(?<!def )\b(?:to_dicts|from_dicts|Schema\.infer)\(")
 #: file (relative to ``src/repro``) -> (call sites allowed, why they exist)
 ALLOWED = {
     "datamodel/table.py":
-        (3, "the Table API itself: from_dicts/from_columns infer, head() shows dicts"),
-    "datamodel/conversion.py":
-        (2, "documents and graph nodes arrive as dicts; converting them is its job"),
+        (1, "the Table API itself: from_dicts infers"),
     "middleware/adapters/nosql_adapters.py":
         (3, "key/value, graph and text leaves are schemaless: typed from their records"),
     "middleware/adapters/base.py":

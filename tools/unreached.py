@@ -8,7 +8,7 @@ Runs, under call tracing, the four suite workloads (``--seconds 2`` at
 writes, a fault-point kill and a reopen) and the tier-1 tests, then prints
 per module how many function lines were entered by no workload, example or
 scenario, and how many by nothing at all (``--functions`` also names the
-functions nothing entered).  Evidence for ROADMAP's "Delete by
+functions only tier-1 entered and those nothing entered).  Evidence for ROADMAP's "Delete by
 evidence": a function only its own unit test enters is a candidate; so is one
 nothing enters.
 
@@ -123,7 +123,7 @@ def main() -> None:
             work)
         tested = traced("tier-1", [[python, "-m", "pytest", "-q", "-p", "no:cacheprovider"]],
                         work)
-    rows, idle = [], []
+    rows, idle, tested_only = [], [], []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True)):
         module = os.path.relpath(path, PACKAGE)
         total = unserved = unentered = 0
@@ -131,7 +131,9 @@ def main() -> None:
             total += lines
             if (path, first) not in served:
                 unserved += lines
-                if (path, first) not in tested:
+                if (path, first) in tested:
+                    tested_only.append((module, name, lines))
+                else:
                     unentered += lines
                     idle.append((module, name, lines))
         rows.append((module, total, unserved, unentered))
@@ -142,8 +144,11 @@ def main() -> None:
     print(f"{'total':<44}{sum(r[1] for r in rows):>11}{sum(r[2] for r in rows):>30}"
           f"{sum(r[3] for r in rows):>9}   ({len(idle)} functions entered by nothing)")
     if "--functions" in sys.argv[1:]:
-        for module, name, lines in idle:
-            print(f"  {module}::{name}  {lines}")
+        for title, found in (("entered only by tier-1", tested_only),
+                             ("entered by nothing", idle)):
+            print(f"\n{title}: {len(found)} functions, {sum(r[2] for r in found)} lines")
+            for module, name, lines in found:
+                print(f"  {module}::{name}  {lines}")
 
 
 if __name__ == "__main__":
