@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,18 @@ SHAPES = {
 DEVICES = [FPGAAccelerator, GPUAccelerator, TPUAccelerator, MigrationASIC, CGRAAccelerator]
 
 
+def _reconfigurable(device):
+    """``device`` with a nonzero reconfiguration time, so the kernel it holds shows
+    in every estimate (GPUs, TPUs and ASICs otherwise reconfigure for free)."""
+    device.profile = replace(device.profile, reconfiguration_s=1.0)
+    return device
+
+
+def _loaded(device, kernel):
+    """Whether ``device`` would run ``kernel`` next without reconfiguring."""
+    return device.estimate(KernelSpec(kernel, 1024)).reconfiguration_s == 0.0
+
+
 def _same(left, right):
     if isinstance(left, Table):
         return left.schema == right.schema and left.rows == right.rows
@@ -126,6 +140,17 @@ class TestOneOffloadPath:
         assert record.details["kernel"] == kernel_mapping(device, operator).kernel
         assert device.supports(record.details["kernel"])
 
+    @pytest.mark.parametrize("device_cls, operator", [
+        (cls, operator) for cls in DEVICES for operator in SHAPES
+        if any(m.kernel in cls.kernels for m in DEFAULT_MAPPINGS[operator])])
+    def test_an_offloaded_run_leaves_its_kernel_loaded(self, device_cls, operator):
+        """The executor's charge is a real run: the device now holds that kernel."""
+        device = _reconfigurable(device_cls())
+        _, record = _run(_deployment([device]), operator, device.profile.name)
+        kernel = record.details["kernel"]
+        assert _loaded(device, kernel)
+        assert not any(_loaded(device, other) for other in device.kernels - {kernel})
+
     def test_the_table_covers_every_offloadable_kind(self):
         # ``migrate`` is accelerated by the migrator (below), not by placement.
         assert {SHAPES[operator][0] for operator in SHAPES} == \
@@ -141,6 +166,15 @@ class TestOneOffloadPath:
         assert report.serialization_offloaded
         assert report.serialize_s >= device.profile.dispatch_overhead_s
         assert report.deserialize_s > 0
+
+    @pytest.mark.parametrize("device_cls", [FPGAAccelerator, MigrationASIC])
+    def test_an_accelerated_migration_leaves_its_last_kernel_loaded(self, device_cls):
+        device = _reconfigurable(device_cls())
+        DataMigrator(serializer_accelerator=device).migrate(TABLE, strategy="accelerated")
+        # The ASIC also parses the receive side; the FPGA only serializes.
+        last = "deserialize" if device.supports("deserialize") else "serialize"
+        assert _loaded(device, last)
+        assert not any(_loaded(device, other) for other in device.kernels - {last})
 
     @pytest.mark.parametrize("device_cls, operator", [
         (GPUAccelerator, "sort"), (TPUAccelerator, "filter"),
@@ -261,6 +295,17 @@ class TestCostAccounting:
         assert fpga.charge(sort).reconfiguration_s == 0.0
         assert fpga.estimate(sort) == fpga.charge(sort)
 
+    @pytest.mark.parametrize("device_cls", DEVICES)
+    def test_estimating_every_other_kernel_leaves_the_loaded_one(self, device_cls):
+        device = _reconfigurable(device_cls())
+        first, *others = sorted(device.kernels)
+        device.charge(KernelSpec(first, 1024))
+        for kernel in others:
+            assert device.estimate(KernelSpec(kernel, 1024)).reconfiguration_s == 1.0
+        assert _loaded(device, first)
+        assert device.charge(KernelSpec(others[0], 1024)).reconfiguration_s == 1.0
+        assert not _loaded(device, first)
+
     def test_larger_transfers_cost_more(self):
         gpu = GPUAccelerator()
         small = gpu.estimate(KernelSpec("gemm", 10_000, 10_000, 10_000, 100_000))
@@ -300,6 +345,21 @@ class TestPlanner:
         decision = planner.decide("gemm", WorkEstimate(matrix_dims=(2048, 2048, 2048)))
         assert decision.offloaded
         assert decision.target in ("gpu0", "tpu0")
+
+    @pytest.mark.parametrize("operator", sorted(DEFAULT_MAPPINGS))
+    def test_deciding_leaves_every_device_holding_its_kernel(self, fleet, operator):
+        """Pricing a kind across the fleet loads no kernel on any device."""
+        held = {}
+        for device in map(_reconfigurable, fleet):
+            held[device.profile.name] = min(device.kernels)
+            device.charge(KernelSpec(held[device.profile.name], 1024))
+        planner = OffloadPlanner(KernelRegistry(fleet))
+        for rows in (500, 2_000_000):
+            planner.decide(operator, WorkEstimate(rows=rows, matrix_dims=(512, 512, 512)))
+        for device in fleet:
+            assert _loaded(device, held[device.profile.name])
+            assert not any(_loaded(device, other)
+                           for other in device.kernels - {held[device.profile.name]})
 
     def test_unknown_operator_stays_on_host(self, fleet):
         planner = OffloadPlanner(KernelRegistry(fleet))

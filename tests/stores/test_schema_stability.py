@@ -58,6 +58,8 @@ OPERATORS = {
     "hash_join": (lambda people, tags: people.join(tags, on="pid"), JOINED),
     "left_join": (lambda people, tags: people.join(tags, on="pid", how="left"),
                   JOINED),
+    "left_join_sorted_on_key": (
+        lambda people, tags: people.join(tags, on="pid", how="left").sort("pid"), JOINED),
 }
 
 
@@ -98,20 +100,27 @@ def test_result_schema_is_plan_derived(system, operator, selection):
         assert len(result) == 0
 
 
-def test_a_left_join_sorted_on_its_key_keeps_its_unmatched_rows():
+@pytest.mark.parametrize("descending", [False, True], ids=["asc", "desc"])
+@pytest.mark.parametrize("sharded", [False, True], ids=["single", "4-shard"])
+def test_a_left_join_sorted_on_its_key_keeps_its_unmatched_rows(sharded, descending):
     """A ``sort`` on the join key reading a left join must not turn it inner."""
-    engine = RelationalEngine("db")
+    if sharded:
+        system = build_cpu_polystore([])
+        engine = system.register_sharded_engine("db", RelationalEngine, 4)
+    else:
+        engine = RelationalEngine("db")
+        system = build_cpu_polystore([engine])
     engine.load_table("l", Table(make_schema(("k", DataType.INT), ("a", DataType.INT)),
                                  [(1, 10), (2, 20), (3, 30)]))
     engine.load_table("r", Table(make_schema(("k", DataType.INT), ("b", DataType.INT)),
                                  [(1, 100)]))
-    system = build_cpu_polystore([engine])
     source = system.dataset("db")
     program = DataflowProgram("left-join-sorted")
     program.output("out", source.table("l").join(source.table("r"), on="k", how="left")
-                   .sort("k"))
-    assert system.execute(program).output("out").rows == [
-        (1, 10, 100), (2, 20, None), (3, 30, None)]
+                   .sort("k", descending=descending))
+    expected = [(1, 10, 100), (2, 20, None), (3, 30, None)]
+    assert system.execute(program).output("out").rows == \
+        (expected[::-1] if descending else expected)
 
 
 def test_engine_top_k_keeps_table_schema():
