@@ -286,9 +286,13 @@ class CachedPlan:
     mode: str
     hits: int = 0
     declared_params: dict[str, Any] = field(default_factory=dict)
+    #: Ids of the compiled graph's operators whose params hold a Param: the
+    #: only nodes a run copies and binds; every other operator is shared
+    #: with ``compilation.graph``.
+    param_ops: tuple[str, ...] = ()
     #: The graph with every Param bound to its default, computed once: the
     #: all-defaults binding never changes, so argument-less runs must not
-    #: pay an O(plan) copy+rebind each time.
+    #: rebind each time.
     default_bound_graph: IRGraph | None = None
     #: ``operator fingerprint -> estimated rows`` at compile time.  The
     #: session compares these against the runtime statistics before every

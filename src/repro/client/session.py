@@ -10,10 +10,13 @@ an engine:
   (keyed by program fingerprint + mode + compiler options + deployment
   generation).
 * :meth:`PreparedProgram.run` re-executes the compiled plan with low
-  latency: compilation is skipped, runtime parameters (:class:`Param`
-  placeholders) are bound on a graph copy, and pure scan subtrees are served
-  from a pinned :class:`~repro.client.cache.ScanSnapshot` validated against
-  engine data versions.
+  latency: compilation is skipped, a frozen program's identity is the
+  fingerprint stored when it was frozen, runtime parameters (:class:`Param`
+  placeholders) are bound on copies of only the operators that hold one
+  (every other operator is shared with the cached plan), and pure scan
+  subtrees are served from a pinned
+  :class:`~repro.client.cache.ScanSnapshot` validated against engine data
+  versions.
 * :meth:`Session.submit` / :meth:`Session.run_batch` dispatch executions on
   a thread pool, returning futures; each run executes wholly on the pool
   thread that picked it up.
@@ -23,13 +26,14 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.cancellation import CancellationToken
 from repro.compiler.pipeline import CompilerOptions
 from repro.eide.dataflow import DataflowProgram
-from repro.eide.expressions import bind_params
+from repro.eide.expressions import bind_params, find_params
 from repro.eide.program import Param
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.ir.graph import IRGraph
@@ -76,7 +80,7 @@ def _bind_value(value: Any, bindings: dict[str, Any]) -> Any:
         # Structured predicates may embed placeholders as literal operands
         # (``col("age") > Param("min_age", 60)``).
         return bind_params(value, lambda param: _resolve_param(param, bindings))
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {k: _bind_value(v, bindings) for k, v in value.items()}
     if isinstance(value, list):
         return [_bind_value(v, bindings) for v in value]
@@ -85,6 +89,11 @@ def _bind_value(value: Any, bindings: dict[str, Any]) -> Any:
     if isinstance(value, (set, frozenset)):
         return type(value)(_bind_value(v, bindings) for v in value)
     return value
+
+
+def _param_ops(graph: IRGraph) -> tuple[str, ...]:
+    """Ids of the operators whose params hold a :class:`Param`."""
+    return tuple(node.op_id for node in graph.nodes() if find_params(node.params))
 
 
 class PreparedProgram:
@@ -210,7 +219,7 @@ class PreparedProgram:
             entry.snapshot.clear()
         if params:
             self._check_bindings(params, entry)
-            graph = self._bound_graph(graph, params)
+            graph = self._bound_graph(entry, params)
             snapshot = None  # results depend on this call's bindings
         else:
             if entry.declared_params:
@@ -220,7 +229,7 @@ class PreparedProgram:
                 # only explicit bindings force a fresh read.
                 with self._lock:
                     if entry.default_bound_graph is None:
-                        entry.default_bound_graph = self._bound_graph(graph, {})
+                        entry.default_bound_graph = self._bound_graph(entry, {})
                 graph = entry.default_bound_graph
             if not reuse_scans:
                 snapshot = None
@@ -239,11 +248,18 @@ class PreparedProgram:
                 f"declared parameters: {declared}"
             )
 
-    def _bound_graph(self, graph: IRGraph, params: dict[str, Any]) -> IRGraph:
-        bound = graph.copy()
-        for node in bound.nodes():
+    @staticmethod
+    def _bound_graph(entry: CachedPlan, params: dict[str, Any]) -> IRGraph:
+        """The cached plan with ``params`` bound: only the operators that
+        hold a Param are copied; the rest are the cached plan's own (no
+        run mutates an operator it executes)."""
+        graph = entry.compilation.graph
+        bound = {}
+        for op_id in entry.param_ops:
+            node = graph.node(op_id).copy()
             node.params = _bind_value(node.params, params)
-        return bound
+            bound[op_id] = node
+        return graph.with_nodes(bound)
 
 
 class Session:
@@ -283,10 +299,12 @@ class Session:
                 freeze: bool = True) -> PreparedProgram:
         """Compile ``program`` (or reuse a cached plan) for repeated execution.
 
-        ``freeze=True`` (the default) makes the program immutable so the
-        cached plan can never diverge from later edits; pass ``freeze=False``
-        to keep the program editable (edits change the fingerprint, so stale
-        plans are never reused either way).
+        ``freeze=True`` (the default) freezes the program
+        (:meth:`DataflowProgram.freeze`): the cached plan can never diverge
+        from later edits, and every run reads the fingerprint stored at
+        freezing.  ``freeze=False`` keeps the program editable and
+        re-fingerprints it on every run, so an edit recompiles instead of
+        replaying a stale plan.
         """
         self._check_open()
         plan = self.system.plan_mode(mode, options)
@@ -337,6 +355,7 @@ class Session:
                 fingerprint=fingerprint,
                 mode=plan.mode,
                 declared_params=program.declared_params(),
+                param_ops=_param_ops(compilation.graph),
                 baked_estimates=self._baked_estimates(compilation),
             )
             self.plan_cache.put(key, entry)
@@ -350,9 +369,10 @@ class Session:
         When engines or accelerators were registered after preparation, the
         execution mode is re-resolved (migration strategy and serializer may
         have changed) and the plan recompiled (through the cache) against the
-        new deployment.  The program fingerprint is re-checked on every run,
-        so even an end-run around :meth:`DataflowProgram.freeze` (for
-        example mutating a ``DataflowNode.params`` in place) can never replay a
+        new deployment.  The program fingerprint is compared on every run:
+        a frozen program returns the one it stored when frozen (its trees
+        cannot change), an unfrozen one re-hashes its trees, so an in-place
+        edit (for example of a ``DataflowNode.params``) can never replay a
         stale plan — the changed program simply recompiles.
 
         With the deployment unchanged, the entry is additionally checked for
@@ -434,6 +454,7 @@ class Session:
                 fingerprint=entry.fingerprint,
                 mode=entry.mode,
                 declared_params=dict(entry.declared_params),
+                param_ops=_param_ops(compilation.graph),
                 baked_estimates=self._baked_estimates(compilation),
                 reoptimizations=entry.reoptimizations + 1,
                 reoptimized_from=entry.compilation.plan_fingerprint,

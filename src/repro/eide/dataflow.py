@@ -22,7 +22,9 @@ identical IR and share one plan-cache entry.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.eide.expressions import as_predicate, find_params
@@ -45,7 +47,7 @@ class DataflowNode:
     """
 
     kind: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict)
     inputs: tuple["DataflowNode", ...] = ()
     engine: str | None = None
     label: str | None = None
@@ -69,6 +71,59 @@ class DataflowNode:
             yield node
 
         yield from visit(self)
+
+
+class _FrozenNode(DataflowNode):
+    """A :class:`DataflowNode` that refuses writes: what a frozen program holds.
+
+    Its params are a read-only mapping whose nested lists are tuples.  It
+    pickles as a plain :class:`DataflowNode` with dict params, so a view
+    defined over a frozen program's output persists like any other.
+    """
+
+    @classmethod
+    def of(cls, node: DataflowNode,
+           inputs: tuple[DataflowNode, ...]) -> "_FrozenNode":
+        """A frozen copy of ``node`` over already-frozen ``inputs``."""
+        frozen = object.__new__(cls)
+        frozen.__dict__.update(kind=node.kind, params=_frozen_value(node.params),
+                               inputs=inputs, engine=node.engine,
+                               label=node.label)
+        return frozen
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise CompilationError(
+            f"cannot set {name!r}: the node belongs to a frozen program")
+
+    def __delattr__(self, name: str) -> None:
+        raise CompilationError(
+            f"cannot delete {name!r}: the node belongs to a frozen program")
+
+    def __reduce__(self) -> tuple:
+        return (DataflowNode, (self.kind, _thawed_value(self.params),
+                               self.inputs, self.engine, self.label))
+
+
+def _frozen_value(value: Any) -> Any:
+    """A read-only twin of a param value: mappings become read-only
+    mappings, lists tuples and sets frozensets, recursively."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _frozen_value(v) for k, v in value.items()})
+    if isinstance(value, list) or type(value) is tuple:
+        return tuple(_frozen_value(v) for v in value)
+    if isinstance(value, set):
+        return frozenset(value)
+    return value
+
+
+def _thawed_value(value: Any) -> Any:
+    """The value with plain dicts for the read-only mappings (which cannot
+    be pickled) :func:`_frozen_value` made."""
+    if isinstance(value, Mapping):
+        return {k: _thawed_value(v) for k, v in value.items()}
+    if type(value) is tuple:
+        return tuple(_thawed_value(v) for v in value)
+    return value
 
 
 class Dataset:
@@ -427,6 +482,7 @@ class DataflowProgram:
         self.name = name
         self._outputs: dict[str, DataflowNode] = {}
         self._frozen = False
+        self._fingerprint: str | None = None
 
     # -- construction ------------------------------------------------------------------
 
@@ -459,11 +515,33 @@ class DataflowProgram:
 
     @property
     def frozen(self) -> bool:
-        """Whether :meth:`freeze` was called (structure is now immutable)."""
+        """Whether :meth:`freeze` was called (the program is now immutable)."""
         return self._frozen
 
     def freeze(self) -> "DataflowProgram":
-        """Make the program immutable; returns ``self`` for chaining."""
+        """Make the program immutable; returns ``self`` for chaining.
+
+        The output trees are replaced by frozen copies (shared subtrees stay
+        shared): a frozen node refuses attribute writes and its params are a
+        read-only mapping with tuples for lists.  The :class:`Dataset`
+        handles the program was built from keep the originals, so editing
+        them no longer reaches the program.  The fingerprint is computed
+        here, once.  Freezing a frozen program does nothing.
+        """
+        if self._frozen:
+            return self
+        copies: dict[int, DataflowNode] = {}
+
+        def frozen(node: DataflowNode) -> DataflowNode:
+            copy = copies.get(id(node))
+            if copy is None:
+                copy = _FrozenNode.of(node, tuple(frozen(child)
+                                                  for child in node.inputs))
+                copies[id(node)] = copy
+            return copy
+
+        self._outputs = {name: frozen(root) for name, root in self._outputs.items()}
+        self._fingerprint = self.fingerprint()
         self._frozen = True
         return self
 
@@ -471,9 +549,13 @@ class DataflowProgram:
         """Deterministic identity hash over the canonical dataflow form.
 
         Structurally equivalent programs — whether read with ``.sql()`` text
-        or composed from combinators — produce the same fingerprint and
-        therefore share one plan-cache entry.
+        or composed from combinators, frozen or not — produce the same
+        fingerprint and therefore share one plan-cache entry.  A frozen
+        program returns the hash :meth:`freeze` stored; an unfrozen one
+        hashes its trees on every call, so in-place edits show.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         if not self._outputs:
             raise CompilationError(f"program {self.name!r} declares no outputs")
         return fingerprint_outputs(self.name, self._outputs)

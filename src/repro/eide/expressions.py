@@ -25,6 +25,7 @@ This module adds the three things the engine layer does not provide:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Callable
 
 from repro.eide.program import Param
@@ -137,7 +138,7 @@ def find_params(value: Any, found: dict[str, Param] | None = None) -> dict[str, 
         found = {}
     if isinstance(value, Param):
         found[value.name] = value
-    elif isinstance(value, dict):
+    elif isinstance(value, Mapping):
         for item in value.values():
             find_params(item, found)
     elif isinstance(value, (list, tuple, set, frozenset)):

@@ -6,6 +6,7 @@ definitions pickle :class:`Param` by this import path.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -41,7 +42,9 @@ class Param:
 def canonical_value(value: Any) -> str:
     """A deterministic string form of an operator parameter value.
 
-    Containers are recursed; dictionaries are key-sorted.  Callables
+    Containers are recursed (lists and tuples render alike, as do dicts
+    and read-only mappings, so freezing a program moves no fingerprint);
+    mappings are key-sorted.  Callables
     (``.apply(fn)`` functions) are identified *by identity*, not by
     content — two distinct function objects never collide, so a plan cached
     for one can never be replayed for the other.
@@ -52,7 +55,7 @@ def canonical_value(value: Any) -> str:
         return "[" + ",".join(canonical_value(v) for v in value) + "]"
     if isinstance(value, (set, frozenset)):
         return "{" + ",".join(sorted(canonical_value(v) for v in value)) + "}"
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         items = sorted(value.items(), key=lambda kv: repr(kv[0]))
         return "{" + ",".join(f"{canonical_value(k)}:{canonical_value(v)}"
                               for k, v in items) + "}"

@@ -206,6 +206,20 @@ class IRGraph:
                 lines.append(f"    {node.describe()} <- [{inputs}]{marker}")
         return "\n".join(lines)
 
+    def with_nodes(self, replacements: dict[str, Operator]) -> "IRGraph":
+        """A graph sharing every operator with this one except those whose
+        ids ``replacements`` maps, which take the mapped operators' places.
+
+        The replacements must keep their originals' ids and inputs; nothing
+        is copied, so neither graph may be rewritten afterwards.
+        """
+        twin = IRGraph(self.name)
+        twin._nodes = {op_id: replacements.get(op_id, node)
+                       for op_id, node in self._nodes.items()}
+        twin._outputs = list(self._outputs)
+        twin._next_id = self._next_id
+        return twin
+
     def copy(self) -> "IRGraph":
         """A structural copy with copied nodes (safe for pass experimentation)."""
         duplicate = IRGraph(self.name)

@@ -226,7 +226,7 @@ class ViewRegistry:
                    in zip(children, node.inputs)):
                 converted[id(node)] = node
                 return node
-            rebuilt = DataflowNode(node.kind, node.params, children,
+            rebuilt = DataflowNode(node.kind, dict(node.params), children,
                                    node.engine, node.label)
             converted[id(node)] = rebuilt
             return rebuilt
