@@ -269,23 +269,22 @@ class ShardedEngine(Engine):
 
     # -- changelog relay ---------------------------------------------------------------
 
-    def _staged_logs(self, shards: Sequence[Engine]
-                     ) -> list[tuple[Engine, int]]:
-        """Remember each shard log's position before a routed write."""
-        return [(shard, shard.changelog.latest_seq) for shard in shards]
-
     class _RelayScope:
-        """Handle a routed write uses to declare which shard logs it touches."""
+        """A routed write's reader on the shard logs it touches.
 
-        __slots__ = ("_engine", "staged")
+        Registered on each staged log at its head, it holds the write's
+        batches there until the relay has collected them.
+        """
 
-        def __init__(self, engine: "ShardedEngine") -> None:
-            self._engine = engine
+        __slots__ = ("staged", "__weakref__")
+
+        def __init__(self) -> None:
             self.staged: list[tuple[Engine, int]] = []
 
         def stage(self, *shards: Engine) -> None:
-            """Snapshot the given shards' log positions before writing them."""
-            self.staged.extend(self._engine._staged_logs(shards))
+            """Register on the given shards' logs before writing them."""
+            self.staged.extend((shard, shard.changelog.register(self))
+                               for shard in shards)
 
     @contextlib.contextmanager
     def _routed_write(self):
@@ -301,27 +300,28 @@ class ShardedEngine(Engine):
         orphaned version bumps the next routed write's log mark absorbs,
         silently diverging delta consumers.
         """
-        scope = self._RelayScope(self)
+        scope = self._RelayScope()
         appended: list[DeltaBatch] = []
         try:
             with self._lock:
                 try:
                     yield scope
                 finally:
-                    appended = self._relay_locked(
-                        self._collect_relay(scope.staged))
+                    appended = self._relay_locked(self._collect_relay(scope))
         finally:
             self._notify_relayed(appended)
 
-    def _collect_relay(self, staged: list[tuple[Engine, int]]) -> list[DeltaBatch]:
-        """The batches a routed write appended to the staged shard logs.
+    def _collect_relay(self, scope: "_RelayScope") -> list[DeltaBatch]:
+        """The batches a routed write appended to its staged shard logs.
 
         Must be called while the facade lock is still held (so no unrelated
-        batch can land between the write and the collection).
+        batch can land between the write and the collection).  Releases the
+        relay's hold on each log once read.
         """
         batches: list[DeltaBatch] = []
-        for shard, seq_before in staged:
+        for shard, seq_before in scope.staged:
             shard_batches, complete = shard.changelog.read_since(seq_before)
+            shard.changelog.release(scope)
             if not complete:
                 batches.append(DeltaBatch(seq=0, scope=None, gap=True))
                 continue

@@ -17,14 +17,20 @@ as *gaps*: a gap poisons every cursor that opened before it, forcing
 consumers of the affected scope back to a full resync.  This keeps the log
 honest — a consumer never silently misses a write.
 
-Retention is bounded (:attr:`ChangeLog.capacity` batches); a cursor that
-falls behind the retained window reads ``complete=False`` and must resync.
+A log keeps a batch only while a registered reader is behind it
+(:meth:`ChangeLog.register`): a view's changelog cursor, or a sharded
+engine's relay for the span of one routed write.  Readers are held weakly,
+so a dropped view releases what it held.  With no reader a batch still goes
+to the WAL sink and the listeners, then is dropped.  The ``capacity`` and
+``max_rows`` caps bound what a stalled reader can hold; a cursor that falls
+behind the retained window reads ``complete=False`` and must resync.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -104,10 +110,12 @@ Listener = Callable[[DeltaBatch], None]
 class ChangeLog:
     """A bounded, scoped, subscribable log of one engine's delta batches.
 
-    Retention is capped both by batch count (``capacity``) and by total
-    retained entry rows (``max_rows``) — a bulk load logging one huge batch
-    must not pin a table-sized entry list in memory; it ages out (possibly
-    immediately), and consumers behind the trim resync from the base.
+    A batch is retained only while some registered reader's position is
+    behind it.  Retention is further capped both by batch count
+    (``capacity``) and by total retained entry rows (``max_rows``) — a
+    stalled reader, or a bulk load logging one huge batch, must not pin a
+    table-sized entry list in memory; it ages out (possibly immediately),
+    and consumers behind the trim resync from the base.
     """
 
     def __init__(self, capacity: int = 4096, *,
@@ -127,6 +135,13 @@ class ChangeLog:
         #: Sequence number of the oldest batch still retained, or the next
         #: seq when the log is empty.  Cursors older than this must resync.
         self._oldest_retained = 1
+        #: Weak references to the registered readers -> the seq each has
+        #: read through.  A collected reader's callback only flags the
+        #: table stale (it may run mid-read); the next append prunes it.
+        self._readers: dict[weakref.ref, int] = {}
+        self._stale = False
+        #: The lowest registered position, ``None`` with no reader.
+        self._floor: int | None = None
         self._listeners: list[Listener] = []
         #: Durability sink: called under the log lock for every appended
         #: batch, so WAL order equals sequence order (see
@@ -166,14 +181,15 @@ class ChangeLog:
             batch = DeltaBatch(seq=self._next_seq, scope=scope,
                                entries=entries, gap=gap, op=op)
             self._next_seq += 1
-            self._batches.append(batch)
-            self._retained_rows += len(entries)
-            while self._batches and (len(self._batches) > self.capacity
-                                     or self._retained_rows > self.max_rows):
-                evicted = self._batches.popleft()
-                self._retained_rows -= len(evicted.entries)
-            self._oldest_retained = (self._batches[0].seq if self._batches
-                                     else self._next_seq)
+            if self._stale:
+                self._refloor()
+            if self._floor is None and not self._batches:
+                # No reader: the batch reaches the WAL sink and listeners only.
+                self._oldest_retained = self._next_seq
+            else:
+                self._batches.append(batch)
+                self._retained_rows += len(entries)
+                self._trim()
             if self._wal_sink is not None:
                 self._wal_sink(batch)
         # Listeners run outside the log lock (and callers are expected to
@@ -182,6 +198,51 @@ class ChangeLog:
         if notify:
             self.notify_batch(batch)
         return batch
+
+    def _forget(self, _: weakref.ref) -> None:
+        self._stale = True
+
+    def _refloor(self) -> None:
+        if self._stale:
+            self._stale = False
+            self._readers = {ref: seq for ref, seq in self._readers.items()
+                             if ref() is not None}
+        self._floor = min(self._readers.values(), default=None)
+
+    def _trim(self) -> None:
+        """Drop every batch no reader is behind, then enforce the caps."""
+        batches = self._batches
+        floor = self._next_seq - 1 if self._floor is None else self._floor
+        while batches and (batches[0].seq <= floor
+                           or len(batches) > self.capacity
+                           or self._retained_rows > self.max_rows):
+            self._retained_rows -= len(batches.popleft().entries)
+        self._oldest_retained = batches[0].seq if batches else self._next_seq
+
+    # -- readers ------------------------------------------------------------------------
+
+    def register(self, reader: Any, seq: int | None = None) -> int:
+        """Keep the batches after ``seq`` (default: the head) for ``reader``.
+
+        Registering again moves the reader, releasing what only it held.
+        ``reader`` is held weakly: once collected, it holds nothing.
+        Returns ``seq``, so a reader registering at the head learns the
+        head atomically with its hold.
+        """
+        with self._lock:
+            if seq is None:
+                seq = self._next_seq - 1
+            self._readers[weakref.ref(reader, self._forget)] = seq
+            self._refloor()
+            self._trim()
+            return seq
+
+    def release(self, reader: Any) -> None:
+        """Unregister ``reader``; the batches only it held are dropped."""
+        with self._lock:
+            self._readers.pop(weakref.ref(reader), None)
+            self._refloor()
+            self._trim()
 
     # -- reading ------------------------------------------------------------------------
 
@@ -256,6 +317,7 @@ class ChangeLog:
                 "latest_seq": self._next_seq - 1,
                 "oldest_retained_seq": self._oldest_retained,
                 "lag_window": len(self._batches),
+                "readers": sum(ref() is not None for ref in self._readers),
                 "capacity": self.capacity,
                 "max_rows": self.max_rows,
             }

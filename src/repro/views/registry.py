@@ -106,6 +106,7 @@ class ViewRegistry:
                 raise ConfigurationError(f"no view named {name!r}")
             self._by_canonical.pop(view.canonical, None)
             self._resubscribe_all()
+        view.close()
         self.system._invalidate_plans()
         if self.system.durability is not None:
             self.system.durability.forget_view(name)

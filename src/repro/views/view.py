@@ -260,6 +260,7 @@ class MaterializedView:
         runs the view's program through the ordinary pipeline and keeps its
         table verbatim, row order included; the next rebuild tries again.
         """
+        self.close()
         self._delta = compile_incremental(self.name, self.root,
                                           self.system.catalog)
         if self._delta is not None:
@@ -282,6 +283,12 @@ class MaterializedView:
         self._table = table = self._as_table(result.output(self.name))
         return RefreshOutcome(kind="full", charged_time_s=result.total_time_s,
                               delta_rows=len(table), input_rows=len(table))
+
+    def close(self) -> None:
+        """Release the delta program's changelog holds; a later refresh resyncs."""
+        with self._lock:
+            if self._delta is not None:
+                self._delta.release(self.system.catalog)
 
     def _run_delta(self, *, seed: bool) -> tuple[float, ZSet, int]:
         """Execute the delta program through the ordinary executor.

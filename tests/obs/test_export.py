@@ -18,8 +18,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.stores import RelationalEngine
 
 
-def _run_system(tmp_path=None):
+def _run_system(tmp_path=None, reader=None):
     engine = RelationalEngine("ordersdb")
+    if reader is not None:
+        engine.changelog.register(reader)
     schema = make_schema(("order_id", DataType.INT),
                          ("amount", DataType.FLOAT))
     engine.load_table("orders", Table(
@@ -137,7 +139,7 @@ class TestDescribeFoldIn:
     def test_describe_carries_metrics_changelog_and_checkpoints(self, tmp_path):
         # open() checkpoints every store on attach, so describe() already
         # carries a snapshot id without an explicit checkpoint call.
-        system = _run_system(tmp_path)
+        system = _run_system(tmp_path, reader=self)
         description = system.describe()
 
         obs = description["observability"]

@@ -95,6 +95,7 @@ class PageSkipping(RuleBasedStateMachine):
     def create(self, capacity):
         self.capacity = capacity
         self.engine = RelationalEngine("live")
+        self.engine.changelog.register(self)  # _logged reads each write's batch
         self.engine.create_table("t", SCHEMA, page_capacity=capacity)
 
     def _heap_rows(self) -> list[tuple]:

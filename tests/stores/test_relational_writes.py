@@ -67,6 +67,7 @@ class RelationalWrites(RuleBasedStateMachine):
         self.model: list[tuple] = []
         self.indexes: set[tuple[str, str]] = set()
         self.live = RelationalEngine("live")
+        self.live.changelog.register(self)  # _logged reads each write's batch
         self.replayed = RelationalEngine("replayed")
         wal: list[dict] = []
         self.live.changelog.subscribe(lambda batch: wal.append(

@@ -4,15 +4,17 @@ where it cannot; either way it answers as the row kernel alone does."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from repro import col
+from repro.cluster import ShardedEngine
 from repro.datamodel import DataType, make_schema
 from repro.stores import RelationalEngine
 from repro.stores.relational import engine as engine_module
-from repro.stores.relational.operators import AggregateSpec, aggregate_kernel
+from repro.stores.relational.operators import RUN, AggregateSpec, aggregate_kernel
 
 ROWS = 50_000
 PAGE = 256
@@ -167,3 +169,123 @@ def test_a_count_of_every_row_reads_no_column(facts, row_folds):
     outcome = _outcome(_load(facts), partial, None)
     assert outcome == _row_kernel_alone(facts, partial, None)
     assert row_folds == [[facts[ROWS - ROWS % PAGE:]]]
+
+
+# -- run boundaries ----------------------------------------------------------------------
+
+#: Rows a page holds in the run-boundary layouts.
+SMALL_PAGE = 64
+
+
+def _stores(shards: int, place) -> list[tuple[RelationalEngine, list[tuple]]]:
+    """Each store's engine and its rows in heap order: ``2 * RUN + 2`` sealed
+    pages of ``SMALL_PAGE`` rows and a half-full open one, laid out by
+    ``place``; one engine when ``shards`` is 0, else each shard of one."""
+    count = (2 * RUN + 2) * SMALL_PAGE + SMALL_PAGE // 2
+    rng = random.Random(13)
+
+    def rows_for(ids) -> list[tuple]:
+        rows = [(i, rng.randrange(97), float(rng.randrange(1000)), 0) for i in ids]
+        place(rows)
+        return rows
+
+    if not shards:
+        rows = rows_for(range(count))
+        engine = RelationalEngine("db")
+        engine.create_table("facts", FACTS, page_capacity=SMALL_PAGE)
+        engine.insert("facts", rows)
+        return [(engine, rows)]
+    sharded = ShardedEngine("db", RelationalEngine, shards)
+    sharded.create_table("facts", FACTS, page_capacity=SMALL_PAGE)
+    index = {id(shard): n for n, shard in enumerate(sharded.shards)}
+    owned: list[list[int]] = [[] for _ in range(shards)]
+    for i in itertools.count():
+        ids = owned[index[id(sharded.shard_for(i))]]
+        if len(ids) < count:
+            ids.append(i)
+        if all(len(ids) == count for ids in owned):
+            break
+    per_shard = [rows_for(ids) for ids in owned]
+    sharded.insert("facts", itertools.chain.from_iterable(per_shard))
+    return [(sharded.shard(n), rows) for n, rows in enumerate(per_shard)]
+
+
+def _page(rows: list[tuple], number: int) -> list[tuple]:
+    return rows[number * SMALL_PAGE:(number + 1) * SMALL_PAGE]
+
+
+def _at_page(number: int, column: int, value, offset: int = 5):
+    """Set ``column`` of the row ``offset`` rows into page ``number``."""
+    def change(rows: list[tuple]) -> None:
+        at = number * SMALL_PAGE + offset
+        row = list(rows[at])
+        row[column] = value
+        rows[at] = tuple(row)
+    return change
+
+
+def _all(*changes):
+    def change(rows: list[tuple]) -> None:
+        for one in changes:
+            one(rows)
+    return change
+
+
+#: The last page of the first run, the first and the last page of the second.
+EDGES = (RUN - 1, RUN, 2 * RUN - 1)
+DECLINED = {"a NaN amount": (2, float("nan")), "a None key": (1, None)}
+
+
+@pytest.mark.parametrize("shards", [0, 4])
+@pytest.mark.parametrize("odd", sorted(DECLINED))
+def test_declined_pages_at_run_edges_take_the_row_kernel(odd, shards, row_folds):
+    column, value = DECLINED[odd]
+    partial = (("grp",), COUNT_SUM)
+    for engine, rows in _stores(shards, _all(*(_at_page(n, column, value)
+                                               for n in EDGES))):
+        row_folds.clear()
+        assert _outcome(engine, partial) == _row_kernel_alone(rows, partial)
+        chunks = [chunk for call in row_folds for chunk in call]
+        assert chunks == [_page(rows, n) for n in EDGES] + [rows[(2 * RUN + 2) * SMALL_PAGE:]]
+
+
+@pytest.mark.parametrize("shards", [0, 4])
+def test_a_group_first_seen_in_the_second_run_keeps_its_place(shards, row_folds):
+    # Group 1001 shows up before group 1000, both in page 65 only.
+    partial = (("grp",), COUNT_SUM)
+    first_seen = _all(*(_at_page(RUN + 1, column, value, offset)
+                        for offset, key in ((5, 1_001), (9, 1_000))
+                        for column, value in ((1, key), (2, 500.0))))
+    for engine, rows in _stores(shards, first_seen):
+        row_folds.clear()
+        outcome = _outcome(engine, partial)
+        assert outcome == _row_kernel_alone(rows, partial)
+        assert outcome[0].endswith("(1001, 1, 500.0), (1000, 1, 500.0)]")
+        assert row_folds == [[rows[(2 * RUN + 2) * SMALL_PAGE:]]]
+
+
+def _fractional(rows: list[tuple]) -> None:
+    """Fractions under 1 after a first 1e16, whose float ulp is 2: added to
+    the total one at a time, each rounds away; added as a run's sum, not."""
+    rng = random.Random(17)
+    rows[:] = [(i, g % 3, rng.random(), 0) for i, g, _, _ in rows]
+    rows[0] = (rows[0][0], 0, 1e16, 0)
+
+
+@pytest.mark.parametrize("shards", [0, 4])
+def test_a_float_sum_carries_across_a_run_boundary(shards, row_folds):
+    partial = (("grp",), COUNT_SUM)
+    for engine, rows in _stores(shards, _fractional):
+        row_folds.clear()
+        sealed = rows[:(2 * RUN + 2) * SMALL_PAGE]
+        # The test can tell: summing each run apart, then adding the runs'
+        # sums, lands on other bits than the left fold does.
+        left = per_run = 0.0
+        for at in range(0, len(sealed), RUN * SMALL_PAGE):
+            run = [amount for _, g, amount, _ in sealed[at:at + RUN * SMALL_PAGE] if g == 0]
+            per_run += sum(run)
+            for amount in run:
+                left += amount
+        assert per_run != left
+        assert _outcome(engine, partial, None) == _row_kernel_alone(rows, partial, None)
+        assert row_folds == [[rows[len(sealed):]]]

@@ -26,6 +26,7 @@ def _orders_schema():
 class TestChangeLogUnit:
     def test_append_read_since_and_scope_filtering(self):
         log = ChangeLog()
+        log.register(self)
         log.append("table:a", [(("r1",), 1)])
         log.append("table:b", [(("r2",), 1)])
         log.append("table:a", [(("r1",), -1)])
@@ -37,6 +38,7 @@ class TestChangeLogUnit:
 
     def test_cursor_advances_past_read_batches(self):
         log = ChangeLog()
+        log.register(self)
         first = log.append("s", [(1, 1)])
         batches, complete = log.read_since(first.seq, "s")
         assert complete and batches == []
@@ -46,6 +48,7 @@ class TestChangeLogUnit:
 
     def test_gap_poisons_scope_readers(self):
         log = ChangeLog()
+        log.register(self)
         log.append("table:a", [(1, 1)])
         log.mark_gap("table:a")
         _, complete = log.read_since(0, "table:a")
@@ -57,6 +60,7 @@ class TestChangeLogUnit:
 
     def test_unscoped_gap_poisons_everyone(self):
         log = ChangeLog()
+        log.register(self)
         log.append("table:a", [(1, 1)])
         log.mark_gap(None)
         _, complete = log.read_since(0, "table:a")
@@ -64,6 +68,7 @@ class TestChangeLogUnit:
 
     def test_retention_truncation_forces_resync(self):
         log = ChangeLog(capacity=2)
+        log.register(self)
         for i in range(5):
             log.append("s", [(i, 1)])
         _, complete = log.read_since(0, "s")
@@ -74,6 +79,7 @@ class TestChangeLogUnit:
 
     def test_pull_reports_head_and_scope_filtered_batches(self):
         log = ChangeLog()
+        log.register(self)
         batches, complete, head = log.pull(0, "s")
         assert complete and batches == [] and head == 0
         log.append("s", [(1, 1)])
@@ -98,6 +104,7 @@ class TestChangeLogUnit:
 class TestEngineDeltas:
     def test_relational_insert_emits_weighted_rows(self):
         engine = RelationalEngine("db")
+        engine.changelog.register(self)
         engine.load_table("orders", Table(_orders_schema(), [(1, 1, 2.0)]))
         engine.insert("orders", [(2, 2, 3.0)])
         batches, complete = engine.changelog.read_since(0, table_scope("orders"))
@@ -107,6 +114,7 @@ class TestEngineDeltas:
 
     def test_relational_delete_and_update_entries(self):
         engine = RelationalEngine("db")
+        engine.changelog.register(self)
         engine.load_table("orders", Table(_orders_schema(),
                                           [(1, 1, 2.0), (2, 2, 3.0)]))
         deleted = engine.delete_rows("orders", col("order_id") == 1)
@@ -125,6 +133,7 @@ class TestEngineDeltas:
         # unrecorded: pinned snapshots would replay pre-insert data and
         # delta consumers would diverge with no resync signal.
         engine = RelationalEngine("db")
+        engine.changelog.register(self)
         engine.load_table("orders", Table(_orders_schema(), [(1, 1, 1.0)]))
         version = engine.data_version_for(table_scope("orders"))
         with pytest.raises(Exception):
@@ -135,6 +144,7 @@ class TestEngineDeltas:
 
     def test_relational_drop_table_is_a_gap(self):
         engine = RelationalEngine("db")
+        engine.changelog.register(self)
         engine.load_table("orders", Table(_orders_schema(), [(1, 1, 2.0)]))
         engine.drop_table("orders")
         _, complete = engine.changelog.read_since(0, table_scope("orders"))
@@ -142,6 +152,7 @@ class TestEngineDeltas:
 
     def test_kv_put_delete_entries_with_previous_values(self):
         engine = KeyValueEngine("kv")
+        engine.changelog.register(self)
         engine.put("a", 1)
         engine.put("a", 2)
         engine.delete("a")
@@ -153,6 +164,7 @@ class TestEngineDeltas:
 
     def test_timeseries_append_entries(self):
         engine = TimeseriesEngine("ts")
+        engine.changelog.register(self)
         engine.append_many("s/1", [(1.0, 2.0), (2.0, 3.0)])
         batches, complete = engine.changelog.read_since(0, series_scope("s/1"))
         assert complete
@@ -161,6 +173,7 @@ class TestEngineDeltas:
 
     def test_text_add_remove_entries(self):
         engine = TextEngine("txt")
+        engine.changelog.register(self)
         engine.add_document("d1", "hello")
         engine.add_document("d1", "world")
         engine.remove_document("d1")
@@ -209,6 +222,8 @@ class TestScopedVersions:
 class TestShardedChangelog:
     def _sharded(self, shards=3):
         engine = ShardedEngine("cluster", RelationalEngine, shards)
+        for log in [engine.changelog] + [shard.changelog for shard in engine.shards]:
+            log.register(self)
         engine.load_table("orders", Table(_orders_schema(), [
             (i, i % 5, float(i)) for i in range(20)
         ]))
@@ -301,6 +316,7 @@ class TestShardedChangelog:
 
     def test_bulk_batches_age_out_by_retained_rows(self):
         log = ChangeLog(capacity=100, max_rows=10)
+        log.register(self)
         log.append("s", [(i, 1) for i in range(8)])
         assert log.retention_stats()["retained_rows"] == 8
         log.append("s", [(i, 1) for i in range(8)])  # 16 > 10: oldest drops
