@@ -69,7 +69,8 @@ class StoredTable:
         return index
 
     def rewritten(self, matches: Expression | Callable[[Row], Any],
-                  patch: Callable[[Row], Row] | None = None
+                  patch: Callable[[Row], Row] | None = None,
+                  written: Mapping[str, Any] | None = None
                   ) -> tuple["StoredTable", list[Row], list[Row]]:
         """The table a delete (no ``patch``) or an update leaves, beside this one.
 
@@ -77,12 +78,14 @@ class StoredTable:
         WAL replay.  Pages are shared as :meth:`HeapStorage.rewrite` says and
         this table is not touched, so a reader holding it keeps resolving
         every row id of every index it holds.  An update keeps row ids: an
-        index none of whose keys changed is copied, not reloaded; an index
-        whose keys did change — after a delete, where row ids move, every
-        index — is loaded from the new heap.  Returns the table (this one if
-        nothing matched), matched rows and replacements.
+        index on a column outside ``written`` (the value ``patch`` sets in
+        each column it changes; ``None``: any column), or none of whose keys
+        changed, is copied, not reloaded; an index whose keys did change —
+        after a delete, where row ids move, every index — is loaded from the
+        new heap.  Returns the table (this one if nothing matched), matched
+        rows and replacements.
         """
-        heap, matched, patched, _, _ = self.heap.rewrite(matches, patch)
+        heap, matched, patched, _, _ = self.heap.rewrite(matches, patch, written)
         if not matched:
             return self, matched, patched
         sibling = StoredTable(self.name, self.schema, heap.page_capacity)
@@ -91,9 +94,10 @@ class StoredTable:
                              (self.sorted_indexes, sibling.sorted_indexes)):
             for column, index in ours.items():
                 position = self.schema.index_of(column)
-                if patch is not None and all(
-                        old[position] == new[position]
-                        for old, new in zip(matched, patched)):
+                if patch is not None and (
+                        written is not None and column not in written
+                        or all(old[position] == new[position]
+                               for old, new in zip(matched, patched))):
                     theirs[column] = index.copy()
                 else:
                     theirs[column] = sibling.build_index(column, type(index))
@@ -257,7 +261,7 @@ class RelationalEngine(Engine):
             patch = out.kernel("patch", "row", "return (" + "".join(
                 (out.constant(updates[name]) if name in updates else out.column(name))
                 + "," for name in schema.names) + ")")
-            olds, news = self._rewrite(table, predicate, patch)
+            olds, news = self._rewrite(table, predicate, patch, updates)
             updated = list(zip(olds, news))
             if updated:
                 entries: list[tuple[tuple, int]] = []
@@ -286,14 +290,16 @@ class RelationalEngine(Engine):
                     self.data_version_for(table_scope(table)))
 
     def _rewrite(self, table: str, matches: Expression | Callable[[Row], Any],
-                 patch: Callable[[Row], Row] | None = None
+                 patch: Callable[[Row], Row] | None = None,
+                 written: Mapping[str, Any] | None = None
                  ) -> tuple[list[Row], list[Row]]:
-        """Run a delete or update (:meth:`StoredTable.rewritten`) and publish
+        """Run a delete or update (:meth:`StoredTable.rewritten`; ``written``,
+        an update's assignments, ``None`` for any column) and publish
         it in one step; returns matched rows and replacements.  Callers hold
         the write lock; readers take ``self._tables[name]`` once, so they see
         the table before the statement or after it.
         """
-        sibling, matched, patched = self._stored(table).rewritten(matches, patch)
+        sibling, matched, patched = self._stored(table).rewritten(matches, patch, written)
         self._tables[table] = sibling
         return matched, patched
 

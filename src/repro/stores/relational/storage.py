@@ -14,10 +14,11 @@ to the vector fold of a scan that aggregates what it reads.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import itemgetter
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +44,63 @@ class PageColumn(NamedTuple):
     keys: tuple[str, ...]
 
 
+#: The dtypes a column of each kind may narrow to, narrowest first.
+_NARROWER = {float: (np.dtype(np.float32),),
+             int: (np.dtype(np.int8), np.dtype(np.int16), np.dtype(np.int32))}
+_NARROWER[bool] = _NARROWER[int]
+
+
+def _narrowest(values: np.ndarray, kind: type) -> np.ndarray:
+    """``values`` in the narrowest int or float dtype that holds each exactly
+    (``values`` itself when none narrower does)."""
+    for narrow in _NARROWER[kind]:
+        if narrow.itemsize >= values.itemsize:
+            break
+        with np.errstate(over="ignore"):
+            small = values.astype(narrow)
+        if (small == values).all():
+            return small
+    return values
+
+
+def _holds(dtype: np.dtype, cell: int | float) -> bool:
+    """Whether ``dtype`` holds ``cell`` exactly (NaN never: no column has it)."""
+    if dtype.kind != "f":
+        info = np.iinfo(dtype)
+        return info.min <= cell <= info.max
+    try:
+        return cell == cell and (dtype.itemsize == 8
+                                 or struct.unpack("f", struct.pack("f", cell))[0] == cell)
+    except OverflowError:  # past float32's range
+        return False
+
+
+def _patched(column: PageColumn, slots: list[int], cells: list[Any]
+             ) -> PageColumn | None:
+    """``column``, an int, float or bool one without nulls, with ``cells`` in
+    ``slots`` (one cell goes to every slot); ``None`` unless each cell is of
+    its kind and its dtype holds it exactly (then :meth:`Page.column` builds
+    it from the rows)."""
+    kind, values = column.kind, column.values
+    if column.nulls is not None or kind is str or set(map(type, cells)) != {kind} \
+            or not all(_holds(values.dtype, cell) for cell in set(cells)):
+        return None
+    values = values.copy()
+    values[slots] = cells
+    return PageColumn(_narrowest(values, kind), None, kind, ())
+
+
+def _kept(column: PageColumn, keep: np.ndarray) -> PageColumn | None:
+    """``column`` without the cells ``keep`` drops; ``None`` for a ``str``
+    column or one left with no cell that is not ``None``."""
+    nulls = None if column.nulls is None else column.nulls[keep]
+    if column.kind is str or nulls is not None and nulls.all():
+        return None
+    return PageColumn(_narrowest(column.values[keep], column.kind),
+                      nulls if nulls is not None and nulls.any() else None,
+                      column.kind, ())
+
+
 @dataclass
 class Page:
     """A fixed-capacity container of rows."""
@@ -62,23 +120,39 @@ class Page:
         """``(min, max)`` of one column's values, leaving out ``None`` and NaN;
         ``None`` when none is left or they do not order against each other.
 
-        Computed once and kept, so only for a page that no longer changes:
-        one that is not the last of the page list it was reached through.
+        Read off the column where :meth:`column` has built one (numpy's
+        ``min`` / ``max`` as values of its kind, or the least and greatest
+        ``keys``), else walked from the rows.  Computed once and kept, so only
+        for a page that no longer changes: one that is not the last of the
+        page list it was reached through.
         """
         if position not in self._bounds:
-            try:
-                values = [v for v in (row[position] for row in self.rows)
-                          if v is not None and v == v]
-                self._bounds[position] = (min(values), max(values)) if values else None
-            except (TypeError, ValueError):
-                self._bounds[position] = None
+            column = self._columns.get(position)
+            if column is not None and column.kind is str:
+                self._bounds[position] = min(column.keys), max(column.keys)
+            elif column is not None:
+                values = column.values if column.nulls is None \
+                    else column.values[~column.nulls]
+                self._bounds[position] = (column.kind(values.min()),
+                                          column.kind(values.max()))
+            else:
+                try:
+                    values = [v for v in (row[position] for row in self.rows)
+                              if v is not None and v == v]
+                    self._bounds[position] = (min(values), max(values)) if values \
+                        else None
+                except (TypeError, ValueError):
+                    self._bounds[position] = None
         return self._bounds[position]
 
     def column(self, position: int) -> PageColumn | None:
         """One column's cells as arrays; ``None`` unless the cells that are not
         ``None`` share one type: ``int`` within int64, ``bool``, ``float``
         without NaN or ``str``.  Built once and kept, as :meth:`bounds` is, so
-        only for a page that no longer changes (racers build equal columns)."""
+        only for a page that no longer changes (racers build equal columns).
+        A page :meth:`HeapStorage.rewrite` copies starts with the columns its
+        origin had built that the statement left alone, and with the written
+        ones it could patch exactly; this builds the rest from the rows."""
         try:
             return self._columns[position]
         except KeyError:
@@ -105,14 +179,7 @@ class Page:
             except OverflowError:  # an int beyond int64
                 values = None
             if values is not None and not np.isnan(values).any():
-                # Kept in the narrowest type that holds every cell exactly.
-                with np.errstate(over="ignore"):
-                    for narrow in (np.float32,) if kind is float else (np.int8, np.int16,
-                                                                       np.int32):
-                        if ((small := values.astype(narrow)) == values).all():
-                            values = small
-                            break
-                built = PageColumn(values, nulls, kind, ())
+                built = PageColumn(_narrowest(values, kind), nulls, kind, ())
         self._columns[position] = built
         return built
 
@@ -185,7 +252,8 @@ class HeapStorage:
         return [may_match(page) for page in pages[:-1]] + [True]
 
     def rewrite(self, matches: Expression | Callable[[Row], Any],
-                patch: Callable[[Row], Row] | None = None
+                patch: Callable[[Row], Row] | None = None,
+                written: Mapping[str, Any] | None = None
                 ) -> tuple["HeapStorage", list[Row], list[Row], int, int]:
         """A sibling heap without the matching rows, or with them patched.
 
@@ -199,9 +267,18 @@ class HeapStorage:
 
         A page without a match is shared with this heap and a page with one
         is copied; an open last page is always copied, so rows inserted into
-        the sibling never show up here.  Returns the sibling, the matched
-        rows, their replacements (none for a delete), the pages copied and
-        the pages examined.
+        the sibling never show up here.  A copy that will not take inserts
+        starts with what its origin built (:meth:`Page.column`,
+        :meth:`Page.bounds`), made here, not on first read: a column outside
+        ``written`` — the value ``patch`` sets in each column it changes;
+        ``None`` when it may set any column to anything — as it was with its
+        bounds; a written int, float or bool column without nulls as a copy
+        with the new cells set, if its kind and dtype hold them exactly;
+        after a delete, every int, float or bool column's surviving cells.
+        Other columns and bounds are built again from the rows, when read.
+        This heap's arrays are never changed.  Returns the sibling, the
+        matched rows, their replacements (none for a delete), the pages
+        copied and the pages examined.
         """
         sibling = HeapStorage(self.schema, self.page_capacity)
         pages = sibling._pages
@@ -209,6 +286,8 @@ class HeapStorage:
         patched: list[Row] = []
         copied = 0
         tail_shared = False
+        # (copy, origin, what was touched) for each origin with caches.
+        warm: list[tuple[Page, Page, Any]] = []
         predicate = matches if isinstance(matches, Expression) else None
         if predicate is not None:
             matches = predicate.compile(self.schema)
@@ -225,20 +304,57 @@ class HeapStorage:
                 rows = [row for row, flag in zip(rows, flags) if not flag]
                 if not rows:
                     continue
+                touched: Any = flags
             else:
                 rows = list(rows)
-                for slot in compress(count(), flags):
+                touched = list(compress(count(), flags))
+                for slot in touched:
                     matched.append(rows[slot])
                     rows[slot] = patch(rows[slot])
                     patched.append(rows[slot])
             pages.append(Page(self.page_capacity, rows))
+            if page._columns or page._bounds:
+                warm.append((pages[-1], page, touched))
             copied += 1
             tail_shared = False
         if tail_shared and not pages[-1].is_full:
             pages[-1] = Page(self.page_capacity, list(pages[-1].rows))
             copied += 1
+        if warm and warm[-1][0] is pages[-1] and not pages[-1].is_full:
+            warm.pop()  # the sibling's open last page: its rows will change
+        if warm:
+            self._inherit(warm, patch is not None, written)
         sibling._num_rows = self._num_rows - (len(matched) if patch is None else 0)
         return sibling, matched, patched, copied, sum(examine)
+
+    def _inherit(self, warm: list[tuple[Page, Page, Any]], update: bool,
+                 written: Mapping[str, Any] | None) -> None:
+        """Give each ``(copy, origin, touched)`` of ``warm`` the caches
+        :meth:`rewrite` says the copy keeps: ``touched`` is the patched slots
+        after an update, the flags of the rows dropped after a delete."""
+        # Each written position with its one new cell, or ``None``: read the rows.
+        assigned: list[tuple[int, list | None]] = (
+            [(at, None) for at in range(len(self.schema))] if written is None
+            else [(self.schema.index_of(name), [value]) for name, value in written.items()])
+        for copy, origin, touched in warm:
+            columns = origin._columns.copy()  # atomic beside racing readers
+            if update:
+                bounds = origin._bounds.copy()
+                for at, new in assigned:
+                    bounds.pop(at, None)
+                    column = columns.pop(at, None)
+                    if column is not None:
+                        column = _patched(column, touched,
+                                          new or [copy.rows[slot][at] for slot in touched])
+                    if column is not None:
+                        columns[at] = column
+            else:
+                bounds = {}
+                keep = ~np.fromiter(map(bool, touched), bool, len(touched))
+                columns = {at: kept for at, column in columns.items()
+                           if column is not None
+                           and (kept := _kept(column, keep)) is not None}
+            copy._columns, copy._bounds = columns, bounds
 
     # -- reads ----------------------------------------------------------------
 
