@@ -691,7 +691,7 @@ class ShardedEngine(Engine):
         with self._lock:
             return self._pending is not None
 
-    # repro: allow(changelog-contract): topology bookkeeping; data deltas flow via dual-writes
+    # No changelog batch: topology bookkeeping; data deltas flow via dual-writes.
     def begin_rebalance(self, partitioner: Partitioner) -> list[ShardPayload]:
         """Atomically snapshot current data and install the pending shard set.
 
@@ -725,7 +725,7 @@ class ShardedEngine(Engine):
             shards, partitioner = self._pending
             return list(shards), partitioner
 
-    # repro: allow(changelog-contract): replays snapshot rows already emitted by the source
+    # No changelog batch: replays snapshot rows already emitted by the source.
     def apply_payload(self, payload: ShardPayload, table: Table | None = None) -> int:
         """Load one (possibly migrated) snapshot payload into the pending shards.
 
@@ -770,7 +770,7 @@ class ShardedEngine(Engine):
                 return applied
             raise ConfigurationError(f"unknown payload kind {payload.kind!r}")
 
-    # repro: allow(changelog-contract): topology swap; versions re-based explicitly
+    # No changelog batch: topology swap; versions re-based explicitly.
     def cutover(self) -> list[Engine]:
         """Swap the pending shard map in; returns the retired shards.
 
@@ -817,7 +817,7 @@ class ShardedEngine(Engine):
                 self._durability_cutover(self, retired)
             return retired
 
-    # repro: allow(changelog-contract): discards pending topology; facade data untouched
+    # No changelog batch: discards pending topology; facade data untouched.
     def abort_rebalance(self) -> None:
         """Discard the pending shard set (writes stop being mirrored)."""
         with self._lock:

@@ -76,7 +76,7 @@ class KeyValueEngine(Engine):
         if self._memtable.is_full:
             self.flush()
 
-    # repro: allow(changelog-contract): structural reorganization; logical content unchanged
+    # No changelog batch: structural reorganization; logical content unchanged.
     def flush(self) -> None:
         """Freeze the memtable into a new SSTable (spilled when durable)."""
         if len(self._memtable) == 0:
@@ -86,7 +86,7 @@ class KeyValueEngine(Engine):
         if self._spill is not None:
             self._spill.flushed(self)
 
-    # repro: allow(changelog-contract): merges SSTables in place; logical content unchanged
+    # No changelog batch: merges SSTables in place; logical content unchanged.
     def compact(self, *, full: bool = False) -> None:
         """Merge SSTables, discarding shadowed entries.
 
