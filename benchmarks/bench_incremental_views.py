@@ -6,18 +6,19 @@ region).  After materialization, a mixed mutation batch touching at most
 on the engine.  Two ways to get the fresh answer:
 
 * **incremental** — :meth:`MaterializedView.refresh` pulls the typed delta
-  batches from the engine's scoped changelog and pushes them through the
-  compiled delta program (the ordinary executor runs it, so the charged
-  time is the same accounting as everything else);
+  batches from the engine's scoped changelog and folds them through the
+  compiled delta program in one pass, charged its wall time (as the
+  executor charges any operator with no engine);
 * **recompute** — the same expression prepared with ``use_views=False``
   re-executes from the base table.
 
 The refresh must win on charged time by at least ``VIEWS_MIN_SPEEDUP`` and
 both answers must be identical.  The bar is 3x.  Measured at 100k rows / 1%
-delta, five runs on one box: recompute 40-57 ms charged, refresh 1.3-2.0 ms,
-28-31x (PR 18, positional plan-typed Z-sets; the parent on the same box:
-42-51 ms against 6.3-8.7 ms, 5.1-7.0x).  The bar stays where PR 14 put it —
-it guards against the refresh going O(base), not against a slow constant.
+delta, five runs on a 2-core container: recompute 17-20 ms charged (the scan
+aggregates in its page walk), refresh 0.71-0.86 ms, 23-25x, with the
+refresh a weighted generated fold run with no executor (the same box before
+that: 19-23 ms against 1.5-1.9 ms, 11-13x).  The bar stays where it was put
+— it guards against the refresh going O(base), not against a slow constant.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_incremental_views.py -q
 Smoke mode (CI):  VIEWS_BENCH_ITERS=1 PYTHONPATH=src python -m pytest ...

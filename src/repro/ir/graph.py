@@ -129,14 +129,14 @@ class IRGraph:
         """Group nodes into parallel stages (nodes whose inputs are all in
         earlier stages), the structure the executor pipelines."""
         level: dict[str, int] = {}
+        grouped: list[list[Operator]] = []
         for node in self.topological_order():
-            level[node.op_id] = 1 + max(
+            at = level[node.op_id] = 1 + max(
                 (level[input_id] for input_id in node.inputs), default=-1
             )
-        n_stages = max(level.values(), default=-1) + 1
-        grouped: list[list[Operator]] = [[] for _ in range(n_stages)]
-        for node in self.topological_order():
-            grouped[level[node.op_id]].append(node)
+            if at == len(grouped):
+                grouped.append([])
+            grouped[at].append(node)
         return grouped
 
     # -- mutation (used by optimization passes) ----------------------------------------------

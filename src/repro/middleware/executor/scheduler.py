@@ -318,9 +318,7 @@ class Executor:
     def _execute_on_engine(self, node: Operator, inputs: list[Any]) -> Any:
         if node.engine is None:
             if node.kind == "python_udf":
-                # Engine-less UDFs run in the middleware itself — the form
-                # materialized-view delta programs take (their operators are
-                # closures over maintained state, not engine calls).
+                # Engine-less UDFs run in the middleware itself.
                 return node.params["fn"](*inputs)
             raise ExecutionError(f"operator {node.op_id} has no engine binding")
         adapter = self._adapter(node.engine)

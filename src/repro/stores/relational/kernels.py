@@ -45,9 +45,9 @@ def _none_on_zero(apply: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]
     return safe
 
 
-#: All that a kernel's text can name besides its arguments (no builtins).
+#: All that a kernel's text can name besides its arguments (no other builtins).
 _GLOBALS = {"__builtins__": {}, "div": _none_on_zero(operator.truediv),
-            "mod": _none_on_zero(operator.mod)}
+            "mod": _none_on_zero(operator.mod), "min": min, "max": max}
 
 
 @functools.lru_cache(maxsize=512)

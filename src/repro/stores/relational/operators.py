@@ -34,7 +34,7 @@ import itertools
 import textwrap
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -324,6 +324,21 @@ _ACCUMULATORS = {
     "max": (["None"], "s = a[{i}]\nif s is None or v > s: a[{i}] = v", "a[{i}]"),
 }
 
+#: The same for a row of weight ``w`` (a Z-set delta's): slot ``{i}`` counts
+#: the non-``None`` values, a sum is the left fold of ``v * w`` from ``0``, and
+#: ``min`` / ``max`` keep a counted multiset.  ``count(*)`` reads ``a[0]``, the
+#: group's weight, which every row adds to.
+_MULTISET = "a[{i}] += w; c = a[{j}]; t = c.get(v, 0) + w\nif t: c[v] = t\nelse: del c[v]"
+_WEIGHTED = {
+    "count": (["0"], "a[{i}] += w", "a[{i}]"),
+    "sum": (["0", "0"], "a[{i}] += w; a[{j}] = a[{j}] + v * w",
+            "(a[{j}] if a[{i}] else None)"),
+    "avg": (["0", "0"], "a[{i}] += w; a[{j}] = a[{j}] + v * w",
+            "(a[{j}] / a[{i}] if a[{i}] else None)"),
+    "min": (["0", "{}"], _MULTISET, "(min(a[{j}]) if a[{i}] else None)"),
+    "max": (["0", "{}"], _MULTISET, "(max(a[{j}]) if a[{i}] else None)"),
+}
+
 #: ``(chunks, groups) -> output rows`` over lists of rows, and the output schema.
 AggregateKernel = tuple[Callable[[Iterable[Iterable[Row]], dict], list[Row]], Schema]
 
@@ -342,23 +357,85 @@ def aggregate_kernel(source: Schema, group_by: tuple[str, ...],
     the test is written per call; its literals are arguments of the
     generated factory, so a new literal compiles nothing.
     """
-    schema, loop = _aggregate_loop(source, group_by, aggregates)
+    loop = _aggregate_loop(source, group_by, aggregates)
     out = kernels.Source(source)
     # Without a predicate the test is ``True``, which compiles to nothing.
     test = "True" if predicate is None else out.value(predicate, truth=True)
+    genesis = "" if group_by else f"if not groups: groups[()] = {loop.fresh}\n"
     return out.kernel("aggregate", "chunks, groups",
-                      f"{_LOOP_HEAD}        if {test}:\n{loop}"), schema
+                      f"find = groups.get\n{_ROWS.format(test)}{loop.step}{genesis}"
+                      f"return [{loop.row} for key, a in groups.items()]"), loop.schema
 
 
-_LOOP_HEAD = "find = groups.get\nfor chunk in chunks:\n    for row in chunk:\n"
+WeightedKernel = tuple[Callable[[Iterable[Iterable[tuple[Row, int]]], dict, dict], None],
+                       Callable[[Any, list], Row], tuple[int, ...]]
+
+
+def weighted_aggregate_kernel(source: Schema,
+                              below: Sequence[tuple[str, Mapping[str, Any]]],
+                              group_by: tuple[str, ...],
+                              aggregates: tuple[AggregateSpec, ...]) -> WeightedKernel:
+    """A view refresh's aggregate: :func:`aggregate_kernel`'s loop over a Z-set
+    delta's ``(row, weight)`` pairs, each folded at its weight.
+
+    Returns ``(fold, row, counts)``.  ``fold(chunks, groups, touched)`` folds
+    every pair of every chunk into ``groups`` and records each group it
+    touches in ``touched``, in first-touched order (the global group, created
+    on the first fold, first).  ``row(key, a)`` is a group's output row, and
+    ``counts`` the slots that count rows, which a delta stream consistent with
+    its base never takes below zero.  ``below`` is the run of ``filter`` /
+    ``project`` steps under the aggregate, bottom first, fused into the same
+    function: a filter is a test; a project consolidates the rows it maps
+    together, as its own Z-set would, before the next step reads them.
+    """
+    out, schema, tests, text = kernels.Source(source), source, [], ""
+    for kind, params in below:
+        if kind == "filter":
+            tests.append(f"({out.value(params['predicate'], truth=True)})")
+            continue
+        columns = list(params.get("columns") or [])
+        text += ("merged = {}\nget = merged.get\n"
+                 + _PAIRS.format(" and ".join(tests) or "True")
+                 + f"            p = {out.cells(columns)}\n            t = get(p, 0) + w\n"
+                 "            if t: merged[p] = t\n            else: del merged[p]\n"
+                 "chunks = (merged.items(),)\n")
+        # The steps above read the projected rows; literals stay one list.
+        schema = schema.project(columns)
+        constants, out, tests = out.constants, kernels.Source(schema), []
+        out.constants = constants
+    loop = _aggregate_loop(schema, group_by, aggregates, weighted=True)
+    genesis = "" if group_by else f"if not groups: groups[()] = touched[()] = {loop.fresh}\n"
+    fold = out.kernel("delta_aggregate", "chunks, groups, touched",
+                      f"{genesis}{text}find = groups.get\n"
+                      f"{_PAIRS.format(' and '.join(tests) or 'True')}{loop.step}")
+    row = kernels.Source(schema).kernel("delta_row", "key, a", f"return {loop.row}")
+    return fold, row, loop.counts
+
+
+#: The loop heads: over the rows of each chunk, and over ``(row, weight)`` pairs.
+_ROWS = "for chunk in chunks:\n    for row in chunk:\n        if {}:\n"
+_PAIRS = "for chunk in chunks:\n    for row, w in chunk:\n        if {}:\n"
+
+
+class _Loop(NamedTuple):
+    schema: Schema
+    #: The kernel text below the row test.
+    step: str
+    #: A new group's accumulators.
+    fresh: str
+    #: Group ``key``'s output row, from its accumulators ``a``.
+    row: str
+    #: Weighted: the slots that count rows (``a[0]`` and the non-null counts).
+    counts: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=512)
 def _aggregate_loop(source: Schema, group_by: tuple[str, ...],
-                    aggregates: tuple[AggregateSpec, ...]) -> tuple[Schema, str]:
-    """The output schema, and the kernel text below the row test: writing it
-    costs ~15 µs, more than the loop takes over a hundred rows.  It reads
-    columns only, so it binds no literal."""
+                    aggregates: tuple[AggregateSpec, ...],
+                    weighted: bool = False) -> _Loop:
+    """The output schema and the kernel texts of an aggregate: writing them
+    costs ~15 µs, more than the loop takes over a hundred rows.  They read
+    columns only, so they bind no literal."""
     schema = Schema(
         [source[name] if name in source else Column(name, DataType.STRING)
          for name in group_by]
@@ -369,24 +446,32 @@ def _aggregate_loop(source: Schema, group_by: tuple[str, ...],
     scalar = len(group_by) == 1
     key = out.column(group_by[0], or_none=True) if scalar \
         else out.cells(group_by, or_none=True)
-    initial: list[str] = []
+    table = _WEIGHTED if weighted else _ACCUMULATORS
+    initial = ["0"] if weighted else []
+    counts = [0] if weighted else []
     results = ""
     steps: dict[str | None, str] = {}  # by input cell; None (count(*)): every row
     for spec in aggregates:
-        slots, step, result = _ACCUMULATORS[spec.function]
+        if weighted and spec.column is None:
+            results += "a[0],"
+            continue
+        slots, step, result = table[spec.function]
         at = {"i": len(initial), "j": len(initial) + 1}
+        counts.append(at["i"])
         initial += slots
         results += result.format(**at) + ","
         cell = spec.column and out.column(spec.column, or_none=True)
         steps[cell] = steps.get(cell, "") + step.format(**at) + "\n"
     fresh = f"[{', '.join(initial)}]"
     loop = f"key = {key}\na = find(key)\nif a is None:\n    groups[key] = a = {fresh}\n"
+    if weighted:
+        loop += "touched[key] = a\na[0] += w\n"
     for cell, step in steps.items():
         loop += step if cell is None else \
             f"v = {cell}\nif v is not None:\n{textwrap.indent(step, '    ')}"
-    tail = (("" if group_by else f"if not groups: groups[()] = {fresh}\n")
-            + f"return [{'(key,)' if scalar else 'key'} + ({results}) for key, a in groups.items()]")
-    return schema, textwrap.indent(loop, " " * 12) + tail
+    return _Loop(schema, textwrap.indent(loop, " " * 12), fresh,
+                 f"{'(key,)' if scalar else 'key'} + ({results})",
+                 tuple(counts) if weighted else ())
 
 
 # -- the vector fold over sealed pages -------------------------------------------------

@@ -8,10 +8,11 @@ of its output — the DBSP "lifted" form of the corresponding batch operator:
 * inner ``join`` is *bilinear*: ``δ(A ⋈ B) = δA ⋈ B ∪ A' ⋈ δB`` (with
   ``A' = A + δA``, which folds the ``δA ⋈ δB`` cross term in); both sides'
   key-indexed Z-sets are maintained as state.
-* group ``aggregate`` keeps per-group accumulators.  ``sum``/``count``/
-  ``avg`` are fully delta-composable; ``min``/``max`` keep a per-group value
-  multiset and recompute *only the touched groups* — the bounded-recompute
-  fallback, O(group) not O(base).
+* group ``aggregate`` keeps per-group accumulators, folded at the rows'
+  weights by a generated loop with any filters and projects right below it
+  fused in.  ``sum``/``count``/``avg`` are fully delta-composable;
+  ``min``/``max`` keep a per-group counted value multiset and recompute
+  *only the touched groups* — O(group) not O(base).
 * ``sort``/``limit``/``top_k`` and non-inner joins are not delta-composable
   at all; :class:`DeltaRecompute` maintains the operator's input Z-set and
   recomputes the full (small, post-aggregation) output on change, emitting
@@ -29,7 +30,6 @@ from, so names resolve and results are typed in one place for both routes
 from __future__ import annotations
 
 import abc
-from collections import Counter
 from typing import Any, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
@@ -38,8 +38,7 @@ from repro.stores.relational.operators import (
     PhysicalOperator,
     TableScan,
     build_operator,
-    column_reader,
-    tuple_reader,
+    weighted_aggregate_kernel,
 )
 from repro.views.zset import ZSet
 
@@ -160,24 +159,10 @@ class DeltaJoin(DeltaOperator):
         return out
 
 
-class _GroupState:
-    """Accumulators for one group across every aggregate of the operator."""
-
-    __slots__ = ("weight", "nonnull", "sums", "values")
-
-    def __init__(self, n_specs: int) -> None:
-        #: Total row multiplicity of the group.
-        self.weight = 0
-        #: Per spec: multiplicity of rows whose aggregated column is non-NULL.
-        self.nonnull = [0] * n_specs
-        #: Per spec: weighted sum of non-NULL values (sum/avg).
-        self.sums: list[Any] = [0] * n_specs
-        #: Per spec: value multiset for the bounded min/max recompute.
-        self.values: list[Counter] = [Counter() for _ in range(n_specs)]
-
-
 class DeltaAggregate(DeltaOperator):
-    """Group-by aggregation over per-group accumulators.
+    """Group-by aggregation over per-group accumulators, folded at each row's
+    weight by one generated loop (:func:`weighted_aggregate_kernel`) into
+    which the run of filters and projects right below it is fused.
 
     Emits ``(old_output_row, -1), (new_output_row, +1)`` for every touched
     group; a group whose total weight reaches zero only retracts.  With no
@@ -186,86 +171,40 @@ class DeltaAggregate(DeltaOperator):
     """
 
     def _bind(self, physical: Any, *schemas: Schema) -> None:
-        ((_, params),) = self.stages
-        self._key = tuple_reader(schemas[0], params.get("group_by") or [])
-        #: ``(function, row -> input value | None for count(*))`` per aggregate.
-        self._inputs = [(spec.function, spec.column and column_reader(schemas[0], spec.column))
-                        for spec in params.get("aggregates") or []]
-        self._grouped = bool(params.get("group_by"))
-        self._groups: dict[tuple, _GroupState] = {}
-        #: Whether the global group's time-zero row was emitted yet.
-        self._genesis_done = self._grouped
+        *below, (_, params) = self.stages
+        group_by = tuple(params.get("group_by") or ())
+        self._fold, self._row, self._counts = weighted_aggregate_kernel(
+            schemas[0], below, group_by, tuple(params.get("aggregates") or ()))
+        self._grouped = bool(group_by)
+        #: group key -> its accumulators, and its last emitted output row.
+        self._groups: dict[Any, list] = {}
+        self._rows: dict[Any, Row] = {}
 
     def _apply(self, *deltas: ZSet) -> ZSet:
         (delta,) = deltas
-        groups, key_of, inputs = self._groups, self._key, self._inputs
-        #: touched group key -> its output row before this delta
-        touched: dict[tuple, Row | None] = {}
-        if not self._genesis_done:
-            # First application (the seed pass, over an empty view state):
-            # force the global group through so its row is emitted even when
-            # the seed itself is empty — ``GroupByAggregate`` yields one row
-            # for aggregates over zero input rows.
-            touched[()] = None
-            groups[()] = _GroupState(len(inputs))
-            self._genesis_done = True
-        for row, weight in delta.items():
-            key = key_of(row)
-            state = groups.get(key)
-            if key not in touched:
-                touched[key] = self._output_row(key, state)
-            if state is None:
-                state = groups[key] = _GroupState(len(inputs))
-            state.weight += weight
-            for i, (function, read) in enumerate(inputs):
-                value = read(row) if read is not None else None
-                if value is None:
-                    continue
-                state.nonnull[i] += weight
-                if function in ("sum", "avg"):
-                    state.sums[i] += value * weight
-                elif function in ("min", "max"):
-                    state.values[i][value] += weight
-                    if state.values[i][value] == 0:
-                        del state.values[i][value]
-        out = ZSet(self.schema)
-        for key, before in touched.items():
-            state = groups[key]
-            if state.weight < 0 or any(n < 0 for n in state.nonnull):
-                raise ValueError(
-                    f"group {key!r} reached negative multiplicity; "
-                    f"delta state diverged from the base data"
-                )
-            if state.weight == 0 and self._grouped:
+        groups, rows, touched = self._groups, self._rows, {}
+        self._fold((delta.items(),), groups, touched)
+        out: dict[Row, int] = {}
+        for key, a in touched.items():
+            for i in self._counts:
+                if a[i] < 0:
+                    raise ValueError(
+                        f"group {key!r} reached negative multiplicity; "
+                        f"delta state diverged from the base data"
+                    )
+            before, row = rows.pop(key, None), None
+            if a[0] or not self._grouped:
+                row = rows[key] = self._row(key, a)
+            else:
                 del groups[key]
-                state = None
-            if before is not None:
-                out.add(before, -1)
-            if state is not None:
-                out.add(self._output_row(key, state), 1)
-        return out
-
-    def _output_row(self, key: tuple, state: _GroupState | None) -> Row | None:
-        """The group's current output row (``None`` when the group is absent)."""
-        if state is None:
-            return None
-        return key + tuple(self._aggregate_value(state, i, function, read)
-                           for i, (function, read) in enumerate(self._inputs))
-
-    @staticmethod
-    def _aggregate_value(state: _GroupState, i: int, function: str,
-                         read: Any) -> Any:
-        if function == "count":
-            return state.weight if read is None else state.nonnull[i]
-        if state.nonnull[i] == 0:
-            return None  # sum/avg/min/max over zero non-NULL rows
-        if function == "sum":
-            return state.sums[i]
-        if function == "avg":
-            return state.sums[i] / state.nonnull[i]
-        if function == "min":
-            return min(state.values[i])
-        return max(state.values[i])
+            # Rows of different groups differ in their key; a group's
+            # unchanged row would retract and re-add, which sums to nothing.
+            if row != before:
+                if before is not None:
+                    out[before] = -1
+                if row is not None:
+                    out[row] = 1
+        return ZSet(self.schema, out)
 
 
 class DeltaRecompute(DeltaOperator):

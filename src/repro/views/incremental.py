@@ -9,16 +9,18 @@ expression tree and lowers every operator into its delta form
   appended since the last refresh (cost proportional to the change);
 * every other leaf read becomes a :class:`SnapshotDiffSource` — it watches
   the leaf's *scoped* data version and, only when that changed, re-reads the
-  leaf through the engine's adapter and diffs against the previous snapshot.
+  leaf and diffs against the previous snapshot.  The re-read is a one-node
+  executor run, the only one a refresh makes, so a sharded leaf scatters.
   The cost is O(that leaf), which keeps small side inputs (KV profiles, a
   timeseries summary) cheap next to a large relational base.
 
-The lowered :class:`DeltaProgram` is *itself* an IR graph of ``python_udf``
-operators executed through the ordinary
-:class:`~repro.middleware.executor.Executor`, so every refresh produces the
-same :class:`~repro.middleware.executor.report.TaskRecord` charged-time
-accounting as any other program — views don't get a parallel bookkeeping
-path.
+The lowered :class:`DeltaProgram` is a list of steps in topological order,
+computed once; a refresh is one pass down it (:meth:`DeltaProgram.run`), on
+the caller's thread, charged the wall time it takes — what the executor
+charges any operator that runs in the middleware.  An aggregate takes the
+filters and projects right below it into its own generated loop, so the
+common ``scan → filter → aggregate`` view is a changelog pull and one
+weighted fold.
 
 A compiled program is untyped until its **seed pass**: the sources' first
 (full) reads fix the schemas their deltas are laid out in, and each operator
@@ -131,15 +133,24 @@ class ChangelogSource:
                 f"fell out of retention past cursor {self.cursor}, or the "
                 f"table changed outside the log"
             )
-        delta, pick = ZSet(self._schema), self._pick
+        # One dict, summed and annihilated as ``ZSet.add`` would: a record
+        # inserted and deleted in the window is gone before anything folds it.
+        weights: dict[Row, int] = {}
+        get, pick = weights.get, self._pick
         for batch in batches:
             for record, weight in batch.entries:
-                delta.add(record if pick is None else pick(record), weight)
+                if pick is not None:
+                    record = pick(record)
+                total = get(record, 0) + weight
+                if total:
+                    weights[record] = total
+                elif record in weights:
+                    del weights[record]
         # Advance to the head even when nothing matched: a complete
         # scope-filtered read provably missed nothing, and a lagging cursor
         # would hold *other* scopes' batches until the caps trim past it.
         self._move(catalog, head)
-        return delta
+        return ZSet(self._schema, weights)
 
     def _move(self, catalog: Catalog, head: int) -> None:
         """Advance the cursor to ``head``, releasing what only it held."""
@@ -287,44 +298,54 @@ class SnapshotDiffSource:
 
 Source = ChangelogSource | SnapshotDiffSource
 
+#: One step of a delta program: a source and ``()``, or an operator and the
+#: positions of the steps it reads (at least one).
+Step = tuple[Source | DeltaOperator, tuple[int, ...]]
+
+
 class DeltaProgram:
-    """A compiled delta pipeline, executed through the ordinary executor."""
+    """A compiled delta pipeline: its steps in topological order, the root last."""
 
-    def __init__(self, name: str, graph: IRGraph, sources: list[Source],
-                 mode: dict[str, bool], root_op: DeltaOperator | None) -> None:
+    def __init__(self, name: str, catalog: Catalog, steps: list[Step]) -> None:
         self.name = name
-        #: ``python_udf`` IR graph; leaf udfs pull their source deltas.
-        self.graph = graph
-        self.sources = sources
-        #: Shared cell the leaf udf closures consult: ``seed=True`` makes the
-        #: next execution read the *full* base (positioning cursors at the
-        #: log head) instead of pulling deltas — the seeding pass after a
-        #: (re)build, whose output delta IS the full view content.
-        self._mode = mode
-        #: The root delta operator (``None`` when the root is a source).
-        self.root_op = root_op
+        self.catalog = catalog
+        self.steps = steps
+        self.sources = [step for step, inputs in steps if not inputs]
 
-    def set_seed(self, seed: bool) -> None:
-        """Switch the next execution between seeding and delta pulling."""
-        self._mode["seed"] = seed
+    def run(self, seed: bool) -> tuple[ZSet, int]:
+        """One pass: ``(the root's output delta, rows the sources pulled)``.
+
+        With ``seed`` the sources read the *full* base (positioning cursors at
+        the log head) instead of pulling deltas — the seeding pass after a
+        (re)build, whose output delta IS the full view content.
+        """
+        catalog, values, pulled = self.catalog, [], 0
+        for step, inputs in self.steps:
+            if inputs:
+                values.append(step.apply(*[values[i] for i in inputs]))
+                continue
+            delta = step.resync(catalog) if seed else step.pull(catalog)
+            pulled += delta.total_weight
+            values.append(delta)
+        return values[-1], pulled
 
     def ordered_rows(self) -> list[Row] | None:
         """The root's latest output in operator order; ``None`` unless the
         root recomputes an ordered result (sort/top-k/limit)."""
-        root = self.root_op
+        root = self.steps[-1][0]
         if isinstance(root, DeltaRecompute) and root.kind in root.ORDERED_KINDS:
             return root.ordered_rows
         return None
 
-    def any_source_changed(self, catalog: Catalog) -> bool:
+    def any_source_changed(self) -> bool:
         """Cheap staleness probe: did any source move past its cursor?"""
-        return any(source.changed(catalog) for source in self.sources)
+        return any(source.changed(self.catalog) for source in self.sources)
 
-    def release(self, catalog: Catalog) -> None:
+    def release(self) -> None:
         """Unregister the changelog cursors, once the program is replaced."""
         for source in self.sources:
             if isinstance(source, ChangelogSource):
-                catalog.engine(source.engine_name).changelog.release(source)
+                self.catalog.engine(source.engine_name).changelog.release(source)
 
 
 def compile_incremental(name: str, root: DataflowNode,
@@ -335,34 +356,24 @@ def compile_incremental(name: str, root: DataflowNode,
     heads, UDFs, unions, graph traversals as interior nodes, ...); the view
     then refreshes by full recomputation only.
     """
-    graph = IRGraph(f"delta::{name}")
-    sources: list[Source] = []
-    mode = {"seed": False}
-    lowered: dict[int, str] = {}
-    root_ops: dict[str, DeltaOperator] = {}
+    steps: list[Step] = []
+    lowered: dict[int, int] = {}
 
-    def lower(node: DataflowNode) -> str | None:
+    def lower(node: DataflowNode) -> int | None:
         if id(node) in lowered:
             return lowered[id(node)]
-        op_id = _lower_uncached(node)
-        if op_id is not None:
-            lowered[id(node)] = op_id
-        return op_id
+        step = _lower_uncached(node)
+        if step is None:
+            return None
+        steps.append(step)
+        lowered[id(node)] = len(steps) - 1
+        return len(steps) - 1
 
-    def _lower_uncached(node: DataflowNode) -> str | None:
+    def _lower_uncached(node: DataflowNode) -> Step | None:
         if not node.inputs:
             engine = resolve_node_engine(node, catalog)
-            if engine is None:
-                return None
-            source = _source_for(node, engine, catalog)
-            if source is None:
-                return None
-            fn = _source_fn(source, catalog, mode)
-            operator = graph.add(Operator("python_udf", {"fn": fn}, []))
-            operator.annotations["fragment"] = f"δ:{source.describe()}"
-            sources.append(source)
-            return operator.op_id
-        label = node.kind
+            source = None if engine is None else _source_for(node, engine, catalog)
+            return None if source is None else (source, ())
         if node.kind in DeltaRecompute.ORDERED_KINDS:
             # A contiguous sort/limit/top_k run recomputes as ONE unit: the
             # ordering a sort establishes would not survive a Z-set
@@ -387,29 +398,21 @@ def compile_incremental(name: str, root: DataflowNode,
                     return None
             delta_op: DeltaOperator | None = DeltaRecompute(stages)
             children: tuple[DataflowNode, ...] = (current,)
-            label = "/".join(kind for kind, _ in stages)
         else:
-            delta_op = _operator_for(node)
-            children = node.inputs
+            delta_op, children = _operator_for(node)
         if delta_op is None:
             return None
-        input_ids = []
+        inputs = []
         for child in children:
-            child_id = lower(child)
-            if child_id is None:
+            index = lower(child)
+            if index is None:
                 return None
-            input_ids.append(child_id)
-        operator = graph.add(Operator("python_udf", {"fn": delta_op.apply},
-                                      input_ids))
-        operator.annotations["fragment"] = f"δ:{label}"
-        root_ops[operator.op_id] = delta_op
-        return operator.op_id
+            inputs.append(index)
+        return delta_op, tuple(inputs)
 
-    root_id = lower(root)
-    if root_id is None:
+    if lower(root) is None:
         return None
-    graph.mark_output(root_id)
-    return DeltaProgram(name, graph, sources, mode, root_ops.get(root_id))
+    return DeltaProgram(name, catalog, steps)
 
 
 def _source_for(node: DataflowNode, engine_name: str,
@@ -423,24 +426,28 @@ def _source_for(node: DataflowNode, engine_name: str,
     return None
 
 
-def _source_fn(source: Source, catalog: Catalog, mode: dict[str, bool]):
-    def pull() -> ZSet:
-        if mode["seed"]:
-            return source.resync(catalog)
-        return source.pull(catalog)
-    return pull
-
-
 #: Kinds with a delta form of their own (joins: inner only).
-_LIFTED = {"filter": DeltaFilter, "project": DeltaProject, "join": DeltaJoin,
-           "aggregate": DeltaAggregate}
+_LIFTED = {"filter": DeltaFilter, "project": DeltaProject, "join": DeltaJoin}
+#: Kinds an aggregate right above them folds in its own loop.
+_FUSED = ("filter", "project")
 
 
-def _operator_for(node: DataflowNode) -> DeltaOperator | None:
+def _operator_for(node: DataflowNode
+                  ) -> tuple[DeltaOperator | None, tuple[DataflowNode, ...]]:
+    """The node's delta operator and the nodes it reads.  An aggregate takes
+    the filters and projects right below it into its fold."""
     kind, params = node.kind, node.params
     if kind == "filter" and not isinstance(params.get("predicate"), Expression):
-        return None
+        return None, node.inputs
+    if kind == "aggregate":
+        stages, (child,) = [(kind, params)], node.inputs
+        while child.kind in _FUSED and len(child.inputs) == 1 and (
+                child.kind == "project"
+                or isinstance(child.params.get("predicate"), Expression)):
+            stages.insert(0, (child.kind, child.params))
+            (child,) = child.inputs
+        return DeltaAggregate(stages), (child,)
     lifted = _LIFTED.get(kind)
     if kind == "join" and params.get("how", "inner") != "inner":
         lifted = DeltaRecompute
-    return lifted([(kind, params)]) if lifted is not None else None
+    return (lifted([(kind, params)]) if lifted is not None else None), node.inputs

@@ -31,9 +31,8 @@ from typing import TYPE_CHECKING, Any
 from repro.datamodel.table import Row, Table
 from repro.eide.dataflow import DataflowProgram, Dataset
 from repro.exceptions import ConfigurationError, QueryError
-from repro.middleware.executor import Executor
 from repro.stores.changelog import DeltaBatch
-from repro.views.incremental import DeltaProgram, ResyncRequired, compile_incremental
+from repro.views.incremental import DeltaProgram, compile_incremental
 from repro.views.zset import ZSet
 
 if TYPE_CHECKING:  # runtime import would cycle through the system facade
@@ -227,7 +226,7 @@ class MaterializedView:
     def _refresh_locked(self, *, force_full: bool) -> RefreshOutcome:
         with self._lock:
             if self._delta is not None and not force_full:
-                if not self._delta.any_source_changed(self.system.catalog):
+                if not self._delta.any_source_changed():
                     self.skipped_refreshes += 1
                     return RefreshOutcome(kind="noop")
                 try:
@@ -288,35 +287,19 @@ class MaterializedView:
         """Release the delta program's changelog holds; a later refresh resyncs."""
         with self._lock:
             if self._delta is not None:
-                self._delta.release(self.system.catalog)
+                self._delta.release()
 
     def _run_delta(self, *, seed: bool) -> tuple[float, ZSet, int]:
-        """Execute the delta program through the ordinary executor.
+        """Run the delta program once: ``(charged_s, output_delta, pulled_rows)``.
 
-        Returns ``(charged_s, output_delta, pulled_rows)`` where
+        The refresh runs in the middleware, so it is charged the wall time it
+        takes, as the executor charges an operator with no engine;
         ``pulled_rows`` is the total multiplicity the sources emitted.
         """
         assert self._delta is not None
-        executor = Executor(self.system.catalog,
-                            runtime_stats=self.system.feedback_stats,
-                            obs=self.system.obs)
-        self._delta.set_seed(seed)
-        try:
-            outputs, report = executor.execute(self._delta.graph,
-                                               mode="view_maintenance")
-        finally:
-            self._delta.set_seed(False)
-        delta = next(iter(outputs.values()))
-        if not isinstance(delta, ZSet):
-            raise ResyncRequired(
-                f"delta program of view {self.name!r} produced "
-                f"{type(delta).__name__}, expected a ZSet"
-            )
-        source_ids = {node.op_id for node in self._delta.graph.nodes()
-                      if not node.inputs}
-        pulled = sum(record.rows_out for record in report.records
-                     if record.op_id in source_ids)
-        return report.total_time_s, delta, pulled
+        started = time.perf_counter()
+        delta, pulled = self._delta.run(seed)
+        return time.perf_counter() - started, delta, pulled
 
     def _apply_output(self, delta: ZSet, *, seed: bool = False) -> None:
         assert self._delta is not None
@@ -368,7 +351,7 @@ class MaterializedView:
         """Whether source data changed since the last refresh."""
         with self._lock:
             if self._delta is not None:
-                return self._delta.any_source_changed(self.system.catalog)
+                return self._delta.any_source_changed()
             return self._watched_changed()
 
     def _snapshot_watched(self) -> None:

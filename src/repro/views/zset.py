@@ -26,9 +26,10 @@ class ZSet:
 
     __slots__ = ("schema", "_weights")
 
-    def __init__(self, schema: Schema) -> None:
+    def __init__(self, schema: Schema, weights: dict[Row, int] | None = None) -> None:
+        """An empty Z-set, or one adopting ``weights`` (no zero weights)."""
         self.schema = schema
-        self._weights: dict[Row, int] = {}
+        self._weights: dict[Row, int] = {} if weights is None else weights
 
     @classmethod
     def from_table(cls, table: Table) -> "ZSet":
@@ -58,10 +59,8 @@ class ZSet:
 
     def select(self, test: Callable[[Row], bool]) -> "ZSet":
         """The records ``test`` keeps, weights unchanged (the linear ``σ``)."""
-        out = ZSet(self.schema)
-        out._weights = {row: weight for row, weight in self._weights.items()
-                        if test(row)}
-        return out
+        return ZSet(self.schema, {row: weight for row, weight in self._weights.items()
+                                  if test(row)})
 
     @staticmethod
     def diff(new: "ZSet", old: "ZSet") -> "ZSet":

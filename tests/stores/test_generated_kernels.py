@@ -3,8 +3,9 @@ the counts that say a kernel is generated once and walks its input once.
 
 The reference is the operator this loop replaced, written plainly: group the
 rows into lists, then fold each list once per aggregate — ``sum`` as the left
-fold from ``0`` (what the views' running ``DeltaAggregate`` computes; builtin
-``sum`` compensates floats from Python 3.12 on), builtin ``min`` / ``max``.
+fold from ``0`` (what a view's weighted fold, ``weighted_aggregate_kernel``,
+computes at weight 1; builtin ``sum`` compensates floats from Python 3.12 on),
+builtin ``min`` / ``max``.
 """
 
 from __future__ import annotations
