@@ -4,9 +4,11 @@ A :class:`ShardedEngine` wraps ``N`` instances of one substrate engine type
 behind a pluggable :class:`~repro.cluster.partition.Partitioner` and presents
 itself to the middleware as a single :class:`~repro.stores.base.Engine`: it
 registers in the catalog, declares its shards' data model and concurrency
-contract, and aggregates the per-shard ``data_version`` counters
-so a write to *any* shard invalidates every pinned scan snapshot that read
-this engine.
+contract, and keeps one changelog and one set of version counters for them
+all: a listener on each serving shard's log appends every shard batch to the
+facade's log, whether the write was routed or made on the shard directly, so
+a write to *any* shard reaches every view and pinned scan that read this
+engine.
 
 Writes route through the partitioner:
 
@@ -114,8 +116,11 @@ class ShardedEngine(Engine):
             )
         self._factory = _resolve_factory(name, shard_factory)
         self._partitioner = partitioner
-        self._shards = [self._build_shard(i) for i in range(partitioner.num_shards)]
         self._lock = threading.RLock()
+        #: What :meth:`_relay` stages for the routed write holding the lock.
+        self._staged: list[tuple[str | None, Any, Any]] | None = None
+        self._shards: list[Engine] = []
+        self._serve([self._build_shard(i) for i in range(partitioner.num_shards)])
         #: Declared shard-key column per relational table.
         self._shard_keys: dict[str, str] = {}
         #: ``create_table`` keyword arguments per table (e.g. page_capacity),
@@ -124,24 +129,11 @@ class ShardedEngine(Engine):
         #: Declared secondary indexes per table (column -> kind), created on
         #: every shard and replayed onto pending shards during a rebalance.
         self._table_indexes: dict[str, dict[str, str]] = {}
-        #: Offset keeping the aggregated data_version monotonic across
-        #: cutovers (the new shard set starts from fresh counters).
-        self._version_base = 0
-        #: Per-scope offsets keeping scoped versions strictly increasing
-        #: across cutovers (recalibrated in :meth:`cutover`).
-        self._scope_bases: dict[str, int] = {}
-        #: Per-scope "log marks": the scoped version recorded (under the
-        #: facade lock) at each facade-log append for that scope.  A scoped
-        #: version that moved past its mark means a mutation bumped the
-        #: scope *without* logging — a write applied directly to a shard
-        #: instance — and delta consumers must resync (see
-        #: :meth:`pull_changes`).
-        self._scope_log_marks: dict[str, int] = {}
         #: ``(shards, partitioner)`` being populated by an in-flight
         #: rebalance; writes are mirrored into it, reads never see it.
         self._pending: tuple[list[Engine], Partitioner] | None = None
         #: Durability hook invoked (under the facade lock) after a cutover
-        #: rebases the counters; set by the durability manager so the new
+        #: swaps the shard set; set by the durability manager so the new
         #: shard generation can be snapshotted and the manifest swapped.
         self._durability_cutover: Any = None
         #: Keys overwritten/deleted by dual-writes since ``begin_rebalance``.
@@ -223,187 +215,78 @@ class ShardedEngine(Engine):
         """Whether the executor may scatter-gather reads across the shards."""
         return self.data_model in PARTITIONABLE_MODELS
 
-    # -- Engine contract --------------------------------------------------------------
-
-    @property
-    def data_version(self) -> int:
-        """Aggregate of every shard's mutation counter (plus cutover bumps).
-
-        Any write to any shard changes the aggregate, so prepared programs
-        pinning results read from this engine revalidate correctly.
-        """
-        with self._lock:
-            return (self._version_base + self._data_version
-                    + sum(shard.data_version for shard in self._shards))
-
-    def data_version_for(self, scope: str | None) -> int:
-        """Scoped mutation counter aggregated across the shard set.
-
-        Combines the facade's own scoped counters (bumped when routed writes
-        are relayed onto the facade changelog) with every shard's scoped
-        counter — so even a write applied directly to a shard instance
-        invalidates scoped readers.  A per-scope base, recalibrated at every
-        cutover, keeps each scoped counter strictly increasing across a
-        rebalance: the fresh shard set's counters start near zero, and
-        without the base a scope could return to a previously observed value
-        (ABA), letting a pinned snapshot replay data that misses writes.
-        """
-        if scope is None:
-            return self.data_version
-        with self._lock:
-            return self._scope_bases.get(scope, 0) + self._scoped_raw(scope)
-
-    def _scoped_raw(self, scope: str) -> int:
-        """Scoped aggregate without the cutover base (caller holds the lock)."""
-        return (self._unscoped_version
-                + self._scope_versions.get(scope, 0)
-                + sum(shard.data_version_for(scope) for shard in self._shards))
-
-    def known_scopes(self) -> set[str]:
-        """Scopes recorded by the facade or any current shard."""
-        with self._lock:
-            scopes = set(self._scope_versions)
-            for shard in self._shards:
-                scopes |= shard.known_scopes()
-            return scopes
-
     # -- changelog relay ---------------------------------------------------------------
 
-    class _RelayScope:
-        """A routed write's reader on the shard logs it touches.
+    def _serve(self, shards: list[Engine]) -> list[Engine]:
+        """Make ``shards`` the serving set; returns the set it replaces.
 
-        Registered on each staged log at its head, it holds the write's
-        batches there until the relay has collected them.
+        Only serving shards carry :meth:`_relay` on their logs: a pending
+        set's snapshot copies and dual-writes never reach the facade log.
+        Caller holds the lock (or owns the engine, as construction does).
         """
+        retired, self._shards = self._shards, shards
+        for shard in retired:
+            shard.changelog.unsubscribe(self._relay)
+        for shard in shards:
+            shard.changelog.subscribe(self._relay)
+        return retired
 
-        __slots__ = ("staged", "__weakref__")
+    def _relay(self, batch: DeltaBatch) -> None:
+        """Listener on every serving shard's log: one shard batch, one facade batch.
 
-        def __init__(self) -> None:
-            self.staged: list[tuple[Engine, int]] = []
-
-        def stage(self, *shards: Engine) -> None:
-            """Register on the given shards' logs before writing them."""
-            self.staged.extend((shard, shard.changelog.register(self))
-                               for shard in shards)
+        Inside :meth:`_routed_write` (this thread holds the lock, so
+        ``_staged`` is its list) the batch is staged for the write to
+        append.  Any other shard batch — a write made directly on a shard
+        instance — is appended and delivered at once.
+        """
+        entries = None if batch.gap else batch.entries
+        with self._lock:
+            if self._staged is not None:
+                self._staged.append((batch.scope, entries, None))
+                return
+            appended = self.mark_data_changed(batch.scope, entries, notify=False)
+        self.changelog.notify_batch(appended)
 
     @contextlib.contextmanager
-    def _routed_write(self):
-        """The one place that owns the stage/write/relay/notify ordering.
+    def _routed_write(self) -> Iterator[list[tuple[str | None, Any, Any]]]:
+        """The one place that owns the write/append/notify ordering.
 
-        Usage: ``with self._routed_write() as relay: relay.stage(shard);
-        shard.put(...)``.  The facade lock is held across staging, the
-        write and the relay append (so ``snapshot_scan`` stays atomic with
-        the log); listener notification happens after the lock is released
-        (an eager view refresh may read this engine).  A body that raises
-        mid-write still relays whatever its staged shards logged — those
-        mutations really happened, and dropping their batches would leave
-        orphaned version bumps the next routed write's log mark absorbs,
-        silently diverging delta consumers.
+        Usage: ``with self._routed_write() as staged: shard.put(...)``.  The
+        facade lock is held across the shard mutations and the facade-log
+        append of what :meth:`_relay` staged meanwhile (so ``snapshot_scan``
+        stays atomic with the log); a facade op of its own goes in
+        ``staged`` as ``(scope, entries, op)``.  Listeners are notified after
+        the lock is released (an eager view refresh may read this engine).
+        A body that raises mid-write still appends what its shards logged:
+        those mutations really happened.
         """
-        scope = self._RelayScope()
         appended: list[DeltaBatch] = []
         try:
             with self._lock:
+                staged: list[tuple[str | None, Any, Any]] = []
+                self._staged = staged
                 try:
-                    yield scope
+                    yield staged
                 finally:
-                    appended = self._relay_locked(self._collect_relay(scope))
+                    self._staged = None
+                    appended = [self.mark_data_changed(scope, entries,
+                                                       notify=False, op=op)
+                                for scope, entries, op in staged]
         finally:
-            self._notify_relayed(appended)
-
-    def _collect_relay(self, scope: "_RelayScope") -> list[DeltaBatch]:
-        """The batches a routed write appended to its staged shard logs.
-
-        Must be called while the facade lock is still held (so no unrelated
-        batch can land between the write and the collection).  Releases the
-        relay's hold on each log once read.
-        """
-        batches: list[DeltaBatch] = []
-        for shard, seq_before in scope.staged:
-            shard_batches, complete = shard.changelog.read_since(seq_before)
-            shard.changelog.release(scope)
-            if not complete:
-                batches.append(DeltaBatch(seq=0, scope=None, gap=True))
-                continue
-            batches.extend(shard_batches)
-        return batches
-
-    def _relay_locked(self, batches: list[DeltaBatch]) -> list[DeltaBatch]:
-        """Append shard-logged batches to the facade's cutover-stable log.
-
-        Must run while the facade lock is still held: appending atomically
-        with the shard mutation is what lets ``snapshot_scan`` hand out a
-        consistent ``(data, log position)`` pair — a snapshot taken under
-        the lock can never see a row whose batch has not landed yet.
-        Listener delivery is deferred to :meth:`_notify_relayed`.
-        """
-        return [self._append_facade_batch(batch.scope,
-                                          None if batch.gap else batch.entries)
-                for batch in batches]
-
-    def _append_facade_batch(self, scope: str | None, entries: Any,
-                             op: tuple[str, Any] | None = None) -> DeltaBatch:
-        """Append one batch to the facade log + update its log mark.
-
-        Caller holds the facade lock; notification is deferred (the
-        returned batch goes through :meth:`_notify_relayed` /
-        ``changelog.notify_batch`` after the lock is released).  Only
-        facade-level DDL sets ``op``: relayed data batches are replayed by
-        the shards' own WALs, so the facade record needs no op payload.
-        """
-        batch = self.mark_data_changed(scope, entries, notify=False, op=op)
-        if scope is not None:
-            self._scope_log_marks[scope] = self.data_version_for(scope)
-        return batch
-
-    def _notify_relayed(self, appended: list[DeltaBatch]) -> None:
-        """Deliver deferred notifications *outside* the facade lock.
-
-        An eager view refresh subscribed to the facade log may read this
-        engine from the listener; delivering under the lock could deadlock
-        it against its own read path.
-        """
-        for batch in appended:
-            self.changelog.notify_batch(batch)
+            for batch in appended:
+                self.changelog.notify_batch(batch)
 
     def snapshot_scan(self, table: str, columns: Sequence[str] | None = None
-                      ) -> tuple[Table, int, int]:
-        """An atomic ``(merged scan, changelog head, scoped version)`` triple.
+                      ) -> tuple[Table, int]:
+        """An atomic ``(merged scan, changelog head)`` pair.
 
-        Writes and facade-log appends share the facade lock, so a snapshot
-        taken under it is quiescent by construction: every row it contains
-        is covered by a batch at or before the returned head, and every
-        later batch describes data the snapshot does not contain.  The
-        scoped version anchors the caller's off-log detection baseline.
+        Routed writes and their facade-log appends share the facade lock, so
+        a snapshot taken under it is quiescent by construction: every row it
+        contains is covered by a batch at or before the returned head, and
+        every later batch describes data the snapshot does not contain.
         """
         with self._lock:
-            return (self.scan(table, columns), self.changelog.latest_seq,
-                    self.data_version_for(table_scope(table)))
-
-    def pull_changes(self, cursor: int, scope: str | None
-                     ) -> tuple[list[DeltaBatch], bool, int, int, int | None]:
-        """An atomic changelog pull plus off-log evidence for ``scope``.
-
-        Returns ``(batches, complete, head, scoped_version, log_mark)``.
-        The mark is the scoped version recorded at the last facade-log
-        append for the scope; a current version past the mark means the
-        scope was mutated *without* a log entry (a direct shard write) and
-        the caller's delta state cannot be trusted.  All five values are
-        captured under the facade lock, so they are mutually consistent
-        even against concurrent routed writes.
-
-        Detection is probe-point based: a direct shard write followed by a
-        routed write before any probe is absorbed into that write's mark
-        (the mark records the then-current version, off-log bumps
-        included).  Direct shard writes are off-API; their hard guarantee
-        is engine-level invalidation via :meth:`data_version_for` — the
-        changelog detects them best-effort, at the next quiet probe.
-        """
-        with self._lock:
-            batches, complete, head = self.changelog.pull(cursor, scope)
-            version = self.data_version_for(scope)
-            mark = self._scope_log_marks.get(scope) if scope is not None else None
-            return batches, complete, head, version, mark
+            return self.scan(table, columns), self.changelog.latest_seq
 
     def describe(self) -> dict[str, Any]:
         description = super().describe()
@@ -426,28 +309,25 @@ class ShardedEngine(Engine):
         key = shard_key if shard_key is not None else schema.names[0]
         if key not in schema:
             raise StorageError(f"shard key {key!r} is not a column of {name!r}")
-        with self._lock:
+        with self._routed_write() as staged:
             for shard in self._all_write_shards():
                 shard.create_table(name, schema, **kwargs)
             self._shard_keys[name] = key
             self._table_kwargs[name] = dict(kwargs)
-            batch = self._append_facade_batch(
-                table_scope(name), (),
-                op=("create_table", {"table": name, "shard_key": key,
-                                     "kwargs": dict(kwargs)}))
-        self.changelog.notify_batch(batch)
+            staged.append((table_scope(name), (), (
+                "create_table", {"table": name, "shard_key": key,
+                                 "kwargs": dict(kwargs)})))
 
     def drop_table(self, name: str) -> None:
         """Drop ``name`` from every shard."""
-        with self._lock:
+        with self._routed_write() as staged:
             for shard in self._all_write_shards():
                 shard.drop_table(name)
             self._shard_keys.pop(name, None)
             self._table_kwargs.pop(name, None)
             self._table_indexes.pop(name, None)
-            batch = self._append_facade_batch(
-                table_scope(name), None, op=("drop_table", {"table": name}))
-        self.changelog.notify_batch(batch)
+            staged.append((table_scope(name), None,
+                           ("drop_table", {"table": name})))
 
     def create_index(self, table: str, column: str, *, kind: str = "hash") -> None:
         """Create a secondary index on every shard (and any pending shards)."""
@@ -466,7 +346,7 @@ class ShardedEngine(Engine):
 
     def insert(self, table: str, rows: Iterable[Sequence[Any]], **kwargs: Any) -> int:
         """Insert positional rows, routing each by the table's shard key."""
-        with self._routed_write() as relay:
+        with self._routed_write():
             key_index = self._shard_key_index(table)
             count = 0
             grouped: dict[int, list[tuple]] = {}
@@ -475,7 +355,6 @@ class ShardedEngine(Engine):
                 grouped.setdefault(
                     self._partitioner.shard_for(row_t[key_index]), []).append(row_t)
                 count += 1
-            relay.stage(*(self._shards[i] for i in grouped))
             for shard_index, shard_rows in grouped.items():
                 self._shards[shard_index].insert(table, shard_rows, **kwargs)
             self._mirror_relational_insert(table, key_index, grouped)
@@ -487,9 +366,8 @@ class ShardedEngine(Engine):
         Refused while a rebalance is in flight: the snapshot copy could
         resurrect rows deleted from the pending shard set.
         """
-        with self._routed_write() as relay:
+        with self._routed_write():
             self._check_not_rebalancing("delete_rows")
-            relay.stage(*self._shards)
             deleted: list[tuple] = []
             for shard in self._shards:
                 deleted.extend(shard.delete_rows(table, predicate))
@@ -502,14 +380,13 @@ class ShardedEngine(Engine):
         The shard key column cannot be updated (the row would need to move
         shards); refused while a rebalance is in flight.
         """
-        with self._routed_write() as relay:
+        with self._routed_write():
             self._check_not_rebalancing("update_rows")
             shard_key = self._shard_keys.get(table)
             if shard_key is not None and shard_key in updates:
                 raise StorageError(
                     f"cannot update shard key column {shard_key!r} of {table!r}"
                 )
-            relay.stage(*self._shards)
             updated: list[tuple[tuple, tuple]] = []
             for shard in self._shards:
                 updated.extend(shard.update_rows(table, predicate, updates))
@@ -558,15 +435,14 @@ class ShardedEngine(Engine):
 
     def _routed(self, key: str, write: Callable[[Engine], Any], *,
                 overrides: bool = False) -> Any:
-        """Apply ``write`` to the key's owning shard, staged for the changelog
-        relay and mirrored to the pending shard set of a rebalance.
+        """Apply ``write`` to the key's owning shard, and mirror it to the
+        pending shard set of a rebalance.
 
         ``overrides``: the key's value is replaced, not extended, so the
         rebalance's copy phase must not write its older value over it.
         """
-        with self._routed_write() as relay:
+        with self._routed_write():
             owner = self._shards[self._partitioner.shard_for(key)]
-            relay.stage(owner)
             result = write(owner)
             if self._pending is not None:
                 shards, partitioner = self._pending
@@ -770,46 +646,23 @@ class ShardedEngine(Engine):
                 return applied
             raise ConfigurationError(f"unknown payload kind {payload.kind!r}")
 
-    # No changelog batch: topology swap; versions re-based explicitly.
+    # No changelog batch: topology swap; every version bumped, nothing logged.
     def cutover(self) -> list[Engine]:
         """Swap the pending shard map in; returns the retired shards.
 
-        ``data_version`` stays strictly monotonic across the swap even though
-        the new shards start from fresh counters.
+        The data is unchanged, so nothing is logged and view cursors stay
+        valid; ``data_version`` and every scoped version still move up once,
+        so each pinned snapshot revalidates against the new shard set.
         """
         with self._lock:
             if self._pending is None:
                 raise ConfigurationError(f"engine {self.name!r} is not rebalancing")
-            old_version = self.data_version
-            # Include scopes whose only remaining record is a prior base:
-            # a scope written before an earlier rebalance may exist on no
-            # current shard, and dropping its base would let its version
-            # regress to zero at the next cutover.
-            scopes = self.known_scopes() | set(self._scope_bases)
-            for shard in self._pending[0]:
-                scopes |= shard.known_scopes()
-            old_scoped = {scope: self.data_version_for(scope) for scope in scopes}
-            retired = self._shards
-            self._shards, self._partitioner = self._pending
+            shards, self._partitioner = self._pending
+            retired = self._serve(shards)
             self._pending = None
             self._pending_overrides = set()
-            new_sum = sum(shard.data_version for shard in self._shards)
-            self._version_base = old_version + 1 - self._data_version - new_sum
-            # Re-base every known scope past its pre-cutover value: the new
-            # shard set's scoped counters are unrelated to the old set's, so
-            # without this a scope could coincidentally return to an earlier
-            # value and falsely re-validate a pinned snapshot.
-            self._scope_bases = {
-                scope: old_scoped[scope] + 1 - self._scoped_raw(scope)
-                for scope in scopes
-            }
-            # The cutover moved every scoped version without logging (it is
-            # not a data change); refresh the log marks so delta consumers
-            # do not mistake the bump for an off-log write and resync.
-            self._scope_log_marks = {
-                scope: self.data_version_for(scope)
-                for scope in scopes | set(self._scope_log_marks)
-            }
+            self._data_version += 1
+            self._unscoped_version += 1
             if self._durability_cutover is not None:
                 # Still under the facade lock: the new generation must be
                 # snapshotted and the manifest swapped before any further

@@ -368,8 +368,11 @@ class ShardedStore:
 
     The facade WAL holds tiny records — per relayed batch just ``{scope,
     gap}`` (the data itself is captured by the owning shard's WAL) plus DDL
-    ops.  Replaying them re-bumps the facade's own version counters so the
-    aggregated scoped versions come back exact.  The facade manifest names
+    ops.  Replaying them re-bumps the facade's version counters, the only
+    ones its readers see, so its scoped versions come back exact.  Shards
+    are subscribed to the facade only after both replays; a snapshot of an
+    older release may still carry ``version_base`` / ``scope_bases``
+    counters, which are ignored.  The facade manifest names
     the shard *generation*; a rebalance cutover snapshots the new
     generation, then atomically swaps the manifest — the only point where
     the new topology becomes durable.
@@ -441,21 +444,21 @@ class ShardedStore:
             # The persisted topology wins over whatever the constructor
             # built (e.g. a post-rebalance shard count).
             shards = [engine._build_shard(i) for i in range(num_shards)]
-            engine._shards = shards
             engine._partitioner = payload["partitioner"]
             engine._shard_keys = dict(payload["shard_keys"])
             engine._table_kwargs = {t: dict(kw) for t, kw
                                     in payload["table_kwargs"].items()}
             engine._table_indexes = {t: dict(ix) for t, ix
                                      in payload["table_indexes"].items()}
-            counters = payload["counters"]
-            engine._version_base = counters["version_base"]
-            engine._scope_bases = dict(counters["scope_bases"])
-            restore_counters(engine, counters)
+            restore_counters(engine, payload["counters"])
             self._shard_stores = self._build_shard_stores(shards)
             records, truncated = read_records(self.directory,
                                               manifest["wal_segment"])
             replayed = self._replay_facade(records)
+            # Relay only from here on: the facade replay already counted
+            # every shard batch the shard replays re-logged.  This also
+            # retires the shards the constructor built.
+            engine._serve(shards)
             _, last_segment = self._scan_segments()
             self._wal = WalWriter(self.directory, self.liveness,
                                   sync=self.manager.sync,
@@ -481,10 +484,9 @@ class ShardedStore:
     def _replay_facade(self, records: list[dict[str, Any]]) -> int:
         """Re-bump facade counters (and metadata) from the facade WAL tail.
 
-        Shard-level data was already replayed by the shard stores; facade
-        records only restore the facade's own contribution to the
-        aggregated counters, plus DDL metadata.  Log marks are refreshed at
-        the end (like a cutover does) — views resync after recovery anyway.
+        Shard-level data was already replayed by the shard stores, with no
+        relay subscribed; each facade record bumps the facade's counters as
+        the relayed batch it mirrors did, and restores DDL metadata.
         """
         engine = self.engine
         replayed = 0
@@ -509,8 +511,6 @@ class ShardedStore:
                                      entries=None if record["gap"] else (),
                                      notify=False)
             replayed += 1
-        for scope in engine.known_scopes() | set(engine._scope_log_marks):
-            engine._scope_log_marks[scope] = engine.data_version_for(scope)
         return replayed
 
     # -- write capture ---------------------------------------------------------------
@@ -576,9 +576,6 @@ class ShardedStore:
             for store in self._shard_stores:
                 store.checkpoint()
             self._snap_id += 1
-            counters = dump_counters(engine)
-            counters["version_base"] = engine._version_base
-            counters["scope_bases"] = dict(engine._scope_bases)
             payload = {
                 "partitioner": engine._partitioner,
                 "shard_keys": dict(engine._shard_keys),
@@ -586,7 +583,7 @@ class ShardedStore:
                                  in engine._table_kwargs.items()},
                 "table_indexes": {t: dict(ix) for t, ix
                                   in engine._table_indexes.items()},
-                "counters": counters,
+                "counters": dump_counters(engine),
             }
             name = write_snapshot(self.directory, self._snap_id, payload,
                                   self.liveness)

@@ -276,8 +276,8 @@ class RelationalEngine(Engine):
         return updated
 
     def snapshot_scan(self, table: str, columns: Sequence[str] | None = None
-                      ) -> tuple[Table, int, int]:
-        """An atomic ``(scan, changelog head, scoped version)`` triple.
+                      ) -> tuple[Table, int]:
+        """An atomic ``(scan, changelog head)`` pair.
 
         Taken under the write lock, so every row in the snapshot is covered
         by a batch at or before the returned head — the consistency anchor
@@ -286,8 +286,7 @@ class RelationalEngine(Engine):
         consumer would then double-apply).
         """
         with self._write_lock:
-            return (self.scan(table, columns), self.changelog.latest_seq,
-                    self.data_version_for(table_scope(table)))
+            return self.scan(table, columns), self.changelog.latest_seq
 
     def _rewrite(self, table: str, matches: Expression | Callable[[Row], Any],
                  patch: Callable[[Row], Row] | None = None,

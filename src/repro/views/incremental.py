@@ -85,53 +85,15 @@ class ChangelogSource:
         #: changes shape through DDL, whose gap forces a rebuild that rebinds.
         self._schema: Schema | None = None
         self._pick: Callable[[Row], Row] | None = None
-        #: Scoped data version at the last pull/resync.  Cross-checked so a
-        #: mutation that bumped the scope *without* logging a batch (a write
-        #: applied directly to a shard instance, bypassing the facade log)
-        #: is detected in a quiet window instead of being served stale.
-        self._scoped_version: int | None = None
-
-    def _probe(self, catalog: Catalog) -> tuple[list, bool, int]:
-        """Atomically read ``(batches, trustworthy, head)`` for this table.
-
-        ``trustworthy`` is ``False`` when the log has a gap/truncation *or*
-        the engine's off-log evidence shows the scope's version moved past
-        its last log mark — a write applied directly to a shard instance,
-        which no delta batch describes.  The mark comparison is sound even
-        with logged batches in the same window, because the facade records
-        the mark under the same lock as every append (and refreshes it at
-        rebalance cutover, which moves versions without changing data).
-        """
-        engine = catalog.engine(self.engine_name)
-        scope = table_scope(self.table)
-        pull_changes = getattr(engine, "pull_changes", None)
-        if callable(pull_changes):
-            batches, complete, head, version, mark = pull_changes(
-                self.cursor, scope)
-            # Trust whichever baseline is newest: the writer-side log mark,
-            # or this source's own resync snapshot (a resync taken *after*
-            # an off-log write absorbs it — scoped versions only increase,
-            # so max() picks the state the consumer actually reflects).
-            candidates = [v for v in (mark, self._scoped_version)
-                          if v is not None]
-            reference = max(candidates) if candidates else None
-            if reference is not None and version != reference:
-                return batches, False, head
-            self._scoped_version = version
-            return batches, complete, head
-        # Single-node engines log every mutation themselves: the log alone
-        # is authoritative, no off-log writes are possible.
-        batches, complete, head = engine.changelog.pull(self.cursor, scope)
-        return batches, complete, head
 
     def pull(self, catalog: Catalog) -> ZSet:
         """The table's delta since the cursor; raises :class:`ResyncRequired`."""
-        batches, trustworthy, head = self._probe(catalog)
-        if not trustworthy:
+        batches, complete, head = catalog.engine(self.engine_name).changelog.pull(
+            self.cursor, table_scope(self.table))
+        if not complete:
             raise ResyncRequired(
-                f"changelog for {self.engine_name}.{self.table} has a gap, "
-                f"fell out of retention past cursor {self.cursor}, or the "
-                f"table changed outside the log"
+                f"changelog for {self.engine_name}.{self.table} has a gap or "
+                f"fell out of retention past cursor {self.cursor}"
             )
         # One dict, summed and annihilated as ``ZSet.add`` would: a record
         # inserted and deleted in the window is gone before anything folds it.
@@ -179,11 +141,8 @@ class ChangelogSource:
             # Held from the head before the snapshot: no batch past the
             # snapshot's own head is dropped before the cursor lands on it.
             log.register(self)
-            table, head, version = snapshot_scan(self.table, self.columns)
+            table, head = snapshot_scan(self.table, self.columns)
             self.cursor = log.register(self, head)
-            # The fresh off-log baseline: a direct-shard write after this
-            # snapshot moves the version past the (unchanged) log mark.
-            self._scoped_version = version
             return self._bound(engine, table)
         for _ in range(self.RESYNC_ATTEMPTS):
             before = log.register(self)
@@ -205,7 +164,7 @@ class ChangelogSource:
         return ZSet.from_table(snapshot)
 
     def changed(self, catalog: Catalog) -> bool:
-        """Whether the table changed (logged or off-log) past the cursor.
+        """Whether the table's log holds a batch (or a gap) past the cursor.
 
         A probe that finds only *other* scopes' batches advances the cursor
         to the head as a side effect (a complete scope-filtered read missed
@@ -213,8 +172,9 @@ class ChangelogSource:
         changes would hold unrelated churn until the caps trim the log past
         its cursor, forcing a spurious full resync.
         """
-        batches, trustworthy, head = self._probe(catalog)
-        if trustworthy and not batches:
+        batches, complete, head = catalog.engine(self.engine_name).changelog.pull(
+            self.cursor, table_scope(self.table))
+        if complete and not batches:
             if head != self.cursor:
                 self._move(catalog, head)
             return False

@@ -38,7 +38,7 @@ ALLOWED = {
     ("src/repro/cluster/sharded.py", "ShardedEngine.apply_payload"):
         "replays snapshot rows already emitted by the source",
     ("src/repro/cluster/sharded.py", "ShardedEngine.cutover"):
-        "topology swap; versions re-based explicitly",
+        "topology swap; every version bumped, nothing logged",
     ("src/repro/cluster/sharded.py", "ShardedEngine.abort_rebalance"):
         "discards pending topology; facade data untouched",
     ("src/repro/stores/keyvalue/engine.py", "KeyValueEngine.flush"):
@@ -239,7 +239,7 @@ SEEDS = {
                              "self._index.remove(doc_id)\n        self.mark_data_changed(",
                              "TextEngine.remove_document mutates"),
     "sharded_relay": ("src/repro/cluster/sharded.py",
-                      "batch = self.mark_data_changed(scope, entries, notify=False",
+                      "appended = [self.mark_data_changed(scope, entries,",
                       "ShardedEngine.insert mutates"),
 }
 

@@ -6,10 +6,13 @@
 ``serve`` starts a server on a loopback port and sends ``execute``,
 ``cancel`` (of a request still running), ``metrics``, ``programs``,
 ``stats``, ``ping`` and ``health`` through a :class:`TcpClient`.  ``crash``
-writes to a durable relational engine, kills it at the ``wal.append`` fault
-point, reopens the data directory and checks that the recovered table is the
-one written before the kill.  Each exits non-zero if an answer is wrong;
-``tools/unreached.py`` runs both under call tracing.
+runs two legs, each killed at the ``wal.append`` fault point and reopened:
+a durable relational engine, whose recovered table must be the one written
+before the kill; and a durable two-shard engine written once through the
+facade and once directly on a shard, whose recovered rows and facade
+``data_version_for`` must equal their values before the kill.  Each exits
+non-zero if an answer is wrong; ``tools/unreached.py`` runs both under call
+tracing.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.datamodel import DataType, Table, make_schema
 from repro.durability import InjectedFault, faults
 from repro.serve.client import ServeError, TcpClient
 from repro.stores import RelationalEngine
+from repro.stores.changelog import table_scope
 
 SCHEMA = make_schema(("pid", DataType.INT), ("age", DataType.INT))
 ROWS = [(pid, 20 + pid % 60) for pid in range(200)]
@@ -76,6 +80,18 @@ def serve() -> None:
     system.close()
 
 
+def _kill_next_wal_append(system, write) -> None:
+    """Run ``write`` with the ``wal.append`` fault point armed, then let the
+    dead system go (its files are closed; nothing more reaches the disk)."""
+    faults.arm("wal.append")
+    try:
+        write()
+        raise AssertionError("the armed fault point did not fire")
+    except InjectedFault:
+        pass
+    system.close()
+
+
 def crash() -> None:
     with tempfile.TemporaryDirectory(prefix="scenario-crash-") as data_dir:
         system = PolystorePlusPlus(SystemConfig(
@@ -87,17 +103,34 @@ def crash() -> None:
         db.update_rows("patients", col("pid") == 7, {"age": 99})
         db.delete_rows("patients", col("pid") < 5)
         expected = sorted(db.snapshot_scan("patients")[0].rows)
-        faults.arm("wal.append")
-        try:
-            db.insert("patients", [(999, 1)])
-            raise AssertionError("the armed fault point did not fire")
-        except InjectedFault:
-            pass
+        _kill_next_wal_append(system, lambda: db.insert("patients", [(999, 1)]))
 
         reborn = PolystorePlusPlus(data_dir=data_dir)
         reborn.register_engine(RelationalEngine("db"))
         recovered = reborn.execute(_program(reborn, "all", lambda d: d)).output("result")
         assert sorted(recovered.rows) == expected
+        reborn.close()
+    sharded_crash()
+
+
+def sharded_crash() -> None:
+    """A routed and a direct shard write reach one facade log that recovers exactly."""
+    scope = table_scope("patients")
+    with tempfile.TemporaryDirectory(prefix="scenario-crash-sharded-") as data_dir:
+        # No checkpoint after attach: recovery replays every write below.
+        system = PolystorePlusPlus(SystemConfig(
+            data_dir=data_dir, durability_sync="always", durability_snapshot_every=64))
+        db = system.register_sharded_engine("db", RelationalEngine, 2)
+        db.load_table("patients", Table(SCHEMA, ROWS[:100]))
+        db.insert("patients", ROWS[100:150])                 # routed
+        db.shard(1).insert("patients", [(1000, 30)])         # direct, not routed
+        expected = (sorted(db.scan("patients").rows), db.data_version_for(scope))
+        _kill_next_wal_append(system, lambda: db.insert("patients", [(999, 1)]))
+
+        reborn = PolystorePlusPlus(data_dir=data_dir)
+        db = reborn.register_sharded_engine("db", RelationalEngine, 2)
+        recovered = reborn.execute(_program(reborn, "all", lambda d: d)).output("result")
+        assert (sorted(recovered.rows), db.data_version_for(scope)) == expected
         reborn.close()
 
 
