@@ -11,7 +11,7 @@ of it.
 from __future__ import annotations
 
 import threading
-from itertools import chain, groupby
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
@@ -368,14 +368,13 @@ class RelationalEngine(Engine):
         # Up to RUN sealed pages of equal kinds fold as one run; the last page
         # may still change, so the row kernel folds it, last, into the rows.
         sealed = candidates[:-1] if vector else []
-        for kinds, run in chain.from_iterable(groupby(sealed[at:at + RUN], vector.kinds)
-                                              for at in range(0, len(sealed), RUN)):
-            run = list(run)
-            if kinds is not None:
+        for run, columns in chain.from_iterable(vector.runs(sealed[at:at + RUN])
+                                                for at in range(0, len(sealed), RUN)):
+            if columns is not None:
                 if chunks:
                     fold(chunks, groups)
                     chunks = []
-                if vector.fold(run, groups):
+                if vector.fold(run, columns, groups):
                     continue
             chunks.extend(page.rows for page in run)
         chunks.extend(page.rows for page in candidates[len(sealed):])

@@ -34,7 +34,7 @@ import itertools
 import textwrap
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -483,7 +483,7 @@ _NUMBERS = frozenset({int, bool, float})
 #: column holds at most ``_FEW`` distinct values.  A run is at most ``RUN``
 #: pages: a fold's fixed numpy cost is paid once a run, so 64 pages fold a
 #: 50 000-row table of 256-row pages in 4 folds, not the 13 runs of 16 take
-#: (~40 % less time), while a run's arrays stay a few hundred KiB.
+#: (~35 % less time), while a run's arrays stay a few hundred KiB.
 _EXACT, _SPAN, _FEW, RUN = 2 ** 53, 1 << 16, 64, 64
 
 
@@ -512,31 +512,37 @@ class VectorFold:
         self._positions = sorted(needs, key=lambda position: position == key)
         self._allowed = [needs[position] for position in self._positions]
 
-    def kinds(self, page: Any) -> tuple[type, ...] | None:
-        """The kinds of the columns read on ``page``, a sealed one, or ``None``
-        when the row kernel has to fold it."""
-        columns = list(map(page.column, self._positions))
-        if None in columns:
-            return None
-        kinds = tuple(column.kind for column in columns)
-        if all(map(frozenset.__contains__, self._allowed, kinds)) and (
-                self._key is None
-                or columns[-1].nulls is None and len(columns[-1].keys) <= _FEW):
-            return kinds
-        return None
+    def runs(self, pages: Sequence[Any]) -> Iterator[tuple[tuple, list[tuple] | None]]:
+        """Split ``pages``, sealed ones, where the kinds of the columns read
+        change: each part with its columns, a tuple per column read, or with
+        ``None`` when the row kernel has to fold it.  Each page's
+        :meth:`~repro.stores.relational.storage.Page.column` is fetched once."""
+        columns = [[page.column(at) for page in pages] for at in self._positions]
+        kinds = [[column and column.kind for column in part] for part in columns]
+        if self._key is not None:  # a group column with NULLs or many keys: no kind
+            kinds[-1] = [kind if kind and column.nulls is None and len(column.keys) <= _FEW
+                         else None for kind, column in zip(kinds[-1], columns[-1])]
+        kinds = list(zip(*kinds)) or [()] * len(pages)
+        read = {kind: all(map(frozenset.__contains__, self._allowed, kind))
+                for kind in set(kinds)}
+        for kind, part in itertools.groupby(zip(kinds, pages, *columns), itemgetter(0)):
+            _, run, *parts = zip(*part)
+            yield run, parts if read[kind] else None
 
-    def fold(self, run: list[Any], groups: dict) -> bool:
-        """Fold ``run``, pages of equal :meth:`kinds`, into ``groups``; or leave
-        it to the row kernel (``False``): an int sum could pass 2**53, a sum
-        would go on from a total of another type, int keys span too widely."""
-        parts = {at: [page.column(at) for page in run] for at in self._positions}
-        kinds = {at: columns[0].kind for at, columns in parts.items()}
-        values = {at: np.concatenate([column.values for column in columns],
+    def fold(self, run: Sequence[Any], columns: list[tuple], groups: dict) -> bool:
+        """Fold ``run``, pages of equal kinds, from ``columns``, as :meth:`runs`
+        gives them, into ``groups``; or leave it to the row kernel (``False``):
+        an int sum could pass 2**53, a sum would go on from a total of another
+        type, int keys span too widely."""
+        parts = dict(zip(self._positions, columns))
+        kinds = {at: part[0].kind for at, part in parts.items()}
+        values = {at: np.concatenate([column.values for column in part],
                                      dtype=np.float64 if kinds[at] is float else np.int64)
-                  for at, columns in parts.items()}
+                  for at, part in parts.items()}
         nulls = {at: np.concatenate([np.zeros(len(column.values), bool) if column.nulls
-                                     is None else column.nulls for column in columns])
-                 for at, columns in parts.items() if any(c.nulls is not None for c in columns)}
+                                     is None else column.nulls for column in part])
+                 for at, part in parts.items()
+                 if not all([column.nulls is None for column in part])}
         keep = self._mask(values) if self._mask else np.ones(sum(map(len, run)), bool)
         for at in self._tested:
             if at in nulls:
@@ -545,11 +551,16 @@ class VectorFold:
             return True
         if self._key is None:
             slots, names = np.zeros(np.count_nonzero(keep), np.intp), [()]
-        elif kinds[self._key] is str:
+        elif kinds[self._key] is str:  # each distinct ``keys`` translated once
             index: dict[str, int] = {}
-            slots = np.concatenate([np.array([index.setdefault(name, len(index))
-                                              for name in column.keys], np.intp)[column.values]
-                                    for column in parts[self._key]])[keep]
+            starts: dict[tuple[str, ...], int] = {}  # where each ``keys`` is in ``into``
+            into: list[int] = []
+            part = parts[self._key]
+            for keys in dict.fromkeys(column.keys for column in part):
+                starts[keys] = len(into)
+                into += [index.setdefault(name, len(index)) for name in keys]
+            slots = np.array(into, np.intp)[values[self._key] + np.repeat(
+                [starts[column.keys] for column in part], list(map(len, run)))][keep]
             names = list(index)
         else:  # dense slots from the least key up
             slots = values[self._key][keep]
@@ -561,13 +572,17 @@ class VectorFold:
             slots -= low
         width = len(names)
         counts = np.bincount(slots, minlength=width)
-        order: dict[int, None] = {}  # the slots present, in first-seen order
-        start, step, present = 0, 1024, np.count_nonzero(counts)
-        while len(order) < present:
-            order.update(dict.fromkeys(slots[start:start + step].tolist()))
-            start, step = start + step, step * 4
+        order = np.flatnonzero(counts).tolist()  # the slots present
         keys = [names[slot] for slot in order]
-        found = [groups.get(key) for key in keys]
+        if not all(map(groups.__contains__, keys)):  # new groups go in first-seen order
+            seen: dict[int, None] = {}
+            start, step = 0, 1024
+            while len(seen) < len(order):
+                seen.update(dict.fromkeys(slots[start:start + step].tolist()))
+                start, step = start + step, step * 4
+            order = list(seen)
+            keys = [names[slot] for slot in order]
+        found = list(map(groups.get, keys))
         updates = []
         for at, (position, is_sum) in enumerate(zip(self._inputs, self._sums)):
             valid = ~nulls[position][keep] if position in nulls else slice(None)
@@ -580,7 +595,7 @@ class VectorFold:
             weights, floats = values[position][keep][valid], kinds[position] is float
             running = [(slot, a[at]) for slot, a in zip(order, found)
                        if a is not None and a[at] is not None]
-            if any(type(total) is not (float if floats else int) for _, total in running) \
+            if {type(total) for _, total in running} - {float if floats else int} \
                     or not floats and weights.size and _EXACT < weights.size * max(
                         -int(weights.min()), int(weights.max())):
                 return False

@@ -27,6 +27,7 @@ from repro.eide import Param
 from repro.ir.nodes import COMBINE_PARTIALS, PARTIAL_AGGREGATE
 from repro.middleware.adapters import adapter_for
 from repro.stores import RelationalEngine
+from repro.stores.relational import engine as engine_module
 from repro.stores.relational.expressions import ColumnRef, Comparison, Literal
 from repro.stores.relational.kernels import factory
 from repro.stores.relational.operators import (
@@ -332,3 +333,36 @@ def test_a_fused_plan_answers_bit_for_bit_as_the_unfused_one(rows, sharded, grou
     assert system.compile(program).pass_counts["aggregate_into_scan"] == 1
     assert _outcome(system, program, CompilerOptions()) == \
         _outcome(system, program, CompilerOptions(fusion=False))
+
+
+@st.composite
+def _paged_rows(draw):
+    """Pages of four clean rows, the ``f`` cells of some of them all ints: an
+    int page in a FLOAT column, which a run of float pages splits around."""
+    clean = [cells for cells, _ in _CELLS]
+    rows = []
+    for ints in draw(st.lists(st.booleans(), min_size=11, max_size=40)):
+        rows += draw(st.lists(st.tuples(*clean[:3], st.integers(-3, 3) if ints
+                                        else clean[3], clean[4]), min_size=4, max_size=4))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_wide_rows() | _paged_rows(), sharded=st.booleans(),
+       group_by=st.sampled_from([[], ["grp"], ["s"], ["b"]]),
+       specs=st.lists(st.tuples(st.sampled_from(("count", "sum", "avg")),
+                                st.sampled_from(["i", "f", "b", "s", None])),
+                      min_size=1, max_size=4),
+       predicate=st.sampled_from(sorted(WIDE_PREDICATES)), k=st.integers(-10, 10))
+def test_a_fused_plan_over_runs_of_three_pages_answers_bit_for_bit(rows, sharded, group_by,
+                                                                   specs, predicate, k):
+    # Runs of three pages: a drawn table spans several runs, so an int page
+    # splitting a FLOAT column's run, a group first seen in a later run, a
+    # string key whose pages list their keys in other orders and a float sum
+    # carried from one run into the next all come up without being placed.
+    # ``_paged_rows`` draws the int pages; the keys and functions are the
+    # ones the vector fold takes, so most drawn plans reach it.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "RUN", 3)
+        test_a_fused_plan_answers_bit_for_bit_as_the_unfused_one.hypothesis.inner_test(
+            rows, sharded, group_by, specs, predicate, k)

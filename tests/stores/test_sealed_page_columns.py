@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.datamodel import DataType, make_schema
 from repro.stores import RelationalEngine
 from repro.stores.relational import engine as engine_module
 from repro.stores.relational.operators import RUN, AggregateSpec, aggregate_kernel
+from repro.stores.relational.storage import Page
 
 ROWS = 50_000
 PAGE = 256
@@ -289,3 +291,24 @@ def test_a_float_sum_carries_across_a_run_boundary(shards, row_folds):
         assert per_run != left
         assert _outcome(engine, partial, None) == _row_kernel_alone(rows, partial, None)
         assert row_folds == [[rows[len(sealed):]]]
+
+
+def test_a_fused_read_fetches_each_sealed_pages_columns_once(monkeypatch):
+    # The kinds check and the fold read the one list a run gathered: one
+    # ``Page.column`` call per sealed page and column read, none on the open
+    # last page.
+    [(engine, rows)] = _stores(0, lambda rows: None)
+    pages = engine._tables["facts"].heap._pages
+    calls: Counter = Counter()
+    column = Page.column
+
+    def counted(page: Page, position: int):
+        calls[id(page), position] += 1
+        return column(page, position)
+
+    monkeypatch.setattr(Page, "column", counted)
+    partial = (("grp",), COUNT_SUM)
+    assert _outcome(engine, partial) == _row_kernel_alone(rows, partial)
+    assert len(pages) == 2 * RUN + 3
+    assert calls == Counter({(id(page), position): 1
+                             for page in pages[:-1] for position in (1, 2)})

@@ -1,6 +1,6 @@
-"""Readers fold sealed pages' columns while a writer rewrites pages: each fused
-aggregate answers as the table stood at some version, and readers racing to
-fill one page's column cache agree."""
+"""Readers fold sealed pages' columns while a writer rewrites pages or inserts
+rows that seal them: each fused aggregate answers as the table stood at some
+version, and readers racing to fill one page's column cache agree."""
 
 from __future__ import annotations
 
@@ -101,3 +101,56 @@ def test_every_answer_beside_updates_is_the_table_at_some_version():
          + [threading.Thread(target=writer)])
     assert all(answer in versions for seen in answers for answer in seen)
     assert _read(engine) == _answer(amounts)
+
+
+#: ``ingest_dash``'s shape: orders keyed by a region string, inserted in batches.
+REGIONS = ("north", "south", "east", "west", "centre")
+ORDERS = make_schema(("order_id", DataType.INT), ("region", DataType.STRING),
+                     ("amount", DataType.FLOAT))
+BATCH, INSERTS, ORDER_PAGE = 50, 200, 64
+
+
+def _order(i: int) -> tuple[int, str, float]:
+    # Tenths are not exact in binary: a sum taken in another order differs.
+    return i, REGIONS[(i * 7) % 5], (i * 13) % 40 / 10
+
+
+def test_string_keyed_answers_beside_inserts_that_seal_pages_are_prefixes():
+    # A reader takes the page list once: every page but its last is full and
+    # sealed, and the rows it folds are some prefix of the inserts.  So each
+    # answer is the left fold of the first ``n`` orders, for some ``n``.
+    initial = 2 * ORDER_PAGE * 16
+    orders = [_order(i) for i in range(initial + INSERTS * BATCH)]
+    engine = RelationalEngine("db")
+    engine.load_table("orders", Table(ORDERS, orders[:initial]), page_capacity=ORDER_PAGE)
+    partial = (("region",), PARTIAL[1])
+    groups: dict[str, list] = {}
+    prefixes = set()
+    for at, (_, region, amount) in enumerate(orders, 1):
+        if amount > 1.0:
+            a = groups.setdefault(region, [0, None])
+            a[0] += 1
+            a[1] = (0 if a[1] is None else a[1]) + amount
+        if at >= initial:
+            prefixes.add(repr([(key, *a) for key, a in groups.items()]))
+    done = threading.Event()
+    answers: list[list[str]] = [[] for _ in range(READERS)]
+
+    def read() -> str:
+        return repr(engine.scan("orders", None, col("amount") > 1.0, partial=partial).rows)
+
+    def reader(seen: list[str]) -> None:
+        while not done.is_set() or not seen:
+            seen.append(read())
+
+    def writer() -> None:
+        try:
+            for at in range(initial, len(orders), BATCH):
+                engine.insert("orders", orders[at:at + BATCH])
+        finally:
+            done.set()
+
+    _run([threading.Thread(target=reader, args=(seen,)) for seen in answers]
+         + [threading.Thread(target=writer)])
+    assert all(answer in prefixes for seen in answers for answer in seen)
+    assert read() == repr([(key, *a) for key, a in groups.items()])

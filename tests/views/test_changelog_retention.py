@@ -1,9 +1,10 @@
 """A changelog keeps a batch only while a registered reader is behind it.
 
 With no reader a batch still reaches the WAL sink and the listeners, then
-is dropped; a view's cursor and a sharded engine's relay register as
-readers, so incremental views stay exact without the log keeping what no
-one will read."""
+is dropped; a view's cursor registers as a reader, so incremental views stay
+exact without the log keeping what no one will read.  A sharded engine's
+shard logs have no reader: a listener appends each shard batch to the facade
+log as it is written."""
 
 from __future__ import annotations
 
@@ -162,7 +163,7 @@ def test_views_stay_exact_without_a_forced_resync(policy, shards):
     assert bystander.full_recomputes == 0
     assert _retained(engine.changelog) == (0, 0)
     if shards:
-        for shard in engine.shards:  # the relay let go of every shard log
+        for shard in engine.shards:  # no reader holds a shard log's batches
             assert _retained(shard.changelog) == (0, 0)
             assert shard.changelog.retention_stats()["readers"] == 0
 

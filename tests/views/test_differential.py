@@ -215,9 +215,9 @@ def test_mid_refresh_failure_falls_back_to_full_rebuild():
 
 
 def test_direct_shard_write_detected_via_scoped_version():
-    # A write applied straight to a shard instance bypasses the facade log;
-    # the writer-side log-mark cross-check must force a resync instead of
-    # serving stale state forever.
+    # A write applied straight to a shard instance skips the facade's write
+    # path, but the listener on the shard's log appends its batch to the
+    # facade log at once: the view sees it is stale and folds the row in.
     system = PolystorePlusPlus()
     engine = system.register_sharded_engine("base", RelationalEngine, 2)
     engine.load_table("events", Table(_schema(), [
@@ -230,10 +230,9 @@ def test_direct_shard_write_detected_via_scoped_version():
     assert view.stale
     view.refresh()
     assert view.read()[0].to_dicts()[0]["n"] == 7
-    # Detection is probe-point based: an off-log write followed by a routed
-    # write *before any probe* is absorbed into the next log mark (see
-    # DESIGN.md — off-API writes carry no exactness contract with the
-    # changelog); a forced full refresh always reconverges.
+    # A direct shard write, then a routed write, with no refresh between:
+    # each shard batch is its own facade batch, and a forced full refresh
+    # gives the recomputed rows.
     engine.shard(1).insert("events", [(101, "beta", 1.0)])   # off-facade
     engine.insert("events", [(102, "alpha", 1.0)])           # routed
     view.refresh(force_full=True)
@@ -243,10 +242,10 @@ def test_direct_shard_write_detected_via_scoped_version():
 
 
 def test_facade_partial_write_failure_still_relays_landed_rows():
-    # Regression: a routed insert that fails mid-batch must relay the shard
-    # batches that DID land — dropping them would leave orphaned version
-    # bumps that the next write's log mark absorbs, silently diverging the
-    # view even though the rows are visible to scans.
+    # Regression: a routed insert that fails mid-batch must still append the
+    # shard batches that DID land to the facade log — dropping them would
+    # leave rows visible to scans that no batch tells the view about,
+    # silently diverging it.
     system = PolystorePlusPlus()
     engine = system.register_sharded_engine("base", RelationalEngine, 2)
     engine.load_table("events", Table(_schema(), [
@@ -256,15 +255,15 @@ def test_facade_partial_write_failure_still_relays_landed_rows():
     view = system.create_view("sums", expr, policy="manual")
     with pytest.raises(Exception):
         engine.insert("events", [(100, "alpha", 5.0), ("bad",)], validate=True)
-    engine.insert("events", [(200, "alpha", 2.0)])  # absorbs the log mark
+    engine.insert("events", [(200, "alpha", 2.0)])  # a later, whole write
     view.refresh()
     assert _canon(view.read()[0].to_dicts()) == _canon(_recompute(system, expr))
 
 
 def test_rebalance_alone_does_not_force_a_resync():
-    # A cutover moves every scoped version without changing data; the log
-    # marks are refreshed with it, so an incremental view must not misread
-    # the bump as an off-log write and pay an O(base) rebuild.
+    # A cutover moves every scoped version up once without changing data and
+    # logs no batch, so an incremental view must not misread the bump as a
+    # change and pay an O(base) rebuild.
     system = PolystorePlusPlus()
     engine = system.register_sharded_engine("base", RelationalEngine, 2)
     engine.load_table("events", Table(_schema(), [
