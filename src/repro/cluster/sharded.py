@@ -239,7 +239,7 @@ class ShardedEngine(Engine):
         append.  Any other shard batch — a write made directly on a shard
         instance — is appended and delivered at once.
         """
-        entries = None if batch.gap else batch.entries
+        entries = None if batch.gap else batch.parts  # page entries stay pages
         with self._lock:
             if self._staged is not None:
                 self._staged.append((batch.scope, entries, None))

@@ -67,7 +67,7 @@ from repro.durability.wal import (
 from repro.exceptions import ConfigurationError
 from repro.obs import Observability
 from repro.stores.base import Engine
-from repro.stores.changelog import DeltaBatch
+from repro.stores.changelog import DeltaBatch, PageEntry, PageParts
 from repro.stores.keyvalue.engine import KeyValueEngine
 from repro.stores.keyvalue.sstable import SSTable
 
@@ -197,8 +197,12 @@ class EngineStore:
         if not self.liveness.alive:
             return
         assert self._wal is not None
+        # A page entry goes down as its row list: the record stays builtins.
+        entries = batch.parts if type(batch.parts) is not PageParts else [
+            (part.page.rows, part.weight) if type(part) is PageEntry else part
+            for part in batch.parts]
         self._wal.append({"k": "b", "scope": batch.scope,
-                          "entries": batch.entries, "gap": batch.gap,
+                          "entries": entries, "gap": batch.gap,
                           "op": batch.op})
         self._bump()
 

@@ -312,8 +312,11 @@ def _replay_rewrite(engine: RelationalEngine, table: str, entries: Any,
     The matcher takes each logged ``-1`` row off the heap by value, one
     occurrence per entry in scan order — equal rows satisfy a predicate
     alike, so these are the occurrences the live statement matched — and an
-    update puts the paired ``+1`` row in its slot.
+    update puts the paired ``+1`` row in its slot.  A whole page a delete
+    dropped is logged as ``(its row list, weight)`` and replays as its rows.
     """
+    entries = [(row, weight) for record, weight in entries
+               for row in (record if type(record) is list else (record,))]
     if kind == "delete":
         pending = Counter(row for row, _ in entries)
 

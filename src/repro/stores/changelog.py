@@ -3,7 +3,8 @@
 Every mutation of engine state is described by a :class:`DeltaBatch` — a
 Z-set style set of ``(record, weight)`` entries (DBSP's generalized
 multiset: weight ``+1`` inserts a record, ``-1`` deletes it, an update is a
-``-1``/``+1`` pair) tagged with a *scope* naming the table, namespace or
+``-1``/``+1`` pair; a :class:`PageEntry` stands for a whole heap page's
+rows at one weight) tagged with a *scope* naming the table, namespace or
 series the mutation touched.  The batch stream is the invalidation currency
 of the system:
 
@@ -82,11 +83,27 @@ def leaf_read_scope(kind: str, params: dict[str, Any]) -> str | None:
     return None
 
 
+class PageEntry:
+    """An entry standing for every row of a sealed heap ``page``, in order,
+    each at ``weight``: what a delete that matched the page whole logs.
+    Equal only to itself, so a Z-set may key a page's rows by it."""
+
+    __slots__ = ("page", "weight")
+
+    def __init__(self, page: Any, weight: int) -> None:
+        self.page, self.weight = page, weight
+
+
+class PageParts(tuple):
+    """Entries among which are :class:`PageEntry` ones: what a writer logging
+    one passes, so that no other batch has to be searched for them."""
+
+
 @dataclass(frozen=True)
 class DeltaBatch:
     """One mutation of engine state, as a weighted (Z-set) record batch.
 
-    ``entries`` is empty for *gap* batches — mutations the engine could not
+    ``parts`` is empty for *gap* batches — mutations the engine could not
     describe record-by-record (DDL, bulk rebuilds, engines without typed
     deltas).  Consumers positioned before a gap affecting their scope must
     resync from the base data.
@@ -94,7 +111,9 @@ class DeltaBatch:
 
     seq: int
     scope: str | None
-    entries: tuple[tuple[Any, int], ...] = ()
+    #: The entries in scan order: ``(record, weight)`` pairs, and
+    #: :class:`PageEntry` ones if it is a :class:`PageParts`.
+    parts: tuple[tuple[Any, int], ...] = ()
     gap: bool = False
     #: Logical operation that produced this batch — ``(name, args)`` — used
     #: by the durability subsystem to replay the mutation through the
@@ -102,6 +121,17 @@ class DeltaBatch:
     #: without durable replay); recovery treats those as untyped version
     #: bumps only.
     op: tuple[str, Any] | None = None
+    #: How many ``(record, weight)`` pairs ``parts`` stands for.
+    rows: int = 0
+
+    @property
+    def entries(self) -> tuple[tuple[Any, int], ...]:
+        """Every ``(record, weight)`` pair in order, page entries expanded."""
+        if type(self.parts) is not PageParts:
+            return self.parts
+        return tuple(pair for part in self.parts for pair in (
+            [(row, part.weight) for row in part.page.rows]
+            if type(part) is PageEntry else (part,)))
 
 
 #: Listener signature: called synchronously after a batch is appended.
@@ -161,8 +191,8 @@ class ChangeLog:
         releasing it (see :meth:`notify_batch`).  ``op`` tags the batch with
         the mutator call that produced it, for durable replay.
         """
-        return self._push(scope, tuple(entries), gap=False, notify=notify,
-                          op=op)
+        return self._push(scope, entries if type(entries) is PageParts else tuple(entries),
+                          gap=False, notify=notify, op=op)
 
     def mark_gap(self, scope: str | None = UNSCOPED, *, notify: bool = True,
                  op: tuple[str, Any] | None = None) -> DeltaBatch:
@@ -178,9 +208,11 @@ class ChangeLog:
 
     def _push(self, scope: str | None, entries: tuple, *, gap: bool,
               notify: bool, op: tuple[str, Any] | None = None) -> DeltaBatch:
+        rows = sum(len(part.page.rows) if type(part) is PageEntry else 1 for part in entries) \
+            if type(entries) is PageParts else len(entries)
         with self._lock:
-            batch = DeltaBatch(seq=self._next_seq, scope=scope,
-                               entries=entries, gap=gap, op=op)
+            batch = DeltaBatch(seq=self._next_seq, scope=scope, parts=entries,
+                               gap=gap, op=op, rows=rows)
             self._next_seq += 1
             if self._stale:
                 self._refloor()
@@ -189,7 +221,7 @@ class ChangeLog:
                 self._oldest_retained = self._next_seq
             else:
                 self._batches.append(batch)
-                self._retained_rows += len(entries)
+                self._retained_rows += rows
                 self._trim()
             if self._wal_sink is not None:
                 self._wal_sink(batch)
@@ -217,7 +249,7 @@ class ChangeLog:
         while batches and (batches[0].seq <= floor
                            or len(batches) > self.capacity
                            or self._retained_rows > self.max_rows):
-            self._retained_rows -= len(batches.popleft().entries)
+            self._retained_rows -= batches.popleft().rows
         self._oldest_retained = batches[0].seq if batches else self._next_seq
 
     # -- readers ------------------------------------------------------------------------

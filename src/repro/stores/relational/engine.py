@@ -18,7 +18,7 @@ from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row, Table
 from repro.exceptions import StorageError
 from repro.stores.base import DataModel, Engine
-from repro.stores.changelog import table_scope
+from repro.stores.changelog import PageEntry, PageParts, table_scope
 from repro.stores.relational import kernels
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.index import HashIndex, SortedIndex
@@ -32,7 +32,7 @@ from repro.stores.relational.operators import (
     vector_fold,
 )
 from repro.stores.relational.sql import lower_select, parse_select
-from repro.stores.relational.storage import HeapStorage
+from repro.stores.relational.storage import HeapStorage, Page
 
 
 class StoredTable:
@@ -71,7 +71,7 @@ class StoredTable:
     def rewritten(self, matches: Expression | Callable[[Row], Any],
                   patch: Callable[[Row], Row] | None = None,
                   written: Mapping[str, Any] | None = None
-                  ) -> tuple["StoredTable", list[Row], list[Row]]:
+                  ) -> tuple["StoredTable", list[Row], list[Row], dict[int, Page]]:
         """The table a delete (no ``patch``) or an update leaves, beside this one.
 
         The one primitive behind ``delete_rows``, ``update_rows`` and their
@@ -83,11 +83,12 @@ class StoredTable:
         changed, is copied, not reloaded; an index whose keys did change —
         after a delete, where row ids move, every index — is loaded from the
         new heap.  Returns the table (this one if nothing matched), matched
-        rows and replacements.
+        rows, replacements and the pages a delete dropped whole, by where
+        their rows start in the matched rows.
         """
-        heap, matched, patched, _, _ = self.heap.rewrite(matches, patch, written)
+        heap, matched, patched, whole, _, _ = self.heap.rewrite(matches, patch, written)
         if not matched:
-            return self, matched, patched
+            return self, matched, patched, whole
         sibling = StoredTable(self.name, self.schema, heap.page_capacity)
         sibling.heap = heap
         for ours, theirs in ((self.hash_indexes, sibling.hash_indexes),
@@ -101,7 +102,7 @@ class StoredTable:
                     theirs[column] = index.copy()
                 else:
                     theirs[column] = sibling.build_index(column, type(index))
-        return sibling, matched, patched
+        return sibling, matched, patched, whole
 
     def statistics(self) -> dict[str, Any]:
         """Table statistics for the catalog and cost models."""
@@ -229,15 +230,23 @@ class RelationalEngine(Engine):
         Pages holding a deleted row are copied without it, all others are
         shared with the table readers may still hold (see
         :meth:`StoredTable.rewritten`); the deletions land in the changelog
-        as weight ``-1`` entries.
+        as weight ``-1`` entries, a page dropped whole as one
+        :class:`~repro.stores.changelog.PageEntry`.
         """
         batch = None
         with self._write_lock:
-            deleted, _ = self._rewrite(table, predicate)
+            deleted, _, whole = self._rewrite(table, predicate)
             if deleted:
+                entries: list[Any] = []
+                at = 0
+                for start, page in whole.items():
+                    entries += [(row, -1) for row in deleted[at:start]]
+                    entries.append(PageEntry(page, -1))
+                    at = start + len(page.rows)
+                entries += [(row, -1) for row in deleted[at:]]
                 batch = self.mark_data_changed(
-                    table_scope(table),
-                    entries=[(row, -1) for row in deleted], notify=False,
+                    table_scope(table), entries=PageParts(entries) if whole else entries,
+                    notify=False,
                     op=("delete", {"table": table}))
         if batch is not None:
             self.changelog.notify_batch(batch)
@@ -261,7 +270,7 @@ class RelationalEngine(Engine):
             patch = out.kernel("patch", "row", "return (" + "".join(
                 (out.constant(updates[name]) if name in updates else out.column(name))
                 + "," for name in schema.names) + ")")
-            olds, news = self._rewrite(table, predicate, patch, updates)
+            olds, news, _ = self._rewrite(table, predicate, patch, updates)
             updated = list(zip(olds, news))
             if updated:
                 entries: list[tuple[tuple, int]] = []
@@ -291,16 +300,18 @@ class RelationalEngine(Engine):
     def _rewrite(self, table: str, matches: Expression | Callable[[Row], Any],
                  patch: Callable[[Row], Row] | None = None,
                  written: Mapping[str, Any] | None = None
-                 ) -> tuple[list[Row], list[Row]]:
+                 ) -> tuple[list[Row], list[Row], dict[int, Page]]:
         """Run a delete or update (:meth:`StoredTable.rewritten`; ``written``,
         an update's assignments, ``None`` for any column) and publish
-        it in one step; returns matched rows and replacements.  Callers hold
+        it in one step; returns matched rows, replacements and the pages
+        dropped whole.  Callers hold
         the write lock; readers take ``self._tables[name]`` once, so they see
         the table before the statement or after it.
         """
-        sibling, matched, patched = self._stored(table).rewritten(matches, patch, written)
+        sibling, matched, patched, whole = self._stored(table).rewritten(
+            matches, patch, written)
         self._tables[table] = sibling
-        return matched, patched
+        return matched, patched, whole
 
     def insert_dicts(self, table: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert dictionary rows into a table."""

@@ -399,22 +399,18 @@ _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": opera
 _MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "=="}
 
 
-def page_test(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | None:
-    """A conservative ``page -> may a row of it satisfy predicate``, or ``None``
-    when the predicate constrains no column.
+#: Which kinds compare with which: a number with a number, a ``str`` with a ``str``.
+_FAMILY = {int: 0, bool: 0, float: 0, str: 1}
 
-    ``page.bounds(position)`` is a column's ``(min, max)`` over its values
-    that are neither ``None`` nor NaN (none of the comparisons here holds for
-    those), or ``None`` for unknown.  Only the leading conjuncts of the form
-    column ``= == < <= > >=`` literal (either way round) or column ``IN``
-    literals constrain: a row failing conjunct *k* never evaluates conjunct
-    *k + 1*, so a conjunct may rule a page out only if none before it could
-    have raised there.  Unknown bounds, or a ``TypeError`` comparing them with
-    the literal, mean "may match": the rows are evaluated, and raise what
-    they raise.
-    """
+
+def _leading_checks(predicate: Expression, schema: Schema
+                    ) -> tuple[list[tuple[int, str, tuple[Any, ...]]], bool]:
+    """The leading conjuncts of the form column ``= == < <= > >=`` literal
+    (either way round) or column ``IN`` literals (op ``=``), as ``(position,
+    op, values)``, and whether they are all the conjuncts there are."""
     checks: list[tuple[int, str, tuple[Any, ...]]] = []
-    for conjunct in split_conjunction(predicate):
+    conjuncts = split_conjunction(predicate)
+    for conjunct in conjuncts:
         if isinstance(conjunct, InList):
             subject, op, values = conjunct.operand, "=", conjunct.values
         elif isinstance(conjunct, Comparison) and conjunct.op in _MIRRORED:
@@ -429,6 +425,24 @@ def page_test(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | 
         if not isinstance(subject, ColumnRef) or subject.name not in schema:
             break  # an unknown column is the walk's QueryError, as a filter's
         checks.append((schema.index_of(subject.name), op, values))
+    return checks, len(checks) == len(conjuncts)
+
+
+def page_test(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | None:
+    """A conservative ``page -> may a row of it satisfy predicate``, or ``None``
+    when the predicate constrains no column.
+
+    ``page.bounds(position)`` is a column's ``(min, max)`` over its values
+    that are neither ``None`` nor NaN (none of the comparisons here holds for
+    those), or ``None`` for unknown.  Only the leading conjuncts of the form
+    column ``= == < <= > >=`` literal (either way round) or column ``IN``
+    literals constrain: a row failing conjunct *k* never evaluates conjunct
+    *k + 1*, so a conjunct may rule a page out only if none before it could
+    have raised there.  Unknown bounds, or a ``TypeError`` comparing them with
+    the literal, mean "may match": the rows are evaluated, and raise what
+    they raise.
+    """
+    checks, _ = _leading_checks(predicate, schema)
     if not checks:
         return None
 
@@ -451,3 +465,24 @@ def page_test(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | 
                 return False
         return True
     return may_match
+
+
+def page_covered(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | None:
+    """The exact dual of :func:`page_test`, ``page -> does every row of it
+    satisfy predicate``: ``None`` unless every conjunct is a column ``= == <
+    <= > >=`` literal comparison.  Only bounds over cells of one
+    ``page.kind(position)`` decide, against a literal that kind compares
+    with: no row is ``None`` or NaN there, and none raises."""
+    checks, complete = _leading_checks(predicate, schema)
+    if not checks or not complete or any(len(values) != 1 for _, _, values in checks):
+        return None
+
+    def covers(page: Any) -> bool:
+        for position, op, (value,) in checks:
+            bounds, kind = page.bounds(position), page.kind(position)
+            if kind is None or _FAMILY.get(type(value)) != _FAMILY[kind] \
+                    or not (bounds[0] == value == bounds[1] if op[0] == "=" else  # NaN: never
+                            _ORDERINGS[op](bounds[op[0] == "<"], value)):
+                return False
+        return True
+    return covers

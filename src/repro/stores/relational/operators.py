@@ -501,7 +501,9 @@ class VectorFold:
     their :meth:`~repro.stores.relational.storage.Page.column` arrays, leaving
     ``groups`` as the row kernel would: counts and int sums add exactly, and a
     float sum stays one left fold, since ``np.bincount`` adds its weights in
-    order after the group's running total."""
+    order after the group's running total.  Given a weight, the pages fold as
+    a view refresh's rows at that weight, into
+    :func:`weighted_aggregate_kernel`'s accumulators."""
 
     def __init__(self, key: int | None, inputs: list[int | None], sums: list[bool],
                  mask: Callable[[Any], Any] | None, tested: list[int],
@@ -511,6 +513,16 @@ class VectorFold:
         #: The columns read, the group column last, and the kinds each may be.
         self._positions = sorted(needs, key=lambda position: position == key)
         self._allowed = [needs[position] for position in self._positions]
+        #: Per aggregate, the slots of its non-null count and its total: one
+        #: slot each in the row kernel's accumulators; after ``a[0]``, the
+        #: group's weight (all ``count(*)`` reads), in the weighted ones.
+        self._plain = [(None, at) if is_sum else (at, None) for at, is_sum in enumerate(sums)]
+        self._weighted: list[tuple[int | None, int | None]] = []
+        self._width = 1  # of the weighted accumulators
+        for position, is_sum in zip(inputs, sums):
+            at = self._width if position is not None else None
+            self._weighted.append((at, at and at + 1 if is_sum else None))
+            self._width += (1 + is_sum) * (at is not None)
 
     def runs(self, pages: Sequence[Any]) -> Iterator[tuple[tuple, list[tuple] | None]]:
         """Split ``pages``, sealed ones, where the kinds of the columns read
@@ -529,11 +541,14 @@ class VectorFold:
             _, run, *parts = zip(*part)
             yield run, parts if read[kind] else None
 
-    def fold(self, run: Sequence[Any], columns: list[tuple], groups: dict) -> bool:
+    def fold(self, run: Sequence[Any], columns: list[tuple], groups: dict,
+             weight: int | None = None, touched: dict | None = None) -> bool:
         """Fold ``run``, pages of equal kinds, from ``columns``, as :meth:`runs`
         gives them, into ``groups``; or leave it to the row kernel (``False``):
         an int sum could pass 2**53, a sum would go on from a total of another
-        type, int keys span too widely."""
+        type, int keys span too widely.  With ``weight``, each row counts that
+        many times in weighted accumulators and each group it reaches goes in
+        ``touched``, in first-touched order."""
         parts = dict(zip(self._positions, columns))
         kinds = {at: part[0].kind for at, part in parts.items()}
         values = {at: np.concatenate([column.values for column in part],
@@ -574,7 +589,7 @@ class VectorFold:
         counts = np.bincount(slots, minlength=width)
         order = np.flatnonzero(counts).tolist()  # the slots present
         keys = [names[slot] for slot in order]
-        if not all(map(groups.__contains__, keys)):  # new groups go in first-seen order
+        if weight is not None or not all(map(groups.__contains__, keys)):  # first seen first
             seen: dict[int, None] = {}
             start, step = 0, 1024
             while len(seen) < len(order):
@@ -583,38 +598,50 @@ class VectorFold:
             order = list(seen)
             keys = [names[slot] for slot in order]
         found = list(map(groups.get, keys))
+        w, layout = (1, self._plain) if weight is None else (weight, self._weighted)
         updates = []
-        for at, (position, is_sum) in enumerate(zip(self._inputs, self._sums)):
+        for (count_at, total_at), position, is_sum in zip(layout, self._inputs, self._sums):
+            if count_at is None and total_at is None:  # ``count(*)``: ``a[0]``
+                continue
             valid = ~nulls[position][keep] if position in nulls else slice(None)
             chosen = slots[valid]
             tally = (counts if position not in nulls
                      else np.bincount(chosen, minlength=width)).tolist()
             if not is_sum:
-                updates.append((at, None, tally))
+                updates.append((count_at, None, None, tally, None))
                 continue
             weights, floats = values[position][keep][valid], kinds[position] is float
-            running = [(slot, a[at]) for slot, a in zip(order, found)
-                       if a is not None and a[at] is not None]
+            # A float fold starts at 0.0, as ``0 + v`` does from an int 0 total.
+            running = [(slot, a[total_at]) for slot, a in zip(order, found)
+                       if a is not None and a[total_at] is not None
+                       and not (floats and type(a[total_at]) is int and a[total_at] == 0)]
             if {type(total) for _, total in running} - {float if floats else int} \
                     or not floats and weights.size and _EXACT < weights.size * max(
                         -int(weights.min()), int(weights.max())):
                 return False
-            if floats and running:
-                chosen = np.concatenate([[slot for slot, _ in running], chosen])
-                weights = np.concatenate([[total for _, total in running], weights])
+            if floats:
+                if weight is not None:
+                    weights = weights * weight
+                if running:
+                    chosen = np.concatenate([[slot for slot, _ in running], chosen])
+                    weights = np.concatenate([[total for _, total in running], weights])
             sums = np.bincount(chosen, weights, width).tolist()
-            updates.append((at, floats, [total if n else None
-                                         for total, n in zip(sums, tally)]))
-        fresh = [None if is_sum else 0 for is_sum in self._sums]
+            updates.append((count_at, total_at, floats, tally, sums))
+        fresh = [None if is_sum else 0 for is_sum in self._sums] if weight is None \
+            else [0] * self._width
+        rows = counts.tolist() if weight is not None else None
         for slot, key, a in zip(order, keys, found):
             if a is None:
                 groups[key] = a = list(fresh)
-            for at, floats, by_slot in updates:
-                if floats is None:
-                    a[at] += by_slot[slot]
-                elif by_slot[slot] is not None:
-                    a[at] = by_slot[slot] if floats \
-                        else (0 if a[at] is None else a[at]) + int(by_slot[slot])
+            if weight is not None:
+                touched[key] = a
+                a[0] += weight * rows[slot]
+            for count_at, total_at, floats, tally, sums in updates:
+                if count_at is not None:
+                    a[count_at] += w * tally[slot]
+                if total_at is not None and tally[slot]:
+                    a[total_at] = sums[slot] if floats \
+                        else (0 if a[total_at] is None else a[total_at]) + w * int(sums[slot])
         return True
 
 

@@ -15,6 +15,7 @@ to the vector fold of a scan that aggregates what it reads.
 from __future__ import annotations
 
 import struct
+from math import isnan
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import itemgetter
@@ -26,7 +27,7 @@ from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row
 from repro.exceptions import StorageError
 from repro.stores.relational import kernels
-from repro.stores.relational.expressions import Expression, page_test
+from repro.stores.relational.expressions import Expression, page_covered, page_test
 
 DEFAULT_PAGE_CAPACITY = 256
 
@@ -109,6 +110,8 @@ class Page:
     rows: list[Row] = field(default_factory=list)
     #: Column position -> what :meth:`bounds` found, filled on first use.
     _bounds: dict[int, Any] = field(default_factory=dict, repr=False, compare=False)
+    #: Column position -> :meth:`kind`, filled with its bounds.
+    _kinds: dict[int, type] = field(default_factory=dict, repr=False, compare=False)
     #: Column position -> what :meth:`column` built, filled on first use.
     _columns: dict[int, PageColumn | None] = field(default_factory=dict, repr=False,
                                                     compare=False)
@@ -128,22 +131,34 @@ class Page:
         """
         if position not in self._bounds:
             column = self._columns.get(position)
+            kinds: Any = () if column is None or column.nulls is not None else {column.kind}
             if column is not None and column.kind is str:
-                self._bounds[position] = min(column.keys), max(column.keys)
+                bounds: Any = min(column.keys), max(column.keys)
             elif column is not None:
                 values = column.values if column.nulls is None \
                     else column.values[~column.nulls]
-                self._bounds[position] = (column.kind(values.min()),
-                                          column.kind(values.max()))
+                bounds = column.kind(values.min()), column.kind(values.max())
             else:
                 try:
-                    values = [v for v in (row[position] for row in self.rows)
-                              if v is not None and v == v]
-                    self._bounds[position] = (min(values), max(values)) if values \
-                        else None
+                    values = list(map(itemgetter(position), self.rows))
+                    kinds = set(map(type, values))
+                    if not kinds <= {int, bool, str} and (  # may hold None or NaN
+                            kinds != {float} or any(map(isnan, values))):
+                        values = [v for v in values if v is not None and v == v]
+                        kinds = kinds if len(values) == len(self.rows) else ()
+                    bounds = (min(values), max(values)) if values else None
                 except (TypeError, ValueError):
-                    self._bounds[position] = None
+                    bounds = None
+            if bounds is not None and len(kinds) == 1 and (kind := kinds.pop()) in (int, bool, float, str):
+                self._kinds[position] = kind
+            self._bounds[position] = bounds
         return self._bounds[position]
+
+    def kind(self, position: int) -> type | None:
+        """The one type — ``int``, ``bool``, ``float`` or ``str`` — of every
+        cell of a column with :meth:`bounds`, none ``None`` or NaN; else ``None``."""
+        self.bounds(position)
+        return self._kinds.get(position)
 
     def column(self, position: int) -> PageColumn | None:
         """One column's cells as arrays; ``None`` unless the cells that are not
@@ -254,12 +269,14 @@ class HeapStorage:
     def rewrite(self, matches: Expression | Callable[[Row], Any],
                 patch: Callable[[Row], Row] | None = None,
                 written: Mapping[str, Any] | None = None
-                ) -> tuple["HeapStorage", list[Row], list[Row], int, int]:
+                ) -> tuple["HeapStorage", list[Row], list[Row], dict[int, Page], int, int]:
         """A sibling heap without the matching rows, or with them patched.
 
         ``matches`` is called once per row, in scan order — given as a
         predicate expression, only on the pages whose summaries do not rule it
-        out.  With ``patch`` a matching row is replaced in its slot by
+        out, and a delete's not on a sealed page whose summaries prove every
+        row matches (:func:`page_covered`): that page is dropped whole, by
+        reference.  With ``patch`` a matching row is replaced in its slot by
         ``patch(row)`` (row ids stay); without, it is dropped, survivors close
         up inside their page and a page left empty disappears (row ids move).
         Interior pages may stay under-full: only the last page takes inserts,
@@ -278,7 +295,8 @@ class HeapStorage:
         Other columns and bounds are built again from the rows, when read.
         This heap's arrays are never changed.  Returns the sibling, the
         matched rows, their replacements (none for a delete), the pages
-        copied and the pages examined.
+        dropped whole by where their rows start in the matched rows, the
+        pages copied and the pages examined.
         """
         sibling = HeapStorage(self.schema, self.page_capacity)
         pages = sibling._pages
@@ -288,12 +306,21 @@ class HeapStorage:
         tail_shared = False
         # (copy, origin, what was touched) for each origin with caches.
         warm: list[tuple[Page, Page, Any]] = []
+        whole: dict[int, Page] = {}
         predicate = matches if isinstance(matches, Expression) else None
+        covered = None
         if predicate is not None:
             matches = predicate.compile(self.schema)
+            if patch is None and len(self._pages) > 1:
+                covered = page_covered(predicate, self.schema)
         examine = self._examine(self._pages, predicate)
-        for page, candidate in zip(self._pages, examine):
+        sealed = len(self._pages) - 1
+        for number, (page, candidate) in enumerate(zip(self._pages, examine)):
             rows = page.rows
+            if candidate and covered is not None and number < sealed and covered(page):
+                whole[len(matched)] = page
+                matched.extend(rows)
+                continue
             flags = list(map(matches, rows)) if candidate else ()
             if not any(flags):
                 pages.append(page)
@@ -325,7 +352,7 @@ class HeapStorage:
         if warm:
             self._inherit(warm, patch is not None, written)
         sibling._num_rows = self._num_rows - (len(matched) if patch is None else 0)
-        return sibling, matched, patched, copied, sum(examine)
+        return sibling, matched, patched, whole, copied, sum(examine)
 
     def _inherit(self, warm: list[tuple[Page, Page, Any]], update: bool,
                  written: Mapping[str, Any] | None) -> None:
@@ -355,6 +382,7 @@ class HeapStorage:
                            if column is not None
                            and (kept := _kept(column, keep)) is not None}
             copy._columns, copy._bounds = columns, bounds
+            copy._kinds = {at: kind for at, kind in origin._kinds.items() if at in bounds}
 
     # -- reads ----------------------------------------------------------------
 

@@ -30,14 +30,20 @@ from, so names resolve and results are typed in one place for both routes
 from __future__ import annotations
 
 import abc
+from itertools import chain, groupby
 from typing import Any, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row, Table
+from repro.stores.changelog import PageEntry
+from repro.stores.relational.expressions import and_
 from repro.stores.relational.operators import (
+    RUN,
     PhysicalOperator,
     TableScan,
+    VectorFold,
     build_operator,
+    vector_fold,
     weighted_aggregate_kernel,
 )
 from repro.views.zset import ZSet
@@ -173,17 +179,31 @@ class DeltaAggregate(DeltaOperator):
     def _bind(self, physical: Any, *schemas: Schema) -> None:
         *below, (_, params) = self.stages
         group_by = tuple(params.get("group_by") or ())
+        aggregates = tuple(params.get("aggregates") or ())
         self._fold, self._row, self._counts = weighted_aggregate_kernel(
-            schemas[0], below, group_by, tuple(params.get("aggregates") or ()))
+            schemas[0], below, group_by, aggregates)
         self._grouped = bool(group_by)
         #: group key -> its accumulators, and its last emitted output row.
         self._groups: dict[Any, list] = {}
         self._rows: dict[Any, Row] = {}
+        # Whole pages fold as columns under filters only, reading only names
+        # the delta has (a page row is a base row).
+        tests = [params["predicate"] for kind, params in below if kind == "filter"]
+        names = {*group_by, *(spec.column for spec in aggregates if spec.column)}
+        names = names.union(*(test.referenced_columns() for test in tests))
+        self._columnar = (group_by, aggregates, and_(*tests) if tests else None) \
+            if len(tests) == len(below) and names <= set(schemas[0].names) else None
+        self._vector: VectorFold | None | bool = None  # built for the first pages
 
     def _apply(self, *deltas: ZSet) -> ZSet:
         (delta,) = deltas
         groups, rows, touched = self._groups, self._rows, {}
-        self._fold((delta.items(),), groups, touched)
+        if delta.pages is not None and self._vector is None:
+            self._vector = bool(self._columnar) and vector_fold(delta.pages[0], *self._columnar)
+        if delta.pages is None or not self._vector:
+            self._fold((delta.items(),), groups, touched)
+        else:
+            self._fold_pages(delta, self._vector, groups, touched)
         out: dict[Row, int] = {}
         for key, a in touched.items():
             for i in self._counts:
@@ -205,6 +225,28 @@ class DeltaAggregate(DeltaOperator):
                 if row is not None:
                     out[row] = 1
         return ZSet(self.schema, out)
+
+    def _fold_pages(self, delta: ZSet, vector: VectorFold, groups: dict,
+                    touched: dict) -> None:
+        """Fold ``delta`` in order: rows through the row loop, each run of whole
+        pages of one weight through ``vector``, and what it declines as rows."""
+        fold, pick = self._fold, delta.pages[1] or (lambda row: row)
+        pending: list[tuple[Row, int]] = []
+        for weight, run in groupby(delta.parts(),
+                                   lambda pair: type(pair[0]) is PageEntry and pair[1]):
+            if weight is False:  # row entries
+                pending.extend(run)
+                continue
+            pages = [key.page for key, _ in run]
+            for part, columns in chain.from_iterable(
+                    vector.runs(pages[at:at + RUN]) for at in range(0, len(pages), RUN)):
+                if columns is not None:
+                    fold((pending,), groups, touched)  # the first makes the global group
+                    pending = []
+                    if vector.fold(part, columns, groups, weight, touched):
+                        continue
+                pending.extend((pick(row), weight) for page in part for row in page.rows)
+        fold((pending,), groups, touched)
 
 
 class DeltaRecompute(DeltaOperator):

@@ -36,7 +36,9 @@ set) make the view non-incremental: :func:`compile_incremental` returns
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import bisect
+import operator
+from typing import Any, Callable, Sequence
 
 from repro.catalog import Catalog
 from repro.datamodel.schema import Schema
@@ -46,7 +48,7 @@ from repro.exceptions import ExecutionError
 from repro.ir.graph import IRGraph
 from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
-from repro.stores.changelog import leaf_read_scope, table_scope
+from repro.stores.changelog import PageEntry, PageParts, leaf_read_scope, table_scope
 from repro.stores.base import DataModel
 from repro.stores.relational.expressions import Expression
 from repro.stores.relational.operators import tuple_reader
@@ -85,6 +87,7 @@ class ChangelogSource:
         #: changes shape through DDL, whose gap forces a rebuild that rebinds.
         self._schema: Schema | None = None
         self._pick: Callable[[Row], Row] | None = None
+        self._base: Schema | None = None
 
     def pull(self, catalog: Catalog) -> ZSet:
         """The table's delta since the cursor; raises :class:`ResyncRequired`."""
@@ -98,9 +101,12 @@ class ChangelogSource:
         # One dict, summed and annihilated as ``ZSet.add`` would: a record
         # inserted and deleted in the window is gone before anything folds it.
         weights: dict[Row, int] = {}
-        get, pick = weights.get, self._pick
-        for batch in batches:
-            for record, weight in batch.entries:
+        get, pick, pages = weights.get, self._pick, None
+        chunks = [batch.parts for batch in batches]
+        if PageParts in map(type, chunks):
+            chunks, pick, pages = [self._paged(chunks)], None, (self._base, pick)
+        for chunk in chunks:
+            for record, weight in chunk:
                 if pick is not None:
                     record = pick(record)
                 total = get(record, 0) + weight
@@ -112,7 +118,24 @@ class ChangelogSource:
         # scope-filtered read provably missed nothing, and a lagging cursor
         # would hold *other* scopes' batches until the caps trim past it.
         self._move(catalog, head)
-        return ZSet(self._schema, weights)
+        return ZSet(self._schema, weights, pages)
+
+    def _paged(self, chunks: list[tuple]) -> list[tuple[Any, int]]:
+        """The parts of ``chunks`` as pairs cut down to ``columns``: a page entry
+        as its own key where :func:`_apart` proves its rows are records no
+        other entry holds, else expanded in place, so summing and annihilation
+        stay exact."""
+        parts = [part for chunk in chunks for part in chunk]
+        pages = [part for part in parts if type(part) is PageEntry]
+        rows = [part[0] for part in parts if type(part) is not PageEntry]
+        positions = list(map(self._base.index_of, self.columns or self._base.names))
+        kept = {id(part) for part, apart in zip(pages, _apart(
+            [part.page for part in pages], rows, positions)) if apart}
+        pick = self._pick or (lambda row: row)
+        return [pair for part in parts for pair in (
+            [(part, part.weight)] if id(part) in kept
+            else [(pick(row), part.weight) for row in part.page.rows]
+            if type(part) is PageEntry else [(pick(part[0]), part[1])])]
 
     def _move(self, catalog: Catalog, head: int) -> None:
         """Advance the cursor to ``head``, releasing what only it held."""
@@ -159,8 +182,8 @@ class ChangelogSource:
     def _bound(self, engine: Any, snapshot: Table) -> ZSet:
         """Bind the delta layout to a resync's snapshot; returns it as a Z-set."""
         self._schema = snapshot.schema
-        self._pick = (tuple_reader(engine.table_schema(self.table), self.columns)
-                      if self.columns else None)
+        self._base = engine.table_schema(self.table)
+        self._pick = tuple_reader(self._base, self.columns) if self.columns else None
         return ZSet.from_table(snapshot)
 
     def changed(self, catalog: Catalog) -> bool:
@@ -182,6 +205,34 @@ class ChangelogSource:
 
     def describe(self) -> str:
         return f"changelog({self.engine_name}.{self.table})"
+
+
+def _apart(pages: list[Any], rows: list[Row], positions: Sequence[int]) -> list[bool]:
+    """For each of ``pages``, whether its rows provably differ from each other,
+    from the other pages' rows and from ``rows``: read off the first of
+    ``positions`` where every page's cells are of one ``page.kind`` (no
+    ``None`` or NaN) and no two pages' bounds meet.  A page is not apart if
+    a row's cell there falls in its bounds (a bisection of the sorted
+    bounds) or a cell repeats on it; with no such column, none is."""
+    for position in positions:
+        if None in [page.kind(position) for page in pages]:
+            continue
+        bounds = [page.bounds(position) for page in pages]
+        try:
+            order = sorted(range(len(pages)), key=lambda i: bounds[i][0])
+            lows, highs = [bounds[i][0] for i in order], [bounds[i][1] for i in order]
+            if not all(map(operator.lt, highs, lows[1:])):
+                continue
+            hit = {order[k] for cell in map(operator.itemgetter(position), rows)
+                   if cell is not None and cell == cell  # else equal to no page row
+                   for k in (bisect.bisect_right(lows, cell) - 1,)
+                   if k >= 0 and cell <= highs[k]}
+        except TypeError:
+            continue
+        cells = operator.itemgetter(position)
+        return [i not in hit and len(set(map(cells, page.rows))) == len(page.rows)
+                for i, page in enumerate(pages)]
+    return [False] * len(pages)
 
 
 class SnapshotDiffSource:

@@ -14,7 +14,7 @@ from repro.compiler.pipeline import CompilerOptions
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide.dataflow import DataflowProgram, Dataset
 from repro.stores import RelationalEngine
-from repro.stores.changelog import table_scope
+from repro.stores.changelog import PageEntry, table_scope
 
 EVENTS = make_schema(("row_id", DataType.INT), ("grp", DataType.STRING),
                      ("value", DataType.FLOAT))
@@ -140,3 +140,28 @@ def test_a_direct_shard_write_recovers_with_the_facade_versions(tmp_path):
     engine.shard(0).insert("events", [(102, "beta", 1.0)])  # relayed once
     assert engine.data_version_for(table_scope("events")) == expected[2] + 1
     reborn.close()
+
+
+def test_a_four_shard_whole_page_delete_refreshes_a_view_exactly_through_the_relay():
+    system = PolystorePlusPlus()
+    engine = system.register_sharded_engine("base", RelationalEngine, 4)
+    engine.load_table("events", Table(EVENTS, [(i, "ab"[i % 2], float(i % 5))
+                                               for i in range(120)]), page_capacity=4)
+    expr = (system.dataset("base").table("events").filter(col("value") > 0.5)
+            .aggregate(["grp"], total=("sum", "value"), n=("count", None)))
+    view = system.create_view("spend", expr, policy="manual")
+    facade: list = []
+    engine.changelog.subscribe(facade.append)
+    shard_batches: list = []
+    for shard in engine.shards:
+        shard.changelog.subscribe(shard_batches.append)
+
+    engine.delete_rows("events", col("row_id") < 80)
+    pages = [part.page for batch in shard_batches for part in batch.parts
+             if type(part) is PageEntry]
+    assert len(pages) >= 8  # each shard's ~20 rows below 80 fill pages of 4
+    # The relay forwards the parts as they are: the same page entries.
+    assert [batch.parts for batch in facade] == [batch.parts for batch in shard_batches]
+    assert view.refresh().kind == "incremental"
+    got = sorted(tuple(row.values()) for row in view.read()[0].to_dicts())
+    assert got == _recompute(system, expr) and got

@@ -61,7 +61,7 @@ def heap_calls(monkeypatch) -> HeapCalls:
 
     def spied_rewrite(heap, *args, **kwargs):
         out = rewrite(heap, *args, **kwargs)
-        sibling, _, _, copied, examined = out
+        sibling, _, _, _, copied, examined = out
         calls.append(HeapCall("rewrite", heap, heap.num_pages, examined,
                               pages_copied=copied, sibling=sibling))
         return out

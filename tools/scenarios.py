@@ -6,10 +6,13 @@
 ``serve`` starts a server on a loopback port and sends ``execute``,
 ``cancel`` (of a request still running), ``metrics``, ``programs``,
 ``stats``, ``ping`` and ``health`` through a :class:`TcpClient`.  ``crash``
-runs two legs, each killed at the ``wal.append`` fault point and reopened:
+runs three legs, each killed at the ``wal.append`` fault point and reopened:
 a durable relational engine, whose recovered table must be the one written
-before the kill; and a durable two-shard engine written once through the
-facade and once directly on a shard, whose recovered rows and facade
+before the kill; the same with pages of eight rows and a deferred view,
+trimmed of whole sealed pages before any checkpoint, whose recovered rows
+must be those before the kill and on which a new view must equal its
+recompute; and a durable two-shard engine written once through the facade
+and once directly on a shard, whose recovered rows and facade
 ``data_version_for`` must equal their values before the kill.  Each exits
 non-zero if an answer is wrong; ``tools/unreached.py`` runs both under call
 tracing.
@@ -23,6 +26,7 @@ import threading
 import time
 
 from repro import DataflowProgram, Param, PolystorePlusPlus, SystemConfig, col
+from repro.compiler.pipeline import CompilerOptions
 from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.durability import InjectedFault, faults
@@ -110,7 +114,39 @@ def crash() -> None:
         recovered = reborn.execute(_program(reborn, "all", lambda d: d)).output("result")
         assert sorted(recovered.rows) == expected
         reborn.close()
+    trim_crash()
     sharded_crash()
+
+
+def trim_crash() -> None:
+    """Whole sealed pages trimmed under a view replay from the WAL alone."""
+    with tempfile.TemporaryDirectory(prefix="scenario-crash-trim-") as data_dir:
+        system = PolystorePlusPlus(SystemConfig(
+            data_dir=data_dir, durability_sync="always", durability_snapshot_every=1_000))
+        db = system.register_engine(RelationalEngine("db"))
+        db.create_table("patients", SCHEMA, page_capacity=8)
+        db.insert("patients", ROWS)
+        older = lambda d: d.filter(col("age") > 30).aggregate(  # noqa: E731
+            ["age"], n=("count", None), total=("sum", "pid"))
+        view = system.create_view("older", older(system.dataset("db").table("patients")),
+                                  policy="deferred")
+        view.read()
+        assert len(db.delete_rows("patients", col("pid") < 100)) == 100  # 12 whole pages
+        expected = db.snapshot_scan("patients")[0].rows
+        assert view.refresh().kind == "incremental"
+        _kill_next_wal_append(system, lambda: db.insert("patients", [(999, 1)]))
+
+        reborn = PolystorePlusPlus(SystemConfig(data_dir=data_dir))
+        db = reborn.register_engine(RelationalEngine("db"))
+        assert reborn.durability.recovery_report()["db"]["replayed_batches"] == 3
+        assert db.snapshot_scan("patients")[0].rows == expected
+        reborn.drop_view("older")  # restored from disk; made again below
+        expr = older(reborn.dataset("db").table("patients"))
+        view = reborn.create_view("older", expr, policy="deferred")
+        recomputed = reborn.execute(_program(reborn, "recompute", older),
+                                    options=CompilerOptions(use_views=False)).output("result")
+        assert sorted(view.read()[0].rows) == sorted(recomputed.rows)
+        reborn.close()
 
 
 def sharded_crash() -> None:
