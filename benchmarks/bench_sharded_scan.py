@@ -9,9 +9,6 @@ thread-CPU time plus the merge), modeling shards as independent machines the
 same way migration charges model the network.  Throughput must improve
 monotonically from 1 to 4 shards.
 
-A second check rebalances the 2-shard deployment online to 4 shards and
-verifies the query answers are identical before, during and after cutover.
-
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_sharded_scan.py -q
 Smoke mode (CI):  SHARDED_BENCH_ITERS=1 PYTHONPATH=src python -m pytest ...
 """
@@ -113,30 +110,5 @@ def test_throughput_improves_monotonically_with_shards():
         previous = num_shards
 
 
-def test_rebalance_2_to_4_keeps_answers_stable():
-    system, engine = _deployment(2)
-    expected = system.execute(_program()).output("result").to_dicts()
-
-    # Begin the split: reads must keep serving the old map during the copy.
-    payloads = engine.begin_rebalance(HashPartitioner(4))
-    during = system.execute(_program()).output("result").to_dicts()
-    assert during == expected
-    from repro.middleware.migration import DataMigrator
-
-    migrator = DataMigrator(system.network)
-    for payload in payloads:
-        received, _ = migrator.migrate(payload.table, source=payload.source_shard,
-                                       target="salesdb")
-        engine.apply_payload(payload, received)
-    engine.cutover()
-
-    assert engine.num_shards == 4
-    after = system.execute(_program()).output("result").to_dicts()
-    assert _totals_match(after, expected)
-    print(f"\nrebalance moved {sum(p.rows for p in payloads)} rows across "
-          f"{len(payloads)} payloads; answers stable")
-
-
 if __name__ == "__main__":
     test_throughput_improves_monotonically_with_shards()
-    test_rebalance_2_to_4_keeps_answers_stable()

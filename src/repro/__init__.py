@@ -13,12 +13,7 @@ The public API is intentionally small; most users need only:
 from repro.cancellation import CancellationToken
 from repro.catalog import Catalog
 from repro.client import PreparedProgram, Session
-from repro.cluster import (
-    HashPartitioner,
-    RangePartitioner,
-    ShardedEngine,
-    ShardRebalancer,
-)
+from repro.cluster import HashPartitioner, RangePartitioner, ShardedEngine
 from repro.core import (
     EXECUTION_MODES,
     ExecutionResult,
@@ -65,6 +60,5 @@ __all__ = [
     "ShardedEngine",
     "HashPartitioner",
     "RangePartitioner",
-    "ShardRebalancer",
     "__version__",
 ]

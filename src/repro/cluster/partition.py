@@ -11,8 +11,8 @@ concrete strategies are provided:
   ``[boundaries[i-1], boundaries[i])``.  Preserves key locality, which keeps
   range scans shard-local, at the price of needing balanced boundaries.
 
-Partitioners are immutable; rebalancing installs a *new* partitioner next to
-a new shard set and cuts over atomically (see :mod:`repro.cluster.rebalance`).
+Partitioners are immutable: a sharded engine keeps the one it was built
+with, or the one its durable data directory recorded.
 """
 
 from __future__ import annotations

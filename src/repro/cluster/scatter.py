@@ -159,8 +159,7 @@ class ScatterGather:
 
     def _execute_leaf(self, engine: ShardedEngine,
                       node: Operator) -> ScatterExecution | None:
-        # One atomic read: routing with one topology's partitioner into
-        # another topology's shard list could tear across a rebalance cutover.
+        # The shard list and the partitioner that routes into it, read once.
         shards, partitioner = engine.topology()
         routed = self._route(engine, node, partitioner)
         if routed is not None:
@@ -330,11 +329,8 @@ class ScatterGather:
                        sharded: ShardedValue) -> list[tuple[Any, float]]:
         """Run ``node`` over each partition on the shard that produced it."""
         shards = engine.shards
-        # Partitions may outlive a cutover mid-run; partition-wise operators
-        # evaluate over materialized inputs, so any live shard's adapter is
-        # semantically equivalent — clamp rather than fail.
         return self._fan_out(engine.name, node.kind, [
-            (self._adapter(shards[min(index, len(shards) - 1)]), node, [part])
+            (self._adapter(shards[index]), node, [part])
             for part, index in zip(sharded.parts, sharded.shard_indexes)])
 
     def _fan_out(self, engine: str, kind: str,

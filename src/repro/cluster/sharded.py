@@ -21,12 +21,8 @@ Reads are scatter-gathered by the executor (see
 :mod:`repro.cluster.scatter`); the engine itself also offers merged
 convenience reads for direct native use.
 
-Online rebalancing (:mod:`repro.cluster.rebalance`) uses the three-phase
-hooks at the bottom of the class: :meth:`begin_rebalance` atomically
-snapshots the current data and installs a *pending* shard set that every
-subsequent write is mirrored into (dual-write), while reads keep answering
-from the old shard map; :meth:`cutover` swaps the maps atomically and keeps
-``data_version`` monotonic; :meth:`abort_rebalance` discards the pending set.
+The shard map is fixed for the engine's life: the count given at
+construction, or the one a durable data directory recorded.
 """
 
 from __future__ import annotations
@@ -34,11 +30,10 @@ from __future__ import annotations
 import contextlib
 import heapq
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.cluster.partition import HashPartitioner, Partitioner
-from repro.datamodel.schema import Column, DataType, Schema
+from repro.datamodel.schema import Column, Schema
 from repro.datamodel.table import Row, Table
 from repro.exceptions import ConfigurationError, StorageError
 from repro.stores.base import DataModel, Engine
@@ -53,37 +48,6 @@ PARTITIONABLE_MODELS = frozenset({
 })
 
 ShardFactory = Callable[[int], Engine]
-
-
-@dataclass
-class ShardPayload:
-    """One unit of data extracted from a shard during a rebalance.
-
-    ``table`` payloads travel through the
-    :class:`~repro.middleware.migration.DataMigrator` (so the rebalance is
-    charged realistic serialization + transfer costs); ``items`` payloads
-    (arbitrary key/value objects) move by reference, mirroring how the
-    executor treats non-tabular migrations.
-    """
-
-    kind: str                      # "relational_table" | "kv_items" | "ts_series"
-    name: str                      # table name, series key, or shard name
-    source_shard: str
-    table: Table | None = None
-    items: list[tuple[str, Any]] | None = None
-    #: Series tags (timeseries payloads only), recreated at apply time.
-    tags: dict[str, str] | None = None
-
-    @property
-    def rows(self) -> int:
-        """Number of rows/entries this payload carries."""
-        if self.table is not None:
-            return len(self.table)
-        return len(self.items or [])
-
-
-_TS_PAYLOAD_SCHEMA = Schema([Column("timestamp", DataType.FLOAT),
-                             Column("value", DataType.FLOAT)])
 
 
 def _resolve_factory(name: str, shard_factory: ShardFactory | type) -> ShardFactory:
@@ -123,24 +87,9 @@ class ShardedEngine(Engine):
         self._serve([self._build_shard(i) for i in range(partitioner.num_shards)])
         #: Declared shard-key column per relational table.
         self._shard_keys: dict[str, str] = {}
-        #: ``create_table`` keyword arguments per table (e.g. page_capacity),
-        #: replayed when a rebalance builds the pending shard set.
-        self._table_kwargs: dict[str, dict[str, Any]] = {}
         #: Declared secondary indexes per table (column -> kind), created on
-        #: every shard and replayed onto pending shards during a rebalance.
+        #: every shard.
         self._table_indexes: dict[str, dict[str, str]] = {}
-        #: ``(shards, partitioner)`` being populated by an in-flight
-        #: rebalance; writes are mirrored into it, reads never see it.
-        self._pending: tuple[list[Engine], Partitioner] | None = None
-        #: Durability hook invoked (under the facade lock) after a cutover
-        #: swaps the shard set; set by the durability manager so the new
-        #: shard generation can be snapshotted and the manifest swapped.
-        self._durability_cutover: Any = None
-        #: Keys overwritten/deleted by dual-writes since ``begin_rebalance``.
-        #: The snapshot copy must not clobber them: key/value puts are
-        #: last-write-wins, so replaying a pre-snapshot value over a newer
-        #: dual-written one would lose the update (or resurrect a delete).
-        self._pending_overrides: set[str] = set()
         # Present the shards' data model as this engine's own.
         self.data_model = self._shards[0].data_model
         if self.data_model not in PARTITIONABLE_MODELS:
@@ -189,8 +138,8 @@ class ShardedEngine(Engine):
         """The current ``(shards, partitioner)`` pair, read atomically.
 
         Readers that route with a partitioner and then index into the shard
-        list must take both from one call — fetching them separately can
-        tear across a concurrent rebalance cutover.
+        list take both from one call: durability restore installs the
+        recorded map in place of the one the constructor built.
         """
         with self._lock:
             return list(self._shards), self._partitioner
@@ -217,19 +166,18 @@ class ShardedEngine(Engine):
 
     # -- changelog relay ---------------------------------------------------------------
 
-    def _serve(self, shards: list[Engine]) -> list[Engine]:
-        """Make ``shards`` the serving set; returns the set it replaces.
+    def _serve(self, shards: list[Engine]) -> None:
+        """Make ``shards`` the serving set.
 
-        Only serving shards carry :meth:`_relay` on their logs: a pending
-        set's snapshot copies and dual-writes never reach the facade log.
-        Caller holds the lock (or owns the engine, as construction does).
+        Only serving shards carry :meth:`_relay` on their logs: the shards a
+        durability restore retires stop reaching the facade log.  Caller
+        holds the lock (or owns the engine, as construction does).
         """
         retired, self._shards = self._shards, shards
         for shard in retired:
             shard.changelog.unsubscribe(self._relay)
         for shard in shards:
             shard.changelog.subscribe(self._relay)
-        return retired
 
     def _relay(self, batch: DeltaBatch) -> None:
         """Listener on every serving shard's log: one shard batch, one facade batch.
@@ -294,7 +242,6 @@ class ShardedEngine(Engine):
             description["shards"] = [shard.name for shard in self._shards]
             description["partitioner"] = self._partitioner.describe()
             description["shard_keys"] = dict(self._shard_keys)
-            description["rebalancing"] = self._pending is not None
         return description
 
     # -- write routing: relational ----------------------------------------------------
@@ -310,29 +257,26 @@ class ShardedEngine(Engine):
         if key not in schema:
             raise StorageError(f"shard key {key!r} is not a column of {name!r}")
         with self._routed_write() as staged:
-            for shard in self._all_write_shards():
+            for shard in self._shards:
                 shard.create_table(name, schema, **kwargs)
             self._shard_keys[name] = key
-            self._table_kwargs[name] = dict(kwargs)
             staged.append((table_scope(name), (), (
-                "create_table", {"table": name, "shard_key": key,
-                                 "kwargs": dict(kwargs)})))
+                "create_table", {"table": name, "shard_key": key})))
 
     def drop_table(self, name: str) -> None:
         """Drop ``name`` from every shard."""
         with self._routed_write() as staged:
-            for shard in self._all_write_shards():
+            for shard in self._shards:
                 shard.drop_table(name)
             self._shard_keys.pop(name, None)
-            self._table_kwargs.pop(name, None)
             self._table_indexes.pop(name, None)
             staged.append((table_scope(name), None,
                            ("drop_table", {"table": name})))
 
     def create_index(self, table: str, column: str, *, kind: str = "hash") -> None:
-        """Create a secondary index on every shard (and any pending shards)."""
+        """Create a secondary index on every shard."""
         with self._lock:
-            for shard in self._all_write_shards():
+            for shard in self._shards:
                 shard.create_index(table, column, kind=kind)
             self._table_indexes.setdefault(table, {})[column] = kind
             self.emit_durability_meta(("create_index", {"table": table,
@@ -357,17 +301,11 @@ class ShardedEngine(Engine):
                 count += 1
             for shard_index, shard_rows in grouped.items():
                 self._shards[shard_index].insert(table, shard_rows, **kwargs)
-            self._mirror_relational_insert(table, key_index, grouped)
         return count
 
     def delete_rows(self, table: str, predicate: Any) -> list[tuple]:
-        """Delete matching rows on every shard; returns the deleted rows.
-
-        Refused while a rebalance is in flight: the snapshot copy could
-        resurrect rows deleted from the pending shard set.
-        """
+        """Delete matching rows on every shard; returns the deleted rows."""
         with self._routed_write():
-            self._check_not_rebalancing("delete_rows")
             deleted: list[tuple] = []
             for shard in self._shards:
                 deleted.extend(shard.delete_rows(table, predicate))
@@ -378,10 +316,9 @@ class ShardedEngine(Engine):
         """Update matching rows on every shard; returns ``(old, new)`` pairs.
 
         The shard key column cannot be updated (the row would need to move
-        shards); refused while a rebalance is in flight.
+        shards).
         """
         with self._routed_write():
-            self._check_not_rebalancing("update_rows")
             shard_key = self._shard_keys.get(table)
             if shard_key is not None and shard_key in updates:
                 raise StorageError(
@@ -391,13 +328,6 @@ class ShardedEngine(Engine):
             for shard in self._shards:
                 updated.extend(shard.update_rows(table, predicate, updates))
         return updated
-
-    def _check_not_rebalancing(self, operation: str) -> None:
-        if self._pending is not None:
-            raise ConfigurationError(
-                f"engine {self.name!r} is rebalancing; {operation} is not "
-                f"supported while dual-writes are active"
-            )
 
     def insert_dicts(self, table: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert dictionary rows, routing each by the table's shard key."""
@@ -419,41 +349,16 @@ class ShardedEngine(Engine):
             )
         return self.table_schema(table).index_of(key)
 
-    def _mirror_relational_insert(self, table: str, key_index: int,
-                                  grouped: dict[int, list[tuple]]) -> None:
-        if self._pending is None:
-            return
-        shards, partitioner = self._pending
-        regrouped: dict[int, list[tuple]] = {}
-        for shard_rows in grouped.values():
-            for row in shard_rows:
-                regrouped.setdefault(partitioner.shard_for(row[key_index]), []).append(row)
-        for shard_index, shard_rows in regrouped.items():
-            shards[shard_index].insert(table, shard_rows)
-
     # -- write routing: key/value, timeseries, text/document ---------------------------
 
-    def _routed(self, key: str, write: Callable[[Engine], Any], *,
-                overrides: bool = False) -> Any:
-        """Apply ``write`` to the key's owning shard, and mirror it to the
-        pending shard set of a rebalance.
-
-        ``overrides``: the key's value is replaced, not extended, so the
-        rebalance's copy phase must not write its older value over it.
-        """
+    def _routed(self, key: str, write: Callable[[Engine], Any]) -> Any:
+        """Apply ``write`` to the key's owning shard."""
         with self._routed_write():
-            owner = self._shards[self._partitioner.shard_for(key)]
-            result = write(owner)
-            if self._pending is not None:
-                shards, partitioner = self._pending
-                write(shards[partitioner.shard_for(key)])
-                if overrides:
-                    self._pending_overrides.add(key)
-        return result
+            return write(self._shards[self._partitioner.shard_for(key)])
 
     def put(self, key: str, value: Any) -> None:
         """Insert or overwrite ``key`` on its owning shard."""
-        self._routed(key, lambda shard: shard.put(key, value), overrides=True)
+        self._routed(key, lambda shard: shard.put(key, value))
 
     def put_many(self, items: Mapping[str, Any]) -> None:
         """Insert or overwrite many keys."""
@@ -462,7 +367,7 @@ class ShardedEngine(Engine):
 
     def delete(self, key: str) -> None:
         """Delete ``key`` from its owning shard."""
-        self._routed(key, lambda shard: shard.delete(key), overrides=True)
+        self._routed(key, lambda shard: shard.delete(key))
 
     def create_series(self, key: str, tags: dict[str, str] | None = None) -> Any:
         """Create (or return) a series on its owning shard."""
@@ -558,159 +463,6 @@ class ShardedEngine(Engine):
         merged["shard_rows"] = [int(stats.get("rows", 0)) for stats in per_shard]
         merged["shards"] = len(per_shard)
         return merged
-
-    # -- rebalancing hooks (driven by repro.cluster.rebalance) -------------------------
-
-    @property
-    def rebalancing(self) -> bool:
-        """Whether a rebalance is in flight (dual-writes active)."""
-        with self._lock:
-            return self._pending is not None
-
-    # No changelog batch: topology bookkeeping; data deltas flow via dual-writes.
-    def begin_rebalance(self, partitioner: Partitioner) -> list[ShardPayload]:
-        """Atomically snapshot current data and install the pending shard set.
-
-        Returns the snapshot payloads the rebalancer must copy into the new
-        shards.  From this moment every write lands in *both* shard maps, so
-        the snapshot plus the dual-writes equals the full state at cutover.
-        """
-        with self._lock:
-            if self._pending is not None:
-                raise ConfigurationError(
-                    f"engine {self.name!r} is already rebalancing"
-                )
-            new_shards = [self._build_shard(i) for i in range(partitioner.num_shards)]
-            for table in self._shard_keys:
-                schema = self.table_schema(table)
-                kwargs = self._table_kwargs.get(table, {})
-                for shard in new_shards:
-                    shard.create_table(table, schema, **kwargs)
-                    for column, kind in self._table_indexes.get(table, {}).items():
-                        shard.create_index(table, column, kind=kind)
-            payloads = self._extract_snapshot()
-            self._pending = (new_shards, partitioner)
-            self._pending_overrides = set()
-            return payloads
-
-    def pending_topology(self) -> tuple[list[Engine], Partitioner]:
-        """The shard set and partitioner being populated by a rebalance."""
-        with self._lock:
-            if self._pending is None:
-                raise ConfigurationError(f"engine {self.name!r} is not rebalancing")
-            shards, partitioner = self._pending
-            return list(shards), partitioner
-
-    # No changelog batch: replays snapshot rows already emitted by the source.
-    def apply_payload(self, payload: ShardPayload, table: Table | None = None) -> int:
-        """Load one (possibly migrated) snapshot payload into the pending shards.
-
-        ``table`` is the payload's tabular data as received after migration;
-        it defaults to the payload's own table.  Returns rows applied.
-        """
-        with self._lock:
-            if self._pending is None:
-                raise ConfigurationError(f"engine {self.name!r} is not rebalancing")
-            shards, partitioner = self._pending
-            if payload.kind == "relational_table":
-                received = table if table is not None else payload.table
-                assert received is not None
-                key_index = received.schema.index_of(self._shard_keys[payload.name])
-                grouped: dict[int, list[tuple]] = {}
-                for row in received.rows:
-                    grouped.setdefault(
-                        partitioner.shard_for(row[key_index]), []).append(row)
-                for shard_index, rows in grouped.items():
-                    shards[shard_index].insert(payload.name, rows)
-                return len(received)
-            if payload.kind == "ts_series":
-                received = table if table is not None else payload.table
-                assert received is not None
-                points = [(float(t), float(v)) for t, v in received.rows]
-                owner = shards[partitioner.shard_for(payload.name)]
-                series = owner.create_series(payload.name, payload.tags)
-                if payload.tags:
-                    # A dual-written append may have auto-created the series
-                    # tagless before this payload arrived; create_series
-                    # ignores tags for existing series, so merge explicitly.
-                    series.tags.update(payload.tags)
-                owner.append_many(payload.name, points)
-                return len(points)
-            if payload.kind == "kv_items":
-                applied = 0
-                for key, value in payload.items or []:
-                    if key in self._pending_overrides:
-                        continue  # a dual-write since the snapshot is newer
-                    shards[partitioner.shard_for(key)].put(key, value)
-                    applied += 1
-                return applied
-            raise ConfigurationError(f"unknown payload kind {payload.kind!r}")
-
-    # No changelog batch: topology swap; every version bumped, nothing logged.
-    def cutover(self) -> list[Engine]:
-        """Swap the pending shard map in; returns the retired shards.
-
-        The data is unchanged, so nothing is logged and view cursors stay
-        valid; ``data_version`` and every scoped version still move up once,
-        so each pinned snapshot revalidates against the new shard set.
-        """
-        with self._lock:
-            if self._pending is None:
-                raise ConfigurationError(f"engine {self.name!r} is not rebalancing")
-            shards, self._partitioner = self._pending
-            retired = self._serve(shards)
-            self._pending = None
-            self._pending_overrides = set()
-            self._data_version += 1
-            self._unscoped_version += 1
-            if self._durability_cutover is not None:
-                # Still under the facade lock: the new generation must be
-                # snapshotted and the manifest swapped before any further
-                # write can land on the new shards.
-                self._durability_cutover(self, retired)
-            return retired
-
-    # No changelog batch: discards pending topology; facade data untouched.
-    def abort_rebalance(self) -> None:
-        """Discard the pending shard set (writes stop being mirrored)."""
-        with self._lock:
-            self._pending = None
-            self._pending_overrides = set()
-
-    def _extract_snapshot(self) -> list[ShardPayload]:
-        payloads: list[ShardPayload] = []
-        for shard in self._shards:
-            if self.data_model is DataModel.RELATIONAL:
-                for table in self._shard_keys:
-                    payloads.append(ShardPayload(
-                        kind="relational_table", name=table,
-                        source_shard=shard.name, table=shard.scan(table)))
-            elif self.data_model is DataModel.TIMESERIES:
-                for key in shard.list_series():
-                    series = shard.series(key)
-                    rows = [(point.timestamp, point.value) for point in series]
-                    payloads.append(ShardPayload(
-                        kind="ts_series", name=key, source_shard=shard.name,
-                        table=Table(_TS_PAYLOAD_SCHEMA, rows),
-                        tags=dict(series.tags)))
-            elif self.data_model is DataModel.KEY_VALUE:
-                payloads.append(ShardPayload(
-                    kind="kv_items", name=shard.name, source_shard=shard.name,
-                    items=list(shard.scan())))
-            else:
-                raise ConfigurationError(
-                    f"cannot rebalance a {self.data_model.value} sharded engine"
-                )
-        # Empty series still exist (and carry tags); only rowless table/kv
-        # payloads are pure noise.
-        return [payload for payload in payloads
-                if payload.rows or payload.kind == "ts_series"]
-
-    def _all_write_shards(self) -> list[Engine]:
-        shards = list(self._shards)
-        if self._pending is not None:
-            shards.extend(self._pending[0])
-        return shards
 
     def __repr__(self) -> str:
         return (f"ShardedEngine(name={self.name!r}, shards={self.num_shards}, "

@@ -253,43 +253,6 @@ class PolystorePlusPlus:
         self.register_engine(engine)
         return engine
 
-    def rebalance_sharded_engine(self, name: str, num_shards: int | None = None, *,
-                                 partitioner=None, strategy: str | None = None):
-        """Online-repartition a registered sharded engine (e.g. 4 -> 8 shards).
-
-        Data moves through this deployment's migrator (charging real
-        serialization plus simulated transfer on :attr:`network`); queries
-        keep answering against the old shard map until cutover.  Pinned scan
-        snapshots revalidate automatically because the engine's
-        ``data_version`` bumps at cutover.  Returns the
-        :class:`~repro.cluster.RebalanceReport`.
-
-        Supported for relational, key/value and timeseries shards; sharded
-        *document* (text) engines scatter-gather queries but cannot be
-        rebalanced yet (see DESIGN.md) — attempting it raises
-        :class:`~repro.exceptions.ConfigurationError`.
-        """
-        from repro.cluster import ShardedEngine, ShardRebalancer
-        from repro.middleware.migration import DataMigrator
-
-        engine = self.engine(name)
-        if not isinstance(engine, ShardedEngine):
-            raise ConfigurationError(
-                f"engine {name!r} is not a ShardedEngine; cannot rebalance"
-            )
-        migrator = DataMigrator(
-            self._network,
-            serializer_accelerator=self._serializer_accelerator,
-            default_strategy=(strategy or self.config.migration_strategy),
-        )
-        rebalancer = ShardRebalancer(engine, migrator=migrator)
-        report = rebalancer.rebalance(num_shards, partitioner=partitioner)
-        self.obs.logger("cluster").info(
-            "rebalance_cutover", engine=name,
-            shards_before=report.old_shards, shards_after=report.new_shards,
-            moved_rows=report.moved_rows, duration_s=report.duration_s)
-        return report
-
     def register_accelerator(self, accelerator: Accelerator, *,
                              use_for_migration: bool = False) -> Accelerator:
         """Attach a hardware accelerator (optionally used for migrations).

@@ -14,10 +14,7 @@ Built-in points (see :mod:`repro.durability.wal` / ``manager``):
 * ``"wal.append"`` — die mid-append, leaving a torn trailing record,
 * ``"snapshot.write"`` — die after writing a checkpoint file's temp file
   (page segment or snapshot) but before the atomic rename (the manifest
-  never references it),
-* ``"rebalance.cutover"`` — die after the new shard generation is
-  snapshotted but before the facade manifest swap (recovery must come back
-  on the *old* topology).
+  never references it).
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 import threading
 
 #: Names of the fault points compiled into the durability subsystem.
-KNOWN_POINTS = ("wal.append", "snapshot.write", "rebalance.cutover")
+KNOWN_POINTS = ("wal.append", "snapshot.write")
 
 
 class InjectedFault(RuntimeError):

@@ -11,9 +11,7 @@ supported engine registered on its system:
   ``snapshot_every`` records;
 * a :class:`ShardedStore` per :class:`~repro.cluster.ShardedEngine` nests
   one ``EngineStore`` per shard (per-shard WALs) under a facade store that
-  logs tiny counter records plus DDL, and treats a rebalance cutover as a
-  snapshot barrier followed by an atomic manifest swap — a crash before
-  the swap recovers on the *old* topology;
+  logs tiny counter records plus DDL;
 * registered views' definitions are pickled to ``views.pkl`` and
   re-registered after recovery (their state resyncs from the recovered
   base snapshots via the normal initialization path).
@@ -34,7 +32,6 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.durability import faults
 from repro.durability.snapshot import (
     SEGMENT_HEADER,
     SNAPSHOT_PREFIX,
@@ -375,11 +372,11 @@ class ShardedStore:
     ops.  Replaying them re-bumps the facade's version counters, the only
     ones its readers see, so its scoped versions come back exact.  Shards
     are subscribed to the facade only after both replays; a snapshot of an
-    older release may still carry ``version_base`` / ``scope_bases``
-    counters, which are ignored.  The facade manifest names
-    the shard *generation*; a rebalance cutover snapshots the new
-    generation, then atomically swaps the manifest — the only point where
-    the new topology becomes durable.
+    older release may still carry ``version_base``, ``scope_bases`` or
+    ``table_kwargs``, which are ignored (each shard's own snapshot keeps its
+    tables' ``create_table`` arguments).  The facade manifest names the
+    shard *generation*: this release writes ``g0-s*``, but an older one that
+    resized the shard set online wrote ``g1-s*`` and up, which still open.
     """
 
     def __init__(self, manager: "DurabilityManager", engine: "ShardedEngine",
@@ -418,7 +415,6 @@ class ShardedStore:
         engine = self.engine
         engine.changelog.attach_wal(self._on_batch)
         engine._durability_meta = self._on_meta
-        engine._durability_cutover = self._on_cutover
         self.checkpoint()
         self._gc_generations()
 
@@ -445,13 +441,10 @@ class ShardedStore:
         payload = load_snapshot(self.directory, manifest["snapshot"])
         num_shards = manifest["num_shards"]
         with engine._lock:
-            # The persisted topology wins over whatever the constructor
-            # built (e.g. a post-rebalance shard count).
+            # The persisted topology wins over whatever the constructor built.
             shards = [engine._build_shard(i) for i in range(num_shards)]
             engine._partitioner = payload["partitioner"]
             engine._shard_keys = dict(payload["shard_keys"])
-            engine._table_kwargs = {t: dict(kw) for t, kw
-                                    in payload["table_kwargs"].items()}
             engine._table_indexes = {t: dict(ix) for t, ix
                                      in payload["table_indexes"].items()}
             restore_counters(engine, payload["counters"])
@@ -506,10 +499,8 @@ class ShardedStore:
                 kind, args = op
                 if kind == "create_table":
                     engine._shard_keys[args["table"]] = args["shard_key"]
-                    engine._table_kwargs[args["table"]] = dict(args["kwargs"])
                 elif kind == "drop_table":
                     engine._shard_keys.pop(args["table"], None)
-                    engine._table_kwargs.pop(args["table"], None)
                     engine._table_indexes.pop(args["table"], None)
             engine.mark_data_changed(record["scope"],
                                      entries=None if record["gap"] else (),
@@ -536,37 +527,6 @@ class ShardedStore:
         assert self._wal is not None
         self._wal.append({"k": "m", "op": op})
 
-    # -- cutover ------------------------------------------------------------------------
-
-    def _on_cutover(self, engine: "ShardedEngine",
-                    retired: list[Engine]) -> None:
-        """Make a rebalance cutover durable (called under the facade lock).
-
-        Snapshot barrier: the new generation's shards are checkpointed into
-        fresh directories first; only the facade manifest swap (inside
-        :meth:`checkpoint`) commits the new topology.  A crash before the
-        swap — the ``"rebalance.cutover"`` fault point — recovers on the
-        old generation, whose stores were left intact.
-        """
-        if not self.liveness.alive:
-            return
-        for store in self._shard_stores:
-            store.detach()
-        old_generation = self.generation
-        self.generation += 1
-        self._shard_stores = self._build_shard_stores(engine.shards)
-        if faults.trip("rebalance.cutover"):
-            self.liveness.kill()
-            raise faults.InjectedFault(
-                f"fault point 'rebalance.cutover' fired in {self.directory}"
-            )
-        self.checkpoint()
-        self._gc_generations()
-        self.manager.obs.logger("durability").info(
-            "rebalance_cutover_durable", engine=engine.name,
-            generation=self.generation, old_generation=old_generation,
-            shards=len(engine.shards))
-
     # -- checkpoint ---------------------------------------------------------------------
 
     def checkpoint(self) -> None:
@@ -583,8 +543,6 @@ class ShardedStore:
             payload = {
                 "partitioner": engine._partitioner,
                 "shard_keys": dict(engine._shard_keys),
-                "table_kwargs": {t: dict(kw) for t, kw
-                                 in engine._table_kwargs.items()},
                 "table_indexes": {t: dict(ix) for t, ix
                                   in engine._table_indexes.items()},
                 "counters": dump_counters(engine),
@@ -656,7 +614,6 @@ class ShardedStore:
         engine = self.engine
         engine.changelog.detach_wal()
         engine._durability_meta = None
-        engine._durability_cutover = None
         if self._wal is not None:
             self._wal.close()
 

@@ -18,11 +18,11 @@ tracebacks and profiles show the generated line.
 from __future__ import annotations
 
 import functools
+import itertools
 import linecache
 import operator
 import textwrap
 import weakref
-import zlib
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.exceptions import QueryError
@@ -50,6 +50,12 @@ _GLOBALS = {"__builtins__": {}, "div": _none_on_zero(operator.truediv),
             "mod": _none_on_zero(operator.mod), "min": min, "max": max}
 
 
+#: Numbers each compile's filename: a text compiled again after the cache
+#: evicted it gets a new name, so the first one's finalizer cannot pop the
+#: entry of its live twin.
+_COMPILES = itertools.count()
+
+
 @functools.lru_cache(maxsize=512)
 def factory(kind: str, signature: str, body: str, literals: int
             ) -> Callable[..., Callable[..., Any]]:
@@ -57,7 +63,7 @@ def factory(kind: str, signature: str, body: str, literals: int
     source = (f"def bind({', '.join(f'k{i}' for i in range(literals))}):\n"
               f"    def kernel({signature}):\n{textwrap.indent(body, ' ' * 8)}\n"
               f"    return kernel\n")
-    filename = f"<kernel {kind} {len(source)}-{zlib.crc32(source.encode()):08x}>"
+    filename = f"<kernel {kind} {next(_COMPILES)}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = dict(_GLOBALS)
     exec(compile(source, filename, "exec"), namespace)

@@ -2,17 +2,16 @@
 
 Every batch a serving shard logs reaches the facade's log, whether the write
 was routed through the facade or made on the shard directly; views and
-pinned reads trust the facade alone.  A rebalance cutover logs nothing and
-moves every version up once.
+pinned reads trust the facade alone.
 """
 
 from __future__ import annotations
 
 from repro import PolystorePlusPlus, col
-from repro.cluster import HashPartitioner
 from repro.compiler.pipeline import CompilerOptions
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide.dataflow import DataflowProgram, Dataset
+from repro.cluster import ShardedEngine
 from repro.stores import RelationalEngine
 from repro.stores.changelog import PageEntry, table_scope
 
@@ -86,41 +85,23 @@ def test_pinned_read_sees_a_direct_shard_write_on_its_next_run():
     assert not any(r.cached for r in result.report.records)
 
 
-def test_rebalance_moves_every_scoped_version_up_and_resyncs_no_view():
-    system, engine = _deploy(2, [(i, "alpha", 1.0) for i in range(20)])
-    engine.shard(0).load_table("side", Table(EVENTS, [(1, "beta", 1.0)]))
-    view = system.create_view("counts", _counts(system), policy="manual")
-    scopes = sorted(engine.known_scopes()) + [table_scope("never-written")]
-    assert table_scope("side") in scopes
-    before = {scope: engine.data_version_for(scope) for scope in scopes}
-    version = engine.data_version
+def test_only_serving_shards_reach_the_facade_log(tmp_path):
+    system = PolystorePlusPlus(data_dir=str(tmp_path))
+    system.register_sharded_engine("base", RelationalEngine, 2).load_table(
+        "events", Table(EVENTS, [(i, "alpha", 1.0) for i in range(20)]))
+    system.close()
 
-    system.rebalance_sharded_engine("base", 4)
-
-    assert engine.data_version > version
-    assert all(engine.data_version_for(scope) > before[scope] for scope in scopes)
-    assert view.refresh().kind == "noop"
-    engine.insert("events", [(100, "alpha", 1.0)])
-    assert view.refresh().kind == "incremental"
-    assert view.full_recomputes == 0
-    assert view.read()[0].to_dicts() == [{"grp": "alpha", "n": 21}]
-
-
-def test_only_serving_shards_reach_the_facade_log():
-    _, engine = _deploy(2, [(i, "alpha", 1.0) for i in range(20)])
-    serving = engine.shards
+    reborn = PolystorePlusPlus(data_dir=str(tmp_path))
+    engine = ShardedEngine("base", RelationalEngine, 2)
+    built = engine.shards
+    reborn.register_engine(engine)  # restore serves the shards it recovered
+    assert not set(built) & set(engine.shards)
     head = engine.changelog.latest_seq
-    for payload in engine.begin_rebalance(HashPartitioner(3)):
-        engine.apply_payload(payload)
-    pending, _ = engine.pending_topology()
-    pending[0].insert("events", [(200, "beta", 1.0)])
-    assert engine.changelog.latest_seq == head  # copies and pending writes
-    engine.cutover()
-    assert engine.changelog.latest_seq == head  # the swap itself
-    serving[0].insert("events", [(201, "beta", 1.0)])  # a retired shard
+    built[0].load_table("events", Table(EVENTS, [(201, "beta", 1.0)]))  # retired
     assert engine.changelog.latest_seq == head
-    engine.shard(2).insert("events", [(202, "beta", 1.0)])
+    engine.shard(1).insert("events", [(202, "beta", 1.0)])
     assert engine.changelog.latest_seq == head + 1
+    reborn.close()
 
 
 def test_a_direct_shard_write_recovers_with_the_facade_versions(tmp_path):

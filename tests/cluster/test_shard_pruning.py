@@ -170,30 +170,6 @@ class TestRelationalPruning:
         assert sorted(map(key, sharded)) == sorted(map(key, unsharded))
 
 
-class TestPruningSurvivesRebalance:
-    def test_index_and_routing_follow_a_resharding(self, sales_system):
-        system, engine = sales_system
-        engine.create_index("sales", "customer_id")
-        program = DataflowProgram("keyed")
-        program.output("rows",
-                       dataset("salesdb").table("sales")
-                       .filter(col("customer_id") == 7))
-        before = system.execute(program).output("rows").to_dicts()
-
-        system.rebalance_sharded_engine("salesdb", 8)
-        assert engine.num_shards == 8
-        owner = engine.partitioner.shard_for(7)
-        contacted, result = _contacts(engine, lambda: system.execute(program))
-        assert contacted == [owner]
-        # Indexes were replayed onto the new shards: still an index_seek.
-        record = [r for r in result.report.records
-                  if r.kind == "index_seek"][0]
-        assert record.details["fan_out"] == "routed"
-        key = lambda row: sorted(row.items())  # noqa: E731
-        assert sorted(map(key, result.output("rows").to_dicts())) == \
-            sorted(map(key, before))
-
-
 class TestTimeseriesPruning:
     def test_series_key_predicate_contacts_owner_only(self):
         system = build_cpu_polystore([])

@@ -8,7 +8,13 @@ from repro.cluster import HashPartitioner, RangePartitioner, ShardedEngine
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import ConfigurationError, StorageError
-from repro.stores import KeyValueEngine, RelationalEngine, TimeseriesEngine
+from repro.stores import (
+    GraphEngine,
+    KeyValueEngine,
+    MLEngine,
+    RelationalEngine,
+    TimeseriesEngine,
+)
 from repro.stores.base import DataModel
 
 
@@ -57,13 +63,18 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ShardedEngine("db", lambda i: object(), 2)
 
+    def test_non_partitionable_models_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ShardedEngine("g", GraphEngine, 2)
+        with pytest.raises(ConfigurationError):
+            ShardedEngine("m", MLEngine, 2)
+
     def test_describe_reports_topology(self):
         engine = _loaded_relational(2)
         description = engine.describe()
         assert description["shards"] == ["ordersdb-s0", "ordersdb-s1"]
         assert description["partitioner"]["num_shards"] == 2
         assert description["shard_keys"] == {"orders": "order_id"}
-        assert description["rebalancing"] is False
 
 
 class TestRelationalRouting:
@@ -184,8 +195,3 @@ class TestSystemRegistration:
         assert system.catalog.table_rows("ordersdb", "orders") == 0
         engine.load_table("orders", Table(_orders_schema(), [(1, "a", 2.0)]))
         assert system.catalog.table_rows("ordersdb", "orders") == 1
-
-    def test_rebalance_rejects_plain_engines(self):
-        system = build_accelerated_polystore([RelationalEngine("plain")])
-        with pytest.raises(ConfigurationError):
-            system.rebalance_sharded_engine("plain", 2)

@@ -20,6 +20,7 @@ from repro.compiler.pipeline import CompilerOptions
 from repro.core.system import SystemConfig
 from repro.datamodel import DataType, Table, make_schema
 from repro.durability import InjectedFault, faults
+from repro.durability.snapshot import load_manifest, load_snapshot
 from repro.durability.state import dump_state, restore_state
 from repro.eide.dataflow import DataflowProgram, Dataset
 from repro.exceptions import ConfigurationError
@@ -30,6 +31,7 @@ from repro.stores import (
     TextEngine,
     TimeseriesEngine,
 )
+from repro.stores.changelog import table_scope
 
 SCHEMA = make_schema(("order_id", DataType.INT), ("customer", DataType.STRING),
                      ("amount", DataType.FLOAT))
@@ -390,41 +392,59 @@ class TestShardedDurability:
         assert _engine_fingerprint(engine2)["scoped"] == expected["scoped"]
         assert engine2.has_index("orders", "customer")
 
-    def test_rebalance_cutover_is_durable(self, tmp_path):
-        system, engine = self._deploy(tmp_path, num_shards=2)
-        engine.load_table("orders", Table(SCHEMA, [
-            (i, f"c{i % 5}", float(i)) for i in range(40)
-        ]))
-        system.rebalance_sharded_engine("ordersdb", 4)
-        assert engine.num_shards == 4
-        engine.insert("orders", [(1000, "cX", 3.0)])
-        expected_rows = sorted(engine.scan("orders").rows)
-        expected_scoped = _engine_fingerprint(engine)["scoped"]
+    def test_directory_an_online_resize_wrote_opens_on_its_recorded_shards(
+            self, tmp_path):
+        # data/legacy-sharded was written by the last release that could
+        # resize a sharded engine online: a durable 2-shard ordersdb, create
+        # orders (4 rows a page), insert ids 0..39, hash index on customer,
+        # resize to 4 shards (manifest generation 1, shards under g1-s*, a
+        # facade snapshot carrying table_kwargs); then — the WAL tail —
+        # insert ids 100 and 101, insert id 102, and a hard kill.
+        data_dir = tmp_path / "data"
+        shutil.copytree(Path(__file__).parent / "data" / "legacy-sharded", data_dir)
+        facade = data_dir / "engines" / "ordersdb"
+        manifest = load_manifest(facade)
+        assert manifest["generation"] == 1
+        assert "table_kwargs" in load_snapshot(facade, manifest["snapshot"])
+        expected = [(i, f"c{i % 5}", float(i % 9)) for i in range(40)]
+        expected += [(100, "c9", 1.5), (101, "c9", 2.5), (102, "c7", 3.5)]
+
+        def check(system, engine, replayed):
+            report = system.durability.recovery_report()["ordersdb"]
+            assert report["generation"] == 1
+            assert report["replayed_batches"] == replayed
+            assert engine.num_shards == 4
+            assert sorted(engine.scan("orders").rows) == expected
+            for index, shard in enumerate(engine.shards):
+                assert all(engine.partitioner.shard_for(row[0]) == index
+                           for row in shard.scan("orders").rows)
+                assert shard._tables["orders"].heap.page_capacity == 4
+            # What the writing release read back after its own recovery.
+            assert _engine_fingerprint(engine)["scoped"] == {table_scope("orders"): 9}
+            assert (engine.data_version, engine.changelog.latest_seq) == (9, 8)
+            assert engine.has_index("orders", "customer")
+
+        system = PolystorePlusPlus(data_dir=str(data_dir))
+        engine = system.register_sharded_engine("ordersdb", RelationalEngine, 2)
+        check(system, engine, replayed=3)
+        engine.insert("orders", [(103, "c3", 4.5)])
+        owner = engine.shard(engine.partitioner.shard_for(103))
+        assert (103, "c3", 4.5) in owner.scan("orders").rows
+        expected.append((103, "c3", 4.5))
+        scoped = engine.data_version_for(table_scope("orders"))
         system.close()
+        assert "table_kwargs" not in load_snapshot(
+            facade, load_manifest(facade)["snapshot"])
+        assert sorted(p.name for p in (facade / "shards").iterdir()) == [
+            f"g1-s{i}" for i in range(4)]
 
-        reborn = PolystorePlusPlus(data_dir=str(tmp_path))
-        engine2 = reborn.register_sharded_engine("ordersdb", RelationalEngine, 2)
-        assert engine2.num_shards == 4
-        assert sorted(engine2.scan("orders").rows) == expected_rows
-        assert _engine_fingerprint(engine2)["scoped"] == expected_scoped
-
-    def test_mid_cutover_kill_recovers_on_old_topology(self, tmp_path):
-        system, engine = self._deploy(tmp_path, num_shards=2)
-        rows = [(i, f"c{i % 5}", float(i)) for i in range(40)]
-        engine.load_table("orders", Table(SCHEMA, rows))
-        faults.arm("rebalance.cutover")
-        with pytest.raises(InjectedFault):
-            system.rebalance_sharded_engine("ordersdb", 4)
-
-        reborn = PolystorePlusPlus(data_dir=str(tmp_path))
-        engine2 = reborn.register_sharded_engine("ordersdb", RelationalEngine, 2)
-        # The manifest swap never happened: the old generation serves.
-        assert engine2.num_shards == 2
-        assert sorted(engine2.scan("orders").rows) == sorted(rows)
-        # And the next rebalance works from the recovered state.
-        reborn.rebalance_sharded_engine("ordersdb", 4)
-        assert engine2.num_shards == 4
-        assert sorted(engine2.scan("orders").rows) == sorted(rows)
+        reborn = PolystorePlusPlus(data_dir=str(data_dir))
+        engine = reborn.register_sharded_engine("ordersdb", RelationalEngine, 2)
+        assert engine.num_shards == 4
+        assert sorted(engine.scan("orders").rows) == sorted(expected)
+        assert engine.data_version_for(table_scope("orders")) == scoped
+        assert reborn.durability.recovery_report()["ordersdb"]["replayed_batches"] == 0
+        reborn.close()
 
     def test_kill_during_routed_write_matches_twin(self, tmp_path):
         system, engine = self._deploy(tmp_path, num_shards=2)

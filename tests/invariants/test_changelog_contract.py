@@ -18,8 +18,8 @@ same-class helper it calls (e.g. routed writes through the
 ``_routed_write`` context manager).
 
 Maintenance operations that reorganize storage without changing logical
-content (flush, compact, the rebalance steps) are named in ``ALLOWED`` with
-their reason.  Only attach/detach/recover lifecycle hooks are exempt by
+content (the key/value engine's flush and compact) are named in ``ALLOWED``
+with their reason.  Only attach/detach/recover lifecycle hooks are exempt by
 name.
 """
 
@@ -33,14 +33,6 @@ from srcwalk import attr_chain, parse, seeded_problems, tree_problems, walk_scop
 
 #: (file, "Class.method") -> why the method changes no logical content.
 ALLOWED = {
-    ("src/repro/cluster/sharded.py", "ShardedEngine.begin_rebalance"):
-        "topology bookkeeping; data deltas flow via dual-writes",
-    ("src/repro/cluster/sharded.py", "ShardedEngine.apply_payload"):
-        "replays snapshot rows already emitted by the source",
-    ("src/repro/cluster/sharded.py", "ShardedEngine.cutover"):
-        "topology swap; every version bumped, nothing logged",
-    ("src/repro/cluster/sharded.py", "ShardedEngine.abort_rebalance"):
-        "discards pending topology; facade data untouched",
     ("src/repro/stores/keyvalue/engine.py", "KeyValueEngine.flush"):
         "structural reorganization; logical content unchanged",
     ("src/repro/stores/keyvalue/engine.py", "KeyValueEngine.compact"):

@@ -274,3 +274,16 @@ def test_a_kernel_text_goes_when_its_last_function_does():
     del kernel
     gc.collect()
     assert filename not in linecache.cache
+
+
+def test_a_text_compiled_again_keeps_its_text_when_the_first_compile_goes():
+    """An evicted factory and its recompiled twin name their texts apart: the
+    first one's finalizer leaves the twin's ``linecache`` entry alone."""
+    first = (col("pid") % 991 > 7).compile(POINTS)
+    factory.cache_clear()
+    second = (col("pid") % 991 > 7).compile(POINTS)
+    filename = second.__code__.co_filename
+    assert first.__code__.co_filename != filename
+    del first
+    gc.collect()
+    assert "k0" in "".join(linecache.getlines(filename))

@@ -240,21 +240,6 @@ class TestShardedChangelog:
         weights = [w for _, w in entries]
         assert weights.count(1) == 21
 
-    def test_facade_log_survives_rebalance_cutover(self):
-        engine = self._sharded()
-        cursor = engine.changelog.latest_seq
-        from repro.cluster import ShardRebalancer
-
-        ShardRebalancer(engine).rebalance(5)
-        # The cutover appended nothing and invalidated nothing on the log:
-        # a delta consumer's cursor stays valid across the topology change.
-        batches, complete = engine.changelog.read_since(cursor, table_scope("orders"))
-        assert complete and batches == []
-        engine.insert("orders", [(200, 2, 1.0)])
-        batches, complete = engine.changelog.read_since(cursor, table_scope("orders"))
-        assert complete
-        assert [e for b in batches for e in b.entries] == [((200, 2, 1.0), 1)]
-
     def test_per_shard_logs_exist(self):
         engine = self._sharded()
         per_shard_entries = 0
@@ -269,50 +254,6 @@ class TestShardedChangelog:
         version = engine.data_version_for(table_scope("orders"))
         engine.insert("orders", [(300, 3, 1.0)])
         assert engine.data_version_for(table_scope("orders")) > version
-
-    def test_rebalance_changes_scoped_version(self):
-        engine = self._sharded()
-        version = engine.data_version_for(table_scope("orders"))
-        from repro.cluster import ShardRebalancer
-
-        ShardRebalancer(engine).rebalance(4)
-        assert engine.data_version_for(table_scope("orders")) != version
-
-    def test_scoped_versions_never_regress_across_cutover(self):
-        # ABA regression: the new shard set's counters start near zero, so
-        # without per-scope re-basing a scope could return to a previously
-        # observed value and falsely re-validate a pinned snapshot.
-        from repro.cluster import ShardRebalancer
-
-        engine = ShardedEngine("cluster", RelationalEngine, 1)
-        engine.load_table("orders", Table(_orders_schema(), [
-            (i, i, float(i)) for i in range(10)]))
-        observed = [engine.data_version_for(table_scope("orders"))]
-        engine.insert("orders", [(100, 1, 1.0)])
-        observed.append(engine.data_version_for(table_scope("orders")))
-        ShardRebalancer(engine).rebalance(4)
-        observed.append(engine.data_version_for(table_scope("orders")))
-        assert observed == sorted(observed)
-        assert len(set(observed)) == len(observed), \
-            f"scoped version repeated across cutover: {observed}"
-
-    def test_scope_bases_survive_a_second_cutover(self):
-        # Regression: a scope recorded only on retired shards (here via a
-        # direct-to-shard write) must keep its cutover base through later
-        # rebalances, or its version would regress to zero.
-        from repro.cluster import ShardRebalancer
-
-        engine = self._sharded(shards=1)
-        engine.shard(0).load_table("direct", Table(_orders_schema(),
-                                                   [(1, 1, 1.0)]))
-        observed = [engine.data_version_for(table_scope("direct"))]
-        ShardRebalancer(engine).rebalance(2)
-        observed.append(engine.data_version_for(table_scope("direct")))
-        ShardRebalancer(engine).rebalance(3)
-        observed.append(engine.data_version_for(table_scope("direct")))
-        assert observed == sorted(observed)
-        assert len(set(observed)) == len(observed), \
-            f"scoped version regressed across cutovers: {observed}"
 
     def test_bulk_batches_age_out_by_retained_rows(self):
         log = ChangeLog(capacity=100, max_rows=10)
@@ -334,41 +275,6 @@ class TestShardedChangelog:
         log.append("s", [(0, 1)])
         batches, complete = log.read_since(log.latest_seq - 1, "s")
         assert complete and len(batches) == 1
-
-    def test_pinned_scan_not_replayed_after_insert_plus_rebalance(self):
-        # End-to-end form of the ABA scenario: write then rebalance; the
-        # next prepared run must see the write, not replay the stale pin.
-        from repro.core import build_accelerated_polystore
-        from repro.eide.dataflow import DataflowProgram, dataset
-
-        engine = ShardedEngine("cluster", RelationalEngine, 1)
-        engine.load_table("orders", Table(_orders_schema(), [
-            (i, i, float(i)) for i in range(10)]))
-        system = build_accelerated_polystore([engine])
-        program = DataflowProgram("scan-orders")
-        program.output("orders", dataset("cluster").table("orders"))
-        session = system.session()
-        prepared = session.prepare(program)
-        assert len(prepared.run().output("orders")) == 10
-        engine.insert("orders", [(100, 1, 1.0)])
-        system.rebalance_sharded_engine("cluster", 4)
-        result = prepared.run()
-        assert len(result.output("orders")) == 11
-        assert not any(r.cached for r in result.report.records)
-
-    def test_delete_update_refused_during_rebalance(self):
-        from repro.exceptions import ConfigurationError
-        from repro.cluster.partition import HashPartitioner
-
-        engine = self._sharded()
-        engine.begin_rebalance(HashPartitioner(4))
-        with pytest.raises(ConfigurationError):
-            engine.delete_rows("orders", col("order_id") == 1)
-        with pytest.raises(ConfigurationError):
-            engine.update_rows("orders", col("order_id") == 1, {"amount": 0.0})
-        engine.abort_rebalance()
-        assert len(engine.delete_rows("orders", col("order_id") == 1)) == 1
-
 
 class TestLeafReadScopes:
     def test_scope_mapping(self):

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro import PolystorePlusPlus, col
-from repro.cluster import ShardedEngine
 from repro.compiler.pipeline import CompilerOptions
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide.dataflow import DataflowProgram, Dataset
@@ -260,26 +259,6 @@ def test_facade_partial_write_failure_still_relays_landed_rows():
     assert _canon(view.read()[0].to_dicts()) == _canon(_recompute(system, expr))
 
 
-def test_rebalance_alone_does_not_force_a_resync():
-    # A cutover moves every scoped version up once without changing data and
-    # logs no batch, so an incremental view must not misread the bump as a
-    # change and pay an O(base) rebuild.
-    system = PolystorePlusPlus()
-    engine = system.register_sharded_engine("base", RelationalEngine, 2)
-    engine.load_table("events", Table(_schema(), [
-        (i, "alpha", 1.0) for i in range(20)]))
-    expr = (system.dataset("base").table("events")
-            .aggregate(["grp"], n=("count", None)))
-    view = system.create_view("counts", expr, policy="manual")
-    system.rebalance_sharded_engine("base", 4)
-    assert view.refresh().kind == "noop"
-    engine.insert("events", [(100, "alpha", 1.0)])
-    outcome = view.refresh()
-    assert outcome.kind == "incremental"
-    assert view.full_recomputes == 0
-    assert view.read()[0].to_dicts()[0]["n"] == 21
-
-
 def test_limit_without_an_ordering_producer_falls_back_to_recompute():
     # Regression: a limit separated from its sort by a linear operator (or
     # with no sort at all) cannot be maintained from unordered Z-sets —
@@ -352,18 +331,3 @@ def test_global_aggregate_survives_emptying_the_table():
     # A global aggregate over an empty input still yields exactly one row.
     assert view.read()[0].to_dicts() == _recompute(system, expr)
     assert view.read()[0].to_dicts() == [{"total": None, "n": 0}]
-
-
-@pytest.mark.parametrize("seed", [19])
-def test_sharded_base_with_rebalance_mid_stream(seed):
-    system, engine, rng = _build_system(True, seed)
-    expr = _agg_expr(system)
-    view = system.create_view("agg", expr, policy="manual")
-    next_id = 50_000
-    for step in range(6):
-        next_id = _mutate(engine, rng, next_id, step)
-        if step == 2:
-            system.rebalance_sharded_engine("base", 5)
-        view.refresh()
-        _assert_matches(view.read()[0], system, expr, step)
-    assert isinstance(engine, ShardedEngine) and engine.num_shards == 5
