@@ -7,14 +7,17 @@ A sales table is hash-partitioned across 4 relational shards on
 * **pruned** (default compiler options): the pushdown pass absorbs the
   structured predicate into the scan and the scatter path routes the read to
   the single shard owning ``K``;
-* **full scatter** (``pushdown=False``): the filter stays a separate
-  operator, so the scan fans out to every shard and the predicate is applied
-  partition-wise afterwards.
+* **full scatter** (``pushdown=False``): the filter is not absorbed into the
+  scan by pushdown; the fusion pass still folds it, with the aggregate, into
+  the scan's page walk, and its shard-key conjunct then routes that read to
+  the owning shard too.
 
-The headline metric is *charged* time (thread-CPU critical path, the same
-accounting as ``bench_sharded_scan``): the pruned read must beat the full
+The headline metric is *charged* time (a relational read's thread CPU, one
+read however many shards it folds): the pruned read must beat the full
 scatter-gather by at least ``PRUNING_MIN_SPEEDUP`` (default 2x) at 4 shards,
-and both plans must return identical rows.
+and both plans must return identical rows.  Measured on a 2-core box: 1.3-1.7x
+at the default five iterations and 1.2-1.8x in the smoke form (10 runs each),
+under both bars.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_dataflow_pruning.py -q
 Smoke mode (CI):  PRUNING_BENCH_ITERS=1 PYTHONPATH=src python -m pytest ...

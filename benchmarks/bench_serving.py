@@ -13,9 +13,9 @@ Two measurements:
   ``QUOTA_EXCEEDED``) are retried with the server's hint; a sampler thread
   asserts the admission queue never exceeds its configured bound.  Reports
   QPS and p50/p99 client latency through :mod:`benchmarks._emit`.
-* **cooperative cancellation** — a sharded deployment whose first shard
-  scan cancels the request's token; with a serial fan-out the remaining
-  shard subtasks must never dispatch, asserted via the recorded
+* **cooperative cancellation** — a sharded key/value deployment whose
+  first shard read cancels the request's token; with a serial fan-out the
+  remaining shard subtasks must never dispatch, asserted via the recorded
   ``shard:*`` trace spans (strictly fewer than the shard count).
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_serving.py -q
@@ -36,7 +36,7 @@ from repro.datamodel import DataType, Table, make_schema
 from repro.eide import Param
 from repro.exceptions import CancelledError
 from repro.serve.client import ServeError
-from repro.stores import RelationalEngine
+from repro.stores import KeyValueEngine, RelationalEngine
 
 from benchmarks._emit import emit
 
@@ -267,29 +267,27 @@ def test_health_op_on_durable_sharded_deployment(tmp_path):
 
 
 def test_cancelled_request_stops_before_all_shards():
-    """Deterministic end-to-end cancellation: the first shard's scan trips
+    """Deterministic end-to-end cancellation: the first shard's read trips
     the token; the serial fan-out must not dispatch the remaining shards,
     observed via the recorded shard subtask spans."""
     token = CancellationToken()
     scans: list[str] = []
 
-    class HookedEngine(RelationalEngine):
-        def scan(self, table, columns=None, predicate=None):
+    class HookedEngine(KeyValueEngine):
+        def range(self, start=None, end=None):
             scans.append(self.name)
             if len(scans) == 1:
                 token.cancel("benchmark cancel after first shard")
-            return super().scan(table, columns, predicate)
+            return super().range(start, end)
 
     num_shards = 4
     system = PolystorePlusPlus(SystemConfig(
         obs_enabled=True, obs_trace_sample_rate=1.0))
     engine = system.register_sharded_engine("sharddb", HookedEngine,
                                             num_shards)
-    engine.load_table("events", Table(
-        make_schema(("row_id", DataType.INT), ("value", DataType.FLOAT)),
-        [(i, float(i)) for i in range(64)]), shard_key="row_id")
+    engine.put_many({f"ev/{i}": {"value": float(i)} for i in range(64)})
 
-    expr = system.dataset("sharddb").table("events").filter(
+    expr = system.dataset("sharddb").kv(key_prefix="ev/").filter(
         col("value") >= 0.0)
     program = DataflowProgram("cancelled_scan")
     program.output("out", expr)

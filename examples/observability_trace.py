@@ -7,7 +7,8 @@ observability on at ``obs_trace_sample_rate=1.0``.  The example then
 checks the claims the instrumentation makes:
 
 * the Prometheus export parses and contains the core metric families,
-* per-shard subtask spans nest (transitively) under their request span,
+* each run's one read over the three shards' heaps is one span
+  (``shard:0+1+2``) nested (transitively) under its request span,
 * WAL fsync spans nest under the ingest request that caused them,
 * the span buffer converts to a Chrome ``trace_event`` document —
   pass ``--trace PATH`` to write it, then load it in
@@ -92,7 +93,7 @@ def build_scan_program(system) -> DataflowProgram:
 
 
 def check_span_nesting(system) -> tuple[int, int]:
-    """Shard subtask and WAL fsync spans must sit under request spans."""
+    """Sharded read and WAL fsync spans must sit under request spans."""
     spans = system.obs.tracer.spans()
     by_kind = {"shard": [], "wal_fsync": []}
     for span in spans:
@@ -100,7 +101,12 @@ def check_span_nesting(system) -> tuple[int, int]:
             by_kind["shard"].append(span)
         elif span.name == "wal_fsync":
             by_kind["wal_fsync"].append(span)
-    assert len(by_kind["shard"]) >= N_SHARDS, by_kind
+    # A prepared run re-reads only after a write, so at least the first run
+    # read, and every read folded all three shards in one span.
+    assert by_kind["shard"], by_kind
+    whole = "shard:" + "+".join(map(str, range(N_SHARDS)))
+    assert all((span.name, span.attrs["shards"]) == (whole, N_SHARDS)
+               for span in by_kind["shard"]), by_kind["shard"]
     assert by_kind["wal_fsync"], "sync=always ingest produced no fsync spans"
     for kind, group in by_kind.items():
         for span in group:
@@ -147,7 +153,7 @@ def main() -> None:
 
         # -- span tree: subtasks and fsyncs nest under their requests --
         shards, fsyncs = check_span_nesting(system)
-        print(f"span nesting ok: {shards} shard subtask spans, "
+        print(f"span nesting ok: {shards} sharded read spans, "
               f"{fsyncs} WAL fsync spans, all under request spans")
 
         # -- Chrome trace: write it for Perfetto / about:tracing --

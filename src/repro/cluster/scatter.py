@@ -1,29 +1,27 @@
 """Scatter-gather execution over a :class:`~repro.cluster.sharded.ShardedEngine`.
 
 The executor delegates here when an operator is bound to a sharded engine.
-Three operator classes are handled:
 
-* **leaf reads** (``scan``, ``kv_range``, ``ts_summarize``, ...) fan out to
+* **relational leaf reads** (``scan``, ``index_seek``) are one engine call
+  over the shards they need — all of them, or the owning subset when the
+  read names the table's shard key — which reads those shards' heaps in
+  shard order as one engine reads one heap (a fused aggregate folds them in
+  one pass).  The result is one table, so every operator above it runs as
+  on one engine, through the primary shard.
+* **other leaf reads** (``kv_range``, ``ts_summarize``, ...) fan out to
   every shard's adapter and produce a :class:`ShardedValue` — the per-shard
-  partitions stay separate so downstream shard-local operators keep working
-  partition-wise.  Reads that name their key (``index_seek`` on the declared
-  shard key, ``ts_range``/``window_aggregate`` on one series, ``kv_get`` with
-  explicit keys) are *routed* to the owning shard(s) instead of broadcast.
-* **partition-wise operators** (``filter``, ``project``) apply to each
-  partition independently and stay sharded.
-* **merging operators** reassemble one value: ``aggregate`` folds per-shard
-  *partial* aggregates in the generated aggregate loop (``avg`` decomposes
-  into ``sum``/``count``) — computed by each shard's scan when the compiler
-  fused the two, by an aggregate per partition otherwise — ``sort`` merges
-  per-shard sorted runs in order, ``limit``/``top_k``/``text_search``
-  re-apply their cut after concatenation.
+  partitions stay separate so ``filter`` / ``project`` keep working
+  partition-wise.  Reads that name their key (``ts_range`` /
+  ``window_aggregate`` on one series, ``kv_get`` with explicit keys) are
+  *routed* to the owning shard(s) instead of broadcast; ``text_search``
+  re-ranks the shards' hits.
 
 Everything else returns ``None`` and the executor falls back to the primary
 shard.  Shard subtasks run one after another on the calling thread, and each
-records its thread-CPU time; the scatter's charged (simulated) time is the
-*critical path* — the slowest shard plus the merge — which models the shards
-as separate machines the way migration and offload charges model the network
-and devices.
+records its thread-CPU time.  A fan-out is charged its *critical path* — the
+slowest shard plus the merge — which models the shards as separate machines
+the way migration and offload charges model the network and devices; a
+relational read is charged its own thread CPU, one read on one machine.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.cancellation import CancellationToken
@@ -40,18 +39,20 @@ from repro.compiler.passes.pushdown import predicate_key_values
 from repro.stores.relational.expressions import Expression
 from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Row, Table
-from repro.middleware.adapters import Adapter, adapter_for
+from repro.middleware.adapters import Adapter, RelationalAdapter, adapter_for
 from repro.obs import Observability
 from repro.ir.kinds import KINDS
-from repro.ir.nodes import COMBINE_PARTIALS, Operator
-from repro.stores.base import Engine
-from repro.stores.relational.operators import (
+from repro.ir.nodes import Operator
+from repro.stores.base import DataModel, Engine
+# The sharded aggregate algebra (combine, decompose) is imported from here too.
+from repro.stores.relational.operators import (  # noqa: F401
     TableScan,
     TopK,
     column_reader,
     combine_partial_aggregates,
     decompose_aggregates,
 )
+
 
 @dataclass(frozen=True)
 class ShardedValue:
@@ -76,8 +77,7 @@ class ShardedValue:
         tables = [part for part in self.parts if isinstance(part, Table)]
         if len(tables) == len(self.parts) and tables:
             if self.ordered_by is not None:
-                return _ordered_merge(tables, self.ordered_by, False,
-                                      stringify=True)
+                return _ordered_merge(tables, self.ordered_by)
             return concat_tables(tables)
         if len(self.parts) == 1:
             return self.parts[0]
@@ -106,7 +106,8 @@ class ScatterExecution:
     """Outcome of one scatter-gather dispatch, consumed by the executor."""
 
     value: Any
-    #: Modeled cluster time: slowest shard subtask plus the merge.
+    #: Charged time: a fan-out's slowest shard subtask plus the merge, a
+    #: relational read's own thread CPU.
     critical_path_s: float
     details: dict[str, Any] = field(default_factory=dict)
 
@@ -148,11 +149,8 @@ class ScatterGather:
         role = KINDS[node.kind].scatter
         if role == "leaf" and not node.inputs:
             return self._execute_leaf(engine, node)
-        if len(inputs) == 1 and isinstance(inputs[0], ShardedValue):
-            if role == "partwise":
-                return self._execute_partwise(engine, node, inputs[0])
-            if role == "merge":
-                return self._execute_merge(engine, node, inputs[0])
+        if role == "partwise" and len(inputs) == 1 and isinstance(inputs[0], ShardedValue):
+            return self._execute_partwise(engine, node, inputs[0])
         return None
 
     # -- leaf reads --------------------------------------------------------------------
@@ -162,10 +160,13 @@ class ScatterGather:
         # The shard list and the partitioner that routes into it, read once.
         shards, partitioner = engine.topology()
         routed = self._route(engine, node, partitioner)
+        if engine.data_model is DataModel.RELATIONAL:
+            return self._execute_read(engine, node, shards, routed)
         if routed is not None:
             return self._execute_routed(engine, node, shards, routed)
-        results = self._fan_out(engine.name, node.kind,
-                                [(self._adapter(shard), node, []) for shard in shards])
+        results = self._fan_out(engine.name, node.kind, [
+            ((index,), partial(self._adapter(shard).execute, node, []))
+            for index, shard in enumerate(shards)])
         parts = tuple(value for value, _ in results)
         times = [cpu for _, cpu in results]
         details = {"shards": len(shards), "fan_out": "serial",
@@ -181,6 +182,25 @@ class ScatterGather:
         value = ShardedValue(engine.name, parts, tuple(range(len(shards))),
                              _leaf_order_column(node))
         return ScatterExecution(value, max(times, default=0.0), details)
+
+    def _execute_read(self, engine: ShardedEngine, node: Operator, shards: list[Engine],
+                      routed: dict[int, Operator] | None) -> ScatterExecution:
+        """A relational leaf: one engine call over the shards it needs (every
+        shard, or those ``routed`` names), whose one value is the read one
+        engine holding their rows would give.  Charged its thread CPU."""
+        indexes = list(range(len(shards))) if routed is None else sorted(routed)
+        chosen = [shards[index] for index in indexes]
+        adapter = self._adapters.get(id(engine))
+        if adapter is None:
+            adapter = self._adapters[id(engine)] = RelationalAdapter(engine)
+        [(value, cpu)] = self._fan_out(engine.name, node.kind, [
+            (tuple(indexes), partial(adapter.read, node, shards=chosen))])
+        details: dict[str, Any] = {
+            "shards": len(chosen), "fan_out": "fold" if routed is None else "routed",
+            "shard_times_s": [cpu], "contacted_shards": [shard.name for shard in chosen]}
+        if routed is not None and len(chosen) == 1:
+            details["shard"] = chosen[0].name
+        return ScatterExecution(value, cpu, details)
 
     def _route(self, engine: ShardedEngine, node: Operator,
                partitioner: "Partitioner") -> dict[int, Operator] | None:
@@ -240,7 +260,8 @@ class ScatterGather:
                         routed: dict[int, Operator]) -> ScatterExecution:
         indexes = sorted(routed)
         results = self._fan_out(engine.name, node.kind, [
-            (self._adapter(shards[index]), routed[index], []) for index in indexes])
+            ((index,), partial(self._adapter(shards[index]).execute, routed[index], []))
+            for index in indexes])
         parts = tuple(value for value, _ in results)
         times = [cpu for _, cpu in results]
         details: dict[str, Any] = {
@@ -260,10 +281,14 @@ class ScatterGather:
 
     def _execute_partwise(self, engine: ShardedEngine, node: Operator,
                           sharded: ShardedValue) -> ScatterExecution:
-        results = self._per_partition(engine, node, sharded)
+        """Run ``node`` over each partition on the shard that produced it."""
+        shards = engine.shards
+        results = self._fan_out(engine.name, node.kind, [
+            ((index,), partial(self._adapter(shards[index]).execute, node, [part]))
+            for part, index in zip(sharded.parts, sharded.shard_indexes)])
         times = [cpu for _, cpu in results]
-        # ordered_by is not propagated: partition-wise operators only ever
-        # follow relational leaves today, whose partitions are unordered.
+        # ordered_by is not propagated: the gather after a filter or project
+        # concatenates the partitions instead of merging them in key order.
         value = ShardedValue(engine.name, tuple(v for v, _ in results),
                              sharded.shard_indexes)
         return ScatterExecution(value, max(times, default=0.0), {
@@ -271,92 +296,34 @@ class ScatterGather:
             "shard_times_s": times,
         })
 
-    # -- merging operators -------------------------------------------------------------
-
-    def _execute_merge(self, engine: ShardedEngine, node: Operator,
-                       sharded: ShardedValue) -> ScatterExecution:
-        if node.kind == "aggregate":
-            return self._execute_partial_aggregate(engine, node, sharded)
-        results = self._per_partition(engine, node, sharded)
-        parts = [value for value, _ in results]
-        times = [cpu for _, cpu in results]
-        merge_start = time.thread_time()
-        if node.kind == "sort":
-            merged = _ordered_merge(parts, str(node.params["by"]),
-                                    bool(node.params.get("descending", False)))
-            merge_name = "ordered"
-        elif node.kind == "limit":
-            merged = concat_tables(parts).limit(int(node.params["n"]))
-            merge_name = "concat+limit"
-        else:  # top_k
-            merged = _global_top_k(parts, str(node.params["by"]),
-                                   int(node.params["k"]),
-                                   bool(node.params.get("descending", True)))
-            merge_name = "top_k"
-        merge_s = time.thread_time() - merge_start
-        return ScatterExecution(merged, max(times, default=0.0) + merge_s, {
-            "shards": len(results), "fan_out": "serial", "merge": merge_name,
-            "shard_times_s": times,
-        })
-
-    def _execute_partial_aggregate(self, engine: ShardedEngine, node: Operator,
-                                   sharded: ShardedValue) -> ScatterExecution:
-        group_by = list(node.params.get("group_by") or [])
-        combines = node.annotations.get(COMBINE_PARTIALS)
-        if combines is not None:
-            # Each shard's scan already folded its rows into partials.
-            parts, times = list(sharded.parts), []
-        else:
-            partial_specs, combines = decompose_aggregates(
-                list(node.params.get("aggregates") or []))
-            partial_node = node.copy()
-            partial_node.params = dict(node.params, group_by=group_by,
-                                       aggregates=partial_specs)
-            results = self._per_partition(engine, partial_node, sharded)
-            parts = [value for value, _ in results]
-            times = [cpu for _, cpu in results]
-        merge_start = time.thread_time()
-        merged = combine_partial_aggregates(parts, group_by, combines)
-        merge_s = time.thread_time() - merge_start
-        return ScatterExecution(merged, max(times, default=0.0) + merge_s, {
-            "shards": len(parts), "fan_out": "serial",
-            "merge": "aggregate_combine", "shard_times_s": times,
-        })
-
     # -- dispatch helpers --------------------------------------------------------------
 
-    def _per_partition(self, engine: ShardedEngine, node: Operator,
-                       sharded: ShardedValue) -> list[tuple[Any, float]]:
-        """Run ``node`` over each partition on the shard that produced it."""
-        shards = engine.shards
-        return self._fan_out(engine.name, node.kind, [
-            (self._adapter(shards[index]), node, [part])
-            for part, index in zip(sharded.parts, sharded.shard_indexes)])
-
     def _fan_out(self, engine: str, kind: str,
-                 tasks: list[tuple[Adapter, Operator, list[Any]]]
+                 tasks: list[tuple[tuple[int, ...], Callable[[], Any]]]
                  ) -> list[tuple[Any, float]]:
         """Run shard subtasks in order: ``(value, thread-CPU seconds)`` each.
 
-        Thread CPU time models each shard as its own machine.  The token is
-        checked before every subtask, so a cancel stops the fan-out at the
-        next shard.
+        A task is ``(shard indexes, call)``: one shard's adapter call, or a
+        relational read's over the shards it names (one span,
+        ``shard:0+1+…``).  Thread CPU time models each shard as its own
+        machine.  The token is checked before every subtask, so a cancel
+        stops the fan-out at the next shard, and a read before any heap.
         """
         token = self._cancellation
         obs = self._obs
         results: list[tuple[Any, float]] = []
-        for index, (adapter, node, inputs) in enumerate(tasks):
+        for indexes, call in tasks:
             if token is not None:
                 token.check()
             if not obs.enabled:
                 start = time.thread_time()
-                value = adapter.execute(node, inputs)
+                value = call()
                 results.append((value, time.thread_time() - start))
                 continue
-            with obs.tracer.span(f"shard:{index}", "scatter", engine=engine,
-                                 kind=kind, shard=index) as span:
+            with obs.tracer.span("shard:" + "+".join(map(str, indexes)), "scatter",
+                                 engine=engine, kind=kind, shards=len(indexes)) as span:
                 start = time.thread_time()
-                value = adapter.execute(node, inputs)
+                value = call()
                 cpu = time.thread_time() - start
                 if span is not None:
                     span.set(cpu_s=cpu)
@@ -388,13 +355,12 @@ def _leaf_order_column(node: Operator) -> str | None:
 # -- order-preserving merges ----------------------------------------------------------
 
 
-def _ordered_merge(parts: Sequence[Table], by: str, descending: bool, *,
-                   stringify: bool = False) -> Table:
+def _ordered_merge(parts: Sequence[Table], by: str) -> Table:
     """K-way merge of per-shard sorted runs (``None`` sorts first, as Sort does).
 
-    ``stringify`` compares by the value's string form — key/value range reads
-    are ordered by the *string* key even when the adapter coerced the column
-    to integers, so the sharded merge must follow the same collation.
+    Compares by the value's string form — key/value range reads are ordered
+    by the *string* key even when the adapter coerced the column to
+    integers, so the sharded merge must follow the same collation.
     """
     non_empty = [part for part in parts if len(part)]
     if not non_empty:
@@ -404,11 +370,9 @@ def _ordered_merge(parts: Sequence[Table], by: str, descending: bool, *,
 
     def key(row: Row) -> tuple:
         value = read(row)
-        if stringify and value is not None:
-            return (True, str(value))
-        return (value is not None, value)
+        return (False, "") if value is None else (True, str(value))
 
-    return Table.wrap(schema, list(heapq.merge(*runs, key=key, reverse=descending)))
+    return Table.wrap(schema, list(heapq.merge(*runs, key=key)))
 
 
 def _global_top_k(parts: Sequence[Table], by: str, k: int, descending: bool) -> Table:

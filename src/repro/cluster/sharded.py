@@ -38,6 +38,7 @@ from repro.datamodel.table import Row, Table
 from repro.exceptions import ConfigurationError, StorageError
 from repro.stores.base import DataModel, Engine
 from repro.stores.changelog import DeltaBatch, table_scope
+from repro.stores.relational.engine import HeapRead
 
 #: Data models the scatter-gather executor can partition correctly.  Graph
 #: engines are excluded: paths and neighbourhoods cross shard boundaries, so
@@ -408,17 +409,31 @@ class ShardedEngine(Engine):
         parts = [list(shard.range(start, end)) for shard in self.shards]
         yield from heapq.merge(*parts, key=lambda pair: pair[0])
 
-    def scan(self, *args: Any, **kwargs: Any) -> Any:
+    def scan(self, table: str | None = None, columns: Sequence[str] | None = None,
+             predicate: Any = None, partial: Any = None, *,
+             shards: Sequence[Engine] | None = None) -> Any:
         """Merged full scan.
 
-        For relational shards this is ``scan(table, columns)`` returning the
-        concatenation of every shard's rows; for key/value shards it is the
-        key-ordered merged iterator.
+        For relational shards, one :class:`~repro.stores.relational.engine.
+        HeapRead` of ``table`` over ``shards`` (every serving shard by
+        default), in shard order, with :meth:`RelationalEngine.scan
+        <repro.stores.relational.engine.RelationalEngine.scan>`'s arguments:
+        the rows, or groups, one engine's scan of the shards' rows would give.
+        For key/value shards (no ``table``), the key-ordered merged iterator.
         """
-        if self.data_model is DataModel.KEY_VALUE and not args and not kwargs:
+        if table is None and self.data_model is DataModel.KEY_VALUE:
             return self.range(None, None)
-        parts = [shard.scan(*args, **kwargs) for shard in self.shards]
-        return concat_tables(parts)
+        read = HeapRead(columns, predicate, partial)
+        for shard in self.shards if shards is None else shards:
+            shard.scan(table, into=read)
+        return read.table()
+
+    def index_lookup(self, table: str, column: str, value: Any,
+                     columns: Sequence[str] | None = None, predicate: Any = None, *,
+                     shards: Sequence[Engine] | None = None) -> Table:
+        """Every shard's (or each of ``shards``') index lookup, in shard order."""
+        return concat_tables([shard.index_lookup(table, column, value, columns, predicate)
+                              for shard in (self.shards if shards is None else shards)])
 
     def query_range(self, key: str, start: float | None = None,
                     end: float | None = None) -> Any:

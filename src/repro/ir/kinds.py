@@ -36,8 +36,8 @@ class Kind:
     pure: bool = False
     #: Accepts a structured ``predicate`` parameter the pushdown pass absorbs.
     absorbs: bool = False
-    #: Role under scatter-gather: ``"leaf"`` fans out across the shards,
-    #: ``"partwise"`` stays sharded, ``"merge"`` gathers; ``None`` = primary shard.
+    #: Role under scatter-gather: ``"leaf"`` reads across the shards,
+    #: ``"partwise"`` stays sharded; ``None`` = primary shard.
     scatter: str | None = None
     #: A tabular leaf read a view can maintain by diffing snapshots.
     diffable: bool = False
@@ -64,10 +64,10 @@ KINDS: dict[str, Kind] = {row.name: row for row in (
     Kind("filter", _M.RELATIONAL, 1, (), pure=True, scatter="partwise", kernel="filter"),
     Kind("project", _M.RELATIONAL, 1, (), pure=True, scatter="partwise", kernel="project"),
     Kind("join", _M.RELATIONAL, 2, ("left_key", "right_key"), pure=True),
-    Kind("aggregate", _M.RELATIONAL, 1, ("aggregates",), pure=True, scatter="merge"),
-    Kind("sort", _M.RELATIONAL, 1, ("by",), pure=True, scatter="merge", kernel="sort"),
-    Kind("limit", _M.RELATIONAL, 1, ("n",), pure=True, scatter="merge"),
-    Kind("top_k", _M.RELATIONAL, 1, ("by", "k"), pure=True, scatter="merge"),
+    Kind("aggregate", _M.RELATIONAL, 1, ("aggregates",), pure=True),
+    Kind("sort", _M.RELATIONAL, 1, ("by",), pure=True, kernel="sort"),
+    Kind("limit", _M.RELATIONAL, 1, ("n",), pure=True),
+    Kind("top_k", _M.RELATIONAL, 1, ("by", "k"), pure=True),
     # key/value
     Kind("kv_get", _M.KEY_VALUE, 0, ("keys",), source=True, pure=True,
          absorbs=True, scatter="leaf", diffable=True),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.datamodel.table import Table
 from repro.exceptions import AdapterError
 from repro.ir.nodes import COMBINE_PARTIALS, PARTIAL_AGGREGATE, Operator
 from repro.middleware.adapters.base import Adapter
@@ -38,35 +39,14 @@ class RelationalAdapter(Adapter):
 
     def execute(self, node: Operator, inputs: list[Any]) -> Any:
         kind = node.kind
-        if kind == "scan":
-            columns = node.params.get("columns")
-            predicate = node.params.get("predicate")
-            # A structured predicate absorbed by the pushdown pass evaluates
-            # engine-side, on full rows inside the page walk and before the
-            # projection; nothing unfiltered crosses the adapter boundary.
-            args = (str(node.params["table"]), list(columns) if columns else None,
-                    predicate if isinstance(predicate, Expression) else None)
-            partial = node.annotations.get(PARTIAL_AGGREGATE)
-            # Named only when set: a subclass overriding scan's three-argument
-            # form keeps serving plain scans.
-            return (self.engine.scan(*args) if partial is None
-                    else self.engine.scan(*args, partial=partial))
+        if kind in ("scan", "index_seek"):
+            return self.read(node)
         if kind == "aggregate" and COMBINE_PARTIALS in node.annotations:
             self._require_inputs(node, inputs, 1)
             return combine_partial_aggregates(
                 [self._as_table(inputs[0], node)],
                 list(node.params.get("group_by") or []),
                 node.annotations[COMBINE_PARTIALS])
-        if kind == "index_seek":
-            # A seek converted from a predicated scan: the residual conjuncts
-            # (and the cheap equality re-check) and the projection apply
-            # engine-side, in one pass over the rows the index found.
-            columns = node.params.get("columns")
-            predicate = node.params.get("predicate")
-            return self.engine.index_lookup(
-                str(node.params["table"]), str(node.params["column"]),
-                node.params["value"], list(columns) if columns else None,
-                predicate if isinstance(predicate, Expression) else None)
         if kind == "python_udf":
             fn = node.params["fn"]
             return fn(*inputs)
@@ -82,3 +62,26 @@ class RelationalAdapter(Adapter):
             self._require_inputs(node, inputs, 1)
             return self._as_table(inputs[0], node)
         return self._table_operator(node, inputs)
+
+    def read(self, node: Operator, **shards: Any) -> Table:
+        """A leaf read, ``scan`` or ``index_seek``; ``shards`` (a sharded
+        engine's ``shards=``) goes on to the engine call.
+
+        A structured predicate absorbed by the pushdown pass evaluates
+        engine-side, on full rows inside the page walk and before the
+        projection; nothing unfiltered crosses the adapter boundary.  A seek
+        converted from a predicated scan applies the residual conjuncts (and
+        the cheap equality re-check) in the same pass over the rows the index
+        found.
+        """
+        table = str(node.params["table"])
+        columns = node.params.get("columns")
+        columns = list(columns) if columns else None
+        predicate = node.params.get("predicate")
+        predicate = predicate if isinstance(predicate, Expression) else None
+        if node.kind == "index_seek":
+            return self.engine.index_lookup(table, str(node.params["column"]),
+                                            node.params["value"], columns, predicate,
+                                            **shards)
+        return self.engine.scan(table, columns, predicate,
+                                node.annotations.get(PARTIAL_AGGREGATE), **shards)

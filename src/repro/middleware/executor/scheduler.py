@@ -246,9 +246,10 @@ class Executor:
 
         Returns ``None`` when the node is not scatter-gatherable (the caller
         falls back to the ordinary single-adapter path, which for sharded
-        engines means the designated primary shard).  The record's charged
-        time is the scatter's critical path: the slowest shard subtask plus
-        the merge, modeling shards as independent machines.
+        engines means the designated primary shard).  The record is charged
+        what the scatter says: a fan-out's critical path (the slowest shard
+        subtask plus the merge, shards as independent machines), a
+        relational read's own thread CPU.
         """
         if node.engine is None or node.accelerator or node.kind == "migrate":
             return None

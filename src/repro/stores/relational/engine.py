@@ -112,6 +112,70 @@ class StoredTable:
         return stats
 
 
+class HeapRead:
+    """One relational read over the heaps of one or more stored tables of one
+    schema (one engine's table, or a sharded table's shards in the facade's
+    order), read in that order as if their pages were one heap's.
+
+    A plain read filters and projects each heap's candidate pages in one
+    generated walk (:meth:`HeapStorage.select`).  With ``partial`` —
+    ``(group_by, aggregates)`` — the walk folds the rows into one row per
+    group instead, groups in first-seen order: the partials an aggregate
+    fused into the scan finishes.  The rows are read before any projection,
+    so ``columns`` only has to exist.  Each heap's sealed pages fold with
+    numpy in runs of up to ``RUN`` where it reads them exactly
+    (``VectorFold``), the rest, always its last page, with the row kernel
+    (``aggregate_kernel``) before the next heap's pages, all into one dict:
+    each group once, in first-seen order, and every sum one left fold in
+    read order, so the fused plan answers as the unfused one does.
+    """
+
+    def __init__(self, columns: Sequence[str] | None = None,
+                 predicate: Expression | None = None,
+                 partial: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None
+                 ) -> None:
+        self.columns, self.predicate, self.partial = columns, predicate, partial
+        self.schema: Schema | None = None
+        self.heaps: list[HeapStorage] = []
+
+    def add(self, stored: StoredTable) -> None:
+        """Read ``stored``'s heap after those already added."""
+        self.schema = stored.schema
+        self.heaps.append(stored.heap)
+
+    def table(self) -> Table:
+        """The read's rows (or groups), walked once over every heap added."""
+        source, columns, predicate = self.schema, self.columns, self.predicate
+        schema = source if columns is None else source.project(columns)
+        if self.partial is None:
+            parts = [heap.select(predicate, columns)[0] for heap in self.heaps]
+            return Table.wrap(schema, parts[0] if len(parts) == 1
+                              else list(chain.from_iterable(parts)))
+        heaps = [heap.candidates(predicate) for heap in self.heaps]
+        group_by, aggregates = tuple(self.partial[0]), tuple(self.partial[1])
+        fold, schema = aggregate_kernel(  # over no page, bind nothing
+            source, group_by, aggregates, predicate if any(n for _, n in heaps) else None)
+        vector = any(len(pages) > 1 for pages, _ in heaps) and vector_fold(
+            source, group_by, aggregates, predicate)
+        groups: dict = {}
+        chunks: list[list[Row]] = []
+        for candidates, _ in heaps:
+            # Up to RUN sealed pages of equal kinds fold as one run; the last
+            # page may still change, so the row kernel folds it into the rows.
+            sealed = candidates[:-1] if vector else []
+            for run, parts in chain.from_iterable(vector.runs(sealed[at:at + RUN])
+                                                  for at in range(0, len(sealed), RUN)):
+                if parts is not None:
+                    if chunks:
+                        fold(chunks, groups)
+                        chunks = []
+                    if vector.fold(run, parts, groups):
+                        continue
+                chunks.extend(page.rows for page in run)
+            chunks.extend(page.rows for page in candidates[len(sealed):])
+        return Table.wrap(schema, fold(chunks, groups))
+
+
 class RelationalEngine(Engine):
     """A single-node relational engine with SQL, indexes and hash joins."""
 
@@ -349,47 +413,19 @@ class RelationalEngine(Engine):
 
     def scan(self, table: str, columns: Sequence[str] | None = None,
              predicate: Expression | None = None,
-             partial: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None
-             ) -> Table:
+             partial: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None,
+             *, into: "HeapRead | None" = None) -> Table | None:
         """The rows of a table satisfying ``predicate`` (all, without one), cut
-        down to ``columns`` if given: filtered and projected page by page in one
-        pass (:meth:`HeapStorage.select`).
+        down to ``columns`` if given, or, with ``partial``, folded into one row
+        per group: one :class:`HeapRead` of this table's heap.
 
-        With ``partial`` — ``(group_by, aggregates)`` — the same pass folds
-        the rows into one row per group instead, groups in first-seen order:
-        the partials an aggregate fused into this scan combines.  The rows are
-        read before any projection, so ``columns`` only has to exist.  Sealed
-        pages fold with numpy where it reads them exactly (``VectorFold``),
-        the rest with the row kernel (``aggregate_kernel``), into one dict:
-        the rows are the row kernel's, each group once, in first-seen order,
-        so ``combine_partial_aggregates`` only finishes this one part.
+        With ``into``, a read a sharded table's facade started (it carries
+        the read's arguments), this table's pages join that read, after the
+        shards added before it, and nothing is returned.
         """
-        stored = self._stored(table)
-        schema = stored.schema if columns is None else stored.schema.project(columns)
-        if partial is None:
-            return Table.wrap(schema, stored.heap.select(predicate, columns)[0])
-        candidates, pages = stored.heap.candidates(predicate)
-        group_by, aggregates = tuple(partial[0]), tuple(partial[1])
-        fold, schema = aggregate_kernel(stored.schema, group_by, aggregates,
-                                        predicate if pages else None)  # over no page, bind nothing
-        vector = len(candidates) > 1 and vector_fold(stored.schema, group_by, aggregates,
-                                                     predicate)
-        groups: dict = {}
-        chunks: list[list[Row]] = []
-        # Up to RUN sealed pages of equal kinds fold as one run; the last page
-        # may still change, so the row kernel folds it, last, into the rows.
-        sealed = candidates[:-1] if vector else []
-        for run, columns in chain.from_iterable(vector.runs(sealed[at:at + RUN])
-                                                for at in range(0, len(sealed), RUN)):
-            if columns is not None:
-                if chunks:
-                    fold(chunks, groups)
-                    chunks = []
-                if vector.fold(run, columns, groups):
-                    continue
-            chunks.extend(page.rows for page in run)
-        chunks.extend(page.rows for page in candidates[len(sealed):])
-        return Table.wrap(schema, fold(chunks, groups))
+        read = HeapRead(columns, predicate, partial) if into is None else into
+        read.add(self._stored(table))
+        return read.table() if into is None else None
 
     def has_index(self, table: str, column: str) -> bool:
         """Whether an equality-capable index exists on ``table.column``.

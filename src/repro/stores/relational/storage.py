@@ -92,14 +92,24 @@ def _patched(column: PageColumn, slots: list[int], cells: list[Any]
 
 
 def _kept(column: PageColumn, keep: np.ndarray) -> PageColumn | None:
-    """``column`` without the cells ``keep`` drops; ``None`` for a ``str``
-    column or one left with no cell that is not ``None``."""
+    """``column`` without the cells ``keep`` drops; ``None`` for one left with
+    no cell that is not ``None``.  A ``str`` column's codes are re-coded into
+    the surviving ``keys``, first seen first, as :meth:`Page.column` codes."""
     nulls = None if column.nulls is None else column.nulls[keep]
-    if column.kind is str or nulls is not None and nulls.all():
+    if nulls is not None and nulls.all():
         return None
-    return PageColumn(_narrowest(column.values[keep], column.kind),
-                      nulls if nulls is not None and nulls.any() else None,
-                      column.kind, ())
+    nulls = nulls if nulls is not None and nulls.any() else None
+    values = column.values[keep]
+    if column.kind is not str:
+        return PageColumn(_narrowest(values, column.kind), nulls, column.kind, ())
+    live = values if nulls is None else values[~nulls]
+    order = live[np.sort(np.unique(live, return_index=True)[1])]  # codes, first seen first
+    recode = np.zeros(len(column.keys), np.min_scalar_type(len(order)))
+    recode[order] = np.arange(len(order))
+    values = recode[values]
+    if nulls is not None:
+        values[nulls] = 0
+    return PageColumn(values, nulls, str, tuple(column.keys[code] for code in order.tolist()))
 
 
 @dataclass
@@ -291,7 +301,7 @@ class HeapStorage:
         ``None`` when it may set any column to anything — as it was with its
         bounds; a written int, float or bool column without nulls as a copy
         with the new cells set, if its kind and dtype hold them exactly;
-        after a delete, every int, float or bool column's surviving cells.
+        after a delete, every column's surviving cells, a ``str`` one re-coded.
         Other columns and bounds are built again from the rows, when read.
         This heap's arrays are never changed.  Returns the sibling, the
         matched rows, their replacements (none for a delete), the pages

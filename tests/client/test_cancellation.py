@@ -11,7 +11,7 @@ from repro.cancellation import CancellationToken as _DirectToken
 from repro.core import PolystorePlusPlus, build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import CancelledError, DeadlineExceededError
-from repro.stores import RelationalEngine
+from repro.stores import KeyValueEngine, RelationalEngine
 
 
 class TestCancellationToken:
@@ -134,47 +134,86 @@ class TestSessionDeadlines:
         assert result.output("out").num_rows == 40
 
 
+def _build_kv_system(shard_factory, num_shards: int = 4):
+    """A sharded key/value engine: its prefix reads fan out shard by shard."""
+    system = PolystorePlusPlus(SystemConfig(
+        obs_enabled=True, obs_trace_sample_rate=1.0))
+    engine = system.register_sharded_engine("shardedkv", shard_factory, num_shards)
+    engine.put_many({f"ev/{i}": {"value": float(i % 5)} for i in range(40)})
+    return system
+
+
+def _kv_program(system):
+    program = DataflowProgram("cancel-kv")
+    program.output("out", system.dataset("shardedkv").kv(key_prefix="ev/")
+                   .filter(col("value") >= 0.0))
+    return program
+
+
 class TestScatterCancellation:
     def test_cancelled_fanout_stops_dispatching_remaining_shards(self):
-        """Cancel fired by the first shard's scan: with a serial fan-out the
+        """Cancel fired by the first shard's read: with a serial fan-out the
         remaining shard subtasks must never dispatch, observable both from
         the engine hook and from the recorded trace spans."""
         token = CancellationToken()
-        scans = []
+        reads = []
 
-        class HookedEngine(RelationalEngine):
-            def scan(self, table, columns=None, predicate=None):
-                scans.append(self.name)
-                if len(scans) == 1:
+        class HookedEngine(KeyValueEngine):
+            def range(self, start=None, end=None):
+                reads.append(self.name)
+                if len(reads) == 1:
                     token.cancel("stop after first shard")
-                return super().scan(table, columns, predicate)
+                return super().range(start, end)
 
         num_shards = 4
-        system = _build_system(sharded=True, shard_factory=HookedEngine,
-                               num_shards=num_shards)
+        system = _build_kv_system(HookedEngine, num_shards)
         # The fan-out is serial on the calling thread, so "stops dispatching"
         # is deterministic: shard 0 runs, the loop checks the token, stops.
         session = system.session(name="serial", max_workers=1)
-        prepared = session.prepare(_program(system, "shardeddb"))
+        prepared = session.prepare(_kv_program(system))
         with pytest.raises(CancelledError):
             prepared.run(cancellation=token)
 
-        assert len(scans) == 1, f"extra shard scans dispatched: {scans}"
+        assert len(reads) == 1, f"extra shard reads dispatched: {reads}"
         shard_spans = [s for s in system.obs.tracer.spans()
                        if s.name.startswith("shard:")]
         assert 1 <= len(shard_spans) < num_shards
 
     def test_uncancelled_fanout_touches_every_shard(self):
-        scans = []
+        reads = []
 
-        class CountingEngine(RelationalEngine):
-            def scan(self, table, columns=None, predicate=None):
-                scans.append(self.name)
-                return super().scan(table, columns, predicate)
+        class CountingEngine(KeyValueEngine):
+            def range(self, start=None, end=None):
+                reads.append(self.name)
+                return super().range(start, end)
 
-        system = _build_system(sharded=True, shard_factory=CountingEngine,
-                               num_shards=4)
+        system = _build_kv_system(CountingEngine, num_shards=4)
         session = system.session(name="serial", max_workers=1)
-        result = session.prepare(_program(system, "shardeddb")).run()
+        result = session.prepare(_kv_program(system)).run()
         assert result.output("out").num_rows == 40
-        assert len(scans) == 4
+        assert len(reads) == 4
+
+    def test_a_cancelled_relational_read_reads_no_shard_heap(self, monkeypatch):
+        """A sharded relational read is one call over every shard's heap: a
+        token cancelled before it stops it before any heap is read."""
+        from repro.cluster.scatter import ScatterGather
+        from repro.ir.nodes import Operator
+        from repro.stores.relational.storage import HeapStorage
+
+        system = _build_system(sharded=True)
+        engine = system.catalog.engine("shardeddb")
+        node = Operator("scan", {"table": "events"}, [], "shardeddb")
+        heap_reads = []
+        for name in ("select", "candidates"):
+            method = getattr(HeapStorage, name)
+            monkeypatch.setattr(HeapStorage, name, lambda heap, *args, _m=method, **kw:
+                                heap_reads.append(heap) or _m(heap, *args, **kw))
+        read = ScatterGather().execute(engine, node, [])
+        heaps = {id(shard._stored("events").heap) for shard in engine.shards}
+        assert read.value.num_rows == 40 and set(map(id, heap_reads)) == heaps
+        heap_reads.clear()
+        token = CancellationToken()
+        token.cancel("before the read")
+        with pytest.raises(CancelledError):
+            ScatterGather(cancellation=token).execute(engine, node, [])
+        assert heap_reads == []

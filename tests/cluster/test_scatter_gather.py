@@ -93,14 +93,19 @@ class TestSqlParity:
         actual = _rows(system.execute(_sql_program(query)))
         _assert_rows_match(actual, expected)
 
-    def test_scatter_records_fan_out_details(self):
+    def test_a_relational_read_records_one_fold_over_every_shard(self):
         system, engine = _sharded_system(4)
         result = system.execute(_sql_program(SQL_CASES[2]))
         scans = [r for r in result.report.records if r.kind == "scan"]
         aggregates = [r for r in result.report.records if r.kind == "aggregate"]
         assert scans and scans[0].details["shards"] == 4
-        assert scans[0].details["fan_out"] in ("concurrent", "serial")
-        assert aggregates[0].details["merge"] == "aggregate_combine"
+        assert scans[0].details["fan_out"] == "fold"
+        assert scans[0].details["contacted_shards"] == [s.name for s in engine.shards]
+        # One read on one machine: charged its one CPU time, no critical path.
+        [cpu] = scans[0].details["shard_times_s"]
+        assert scans[0].charged_time_s == cpu
+        # The aggregate above finishes the one part on the primary shard.
+        assert "merge" not in aggregates[0].details
 
     def test_single_shard_degenerates_cleanly(self):
         system, _ = _sharded_system(1)

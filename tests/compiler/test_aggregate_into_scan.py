@@ -95,13 +95,15 @@ def test_the_aggregate_node_keeps_the_programs_parameters(scan_agg):
     assert (walked.rows, walked.schema) == (result.rows, result.schema)
 
 
-def test_the_sharded_run_records_a_fan_out_and_a_combine(scan_agg):
+def test_the_sharded_run_records_one_read_over_four_shards(scan_agg):
     _, _, session = scan_agg
     single = session.prepare(_scan_agg("facts1")).run(refresh=True).output("agg")
     scattered = session.prepare(_scan_agg("facts4")).run(refresh=True)
     records = {record.kind: record for record in scattered.report.records}
     assert records["scan"].details["shards"] == 4
-    assert records["aggregate"].details["merge"] == "aggregate_combine"
+    assert len(records["scan"].details["shard_times_s"]) == 1
+    # The scan folded every shard: the aggregate only finishes its one part.
+    assert records["scan"].rows_out == len(single)
     assert Counter(scattered.output("agg").rows) == Counter(single.rows)
     assert scattered.output("agg").schema == single.schema
 

@@ -102,7 +102,6 @@ PARENT_SCATTER = {
     "leaf": {"scan", "index_seek", "kv_get", "kv_range", "ts_range",
              "window_aggregate", "ts_summarize", "text_search", "keyword_features"},
     "partwise": {"filter", "project"},
-    "merge": {"aggregate", "sort", "limit", "top_k"},
 }
 PARENT_DIFFABLE_LEAVES = {
     "scan", "index_seek", "kv_get", "kv_range", "ts_range", "ts_summarize",
@@ -138,7 +137,7 @@ def test_every_column_is_filled(name):
     assert isinstance(row.required, tuple) and all(
         isinstance(param, str) for param in row.required)
     assert row.inputs is None or row.inputs >= 0
-    assert row.scatter in (None, "leaf", "partwise", "merge")
+    assert row.scatter in (None, "leaf", "partwise")
     for flag in ("source", "pure", "absorbs", "diffable", "matrix"):
         assert isinstance(getattr(row, flag), bool)
     # A kind names the data model that runs it by default, or says why none does.

@@ -1,5 +1,5 @@
-"""A run starts no thread: every operator and every shard subtask executes
-on the thread that called the executor."""
+"""A run starts no thread: every operator, every shard subtask and every
+sharded read executes on the thread that called the executor."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.core import build_accelerated_polystore, build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.middleware.adapters import Adapter
 from repro.stores import MLEngine, RelationalEngine, TextEngine, TimeseriesEngine
+from repro.stores.relational.engine import HeapRead
 from repro.workloads import build_mimic_program, generate_mimic, load_mimic
 
 
@@ -69,14 +70,23 @@ def test_sharded_scan_aggregate_starts_no_thread(monkeypatch, obs):
     session = system.session(name="scan")
     prepared = session.prepare(program)
     with _spy(monkeypatch) as (starts, callers):
+        table = HeapRead.table
+
+        def read(self):
+            callers.append(threading.get_ident())
+            reads.append(len(self.heaps))
+            return table(self)
+
+        reads: list[int] = []
+        monkeypatch.setattr(HeapRead, "table", read)
         result = prepared.run(refresh=True)
     session.close()
     _assert_one_thread(starts, callers)
-    # 4 shards x a scan that folds its partial aggregate, then the combine:
-    # every subtask was observed.
-    assert len(callers) >= 4
+    # One read folding every shard's heap, then the aggregate finishing it
+    # on the primary shard: each was observed.
+    assert reads == [4] and len(callers) >= 2
     scan = next(r for r in result.report.records if r.kind == "scan")
-    assert scan.details["fan_out"] == "serial"
+    assert scan.details["fan_out"] == "fold"
     assert result.report.observed_concurrency == pytest.approx(1.0)
     assert len(result.output("agg")) == 7
 

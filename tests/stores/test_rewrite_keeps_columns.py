@@ -244,6 +244,30 @@ def test_the_first_fused_scan_after_an_update_builds_no_column(shards, built):
                   for row in store.scan("facts").rows) == rows
 
 
+def test_the_first_fused_scan_after_a_trim_builds_no_string_column(built):
+    """A delete that leaves part of a page keeps its ``str`` column, its
+    codes re-coded into the surviving keys: the next fold builds none."""
+    schema = make_schema(("id", DataType.INT), ("grp", DataType.STRING),
+                         ("amount", DataType.FLOAT))
+    rows = [(i, None if i % 11 == 0 else f"g{i % 5}", float(i % 13)) for i in range(200)]
+    engine = RelationalEngine("db")
+    engine.create_table("facts", schema, page_capacity=16)
+    engine.insert("facts", rows)
+    partial = (("grp",), (AggregateSpec("count", None, "n"),
+                          AggregateSpec("sum", "amount", "total")))
+    engine.scan("facts", partial=partial)
+    assert (_pages(engine, "facts")[0], 1) in built
+    gone = set(range(0, 200, 3)) | set(range(32, 48))  # trims pages, one to one group
+    engine.delete_rows("facts", col("id").isin(*sorted(gone)))
+    built.clear()
+    folded = engine.scan("facts", partial=partial)
+    assert built == []
+    kept = [row for row in rows if row[0] not in gone]
+    fold, _ = aggregate_kernel(schema, *partial)
+    assert repr(folded.rows) == repr(fold([kept], {}))
+    _reads_as_fresh(_pages(engine, "facts"), len(schema))
+
+
 def test_an_update_replayed_from_the_wal_answers_as_the_live_one():
     rows = _facts()
     live, replayed = _load(0, rows), _load(0, rows)
