@@ -7,17 +7,17 @@ A sales table is hash-partitioned across 4 relational shards on
 * **pruned** (default compiler options): the pushdown pass absorbs the
   structured predicate into the scan and the scatter path routes the read to
   the single shard owning ``K``;
-* **full scatter** (``pushdown=False``): the filter is not absorbed into the
-  scan by pushdown; the fusion pass still folds it, with the aggregate, into
-  the scan's page walk, and its shard-key conjunct then routes that read to
-  the owning shard too.
+* **full scatter** (``pushdown=False, fusion=False``): the filter stays
+  above the scan, so no predicate reaches the read: it is one read of every
+  shard's heap, and the filter and aggregate run over all its rows.  (With
+  fusion on, the fusion pass would fold the filter into the scan, whose
+  shard-key conjunct then routes the read to the owning shard too.)
 
 The headline metric is *charged* time (a relational read's thread CPU, one
 read however many shards it folds): the pruned read must beat the full
 scatter-gather by at least ``PRUNING_MIN_SPEEDUP`` (default 2x) at 4 shards,
-and both plans must return identical rows.  Measured on a 2-core box: 1.3-1.7x
-at the default five iterations and 1.2-1.8x in the smoke form (10 runs each),
-under both bars.
+and both plans must return identical rows.  Measured on a 2-core box: 7.5-9.9x
+at the default five iterations and 8.2-9.1x in the smoke form (10 runs each).
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_dataflow_pruning.py -q
 Smoke mode (CI):  PRUNING_BENCH_ITERS=1 PYTHONPATH=src python -m pytest ...
@@ -26,6 +26,7 @@ Smoke mode (CI):  PRUNING_BENCH_ITERS=1 PYTHONPATH=src python -m pytest ...
 from __future__ import annotations
 
 import os
+from typing import Any
 
 from repro import DataflowProgram, col
 from repro.compiler import CompilerOptions
@@ -71,8 +72,10 @@ def _program() -> DataflowProgram:
     return program
 
 
-def _charged_time(system, options: CompilerOptions) -> tuple[float, list[dict]]:
-    """Best-of-N charged execution time plus the result rows."""
+def _charged_time(system, options: CompilerOptions
+                  ) -> tuple[float, list[dict], dict[str, Any]]:
+    """Best-of-N charged execution time, the result rows and the details of
+    the run's relational read."""
     session = system.session(name="bench-pruning")
     prepared = session.prepare(_program(), options=options)
     prepared.run(reuse_scans=False)  # warm plan cache and adapters
@@ -83,13 +86,17 @@ def _charged_time(system, options: CompilerOptions) -> tuple[float, list[dict]]:
         best = min(best, result.report.total_time_s)
         rows = result.output("summary").to_dicts()
     session.close()
-    return best, rows
+    [read] = [r for r in result.report.records if r.kind in ("scan", "index_seek")]
+    return best, rows, read.details
 
 
 def test_key_predicate_beats_full_scatter():
     system, engine = _deployment()
-    pruned_s, pruned_rows = _charged_time(system, CompilerOptions())
-    full_s, full_rows = _charged_time(system, CompilerOptions(pushdown=False))
+    pruned_s, pruned_rows, _ = _charged_time(system, CompilerOptions())
+    full_s, full_rows, full_read = _charged_time(
+        system, CompilerOptions(pushdown=False, fusion=False))
+    assert full_read["fan_out"] == "fold"  # the ablation reads every shard
+    assert len(full_read["contacted_shards"]) == NUM_SHARDS
 
     assert pruned_rows == full_rows, "pruned plan changed the answer"
     expected_n = sum(1 for row in _ROWS if row[0] == TARGET_CUSTOMER)

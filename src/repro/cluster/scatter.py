@@ -149,7 +149,11 @@ class ScatterGather:
         role = KINDS[node.kind].scatter
         if role == "leaf" and not node.inputs:
             return self._execute_leaf(engine, node)
-        if role == "partwise" and len(inputs) == 1 and isinstance(inputs[0], ShardedValue):
+        # A project that drops the partitions' order column runs after the
+        # gather, which merges in that order.
+        if role == "partwise" and len(inputs) == 1 and isinstance(inputs[0], ShardedValue) \
+                and (node.kind != "project" or inputs[0].ordered_by in
+                     (None, *node.params.get("columns", ()))):
             return self._execute_partwise(engine, node, inputs[0])
         return None
 
@@ -281,16 +285,15 @@ class ScatterGather:
 
     def _execute_partwise(self, engine: ShardedEngine, node: Operator,
                           sharded: ShardedValue) -> ScatterExecution:
-        """Run ``node`` over each partition on the shard that produced it."""
+        """Run ``node`` (one that keeps order) over each partition on the
+        shard that produced it."""
         shards = engine.shards
         results = self._fan_out(engine.name, node.kind, [
             ((index,), partial(self._adapter(shards[index]).execute, node, [part]))
             for part, index in zip(sharded.parts, sharded.shard_indexes)])
         times = [cpu for _, cpu in results]
-        # ordered_by is not propagated: the gather after a filter or project
-        # concatenates the partitions instead of merging them in key order.
         value = ShardedValue(engine.name, tuple(v for v, _ in results),
-                             sharded.shard_indexes)
+                             sharded.shard_indexes, sharded.ordered_by)
         return ScatterExecution(value, max(times, default=0.0), {
             "shards": len(results), "fan_out": "serial", "merge": "deferred",
             "shard_times_s": times,

@@ -295,8 +295,7 @@ def _replay_relational(engine: RelationalEngine, kind: str,
         # in the gap's op.  Re-land them and re-mark the gap so counters
         # and the changelog match the crashed process exactly.
         table = args["table"]
-        for _ in engine._tables[table].insert_each(args["rows"]):
-            pass
+        engine._tables[table].insert(list(map(tuple, args["rows"])))
         engine.mark_data_changed(table_scope(table),
                                  op=("insert_torn", dict(args)))
     elif kind in ("delete", "update"):

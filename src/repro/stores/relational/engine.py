@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import threading
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row, Table
@@ -45,20 +46,15 @@ class StoredTable:
         self.hash_indexes: dict[str, HashIndex] = {}
         self.sorted_indexes: dict[str, SortedIndex] = {}
 
-    def insert_each(self, rows: Iterable[Sequence[Any]], *,
-                    validate: bool = False) -> Iterator[Row]:
-        """Insert rows in order, yielding each as a tuple once it is in the
-        heap and every index (a caller that sees this fail knows what landed)."""
-        keyed = [(self.schema.index_of(column), index)
-                 for indexes in (self.hash_indexes, self.sorted_indexes)
-                 for column, index in indexes.items()]
-        insert = self.heap.insert
-        for row in rows:
-            row_t = tuple(row)
-            rid = insert(row_t, validate=validate)
-            for position, index in keyed:
-                index.insert(row_t[position], rid)
-            yield row_t
+    def insert(self, rows: list[Row]) -> None:
+        """Land row tuples in the heap (:meth:`HeapStorage.insert_many`), then
+        in every index from the row-id spans the heap returns."""
+        spans = self.heap.insert_many(rows)
+        indexes = [*self.hash_indexes.values(), *self.sorted_indexes.values()]
+        rids = [(page, slot) for page, first, end in spans
+                for slot in range(first, end)] if indexes else []
+        for index in indexes:
+            index.bulk_load(zip(map(itemgetter(self.schema.index_of(index.column)), rows), rids))
 
     def build_index(self, column: str, kind: type) -> HashIndex | SortedIndex:
         """A ``kind`` index over ``column``, loaded from the current heap."""
@@ -256,37 +252,46 @@ class RelationalEngine(Engine):
 
     def insert(self, table: str, rows: Iterable[Sequence[Any]], *,
                validate: bool = False) -> int:
-        """Insert positional rows into a table; returns the count inserted."""
+        """Insert positional rows into a table; returns the count inserted.
+
+        Each row is made a tuple (and validated) before any lands in one
+        :meth:`StoredTable.insert`.  If a row fails, those before it land and,
+        read off the heap's row count, are logged as an ``insert_torn`` gap.
+        """
         batch = None
+        landing: list[Row] = []
         try:
             with self._write_lock:
                 stored = self._stored(table)
-                inserted: list[tuple] = []
+                before = stored.heap.num_rows
                 try:
-                    for row in stored.insert_each(rows, validate=validate):
-                        inserted.append(row)
+                    try:
+                        # What came before a failing row stays (a row that
+                        # validates makes ``validate_row`` return ``None``).
+                        landing.extend((row for row in map(tuple, rows)
+                                        if not stored.schema.validate_row(row))
+                                       if validate else map(tuple, rows))
+                    finally:
+                        stored.insert(landing)
                 except BaseException:
-                    if inserted:
-                        # Rows landed in the heap before the failure: the
-                        # mutation must not go unrecorded (pinned snapshots
-                        # would replay pre-insert data, views would diverge
-                        # undetectably).  A gap makes consumers resync.  The
-                        # op carries the landed rows so durable replay can
-                        # reproduce the exact torn heap state.
+                    landed = landing[:stored.heap.num_rows - before]
+                    if landed:
+                        # Unrecorded, these rows would let pinned snapshots
+                        # and views diverge: a gap makes them resync, and its
+                        # op lets durable replay rebuild the torn heap.
                         batch = self.mark_data_changed(
                             table_scope(table), notify=False,
-                            op=("insert_torn", {"table": table,
-                                                "rows": list(inserted)}))
+                            op=("insert_torn", {"table": table, "rows": landed}))
                     raise
-                if inserted:
+                if landing:
                     batch = self.mark_data_changed(
                         table_scope(table),
-                        entries=[(row, 1) for row in inserted], notify=False,
+                        entries=[(row, 1) for row in landing], notify=False,
                         op=("insert", {"table": table}))
         finally:
             if batch is not None:
                 self.changelog.notify_batch(batch)
-        return len(inserted)
+        return len(landing)
 
     def delete_rows(self, table: str, predicate: Expression) -> list[tuple]:
         """Delete every row satisfying ``predicate``; returns the deleted rows.

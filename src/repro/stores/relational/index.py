@@ -26,19 +26,15 @@ class HashIndex:
         self._buckets: dict[Any, list[RowId]] = {}
         self._num_entries = 0
 
-    def insert(self, key: Any, rid: RowId) -> None:
-        """Add an entry for ``key`` pointing at ``rid``."""
-        self._buckets.setdefault(key, []).append(rid)
-        self._num_entries += 1
-
     def lookup(self, key: Any) -> list[RowId]:
         """Row ids whose indexed column equals ``key``."""
         return list(self._buckets.get(key, []))
 
     def bulk_load(self, entries: Iterable[tuple[Any, RowId]]) -> None:
-        """Insert many ``(key, rid)`` entries."""
+        """Add an entry for each ``(key, rid)``."""
         for key, rid in entries:
-            self.insert(key, rid)
+            self._buckets.setdefault(key, []).append(rid)
+            self._num_entries += 1
 
     def copy(self) -> "HashIndex":
         """An independent index holding the same entries."""
@@ -65,16 +61,10 @@ class SortedIndex:
         self._rids: list[RowId] = []
         self._pending: list[tuple[Any, RowId]] = []
 
-    def insert(self, key: Any, rid: RowId) -> None:
-        """Add an entry; the sorted array is rebuilt on next lookup."""
-        if key is None:
-            return
-        self._pending.append((key, rid))
-
     def bulk_load(self, entries: Iterable[tuple[Any, RowId]]) -> None:
-        """Insert many ``(key, rid)`` entries."""
-        for key, rid in entries:
-            self.insert(key, rid)
+        """Add each ``(key, rid)`` but a ``None`` key's; the sorted array is
+        rebuilt on the next lookup."""
+        self._pending.extend(entry for entry in entries if entry[0] is not None)
 
     def copy(self) -> "SortedIndex":
         """An independent index holding the same entries."""

@@ -1,6 +1,7 @@
 """Heap storage for the relational engine.
 
-Tables are stored as a list of fixed-capacity pages of rows.  The page
+Tables are stored as a list of fixed-capacity pages of rows, which an insert
+fills a slice at a time (:meth:`HeapStorage.insert_many`).  The page
 structure exists so that the cost model can reason about page reads (the
 sequential-scan vs index-seek distinction in paper §III-A-2), so a read or
 write can say how many pages it examined (:meth:`HeapStorage.select` and
@@ -216,12 +217,6 @@ class Page:
         """Whether the page has reached capacity."""
         return len(self.rows) >= self.capacity
 
-    def append(self, row: Row) -> None:
-        """Append a row; raises :class:`StorageError` if the page is full."""
-        if self.is_full:
-            raise StorageError("page is full")
-        self.rows.append(row)
-
 
 class HeapStorage:
     """Heap of pages for one table.  A row id is positional, ``(page, slot)``;
@@ -247,23 +242,28 @@ class HeapStorage:
 
     # -- writes ---------------------------------------------------------------
 
-    def insert(self, row: Row, *, validate: bool = False) -> tuple[int, int]:
-        """Insert a row tuple; returns its ``(page, slot)`` row identifier."""
-        if validate:
-            self.schema.validate_row(row)
-        pages = self._pages
-        if not pages or pages[-1].is_full:
-            pages.append(Page(self.page_capacity))
-        page = pages[-1]
-        page.append(row)
-        self._num_rows += 1
-        return len(pages) - 1, len(page.rows) - 1
-
-    def insert_many(self, rows: Sequence[Sequence[Any]], *, validate: bool = False) -> int:
-        """Insert many rows; returns the number inserted."""
-        for row in rows:
-            self.insert(tuple(row), validate=validate)
-        return len(rows)
+    def insert_many(self, rows: list[Row]) -> list[tuple[int, int, int]]:
+        """Land a list of row tuples after the last row: one slice tops up the
+        open last page, then each further page is appended holding its slice.
+        A page gets a successor only once full and no page is empty, so a
+        lock-free reader never summarises one still filling.  The row count
+        moves page by page.  Returns each page's ``(page, first slot, end
+        slot)`` span, in row order."""
+        pages, capacity = self._pages, self.page_capacity
+        spans: list[tuple[int, int, int]] = []
+        at = 0
+        if rows and pages and (first := len(pages[-1].rows)) < capacity:
+            at = capacity - first
+            top = rows[:at]
+            pages[-1].rows.extend(top)
+            self._num_rows += len(top)
+            spans.append((len(pages) - 1, first, first + len(top)))
+        for at in range(at, len(rows), capacity):
+            page = Page(capacity, rows[at:at + capacity])
+            pages.append(page)
+            self._num_rows += len(page.rows)
+            spans.append((len(pages) - 1, 0, len(page.rows)))
+        return spans
 
     def _examine(self, pages: list[Page], predicate: Expression | None
                  ) -> list[bool]:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import DataflowProgram, Dataset, dataset
+from repro import DataflowProgram, Dataset, col, dataset
 from repro.cluster import ShardedEngine, combine_partial_aggregates, decompose_aggregates
+from repro.compiler.pipeline import CompilerOptions
 from repro.core import build_accelerated_polystore, build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import KeyValueEngine, RelationalEngine, TextEngine, TimeseriesEngine
@@ -330,6 +331,23 @@ class TestShardedOrdering:
         expected = reference_system.execute(program).output("result").to_dicts()
         actual = sharded_system.execute(program).output("result").to_dicts()
         assert actual == expected  # identical rows in identical (key) order
+
+    @pytest.mark.parametrize("columns", [None, ("key", "uid"), ("uid",)])
+    def test_a_partition_wise_filter_and_project_keep_key_order(self, columns):
+        # Without pushdown the filter (and project) run on each shard's
+        # partition; the gather must still merge them in key order.
+        reference_system, sharded_system = self._kv_pair()
+        read = dataset("profiles").kv(key_prefix="user/").filter(col("uid") > 12)
+        if columns is not None:
+            read = read.project(*columns)
+        program = _program("kv", read)
+        options = CompilerOptions(pushdown=False)
+        expected = reference_system.execute(program, options=options).output("result")
+        result = sharded_system.execute(program, options=options)
+        assert result.output("result").to_dicts() == expected.to_dicts()
+        assert [row["uid"] for row in expected.to_dicts()][:3] == [13, 14, 15]
+        filters = [r for r in result.report.records if r.kind == "filter"]
+        assert filters[0].details["merge"] == "deferred"  # ran partition-wise
 
     def test_kv_range_gather_merges_in_key_order(self):
         from repro.ir.graph import IRGraph

@@ -109,8 +109,8 @@ class TestHeapStorage:
 
     def test_fetch_by_rid(self):
         heap = HeapStorage(make_schema(("a", DataType.INT)), page_capacity=2)
-        rid = heap.insert((7,))
-        assert heap.fetch(*rid) == (7,)
+        [(page, slot, _)] = heap.insert_many([(7,)])
+        assert heap.fetch(page, slot) == (7,)
 
     def test_invalid_rid(self):
         heap = HeapStorage(make_schema(("a", DataType.INT)))

@@ -18,7 +18,8 @@ from __future__ import annotations
 import shutil
 import tempfile
 
-from hypothesis import settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -26,8 +27,10 @@ from repro import PolystorePlusPlus, col
 from repro.core.system import SystemConfig
 from repro.datamodel import DataType, make_schema
 from repro.durability.state import dump_state, replay_record, restore_state
+from repro.exceptions import SchemaError
 from repro.stores.changelog import table_scope
-from repro.stores.relational import RelationalEngine
+from repro.stores.relational import RelationalEngine, storage
+from repro.stores.relational.storage import Page
 
 SCHEMA = make_schema(("id", DataType.INT), ("grp", DataType.INT),
                      ("amount", DataType.FLOAT))
@@ -53,6 +56,20 @@ _predicates = st.one_of(
 _updates = st.fixed_dictionaries(
     {}, optional={"id": _ids, "grp": _groups, "amount": _amounts}
 ).filter(bool)
+
+
+def _landed(sizes: list[int], count: int, capacity: int) -> list[int]:
+    """Page sizes after ``count`` rows land on pages of ``sizes``: the last
+    page is topped up, the rest go into new pages, full but for the last."""
+    sizes = list(sizes)
+    if sizes and sizes[-1] < capacity:
+        top = min(capacity - sizes[-1], count)
+        sizes[-1] += top
+        count -= top
+    while count:
+        sizes.append(min(capacity, count))
+        count -= sizes[-1]
+    return sizes
 
 
 def _layout(engine) -> tuple[list[int], int]:
@@ -98,9 +115,25 @@ class RelationalWrites(RuleBasedStateMachine):
     @rule(rows=st.lists(_rows, min_size=1, max_size=9))
     def insert(self, rows):
         head = self.live.changelog.latest_seq
+        stored = self.live._tables["t"]
+        before, sizes = stored.heap._pages[:], _layout(self.live)[0]
         assert self.live.insert("t", rows) == len(rows)
         self.model.extend(rows)
         assert self._logged(head) == [(row, 1) for row in rows]
+        # Only the old last page takes rows; the rest fill whole pages, and
+        # only the new last page may be partial.
+        pages = stored.heap._pages
+        assert all(new is old for new, old in zip(pages[:len(before)], before, strict=True))
+        assert _layout(self.live)[0] == _landed(sizes, len(rows), 4)
+        # The new rows' ids resolve through the heap and every index.
+        rids = [(page, slot) for page, held in enumerate(pages)
+                for slot in range(len(held.rows))][-len(rows):]
+        assert stored.heap.fetch_many(rids) == rows
+        for indexes in (stored.hash_indexes, stored.sorted_indexes):
+            for column, index in indexes.items():
+                position = SCHEMA.index_of(column)
+                for rid, row in zip(rids, rows):
+                    assert rid in index.lookup(row[position]), (column, rid)
 
     @rule(predicate=_predicates, updates=_updates)
     def update(self, predicate, updates):
@@ -189,3 +222,94 @@ class RelationalWrites(RuleBasedStateMachine):
 RelationalWrites.TestCase.settings = settings(
     max_examples=60, stateful_step_count=25, deadline=None)
 TestRelationalWrites = RelationalWrites.TestCase
+
+
+def _batched_engine(capacity: int, head: list[tuple], batches: list[list[tuple]]):
+    """An engine with hash and sorted indexes, ``head`` loaded, then each of
+    ``batches`` inserted; and the changelog entries the batches logged."""
+    engine = RelationalEngine("batched")
+    engine.changelog.register(engine)
+    engine.create_table("t", SCHEMA, page_capacity=capacity)
+    engine.create_index("t", "grp", kind="hash")
+    engine.create_index("t", "id", kind="sorted")
+    engine.insert("t", head)
+    seq = engine.changelog.latest_seq
+    for batch in batches:
+        engine.insert("t", batch)
+    batches_logged, complete = engine.changelog.read_since(seq, SCOPE)
+    assert complete
+    return engine, [entry for batch in batches_logged for entry in batch.entries]
+
+
+def _state(engine, rows: list[tuple]) -> tuple:
+    """Pages, row ids and index answers of ``engine``'s ``t`` over ``rows``."""
+    stored = engine._tables["t"]
+    return ([page.rows for page in stored.heap._pages], stored.heap.num_rows,
+            {(column, row[SCHEMA.index_of(column)]):
+             index.lookup(row[SCHEMA.index_of(column)])
+             for indexes in (stored.hash_indexes, stored.sorted_indexes)
+             for column, index in indexes.items() for row in rows})
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 8), head=st.lists(_rows, max_size=10),
+       rows=st.lists(_rows, max_size=20), data=st.data())
+def test_one_batch_its_splits_and_single_rows_land_alike(capacity, head, rows, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=5)))
+    splits = [rows[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(rows)])]
+    whole, logged = _batched_engine(capacity, head, [rows])
+    expected = _state(whole, head + rows)
+    assert expected[0] == [(head + rows)[at:at + capacity]
+                           for at in range(0, len(head) + len(rows), capacity)]
+    assert logged == [(row, 1) for row in rows]
+    for batches in (splits, [[row] for row in rows]):
+        engine, entries = _batched_engine(capacity, head, batches)
+        assert _state(engine, head + rows) == expected
+        assert entries == logged
+
+
+@pytest.mark.parametrize("bad_at", [0, 1, 5, 8])
+def test_a_validated_insert_lands_the_rows_before_its_first_bad_one(bad_at):
+    engine = RelationalEngine("db")
+    engine.changelog.register(engine)
+    engine.create_table("t", SCHEMA, page_capacity=4)
+    engine.insert("t", [(0, 0, 0.0)] * 3)
+    rows = [(n, n % 4, 1.5) for n in range(10)]
+    rows[bad_at] = ("bad", 0, 1.5)
+    seq = engine.changelog.latest_seq
+    notified: list = []
+    engine.changelog.subscribe(notified.append)
+    with pytest.raises(SchemaError):
+        engine.insert("t", rows, validate=True)
+    assert engine.scan("t").rows == [(0, 0, 0.0)] * 3 + rows[:bad_at]
+    assert engine.table_statistics("t")["rows"] == 3 + bad_at
+    assert [(batch.gap, batch.op) for batch in notified] == (
+        [(True, ("insert_torn", {"table": "t", "rows": rows[:bad_at]}))] if bad_at else [])
+    assert engine.changelog.read_since(seq, SCOPE)[1] == (not bad_at)
+
+
+def test_a_failure_while_landing_names_the_rows_that_landed(monkeypatch):
+    # The second page a batch opens fails to build: the old last page's
+    # top-up and the first new page landed, and the gap names exactly those.
+    engine = RelationalEngine("db")
+    engine.changelog.register(engine)
+    engine.create_table("t", SCHEMA, page_capacity=4)
+    engine.insert("t", [(0, 0, 0.0)])
+    rows = [(n, 0, 1.5) for n in range(1, 12)]
+    built = []
+
+    def page(capacity, held):
+        if built:
+            raise KeyboardInterrupt
+        built.append(held)
+        return Page(capacity, held)
+
+    monkeypatch.setattr(storage, "Page", page)
+    notified: list = []
+    engine.changelog.subscribe(notified.append)
+    with pytest.raises(KeyboardInterrupt):
+        engine.insert("t", rows)
+    monkeypatch.undo()
+    assert engine.scan("t").rows == [(0, 0, 0.0)] + rows[:7]
+    assert [(batch.gap, batch.op) for batch in notified] == [
+        (True, ("insert_torn", {"table": "t", "rows": rows[:7]}))]

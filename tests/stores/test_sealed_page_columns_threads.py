@@ -7,10 +7,13 @@ from __future__ import annotations
 import sys
 import threading
 
+import numpy as np
+
 from repro import col
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import RelationalEngine
 from repro.stores.relational.operators import AggregateSpec
+from repro.stores.relational.storage import Page
 
 ROWS, GROUPS, SPAN, WRITES, READERS = 4_096, 7, 100, 40, 4
 FACTS = make_schema(("id", DataType.INT), ("grp", DataType.INT),
@@ -115,14 +118,14 @@ def _order(i: int) -> tuple[int, str, float]:
     return i, REGIONS[(i * 7) % 5], (i * 13) % 40 / 10
 
 
-def test_string_keyed_answers_beside_inserts_that_seal_pages_are_prefixes():
-    # A reader takes the page list once: every page but its last is full and
-    # sealed, and the rows it folds are some prefix of the inserts.  So each
-    # answer is the left fold of the first ``n`` orders, for some ``n``.
-    initial = 2 * ORDER_PAGE * 16
-    orders = [_order(i) for i in range(initial + INSERTS * BATCH)]
+def _prefixes_beside_inserts(page: int, batch: int) -> RelationalEngine:
+    """Readers fold ``orders`` while a writer inserts ``batch`` rows at a time
+    into pages of ``page`` rows; every answer is the left fold of the first
+    ``n`` orders, for some ``n``.  Returns the engine once the writer stopped."""
+    initial = 2 * page * 16
+    orders = [_order(i) for i in range(initial + INSERTS * batch)]
     engine = RelationalEngine("db")
-    engine.load_table("orders", Table(ORDERS, orders[:initial]), page_capacity=ORDER_PAGE)
+    engine.load_table("orders", Table(ORDERS, orders[:initial]), page_capacity=page)
     partial = (("region",), PARTIAL[1])
     groups: dict[str, list] = {}
     prefixes = set()
@@ -145,8 +148,8 @@ def test_string_keyed_answers_beside_inserts_that_seal_pages_are_prefixes():
 
     def writer() -> None:
         try:
-            for at in range(initial, len(orders), BATCH):
-                engine.insert("orders", orders[at:at + BATCH])
+            for at in range(initial, len(orders), batch):
+                engine.insert("orders", orders[at:at + batch])
         finally:
             done.set()
 
@@ -154,3 +157,30 @@ def test_string_keyed_answers_beside_inserts_that_seal_pages_are_prefixes():
          + [threading.Thread(target=writer)])
     assert all(answer in prefixes for seen in answers for answer in seen)
     assert read() == repr([(key, *a) for key, a in groups.items()])
+    return engine
+
+
+def test_string_keyed_answers_beside_inserts_that_seal_pages_are_prefixes():
+    # A reader takes the page list once: every page but its last is full and
+    # sealed, and the rows it folds are some prefix of the inserts.
+    _prefixes_beside_inserts(ORDER_PAGE, BATCH)
+
+
+def test_answers_beside_inserts_spanning_pages_are_prefixes_and_seal_fresh_columns():
+    # Each batch tops up the last page and lands three more: a reader that
+    # took the page list between two of them still sees a prefix, and never
+    # caches the columns or bounds of a page that was still filling.
+    engine = _prefixes_beside_inserts(16, 3 * 16 + 2)
+    pages = engine._tables["orders"].heap._pages
+    for page in pages[:-1]:
+        fresh = Page(page.capacity, page.rows)
+        assert len(page.rows) == page.capacity
+        for position in range(len(ORDERS)):
+            got, want = page.column(position), fresh.column(position)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.kind, got.keys, got.values.dtype) == (
+                    want.kind, want.keys, want.values.dtype)
+                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(got.nulls, want.nulls)
+            assert page.bounds(position) == fresh.bounds(position)
