@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
 from repro.catalog import Catalog
-from repro.cluster.scatter import ShardedValue
 from repro.compiler.pipeline import CompilationResult
 from repro.datamodel.table import Table
 from repro.ir.graph import IRGraph
@@ -126,10 +125,6 @@ def _protective_copy(value: Any) -> Any:
     """
     if isinstance(value, Table):
         return Table.wrap(value.schema, list(value.rows))
-    if isinstance(value, ShardedValue):
-        # Sharded partitions pin like any other pure value; each partition
-        # container is copied so consumers can't poison the pinned original.
-        return value.copy_parts(_protective_copy)
     if isinstance(value, list):
         return list(value)
     if isinstance(value, dict):

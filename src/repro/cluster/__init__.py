@@ -16,13 +16,8 @@ from repro.cluster.partition import (
     RangePartitioner,
     canonical_key,
 )
-from repro.cluster.scatter import ScatterExecution, ScatterGather, ShardedValue, gather
+from repro.cluster.scatter import ScatterExecution, ScatterGather
 from repro.cluster.sharded import PARTITIONABLE_MODELS, ShardedEngine
-from repro.cluster.adapter import ShardedAdapter
-from repro.stores.relational.operators import (
-    combine_partial_aggregates,
-    decompose_aggregates,
-)
 
 __all__ = [
     "Partitioner",
@@ -31,11 +26,6 @@ __all__ = [
     "canonical_key",
     "ShardedEngine",
     "PARTITIONABLE_MODELS",
-    "ShardedAdapter",
-    "ShardedValue",
     "ScatterGather",
     "ScatterExecution",
-    "gather",
-    "decompose_aggregates",
-    "combine_partial_aggregates",
 ]

@@ -9,19 +9,20 @@ The executor delegates here when an operator is bound to a sharded engine.
   one pass).  The result is one table, so every operator above it runs as
   on one engine, through the primary shard.
 * **other leaf reads** (``kv_range``, ``ts_summarize``, ...) fan out to
-  every shard's adapter and produce a :class:`ShardedValue` — the per-shard
-  partitions stay separate so ``filter`` / ``project`` keep working
-  partition-wise.  Reads that name their key (``ts_range`` /
+  every shard's adapter and merge the shards' tables into one at the leaf:
+  ``text_search`` re-ranks the hits, key-ordered reads merge in key order,
+  the rest concatenate.  Reads that name their key (``ts_range`` /
   ``window_aggregate`` on one series, ``kv_get`` with explicit keys) are
-  *routed* to the owning shard(s) instead of broadcast; ``text_search``
-  re-ranks the shards' hits.
+  *routed* to the owning shard(s) instead of broadcast.
 
-Everything else returns ``None`` and the executor falls back to the primary
-shard.  Shard subtasks run one after another on the calling thread, and each
-records its thread-CPU time.  A fan-out is charged its *critical path* — the
-slowest shard plus the merge — which models the shards as separate machines
-the way migration and offload charges model the network and devices; a
-relational read is charged its own thread CPU, one read on one machine.
+Every operator hands on one table: for anything above a leaf
+:meth:`ScatterGather.execute` returns ``None`` and the executor runs it on
+the primary shard.  Shard subtasks run one after another on the calling
+thread, and each records its thread-CPU time.  A fan-out is charged its
+*critical path* — the slowest shard plus the merge — which models the
+shards as separate machines the way migration and offload charges model the
+network and devices; a relational read is charged its own thread CPU, one
+read on one machine.
 """
 
 from __future__ import annotations
@@ -37,68 +38,13 @@ from repro.cluster.partition import Partitioner
 from repro.cluster.sharded import ShardedEngine, align_tables, concat_tables
 from repro.compiler.passes.pushdown import predicate_key_values
 from repro.stores.relational.expressions import Expression
-from repro.datamodel.schema import Column, DataType, Schema
 from repro.datamodel.table import Row, Table
 from repro.middleware.adapters import Adapter, RelationalAdapter, adapter_for
 from repro.obs import Observability
 from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
 from repro.stores.base import DataModel, Engine
-# The sharded aggregate algebra (combine, decompose) is imported from here too.
-from repro.stores.relational.operators import (  # noqa: F401
-    TableScan,
-    TopK,
-    column_reader,
-    combine_partial_aggregates,
-    decompose_aggregates,
-)
-
-
-@dataclass(frozen=True)
-class ShardedValue:
-    """Per-shard partitions of one operator's output, merged lazily.
-
-    ``shard_indexes[i]`` is the shard that produced ``parts[i]`` — routed
-    reads may cover a subset of the shards.  ``ordered_by`` names a column
-    each partition is sorted on (key/value range reads are key-ordered per
-    shard); the gather then k-way-merges instead of concatenating, so
-    sharded results keep the same global ordering the unsharded engine
-    guarantees.  Consumers that cannot work partition-wise call
-    :meth:`gather`.
-    """
-
-    engine: str
-    parts: tuple[Any, ...]
-    shard_indexes: tuple[int, ...]
-    ordered_by: str | None = None
-
-    def gather(self) -> Any:
-        """Merge the partitions into one value (order-preserving for tables)."""
-        tables = [part for part in self.parts if isinstance(part, Table)]
-        if len(tables) == len(self.parts) and tables:
-            if self.ordered_by is not None:
-                return _ordered_merge(tables, self.ordered_by)
-            return concat_tables(tables)
-        if len(self.parts) == 1:
-            return self.parts[0]
-        merged: list[Any] = []
-        for part in self.parts:
-            merged.extend(part if isinstance(part, list) else [part])
-        return merged
-
-    def copy_parts(self, copier: Callable[[Any], Any]) -> "ShardedValue":
-        """A new value with each partition passed through ``copier``."""
-        return ShardedValue(self.engine, tuple(copier(p) for p in self.parts),
-                            self.shard_indexes, self.ordered_by)
-
-    def __len__(self) -> int:
-        return sum(len(part) if hasattr(part, "__len__") else 1
-                   for part in self.parts)
-
-
-def gather(value: Any) -> Any:
-    """Coerce ``value`` to a plain (merged) value if it is sharded."""
-    return value.gather() if isinstance(value, ShardedValue) else value
+from repro.stores.relational.operators import column_reader
 
 
 @dataclass
@@ -133,12 +79,12 @@ class ScatterGather:
 
     def execute(self, engine: ShardedEngine, node: Operator,
                 inputs: list[Any]) -> ScatterExecution | None:
-        """Scatter-gather ``node`` across the engine's shards.
+        """Scatter-gather ``node``, a leaf read, across the engine's shards.
 
-        Returns ``None`` when the operator is not partitionable here — the
-        executor then falls back to the designated primary shard.
+        Returns ``None`` for every other operator — the executor then runs it
+        on the designated primary shard, over the one table its input is.
         """
-        if not engine.partitionable:
+        if not engine.partitionable or node.inputs or not KINDS[node.kind].source:
             return None
         shards = engine.shards
         if not shards or not self._adapter(shards[0]).can_execute(node):
@@ -146,53 +92,39 @@ class ScatterGather:
             # ``can_execute`` raises a clean error instead of a duck-typed
             # adapter misreading the node.
             return None
-        role = KINDS[node.kind].scatter
-        if role == "leaf" and not node.inputs:
-            return self._execute_leaf(engine, node)
-        # A project that drops the partitions' order column runs after the
-        # gather, which merges in that order.
-        if role == "partwise" and len(inputs) == 1 and isinstance(inputs[0], ShardedValue) \
-                and (node.kind != "project" or inputs[0].ordered_by in
-                     (None, *node.params.get("columns", ()))):
-            return self._execute_partwise(engine, node, inputs[0])
-        return None
+        return self._execute_leaf(engine, node)
 
     # -- leaf reads --------------------------------------------------------------------
 
-    def _execute_leaf(self, engine: ShardedEngine,
-                      node: Operator) -> ScatterExecution | None:
+    def _execute_leaf(self, engine: ShardedEngine, node: Operator) -> ScatterExecution:
         # The shard list and the partitioner that routes into it, read once.
         shards, partitioner = engine.topology()
         routed = self._route(engine, node, partitioner)
+        indexes = list(range(len(shards))) if routed is None else sorted(routed)
         if engine.data_model is DataModel.RELATIONAL:
-            return self._execute_read(engine, node, shards, routed)
-        if routed is not None:
-            return self._execute_routed(engine, node, shards, routed)
+            return self._execute_read(engine, node, shards, indexes, routed is not None)
         results = self._fan_out(engine.name, node.kind, [
-            ((index,), partial(self._adapter(shard).execute, node, []))
-            for index, shard in enumerate(shards)])
-        parts = tuple(value for value, _ in results)
+            ((index,), partial(self._adapter(shards[index]).execute,
+                               node if routed is None else routed[index], []))
+            for index in indexes])
         times = [cpu for _, cpu in results]
-        details = {"shards": len(shards), "fan_out": "serial",
-                   "shard_times_s": times,
-                   "contacted_shards": [shard.name for shard in shards]}
-        if node.kind == "text_search":
-            merge_start = time.thread_time()
-            merged = _rerank_search(parts, int(node.params.get("top_k", 10)))
-            merge_s = time.thread_time() - merge_start
-            details["merge"] = "rerank"
-            return ScatterExecution(merged, max(times, default=0.0) + merge_s, details)
-        details["merge"] = "deferred"
-        value = ShardedValue(engine.name, parts, tuple(range(len(shards))),
-                             _leaf_order_column(node))
-        return ScatterExecution(value, max(times, default=0.0), details)
+        details: dict[str, Any] = {
+            "shards": len(indexes), "fan_out": "serial" if routed is None else "routed",
+            "shard_times_s": times,
+            "contacted_shards": [shards[index].name for index in indexes]}
+        if routed is not None and len(indexes) == 1:
+            details["shard"] = shards[indexes[0]].name
+            return ScatterExecution(results[0][0], times[0], details)
+        merge_start = time.thread_time()
+        value, details["merge"] = _merge([part for part, _ in results], node)
+        merge_s = time.thread_time() - merge_start
+        return ScatterExecution(value, max(times) + merge_s, details)
 
     def _execute_read(self, engine: ShardedEngine, node: Operator, shards: list[Engine],
-                      routed: dict[int, Operator] | None) -> ScatterExecution:
-        """A relational leaf: one engine call over the shards it needs (every
-        shard, or those ``routed`` names), whose one value is the read one
-        engine holding their rows would give.  Charged its thread CPU."""
-        indexes = list(range(len(shards))) if routed is None else sorted(routed)
+                      indexes: list[int], routed: bool) -> ScatterExecution:
+        """A relational leaf: one engine call over the shards ``indexes``
+        names (every shard, unless ``routed``), whose one value is the read
+        one engine holding their rows would give.  Charged its thread CPU."""
         chosen = [shards[index] for index in indexes]
         adapter = self._adapters.get(id(engine))
         if adapter is None:
@@ -200,9 +132,9 @@ class ScatterGather:
         [(value, cpu)] = self._fan_out(engine.name, node.kind, [
             (tuple(indexes), partial(adapter.read, node, shards=chosen))])
         details: dict[str, Any] = {
-            "shards": len(chosen), "fan_out": "fold" if routed is None else "routed",
+            "shards": len(chosen), "fan_out": "routed" if routed else "fold",
             "shard_times_s": [cpu], "contacted_shards": [shard.name for shard in chosen]}
-        if routed is not None and len(chosen) == 1:
+        if routed and len(chosen) == 1:
             details["shard"] = chosen[0].name
         return ScatterExecution(value, cpu, details)
 
@@ -259,46 +191,6 @@ class ScatterGather:
             plan[shard_index] = subset
         return plan
 
-    def _execute_routed(self, engine: ShardedEngine, node: Operator,
-                        shards: list[Engine],
-                        routed: dict[int, Operator]) -> ScatterExecution:
-        indexes = sorted(routed)
-        results = self._fan_out(engine.name, node.kind, [
-            ((index,), partial(self._adapter(shards[index]).execute, routed[index], []))
-            for index in indexes])
-        parts = tuple(value for value, _ in results)
-        times = [cpu for _, cpu in results]
-        details: dict[str, Any] = {
-            "shards": len(indexes), "fan_out": "routed",
-            "shard_times_s": times,
-            "contacted_shards": [shards[index].name for index in indexes],
-        }
-        if len(indexes) == 1:
-            details["shard"] = shards[indexes[0]].name
-            return ScatterExecution(parts[0], max(times, default=0.0), details)
-        details["merge"] = "deferred"
-        value = ShardedValue(engine.name, parts, tuple(indexes),
-                             _leaf_order_column(node))
-        return ScatterExecution(value, max(times, default=0.0), details)
-
-    # -- partition-wise operators ------------------------------------------------------
-
-    def _execute_partwise(self, engine: ShardedEngine, node: Operator,
-                          sharded: ShardedValue) -> ScatterExecution:
-        """Run ``node`` (one that keeps order) over each partition on the
-        shard that produced it."""
-        shards = engine.shards
-        results = self._fan_out(engine.name, node.kind, [
-            ((index,), partial(self._adapter(shards[index]).execute, node, [part]))
-            for part, index in zip(sharded.parts, sharded.shard_indexes)])
-        times = [cpu for _, cpu in results]
-        value = ShardedValue(engine.name, tuple(v for v, _ in results),
-                             sharded.shard_indexes, sharded.ordered_by)
-        return ScatterExecution(value, max(times, default=0.0), {
-            "shards": len(results), "fan_out": "serial", "merge": "deferred",
-            "shard_times_s": times,
-        })
-
     # -- dispatch helpers --------------------------------------------------------------
 
     def _fan_out(self, engine: str, kind: str,
@@ -342,12 +234,24 @@ class ScatterGather:
         return adapter
 
 
+def _merge(parts: list[Table], node: Operator) -> tuple[Table, str]:
+    """One table from a leaf's per-shard tables, and how they were merged:
+    ``text_search`` hits re-ranked, key-ordered reads merged in key order,
+    every other read concatenated in shard order."""
+    if node.kind == "text_search":
+        return _rerank_search(parts, int(node.params.get("top_k", 10))), "rerank"
+    order = _leaf_order_column(node)
+    if order is not None:
+        return _ordered_merge(parts, order), "ordered"
+    return concat_tables(parts), "concat"
+
+
 def _leaf_order_column(node: Operator) -> str | None:
-    """The column a leaf read's per-shard partitions are sorted on, if any.
+    """The column a leaf read's per-shard tables are sorted on, if any.
 
     Key/value range reads come back in key order from every shard (the LSM
-    range scan sorts), so their gather must merge rather than concatenate to
-    match the unsharded engine's ordering.
+    range scan sorts), so they must merge rather than concatenate to match
+    the unsharded engine's ordering.
     """
     if node.kind == "kv_range" or (node.kind == "kv_get"
                                    and not node.params.get("keys")):
@@ -367,7 +271,7 @@ def _ordered_merge(parts: Sequence[Table], by: str) -> Table:
     """
     non_empty = [part for part in parts if len(part)]
     if not non_empty:
-        return parts[0] if parts else Table(Schema([Column(by, DataType.FLOAT)]), [])
+        return parts[0]
     schema, runs = align_tables(non_empty)
     read = column_reader(schema, by)
 
@@ -378,28 +282,6 @@ def _ordered_merge(parts: Sequence[Table], by: str) -> Table:
     return Table.wrap(schema, list(heapq.merge(*runs, key=key)))
 
 
-def _global_top_k(parts: Sequence[Table], by: str, k: int, descending: bool) -> Table:
-    """Heap-select the global top ``k`` from per-shard top-``k`` results.
-
-    Matches the single-node ``TopK`` operator's semantics: rows whose
-    ``by`` value is ``None`` never qualify (single-node drops them before
-    the heap; the old concat-and-full-sort here let them pad ascending
-    results), and the selected key sequence is identical.  Ties are
-    *deterministic* — ``heapq.nlargest``/``nsmallest`` are stable and the
-    candidates stream in shard-index order (per-shard insertion order
-    within each shard) — but when equal keys straddle the k boundary
-    *across* shards the surviving rows may differ from single-node, whose
-    stable order is the global insertion order partitioning destroyed.
-    Unique sort keys reproduce single-node output exactly; see DESIGN.md.
-    """
-    if not parts:
-        return Table(Schema([Column(by, DataType.FLOAT)]), [])
-    # The single-node operator over the shard-ordered concatenation is
-    # exactly that selection.
-    return TopK(TableScan(concat_tables(parts)), by, max(k, 0),
-                descending=descending).to_table()
-
-
 def _rerank_search(parts: Sequence[Table], top_k: int) -> Table:
     """Global re-rank of per-shard search results by descending score.
 
@@ -408,9 +290,6 @@ def _rerank_search(parts: Sequence[Table], top_k: int) -> Table:
     default to.  Rankings can deviate from a single-node index when term
     distribution is very skewed across shards; see DESIGN.md.
     """
-    if not parts:
-        return Table(Schema([Column("doc_id", DataType.STRING),
-                             Column("score", DataType.FLOAT)]), [])
     merged = concat_tables(parts)
     score = column_reader(merged.schema, "score")
     ranked = sorted(merged.rows, key=lambda row: float(score(row) or 0.0),

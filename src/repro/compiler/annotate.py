@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.catalog import Catalog
 from repro.ir.graph import IRGraph
 from repro.ir.kinds import KINDS
-from repro.ir.nodes import COMBINE_PARTIALS, PARTIAL_AGGREGATE, Operator
+from repro.ir.nodes import FOLDED_INTO_SCAN, SCAN_AGGREGATE, Operator
 from repro.stores.relational.expressions import Expression
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the layering acyclic
@@ -78,9 +78,9 @@ def _estimate_rows(graph: IRGraph, node: Operator, catalog: Catalog | None) -> i
             rows = max(1, int(rows * predicate.estimated_selectivity()))
         elif kind == "index_seek":
             rows = max(1, rows // 100)
-        partial = node.annotations.get(PARTIAL_AGGREGATE)
+        aggregate = node.annotations.get(SCAN_AGGREGATE)
         # A scan that aggregates returns what the aggregate above it would.
-        return rows if partial is None else _aggregate_rows(rows, partial[0])
+        return rows if aggregate is None else _aggregate_rows(rows, aggregate[0])
     if kind == "filter":
         predicate = node.params.get("predicate")
         selectivity = predicate.estimated_selectivity() \
@@ -90,8 +90,8 @@ def _estimate_rows(graph: IRGraph, node: Operator, catalog: Catalog | None) -> i
         left, right = (input_rows + [1, 1])[:2]
         return max(1, int(left * right * _JOIN_SELECTIVITY), min(left, right))
     if kind == "aggregate":
-        if COMBINE_PARTIALS in node.annotations:
-            return input_rows[0]  # one row per partial group, estimated below
+        if FOLDED_INTO_SCAN in node.annotations:
+            return input_rows[0]  # its input is its result, estimated below
         return _aggregate_rows(input_rows[0], node.params.get("group_by"))
     if kind == "limit":
         return min(input_rows[0], int(node.params.get("n", input_rows[0])))

@@ -16,9 +16,9 @@ Three fusions are implemented:
 from __future__ import annotations
 
 from repro.ir.graph import IRGraph
-from repro.ir.nodes import COMBINE_PARTIALS, PARTIAL_AGGREGATE, Operator
+from repro.ir.nodes import FOLDED_INTO_SCAN, SCAN_AGGREGATE, Operator
 from repro.stores.relational.expressions import Expression, and_
-from repro.stores.relational.operators import AggregateSpec, decompose_aggregates
+from repro.stores.relational.operators import AggregateSpec
 
 
 def fuse_operators(graph: IRGraph) -> int:
@@ -111,16 +111,14 @@ def _fuse_project_into_scan(graph: IRGraph) -> int:
 def fold_aggregates_into_scans(graph: IRGraph) -> int:
     """Fold each group-aggregate into the relational scan only it reads.
 
-    The scan's page walk folds the rows it selects into one partial row per
-    group (:func:`~repro.stores.relational.operators.decompose_aggregates`:
-    ``avg`` as ``sum`` and ``count``) and the aggregate combines the
-    partials — one part on a single engine, one per shard on a sharded one.
-    Count, sum, min and max partials fold exactly (DBSP linearity), so the
-    answer, its group order and its schema are the unfused plan's.
+    The scan's page walk folds the rows it selects — over one engine's heap,
+    or every shard's of a sharded one — with the aggregate's own specs
+    straight into its result: one row per group, in first-seen order, with
+    the unfused plan's schema.  The aggregate hands that table on.
 
     Both nodes stay and keep their parameters: the decision is the
-    :data:`~repro.ir.nodes.PARTIAL_AGGREGATE` annotation on the scan and
-    :data:`~repro.ir.nodes.COMBINE_PARTIALS` on the aggregate.  It is a
+    :data:`~repro.ir.nodes.SCAN_AGGREGATE` annotation on the scan and
+    :data:`~repro.ir.nodes.FOLDED_INTO_SCAN` on the aggregate.  It is a
     function of the plan's structure, so plan fingerprints do not record it.
     The scan must be the aggregate's sole input on the same engine, read by
     nothing else, not a program output, and — if it projects — keep every
@@ -150,9 +148,8 @@ def fold_aggregates_into_scans(graph: IRGraph) -> int:
                 child = scan
         if child is None or not _scan_keeps(child, reads):
             continue
-        partials, combines = decompose_aggregates(aggregates)
-        child.annotations[PARTIAL_AGGREGATE] = (tuple(group_by), tuple(partials))
-        node.annotations[COMBINE_PARTIALS] = tuple(combines)
+        child.annotations[SCAN_AGGREGATE] = (tuple(group_by), tuple(aggregates))
+        node.annotations[FOLDED_INTO_SCAN] = True
         fused += 1
     return fused
 

@@ -3,7 +3,7 @@
 The paper's compiler chapter (§IV-B-1) asks for one IR that the EIDE, the
 optimizer, offload placement and the adapters all speak.  What a kind *is* —
 which data model runs it, how many inputs it takes, whether its result can
-be pinned, scattered, diffed or offloaded — is declared here once; every
+be pinned, diffed or offloaded — is declared here once; every
 layer looks its answer up in :data:`KINDS` instead of keeping a list of its
 own.  Adding a kind is one row here plus one branch in the adapter that
 executes it (adapters keep ``supported_kinds()`` beside the dispatch it
@@ -36,9 +36,6 @@ class Kind:
     pure: bool = False
     #: Accepts a structured ``predicate`` parameter the pushdown pass absorbs.
     absorbs: bool = False
-    #: Role under scatter-gather: ``"leaf"`` reads across the shards,
-    #: ``"partwise"`` stays sharded; ``None`` = primary shard.
-    scatter: str | None = None
     #: A tabular leaf read a view can maintain by diffing snapshots.
     diffable: bool = False
     #: Abstract operator name in the accelerators' kernel registry when the
@@ -58,11 +55,11 @@ _M = DataModel
 KINDS: dict[str, Kind] = {row.name: row for row in (
     # relational
     Kind("scan", _M.RELATIONAL, 0, ("table",), source=True, pure=True,
-         absorbs=True, scatter="leaf", diffable=True),
+         absorbs=True, diffable=True),
     Kind("index_seek", _M.RELATIONAL, 0, ("table", "column", "value"),
-         source=True, pure=True, scatter="leaf", diffable=True),
-    Kind("filter", _M.RELATIONAL, 1, (), pure=True, scatter="partwise", kernel="filter"),
-    Kind("project", _M.RELATIONAL, 1, (), pure=True, scatter="partwise", kernel="project"),
+         source=True, pure=True, diffable=True),
+    Kind("filter", _M.RELATIONAL, 1, (), pure=True, kernel="filter"),
+    Kind("project", _M.RELATIONAL, 1, (), pure=True, kernel="project"),
     Kind("join", _M.RELATIONAL, 2, ("left_key", "right_key"), pure=True),
     Kind("aggregate", _M.RELATIONAL, 1, ("aggregates",), pure=True),
     Kind("sort", _M.RELATIONAL, 1, ("by",), pure=True, kernel="sort"),
@@ -70,26 +67,23 @@ KINDS: dict[str, Kind] = {row.name: row for row in (
     Kind("top_k", _M.RELATIONAL, 1, ("by", "k"), pure=True),
     # key/value
     Kind("kv_get", _M.KEY_VALUE, 0, ("keys",), source=True, pure=True,
-         absorbs=True, scatter="leaf", diffable=True),
-    Kind("kv_range", _M.KEY_VALUE, 0, (), source=True, pure=True,
-         absorbs=True, scatter="leaf", diffable=True),
+         absorbs=True, diffable=True),
+    Kind("kv_range", _M.KEY_VALUE, 0, (), source=True, pure=True, absorbs=True, diffable=True),
     # timeseries
-    Kind("ts_range", _M.TIMESERIES, 0, ("series",), source=True, pure=True,
-         scatter="leaf", diffable=True),
+    Kind("ts_range", _M.TIMESERIES, 0, ("series",), source=True, pure=True, diffable=True),
     Kind("window_aggregate", _M.TIMESERIES, None, ("window_s",), source=True,
-         pure=True, scatter="leaf", diffable=True, kernel="window_aggregate"),
+         pure=True, diffable=True, kernel="window_aggregate"),
     Kind("ts_summarize", _M.TIMESERIES, 0, ("series_prefix",), source=True,
-         pure=True, absorbs=True, scatter="leaf", diffable=True),
+         pure=True, absorbs=True, diffable=True),
     # graph
     Kind("graph_match", _M.GRAPH, 0, ("start_label",), source=True, pure=True),
     Kind("shortest_path", _M.GRAPH, 0, ("start", "end"), source=True, pure=True),
     Kind("neighborhood", _M.GRAPH, 0, (), source=True, pure=True),
     Kind("graph_nodes", _M.GRAPH, 0, (), source=True, pure=True, diffable=True),
     # text
-    Kind("text_search", _M.DOCUMENT, 0, ("query",), source=True, pure=True,
-         scatter="leaf", diffable=True),
+    Kind("text_search", _M.DOCUMENT, 0, ("query",), source=True, pure=True, diffable=True),
     Kind("keyword_features", _M.DOCUMENT, None, ("keywords",), source=True,
-         pure=True, absorbs=True, scatter="leaf", diffable=True),
+         pure=True, absorbs=True, diffable=True),
     # array / ML (train keeps state in its engine: never pinned)
     Kind("matmul", _M.ARRAY, 2, (), kernel="gemm", matrix=True),
     Kind("gemv", _M.ARRAY, 2, (), kernel="gemv", matrix=True),

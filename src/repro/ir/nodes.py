@@ -19,13 +19,13 @@ from typing import Any
 from repro.exceptions import IRError
 from repro.ir.kinds import KINDS
 
-#: Annotation of a ``scan`` the fusion pass folded an aggregate into:
-#: ``(group_by, partial AggregateSpecs)``, so it returns one partial row per
-#: group (:func:`~repro.compiler.passes.fusion.fold_aggregates_into_scans`).
-PARTIAL_AGGREGATE = "partial_aggregate"
-#: Annotation of the ``aggregate`` above such a scan: the ``CombineSpec``\ s
-#: that fold those partials into its result.
-COMBINE_PARTIALS = "combine_partials"
+#: Annotation of a ``scan`` the fusion pass folded an aggregate into: the
+#: aggregate's own ``(group_by, AggregateSpecs)``, so the scan returns the
+#: aggregate's result (:func:`~repro.compiler.passes.fusion.fold_aggregates_into_scans`).
+SCAN_AGGREGATE = "scan_aggregate"
+#: Annotation of the ``aggregate`` above such a scan: its input already is
+#: its result, which it hands on unchanged.
+FOLDED_INTO_SCAN = "folded_into_scan"
 
 
 @dataclass

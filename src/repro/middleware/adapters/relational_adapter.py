@@ -4,7 +4,7 @@ Two execution modes per operator:
 
 * *native* — leaf operators (``scan``, ``index_seek``) call straight into the
   engine's storage and indexes; a ``scan`` an aggregate was fused into returns
-  the partials that aggregate then combines.
+  that aggregate's result, which the aggregate hands on unchanged.
 * *federated* — non-leaf operators receive already-materialized tables
   (possibly migrated from other engines) and are evaluated with the same
   physical operators the engine itself uses, so semantics match regardless of
@@ -17,11 +17,10 @@ from typing import Any
 
 from repro.datamodel.table import Table
 from repro.exceptions import AdapterError
-from repro.ir.nodes import COMBINE_PARTIALS, PARTIAL_AGGREGATE, Operator
+from repro.ir.nodes import FOLDED_INTO_SCAN, SCAN_AGGREGATE, Operator
 from repro.middleware.adapters.base import Adapter
 from repro.stores.relational.engine import RelationalEngine
 from repro.stores.relational.expressions import Expression
-from repro.stores.relational.operators import combine_partial_aggregates
 
 
 class RelationalAdapter(Adapter):
@@ -41,12 +40,9 @@ class RelationalAdapter(Adapter):
         kind = node.kind
         if kind in ("scan", "index_seek"):
             return self.read(node)
-        if kind == "aggregate" and COMBINE_PARTIALS in node.annotations:
+        if kind == "aggregate" and FOLDED_INTO_SCAN in node.annotations:
             self._require_inputs(node, inputs, 1)
-            return combine_partial_aggregates(
-                [self._as_table(inputs[0], node)],
-                list(node.params.get("group_by") or []),
-                node.annotations[COMBINE_PARTIALS])
+            return inputs[0]
         if kind == "python_udf":
             fn = node.params["fn"]
             return fn(*inputs)
@@ -84,4 +80,4 @@ class RelationalAdapter(Adapter):
                                             node.params["value"], columns, predicate,
                                             **shards)
         return self.engine.scan(table, columns, predicate,
-                                node.annotations.get(PARTIAL_AGGREGATE), **shards)
+                                node.annotations.get(SCAN_AGGREGATE), **shards)

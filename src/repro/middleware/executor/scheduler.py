@@ -28,7 +28,7 @@ import numpy as np
 from repro.accelerators.kernels import WorkEstimate, kernel_mapping
 from repro.cancellation import CancellationToken
 from repro.catalog import Catalog
-from repro.cluster.scatter import ScatterGather, ShardedValue, gather
+from repro.cluster.scatter import ScatterGather
 from repro.cluster.sharded import ShardedEngine
 from repro.datamodel.table import Table
 from repro.exceptions import CatalogError, ExecutionError
@@ -118,7 +118,7 @@ class Executor:
         for output_id in graph.outputs:
             node = graph.node(output_id)
             name = node.annotations.get("fragment") or output_id
-            outputs[name] = gather(results[output_id])
+            outputs[name] = results[output_id]
         report.elapsed_wall_s = time.perf_counter() - run_start
         if self.runtime_stats is not None:
             self._record_feedback(graph, report)
@@ -209,9 +209,6 @@ class Executor:
             record.rows_in = rows_in
             record.wall_time_s = time.perf_counter() - start
             return value, record
-        # Partitions only flow between operators the scatter path handles;
-        # every other consumer sees the gathered (merged) value.
-        inputs = [gather(value) for value in inputs]
         charged: float | None = None  # None: the operator is charged its wall time
         details: dict[str, Any] = {}
         offloaded = False
@@ -400,7 +397,7 @@ class Executor:
 
     @staticmethod
     def _rows_of(value: Any) -> int:
-        if isinstance(value, (Table, list, ShardedValue)):
+        if isinstance(value, (Table, list)):
             return len(value)
         # Z-set deltas report their total multiplicity as the row count.
         total = getattr(value, "total_weight", None)

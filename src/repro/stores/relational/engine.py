@@ -48,13 +48,34 @@ class StoredTable:
 
     def insert(self, rows: list[Row]) -> None:
         """Land row tuples in the heap (:meth:`HeapStorage.insert_many`), then
-        in every index from the row-id spans the heap returns."""
-        spans = self.heap.insert_many(rows)
+        in every index from the row-id spans the heap returns.
+
+        Every index answers as a scan of the heap does, whatever fails.  A row
+        whose key a hash index cannot take (an unhashable value) ends the
+        batch: the rows ahead of it land, in the heap and every index, then
+        its ``TypeError`` is raised.  If landing fails part way, each index
+        is rebuilt from the heap."""
         indexes = [*self.hash_indexes.values(), *self.sorted_indexes.values()]
-        rids = [(page, slot) for page, first, end in spans
-                for slot in range(first, end)] if indexes else []
-        for index in indexes:
-            index.bulk_load(zip(map(itemgetter(self.schema.index_of(index.column)), rows), rids))
+        keys = [list(map(itemgetter(self.schema.index_of(index.column)), rows))
+                for index in indexes]
+        refused = None
+        for index, column in zip(indexes, keys):
+            if type(index) is HashIndex and (
+                    refusal := index.refusal(column[:len(rows)])) is not None:
+                rows, refused = rows[:refusal[0]], refusal[1]
+        try:
+            spans = self.heap.insert_many(rows)
+            rids = [(page, slot) for page, first, end in spans
+                    for slot in range(first, end)] if indexes else []
+            for index, column in zip(indexes, keys):
+                index.bulk_load(zip(column, rids))
+        except BaseException:
+            for built in (self.hash_indexes, self.sorted_indexes):
+                for column, index in built.items():
+                    built[column] = self.build_index(column, type(index))
+            raise
+        if refused is not None:
+            raise refused
 
     def build_index(self, column: str, kind: type) -> HashIndex | SortedIndex:
         """A ``kind`` index over ``column``, loaded from the current heap."""
@@ -114,23 +135,24 @@ class HeapRead:
     order), read in that order as if their pages were one heap's.
 
     A plain read filters and projects each heap's candidate pages in one
-    generated walk (:meth:`HeapStorage.select`).  With ``partial`` —
-    ``(group_by, aggregates)`` — the walk folds the rows into one row per
-    group instead, groups in first-seen order: the partials an aggregate
-    fused into the scan finishes.  The rows are read before any projection,
-    so ``columns`` only has to exist.  Each heap's sealed pages fold with
-    numpy in runs of up to ``RUN`` where it reads them exactly
-    (``VectorFold``), the rest, always its last page, with the row kernel
-    (``aggregate_kernel``) before the next heap's pages, all into one dict:
-    each group once, in first-seen order, and every sum one left fold in
-    read order, so the fused plan answers as the unfused one does.
+    generated walk (:meth:`HeapStorage.select`).  With ``aggregate`` —
+    ``(group_by, aggregates)`` — the walk folds the rows into the aggregate's
+    result instead, one row per group, groups in first-seen order, ``avg``
+    finished in the kernel: the table the aggregate fused into the scan hands
+    on.  The rows are read before any projection, so ``columns`` only has to
+    exist.  Each heap's sealed pages fold with numpy in runs of up to ``RUN``
+    where it reads them exactly (``VectorFold``), the rest, always its last
+    page, with the row kernel (``aggregate_kernel``) before the next heap's
+    pages, all into one dict: each group once, in first-seen order, and every
+    sum one left fold in read order, so the fused plan answers as the
+    unfused one does.
     """
 
     def __init__(self, columns: Sequence[str] | None = None,
                  predicate: Expression | None = None,
-                 partial: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None
+                 aggregate: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None
                  ) -> None:
-        self.columns, self.predicate, self.partial = columns, predicate, partial
+        self.columns, self.predicate, self.aggregate = columns, predicate, aggregate
         self.schema: Schema | None = None
         self.heaps: list[HeapStorage] = []
 
@@ -143,12 +165,12 @@ class HeapRead:
         """The read's rows (or groups), walked once over every heap added."""
         source, columns, predicate = self.schema, self.columns, self.predicate
         schema = source if columns is None else source.project(columns)
-        if self.partial is None:
+        if self.aggregate is None:
             parts = [heap.select(predicate, columns)[0] for heap in self.heaps]
             return Table.wrap(schema, parts[0] if len(parts) == 1
                               else list(chain.from_iterable(parts)))
         heaps = [heap.candidates(predicate) for heap in self.heaps]
-        group_by, aggregates = tuple(self.partial[0]), tuple(self.partial[1])
+        group_by, aggregates = tuple(self.aggregate[0]), tuple(self.aggregate[1])
         fold, schema = aggregate_kernel(  # over no page, bind nothing
             source, group_by, aggregates, predicate if any(n for _, n in heaps) else None)
         vector = any(len(pages) > 1 for pages, _ in heaps) and vector_fold(
@@ -421,8 +443,9 @@ class RelationalEngine(Engine):
              partial: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None,
              *, into: "HeapRead | None" = None) -> Table | None:
         """The rows of a table satisfying ``predicate`` (all, without one), cut
-        down to ``columns`` if given, or, with ``partial``, folded into one row
-        per group: one :class:`HeapRead` of this table's heap.
+        down to ``columns`` if given, or, with ``partial`` — ``(group_by,
+        aggregates)`` — aggregated, one row per group: one :class:`HeapRead`
+        of this table's heap.
 
         With ``into``, a read a sharded table's facade started (it carries
         the read's arguments), this table's pages join that read, after the

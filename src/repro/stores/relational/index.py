@@ -11,6 +11,7 @@ in §III-A-2 (sequential scan vs index seek):
 from __future__ import annotations
 
 import bisect
+from collections import deque
 from typing import Any, Iterable, Iterator
 
 from repro.exceptions import StorageError
@@ -35,6 +36,22 @@ class HashIndex:
         for key, rid in entries:
             self._buckets.setdefault(key, []).append(rid)
             self._num_entries += 1
+
+    @staticmethod
+    def refusal(keys: list[Any]) -> tuple[int, TypeError] | None:
+        """The first of ``keys`` a hash index cannot take, an unhashable one:
+        where it is and the error hashing it raises (``None``: it takes all)."""
+        try:
+            deque(map(hash, keys), 0)
+            return None
+        except TypeError:
+            pass
+        for at, key in enumerate(keys):
+            try:
+                hash(key)
+            except TypeError as exc:
+                return at, exc
+        return None
 
     def copy(self) -> "HashIndex":
         """An independent index holding the same entries."""

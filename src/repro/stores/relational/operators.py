@@ -500,23 +500,37 @@ class VectorFold:
     """A fused scan-aggregate's fold of runs of sealed pages with numpy over
     their :meth:`~repro.stores.relational.storage.Page.column` arrays, leaving
     ``groups`` as the row kernel would: counts and int sums add exactly, and a
-    float sum stays one left fold, since ``np.bincount`` adds its weights in
-    order after the group's running total.  Given a weight, the pages fold as
-    a view refresh's rows at that weight, into
-    :func:`weighted_aggregate_kernel`'s accumulators."""
+    float sum (an ``avg``'s total too) stays one left fold, since
+    ``np.bincount`` adds its weights in order after the group's running
+    total.  Given a weight, the pages fold as a view refresh's rows at that
+    weight, into :func:`weighted_aggregate_kernel`'s accumulators."""
 
-    def __init__(self, key: int | None, inputs: list[int | None], sums: list[bool],
+    def __init__(self, key: int | None, inputs: list[int | None], functions: list[str],
                  mask: Callable[[Any], Any] | None, tested: list[int],
                  needs: dict[int, frozenset[type]]) -> None:
-        self._key, self._inputs, self._sums = key, inputs, sums
+        self._key, self._inputs = key, inputs
+        #: Per aggregate, whether it keeps a total: a ``sum`` or an ``avg``.
+        self._sums = sums = [function != "count" for function in functions]
         self._mask, self._tested = mask, tested
         #: The columns read, the group column last, and the kinds each may be.
         self._positions = sorted(needs, key=lambda position: position == key)
         self._allowed = [needs[position] for position in self._positions]
-        #: Per aggregate, the slots of its non-null count and its total: one
-        #: slot each in the row kernel's accumulators; after ``a[0]``, the
-        #: group's weight (all ``count(*)`` reads), in the weighted ones.
-        self._plain = [(None, at) if is_sum else (at, None) for at, is_sum in enumerate(sums)]
+        #: Per aggregate, the slots of its non-null count and its total, and a
+        #: new group's accumulators.  In the row kernel's, a count or a sum is
+        #: one slot (a sum's total starts at ``None``), an ``avg`` two: its
+        #: count, then its total from ``0``.  In the weighted ones a total is
+        #: two slots from ``0``, after ``a[0]``, the group's weight (all
+        #: ``count(*)`` reads).
+        self._plain: list[tuple[int | None, int | None]] = []
+        self._fresh: list[int | None] = []
+        for function in functions:
+            at = len(self._fresh)
+            if function == "avg":
+                self._plain.append((at, at + 1))
+                self._fresh += [0, 0]
+            else:
+                self._plain.append((None, at) if function == "sum" else (at, None))
+                self._fresh.append(None if function == "sum" else 0)
         self._weighted: list[tuple[int | None, int | None]] = []
         self._width = 1  # of the weighted accumulators
         for position, is_sum in zip(inputs, sums):
@@ -627,8 +641,7 @@ class VectorFold:
                     weights = np.concatenate([[total for _, total in running], weights])
             sums = np.bincount(chosen, weights, width).tolist()
             updates.append((count_at, total_at, floats, tally, sums))
-        fresh = [None if is_sum else 0 for is_sum in self._sums] if weight is None \
-            else [0] * self._width
+        fresh = self._fresh if weight is None else [0] * self._width
         rows = counts.tolist() if weight is not None else None
         for slot, key, a in zip(order, keys, found):
             if a is None:
@@ -649,12 +662,12 @@ def vector_fold(source: Schema, group_by: tuple[str, ...],
                 aggregates: tuple[AggregateSpec, ...],
                 predicate: Expression | None) -> VectorFold | None:
     """The :class:`VectorFold` of a fused scan-aggregate, or ``None`` when every
-    page takes the row kernel: ``min``, ``max``, ``avg``, more than one group
-    column, a column the table lacks, or a predicate other than a conjunction
-    of column-against-number comparisons."""
+    page takes the row kernel: ``min``, ``max``, more than one group column, a
+    column the table lacks, or a predicate other than a conjunction of
+    column-against-number comparisons."""
     names = [*group_by, *(spec.column for spec in aggregates if spec.column is not None)]
     if len(group_by) > 1 or any(name not in source for name in names) or any(
-            spec.function not in ("count", "sum") for spec in aggregates):
+            spec.function not in ("count", "sum", "avg") for spec in aggregates):
         return None
     needs: dict[int, frozenset[type]] = {}
 
@@ -681,135 +694,8 @@ def vector_fold(source: Schema, group_by: tuple[str, ...],
             tests.append(out.value(conjunct, truth=True))
         mask = out.kernel("mask", "v", "return " + " & ".join(tests))
     inputs = [None if spec.column is None else need(
-        spec.column, _NUMBERS if spec.function == "sum" else _NUMBERS | {str})
+        spec.column, _NUMBERS | {str} if spec.function == "count" else _NUMBERS)
         for spec in aggregates]
     key = need(group_by[0], frozenset({int, bool, str})) if group_by else None
-    return VectorFold(key, inputs, [spec.function == "sum" for spec in aggregates],
-                      mask, tested, needs)
-
-
-# -- partial aggregates ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CombineSpec:
-    """How one output aggregate combines from partial-aggregate columns."""
-
-    alias: str
-    function: str
-    partials: tuple[str, ...]
-    #: Source column the aggregate reads (``None`` for ``count(*)``); the
-    #: empty-result path derives the output column's dtype from it.
-    column: str | None = None
-
-
-def decompose_aggregates(aggregates: Sequence[AggregateSpec]
-                         ) -> tuple[list[AggregateSpec], list[CombineSpec]]:
-    """Split aggregates into partials plus combine rules.
-
-    ``sum``/``count``/``min``/``max`` are algebraic and combine with
-    themselves; ``avg`` decomposes into a partial ``sum`` and ``count``.
-    """
-    partials: list[AggregateSpec] = []
-    combines: list[CombineSpec] = []
-    for position, spec in enumerate(aggregates):
-        if spec.function == "avg":
-            sum_alias = f"__p{position}_sum"
-            count_alias = f"__p{position}_count"
-            partials.append(AggregateSpec("sum", spec.column, sum_alias))
-            partials.append(AggregateSpec("count", spec.column, count_alias))
-            combines.append(CombineSpec(spec.alias, "avg", (sum_alias, count_alias),
-                                        spec.column))
-        else:
-            partial_alias = f"__p{position}_{spec.function}"
-            partials.append(AggregateSpec(spec.function, spec.column, partial_alias))
-            combines.append(CombineSpec(spec.alias, spec.function, (partial_alias,),
-                                        spec.column))
-    return partials, combines
-
-
-#: How a partial column folds: counts (``avg``'s too) sum; ``sum`` / ``min`` /
-#: ``max`` fold with themselves.
-_FOLDS = {"count": "sum", "avg": "sum"}
-
-
-def combine_partial_aggregates(parts: Sequence[Table], group_by: Sequence[str],
-                               combines: Sequence[CombineSpec]) -> Table:
-    """Merge partial-aggregate tables into the final result.
-
-    The partials come from the shards of a sharded aggregate, or from the
-    page walk of a scan that aggregated what it read.  Their rows, in part
-    order, run through the generated aggregate loop grouped by the same
-    columns, each partial column folded as :data:`_FOLDS` says; an ``avg``
-    then divides its summed ``sum`` by its summed ``count``.  Groups keep
-    their first-seen order, and SQL null semantics are preserved
-    (``sum``/``min``/``max`` over no non-null values stay ``None``).  A single
-    part — a fused scan's output, or one shard's partial aggregate — already
-    holds each group once, in first-seen order, and is only finished.  The
-    result's schema comes from the partials' plan-typed schemas and the
-    combine rules, never from the combined values.
-
-    Every partial row is laid out as ``group_by`` then the partials in
-    ``combines`` order: each part was aggregated with the
-    :func:`decompose_aggregates` specs.
-    """
-    group_by, combines = tuple(group_by), tuple(combines)
-    fold, finish = _combiner(group_by, combines)
-    rows = finish(parts[0].rows if len(parts) == 1
-                  else fold([part.rows for part in parts], {}))
-    schemas = tuple(part.schema for part in parts)
-    return Table.wrap(_combined_schema(schemas, group_by, combines), rows)
-
-
-@functools.lru_cache(maxsize=512)
-def _combiner(group_by: tuple[str, ...], combines: tuple[CombineSpec, ...]
-              ) -> tuple[Callable[[Iterable[Iterable[Row]], dict], list[Row]],
-                         Callable[[list[Row]], list[Row]]]:
-    """The fold over partial rows and the finisher, for one shape."""
-    names = (*group_by, *(name for combine in combines for name in combine.partials))
-    # Only positions matter to the loop; dtypes come from _combined_schema.
-    layout = Schema([Column(name, DataType.FLOAT) for name in names])
-    folds = tuple(AggregateSpec(_FOLDS.get(combine.function, combine.function),
-                                name, name)
-                  for combine in combines for name in combine.partials)
-    fold, _ = aggregate_kernel(layout, group_by, folds)
-    return fold, _finisher(len(group_by), combines)
-
-
-def _finisher(width: int, combines: Sequence[CombineSpec]
-              ) -> Callable[[list[Row]], list[Row]]:
-    """``folded rows -> result rows``, generated: ``avg`` divides; a count
-    over no partial row (a global aggregate over nothing) is ``0``, not
-    ``None``."""
-    cells = [f"row[{at}]" for at in range(width)]
-    at = width
-    for combine in combines:
-        if combine.function == "avg":
-            cells.append(f"(row[{at}] / row[{at + 1}] if row[{at + 1}] else None)")
-        elif combine.function == "count":
-            cells.append(f"(0 if row[{at}] is None else row[{at}])")
-        else:
-            cells.append(f"row[{at}]")
-        at += len(combine.partials)
-    return kernels.factory("finish", "rows", "return [("
-                           + "".join(cell + "," for cell in cells) + ") for row in rows]", 0)()
-
-
-@functools.lru_cache(maxsize=512)
-def _combined_schema(schemas: tuple[Schema, ...], group_by: tuple[str, ...],
-                     combines: tuple[CombineSpec, ...]) -> Schema:
-    """Typed schema of a combined-aggregate result.
-
-    Group columns take their dtype from whichever part carries them.
-    Aggregate columns follow :func:`aggregate_dtype` applied to the partial
-    column, whose own plan-typed dtype already derives from the source
-    column (``min``/``max`` preserve it, ``sum`` of ints stays int).
-    """
-    def column(name: str | None) -> Column | None:
-        return next((schema[name] for schema in schemas if name in schema), None)
-
-    columns = [column(name) or Column(name, DataType.STRING) for name in group_by]
-    for combine in combines:
-        source = column(combine.partials[0]) or column(combine.column)
-        columns.append(Column(combine.alias, aggregate_dtype(combine.function, source)))
-    return Schema(columns)
+    return VectorFold(key, inputs, [spec.function for spec in aggregates], mask, tested,
+                      needs)

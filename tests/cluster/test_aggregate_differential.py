@@ -1,16 +1,14 @@
-"""Randomized differential tests: sharded aggregation vs the single-node operator.
+"""Differential tests: a sharded aggregate or top-k against one engine's.
 
-``combine_partial_aggregates`` and ``_global_top_k`` must be
-indistinguishable from the single-node ``GroupByAggregate``/``TopK``
-operators for every aggregate function and null pattern.  Each trial builds
-a random table, partitions it across a random number of shards (some left
-empty on purpose), computes per-shard partials with the *real* single-node
-operator and compares the combined result against the single-node reference
-over the whole table.
+Every relational read on a sharded engine is one fold over its shards'
+heaps, and an aggregate fused into that read finishes there: no partial
+rows are combined anywhere.  So each aggregate function must come out of
+the fused sharded route exactly as out of the unfused plan and out of one
+engine holding the same rows — rows and schema — for every null pattern.
 
-Deliberately covered edge cases: empty shards, an entirely empty table,
-all-NULL groups, ``avg`` over zero non-null rows, groups split across every
-shard, ``min``/``max`` over strings, and int-vs-float ``sum``.
+Deliberately covered edge cases: shards that are all empty, an entirely
+empty table, all-NULL groups, ``avg`` over zero non-null rows, groups split
+across every shard, ``min``/``max`` over strings, and int-vs-float ``sum``.
 """
 
 from __future__ import annotations
@@ -23,15 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DataflowProgram, dataset
-from repro.cluster.scatter import (
-    _global_top_k,
-    combine_partial_aggregates,
-    decompose_aggregates,
-)
+from repro.compiler import CompilerOptions
 from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import RelationalEngine
-from repro.stores.relational.operators import AggregateSpec, GroupByAggregate, TableScan
+from repro.stores.relational.operators import AggregateSpec
 
 
 AGGREGATES = [
@@ -47,101 +41,64 @@ AGGREGATES = [
     AggregateSpec("count", None, "n_rows"),
 ]
 
+_TABLE = make_schema(("id", DataType.INT), ("group", DataType.STRING),
+                     ("int_val", DataType.INT), ("float_val", DataType.FLOAT),
+                     ("label", DataType.STRING))
 
-def _random_rows(rng: random.Random, n: int) -> list[dict]:
+
+def _random_rows(rng: random.Random, n: int) -> list[tuple]:
+    """``n`` rows of ``_TABLE``; one group holds only NULL values, so its
+    ``avg``s fold zero non-null rows.  Quarter-valued floats keep every sum
+    exact in any order."""
+    groups = [f"g{i}" for i in range(rng.randint(2, 5))]
+    all_null_group = rng.choice(groups)
     rows = []
-    groups = [f"g{i}" for i in range(rng.randint(1, 5))]
-    all_null_group = rng.choice(groups)  # avg over zero non-null rows
-    for _ in range(n):
+    for i in range(n):
         group = rng.choice(groups)
         force_null = group == all_null_group
-        rows.append({
-            "group": group,
-            "int_val": None if force_null or rng.random() < 0.25
-            else rng.randint(-50, 50),
-            "float_val": None if force_null or rng.random() < 0.25
-            else round(rng.uniform(-10, 10), 3),
-            "label": None if rng.random() < 0.2
-            else rng.choice(["alpha", "beta", "gamma", "delta"]),
-        })
+        rows.append((
+            i, group,
+            None if force_null or rng.random() < 0.25 else rng.randint(-50, 50),
+            None if force_null or rng.random() < 0.25 else rng.randint(-40, 40) / 4,
+            None if rng.random() < 0.2 else rng.choice(["alpha", "beta", "gamma", "delta"]),
+        ))
     return rows
 
 
-def _partition(rng: random.Random, rows: list[dict], shards: int) -> list[list[dict]]:
-    parts: list[list[dict]] = [[] for _ in range(shards)]
-    # Sometimes pin one shard empty, so the empty-partial path is exercised.
-    empty = rng.randrange(shards) if shards > 1 and rng.random() < 0.5 else None
-    targets = [i for i in range(shards) if i != empty]
-    for row in rows:
-        parts[rng.choice(targets)].append(row)
-    return parts
+def _program(engine: str, group_by: list[str]) -> DataflowProgram:
+    program = DataflowProgram(f"agg-{engine}")
+    program.output("agg", dataset(engine).table("t").aggregate(group_by, **{
+        spec.alias: (spec.function, spec.column) for spec in AGGREGATES}))
+    return program
 
 
-def _single_node(rows: list[dict], group_by: list[str],
-                 aggregates: list[AggregateSpec]) -> list[dict]:
-    return GroupByAggregate(TableScan(rows), group_by, aggregates).execute()
+def _aggregate(system, engine: str, group_by: list[str], options: CompilerOptions) -> Table:
+    return system.execute(_program(engine, group_by), options=options).output("agg")
 
 
-def _sharded(parts: list[list[dict]], group_by: list[str],
-             aggregates: list[AggregateSpec]) -> Table:
-    partial_specs, combines = decompose_aggregates(aggregates)
-    partial_tables = []
-    for shard_rows in parts:
-        partial_rows = _single_node(shard_rows, group_by, partial_specs)
-        if partial_rows:
-            partial_tables.append(Table.from_dicts(partial_rows))
-        else:
-            partial_tables.append(Table(make_schema(
-                ("group", DataType.STRING), ("int_val", DataType.INT),
-                ("float_val", DataType.FLOAT), ("label", DataType.STRING)), []))
-    return combine_partial_aggregates(partial_tables, group_by, combines)
+@pytest.mark.parametrize("group_by", [["group"], []], ids=["grouped", "global"])
+@pytest.mark.parametrize("n", [0, 60], ids=["empty-shards", "rows"])
+def test_the_fused_sharded_aggregate_is_the_unfused_and_the_single_engine_one(n, group_by):
+    rows = _random_rows(random.Random(n), n)
+    single = RelationalEngine("one")
+    single.load_table("t", Table(_TABLE, rows), page_capacity=4)
+    system = build_cpu_polystore([single])
+    system.register_sharded_engine("many", RelationalEngine, 3) \
+        .load_table("t", Table(_TABLE, rows), shard_key="id", page_capacity=4)
+    assert system.compile(_program("many", group_by)).pass_counts["aggregate_into_scan"] == 1
 
+    fused = _aggregate(system, "many", group_by, CompilerOptions())
+    unfused = _aggregate(system, "many", group_by, CompilerOptions(fusion=False))
+    alone = _aggregate(system, "one", group_by, CompilerOptions())
+    assert (repr(fused.rows), fused.schema) == (repr(unfused.rows), unfused.schema)
+    assert Counter(map(repr, fused.rows)) == Counter(map(repr, alone.rows))
+    assert fused.schema == alone.schema
+    assert len(fused) == (len({row[1] for row in rows}) if group_by else 1)
 
-def _assert_same(actual: list[dict], expected: list[dict], group_by: list[str]):
-    def key(row):
-        return tuple(repr(row.get(name)) for name in group_by)
-
-    actual, expected = sorted(actual, key=key), sorted(expected, key=key)
-    assert len(actual) == len(expected)
-    for actual_row, expected_row in zip(actual, expected):
-        assert set(actual_row) == set(expected_row)
-        for name, expected_value in expected_row.items():
-            value = actual_row[name]
-            if isinstance(expected_value, float):
-                assert value == pytest.approx(expected_value), name
-            else:
-                assert value == expected_value, name
-                # int sums must stay int when partials combine across shards
-                assert type(value) is type(expected_value), name
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_randomized_grouped_differential(seed):
-    rng = random.Random(seed)
-    rows = _random_rows(rng, rng.choice([0, 1, 7, 40, 120]))
-    parts = _partition(rng, rows, rng.randint(1, 5))
-    combined = _sharded(parts, ["group"], AGGREGATES)
-    reference = _single_node(rows, ["group"], AGGREGATES)
-    _assert_same(combined.to_dicts(), reference, ["group"])
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_randomized_global_differential(seed):
-    """No GROUP BY: a single output row even when every shard is empty."""
-    rng = random.Random(100 + seed)
-    rows = _random_rows(rng, rng.choice([0, 3, 25]))
-    parts = _partition(rng, rows, rng.randint(1, 4))
-    combined = _sharded(parts, [], AGGREGATES)
-    reference = _single_node(rows, [], AGGREGATES)
-    _assert_same(combined.to_dicts(), reference, [])
-
-
-def test_empty_result_schema_preserves_dtypes():
-    """min/max over string/int columns keep their dtype when all shards are empty."""
-    combined = _sharded([[], [], []], ["group"], AGGREGATES)
-    assert len(combined) == 0
-    schema = combined.schema
-    assert schema["group"].dtype is DataType.STRING
+    # min/max over string and int columns keep their dtype over no rows too.
+    schema = fused.schema
+    if group_by:
+        assert schema["group"].dtype is DataType.STRING
     assert schema["label_min"].dtype is DataType.STRING
     assert schema["label_max"].dtype is DataType.STRING
     assert schema["int_min"].dtype is DataType.INT
@@ -196,49 +153,34 @@ def test_sharded_engine_aggregates_match_a_single_engine(rows, shards, grouped):
     assert actual.schema == expected.schema
 
 
-# -- global top-k vs the single-node TopK operator --------------------------------------
+# -- top-k over shards vs one engine ---------------------------------------------------
 
 
-def _topk_rows(rng: random.Random, n: int) -> list[dict]:
-    return [{"item": i,
-             "score": None if rng.random() < 0.3 else rng.choice(
-                 [1.0, 2.0, 3.0, rng.uniform(0, 10)])}
-            for i in range(n)]
-
-
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("descending", [True, False])
-def test_global_top_k_matches_single_node(seed, descending):
-    from repro.stores.relational.operators import TopK
-
+def test_a_sharded_top_k_matches_one_engine(seed, descending):
+    """The top-k runs on the primary shard over the one table the read
+    folded: NULL scores never qualify and the score sequence is one
+    engine's (tied rows may come from other shards)."""
     rng = random.Random(seed)
-    rows = _topk_rows(rng, rng.choice([0, 5, 30]))
+    schema = make_schema(("item", DataType.INT), ("score", DataType.FLOAT))
+    rows = [(i, None if rng.random() < 0.3 else rng.choice([1.0, 2.0, 3.0, rng.uniform(0, 10)]))
+            for i in range(rng.choice([0, 5, 30]))]
     k = rng.choice([0, 1, 3, 10])
-    parts = []
-    for shard_rows in _partition(rng, rows, rng.randint(1, 4)):
-        local = TopK(TableScan(shard_rows), "score", k, descending=descending).execute()
-        parts.append(Table.from_dicts(local) if local
-                     else Table(make_schema(("item", DataType.INT),
-                                            ("score", DataType.FLOAT)), []))
-    combined = _global_top_k(parts, "score", k, descending)
-    reference = TopK(TableScan(rows), "score", k, descending=descending).execute()
+    reference = RelationalEngine("one")
+    reference.load_table("scores", Table(schema, rows))
+    system = build_cpu_polystore([reference])
+    system.register_sharded_engine("many", RelationalEngine, rng.randint(1, 4)) \
+        .load_table("scores", Table(schema, rows), shard_key="item")
 
-    combined_rows = combined.to_dicts()
-    # None scores never qualify (single-node drops them before the heap).
-    assert all(row["score"] is not None for row in combined_rows)
-    assert sorted(row["score"] for row in combined_rows) == \
-        sorted(row["score"] for row in reference)
-    # The score sequence is ordered identically to the single-node result.
-    assert [row["score"] for row in combined_rows] == \
-        [row["score"] for row in reference]
+    def scores(engine: str) -> list:
+        program = DataflowProgram(f"top-{engine}")
+        program.output("best", dataset(engine).table("scores")
+                       .top_k("score", k, descending=descending))
+        return [row[1] for row in system.execute(program).output("best").rows]
 
-
-def test_global_top_k_is_deterministic_across_repeats():
-    rows = [{"item": i, "score": float(i % 3)} for i in range(30)]
-    parts = [Table.from_dicts(rows[i::3]) for i in range(3)]
-    first = _global_top_k(parts, "score", 7, True).to_dicts()
-    for _ in range(5):
-        assert _global_top_k(parts, "score", 7, True).to_dicts() == first
+    assert None not in scores("many")
+    assert scores("many") == scores("one")
 
 
 def test_sharded_ascending_top_k_excludes_null_scores():

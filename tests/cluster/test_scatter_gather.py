@@ -5,12 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import DataflowProgram, Dataset, col, dataset
-from repro.cluster import ShardedEngine, combine_partial_aggregates, decompose_aggregates
 from repro.compiler.pipeline import CompilerOptions
 from repro.core import build_accelerated_polystore, build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import KeyValueEngine, RelationalEngine, TextEngine, TimeseriesEngine
-from repro.stores.relational.operators import AggregateSpec
 
 # Amounts are unique so ORDER BY comparisons are deterministic across
 # shard-run merge order (ties may legally interleave differently).
@@ -105,7 +103,7 @@ class TestSqlParity:
         # One read on one machine: charged its one CPU time, no critical path.
         [cpu] = scans[0].details["shard_times_s"]
         assert scans[0].charged_time_s == cpu
-        # The aggregate above finishes the one part on the primary shard.
+        # The aggregate above hands on the read's one table, on the primary shard.
         assert "merge" not in aggregates[0].details
 
     def test_single_shard_degenerates_cleanly(self):
@@ -280,37 +278,6 @@ def _n(result):
     return result.output("result").to_dicts()[0]["n"]
 
 
-class TestPartialAggregateAlgebra:
-    def test_decompose_avg_into_sum_and_count(self):
-        partials, combines = decompose_aggregates([
-            AggregateSpec("avg", "amount", "mean"),
-            AggregateSpec("count", None, "n"),
-        ])
-        assert [p.function for p in partials] == ["sum", "count", "count"]
-        assert combines[0].function == "avg" and len(combines[0].partials) == 2
-
-    def test_combine_preserves_null_semantics(self):
-        partials, combines = decompose_aggregates([
-            AggregateSpec("sum", "amount", "total"),
-            AggregateSpec("avg", "amount", "mean"),
-        ])
-        empty = Table(make_schema(("g", DataType.STRING),
-                                  ("__p0_sum", DataType.FLOAT),
-                                  ("__p1_sum", DataType.FLOAT),
-                                  ("__p1_count", DataType.INT)), [])
-        only_nulls = Table.from_dicts([
-            {"g": "a", "__p0_sum": None, "__p1_sum": None, "__p1_count": 0},
-        ])
-        merged = combine_partial_aggregates([empty, only_nulls], ["g"], combines)
-        assert merged.to_dicts() == [{"g": "a", "total": None, "mean": None}]
-
-    def test_combine_empty_global_aggregate_yields_one_row(self):
-        partials, combines = decompose_aggregates([AggregateSpec("count", None, "n")])
-        empty = Table(make_schema(("__p0_count", DataType.INT)), [])
-        merged = combine_partial_aggregates([empty, empty], [], combines)
-        assert merged.to_dicts() == [{"n": 0}]
-
-
 class TestShardedOrdering:
     """Sharded reads must preserve the ordering the unsharded engine gives."""
 
@@ -333,9 +300,9 @@ class TestShardedOrdering:
         assert actual == expected  # identical rows in identical (key) order
 
     @pytest.mark.parametrize("columns", [None, ("key", "uid"), ("uid",)])
-    def test_a_partition_wise_filter_and_project_keep_key_order(self, columns):
-        # Without pushdown the filter (and project) run on each shard's
-        # partition; the gather must still merge them in key order.
+    def test_a_filter_and_project_over_the_merged_read_keep_key_order(self, columns):
+        # Without pushdown the filter (and project) stay nodes; they run on
+        # the primary shard over the leaf's one table, merged in key order.
         reference_system, sharded_system = self._kv_pair()
         read = dataset("profiles").kv(key_prefix="user/").filter(col("uid") > 12)
         if columns is not None:
@@ -346,8 +313,11 @@ class TestShardedOrdering:
         result = sharded_system.execute(program, options=options)
         assert result.output("result").to_dicts() == expected.to_dicts()
         assert [row["uid"] for row in expected.to_dicts()][:3] == [13, 14, 15]
+        leaf = result.report.records[0]
+        assert leaf.kind in ("kv_get", "kv_range")
+        assert leaf.details["merge"] == "ordered" and leaf.details["shards"] == 4
         filters = [r for r in result.report.records if r.kind == "filter"]
-        assert filters[0].details["merge"] == "deferred"  # ran partition-wise
+        assert "shards" not in filters[0].details  # ran once, on the primary shard
 
     def test_kv_range_gather_merges_in_key_order(self):
         from repro.ir.graph import IRGraph
@@ -365,8 +335,8 @@ class TestShardedOrdering:
 
         assert run(sharded_system) == run(reference_system)
 
-    def test_ordered_gather_merges_subset_partitions(self):
-        from repro.cluster.scatter import ShardedValue
+    def test_ordered_merge_merges_subset_partitions(self):
+        from repro.cluster.scatter import _ordered_merge
 
         parts = tuple(
             Table.from_dicts([
@@ -376,23 +346,13 @@ class TestShardedOrdering:
             ])
             for shard in range(3)
         )
-        sharded = ShardedValue("profiles", parts, (0, 1, 2), ordered_by="key")
-        keys = [row["key"] for row in sharded.gather().to_dicts()]
+        keys = [row["key"] for row in _ordered_merge(parts, "key").to_dicts()]
         assert keys == sorted(f"user/{i}" for i in range(30))
 
-    def test_copy_parts_preserves_order_metadata(self):
-        from repro.cluster.scatter import ShardedValue
-
-        sharded = ShardedValue("e", (Table(make_schema(("key", DataType.STRING),
-                                                       ("uid", DataType.INT)),
-                                           [("a", 1)]),), (0,), ordered_by="key")
-        copied = sharded.copy_parts(lambda p: p)
-        assert copied.ordered_by == "key"
-
-    def test_filter_on_sharded_kv_engine_runs_partition_wise(self):
+    def test_filter_on_sharded_kv_engine_runs_over_the_merged_read(self):
         # The dataflow API lets filters stay on non-relational engines; the
-        # KV adapter evaluates them over materialized tables, so the scatter
-        # path keeps them partition-wise.
+        # KV adapter evaluates them over materialized tables, so the filter
+        # runs once, on the primary shard, over the leaf's merged table.
         from repro.ir.graph import IRGraph
         from repro.ir.nodes import Operator
         from repro.middleware.executor import Executor
@@ -414,8 +374,10 @@ class TestShardedOrdering:
         plain_out, _ = run(plain_system)
         assert sorted(r["uid"] for r in sharded_out.to_dicts()) == \
             sorted(r["uid"] for r in plain_out.to_dicts())
+        [leaf] = [r for r in report.records if r.kind == "kv_range"]
+        assert leaf.details["merge"] == "ordered" and leaf.details["shards"] == 3
         filters = [r for r in report.records if r.kind == "filter"]
-        assert filters and filters[0].details.get("merge") == "deferred"
+        assert filters and "merge" not in filters[0].details
 
     def test_unsupported_kind_on_shard_adapter_errors_cleanly(self):
         # An aggregate bound to a (sharded) KV engine is not executable by

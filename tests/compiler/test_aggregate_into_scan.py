@@ -1,7 +1,7 @@
 """A scan that feeds a group-aggregate aggregates in its own page walk.
 
-``fold_aggregates_into_scans`` lets the scan return one partial row per group
-and the aggregate combine the partials.  The fused plan is held to three
+``fold_aggregates_into_scans`` lets the scan fold the aggregate's own specs
+into its result and the aggregate hand that table on.  The fused plan is held to three
 things here: the shape a reader of the compiled graph relies on (one
 ``aggregate`` node with the program's parameters, the sharded records'
 ``details``, each node's adapter in topological order giving the executor's
@@ -24,7 +24,7 @@ from repro.compiler import CompilerOptions
 from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide import Param
-from repro.ir.nodes import COMBINE_PARTIALS, PARTIAL_AGGREGATE
+from repro.ir.nodes import FOLDED_INTO_SCAN, SCAN_AGGREGATE
 from repro.middleware.adapters import adapter_for
 from repro.stores import RelationalEngine
 from repro.stores.relational import engine as engine_module
@@ -34,8 +34,6 @@ from repro.stores.relational.operators import (
     AggregateSpec,
     GroupByAggregate,
     TableScan,
-    combine_partial_aggregates,
-    decompose_aggregates,
 )
 
 # -- the contract the benchmark suite's traced pass reads ---------------------------------
@@ -77,7 +75,9 @@ def test_the_aggregate_node_keeps_the_programs_parameters(scan_agg):
     [(_, root)] = program.output_items()
     assert aggregate.params == dict(root.params)
     [scan] = graph.nodes_of_kind("scan")
-    assert PARTIAL_AGGREGATE in scan.annotations and COMBINE_PARTIALS in aggregate.annotations
+    assert scan.annotations[SCAN_AGGREGATE] == (
+        tuple(aggregate.params["group_by"]), tuple(aggregate.params["aggregates"]))
+    assert aggregate.annotations[FOLDED_INTO_SCAN] is True
 
     result = prepared.run(refresh=True).output("agg")
     filtered = [row for row in single.scan("facts").to_dicts()
@@ -102,28 +102,24 @@ def test_the_sharded_run_records_one_read_over_four_shards(scan_agg):
     records = {record.kind: record for record in scattered.report.records}
     assert records["scan"].details["shards"] == 4
     assert len(records["scan"].details["shard_times_s"]) == 1
-    # The scan folded every shard: the aggregate only finishes its one part.
+    # The scan folded every shard into the result the aggregate hands on.
     assert records["scan"].rows_out == len(single)
     assert Counter(scattered.output("agg").rows) == Counter(single.rows)
     assert scattered.output("agg").schema == single.schema
 
 
-def test_a_single_part_holds_each_group_once_and_is_only_finished(scan_agg):
+def test_a_fused_scan_returns_the_aggregates_result(scan_agg):
     single = scan_agg[1]
-    partials, combines = decompose_aggregates([
-        AggregateSpec("count", None, "n"), AggregateSpec("avg", "amount", "mean"),
-        AggregateSpec("sum", "amount", "total"), AggregateSpec("max", "id", "last")])
+    specs = (AggregateSpec("count", None, "n"), AggregateSpec("avg", "amount", "mean"),
+             AggregateSpec("sum", "amount", "total"), AggregateSpec("max", "id", "last"))
     over = col("amount") > THRESHOLD
-    part = single.scan("facts", None, over, partial=(("grp",), partials))
-    filtered = single.scan("facts", None, over).rows
-    assert [row[0] for row in part.rows] == list(dict.fromkeys(row[1] for row in filtered))
-    once = combine_partial_aggregates([part], ["grp"], combines)
-    refolded = combine_partial_aggregates([part, Table.wrap(part.schema, [])], ["grp"],
-                                          combines)
-    assert (repr(once.rows), once.schema) == (repr(refolded.rows), refolded.schema)
+    folded = single.scan("facts", None, over, partial=(("grp",), specs))
+    expected = GroupByAggregate(TableScan(single.scan("facts", None, over)), ["grp"],
+                                list(specs)).to_table()
+    assert (repr(folded.rows), folded.schema) == (repr(expected.rows), expected.schema)
 
 
-def test_a_partial_scan_is_estimated_like_the_aggregate_above_it(scan_agg):
+def test_an_aggregating_scan_is_estimated_like_the_aggregate_above_it(scan_agg):
     system = scan_agg[0]
     graph = system.compile(_scan_agg("facts1")).graph
     [scan], [aggregate] = graph.nodes_of_kind("scan"), graph.nodes_of_kind("aggregate")
@@ -259,7 +255,7 @@ def test_rebinding_the_literal_compiles_nothing_new():
     assert again[1].output("agg").rows == first.output("agg").rows
     assert again[0].output("agg").to_dicts()[0]["n"] == sum(
         1 for i in range(17, 200) if i % 7 == 17 % 7)
-    # One partial row per age left the page walk, not the filtered rows.
+    # One row per age left the page walk, not the filtered rows.
     [scan] = [record for record in first.report.records if record.kind == "scan"]
     assert scan.rows_out == 7
 

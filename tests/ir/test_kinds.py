@@ -15,6 +15,7 @@ import pytest
 
 from repro.accelerators.kernels import DEFAULT_MAPPINGS
 from repro.catalog import Catalog
+from repro.cluster import PARTITIONABLE_MODELS
 from repro.eide.dataflow import DataflowNode, resolve_node_engine
 from repro.ir import KINDS, Kind, Operator, validate_operator
 from repro.middleware.adapters import adapter_for
@@ -98,11 +99,9 @@ PARENT_SNAPSHOT_KINDS = {
     "graph_nodes", "text_search", "keyword_features", "feature_matrix",
     "predict", "migrate", "materialize", "union",
 }
-PARENT_SCATTER = {
-    "leaf": {"scan", "index_seek", "kv_get", "kv_range", "ts_range",
-             "window_aggregate", "ts_summarize", "text_search", "keyword_features"},
-    "partwise": {"filter", "project"},
-}
+PARENT_SCATTER_LEAVES = {"scan", "index_seek", "kv_get", "kv_range", "ts_range",
+                         "window_aggregate", "ts_summarize", "text_search",
+                         "keyword_features"}
 PARENT_DIFFABLE_LEAVES = {
     "scan", "index_seek", "kv_get", "kv_range", "ts_range", "ts_summarize",
     "window_aggregate", "keyword_features", "text_search", "graph_nodes",
@@ -137,14 +136,13 @@ def test_every_column_is_filled(name):
     assert isinstance(row.required, tuple) and all(
         isinstance(param, str) for param in row.required)
     assert row.inputs is None or row.inputs >= 0
-    assert row.scatter in (None, "leaf", "partwise")
     for flag in ("source", "pure", "absorbs", "diffable", "matrix"):
         assert isinstance(getattr(row, flag), bool)
     # A kind names the data model that runs it by default, or says why none does.
     assert isinstance(row.model, DataModel) or (row.model is None and row.note)
     # Columns that only make sense together.
     assert not row.matrix or row.kernel
-    assert not (row.absorbs or row.diffable or row.scatter == "leaf") or row.source
+    assert not (row.absorbs or row.diffable) or row.source
 
 
 @pytest.mark.parametrize("name", sorted(KINDS))
@@ -212,10 +210,11 @@ def test_pinnable():
     assert _where(pure=True) == PARENT_SNAPSHOT_KINDS
 
 
-def test_scatter_roles():
-    for role, kinds in PARENT_SCATTER.items():
-        assert _where(scatter=role) == kinds
-    assert _where(scatter=None) == set(KINDS) - set().union(*PARENT_SCATTER.values())
+def test_scatter_leaves():
+    # The scatter path fans out a source kind on a partitionable engine; the
+    # intended difference: ``filter`` / ``project`` no longer run per shard.
+    assert {name for name, row in KINDS.items()
+            if row.source and row.model in PARTITIONABLE_MODELS} == PARENT_SCATTER_LEAVES
 
 
 def test_diffable_and_absorbing_leaves():

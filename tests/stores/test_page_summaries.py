@@ -19,7 +19,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro import col
 from repro.cluster import ShardedEngine
-from repro.cluster.scatter import ScatterGather, gather
+from repro.cluster.scatter import ScatterGather
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import QueryError
 from repro.ir.nodes import Operator
@@ -333,7 +333,7 @@ class TestTheScanLeafFiltersBeforeItProjects:
         node = self._node("narrow4")
         primary = adapter_for(sharded).execute(node, [])
         assert primary.schema.names == ("a",)
-        scattered = gather(ScatterGather().execute(sharded, node, []).value)
+        scattered = ScatterGather().execute(sharded, node, []).value
         assert scattered.schema.names == ("a",)
         assert sorted(scattered.column("a")) == [a for a, b in self.ROWS if b == 1]
 

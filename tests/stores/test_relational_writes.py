@@ -313,3 +313,62 @@ def test_a_failure_while_landing_names_the_rows_that_landed(monkeypatch):
     assert engine.scan("t").rows == [(0, 0, 0.0)] + rows[:7]
     assert [(batch.gap, batch.op) for batch in notified] == [
         (True, ("insert_torn", {"table": "t", "rows": rows[:7]}))]
+
+
+def _indexes_answer_as_the_heap(engine, column: str) -> None:
+    """Every value a scan finds in ``column``: each index on it finds the
+    same rows."""
+    scanned = engine.scan("t").rows
+    position = engine.table_schema("t").index_of(column)
+    for value in {repr(row[position]): row[position] for row in scanned}.values():
+        expected = [row for row in scanned if row[position] == value]
+        assert engine.index_lookup("t", column, value).rows == expected
+
+
+@pytest.mark.parametrize("kinds", [("hash",), ("hash", "sorted")])
+def test_a_key_no_index_can_take_lands_nothing_after_it(kinds):
+    # An unhashable value in a hash-indexed column: the heap must not hold
+    # a row the index never took, and the gap names what did land.
+    schema = make_schema(("id", DataType.INT), ("tag", DataType.STRING))
+    engine = RelationalEngine("db")
+    engine.changelog.register(engine)
+    engine.create_table("t", schema, page_capacity=2)
+    engine.create_index("t", "tag", kind=kinds[0])
+    if len(kinds) > 1:
+        engine.create_index("t", "id", kind=kinds[1])
+    notified: list = []
+    engine.changelog.subscribe(notified.append)
+    with pytest.raises(TypeError):
+        engine.insert("t", [(1, "a"), (2, ["x"]), (3, "a")])
+    assert engine.scan("t").rows == [(1, "a")]
+    assert engine.index_lookup("t", "tag", "a").rows == [(1, "a")]
+    assert [(batch.gap, batch.op) for batch in notified] == [
+        (True, ("insert_torn", {"table": "t", "rows": [(1, "a")]}))]
+    engine.insert("t", [(4, "b"), (5, "a")])
+    for column in ("tag", "id")[:len(kinds)]:
+        _indexes_answer_as_the_heap(engine, column)
+
+
+def test_indexes_hold_what_landed_when_landing_fails(monkeypatch):
+    # The second page a batch opens fails to build: the indexes hold the
+    # rows the heap took, no more and no fewer.
+    engine = RelationalEngine("db")
+    engine.create_table("t", SCHEMA, page_capacity=4)
+    engine.create_index("t", "grp")
+    engine.create_index("t", "id", kind="sorted")
+    engine.insert("t", [(0, 0, 0.0)])
+    built = []
+
+    def page(capacity, held):
+        if built:
+            raise KeyboardInterrupt
+        built.append(held)
+        return Page(capacity, held)
+
+    monkeypatch.setattr(storage, "Page", page)
+    with pytest.raises(KeyboardInterrupt):
+        engine.insert("t", [(n, n % 2, 1.5) for n in range(1, 12)])
+    monkeypatch.undo()
+    assert len(engine.scan("t")) == 8
+    _indexes_answer_as_the_heap(engine, "grp")
+    _indexes_answer_as_the_heap(engine, "id")

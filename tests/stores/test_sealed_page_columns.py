@@ -10,12 +10,14 @@ from collections import Counter
 
 import pytest
 
-from repro import col
+from repro import DataflowProgram, col, dataset
 from repro.cluster import ShardedEngine
+from repro.compiler import CompilerOptions
+from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, make_schema
 from repro.stores import RelationalEngine
 from repro.stores.relational import engine as engine_module
-from repro.stores.relational.operators import RUN, AggregateSpec, aggregate_kernel
+from repro.stores.relational.operators import RUN, AggregateSpec, VectorFold, aggregate_kernel
 from repro.stores.relational.storage import Page
 
 ROWS = 50_000
@@ -312,3 +314,27 @@ def test_a_fused_read_fetches_each_sealed_pages_columns_once(monkeypatch):
     assert len(pages) == 2 * RUN + 3
     assert calls == Counter({(id(page), position): 1
                              for page in pages[:-1] for position in (1, 2)})
+
+
+def test_a_fused_avg_folds_its_sealed_pages_with_numpy(facts, monkeypatch):
+    # An ``avg`` fused into its scan keeps the vector fold: every sealed page
+    # goes through ``VectorFold.fold``, in more than one run, and the answer
+    # is the unfused plan's, bit for bit.
+    folded: list[int] = []
+    fold = VectorFold.fold
+
+    def counted(self, run, *args, **kwargs):
+        folded.append(len(run))
+        return fold(self, run, *args, **kwargs)
+
+    monkeypatch.setattr(VectorFold, "fold", counted)
+    system = build_cpu_polystore([_load(facts)])
+    program = DataflowProgram("mean")
+    program.output("out", dataset("db").table("facts").filter(OVER).aggregate(
+        ["grp"], n=("count", None), mean=("avg", "amount")))
+    fused = system.execute(program).output("out")
+    assert len(folded) > 1 and sum(folded) == ROWS // PAGE
+    folded.clear()
+    unfused = system.execute(program, options=CompilerOptions(fusion=False)).output("out")
+    assert folded == []
+    assert (repr(fused.rows), fused.schema) == (repr(unfused.rows), unfused.schema)
