@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DataflowProgram, dataset
+from repro.cluster.partition import HashPartitioner
 from repro.compiler import CompilerOptions
 from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
@@ -76,28 +77,9 @@ def _aggregate(system, engine: str, group_by: list[str], options: CompilerOption
     return system.execute(_program(engine, group_by), options=options).output("agg")
 
 
-@pytest.mark.parametrize("group_by", [["group"], []], ids=["grouped", "global"])
-@pytest.mark.parametrize("n", [0, 60], ids=["empty-shards", "rows"])
-def test_the_fused_sharded_aggregate_is_the_unfused_and_the_single_engine_one(n, group_by):
-    rows = _random_rows(random.Random(n), n)
-    single = RelationalEngine("one")
-    single.load_table("t", Table(_TABLE, rows), page_capacity=4)
-    system = build_cpu_polystore([single])
-    system.register_sharded_engine("many", RelationalEngine, 3) \
-        .load_table("t", Table(_TABLE, rows), shard_key="id", page_capacity=4)
-    assert system.compile(_program("many", group_by)).pass_counts["aggregate_into_scan"] == 1
-
-    fused = _aggregate(system, "many", group_by, CompilerOptions())
-    unfused = _aggregate(system, "many", group_by, CompilerOptions(fusion=False))
-    alone = _aggregate(system, "one", group_by, CompilerOptions())
-    assert (repr(fused.rows), fused.schema) == (repr(unfused.rows), unfused.schema)
-    assert Counter(map(repr, fused.rows)) == Counter(map(repr, alone.rows))
-    assert fused.schema == alone.schema
-    assert len(fused) == (len({row[1] for row in rows}) if group_by else 1)
-
-    # min/max over string and int columns keep their dtype over no rows too.
-    schema = fused.schema
-    if group_by:
+def _assert_result_dtypes(schema, grouped: bool) -> None:
+    """min/max over string and int columns keep their dtype over no rows too."""
+    if grouped:
         assert schema["group"].dtype is DataType.STRING
     assert schema["label_min"].dtype is DataType.STRING
     assert schema["label_max"].dtype is DataType.STRING
@@ -107,6 +89,112 @@ def test_the_fused_sharded_aggregate_is_the_unfused_and_the_single_engine_one(n,
     assert schema["int_avg"].dtype is DataType.FLOAT
     assert schema["int_count"].dtype is DataType.INT
     assert schema["n_rows"].dtype is DataType.INT
+
+
+def _deployment(rows: list[tuple], shards: int, **load) -> object:
+    """One engine ``one`` and a ``shards``-way sharded engine ``many``, both
+    holding ``rows`` as table ``t``."""
+    single = RelationalEngine("one")
+    single.load_table("t", Table(_TABLE, rows), **load)
+    system = build_cpu_polystore([single])
+    system.register_sharded_engine("many", RelationalEngine, shards) \
+        .load_table("t", Table(_TABLE, rows), shard_key="id", **load)
+    return system
+
+
+@pytest.mark.parametrize("group_by", [["group"], []], ids=["grouped", "global"])
+@pytest.mark.parametrize("n", [0, 60], ids=["empty-shards", "rows"])
+def test_the_fused_sharded_aggregate_is_the_unfused_and_the_single_engine_one(n, group_by):
+    rows = _random_rows(random.Random(n), n)
+    system = _deployment(rows, 3, page_capacity=4)
+    assert system.compile(_program("many", group_by)).pass_counts["aggregate_into_scan"] == 1
+
+    fused = _aggregate(system, "many", group_by, CompilerOptions())
+    unfused = _aggregate(system, "many", group_by, CompilerOptions(fusion=False))
+    alone = _aggregate(system, "one", group_by, CompilerOptions())
+    assert (repr(fused.rows), fused.schema) == (repr(unfused.rows), unfused.schema)
+    assert Counter(map(repr, fused.rows)) == Counter(map(repr, alone.rows))
+    assert fused.schema == alone.schema
+    assert len(fused) == (len({row[1] for row in rows}) if group_by else 1)
+    _assert_result_dtypes(fused.schema, bool(group_by))
+
+
+def _by_hand(rows: list[tuple], group_by: list[str]) -> list[tuple]:
+    """The SQL aggregates of ``AGGREGATES`` written out in plain Python: every
+    aggregate but ``count(*)`` skips NULLs, ``sum`` folds from ``0`` and is
+    NULL over no value, ``avg`` is that sum over the values' count."""
+    position = {name: i for i, name in enumerate(_TABLE.names)}
+    groups: dict[tuple, list[tuple]] = {} if group_by else {(): []}
+    for row in rows:
+        groups.setdefault(tuple(row[position[name]] for name in group_by), []).append(row)
+    out = []
+    for key, members in groups.items():
+        result = list(key)
+        for spec in AGGREGATES:
+            if spec.column is None:
+                result.append(len(members))
+                continue
+            values = [row[position[spec.column]] for row in members
+                      if row[position[spec.column]] is not None]
+            if spec.function == "count":
+                result.append(len(values))
+            elif not values:
+                result.append(None)
+            elif spec.function in ("sum", "avg"):
+                total = sum(values)
+                result.append(total if spec.function == "sum" else total / len(values))
+            else:
+                result.append(min(values) if spec.function == "min" else max(values))
+        out.append(tuple(result))
+    return out
+
+
+def _randomized(rng: random.Random, sizes: list[int], max_shards: int,
+                group_by: list[str]) -> None:
+    """Random rows over a random number of shards, half the time with one
+    shard left empty; the fused sharded aggregate must equal one engine's
+    and the aggregates written out by hand."""
+    shards = rng.randint(1, max_shards)
+    rows = _random_rows(rng, rng.choice(sizes))
+    empty = rng.randrange(shards) if shards > 1 and rng.random() < 0.5 else None
+    if empty is not None:
+        # Renumber the rows onto ids that the pinned shard does not own.
+        partitioner = HashPartitioner(shards)
+        ids = (i for i in range(10 * len(rows) + 10)
+               if partitioner.shard_for(i) != empty)
+        rows = [(next(ids), *row[1:]) for row in rows]
+    system = _deployment(rows, shards, **({"page_capacity": 4} if rng.random() < 0.5 else {}))
+    if empty is not None:
+        assert len(system.engine("many").shard(empty).scan("t")) == 0
+    fused = _aggregate(system, "many", group_by, CompilerOptions())
+    alone = _aggregate(system, "one", group_by, CompilerOptions())
+    # repr tells an int sum from a float one.
+    assert Counter(map(repr, fused.rows)) == Counter(map(repr, alone.rows))
+    assert Counter(map(repr, fused.rows)) == Counter(map(repr, _by_hand(rows, group_by)))
+    assert fused.schema == alone.schema
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_randomized_grouped_differential(seed):
+    _randomized(random.Random(seed), [0, 1, 7, 40, 120], 5, ["group"])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_global_differential(seed):
+    """No GROUP BY: a single output row even when every shard is empty."""
+    _randomized(random.Random(100 + seed), [0, 3, 25], 4, [])
+
+
+def test_empty_result_schema_preserves_dtypes():
+    """Over three empty shards the fused, unfused and single-engine
+    aggregates all return no groups in the same typed schema."""
+    system = _deployment([], 3)
+    for engine, options in (("many", CompilerOptions()),
+                            ("many", CompilerOptions(fusion=False)),
+                            ("one", CompilerOptions())):
+        result = _aggregate(system, engine, ["group"], options)
+        assert len(result) == 0
+        _assert_result_dtypes(result.schema, True)
 
 
 # -- end to end: a ShardedEngine vs one RelationalEngine ---------------------------------
@@ -156,9 +244,9 @@ def test_sharded_engine_aggregates_match_a_single_engine(rows, shards, grouped):
 # -- top-k over shards vs one engine ---------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("descending", [True, False])
-def test_a_sharded_top_k_matches_one_engine(seed, descending):
+def test_global_top_k_matches_single_node(seed, descending):
     """The top-k runs on the primary shard over the one table the read
     folded: NULL scores never qualify and the score sequence is one
     engine's (tied rows may come from other shards)."""
@@ -181,6 +269,21 @@ def test_a_sharded_top_k_matches_one_engine(seed, descending):
 
     assert None not in scores("many")
     assert scores("many") == scores("one")
+
+
+def test_global_top_k_is_deterministic_across_repeats():
+    """Ties across shards resolve the same way on every run."""
+    schema = make_schema(("item", DataType.INT), ("score", DataType.FLOAT))
+    system = build_cpu_polystore([])
+    system.register_sharded_engine("many", RelationalEngine, 3) \
+        .load_table("scores", Table(schema, [(i, float(i % 3)) for i in range(30)]),
+                    shard_key="item")
+    program = DataflowProgram("top-ties")
+    program.output("best", dataset("many").table("scores").top_k("score", 7))
+    first = system.execute(program).output("best").rows
+    assert [row[1] for row in first] == [2.0] * 7
+    for _ in range(5):
+        assert system.execute(program).output("best").rows == first
 
 
 def test_sharded_ascending_top_k_excludes_null_scores():
