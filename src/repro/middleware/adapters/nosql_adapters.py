@@ -209,30 +209,15 @@ class TextAdapter(Adapter):
         return self._keyword_features(node)
 
     def _keyword_features(self, node: Operator) -> Table:
-        keywords = [str(k) for k in node.params.get("keywords", [])]
+        keywords = list(dict.fromkeys(str(k) for k in node.params.get("keywords", [])))
         if not keywords:
             raise AdapterError(f"keyword_features {node.op_id} needs at least one keyword")
         prefix = node.params.get("doc_prefix")
-        id_column = str(node.params.get("id_column", "doc_id"))
-        doc_ids = node.params.get("doc_ids")
-        if doc_ids is not None:
-            # The pushdown pass pinned the read to explicit documents.
-            known = set(self.engine.documents_matching({}))
-            candidates = [doc_id for doc_id in doc_ids if doc_id in known]
-        else:
-            # documents_matching({}) returns every doc id.
-            candidates = self.engine.documents_matching({})
-        rows = []
-        for doc_id in candidates:
-            if prefix is not None and not doc_id.startswith(prefix):
-                continue
-            entity = doc_id[len(prefix):] if prefix else doc_id
-            features = self.engine.keyword_features(doc_id, keywords)
-            row: dict[str, Any] = {id_column: _coerce_key(entity)}
-            row.update({f"kw_{keyword}": value for keyword, value in features.items()})
-            rows.append(row)
-        if not rows:
-            columns = [Column(id_column, DataType.STRING)]
-            columns += [Column(f"kw_{k}", DataType.FLOAT) for k in keywords]
-            return self._apply_predicate(Table(Schema(columns), []), node)
-        return self._apply_predicate(Table.from_dicts(rows), node)
+        doc_ids, counts = self.engine.keyword_counts(  # ``doc_ids``: pushed down
+            keywords, doc_prefix=prefix, doc_ids=node.params.get("doc_ids"))
+        ids = [_coerce_key(doc_id[len(prefix):] if prefix else doc_id) for doc_id in doc_ids]
+        # Typed by the first id, as ``Schema.infer`` types a column.
+        id_type = DataType.INT if ids and isinstance(ids[0], int) else DataType.STRING
+        schema = Schema([Column(str(node.params.get("id_column", "doc_id")), id_type),
+                         *(Column(f"kw_{k}", DataType.FLOAT) for k in keywords)])
+        return self._apply_predicate(Table.wrap(schema, list(zip(ids, *counts))), node)

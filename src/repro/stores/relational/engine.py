@@ -53,15 +53,15 @@ class StoredTable:
         Every index answers as a scan of the heap does, whatever fails.  A row
         whose key a hash index cannot take (an unhashable value) ends the
         batch: the rows ahead of it land, in the heap and every index, then
-        its ``TypeError`` is raised.  If landing fails part way, each index
-        is rebuilt from the heap."""
+        its ``TypeError`` is raised.  So does one a sorted index cannot order
+        against its keys.  If landing fails part way, each index is rebuilt
+        from the heap."""
         indexes = [*self.hash_indexes.values(), *self.sorted_indexes.values()]
         keys = [list(map(itemgetter(self.schema.index_of(index.column)), rows))
                 for index in indexes]
         refused = None
         for index, column in zip(indexes, keys):
-            if type(index) is HashIndex and (
-                    refusal := index.refusal(column[:len(rows)])) is not None:
+            if (refusal := index.refusal(column[:len(rows)])) is not None:
                 rows, refused = rows[:refusal[0]], refusal[1]
         try:
             spans = self.heap.insert_many(rows)

@@ -83,6 +83,19 @@ class SortedIndex:
         rebuilt on the next lookup."""
         self._pending.extend(entry for entry in entries if entry[0] is not None)
 
+    def refusal(self, keys: list[Any]) -> tuple[int, TypeError] | None:
+        """As :meth:`HashIndex.refusal`, for the first non-``None`` key that does not
+        order against the first key held (or, held none, the batch's first)."""
+        held = (self._keys or [key for key, _ in self._pending[:1]]
+                or [key for key in keys if key is not None])[:1]
+        for at, key in enumerate(keys):
+            if key is not None:
+                try:
+                    key < held[0]
+                except TypeError as exc:
+                    return at, exc
+        return None
+
     def copy(self) -> "SortedIndex":
         """An independent index holding the same entries."""
         self._flush()

@@ -14,7 +14,6 @@ from repro.exceptions import StorageError
 from repro.stores.base import DataModel, Engine
 from repro.stores.changelog import docs_scope
 from repro.stores.text.inverted_index import InvertedIndex
-from repro.stores.text.tokenizer import term_frequencies, tokenize
 
 
 class TextEngine(Engine):
@@ -88,8 +87,19 @@ class TextEngine(Engine):
         The MIMIC workload uses this to turn a clinical note into numeric
         features (e.g. counts of "sepsis", "ventilator", "stable").
         """
-        counts = term_frequencies(self.get(doc_id)["text"])
-        return {keyword: float(counts.get(keyword.lower(), 0)) for keyword in keywords}
+        self.get(doc_id)  # an unknown document raises StorageError
+        return {k: float(self._index.term_frequency(k, doc_id)) for k in keywords}
+
+    def keyword_counts(self, keywords: list[str], *, doc_prefix: str | None = None,
+                       doc_ids: list[str] | None = None) -> tuple[list[str], list[list[float]]]:
+        """Candidate doc ids (all sorted, or ``doc_ids``' known ones in order) under
+        ``doc_prefix``, and per keyword its count in each, from the postings."""
+        candidates = sorted(self._documents) if doc_ids is None else \
+            [doc_id for doc_id in doc_ids if doc_id in self._documents]
+        if doc_prefix is not None:
+            candidates = [doc_id for doc_id in candidates if doc_id.startswith(doc_prefix)]
+        return candidates, [[float(postings.get(doc_id, 0)) for doc_id in candidates]
+                            for postings in map(self._index.postings, keywords)]
 
     def documents_matching(self, metadata_filter: dict[str, Any]) -> list[str]:
         """Doc ids whose metadata matches every ``key == value`` pair."""
@@ -104,9 +114,8 @@ class TextEngine(Engine):
 
     def statistics(self) -> dict[str, Any]:
         """Engine statistics for the catalog."""
-        total_tokens = sum(len(tokenize(d["text"])) for d in self._documents.values())
         return {
             "documents": len(self._documents),
             "terms": self._index.num_terms,
-            "tokens": total_tokens,
+            "tokens": self._index.num_tokens,
         }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from types import MappingProxyType
 
 from repro.stores.text.tokenizer import tokenize
 
@@ -14,6 +15,7 @@ class InvertedIndex:
     def __init__(self) -> None:
         self._postings: dict[str, dict[str, int]] = {}
         self._doc_lengths: dict[str, int] = {}
+        self._texts: dict[str, str] = {}  # a removal visits only its text's terms
 
     def add(self, doc_id: str, text: str) -> None:
         """Index one document (re-adding replaces its previous postings)."""
@@ -23,24 +25,32 @@ class InvertedIndex:
         for term, count in counts.items():
             self._postings.setdefault(term, {})[doc_id] = count
         self._doc_lengths[doc_id] = sum(counts.values())
+        self._texts[doc_id] = text
 
     def remove(self, doc_id: str) -> None:
-        """Remove a document from the index."""
-        for postings in self._postings.values():
-            postings.pop(doc_id, None)
+        """Remove a document from the index; a term no document holds goes."""
         self._doc_lengths.pop(doc_id, None)
+        for term in set(tokenize(self._texts.pop(doc_id, ""))):
+            postings = self._postings[term]
+            del postings[doc_id]
+            if not postings:
+                del self._postings[term]
+
+    def postings(self, term: str) -> MappingProxyType[str, int]:
+        """Read-only ``doc_id -> occurrences of term`` over the documents holding it."""
+        return MappingProxyType(self._postings.get(term.lower(), {}))
 
     def documents_with(self, term: str) -> set[str]:
         """Documents containing ``term``."""
-        return set(self._postings.get(term.lower(), {}))
+        return set(self.postings(term))
 
     def term_frequency(self, term: str, doc_id: str) -> int:
         """Occurrences of ``term`` in ``doc_id``."""
-        return self._postings.get(term.lower(), {}).get(doc_id, 0)
+        return self.postings(term).get(doc_id, 0)
 
     def document_frequency(self, term: str) -> int:
         """Number of documents containing ``term``."""
-        return len(self._postings.get(term.lower(), {}))
+        return len(self.postings(term))
 
     @property
     def num_documents(self) -> int:
@@ -51,6 +61,11 @@ class InvertedIndex:
     def num_terms(self) -> int:
         """Number of distinct terms."""
         return len(self._postings)
+
+    @property
+    def num_tokens(self) -> int:
+        """Number of indexed tokens, summed over every document."""
+        return sum(self._doc_lengths.values())
 
     def boolean_search(self, terms: list[str], *, mode: str = "and") -> set[str]:
         """Documents containing all (``and``) or any (``or``) of ``terms``."""

@@ -22,7 +22,7 @@ NUM_SHARDS = 4
 #: The engine methods an adapter reads a shard's data through.
 READS = ("scan", "index_lookup", "range_lookup", "execute_sql", "range_columns",
          "window_aggregate", "summarize_many", "get", "multi_get", "range",
-         "search", "keyword_features", "documents_matching")
+         "search", "keyword_features", "keyword_counts", "documents_matching")
 
 
 def _contacts(engine, action) -> tuple[list[int], object]:

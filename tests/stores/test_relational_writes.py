@@ -372,3 +372,21 @@ def test_indexes_hold_what_landed_when_landing_fails(monkeypatch):
     assert len(engine.scan("t")) == 8
     _indexes_answer_as_the_heap(engine, "grp")
     _indexes_answer_as_the_heap(engine, "id")
+
+
+def test_a_key_a_sorted_index_cannot_order_lands_nothing_after_it():
+    # An int in a sorted-indexed string column: refused at the insert, it
+    # leaves the index answering every later lookup and range.
+    schema = make_schema(("id", DataType.INT), ("tag", DataType.STRING))
+    engine = RelationalEngine("db")
+    engine.create_table("t", schema, page_capacity=2)
+    engine.create_index("t", "tag", kind="sorted")
+    engine.insert("t", [(1, "a")])
+    with pytest.raises(TypeError):
+        engine.insert("t", [(2, 3)])
+    assert engine.scan("t").rows == [(1, "a")]
+    for _ in range(3):
+        _indexes_answer_as_the_heap(engine, "tag")
+    assert engine.range_lookup("t", "tag", "a", "z").rows == engine.scan("t").rows
+    engine.insert("t", [(4, "b"), (5, "a")])
+    _indexes_answer_as_the_heap(engine, "tag")

@@ -21,7 +21,7 @@ ALLOWED = {
     "datamodel/table.py":
         (1, "the Table API itself: from_dicts infers"),
     "middleware/adapters/nosql_adapters.py":
-        (3, "key/value, graph and text leaves are schemaless: typed from their records"),
+        (2, "key/value and graph leaves are schemaless: typed from their records"),
     "middleware/adapters/base.py":
         (1, "a python_udf may hand a federated operator dict rows"),
     "views/view.py":
