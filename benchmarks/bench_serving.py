@@ -1,6 +1,6 @@
 """Serving-tier throughput under heavy in-process client concurrency.
 
-Two measurements:
+Two checks:
 
 * **mixed read/write fleet** — ``SERVING_BENCH_CLIENTS`` concurrent
   in-process clients (default 256; the acceptance floor) hammer one server:
@@ -13,10 +13,8 @@ Two measurements:
   ``QUOTA_EXCEEDED``) are retried with the server's hint; a sampler thread
   asserts the admission queue never exceeds its configured bound.  Reports
   QPS and p50/p99 client latency through :mod:`benchmarks._emit`.
-* **cooperative cancellation** — a sharded key/value deployment whose
-  first shard read cancels the request's token; with a serial fan-out the
-  remaining shard subtasks must never dispatch, asserted via the recorded
-  ``shard:*`` trace spans (strictly fewer than the shard count).
+* **health** — the ``health`` op answers ``ok`` on a server fronting a
+  durable partitioned deployment.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_serving.py -q
 Smoke mode (CI):  SERVING_BENCH_REQUESTS=2 PYTHONPATH=src python -m pytest ...
@@ -30,13 +28,12 @@ import time
 
 import pytest
 
-from repro import CancellationToken, DataflowProgram, SystemConfig, col
+from repro import DataflowProgram, SystemConfig, col
 from repro.core import PolystorePlusPlus, build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide import Param
-from repro.exceptions import CancelledError
 from repro.serve.client import ServeError
-from repro.stores import KeyValueEngine, RelationalEngine
+from repro.stores import RelationalEngine
 
 from benchmarks._emit import emit
 
@@ -233,14 +230,14 @@ def test_mixed_fleet_sustains_concurrent_clients():
     })
 
 
-def test_health_op_on_durable_sharded_deployment(tmp_path):
+def test_health_op_on_durable_partitioned_deployment(tmp_path):
     """A load balancer's probe path: the ``health`` op must answer ``ok``
-    on a live server fronting a durable sharded deployment — durability
+    on a live server fronting a durable partitioned deployment — durability
     liveness, changelog pressure, queue saturation and view state all roll
     up through one protocol round-trip."""
     system = PolystorePlusPlus(SystemConfig(
         obs_enabled=True, durability_sync="always", session_workers=2))
-    engine = system.register_sharded_engine("sharddb", RelationalEngine, 4)
+    engine = system.register_engine(RelationalEngine("sharddb", partitions=4))
     engine.load_table("events", Table(
         make_schema(("row_id", DataType.INT), ("value", DataType.FLOAT)),
         [(i, float(i)) for i in range(64)]), shard_key="row_id")
@@ -266,50 +263,9 @@ def test_health_op_on_durable_sharded_deployment(tmp_path):
     system.close()
 
 
-def test_cancelled_request_stops_before_all_shards():
-    """Deterministic end-to-end cancellation: the first shard's read trips
-    the token; the serial fan-out must not dispatch the remaining shards,
-    observed via the recorded shard subtask spans."""
-    token = CancellationToken()
-    scans: list[str] = []
-
-    class HookedEngine(KeyValueEngine):
-        def range(self, start=None, end=None):
-            scans.append(self.name)
-            if len(scans) == 1:
-                token.cancel("benchmark cancel after first shard")
-            return super().range(start, end)
-
-    num_shards = 4
-    system = PolystorePlusPlus(SystemConfig(
-        obs_enabled=True, obs_trace_sample_rate=1.0))
-    engine = system.register_sharded_engine("sharddb", HookedEngine,
-                                            num_shards)
-    engine.put_many({f"ev/{i}": {"value": float(i)} for i in range(64)})
-
-    expr = system.dataset("sharddb").kv(key_prefix="ev/").filter(
-        col("value") >= 0.0)
-    program = DataflowProgram("cancelled_scan")
-    program.output("out", expr)
-
-    session = system.session(name="serial", max_workers=1)
-    prepared = session.prepare(program)
-    with pytest.raises(CancelledError):
-        prepared.run(cancellation=token)
-
-    shard_spans = [s for s in system.obs.tracer.spans()
-                   if s.name.startswith("shard:")]
-    print(f"\nshards              : {num_shards}")
-    print(f"shard scans run     : {len(scans)}")
-    print(f"shard spans recorded: {len(shard_spans)}")
-    assert len(scans) == 1
-    assert len(shard_spans) < num_shards
-
-
 if __name__ == "__main__":
     import tempfile
 
     test_mixed_fleet_sustains_concurrent_clients()
     with tempfile.TemporaryDirectory() as tmp:
-        test_health_op_on_durable_sharded_deployment(tmp)
-    test_cancelled_request_stops_before_all_shards()
+        test_health_op_on_durable_partitioned_deployment(tmp)

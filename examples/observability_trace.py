@@ -1,14 +1,14 @@
-"""Observability end to end: trace a durable sharded deployment.
+"""Observability end to end: trace a durable partitioned deployment.
 
-A three-shard relational engine is opened on durable storage with
-``durability_sync="always"`` so every ingest batch pays a real WAL fsync,
-then a scatter-gathered aggregation is prepared and re-run — all with
-observability on at ``obs_trace_sample_rate=1.0``.  The example then
+A relational engine whose table splits into three partitions is opened on
+durable storage with ``durability_sync="always"`` so every ingest batch pays
+a real WAL fsync, then an aggregation over the table is prepared and re-run
+— all with observability on at ``obs_trace_sample_rate=1.0``.  The example then
 checks the claims the instrumentation makes:
 
 * the Prometheus export parses and contains the core metric families,
-* each run's one read over the three shards' heaps is one span
-  (``shard:0+1+2``) nested (transitively) under its request span,
+* each run's one read of the partitioned table is one ``scan`` operator
+  span nested (transitively) under its request span,
 * WAL fsync spans nest under the ingest request that caused them,
 * the span buffer converts to a Chrome ``trace_event`` document —
   pass ``--trace PATH`` to write it, then load it in
@@ -33,7 +33,6 @@ import sys
 import tempfile
 
 from repro import DataflowProgram, SystemConfig
-from repro.cluster import ShardedEngine
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, make_schema
 from repro.obs import ancestors, parse_prometheus_text
@@ -41,7 +40,7 @@ from repro.stores import RelationalEngine
 
 FAST = bool(os.environ.get("EXAMPLES_FAST"))
 N_ORDERS = 200 if FAST else 2_000
-N_SHARDS = 3
+N_PARTITIONS = 3
 RUNS = 3 if FAST else 10
 
 #: Families the CI smoke step (and this example) require in the scrape.
@@ -50,18 +49,17 @@ CORE_FAMILIES = (
     "polystore_request_seconds",
     "polystore_plan_cache_total",
     "polystore_operators_total",
-    "polystore_scatter_subtasks_total",
     "polystore_wal_appends_total",
     "polystore_wal_fsync_seconds",
 )
 
 
 def build_observed_deployment(data_dir: str):
-    """A durable sharded deployment with tracing and profiling fully on."""
+    """A durable partitioned deployment with tracing and profiling fully on."""
     config = SystemConfig(obs_enabled=True, obs_trace_sample_rate=1.0,
                           durability_sync="always",
                           obs_profile_enabled=True, obs_profile_hz=200.0)
-    sales = ShardedEngine("sales", RelationalEngine, N_SHARDS)
+    sales = RelationalEngine("sales", partitions=N_PARTITIONS)
     system = build_accelerated_polystore([sales], config=config)
     system.open(data_dir)
     return system, sales
@@ -82,38 +80,36 @@ def traced_ingest(system, sales) -> None:
 
 
 def build_scan_program(system) -> DataflowProgram:
-    """One scatter-gathered aggregation over every shard."""
+    """One aggregation over every partition."""
     totals = (system.dataset("sales").table("orders")
               .aggregate(["customer"], total=("sum", "amount"),
                          n_orders=("count", None))
               .named("totals"))
-    program = DataflowProgram("sharded_scan")
+    program = DataflowProgram("partitioned_scan")
     program.output("totals", totals)
     return program
 
 
 def check_span_nesting(system) -> tuple[int, int]:
-    """Sharded read and WAL fsync spans must sit under request spans."""
+    """Scan and WAL fsync spans must sit under request spans."""
     spans = system.obs.tracer.spans()
-    by_kind = {"shard": [], "wal_fsync": []}
+    by_kind = {"scan": [], "wal_fsync": []}
     for span in spans:
-        if span.name.startswith("shard:"):
-            by_kind["shard"].append(span)
+        if span.name.startswith("op:") and span.attrs.get("kind") == "scan":
+            by_kind["scan"].append(span)
         elif span.name == "wal_fsync":
             by_kind["wal_fsync"].append(span)
     # A prepared run re-reads only after a write, so at least the first run
-    # read, and every read folded all three shards in one span.
-    assert by_kind["shard"], by_kind
-    whole = "shard:" + "+".join(map(str, range(N_SHARDS)))
-    assert all((span.name, span.attrs["shards"]) == (whole, N_SHARDS)
-               for span in by_kind["shard"]), by_kind["shard"]
+    # read, each read one span of its own: no per-partition span.
+    assert by_kind["scan"], by_kind
+    assert not any(span.name.startswith("shard:") for span in spans)
     assert by_kind["wal_fsync"], "sync=always ingest produced no fsync spans"
     for kind, group in by_kind.items():
         for span in group:
             chain = [parent.name for parent in ancestors(span, spans)]
             assert any(name.startswith("request:") or name == "ingest"
                        for name in chain), (kind, span.name, chain)
-    return len(by_kind["shard"]), len(by_kind["wal_fsync"])
+    return len(by_kind["scan"]), len(by_kind["wal_fsync"])
 
 
 def _arg(flag: str) -> str | None:
@@ -137,7 +133,7 @@ def main() -> None:
             for _ in range(RUNS):
                 result = prepared.run()
         print(f"aggregated {len(result.output('totals'))} customer groups "
-              f"over {N_SHARDS} shards, {RUNS} prepared runs")
+              f"over {N_PARTITIONS} partitions, {RUNS} prepared runs")
 
         # -- Prometheus: the scrape parses and carries the core families --
         scrape = system.export_prometheus()
@@ -148,12 +144,11 @@ def main() -> None:
               f"{sum(len(samples) for samples in families.values())} samples")
         print("  " + "\n  ".join(
             line for line in scrape.splitlines()
-            if line.startswith("polystore_requests_total")
-            or line.startswith("polystore_scatter_subtasks_total")))
+            if line.startswith("polystore_requests_total")))
 
-        # -- span tree: subtasks and fsyncs nest under their requests --
-        shards, fsyncs = check_span_nesting(system)
-        print(f"span nesting ok: {shards} sharded read spans, "
+        # -- span tree: reads and fsyncs nest under their requests --
+        scans, fsyncs = check_span_nesting(system)
+        print(f"span nesting ok: {scans} scan spans, "
               f"{fsyncs} WAL fsync spans, all under request spans")
 
         # -- Chrome trace: write it for Perfetto / about:tracing --

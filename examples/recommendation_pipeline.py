@@ -5,7 +5,7 @@ store and clickstreams in a timeseries store.  The pipeline is declared with
 the composable dataflow API: engine scans composed into a feature table that
 trains a next-best-offer model.  The example also shows a reporting query, a
 structured-predicate point read (the kind the compiler pushes into the scan
-— and, on sharded deployments, routes to the owning shard), and the
+— and, on a partitioned table, reads only the key's partition), and the
 compiler's view of the optimized plan.
 
 Run with:  python examples/recommendation_pipeline.py
@@ -85,8 +85,8 @@ def main() -> None:
         print(f"  customer {row['customer_id']:>4}  total spend {row['total_spend']:.2f}")
 
     # A keyed read: the filter is absorbed into the scan as structured IR
-    # (with an index it becomes an index_seek; on a sharded engine it
-    # contacts only the owning shard).
+    # (with an index it becomes an index_seek; on a partitioned table it
+    # reads only the pages of the key's partition).
     summary = system.execute(build_customer_flow(system, 7)).output("summary")
     row = summary.to_dicts()[0]
     print(f"\nCustomer 7: {row['n']} transactions totalling {row['total']:.2f}")

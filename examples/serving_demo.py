@@ -1,7 +1,7 @@
-"""Serving demo: a durable sharded deployment behind the async front-end.
+"""Serving demo: a durable partitioned deployment behind the async front-end.
 
-Builds a Polystore++ deployment with a durable data directory and a sharded
-relational engine, starts the serving tier (``system.serve()``), registers
+Builds a Polystore++ deployment with a durable data directory and a
+relational engine whose table splits into four partitions, starts the serving tier (``system.serve()``), registers
 two read programs, and drives it with concurrent tenants over both
 transports:
 
@@ -41,11 +41,11 @@ N_FREE_ATTEMPTS = 6 if FAST else 15
 
 
 def build_system(data_dir: str) -> PolystorePlusPlus:
-    """A durable deployment with a 4-way sharded relational engine."""
+    """A durable deployment with a 4-way partitioned relational table."""
     system = PolystorePlusPlus(SystemConfig(
         data_dir=data_dir, obs_enabled=True, obs_trace_sample_rate=0.05,
         serve_pool_size=4))
-    engine = system.register_sharded_engine("ordersdb", RelationalEngine, 4)
+    engine = system.register_engine(RelationalEngine("ordersdb", partitions=4))
     schema = make_schema(("order_id", DataType.INT),
                          ("customer_id", DataType.INT),
                          ("amount", DataType.FLOAT))

@@ -13,7 +13,7 @@ The public API is intentionally small; most users need only:
 from repro.cancellation import CancellationToken
 from repro.catalog import Catalog
 from repro.client import PreparedProgram, Session
-from repro.cluster import HashPartitioner, RangePartitioner, ShardedEngine
+from repro.cluster import HashPartitioner
 from repro.core import (
     EXECUTION_MODES,
     ExecutionResult,
@@ -57,8 +57,6 @@ __all__ = [
     "Catalog",
     "build_cpu_polystore",
     "build_accelerated_polystore",
-    "ShardedEngine",
     "HashPartitioner",
-    "RangePartitioner",
     "__version__",
 ]

@@ -3,11 +3,9 @@
 A :class:`CancellationToken` carries two abort signals for one request — an
 explicit *cancel* (set by a caller, a server-side ``cancel`` command, or a
 client disconnect) and an optional *deadline* — and is checked cooperatively
-at the executor's checkpoints: before every stage, at every operator start,
-and before each shard subtask is dispatched by scatter-gather.  Work between
-checkpoints runs to completion; everything after the first failing check is
-never started, so a cancelled scatter fan-out stops dispatching the
-remaining shard subtasks instead of finishing the whole read.
+at the executor's checkpoints: before every stage and at every operator
+start.  Work between checkpoints runs to completion; everything after the
+first failing check is never started.
 
 Tokens are cheap (a few attribute reads per :meth:`check`) and thread-safe:
 the flag is written by whichever thread cancels and read by executor worker

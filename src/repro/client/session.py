@@ -172,8 +172,7 @@ class PreparedProgram:
         ``deadline_s`` bounds this run's wall time and ``cancellation``
         attaches a shared :class:`~repro.cancellation.CancellationToken`
         (both may be given; the deadline tightens the token).  The executor
-        checks the token between stages, at operator starts and before each
-        shard subtask, raising
+        checks the token between stages and at operator starts, raising
         :class:`~repro.exceptions.DeadlineExceededError` /
         :class:`~repro.exceptions.CancelledError` — work genuinely stops
         instead of running to completion.

@@ -1,31 +1,12 @@
-"""Sharding fabric: partitioned engines and scatter-gather execution.
+"""Compatibility names for partitioned tables (shim: PR A deletes it).
 
-This package adds the data-parallel axis to the polystore: any substrate
-engine can be wrapped in a :class:`ShardedEngine` (N shard instances behind a
-hash or range :class:`Partitioner`), registered in the system like any other
-engine, and scatter-gathered by the executor.
+A partitioned table lives in one :class:`~repro.stores.RelationalEngine`
+(``RelationalEngine(name, partitions=n)``; ``create_table(...,
+shard_key=...)``).  What is left here is :class:`HashPartitioner`, which
+``PolystorePlusPlus.register_sharded_engine`` still accepts and snapshots an
+older release wrote still unpickle, and ``canonical_key``.
 """
 
-# The executor imports scatter, and scatter the middleware's adapters: load
-# the middleware (executor and all) first, or whichever of the two a caller
-# imports first would find the other half-initialised.
-import repro.middleware  # noqa: F401
-from repro.cluster.partition import (
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-    canonical_key,
-)
-from repro.cluster.scatter import ScatterExecution, ScatterGather
-from repro.cluster.sharded import PARTITIONABLE_MODELS, ShardedEngine
+from repro.cluster.partition import HashPartitioner, canonical_key
 
-__all__ = [
-    "Partitioner",
-    "HashPartitioner",
-    "RangePartitioner",
-    "canonical_key",
-    "ShardedEngine",
-    "PARTITIONABLE_MODELS",
-    "ScatterGather",
-    "ScatterExecution",
-]
+__all__ = ["HashPartitioner", "canonical_key"]

@@ -111,8 +111,7 @@ def _fuse_project_into_scan(graph: IRGraph) -> int:
 def fold_aggregates_into_scans(graph: IRGraph) -> int:
     """Fold each group-aggregate into the relational scan only it reads.
 
-    The scan's page walk folds the rows it selects — over one engine's heap,
-    or every shard's of a sharded one — with the aggregate's own specs
+    The scan's page walk folds the rows it selects with the aggregate's own specs
     straight into its result: one row per group, in first-seen order, with
     the unfused plan's schema.  The aggregate hands that table on.
 

@@ -12,8 +12,8 @@ Two cooperating rewrites:
   string is ever parsed.  Relational scans, key/value lookups, timeseries
   summaries and text keyword features all participate: their adapters
   evaluate the predicate engine-side, and key-equality conjuncts
-  additionally become routing hints (explicit ``keys`` / ``series_keys`` /
-  ``doc_ids``) that the scatter-gather path uses to prune shard fan-out.
+  additionally become explicit ``keys`` / ``series_keys`` / ``doc_ids`` lists
+  that narrow the engine-side read.
 """
 
 from __future__ import annotations
@@ -167,8 +167,7 @@ def absorb_into_leaves(graph: IRGraph, catalog: Catalog | None = None) -> int:
     The filter's predicate lands in the leaf's ``predicate`` parameter (ANDed
     with any predicate already absorbed), the filter node disappears, and —
     where a conjunct pins the read's key column to literal values — the leaf
-    additionally gains explicit key routing hints the scatter-gather executor
-    prunes shards with.  Returns the number of filters absorbed.
+    additionally gains the explicit key list its engine reads by.  Returns the number of filters absorbed.
     """
     rewrites = 0
     changed = True
@@ -208,10 +207,8 @@ def _extract_key_routing(leaf: Operator) -> None:
 
     Key/value prefix lookups become explicit-key lookups, timeseries
     summaries gain a ``series_keys`` list and keyword features a ``doc_ids``
-    list — each of which both narrows the engine-side read and lets the
-    scatter path contact only the owning shards.  Relational scans carry the
-    predicate itself; the scatter path matches it against the table's
-    declared shard key at dispatch time.
+    list, each of which narrows the engine-side read.  Relational scans carry
+    the predicate itself, which a partitioned table's heap prunes pages by.
     """
     predicate = leaf.params.get("predicate")
     if not isinstance(predicate, Expression):
@@ -242,9 +239,7 @@ def _convert_to_index_seek(leaf: Operator, catalog: Catalog | None) -> None:
     A single-value equality conjunct on an indexed column lets the engine
     answer from the index instead of scanning the heap; the full predicate
     stays on the node (re-checking the equality is cheap and the residual
-    conjuncts still must filter).  On sharded engines this compounds with
-    routing: the seek contacts only the owning shard *and* reads only the
-    matching rows there.
+    conjuncts still must filter).
     """
     if leaf.kind != "scan" or catalog is None or leaf.engine is None:
         return
@@ -282,8 +277,7 @@ def predicate_key_values(predicate: Expression, column: str) -> list[Any] | None
     Only top-level conjuncts constrain the key: an equality against a
     literal yields one value, an ``IN`` list yields its members, and several
     key conjuncts intersect.  Non-key conjuncts are ignored (they filter
-    rows, not the routing).  Returns ``None`` when no conjunct pins the key —
-    the read must stay a full fan-out.
+    rows, not the key list).  Returns ``None`` when no conjunct pins the key.
     """
     values: list[Any] | None = None
     for conjunct in split_conjunction(predicate):

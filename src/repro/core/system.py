@@ -34,6 +34,7 @@ from repro.obs import (
     worst_status,
 )
 from repro.stores.base import Engine
+from repro.stores.relational.engine import RelationalEngine
 from repro.views.registry import ViewRegistry
 from repro.views.view import MaintenancePolicy, MaterializedView
 
@@ -238,18 +239,19 @@ class PolystorePlusPlus:
 
     def register_sharded_engine(self, name: str, shard_factory,
                                 num_shards: int | None = None, *,
-                                partitioner=None):
-        """Build and attach a :class:`~repro.cluster.ShardedEngine`.
-
-        ``shard_factory`` is either an :class:`Engine` subclass (shards are
-        named ``{name}-s{i}``) or a callable ``index -> Engine``.  The
-        executor scatter-gathers partitionable operators across the shards;
-        see :mod:`repro.cluster`.
-        """
-        from repro.cluster import ShardedEngine
-
-        engine = ShardedEngine(name, shard_factory, num_shards,
-                               partitioner=partitioner)
+                                partitioner=None) -> RelationalEngine:
+        """Build and attach ``RelationalEngine(name, partitions=n)``, ``n``
+        being ``num_shards`` or ``partitioner.num_shards`` (shim: PR A deletes
+        it).  Only a relational engine partitions its tables."""
+        if shard_factory is not RelationalEngine:
+            raise ConfigurationError(
+                f"cannot partition {getattr(shard_factory, '__name__', shard_factory)!r}: "
+                f"only a RelationalEngine's tables split into partitions")
+        count = num_shards if partitioner is None else partitioner.num_shards
+        if count is None or (num_shards is not None and num_shards != count):
+            raise ConfigurationError(
+                f"give one partition count: num_shards={num_shards}, {partitioner!r}")
+        engine = RelationalEngine(name, partitions=count)
         self.register_engine(engine)
         return engine
 
@@ -383,8 +385,8 @@ class PolystorePlusPlus:
         """Buffered trace spans as a Chrome ``trace_event`` document.
 
         Write it to a ``.json`` file and open it in ``about:tracing`` or
-        https://ui.perfetto.dev to see requests, stages, operators,
-        per-shard subtasks and WAL fsyncs on a timeline.
+        https://ui.perfetto.dev to see requests, stages, operators and WAL
+        fsyncs on a timeline.
         """
         return chrome_trace(self.obs.tracer.spans())
 

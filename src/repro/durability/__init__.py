@@ -7,7 +7,7 @@ the architecture and ``DESIGN.md`` for the on-disk format.
 
 from repro.durability import faults
 from repro.durability.faults import InjectedFault, arm, clear, disarm
-from repro.durability.manager import DurabilityManager, EngineStore, ShardedStore
+from repro.durability.manager import DurabilityManager, EngineStore
 from repro.durability.wal import SYNC_POLICIES
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "DurabilityManager",
     "EngineStore",
     "InjectedFault",
-    "ShardedStore",
     "arm",
     "clear",
     "disarm",

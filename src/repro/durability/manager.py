@@ -9,9 +9,9 @@ supported engine registered on its system:
   and checkpoints — sealed heap pages not yet on disk into one segment
   file, atomic snapshot naming them, WAL rotation, manifest swap — every
   ``snapshot_every`` records;
-* a :class:`ShardedStore` per :class:`~repro.cluster.ShardedEngine` nests
-  one ``EngineStore`` per shard (per-shard WALs) under a facade store that
-  logs tiny counter records plus DDL;
+* a directory an older release wrote for a sharded engine (a facade
+  manifest over ``shards/g{generation}-s{i}`` stores) opens as one
+  relational engine of partitioned tables (:meth:`EngineStore._restore_sharded`);
 * registered views' definitions are pickled to ``views.pkl`` and
   re-registered after recovery (their state resyncs from the recovered
   base snapshots via the normal initialization path).
@@ -38,7 +38,6 @@ from repro.durability.snapshot import (
     load_manifest,
     load_snapshot,
     read_record,
-    snapshot_id,
     snapshot_name,
     write_atomic,
     write_manifest,
@@ -53,6 +52,7 @@ from repro.durability.state import (
     replay_record,
     restore_counters,
     restore_state,
+    stored_table,
 )
 from repro.durability.wal import (
     Liveness,
@@ -67,9 +67,9 @@ from repro.stores.base import Engine
 from repro.stores.changelog import DeltaBatch, PageEntry, PageParts
 from repro.stores.keyvalue.engine import KeyValueEngine
 from repro.stores.keyvalue.sstable import SSTable
+from repro.stores.relational.engine import RelationalEngine
 
 if TYPE_CHECKING:
-    from repro.cluster.sharded import ShardedEngine
     from repro.core.system import PolystorePlusPlus
 
 VIEWS_FILE = "views.pkl"
@@ -142,13 +142,31 @@ class EngineStore:
 
     def _restore(self, manifest: dict[str, Any]) -> None:
         expected = type(self.engine).__name__
-        if manifest.get("engine_type") != expected:
+        sharded = manifest.get("engine_type") == "ShardedEngine" and isinstance(
+            self.engine, RelationalEngine)
+        if manifest.get("engine_type") != expected and not sharded:
             raise ConfigurationError(
                 f"{self.directory} holds a {manifest.get('engine_type')!r} "
                 f"state but engine {self.engine.name!r} is a {expected}"
             )
         self._snap_id = manifest["snapshot_id"]
         self._sst_seq, last_segment = self._scan_existing()
+        batches, meta, truncated = (self._restore_sharded if sharded
+                                    else self._replay)(manifest)
+        self._wal = WalWriter(self.directory, self.liveness,
+                              sync=self.manager.sync,
+                              sync_interval_s=self.manager.sync_interval_s,
+                              start_segment=last_segment + 1,
+                              obs=self.manager.obs, label=self.engine.name)
+        self.recovery = {"restored": True,
+                         "snapshot_id": manifest["snapshot_id"],
+                         "replayed_batches": batches,
+                         "replayed_meta": meta,
+                         "truncated_records": truncated}
+
+    def _replay(self, manifest: dict[str, Any]) -> tuple[int, int, int]:
+        """Restore the snapshot ``manifest`` names, then replay the WAL tail;
+        returns the batch and meta records replayed and the torn ones."""
         payload = load_snapshot(self.directory, manifest["snapshot"])
         restore_state(self.engine, payload["state"], self)
         restore_counters(self.engine, payload["counters"])
@@ -160,16 +178,53 @@ class EngineStore:
                 batches += 1
             else:
                 meta += 1
-        self._wal = WalWriter(self.directory, self.liveness,
-                              sync=self.manager.sync,
-                              sync_interval_s=self.manager.sync_interval_s,
-                              start_segment=last_segment + 1,
-                              obs=self.manager.obs, label=self.engine.name)
-        self.recovery = {"restored": True,
-                         "snapshot_id": manifest["snapshot_id"],
-                         "replayed_batches": batches,
-                         "replayed_meta": meta,
-                         "truncated_records": truncated}
+        return batches, meta, truncated
+
+    def _restore_sharded(self, manifest: dict[str, Any]) -> tuple[int, int, int]:
+        """Open what an older release wrote for a sharded relational engine
+        as this one engine, partitioned into its ``num_shards``.
+
+        Each ``shards/g{generation}-s{i}`` store is restored as a relational
+        engine of its own; each table's pages are concatenated in shard
+        order, so its rows read back in the order the shards' did, and its
+        indexes are rebuilt.  The facade's snapshot and WAL tail of ``{scope,
+        gap}`` records give the version counters.  The first checkpoint
+        writes the plain layout; :meth:`_gc` then drops ``shards/``.
+        """
+        engine = self.engine
+        count = manifest["num_shards"]
+        shards = []
+        for index in range(count):
+            shard = RelationalEngine(f"{engine.name}-s{index}")
+            directory = self.directory / "shards" / f"g{manifest['generation']}-s{index}"
+            EngineStore(self.manager, shard, directory)._replay(load_manifest(directory))
+            shards.append(shard)
+        payload = load_snapshot(self.directory, manifest["snapshot"])
+        keys = dict(payload["shard_keys"])
+        restore_counters(engine, payload["counters"])
+        records, truncated = read_records(self.directory, manifest["wal_segment"])
+        batches = meta = 0
+        for record in records:
+            if record["k"] == "m":
+                meta += 1
+                continue
+            kind, args = record.get("op") or (None, {})
+            if kind == "create_table":
+                keys[args["table"]] = args["shard_key"]
+            engine.mark_data_changed(record["scope"],
+                                     entries=None if record["gap"] else (),
+                                     notify=False)
+            batches += 1
+        engine.partitions = count
+        engine._tables = {}
+        for name, first in shards[0]._tables.items():
+            pages = [page for shard in shards for page in shard._tables[name].heap._pages]
+            for page in pages:
+                page._ref = None  # a ref into a shard's segment, not this store's
+            engine._tables[name] = stored_table(
+                name, first.schema, first.heap.page_capacity, pages, keys.get(name),
+                count, first.hash_indexes, first.sorted_indexes)
+        return batches, meta, truncated
 
     def _scan_existing(self) -> tuple[int, int]:
         """Highest existing SSTable sequence and WAL segment numbers."""
@@ -346,6 +401,8 @@ class EngineStore:
             elif (name.endswith(".tmp") or name.startswith(
                     (SNAPSHOT_PREFIX, SSTABLE_PREFIX, PAGES_PREFIX))):
                 entry.unlink(missing_ok=True)
+            elif name == "shards":  # an older sharded layout, now restored
+                shutil.rmtree(entry, ignore_errors=True)
 
     # -- detach -------------------------------------------------------------------------
 
@@ -360,264 +417,6 @@ class EngineStore:
 
     def close(self) -> None:
         """Final checkpoint, then release the engine and file handles."""
-        self.checkpoint()
-        self.detach()
-
-
-class ShardedStore:
-    """Durability for a :class:`ShardedEngine`: per-shard WALs + facade log.
-
-    The facade WAL holds tiny records — per relayed batch just ``{scope,
-    gap}`` (the data itself is captured by the owning shard's WAL) plus DDL
-    ops.  Replaying them re-bumps the facade's version counters, the only
-    ones its readers see, so its scoped versions come back exact.  Shards
-    are subscribed to the facade only after both replays; a snapshot of an
-    older release may still carry ``version_base``, ``scope_bases`` or
-    ``table_kwargs``, which are ignored (each shard's own snapshot keeps its
-    tables' ``create_table`` arguments).  The facade manifest names the
-    shard *generation*: this release writes ``g0-s*``, but an older one that
-    resized the shard set online wrote ``g1-s*`` and up, which still open.
-    """
-
-    def __init__(self, manager: "DurabilityManager", engine: "ShardedEngine",
-                 directory: Path) -> None:
-        self.manager = manager
-        self.engine = engine
-        self.directory = directory
-        self.liveness = manager.liveness
-        self.generation = 0
-        self._wal: WalWriter | None = None
-        self._snap_id = 0
-        self._since_checkpoint = 0
-        self._shard_stores: list[EngineStore] = []
-        self.recovery: dict[str, Any] = {}
-
-    # -- attach / restore ------------------------------------------------------------
-
-    def attach(self) -> None:
-        (self.directory / "shards").mkdir(parents=True, exist_ok=True)
-        manifest = load_manifest(self.directory)
-        if manifest is None:
-            self._wal = WalWriter(self.directory, self.liveness,
-                                  sync=self.manager.sync,
-                                  sync_interval_s=self.manager.sync_interval_s,
-                                  obs=self.manager.obs,
-                                  label=self.engine.name)
-            self._shard_stores = self._build_shard_stores(self.engine.shards)
-            self.recovery = {"restored": False, "replayed_batches": 0,
-                            "truncated_records": 0, "shards": []}
-        else:
-            self._restore(manifest)
-        replayed = int(self.recovery.get("replayed_batches", 0))
-        if replayed:
-            self.manager.obs.recovery_replayed_total.inc(
-                replayed, engine=self.engine.name)
-        engine = self.engine
-        engine.changelog.attach_wal(self._on_batch)
-        engine._durability_meta = self._on_meta
-        self.checkpoint()
-        self._gc_generations()
-
-    def _shard_dir(self, generation: int, index: int) -> Path:
-        return self.directory / "shards" / f"g{generation}-s{index}"
-
-    def _build_shard_stores(self, shards: list[Engine]) -> list[EngineStore]:
-        stores = []
-        for index, shard in enumerate(shards):
-            store = EngineStore(self.manager, shard,
-                                self._shard_dir(self.generation, index))
-            store.attach()
-            stores.append(store)
-        return stores
-
-    def _restore(self, manifest: dict[str, Any]) -> None:
-        engine = self.engine
-        if manifest.get("engine_type") != type(engine).__name__:
-            raise ConfigurationError(
-                f"{self.directory} does not hold sharded-engine state"
-            )
-        self.generation = manifest["generation"]
-        self._snap_id = manifest["snapshot_id"]
-        payload = load_snapshot(self.directory, manifest["snapshot"])
-        num_shards = manifest["num_shards"]
-        with engine._lock:
-            # The persisted topology wins over whatever the constructor built.
-            shards = [engine._build_shard(i) for i in range(num_shards)]
-            engine._partitioner = payload["partitioner"]
-            engine._shard_keys = dict(payload["shard_keys"])
-            engine._table_indexes = {t: dict(ix) for t, ix
-                                     in payload["table_indexes"].items()}
-            restore_counters(engine, payload["counters"])
-            self._shard_stores = self._build_shard_stores(shards)
-            records, truncated = read_records(self.directory,
-                                              manifest["wal_segment"])
-            replayed = self._replay_facade(records)
-            # Relay only from here on: the facade replay already counted
-            # every shard batch the shard replays re-logged.  This also
-            # retires the shards the constructor built.
-            engine._serve(shards)
-            _, last_segment = self._scan_segments()
-            self._wal = WalWriter(self.directory, self.liveness,
-                                  sync=self.manager.sync,
-                                  sync_interval_s=self.manager.sync_interval_s,
-                                  start_segment=last_segment + 1,
-                                  obs=self.manager.obs,
-                                  label=self.engine.name)
-        self.recovery = {"restored": True, "generation": self.generation,
-                         "snapshot_id": manifest["snapshot_id"],
-                         "replayed_batches": replayed,
-                         "truncated_records": truncated,
-                         "shards": [store.recovery
-                                    for store in self._shard_stores]}
-
-    def _scan_segments(self) -> tuple[int, int]:
-        max_segment = -1
-        for entry in self.directory.iterdir():
-            segment = segment_index(entry.name)
-            if segment is not None:
-                max_segment = max(max_segment, segment)
-        return 0, max_segment
-
-    def _replay_facade(self, records: list[dict[str, Any]]) -> int:
-        """Re-bump facade counters (and metadata) from the facade WAL tail.
-
-        Shard-level data was already replayed by the shard stores, with no
-        relay subscribed; each facade record bumps the facade's counters as
-        the relayed batch it mirrors did, and restores DDL metadata.
-        """
-        engine = self.engine
-        replayed = 0
-        for record in records:
-            if record["k"] == "m":
-                kind, args = record["op"]
-                if kind == "create_index":
-                    engine._table_indexes.setdefault(
-                        args["table"], {})[args["column"]] = args["kind"]
-                continue
-            op = record.get("op")
-            if op is not None:
-                kind, args = op
-                if kind == "create_table":
-                    engine._shard_keys[args["table"]] = args["shard_key"]
-                elif kind == "drop_table":
-                    engine._shard_keys.pop(args["table"], None)
-                    engine._table_indexes.pop(args["table"], None)
-            engine.mark_data_changed(record["scope"],
-                                     entries=None if record["gap"] else (),
-                                     notify=False)
-            replayed += 1
-        return replayed
-
-    # -- write capture ---------------------------------------------------------------
-
-    def _on_batch(self, batch: DeltaBatch) -> None:
-        """Facade changelog hook: entries are dropped (shards own the data)."""
-        if not self.liveness.alive:
-            return
-        assert self._wal is not None
-        self._wal.append({"k": "b", "scope": batch.scope, "gap": batch.gap,
-                          "op": batch.op})
-        self._since_checkpoint += 1
-        if self._since_checkpoint >= self.manager.snapshot_every:
-            self.checkpoint()
-
-    def _on_meta(self, op: tuple[str, dict[str, Any]]) -> None:
-        if not self.liveness.alive:
-            return
-        assert self._wal is not None
-        self._wal.append({"k": "m", "op": op})
-
-    # -- checkpoint ---------------------------------------------------------------------
-
-    def checkpoint(self) -> None:
-        """Checkpoint every shard, then the facade, then swap the manifest."""
-        if not self.liveness.alive or self._wal is None:
-            return
-        engine = self.engine
-        obs = self.manager.obs
-        checkpoint_start = time.perf_counter()
-        with engine._lock:
-            for store in self._shard_stores:
-                store.checkpoint()
-            self._snap_id += 1
-            payload = {
-                "partitioner": engine._partitioner,
-                "shard_keys": dict(engine._shard_keys),
-                "table_indexes": {t: dict(ix) for t, ix
-                                  in engine._table_indexes.items()},
-                "counters": dump_counters(engine),
-            }
-            name = write_snapshot(self.directory, self._snap_id, payload,
-                                  self.liveness)
-            segment = self._wal.rotate()
-            write_manifest(self.directory, {
-                "engine": engine.name,
-                "engine_type": type(engine).__name__,
-                "generation": self.generation,
-                "num_shards": len(engine._shards),
-                "snapshot_id": self._snap_id,
-                "snapshot": name,
-                "wal_segment": segment,
-                "scoped_versions": {scope: engine.data_version_for(scope)
-                                    for scope in sorted(engine.known_scopes())},
-            })
-            self._since_checkpoint = 0
-            self._gc_facade()
-        if obs.enabled:
-            duration_s = time.perf_counter() - checkpoint_start
-            obs.snapshot_seconds.observe(duration_s, engine=engine.name)
-            obs.checkpoints_total.inc(engine=engine.name)
-            obs.logger("durability").info(
-                "wal_checkpoint", engine=engine.name,
-                snapshot_id=self._snap_id, generation=self.generation,
-                duration_s=round(duration_s, 6))
-
-    def checkpoint_state(self) -> dict[str, Any]:
-        """Facade manifest anchor plus each shard store's, for describe()."""
-        return {
-            "snapshot_id": self._snap_id,
-            "wal_segment": self._wal.segment if self._wal is not None else None,
-            "since_checkpoint": self._since_checkpoint,
-            "generation": self.generation,
-            "shards": [store.checkpoint_state()
-                       for store in self._shard_stores],
-        }
-
-    def _gc_facade(self) -> None:
-        keep_snapshot = snapshot_name(self._snap_id)
-        assert self._wal is not None
-        current_segment = self._wal.segment
-        for entry in self.directory.iterdir():
-            name = entry.name
-            if name == keep_snapshot or entry.is_dir():
-                continue
-            segment = segment_index(name)
-            if segment is not None:
-                if segment < current_segment:
-                    entry.unlink(missing_ok=True)
-            elif snapshot_id(name) is not None or name.endswith(".tmp"):
-                entry.unlink(missing_ok=True)
-
-    def _gc_generations(self) -> None:
-        """Drop shard directories of generations other than the current one."""
-        prefix = f"g{self.generation}-"
-        shards_dir = self.directory / "shards"
-        for entry in shards_dir.iterdir():
-            if entry.is_dir() and not entry.name.startswith(prefix):
-                shutil.rmtree(entry, ignore_errors=True)
-
-    # -- detach -------------------------------------------------------------------------
-
-    def detach(self) -> None:
-        for store in self._shard_stores:
-            store.detach()
-        engine = self.engine
-        engine.changelog.detach_wal()
-        engine._durability_meta = None
-        if self._wal is not None:
-            self._wal.close()
-
-    def close(self) -> None:
         self.checkpoint()
         self.detach()
 
@@ -638,7 +437,7 @@ class DurabilityManager:
         self.snapshot_every = snapshot_every
         self.liveness = Liveness()
         self._lock = threading.RLock()
-        self._stores: dict[str, EngineStore | ShardedStore] = {}
+        self._stores: dict[str, EngineStore] = {}
         self._skipped: list[str] = []
         self._view_specs: dict[str, dict[str, Any]] = self._load_view_specs()
         self._unpersisted_views: set[str] = set()
@@ -652,22 +451,16 @@ class DurabilityManager:
 
     def attach(self, engine: Engine) -> None:
         """Start persisting ``engine`` (restoring any prior state first)."""
-        from repro.cluster.sharded import ShardedEngine
-
         with self._lock:
             if engine.name in self._stores:
                 return
-            store: EngineStore | ShardedStore
-            if isinstance(engine, ShardedEngine):
-                store = ShardedStore(self, engine, self._engine_dir(engine.name))
-            elif isinstance(engine, PERSISTABLE_ENGINES):
-                store = EngineStore(self, engine, self._engine_dir(engine.name))
-            else:
+            if not isinstance(engine, PERSISTABLE_ENGINES):
                 # Graph/array/ML engines have no dump/replay path yet; they
                 # keep working in memory only (documented in DESIGN.md).
                 if engine.name not in self._skipped:
                     self._skipped.append(engine.name)
                 return
+            store = EngineStore(self, engine, self._engine_dir(engine.name))
             store.attach()
             self._stores[engine.name] = store
         self.restore_views()

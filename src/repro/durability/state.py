@@ -12,8 +12,8 @@ process produced — which is what makes the recovered scoped data versions
 byte-compatible with a never-crashed twin.  The two relational mutators that
 take a predicate (``delete_rows`` / ``update_rows``) log the rows they
 matched, not the predicate: replay runs the engine's own page-level rewrite
-with a matcher that finds those rows by value, in scan order, so live,
-replayed and sharded tables share one rewrite and one resulting scan order.
+with a matcher that finds those rows by value, in scan order, so live and
+replayed tables share one rewrite and one resulting scan order.
 """
 
 from __future__ import annotations
@@ -112,6 +112,7 @@ def dump_state(engine: Engine, store: "EngineStore | None" = None) -> dict[str, 
                 "pages": stored.heap._pages[:],
                 "hash_indexes": sorted(stored.hash_indexes),
                 "sorted_indexes": sorted(stored.sorted_indexes),
+                "shard_key": stored.shard_key,
             }
         if store is not None:
             store.seal([(page, spec["schema"]) for spec in tables.values()
@@ -126,7 +127,7 @@ def dump_state(engine: Engine, store: "EngineStore | None" = None) -> dict[str, 
                 pages[-1]._ref = None
             spec["pages"] = [list(page.rows) if store is None or page is pages[-1]
                              else page._ref for page in pages]
-        return {"model": "relational", "tables": tables}
+        return {"model": "relational", "partitions": engine.partitions, "tables": tables}
     if isinstance(engine, KeyValueEngine):
         sstables = []
         for sst in engine._sstables:
@@ -173,6 +174,7 @@ def restore_state(engine: Engine, state: dict[str, Any],
         if named and store is None:
             raise StorageError("page refs need a store to load their segments")
         segments = {name: store.load_segment(name) for name in named}
+        engine.partitions = state.get("partitions", engine.partitions)
         tables: dict[str, StoredTable] = {}
         for name, spec in state["tables"].items():
             columns, capacity = spec["schema"], spec["page_capacity"]
@@ -193,13 +195,9 @@ def restore_state(engine: Engine, state: dict[str, Any],
                     pages.append(Page(capacity, rows, _ref=entry))
                 else:
                     pages.append(Page(capacity, entry))
-            stored = StoredTable(name, schema, capacity)
-            stored.heap = HeapStorage.from_pages(schema, capacity, pages)
-            for column in spec["hash_indexes"]:
-                stored.hash_indexes[column] = stored.build_index(column, HashIndex)
-            for column in spec["sorted_indexes"]:
-                stored.sorted_indexes[column] = stored.build_index(column, SortedIndex)
-            tables[name] = stored
+            tables[name] = stored_table(name, schema, capacity, pages, spec.get("shard_key"),
+                                        engine.partitions, spec["hash_indexes"],
+                                        spec["sorted_indexes"])
         engine._tables = tables
         return
     if isinstance(engine, KeyValueEngine):
@@ -238,6 +236,19 @@ def restore_state(engine: Engine, state: dict[str, Any],
     raise StorageError(
         f"engine {engine.name!r} ({type(engine).__name__}) is not persistable"
     )
+
+
+def stored_table(name: str, schema: Schema, capacity: int, pages: list[Page],
+                 shard_key: str | None, partitions: int, hash_indexes: Any,
+                 sorted_indexes: Any) -> StoredTable:
+    """A table over ``pages`` as they are, its indexes built from them."""
+    stored = StoredTable(name, schema, capacity, shard_key, partitions)
+    stored.heap = HeapStorage.from_pages(schema, capacity, pages, stored.heap.partitioning)
+    for column in hash_indexes:
+        stored.hash_indexes[column] = stored.build_index(column, HashIndex)
+    for column in sorted_indexes:
+        stored.sorted_indexes[column] = stored.build_index(column, SortedIndex)
+    return stored
 
 
 # -- WAL replay ----------------------------------------------------------------------
@@ -285,7 +296,8 @@ def _replay_relational(engine: RelationalEngine, kind: str,
                        args: dict[str, Any], entries: Any) -> None:
     if kind == "create_table":
         engine.create_table(args["table"], args["schema"],
-                            page_capacity=args["page_capacity"])
+                            page_capacity=args["page_capacity"],
+                            shard_key=args.get("shard_key"))
     elif kind == "drop_table":
         engine.drop_table(args["table"])
     elif kind == "insert":

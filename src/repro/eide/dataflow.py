@@ -140,7 +140,7 @@ class Dataset:
         The predicate is canonicalized (commutative operands sorted) so the
         two orders of ``a & b`` fingerprint identically, and stays a typed
         expression all the way down: the pushdown pass absorbs it into the
-        leaf scan and the scatter-gather path prunes shards with it.
+        leaf scan, which skips the pages its summaries rule out.
         """
         return self._chain("filter", {"predicate": as_predicate(predicate)})
 

@@ -6,7 +6,7 @@ The dataflow API (:mod:`repro.eide.dataflow`) takes predicates as
 relational engine evaluates and the compiler's pushdown pass rewrites — so a
 filter written as ``col("age") > 60`` is first-class IR end to end: no SQL
 string is ever parsed, the predicate pushes into leaf scans, and a predicate
-on a sharded engine's shard key prunes the scatter fan-out.
+on a partitioned table's shard key skips the other partitions' pages.
 
 This module adds the three things the engine layer does not provide:
 

@@ -22,14 +22,6 @@ from repro.stores.timeseries.engine import TimeseriesEngine
 
 def adapter_for(engine: Engine) -> Adapter:
     """Build the adapter matching an engine's concrete type."""
-    # Imported lazily: the cluster package builds per-shard adapters through
-    # this very function, so a module-level import would be circular.
-    from repro.cluster.sharded import ShardedEngine
-
-    if isinstance(engine, ShardedEngine):
-        # What the scatter path does not fan out runs on the primary shard,
-        # over materialized inputs.
-        return adapter_for(engine.primary)
     if isinstance(engine, RelationalEngine):
         return RelationalAdapter(engine)
     if isinstance(engine, KeyValueEngine):

@@ -39,6 +39,10 @@ class Adapter(abc.ABC):
         """Whether this adapter handles the node's kind."""
         return node.kind in self.supported_kinds()
 
+    def details(self, node: Operator) -> dict[str, Any]:
+        """What the record of ``node``, just executed, carries beside its costs."""
+        return {}
+
     def _table_operator(self, node: Operator, inputs: list[Any]) -> Table:
         """Run a relational operator over already-materialized input tables.
 

@@ -59,9 +59,19 @@ class RelationalAdapter(Adapter):
             return self._as_table(inputs[0], node)
         return self._table_operator(node, inputs)
 
-    def read(self, node: Operator, **shards: Any) -> Table:
-        """A leaf read, ``scan`` or ``index_seek``; ``shards`` (a sharded
-        engine's ``shards=``) goes on to the engine call.
+    def details(self, node: Operator) -> dict[str, Any]:
+        """A read of a partitioned table records ``shards``, the number of its
+        partitions the read's predicate allows (shim for the suite's
+        ``cluster.shards_contacted`` probe: PR A deletes it)."""
+        if node.kind not in ("scan", "index_seek"):
+            return {}
+        predicate = node.params.get("predicate")
+        shards = self.engine.partitions_read(
+            str(node.params["table"]), predicate if isinstance(predicate, Expression) else None)
+        return {} if shards is None else {"shards": shards}
+
+    def read(self, node: Operator) -> Table:
+        """A leaf read, ``scan`` or ``index_seek``.
 
         A structured predicate absorbed by the pushdown pass evaluates
         engine-side, on full rows inside the page walk and before the
@@ -77,7 +87,6 @@ class RelationalAdapter(Adapter):
         predicate = predicate if isinstance(predicate, Expression) else None
         if node.kind == "index_seek":
             return self.engine.index_lookup(table, str(node.params["column"]),
-                                            node.params["value"], columns, predicate,
-                                            **shards)
+                                            node.params["value"], columns, predicate)
         return self.engine.scan(table, columns, predicate,
-                                node.annotations.get(SCAN_AGGREGATE), **shards)
+                                node.annotations.get(SCAN_AGGREGATE))

@@ -28,10 +28,8 @@ import numpy as np
 from repro.accelerators.kernels import WorkEstimate, kernel_mapping
 from repro.cancellation import CancellationToken
 from repro.catalog import Catalog
-from repro.cluster.scatter import ScatterGather
-from repro.cluster.sharded import ShardedEngine
 from repro.datamodel.table import Table
-from repro.exceptions import CatalogError, ExecutionError
+from repro.exceptions import ExecutionError
 from repro.ir.graph import IRGraph
 from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
@@ -68,8 +66,8 @@ class Executor:
         # ``max_workers`` is accepted and ignored: every operator runs on the
         # thread that calls :meth:`execute`.
         self.catalog = catalog
-        #: Cooperative cancellation token checked between stages, at operator
-        #: starts and before each shard subtask (``None`` = never stop).
+        #: Cooperative cancellation token checked between stages and at
+        #: operator starts (``None`` = never stop).
         self.cancellation = cancellation
         #: Observability hub spans and operator metrics report into; the
         #: shared inert hub when the deployment runs with obs disabled.
@@ -83,10 +81,6 @@ class Executor:
         #: every run (``None`` disables recording entirely).
         self.runtime_stats = runtime_stats
         self._adapters: dict[str, Adapter] = {}
-        self._scatter = ScatterGather(obs=self.obs, cancellation=cancellation)
-        #: Engine-name -> ShardedEngine (or None) resolution cache; checked
-        #: for every node, so the catalog lookup must not repeat per node.
-        self._sharded_engines: dict[str, ShardedEngine | None] = {}
 
     # -- public API ---------------------------------------------------------------------
 
@@ -202,13 +196,6 @@ class Executor:
         rows_in = sum(self._rows_of(value) for value in inputs) if inputs else 0
         if node.kind == "view_read":
             return self._execute_view_read(node, stage, start)
-        scattered = self._try_scatter_gather(node, inputs)
-        if scattered is not None:
-            value, record = scattered
-            record.stage = stage
-            record.rows_in = rows_in
-            record.wall_time_s = time.perf_counter() - start
-            return value, record
         charged: float | None = None  # None: the operator is charged its wall time
         details: dict[str, Any] = {}
         offloaded = False
@@ -221,6 +208,8 @@ class Executor:
             offloaded = True
         else:
             value = self._execute_on_engine(node, inputs)
+            if node.engine is not None:
+                details = self._adapter(node.engine).details(node)
         wall = time.perf_counter() - start
         record = TaskRecord(
             op_id=node.op_id,
@@ -236,48 +225,6 @@ class Executor:
             details=details,
         )
         return value, record
-
-    def _try_scatter_gather(self, node: Operator, inputs: list[Any]
-                            ) -> tuple[Any, TaskRecord] | None:
-        """Scatter-gather dispatch when the node targets a sharded engine.
-
-        Returns ``None`` when the node is not scatter-gatherable (the caller
-        falls back to the ordinary single-adapter path, which for sharded
-        engines means the designated primary shard).  The record is charged
-        what the scatter says: a fan-out's critical path (the slowest shard
-        subtask plus the merge, shards as independent machines), a
-        relational read's own thread CPU.
-        """
-        if node.engine is None or node.accelerator or node.kind == "migrate":
-            return None
-        engine = self._sharded_engine(node.engine)
-        if engine is None:
-            return None
-        execution = self._scatter.execute(engine, node, inputs)
-        if execution is None:
-            return None
-        record = TaskRecord(
-            op_id=node.op_id,
-            kind=node.kind,
-            engine=node.engine,
-            accelerator=None,
-            stage=0,
-            wall_time_s=0.0,
-            simulated_time_s=execution.critical_path_s,
-            rows_out=self._rows_of(execution.value),
-            details=execution.details,
-        )
-        return execution.value, record
-
-    def _sharded_engine(self, name: str) -> ShardedEngine | None:
-        if name not in self._sharded_engines:
-            try:
-                engine = self.catalog.engine(name)
-            except CatalogError:
-                engine = None
-            self._sharded_engines[name] = (engine if isinstance(engine, ShardedEngine)
-                                           else None)
-        return self._sharded_engines[name]
 
     def _execute_view_read(self, node: Operator, stage: int,
                            start: float) -> tuple[Any, TaskRecord]:

@@ -1,6 +1,6 @@
 """Runtime statistics feedback: observe executions, re-optimize plans.
 
-The compiler, offload planner and shard router all start from *a-priori*
+The compiler and offload planner both start from *a-priori*
 cost estimates (catalog row counts, predicate selectivity guesses, roofline
 host models).  The executor already measures what actually happened — this
 package closes the loop:
@@ -10,7 +10,7 @@ package closes the loop:
   from one plan inform the next compile of the same (sub)program.
 * :mod:`~repro.middleware.feedback.stats` is the thread-safe, EWMA-smoothed
   store of per-operator observed time / cardinality / selectivity the
-  executor and scatter-gather path populate on every run.
+  executor populates on every run.
 
 Consumers: :func:`~repro.compiler.annotate.annotate_graph` prefers observed
 cardinalities over the analytical model, accelerator placement feeds the

@@ -8,7 +8,6 @@ and is the single place every layer reports into:
   *request* span (sampled at ``SystemConfig.obs_trace_sample_rate``),
 * the executor opens stage and operator spans and feeds per-operator
   latency histograms from the run's :class:`TaskRecord` stream,
-* scatter-gather opens one span per shard subtask,
 * materialized views report refresh kind/latency/delta sizes,
 * the durability layer reports WAL append/fsync latency, snapshot
   durations and recovery replay counts.
@@ -158,13 +157,6 @@ class Observability:
         self.operator_seconds = reg.histogram(
             "polystore_operator_seconds",
             "Per-operator charged latency, by kind.", ("kind",))
-        # -- scatter-gather --------------------------------------------------------------
-        self.scatter_subtasks_total = reg.counter(
-            "polystore_scatter_subtasks_total",
-            "Per-shard subtasks dispatched by scatter-gather.", ("engine",))
-        self.scatter_subtask_seconds = reg.histogram(
-            "polystore_scatter_subtask_seconds",
-            "Per-shard subtask CPU latency.", ("engine",))
         # -- materialized views ----------------------------------------------------------
         self.view_refreshes_total = reg.counter(
             "polystore_view_refreshes_total",

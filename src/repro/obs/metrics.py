@@ -1,7 +1,7 @@
 """A process-wide metrics registry: counters, gauges, histograms.
 
 The registry is the write-side of the observability layer: every
-instrumented seam (session requests, executor operators, scatter fan-outs,
+instrumented seam (session requests, executor operators,
 view refreshes, WAL appends) increments named metric *families* here, and
 the exporters (:mod:`repro.obs.export`) turn a point-in-time snapshot into
 Prometheus text or plain dictionaries.

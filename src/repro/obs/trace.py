@@ -1,11 +1,9 @@
 """Hierarchical trace spans threaded through one per-thread context.
 
 A :class:`Span` is one timed region of work — a session request, a compile,
-an executor stage, one operator, a per-shard scatter subtask, a view
-refresh, a WAL fsync.  Spans form a tree: the :class:`Tracer` keeps the
+an executor stage, one operator, a view refresh, a WAL fsync.  Spans form a tree: the :class:`Tracer` keeps the
 *current* span in thread-local storage, and every span opened while another
-is current becomes its child.  A request's operators and shard subtasks all
-run on the thread that opened it, so they nest with no hand-off; a thread
+is current becomes its child.  A request's operators all run on the thread that opened it, so they nest with no hand-off; a thread
 that serves a request of its own (a serve worker, a ``Session.submit`` pool
 thread) opens its own :meth:`Tracer.request`.
 

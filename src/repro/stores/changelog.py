@@ -21,11 +21,10 @@ honest — a consumer never silently misses a write.
 A log keeps a batch only while a registered reader is behind it
 (:meth:`ChangeLog.register`): a view's changelog cursor.  Readers are held
 weakly, so a dropped view releases what it held.  With no reader a batch
-still goes to the WAL sink and the listeners, then is dropped; a sharded
-engine's listener on each shard log carries every batch to the facade's log
-that way.  The ``capacity`` and ``max_rows`` caps bound what a stalled
-reader can hold; a cursor that falls behind the retained window reads
-``complete=False`` and must resync.
+still goes to the WAL sink and the listeners, then is dropped.  The
+``capacity`` and ``max_rows`` caps bound what a stalled reader can hold; a
+cursor that falls behind the retained window reads ``complete=False`` and
+must resync.
 """
 
 from __future__ import annotations

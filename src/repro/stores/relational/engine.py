@@ -17,11 +17,11 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.table import Row, Table
-from repro.exceptions import StorageError
+from repro.exceptions import ConfigurationError, StorageError
 from repro.stores.base import DataModel, Engine
 from repro.stores.changelog import PageEntry, PageParts, table_scope
 from repro.stores.relational import kernels
-from repro.stores.relational.expressions import Expression
+from repro.stores.relational.expressions import Expression, leading_checks
 from repro.stores.relational.index import HashIndex, SortedIndex
 from repro.stores.relational.operators import (
     RUN,
@@ -32,17 +32,24 @@ from repro.stores.relational.operators import (
     build_operator,
     vector_fold,
 )
+from repro.stores.relational.partition import partition_of, partitions_equal_to
 from repro.stores.relational.sql import lower_select, parse_select
 from repro.stores.relational.storage import HeapStorage, Page
 
 
 class StoredTable:
-    """A table registered in the engine: heap storage plus its indexes."""
+    """A table registered in the engine: heap storage plus its indexes.  A
+    table with a ``shard_key`` split into ``partitions`` (more than one) is
+    partitioned: its heap prunes pages by the key's partitions."""
 
-    def __init__(self, name: str, schema: Schema, page_capacity: int = 256) -> None:
+    def __init__(self, name: str, schema: Schema, page_capacity: int = 256,
+                 shard_key: str | None = None, partitions: int = 1) -> None:
         self.name = name
         self.schema = schema
-        self.heap = HeapStorage(schema, page_capacity)
+        self.shard_key = shard_key
+        self.heap = HeapStorage(schema, page_capacity, (
+            schema.index_of(shard_key), partitions)
+            if shard_key is not None and partitions > 1 else None)
         self.hash_indexes: dict[str, HashIndex] = {}
         self.sorted_indexes: dict[str, SortedIndex] = {}
 
@@ -106,7 +113,7 @@ class StoredTable:
         heap, matched, patched, whole, _, _ = self.heap.rewrite(matches, patch, written)
         if not matched:
             return self, matched, patched, whole
-        sibling = StoredTable(self.name, self.schema, heap.page_capacity)
+        sibling = StoredTable(self.name, self.schema, heap.page_capacity, self.shard_key)
         sibling.heap = heap
         for ours, theirs in ((self.hash_indexes, sibling.hash_indexes),
                              (self.sorted_indexes, sibling.sorted_indexes)):
@@ -130,77 +137,72 @@ class StoredTable:
 
 
 class HeapRead:
-    """One relational read over the heaps of one or more stored tables of one
-    schema (one engine's table, or a sharded table's shards in the facade's
-    order), read in that order as if their pages were one heap's.
+    """One relational read of a stored table's heap.
 
-    A plain read filters and projects each heap's candidate pages in one
-    generated walk (:meth:`HeapStorage.select`).  With ``aggregate`` —
-    ``(group_by, aggregates)`` — the walk folds the rows into the aggregate's
-    result instead, one row per group, groups in first-seen order, ``avg``
-    finished in the kernel: the table the aggregate fused into the scan hands
-    on.  The rows are read before any projection, so ``columns`` only has to
-    exist.  Each heap's sealed pages fold with numpy in runs of up to ``RUN``
-    where it reads them exactly (``VectorFold``), the rest, always its last
-    page, with the row kernel (``aggregate_kernel``) before the next heap's
-    pages, all into one dict: each group once, in first-seen order, and every
-    sum one left fold in read order, so the fused plan answers as the
-    unfused one does.
+    A plain read filters and projects the candidate pages in one generated
+    walk (:meth:`HeapStorage.select`).  With ``aggregate`` — ``(group_by,
+    aggregates)`` — the walk folds the rows into the aggregate's result
+    instead, one row per group, groups in first-seen order, ``avg`` finished
+    in the kernel: the table the aggregate fused into the scan hands on.  The
+    rows are read before any projection, so ``columns`` only has to exist.
+    Sealed pages fold with numpy in runs of up to ``RUN`` where it reads them
+    exactly (``VectorFold``), the rest, always the last page, with the row
+    kernel (``aggregate_kernel``), all into one dict: each group once, in
+    first-seen order, and every sum one left fold in read order, so the fused
+    plan answers as the unfused one does.
     """
 
-    def __init__(self, columns: Sequence[str] | None = None,
+    def __init__(self, stored: StoredTable, columns: Sequence[str] | None = None,
                  predicate: Expression | None = None,
                  aggregate: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None
                  ) -> None:
         self.columns, self.predicate, self.aggregate = columns, predicate, aggregate
-        self.schema: Schema | None = None
-        self.heaps: list[HeapStorage] = []
-
-    def add(self, stored: StoredTable) -> None:
-        """Read ``stored``'s heap after those already added."""
-        self.schema = stored.schema
-        self.heaps.append(stored.heap)
+        self.schema, self.heap = stored.schema, stored.heap
 
     def table(self) -> Table:
-        """The read's rows (or groups), walked once over every heap added."""
+        """The read's rows (or groups), walked once over the heap."""
         source, columns, predicate = self.schema, self.columns, self.predicate
         schema = source if columns is None else source.project(columns)
         if self.aggregate is None:
-            parts = [heap.select(predicate, columns)[0] for heap in self.heaps]
-            return Table.wrap(schema, parts[0] if len(parts) == 1
-                              else list(chain.from_iterable(parts)))
-        heaps = [heap.candidates(predicate) for heap in self.heaps]
+            return Table.wrap(schema, self.heap.select(predicate, columns)[0])
+        candidates, pages = self.heap.candidates(predicate)
         group_by, aggregates = tuple(self.aggregate[0]), tuple(self.aggregate[1])
         fold, schema = aggregate_kernel(  # over no page, bind nothing
-            source, group_by, aggregates, predicate if any(n for _, n in heaps) else None)
-        vector = any(len(pages) > 1 for pages, _ in heaps) and vector_fold(
-            source, group_by, aggregates, predicate)
+            source, group_by, aggregates, predicate if pages else None)
+        vector = len(candidates) > 1 and vector_fold(source, group_by, aggregates, predicate)
         groups: dict = {}
         chunks: list[list[Row]] = []
-        for candidates, _ in heaps:
-            # Up to RUN sealed pages of equal kinds fold as one run; the last
-            # page may still change, so the row kernel folds it into the rows.
-            sealed = candidates[:-1] if vector else []
-            for run, parts in chain.from_iterable(vector.runs(sealed[at:at + RUN])
-                                                  for at in range(0, len(sealed), RUN)):
-                if parts is not None:
-                    if chunks:
-                        fold(chunks, groups)
-                        chunks = []
-                    if vector.fold(run, parts, groups):
-                        continue
-                chunks.extend(page.rows for page in run)
-            chunks.extend(page.rows for page in candidates[len(sealed):])
+        # Up to RUN sealed pages of equal kinds fold as one run; the last
+        # page may still change, so the row kernel folds it into the rows.
+        sealed = candidates[:-1] if vector else []
+        for run, parts in chain.from_iterable(vector.runs(sealed[at:at + RUN])
+                                              for at in range(0, len(sealed), RUN)):
+            if parts is not None:
+                if chunks:
+                    fold(chunks, groups)
+                    chunks = []
+                if vector.fold(run, parts, groups):
+                    continue
+            chunks.extend(page.rows for page in run)
+        chunks.extend(page.rows for page in candidates[len(sealed):])
         return Table.wrap(schema, fold(chunks, groups))
 
 
 class RelationalEngine(Engine):
-    """A single-node relational engine with SQL, indexes and hash joins."""
+    """A single-node relational engine with SQL, indexes and hash joins.
+
+    A table created with a shard key splits into the engine's ``partitions``
+    (:mod:`~repro.stores.relational.partition`); with one partition, the
+    default, no table is partitioned.
+    """
 
     data_model = DataModel.RELATIONAL
 
-    def __init__(self, name: str = "relational") -> None:
+    def __init__(self, name: str = "relational", partitions: int = 1) -> None:
         super().__init__(name)
+        if partitions < 1:
+            raise ConfigurationError("a relational engine needs at least one partition")
+        self.partitions = partitions
         self._tables: dict[str, StoredTable] = {}
         #: Serializes mutations against each other and against
         #: :meth:`snapshot_scan`; plain reads stay lock-free.
@@ -208,16 +210,25 @@ class RelationalEngine(Engine):
 
     # -- DDL ---------------------------------------------------------------------
 
-    def create_table(self, name: str, schema: Schema, *, page_capacity: int = 256) -> None:
-        """Create an empty table."""
+    def create_table(self, name: str, schema: Schema, *, page_capacity: int = 256,
+                     shard_key: str | None = None) -> None:
+        """Create an empty table, partitioned on ``shard_key`` — by default,
+        on an engine of more than one partition, the schema's first column."""
+        if shard_key is None and self.partitions > 1:
+            shard_key = schema.names[0]
+        if shard_key is not None and shard_key not in schema:
+            raise StorageError(f"shard key {shard_key!r} is not a column of {name!r}")
         with self._write_lock:
             if name in self._tables:
                 raise StorageError(f"table {name!r} already exists")
-            self._tables[name] = StoredTable(name, schema, page_capacity)
+            self._tables[name] = StoredTable(name, schema, page_capacity, shard_key,
+                                             self.partitions)
             batch = self.mark_data_changed(
                 table_scope(name), entries=(), notify=False,
                 op=("create_table", {"table": name, "schema": schema,
-                                     "page_capacity": page_capacity}))
+                                     "page_capacity": page_capacity,
+                                     "shard_key": shard_key,
+                                     "partitions": self.partitions}))
         # Listeners run outside the write lock (an eager view refresh may
         # take its own lock and read back through snapshot_scan).
         self.changelog.notify_batch(batch)
@@ -235,7 +246,9 @@ class RelationalEngine(Engine):
         self.changelog.notify_batch(batch)
 
     def create_index(self, table: str, column: str, *, kind: str = "hash") -> None:
-        """Create a secondary index on an existing table column."""
+        """Create a secondary index on an existing table column.  A sorted
+        index over keys that do not order against each other is refused
+        (``StorageError``), and the table is left without it."""
         # Under the write lock: no insert grows the heap while the index loads,
         # no update retires the table the index is about to be attached to.
         with self._write_lock:
@@ -245,7 +258,9 @@ class RelationalEngine(Engine):
             if kind == "hash":
                 stored.hash_indexes[column] = stored.build_index(column, HashIndex)
             elif kind == "sorted":
-                stored.sorted_indexes[column] = stored.build_index(column, SortedIndex)
+                index = stored.build_index(column, SortedIndex)
+                index.flush()  # sorts the keys now: raises if they do not order
+                stored.sorted_indexes[column] = index
             else:
                 raise StorageError(f"unknown index kind {kind!r}")
             # Index DDL changes no data version, so it never reaches the
@@ -277,8 +292,10 @@ class RelationalEngine(Engine):
         """Insert positional rows into a table; returns the count inserted.
 
         Each row is made a tuple (and validated) before any lands in one
-        :meth:`StoredTable.insert`.  If a row fails, those before it land and,
-        read off the heap's row count, are logged as an ``insert_torn`` gap.
+        :meth:`StoredTable.insert`; a partitioned table's batch is first
+        stable-sorted by partition, so its pages fill one partition at a time.
+        If a row fails, those before it land and, read off the heap's row
+        count, are logged as an ``insert_torn`` gap.
         """
         batch = None
         landing: list[Row] = []
@@ -294,6 +311,9 @@ class RelationalEngine(Engine):
                                         if not stored.schema.validate_row(row))
                                        if validate else map(tuple, rows))
                     finally:
+                        if stored.heap.partitioning is not None:
+                            key, count = stored.heap.partitioning
+                            landing.sort(key=lambda row: partition_of(row[key], count))
                         stored.insert(landing)
                 except BaseException:
                     landed = landing[:stored.heap.num_rows - before]
@@ -352,10 +372,14 @@ class RelationalEngine(Engine):
         """
         batch = None
         with self._write_lock:
-            schema = self._stored(table).schema
+            stored = self._stored(table)
+            schema = stored.schema
             for column in updates:
                 if column not in schema:
                     raise StorageError(f"table {table!r} has no column {column!r}")
+            if stored.shard_key in updates:
+                raise StorageError(
+                    f"cannot update shard key column {stored.shard_key!r} of {table!r}")
             # One generated tuple display per patched row, the new values bound.
             out = kernels.Source(schema)
             patch = out.kernel("patch", "row", "return (" + "".join(
@@ -410,9 +434,11 @@ class RelationalEngine(Engine):
         names = stored.schema.names
         return self.insert(table, (tuple(row.get(n) for n in names) for row in rows))
 
-    def load_table(self, name: str, table: Table, *, page_capacity: int = 256) -> None:
+    def load_table(self, name: str, table: Table, *, page_capacity: int = 256,
+                   shard_key: str | None = None) -> None:
         """Create ``name`` from an in-memory :class:`Table` and load its rows."""
-        self.create_table(name, table.schema, page_capacity=page_capacity)
+        self.create_table(name, table.schema, page_capacity=page_capacity,
+                          shard_key=shard_key)
         self.insert(name, table.rows)
 
     # -- query execution ------------------------------------------------------------
@@ -440,20 +466,31 @@ class RelationalEngine(Engine):
 
     def scan(self, table: str, columns: Sequence[str] | None = None,
              predicate: Expression | None = None,
-             partial: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None,
-             *, into: "HeapRead | None" = None) -> Table | None:
+             partial: tuple[Sequence[str], Sequence[AggregateSpec]] | None = None
+             ) -> Table:
         """The rows of a table satisfying ``predicate`` (all, without one), cut
         down to ``columns`` if given, or, with ``partial`` — ``(group_by,
         aggregates)`` — aggregated, one row per group: one :class:`HeapRead`
-        of this table's heap.
+        of this table's heap."""
+        return HeapRead(self._stored(table), columns, predicate, partial).table()
 
-        With ``into``, a read a sharded table's facade started (it carries
-        the read's arguments), this table's pages join that read, after the
-        shards added before it, and nothing is returned.
-        """
-        read = HeapRead(columns, predicate, partial) if into is None else into
-        read.add(self._stored(table))
-        return read.table() if into is None else None
+    def partitions_read(self, table: str, predicate: Expression | None = None
+                        ) -> int | None:
+        """How many of a partitioned table's partitions ``predicate`` allows a
+        read of: those every leading ``=`` / ``IN`` conjunct on the shard key
+        names (all, without one); ``None`` for a table that is not partitioned.
+        Read only for a record's ``details["shards"]`` (shim: PR A deletes it
+        with the suite probe that reads it)."""
+        stored = self._stored(table)
+        if stored.heap.partitioning is None:
+            return None
+        key, count = stored.heap.partitioning
+        allowed = set(range(count))
+        if predicate is not None:
+            for position, op, values in leading_checks(predicate, stored.schema)[0]:
+                if position == key and op[0] == "=":
+                    allowed &= set().union(*(partitions_equal_to(v, count) for v in values))
+        return len(allowed)
 
     def has_index(self, table: str, column: str) -> bool:
         """Whether an equality-capable index exists on ``table.column``.
@@ -475,7 +512,10 @@ class RelationalEngine(Engine):
         in one generated pass, as :meth:`scan`'s are."""
         stored = self._stored(table)
         schema = stored.schema if columns is None else stored.schema.project(columns)
-        if column in stored.hash_indexes:
+        if value is None and (column in stored.hash_indexes
+                              or column in stored.sorted_indexes):
+            rids = []  # ``= None`` holds for no row, as a scan's filter says
+        elif column in stored.hash_indexes:
             rids = stored.hash_indexes[column].lookup(value)
         elif column in stored.sorted_indexes:
             rids = stored.sorted_indexes[column].lookup(value)

@@ -29,6 +29,7 @@ from typing import Any, Callable, ClassVar, Mapping
 from repro.datamodel.schema import DataType, Schema
 from repro.exceptions import QueryError
 from repro.stores.relational.kernels import Source
+from repro.stores.relational.partition import partitions_equal_to
 
 #: Comparison operators, as written in an expression and in generated source.
 _COMPARISONS = {"=": "==", "==": "==", "!=": "!=", "<>": "!=",
@@ -403,7 +404,7 @@ _MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "=="}
 _FAMILY = {int: 0, bool: 0, float: 0, str: 1}
 
 
-def _leading_checks(predicate: Expression, schema: Schema
+def leading_checks(predicate: Expression, schema: Schema
                     ) -> tuple[list[tuple[int, str, tuple[Any, ...]]], bool]:
     """The leading conjuncts of the form column ``= == < <= > >=`` literal
     (either way round) or column ``IN`` literals (op ``=``), as ``(position,
@@ -428,7 +429,9 @@ def _leading_checks(predicate: Expression, schema: Schema
     return checks, len(checks) == len(conjuncts)
 
 
-def page_test(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | None:
+def page_test(predicate: Expression, schema: Schema,
+              partitioning: tuple[int, int] | None = None
+              ) -> Callable[[Any], bool] | None:
     """A conservative ``page -> may a row of it satisfy predicate``, or ``None``
     when the predicate constrains no column.
 
@@ -440,14 +443,23 @@ def page_test(predicate: Expression, schema: Schema) -> Callable[[Any], bool] | 
     *k + 1*, so a conjunct may rule a page out only if none before it could
     have raised there.  Unknown bounds, or a ``TypeError`` comparing them with
     the literal, mean "may match": the rows are evaluated, and raise what
-    they raise.
+    they raise.  With ``partitioning`` — a partitioned table's ``(key
+    position, partitions)`` — an ``=`` / ``IN`` conjunct on the key also rules
+    a page out when ``page.partitions(key, partitions)`` holds none of its
+    values' partitions.
     """
-    checks, _ = _leading_checks(predicate, schema)
+    checks, _ = leading_checks(predicate, schema)
     if not checks:
         return None
+    key, count = partitioning or (None, 0)
+    wanted = [frozenset().union(*(partitions_equal_to(v, count) for v in values))
+              if position == key and op[0] == "=" else None
+              for position, op, values in checks]
 
     def may_match(page: Any) -> bool:
-        for position, op, values in checks:
+        for (position, op, values), owners in zip(checks, wanted):
+            if owners is not None and owners.isdisjoint(page.partitions(key, count)):
+                return False
             bounds = page.bounds(position)
             if bounds is None:
                 return True
@@ -473,7 +485,7 @@ def page_covered(predicate: Expression, schema: Schema) -> Callable[[Any], bool]
     <= > >=`` literal comparison.  Only bounds over cells of one
     ``page.kind(position)`` decide, against a literal that kind compares
     with: no row is ``None`` or NaN there, and none raises."""
-    checks, complete = _leading_checks(predicate, schema)
+    checks, complete = leading_checks(predicate, schema)
     if not checks or not complete or any(len(values) != 1 for _, _, values in checks):
         return None
 

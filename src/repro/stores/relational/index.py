@@ -98,13 +98,15 @@ class SortedIndex:
 
     def copy(self) -> "SortedIndex":
         """An independent index holding the same entries."""
-        self._flush()
+        self.flush()
         twin = SortedIndex(self.column)
         # Shared, not copied: a flush replaces the arrays, never edits them.
         twin._keys, twin._rids = self._keys, self._rids
         return twin
 
-    def _flush(self) -> None:
+    def flush(self) -> None:
+        """Sort the pending keys into the array; ``StorageError`` if they do
+        not order against each other (the index is then unchanged)."""
         if not self._pending:
             return
         merged = list(zip(self._keys, self._rids)) + self._pending
@@ -120,7 +122,7 @@ class SortedIndex:
 
     def lookup(self, key: Any) -> list[RowId]:
         """Row ids whose indexed column equals ``key``."""
-        self._flush()
+        self.flush()
         lo = bisect.bisect_left(self._keys, key)
         hi = bisect.bisect_right(self._keys, key)
         return self._rids[lo:hi]
@@ -128,7 +130,7 @@ class SortedIndex:
     def range(self, low: Any = None, high: Any = None, *,
               include_low: bool = True, include_high: bool = True) -> Iterator[RowId]:
         """Row ids whose key falls within ``[low, high]`` (open ends allowed)."""
-        self._flush()
+        self.flush()
         if low is None:
             lo = 0
         else:

@@ -8,7 +8,8 @@ write can say how many pages it examined (:meth:`HeapStorage.select` and
 :meth:`HeapStorage.rewrite` return it), so an
 update or delete copies only the pages it touches (:meth:`HeapStorage.rewrite`),
 and so a predicate is evaluated only on the pages whose per-column min/max
-summaries (:meth:`Page.bounds`) say a row could satisfy it.  A page that
+summaries (:meth:`Page.bounds`, and a partitioned table's
+:meth:`Page.partitions`) say a row could satisfy it.  A page that
 no longer changes also lends its columns as numpy arrays (:meth:`Page.column`)
 to the vector fold of a scan that aggregates what it reads.
 """
@@ -29,6 +30,7 @@ from repro.datamodel.table import Row
 from repro.exceptions import StorageError
 from repro.stores.relational import kernels
 from repro.stores.relational.expressions import Expression, page_covered, page_test
+from repro.stores.relational.partition import partition_of
 
 DEFAULT_PAGE_CAPACITY = 256
 
@@ -126,6 +128,8 @@ class Page:
     #: Column position -> what :meth:`column` built, filled on first use.
     _columns: dict[int, PageColumn | None] = field(default_factory=dict, repr=False,
                                                     compare=False)
+    #: What :meth:`partitions` found, filled on first use.
+    _partitions: frozenset[int] | None = field(default=None, repr=False, compare=False)
     #: ``(segment file, index)`` once a checkpoint has written this page — only
     #: ever a sealed one, so the bytes on disk stay the page's rows.
     _ref: tuple[str, int] | None = field(default=None, repr=False, compare=False)
@@ -164,6 +168,15 @@ class Page:
                 self._kinds[position] = kind
             self._bounds[position] = bounds
         return self._bounds[position]
+
+    def partitions(self, position: int, count: int) -> frozenset[int]:
+        """The partitions (:func:`partition_of` into ``count``) of one column's
+        cells: a partitioned table's key.  Computed once and kept, as
+        :meth:`bounds` is, so only for a page that no longer changes."""
+        if self._partitions is None:
+            self._partitions = frozenset(partition_of(row[position], count)
+                                         for row in self.rows)
+        return self._partitions
 
     def kind(self, position: int) -> type | None:
         """The one type — ``int``, ``bool``, ``float`` or ``str`` — of every
@@ -221,21 +234,25 @@ class Page:
 class HeapStorage:
     """Heap of pages for one table.  A row id is positional, ``(page, slot)``;
     only the last page takes inserts, so sibling heaps (:meth:`rewrite`) may
-    share every other page."""
+    share every other page.  A partitioned table's heap knows its
+    ``partitioning``, ``(key position, partitions)``, which its reads prune
+    pages by (:func:`page_test`)."""
 
-    def __init__(self, schema: Schema, page_capacity: int = DEFAULT_PAGE_CAPACITY) -> None:
+    def __init__(self, schema: Schema, page_capacity: int = DEFAULT_PAGE_CAPACITY,
+                 partitioning: tuple[int, int] | None = None) -> None:
         if page_capacity <= 0:
             raise StorageError("page_capacity must be positive")
         self.schema = schema
         self.page_capacity = page_capacity
+        self.partitioning = partitioning
         self._pages: list[Page] = []
         self._num_rows = 0
 
     @classmethod
-    def from_pages(cls, schema: Schema, page_capacity: int,
-                   pages: list[Page]) -> "HeapStorage":
+    def from_pages(cls, schema: Schema, page_capacity: int, pages: list[Page],
+                   partitioning: tuple[int, int] | None = None) -> "HeapStorage":
         """A heap over ``pages`` as they are: boundaries, and so row ids, kept."""
-        heap = cls(schema, page_capacity)
+        heap = cls(schema, page_capacity, partitioning)
         heap._pages = pages
         heap._num_rows = sum(len(page.rows) for page in pages)
         return heap
@@ -270,7 +287,7 @@ class HeapStorage:
         """For each of ``pages`` (the page list, sliced once), whether a row of
         it may satisfy ``predicate`` going by its summary.  The last page may
         still be taking inserts: it is never summarised, always examined."""
-        may_match = (page_test(predicate, self.schema)
+        may_match = (page_test(predicate, self.schema, self.partitioning)
                      if predicate is not None and len(pages) > 1 else None)
         if may_match is None:
             return [True] * len(pages)
@@ -308,7 +325,7 @@ class HeapStorage:
         dropped whole by where their rows start in the matched rows, the
         pages copied and the pages examined.
         """
-        sibling = HeapStorage(self.schema, self.page_capacity)
+        sibling = HeapStorage(self.schema, self.page_capacity, self.partitioning)
         pages = sibling._pages
         matched: list[Row] = []
         patched: list[Row] = []

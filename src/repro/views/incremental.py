@@ -10,8 +10,7 @@ expression tree and lowers every operator into its delta form
 * every other leaf read becomes a :class:`SnapshotDiffSource` — it watches
   the leaf's *scoped* data version and, only when that changed, re-reads the
   leaf and diffs against the previous snapshot.  The re-read is a one-node
-  executor run, the only one a refresh makes, so a sharded leaf scatters.
-  The cost is O(that leaf), which keeps small side inputs (KV profiles, a
+  executor run, the only one a refresh makes.  The cost is O(that leaf), which keeps small side inputs (KV profiles, a
   timeseries summary) cheap next to a large relational base.
 
 The lowered :class:`DeltaProgram` is a list of steps in topological order,
@@ -149,7 +148,7 @@ class ChangelogSource:
         """Reposition the cursor at the log head and re-read the full base.
 
         Engines whose writes and log appends share a lock expose
-        ``snapshot_scan`` (``ShardedEngine`` does), which hands back an
+        ``snapshot_scan`` (``RelationalEngine`` does), which hands back an
         atomic ``(data, head)`` pair.  Bare engines have no write lock at
         all, so the read retries until no batch landed *during* the scan:
         accepting a dirty snapshot would either replay a write the scan
@@ -280,13 +279,8 @@ class SnapshotDiffSource:
         return engine.data_version_for(self.scope) != self._version
 
     def _read(self, catalog: Catalog) -> ZSet:
-        """Execute the leaf as a one-node program through the executor.
-
-        Going through the executor (not an adapter directly) matters for
-        sharded engines: the scatter-gather path fans the read out across
-        every shard and merges exactly like a normal program would, where
-        the primary-shard fallback adapter would silently read one shard.
-        """
+        """Execute the leaf as a one-node program through the executor, so
+        it reads exactly as the leaf of a normal program would."""
         from repro.middleware.executor import Executor
 
         graph = IRGraph(f"view-source::{self.kind}")

@@ -8,10 +8,10 @@ import pytest
 
 from repro import CancellationToken, DataflowProgram, SystemConfig, col
 from repro.cancellation import CancellationToken as _DirectToken
-from repro.core import PolystorePlusPlus, build_cpu_polystore
+from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import CancelledError, DeadlineExceededError
-from repro.stores import KeyValueEngine, RelationalEngine
+from repro.stores import RelationalEngine
 
 
 class TestCancellationToken:
@@ -55,19 +55,11 @@ class TestCancellationToken:
         assert issubclass(DeadlineExceededError, CancelledError)
 
 
-def _build_system(*, sharded: bool = False, shard_factory=None,
-                  num_shards: int = 4):
+def _build_system(*, partitions: int = 1):
     schema = make_schema(("row_id", DataType.INT), ("value", DataType.FLOAT))
     rows = [(i, float(i % 5)) for i in range(40)]
-    if sharded:
-        system = PolystorePlusPlus(SystemConfig(
-            obs_enabled=True, obs_trace_sample_rate=1.0))
-        engine = system.register_sharded_engine(
-            "shardeddb", shard_factory or RelationalEngine, num_shards)
-        engine.load_table("events", Table(schema, rows), shard_key="row_id")
-        return system
-    engine = RelationalEngine("plaindb")
-    engine.load_table("events", Table(schema, rows))
+    engine = RelationalEngine("plaindb", partitions=partitions)
+    engine.load_table("events", Table(schema, rows), shard_key="row_id")
     return build_cpu_polystore([engine], config=SystemConfig(
         obs_enabled=True, obs_trace_sample_rate=1.0))
 
@@ -134,86 +126,25 @@ class TestSessionDeadlines:
         assert result.output("out").num_rows == 40
 
 
-def _build_kv_system(shard_factory, num_shards: int = 4):
-    """A sharded key/value engine: its prefix reads fan out shard by shard."""
-    system = PolystorePlusPlus(SystemConfig(
-        obs_enabled=True, obs_trace_sample_rate=1.0))
-    engine = system.register_sharded_engine("shardedkv", shard_factory, num_shards)
-    engine.put_many({f"ev/{i}": {"value": float(i % 5)} for i in range(40)})
-    return system
-
-
-def _kv_program(system):
-    program = DataflowProgram("cancel-kv")
-    program.output("out", system.dataset("shardedkv").kv(key_prefix="ev/")
-                   .filter(col("value") >= 0.0))
-    return program
-
-
-class TestScatterCancellation:
-    def test_cancelled_fanout_stops_dispatching_remaining_shards(self):
-        """Cancel fired by the first shard's read: with a serial fan-out the
-        remaining shard subtasks must never dispatch, observable both from
-        the engine hook and from the recorded trace spans."""
-        token = CancellationToken()
-        reads = []
-
-        class HookedEngine(KeyValueEngine):
-            def range(self, start=None, end=None):
-                reads.append(self.name)
-                if len(reads) == 1:
-                    token.cancel("stop after first shard")
-                return super().range(start, end)
-
-        num_shards = 4
-        system = _build_kv_system(HookedEngine, num_shards)
-        # The fan-out is serial on the calling thread, so "stops dispatching"
-        # is deterministic: shard 0 runs, the loop checks the token, stops.
-        session = system.session(name="serial", max_workers=1)
-        prepared = session.prepare(_kv_program(system))
-        with pytest.raises(CancelledError):
-            prepared.run(cancellation=token)
-
-        assert len(reads) == 1, f"extra shard reads dispatched: {reads}"
-        shard_spans = [s for s in system.obs.tracer.spans()
-                       if s.name.startswith("shard:")]
-        assert 1 <= len(shard_spans) < num_shards
-
-    def test_uncancelled_fanout_touches_every_shard(self):
-        reads = []
-
-        class CountingEngine(KeyValueEngine):
-            def range(self, start=None, end=None):
-                reads.append(self.name)
-                return super().range(start, end)
-
-        system = _build_kv_system(CountingEngine, num_shards=4)
-        session = system.session(name="serial", max_workers=1)
-        result = session.prepare(_kv_program(system)).run()
-        assert result.output("out").num_rows == 40
-        assert len(reads) == 4
-
-    def test_a_cancelled_relational_read_reads_no_shard_heap(self, monkeypatch):
-        """A sharded relational read is one call over every shard's heap: a
-        token cancelled before it stops it before any heap is read."""
-        from repro.cluster.scatter import ScatterGather
-        from repro.ir.nodes import Operator
+class TestPartitionedReadCancellation:
+    def test_a_cancelled_partitioned_read_reads_no_heap_page(self, monkeypatch):
+        """A partitioned table is one heap: a token cancelled before the read
+        stops the run before any of its pages is read; uncancelled, the one
+        read covers every row."""
         from repro.stores.relational.storage import HeapStorage
 
-        system = _build_system(sharded=True)
-        engine = system.catalog.engine("shardeddb")
-        node = Operator("scan", {"table": "events"}, [], "shardeddb")
+        system = _build_system(partitions=4)
+        prepared = system.session(name="t").prepare(_program(system, "plaindb"))
         heap_reads = []
         for name in ("select", "candidates"):
             method = getattr(HeapStorage, name)
             monkeypatch.setattr(HeapStorage, name, lambda heap, *args, _m=method, **kw:
                                 heap_reads.append(heap) or _m(heap, *args, **kw))
-        read = ScatterGather().execute(engine, node, [])
-        heaps = {id(shard._stored("events").heap) for shard in engine.shards}
-        assert read.value.num_rows == 40 and set(map(id, heap_reads)) == heaps
+        assert prepared.run(refresh=True).output("out").num_rows == 40
+        assert heap_reads
         heap_reads.clear()
         token = CancellationToken()
         token.cancel("before the read")
         with pytest.raises(CancelledError):
-            ScatterGather(cancellation=token).execute(engine, node, [])
+            prepared.run(refresh=True, cancellation=token)
         assert heap_reads == []

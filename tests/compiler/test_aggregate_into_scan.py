@@ -3,7 +3,7 @@
 ``fold_aggregates_into_scans`` lets the scan fold the aggregate's own specs
 into its result and the aggregate hand that table on.  The fused plan is held to three
 things here: the shape a reader of the compiled graph relies on (one
-``aggregate`` node with the program's parameters, the sharded records'
+``aggregate`` node with the program's parameters, the partitioned read's
 ``details``, each node's adapter in topological order giving the executor's
 table); the answer of the unfused plan (``fusion=False``) on every route —
 rows, group order, schema and the type of any exception; and kernels cached
@@ -95,14 +95,13 @@ def test_the_aggregate_node_keeps_the_programs_parameters(scan_agg):
     assert (walked.rows, walked.schema) == (result.rows, result.schema)
 
 
-def test_the_sharded_run_records_one_read_over_four_shards(scan_agg):
+def test_the_partitioned_run_records_one_read_over_four_partitions(scan_agg):
     _, _, session = scan_agg
     single = session.prepare(_scan_agg("facts1")).run(refresh=True).output("agg")
     scattered = session.prepare(_scan_agg("facts4")).run(refresh=True)
     records = {record.kind: record for record in scattered.report.records}
     assert records["scan"].details["shards"] == 4
-    assert len(records["scan"].details["shard_times_s"]) == 1
-    # The scan folded every shard into the result the aggregate hands on.
+    # The scan folded every partition into the result the aggregate hands on.
     assert records["scan"].rows_out == len(single)
     assert Counter(scattered.output("agg").rows) == Counter(single.rows)
     assert scattered.output("agg").schema == single.schema
@@ -155,7 +154,7 @@ PREDICATES = {
     "int": (lambda k: col("i") > k, "i > {k}"),
     # Ids ascend with the insert order: with four rows a page, summaries skip.
     "id-range": (lambda k: col("id") >= 2 * k + 20, "id >= {k2}"),
-    # The shard key pinned: a sharded scan is routed to one shard.
+    # The shard key pinned: a partitioned scan reads one partition's pages.
     "id-point": (lambda k: col("id") == k + 5, "id = {k5}"),
     "float-or-bool": (lambda k: (col("f") <= k / 2) | (col("b") == True),  # noqa: E712
                       None),

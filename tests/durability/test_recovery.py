@@ -15,12 +15,11 @@ from pathlib import Path
 import pytest
 
 from repro import PolystorePlusPlus, col
-from repro.cluster import ShardedEngine
 from repro.compiler.pipeline import CompilerOptions
 from repro.core.system import SystemConfig
 from repro.datamodel import DataType, Table, make_schema
 from repro.durability import InjectedFault, faults
-from repro.durability.snapshot import load_manifest, load_snapshot
+from repro.durability.snapshot import load_manifest
 from repro.durability.state import dump_state, restore_state
 from repro.eide.dataflow import DataflowProgram, Dataset
 from repro.exceptions import ConfigurationError
@@ -32,6 +31,7 @@ from repro.stores import (
     TimeseriesEngine,
 )
 from repro.stores.changelog import table_scope
+from repro.stores.relational.partition import partition_of
 
 SCHEMA = make_schema(("order_id", DataType.INT), ("customer", DataType.STRING),
                      ("amount", DataType.FLOAT))
@@ -75,8 +75,7 @@ def _ts_ops(ts):
 def _text_ops(text):
     for i in range(12):
         text.add_document(f"d{i}", f"polystore shard number {i}", metadata={"n": i})
-    if not isinstance(text, ShardedEngine):  # the fabric routes no document removal
-        text.remove_document("d3")
+    text.remove_document("d3")
 
 
 def _engine_fingerprint(engine):
@@ -239,14 +238,10 @@ class TestHardKill:
         assert kv2.get("pre/39") == 39 and kv2.get("post/6") == 6
         assert kv2.get("doomed") is None
 
-    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
     @pytest.mark.parametrize("engine_cls", [TimeseriesEngine, TextEngine])
-    def test_kill_without_checkpoint_replays_timeseries_and_text(
-            self, tmp_path, engine_cls, sharded):
+    def test_kill_without_checkpoint_replays_timeseries_and_text(self, tmp_path, engine_cls):
         """Nothing was checkpointed: every op comes back through the WAL tail."""
         def deploy(system):
-            if sharded:
-                return system.register_sharded_engine("store", engine_cls, 2)
             return system.register_engine(engine_cls("store"))
 
         ops = _ts_ops if engine_cls is TimeseriesEngine else _text_ops
@@ -265,12 +260,10 @@ class TestHardKill:
         recovered = deploy(reborn)
         assert _engine_fingerprint(recovered)["scoped"] == \
             _engine_fingerprint(twin)["scoped"]
-        pairs = zip(recovered.shards, twin.shards) if sharded else [(recovered, twin)]
-        for mine, theirs in pairs:
-            assert _engine_fingerprint(mine) == _engine_fingerprint(theirs)
+        assert _engine_fingerprint(recovered) == _engine_fingerprint(twin)
         report = reborn.durability.recovery_report()["store"]
         assert report["replayed_batches"] >= 12
-        assert sum(r["truncated_records"] for r in report.get("shards", [report])) == 1
+        assert report["truncated_records"] == 1
 
     def test_torn_multi_row_insert_recovers_consistently(self, tmp_path):
         system = PolystorePlusPlus(_config(tmp_path))
@@ -366,14 +359,14 @@ class TestRewriteRecovery:
         assert self._answers(db2) == expected
 
 
-class TestShardedDurability:
+class TestPartitionedDurability:
     def _deploy(self, tmp_path, num_shards=2, **overrides):
         system = PolystorePlusPlus(_config(tmp_path, **overrides))
         engine = system.register_sharded_engine("ordersdb", RelationalEngine,
                                                 num_shards)
         return system, engine
 
-    def test_sharded_roundtrip_preserves_topology_and_data(self, tmp_path):
+    def test_partitioned_roundtrip_preserves_partitions_and_data(self, tmp_path):
         system, engine = self._deploy(tmp_path, num_shards=3)
         engine.load_table("orders", Table(SCHEMA, [
             (i, f"c{i % 5}", float(i)) for i in range(50)
@@ -383,65 +376,71 @@ class TestShardedDurability:
         expected_rows = sorted(engine.scan("orders").rows)
         system.close()
 
-        # The constructor asks for 2 shards; the persisted 3-shard topology
-        # must win.
+        # The constructor asks for 2 partitions; the persisted 3 must win.
         reborn = PolystorePlusPlus(data_dir=str(tmp_path))
         engine2 = reborn.register_sharded_engine("ordersdb", RelationalEngine, 2)
-        assert engine2.num_shards == 3
+        assert engine2.partitions == 3
         assert sorted(engine2.scan("orders").rows) == expected_rows
         assert _engine_fingerprint(engine2)["scoped"] == expected["scoped"]
         assert engine2.has_index("orders", "customer")
 
-    def test_directory_an_online_resize_wrote_opens_on_its_recorded_shards(
-            self, tmp_path):
-        # data/legacy-sharded was written by the last release that could
-        # resize a sharded engine online: a durable 2-shard ordersdb, create
-        # orders (4 rows a page), insert ids 0..39, hash index on customer,
-        # resize to 4 shards (manifest generation 1, shards under g1-s*, a
-        # facade snapshot carrying table_kwargs); then — the WAL tail —
-        # insert ids 100 and 101, insert id 102, and a hard kill.
-        data_dir = tmp_path / "data"
-        shutil.copytree(Path(__file__).parent / "data" / "legacy-sharded", data_dir)
-        facade = data_dir / "engines" / "ordersdb"
-        manifest = load_manifest(facade)
-        assert manifest["generation"] == 1
-        assert "table_kwargs" in load_snapshot(facade, manifest["snapshot"])
-        expected = [(i, f"c{i % 5}", float(i % 9)) for i in range(40)]
-        expected += [(100, "c9", 1.5), (101, "c9", 2.5), (102, "c7", 3.5)]
+    #: fixture -> (partitions, rows in the order they were written, the
+    #: scoped version, data version and log head the writing release read
+    #: back, batches its facade WAL tail replays).
+    LEGACY = {
+        # Written by the last release that could resize a sharded engine
+        # online: a durable 2-shard ordersdb, create orders (4 rows a page),
+        # insert ids 0..39, hash index on customer, resize to 4 shards
+        # (shards under g1-s*, a facade snapshot carrying table_kwargs); then
+        # — the WAL tail — insert ids 100 and 101, insert id 102, a hard kill.
+        "legacy-sharded": (
+            4, [(i, f"c{i % 5}", float(i % 9)) for i in range(40)]
+            + [(100, "c9", 1.5), (101, "c9", 2.5), (102, "c7", 3.5)], (9, 9, 8), 3),
+        # Written by the release before partitioned tables (shards under
+        # g0-s*): a durable 2-shard ordersdb, create orders (4 rows a page),
+        # insert ids 0..29, a checkpoint; then — the WAL tail — a hash index
+        # on customer, amount 70.0 for id 7, insert ids 100 and 101, a kill.
+        "legacy-sharded-g0": (
+            2, [(i, f"c{i % 5}", 70.0 if i == 7 else float(i % 9)) for i in range(30)]
+            + [(100, "c9", 1.5), (101, "c3", 2.5)], (7, 7, 7), 2),
+    }
 
-        def check(system, engine, replayed):
-            report = system.durability.recovery_report()["ordersdb"]
-            assert report["generation"] == 1
-            assert report["replayed_batches"] == replayed
-            assert engine.num_shards == 4
-            assert sorted(engine.scan("orders").rows) == expected
-            for index, shard in enumerate(engine.shards):
-                assert all(engine.partitioner.shard_for(row[0]) == index
-                           for row in shard.scan("orders").rows)
-                assert shard._tables["orders"].heap.page_capacity == 4
-            # What the writing release read back after its own recovery.
-            assert _engine_fingerprint(engine)["scoped"] == {table_scope("orders"): 9}
-            assert (engine.data_version, engine.changelog.latest_seq) == (9, 8)
-            assert engine.has_index("orders", "customer")
+    @pytest.mark.parametrize("fixture", sorted(LEGACY))
+    def test_a_sharded_directory_opens_as_one_partitioned_table(self, tmp_path, fixture):
+        partitions, written, versions, replayed = self.LEGACY[fixture]
+        data_dir = tmp_path / "data"
+        shutil.copytree(Path(__file__).parent / "data" / fixture, data_dir)
+        facade = data_dir / "engines" / "ordersdb"
+        assert load_manifest(facade)["engine_type"] == "ShardedEngine"
+        # Shard order: each shard's rows in the order they were written.
+        expected = sorted(written, key=lambda row: partition_of(row[0], partitions))
 
         system = PolystorePlusPlus(data_dir=str(data_dir))
         engine = system.register_sharded_engine("ordersdb", RelationalEngine, 2)
-        check(system, engine, replayed=3)
+        assert engine.partitions == partitions
+        assert engine.scan("orders").rows == expected
+        assert engine._tables["orders"].heap.page_capacity == 4
+        assert system.durability.recovery_report()["ordersdb"]["replayed_batches"] == replayed
+        scoped, data_version, head = versions
+        assert _engine_fingerprint(engine)["scoped"] == {table_scope("orders"): scoped}
+        assert (engine.data_version, engine.changelog.latest_seq) == (data_version, head)
+        assert engine.has_index("orders", "customer")
+        for customer in {row[1] for row in written}:
+            assert engine.index_lookup("orders", "customer", customer).rows == \
+                engine.scan("orders", predicate=col("customer") == customer).rows
+        # The attach checkpointed the plain layout and dropped the shards.
+        assert load_manifest(facade)["engine_type"] == "RelationalEngine"
+        assert not (facade / "shards").exists()
+
         engine.insert("orders", [(103, "c3", 4.5)])
-        owner = engine.shard(engine.partitioner.shard_for(103))
-        assert (103, "c3", 4.5) in owner.scan("orders").rows
-        expected.append((103, "c3", 4.5))
+        rows = engine.scan("orders").rows
+        assert sorted(rows) == sorted(expected + [(103, "c3", 4.5)])
         scoped = engine.data_version_for(table_scope("orders"))
         system.close()
-        assert "table_kwargs" not in load_snapshot(
-            facade, load_manifest(facade)["snapshot"])
-        assert sorted(p.name for p in (facade / "shards").iterdir()) == [
-            f"g1-s{i}" for i in range(4)]
-
         reborn = PolystorePlusPlus(data_dir=str(data_dir))
         engine = reborn.register_sharded_engine("ordersdb", RelationalEngine, 2)
-        assert engine.num_shards == 4
-        assert sorted(engine.scan("orders").rows) == sorted(expected)
+        assert engine.partitions == partitions
+        assert engine.scan("orders").rows == rows
         assert engine.data_version_for(table_scope("orders")) == scoped
         assert reborn.durability.recovery_report()["ordersdb"]["replayed_batches"] == 0
         reborn.close()

@@ -3,15 +3,15 @@
 Cooperative cancellation only works if ``CancelledError`` /
 ``DeadlineExceededError`` propagate from the cancellation checkpoints back
 to the caller that owns the request.  A broad ``except Exception`` in the
-dispatch path (the serving tier, the executor's stage scheduler, the
-scatter-gather fan-out) quietly converts "this request was cancelled" into
+dispatch path (the serving tier, the executor's stage scheduler) quietly
+converts "this request was cancelled" into
 "this request failed (or worse, succeeded with partial work)" — the serve
 tier then reports INTERNAL instead of CANCELLED, retries fire, and
 execution slots leak.
 
 The check flags ``except Exception``, ``except BaseException`` and bare
 ``except:`` handlers in dispatch code (``serve/``,
-``middleware/executor/``, ``cluster/scatter.py``) and in any ``async
+``middleware/executor/``) and in any ``async
 def`` anywhere, unless:
 
 * an earlier handler of the same ``try`` catches ``CancelledError`` or
@@ -37,7 +37,7 @@ from srcwalk import attr_chain, parse, seeded_problems, tree_problems
 #: (file, "Class.method") -> why the broad handler may swallow cancellation.
 ALLOWED: dict[tuple[str, str], str] = {}
 
-_DISPATCH_PATH_RE = re.compile(r"(^|/)(serve/|middleware/executor/)|cluster/scatter\.py$")
+_DISPATCH_PATH_RE = re.compile(r"(^|/)(serve/|middleware/executor/)")
 
 _CANCEL_NAMES = frozenset({"CancelledError", "DeadlineExceededError"})
 
@@ -100,7 +100,6 @@ def test_no_dispatch_handler_in_src_swallows_cancellation():
 SEEDS = {
     "serve": ("src/repro/serve/server.py", "_release_slot(self) -> None:\n"),
     "executor": ("src/repro/middleware/executor/scheduler.py", "engine_name: str) -> Adapter:\n"),
-    "scatter": ("src/repro/cluster/scatter.py", "shard: Engine) -> Adapter:\n"),
 }
 
 

@@ -7,15 +7,14 @@ changelog-bypassing DDL, ``emit_durability_meta``) silently diverges every
 materialized view and breaks crash recovery — the worst kind of bug,
 because nothing fails at the write site.
 
-The check applies to engine classes in ``src/repro/stores/*/engine.py`` and
-``src/repro/cluster/sharded.py``.  A *public* method counts as a mutator
+The check applies to engine classes in ``src/repro/stores/*/engine.py``.
+A *public* method counts as a mutator
 when it writes ``self`` state (attribute/subscript assignment, or a
 mutating call like ``self._wal.append(...)``) or writes through a local
 that was derived from ``self`` state (``owner = self._shards[i];
 owner.put(...)``).  It satisfies the contract when it reaches
 ``mark_data_changed`` / ``emit_durability_meta`` — directly, or through a
-same-class helper it calls (e.g. routed writes through the
-``_routed_write`` context manager).
+same-class helper it calls.
 
 Maintenance operations that reorganize storage without changing logical
 content (the key/value engine's flush and compact) are named in ``ALLOWED``
@@ -57,7 +56,7 @@ _MARKING_CALLS = frozenset({"mark_data_changed", "emit_durability_meta"})
 _EXEMPT_NAME_RE = re.compile(r"^(attach_|detach_|recover_)")
 
 #: Files the contract applies to.
-_ENGINE_FILE_RE = re.compile(r"(stores/[^/]+/engine\.py|cluster/sharded\.py)$")
+_ENGINE_FILE_RE = re.compile(r"stores/[^/]+/engine\.py$")
 
 
 def _is_engine_class(node: ast.ClassDef) -> bool:
@@ -230,9 +229,9 @@ SEEDS = {
     "text_remove_document": ("src/repro/stores/text/engine.py",
                              "self._index.remove(doc_id)\n        self.mark_data_changed(",
                              "TextEngine.remove_document mutates"),
-    "sharded_relay": ("src/repro/cluster/sharded.py",
-                      "appended = [self.mark_data_changed(scope, entries,",
-                      "ShardedEngine.insert mutates"),
+    "relational_create_table": ("src/repro/stores/relational/engine.py",
+                                "self.partitions)\n            batch = self.mark_data_changed(",
+                                "RelationalEngine.create_table mutates"),
 }
 
 
@@ -285,8 +284,8 @@ CLEAN = {
                 self._data[key] = value
                 self.mark_data_changed(self._scope(), entries=[])
         """,
-    # The ShardedEngine _routed_write pattern: the public mutator only
-    # reaches mark_data_changed through a private relay.
+    # The public mutator only reaches mark_data_changed through a private
+    # helper of its class.
     "mark_through_same_class_helper": """\
         class DemoEngine(Engine):
             def put(self, key, value):

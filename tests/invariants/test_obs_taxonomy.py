@@ -46,7 +46,6 @@ SPAN_TAXONOMY: dict[str, str] = {
     "execute": "executor",
     "stage": "executor",
     "op": "operator",
-    "shard": "scatter",
     "view_refresh": "view",
     "wal_fsync": "durability",
     "snapshot": "durability",

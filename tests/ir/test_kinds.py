@@ -15,7 +15,6 @@ import pytest
 
 from repro.accelerators.kernels import DEFAULT_MAPPINGS
 from repro.catalog import Catalog
-from repro.cluster import PARTITIONABLE_MODELS
 from repro.eide.dataflow import DataflowNode, resolve_node_engine
 from repro.ir import KINDS, Kind, Operator, validate_operator
 from repro.middleware.adapters import adapter_for
@@ -99,9 +98,6 @@ PARENT_SNAPSHOT_KINDS = {
     "graph_nodes", "text_search", "keyword_features", "feature_matrix",
     "predict", "migrate", "materialize", "union",
 }
-PARENT_SCATTER_LEAVES = {"scan", "index_seek", "kv_get", "kv_range", "ts_range",
-                         "window_aggregate", "ts_summarize", "text_search",
-                         "keyword_features"}
 PARENT_DIFFABLE_LEAVES = {
     "scan", "index_seek", "kv_get", "kv_range", "ts_range", "ts_summarize",
     "window_aggregate", "keyword_features", "text_search", "graph_nodes",
@@ -208,13 +204,6 @@ def test_models():
 
 def test_pinnable():
     assert _where(pure=True) == PARENT_SNAPSHOT_KINDS
-
-
-def test_scatter_leaves():
-    # The scatter path fans out a source kind on a partitionable engine; the
-    # intended difference: ``filter`` / ``project`` no longer run per shard.
-    assert {name for name, row in KINDS.items()
-            if row.source and row.model in PARTITIONABLE_MODELS} == PARENT_SCATTER_LEAVES
 
 
 def test_diffable_and_absorbing_leaves():

@@ -151,29 +151,6 @@ class TestSchemalessEmptyReads:
             [nobody])
         assert projected.schema == patients.schema.project(["age", "pid"])
 
-    @pytest.mark.parametrize("mode", ["cpu", "accelerated"])
-    def test_fewer_keys_than_shards(self, mode):
-        from repro import build_accelerated_polystore, build_cpu_polystore
-        from repro.eide.dataflow import DataflowProgram, dataset
-        from repro.eide.expressions import col
-
-        build = build_cpu_polystore if mode == "cpu" else build_accelerated_polystore
-        system = build([])
-        engine = system.register_sharded_engine("profiles", KeyValueEngine, 4)
-        for uid in (1, 2):
-            engine.put(f"user/{uid}", {"uid": uid, "tier": uid % 3})
-        reads = dataset("profiles").kv(key_prefix="user/")
-        program = DataflowProgram("profile")
-        program.output("filtered", reads.filter(col("tier") == 1))
-        program.output("projected", reads.project(["key", "tier"]))
-        program.output("both", reads.filter(col("tier") == 1).project(["tier"]))
-        result = system.execute(program)
-        assert result.output("filtered").to_dicts() == [{"key": 1, "uid": 1, "tier": 1}]
-        assert sorted(result.output("projected").to_dicts(),
-                      key=lambda row: row["key"]) == [
-            {"key": 1, "tier": 1}, {"key": 2, "tier": 2}]
-        assert result.output("both").to_dicts() == [{"tier": 1}]
-
     def test_offloaded_filter_over_an_empty_read_streams_nothing(self):
         from repro.accelerators.fpga import FPGAAccelerator
 

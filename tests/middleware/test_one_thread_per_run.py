@@ -1,5 +1,5 @@
-"""A run starts no thread: every operator, every shard subtask and every
-sharded read executes on the thread that called the executor."""
+"""A run starts no thread: every operator and every read of a partitioned
+table executes on the thread that called the executor."""
 
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ def _assert_one_thread(starts: list[str], callers: list[int]) -> None:
 
 
 @pytest.mark.parametrize("obs", [True, False])
-def test_sharded_scan_aggregate_starts_no_thread(monkeypatch, obs):
+def test_partitioned_scan_aggregate_starts_no_thread(monkeypatch, obs):
     schema = make_schema(("id", DataType.INT), ("grp", DataType.INT),
                          ("amount", DataType.FLOAT))
     rows = [(i, i % 7, float(i % 50)) for i in range(2_000)]
@@ -74,19 +74,19 @@ def test_sharded_scan_aggregate_starts_no_thread(monkeypatch, obs):
 
         def read(self):
             callers.append(threading.get_ident())
-            reads.append(len(self.heaps))
+            reads.append(self.heap)
             return table(self)
 
-        reads: list[int] = []
+        reads: list = []
         monkeypatch.setattr(HeapRead, "table", read)
         result = prepared.run(refresh=True)
     session.close()
     _assert_one_thread(starts, callers)
-    # One read folding every shard's heap, then the aggregate finishing it
-    # on the primary shard: each was observed.
-    assert reads == [4] and len(callers) >= 2
+    # One read folding the partitioned table's one heap, then the aggregate
+    # handing it on: each was observed.
+    assert reads == [engine._stored("facts").heap] and len(callers) >= 2
     scan = next(r for r in result.report.records if r.kind == "scan")
-    assert scan.details["fan_out"] == "fold"
+    assert scan.details["shards"] == 4
     assert result.report.observed_concurrency == pytest.approx(1.0)
     assert len(result.output("agg")) == 7
 

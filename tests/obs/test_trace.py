@@ -1,11 +1,10 @@
-"""Trace spans: executor nesting, sampling semantics, scatter subtasks."""
+"""Trace spans: executor nesting and sampling semantics."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import DataflowProgram, SystemConfig
-from repro.cluster import ShardedEngine
 from repro.core import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.obs import ancestors, span_tree
@@ -139,9 +138,9 @@ class TestSampling:
         assert all(s.trace_id == roots[0].trace_id for s in spans)
 
 
-class TestScatterNesting:
-    def test_a_sharded_read_span_nests_under_its_request(self):
-        engine = ShardedEngine("cluster", RelationalEngine, 3)
+class TestPartitionedReadNesting:
+    def test_a_partitioned_read_span_nests_under_its_request(self):
+        engine = RelationalEngine("cluster", partitions=3)
         engine.load_table("orders", _orders_table(90), shard_key="order_id")
         system = _observed_system(engine)
         program = _aggregate_program(system, "cluster")
@@ -150,10 +149,8 @@ class TestScatterNesting:
         prepared.run()
 
         spans = system.obs.tracer.spans()
-        shard_spans = [s for s in spans if s.name.startswith("shard:")]
-        # One read over the three shards' heaps: one span, naming them all.
-        assert [(s.name, s.attrs["shards"]) for s in shard_spans] == [("shard:0+1+2", 3)]
-        for span in shard_spans:
-            chain = [p.name for p in ancestors(span, spans)]
-            assert any(name.startswith("op:") for name in chain), chain
-            assert chain[-1].startswith("request:"), chain
+        # One read of the one heap: one scan span, under its request.
+        [scan] = [s for s in spans if s.name.startswith("op:") and s.attrs["kind"] == "scan"]
+        chain = [p.name for p in ancestors(scan, spans)]
+        assert chain[-1].startswith("request:"), chain
+        assert not any(s.name.startswith("shard:") for s in spans)

@@ -1,14 +1,15 @@
-"""Differential tests: a sharded aggregate or top-k against one engine's.
+"""Differential tests: a partitioned table's aggregate or top-k against one
+unpartitioned engine's.
 
-Every relational read on a sharded engine is one fold over its shards'
-heaps, and an aggregate fused into that read finishes there: no partial
-rows are combined anywhere.  So each aggregate function must come out of
-the fused sharded route exactly as out of the unfused plan and out of one
-engine holding the same rows — rows and schema — for every null pattern.
+A read of a partitioned table is one fold over its one heap, and an
+aggregate fused into that read finishes there: no partial rows are combined
+anywhere.  So each aggregate function must come out of the fused partitioned
+route exactly as out of the unfused plan and out of one engine holding the
+same rows — rows and schema — for every null pattern.
 
-Deliberately covered edge cases: shards that are all empty, an entirely
+Deliberately covered edge cases: partitions that are all empty, an entirely
 empty table, all-NULL groups, ``avg`` over zero non-null rows, groups split
-across every shard, ``min``/``max`` over strings, and int-vs-float ``sum``.
+across every partition, ``min``/``max`` over strings, and int-vs-float ``sum``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores import RelationalEngine
 from repro.stores.relational.operators import AggregateSpec
+from repro.stores.relational.partition import partition_of
 
 
 AGGREGATES = [
@@ -165,7 +167,8 @@ def _randomized(rng: random.Random, sizes: list[int], max_shards: int,
         rows = [(next(ids), *row[1:]) for row in rows]
     system = _deployment(rows, shards, **({"page_capacity": 4} if rng.random() < 0.5 else {}))
     if empty is not None:
-        assert len(system.engine("many").shard(empty).scan("t")) == 0
+        assert not any(partition_of(row[0], shards) == empty
+                       for row in system.engine("many").scan("t").rows)
     fused = _aggregate(system, "many", group_by, CompilerOptions())
     alone = _aggregate(system, "one", group_by, CompilerOptions())
     # repr tells an int sum from a float one.
@@ -197,7 +200,7 @@ def test_empty_result_schema_preserves_dtypes():
         _assert_result_dtypes(result.schema, True)
 
 
-# -- end to end: a ShardedEngine vs one RelationalEngine ---------------------------------
+# -- end to end: a partitioned table vs one RelationalEngine -----------------------------
 
 _SCHEMA = make_schema(("id", DataType.INT), ("grp", DataType.INT),
                       ("int_val", DataType.INT), ("float_val", DataType.FLOAT),

@@ -1,9 +1,9 @@
-"""A sharded relational read is one fold over its shards' heaps.
+"""A read of a partitioned table is one fold over its one heap.
 
 The fused plan (the aggregate folded into the scan's page walk) and the
-unfused one (the scan's rows, then the aggregate) both read the shards in the
-facade's order as one left fold, so they agree exactly: rows, group order,
-schema, and every float sum to the bit.
+unfused one (the scan's rows, then the aggregate) both read the partitions'
+pages in heap order as one left fold, so they agree exactly: rows, group
+order, schema, and every float sum to the bit.
 """
 
 from __future__ import annotations
@@ -80,11 +80,12 @@ def test_a_fused_sharded_read_answers_as_the_unfused_one(rows, page_capacity, gr
     _assert_fused_answers_as_unfused(system, _program(group_by, specs, predicate))
 
 
-def test_more_sealed_pages_than_a_run_fold_in_runs_on_every_shard():
+def test_more_sealed_pages_than_a_run_fold_in_runs_on_every_partition():
     rows = [(f"g{i % 3}", (i % 89) / 7, i % 4) for i in range(SHARDS * 2 * (RUN + 10))]
     system = _system(rows, 2)
-    shards = system.engine("many").shards
-    assert all(shard.table_statistics("t")["pages"] > RUN + 1 for shard in shards)
+    pages = system.engine("many")._stored("t").heap._pages
+    assert all(sum(page.partitions(0, SHARDS) == {shard} for page in pages) > RUN + 1
+               for shard in range(SHARDS))
     for group_by in ([], ["grp"], ["k"]):
         _assert_fused_answers_as_unfused(system, _program(
             group_by, [("count", None), ("sum", "amount")], "amount"))

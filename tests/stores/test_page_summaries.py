@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro import col
-from repro.cluster import ShardedEngine
-from repro.cluster.scatter import ScatterGather
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import QueryError
 from repro.ir.nodes import Operator
@@ -254,15 +252,17 @@ class TestAStatementCostsThePagesThatCanMatch:
         assert update.pages_copied <= 2
         assert update.pages_examined + update.pages_skipped == pages
 
-    def test_each_shard_examines_the_pages_of_its_part_of_the_range(self, heap_calls):
-        sharded = ShardedEngine("skip4", RelationalEngine, num_shards=4)
-        sharded.load_table("facts", self._table(), shard_key="id")
+    def test_each_partition_examines_the_pages_of_its_part_of_the_range(self, heap_calls):
+        engine = RelationalEngine("skip4", partitions=4)
+        engine.load_table("facts", self._table(), shard_key="id")
+        pages = engine.table_statistics("facts")["pages"]
         in_range = (col("id") >= 20_000) & (col("id") < 20_100)
-        heaps = [shard._stored("facts").heap for shard in sharded.shards]
-        assert len(sharded.update_rows("facts", in_range, {"amount": 5.0})) == 100
-        updates = [call for call in heap_calls if call.method == "rewrite"]
-        assert sorted(map(id, heaps)) == sorted(id(call.heap) for call in updates)
-        assert all(call.pages_examined <= 3 for call in updates)
+        assert len(engine.update_rows("facts", in_range, {"amount": 5.0})) == 100
+        update = heap_calls.last("rewrite")
+        # One or two pages of each partition's part of the range, the three
+        # pages where two partitions meet (their ids span both), the last page.
+        assert update.pages_examined <= 4 * 2 + 3 + 1
+        assert update.pages_examined + update.pages_skipped == pages
 
     @pytest.mark.parametrize("k", [1, 7, 40])
     def test_a_trim_examines_the_pages_it_trims(self, k, heap_calls):
@@ -326,18 +326,15 @@ class TestTheScanLeafFiltersBeforeItProjects:
         assert result.schema.names == ("a",)
         assert result.column("a") == [a for a, b in self.ROWS if b == 1]
 
-    def test_on_four_shards(self):
-        sharded = ShardedEngine("narrow4", RelationalEngine, num_shards=4)
-        sharded.load_table("t", Table(self.SCHEMA, self.ROWS), shard_key="a",
-                           page_capacity=8)
-        node = self._node("narrow4")
-        primary = adapter_for(sharded).execute(node, [])
-        assert primary.schema.names == ("a",)
-        scattered = ScatterGather().execute(sharded, node, []).value
-        assert scattered.schema.names == ("a",)
-        assert sorted(scattered.column("a")) == [a for a, b in self.ROWS if b == 1]
+    def test_on_four_partitions(self):
+        engine = RelationalEngine("narrow4", partitions=4)
+        engine.load_table("t", Table(self.SCHEMA, self.ROWS), shard_key="a",
+                          page_capacity=8)
+        result = adapter_for(engine).execute(self._node("narrow4"), [])
+        assert result.schema.names == ("a",)
+        assert sorted(result.column("a")) == [a for a, b in self.ROWS if b == 1]
 
-    def test_an_empty_table_or_shard_does_not_bind_the_predicate(self):
+    def test_an_empty_table_does_not_bind_the_predicate(self):
         """As before skipping: a filter over nothing is nothing, whatever it names."""
         node = Operator(kind="scan", engine="none", params={
             "table": "t", "predicate": col("nowhere") == 1})
@@ -347,13 +344,6 @@ class TestTheScanLeafFiltersBeforeItProjects:
         engine.insert("t", [(1, 1)])
         with pytest.raises(QueryError):
             adapter_for(engine).execute(node, [])
-        # Two rows over four shards: some shard is empty, and only it passes.
-        sharded = ShardedEngine("none", RelationalEngine, num_shards=4)
-        sharded.load_table("t", Table(self.SCHEMA, self.ROWS[:2]), shard_key="a")
-        outcomes = [_outcome(lambda s=shard: s.scan("t", None, col("nowhere") == 1).rows)
-                    for shard in sharded.shards]
-        assert sorted(outcomes, key=str) == [
-            ("ok", [])] * 2 + [("raised", QueryError)] * 2
 
 
 # -- a summary is only ever taken of a page that can no longer change -------------------------

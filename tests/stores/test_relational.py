@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from repro import col
-from repro.cluster import ShardedEngine
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import QueryError, StorageError
 from repro.stores.relational import RelationalEngine, lower_select, parse_select
@@ -371,19 +370,17 @@ class TestWritesCostThePagesTheyTouch:
         assert engine.range_lookup("facts", "id", 20_050, 20_050).rows == \
             [(20_050, 20_050 % 7, 5.0)]
 
-    def test_each_shard_shares_its_untouched_pages(self, heap_calls):
-        sharded = ShardedEngine("facts4", RelationalEngine, num_shards=4)
-        sharded.load_table("facts", self._table(), shard_key="id",
-                           page_capacity=256)
+    def test_each_partition_shares_its_untouched_pages(self, heap_calls):
+        engine = RelationalEngine("facts4", partitions=4)
+        engine.load_table("facts", self._table(), shard_key="id", page_capacity=256)
+        pages = engine.table_statistics("facts")["pages"]
         in_range = (col("id") >= 20_000) & (col("id") < 20_100)
-        heaps = [shard._stored("facts").heap for shard in sharded.shards]
-        assert len(sharded.update_rows("facts", in_range, {"amount": 5.0})) == 100
-        updates = {call.heap: call for call in heap_calls if call.method == "rewrite"}
-        for shard, heap in zip(sharded.shards, heaps):
-            update = updates[heap]
-            assert update.pages_copied <= 2 + 1
-            assert update.pages_copied + update.pages_shared == \
-                shard.table_statistics("facts")["pages"]
+        assert len(engine.update_rows("facts", in_range, {"amount": 5.0})) == 100
+        update = heap_calls.last("rewrite")
+        # Each partition's rows are consecutive: its share of the 100 lies on
+        # at most 2 of its pages, and the open last page is always copied.
+        assert update.pages_copied <= 4 * 2 + 1
+        assert update.pages_copied + update.pages_shared == pages
 
     def test_delete_drops_emptied_pages_and_copies_the_boundary(self, heap_calls):
         engine = RelationalEngine("cow")
@@ -486,3 +483,34 @@ class TestCreateIndexSerializesWithWrites:
                 self._round()
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestIndexesAnswerAsAScan:
+    SCHEMA = make_schema(("k", DataType.STRING), ("v", DataType.INT))
+
+    def test_a_sorted_index_over_keys_that_do_not_order_is_refused(self):
+        engine = RelationalEngine("db")
+        engine.create_table("t", self.SCHEMA)
+        engine.insert("t", [("a", 1), (3, 2)])
+        metas = []
+        engine._durability_meta = metas.append
+        with pytest.raises(StorageError):
+            engine.create_index("t", "k", kind="sorted")
+        assert not engine.has_index("t", "k") and metas == []
+        assert engine.scan("t", predicate=col("v") == 2).rows == [(3, 2)]
+        engine.insert("t", [("b", 3)])
+        assert len(engine.scan("t")) == 3
+        engine.create_index("t", "k", kind="hash")
+        assert engine.index_lookup("t", "k", 3).rows == [(3, 2)]
+        assert metas == [("create_index", {"table": "t", "column": "k", "kind": "hash"})]
+
+    @pytest.mark.parametrize("kind", ["hash", "sorted"])
+    def test_a_lookup_of_none_finds_what_the_scan_finds(self, kind):
+        engine = RelationalEngine("db")
+        engine.create_table("t", self.SCHEMA)
+        engine.insert("t", [("a", 1), (None, 2), ("b", 3)])
+        engine.create_index("t", "k", kind=kind)
+        scanned = engine.scan("t", predicate=col("k") == None).rows  # noqa: E711
+        assert scanned == []
+        assert engine.index_lookup("t", "k", None).rows == scanned
+        assert engine.index_lookup("t", "k", "b").rows == [("b", 3)]

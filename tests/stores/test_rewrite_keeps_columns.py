@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import col
-from repro.cluster import ShardedEngine
 from repro.datamodel import DataType, make_schema
 from repro.durability.state import replay_record
 from repro.stores import RelationalEngine
@@ -118,10 +117,10 @@ def _write_keeps_columns(cells: list[tuple], ids: list[int], updates: dict | Non
         assert np.array_equal(column.values, values) and column.values.dtype == values.dtype
         assert nulls is None or np.array_equal(column.nulls, nulls)
     assert list(old_table.heap.scan()) == old_rows
-    # The index on ``i`` finds what the heap holds, written or not.
-    rows = engine.scan("t").rows
+    # The index on ``i`` finds what a scan of the heap finds, written or not.
     for value in _CELLS["i"]:
-        assert engine.index_lookup("t", "i", value).rows == [r for r in rows if r[1] == value]
+        assert engine.index_lookup("t", "i", value).rows == \
+            engine.scan("t", predicate=col("i") == value).rows
     # Inserts fill the open last page (a copy, after some deletes) and seal it.
     engine.insert("t", [(-n, 1, 1.0, True, "a") for n in range(1, PAGE + 2)])
     _reads_as_fresh(_pages(engine))
@@ -194,17 +193,15 @@ def _facts() -> list[tuple]:
 
 
 def _load(shards: int, rows: list[tuple]):
-    engine = ShardedEngine("db", RelationalEngine, shards) if shards \
-        else RelationalEngine("db")
-    engine.create_table("facts", FACTS)  # sharded on ``id``
+    engine = RelationalEngine("db", partitions=shards or 1)
+    engine.create_table("facts", FACTS)  # partitioned on ``id``
     engine.insert("facts", rows)
     return engine
 
 
 def _scans(engine) -> list:
-    """The fused scan-aggregate's partials, one per store."""
-    stores = engine.shards if isinstance(engine, ShardedEngine) else [engine]
-    return [store.scan("facts", None, OVER, partial=PARTIAL) for store in stores]
+    """The fused scan-aggregate's result, as a one-part list."""
+    return [engine.scan("facts", None, OVER, partial=PARTIAL)]
 
 
 @pytest.fixture
@@ -235,13 +232,11 @@ def test_the_first_fused_scan_after_an_update_builds_no_column(shards, built):
         built.clear()
         partials = _scans(engine)
         assert built == []
-        stores = engine.shards if shards else [engine]
-        for store, partial in zip(stores, partials):
-            mine = list(store._tables["facts"].heap.scan())
+        for partial in partials:
+            mine = list(engine._tables["facts"].heap.scan())
             fold, _ = aggregate_kernel(FACTS, *PARTIAL, OVER)
             assert repr(partial.rows) == repr(fold([mine], {}))
-    assert sorted(row for store in (engine.shards if shards else [engine])
-                  for row in store.scan("facts").rows) == rows
+    assert sorted(engine.scan("facts").rows) == rows
 
 
 def test_the_first_fused_scan_after_a_trim_builds_no_string_column(built):

@@ -4,8 +4,8 @@ The ROADMAP example: a predicated scan over ``(pid:int, score:float,
 name:string)`` used to come back typed ``score:float``, ``score:int`` or
 ``score:string`` depending on whether the matching rows carried floats,
 int-valued numbers or only ``None`` — and an empty result took a fourth
-path.  Every relational operator, on the single-engine route and on the
-4-shard scatter route, must return the schema derived from its inputs'
+path.  Every relational operator, on the single-engine route and on a
+4-partition table, must return the schema derived from its inputs'
 schemas and its parameters, whichever rows match.
 """
 
@@ -162,14 +162,10 @@ SUMMARIES = {
 }
 
 
-@pytest.fixture(scope="module", params=[False, True], ids=["single", "4-shard"])
-def monitors(request):
-    if request.param:
-        system = build_cpu_polystore([])
-        engine = system.register_sharded_engine("monitors", TimeseriesEngine, 4)
-    else:
-        engine = TimeseriesEngine("monitors")
-        system = build_cpu_polystore([engine])
+@pytest.fixture(scope="module")
+def monitors():
+    engine = TimeseriesEngine("monitors")
+    system = build_cpu_polystore([engine])
     for pid in range(6):
         engine.append_many(f"hr/{pid}", [(float(t), 60.0 + pid + t) for t in range(5)])
     for bed in ("a", "b"):
@@ -197,8 +193,7 @@ def test_ts_summarize_key_is_a_string_when_suffixes_are_not_numeric(monitors):
 
 def test_ts_summarize_key_is_one_type_when_only_some_suffixes_are_numeric():
     """``bed/a`` beside ``bed/7`` on one engine: a STRING column of strings, not
-    an int among strings typed by whichever series sorts first.  (Shards of a
-    ``ShardedEngine`` each type their own part, as for key/value reads.)"""
+    an int among strings typed by whichever series sorts first."""
     engine = TimeseriesEngine("monitors")
     for bed in ("a", "7"):
         engine.append_many(f"bed/{bed}", [(0.0, 1.0)])

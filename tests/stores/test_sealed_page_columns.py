@@ -4,20 +4,19 @@ where it cannot; either way it answers as the row kernel alone does."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from repro import DataflowProgram, col, dataset
-from repro.cluster import ShardedEngine
 from repro.compiler import CompilerOptions
 from repro.core import build_cpu_polystore
 from repro.datamodel import DataType, make_schema
 from repro.stores import RelationalEngine
 from repro.stores.relational import engine as engine_module
 from repro.stores.relational.operators import RUN, AggregateSpec, VectorFold, aggregate_kernel
+from repro.stores.relational.partition import partition_of
 from repro.stores.relational.storage import Page
 
 ROWS = 50_000
@@ -182,36 +181,20 @@ SMALL_PAGE = 64
 
 
 def _stores(shards: int, place) -> list[tuple[RelationalEngine, list[tuple]]]:
-    """Each store's engine and its rows in heap order: ``2 * RUN + 2`` sealed
-    pages of ``SMALL_PAGE`` rows and a half-full open one, laid out by
-    ``place``; one engine when ``shards`` is 0, else each shard of one."""
+    """The engine and its rows in heap order: ``2 * RUN + 2`` sealed pages of
+    ``SMALL_PAGE`` rows and a half-full open one, laid out by ``place``; the
+    table is partitioned on ``id`` into ``shards`` partitions unless that is
+    0, its ids in partition order, so the insert keeps the rows' order."""
     count = (2 * RUN + 2) * SMALL_PAGE + SMALL_PAGE // 2
     rng = random.Random(13)
-
-    def rows_for(ids) -> list[tuple]:
-        rows = [(i, rng.randrange(97), float(rng.randrange(1000)), 0) for i in ids]
-        place(rows)
-        return rows
-
-    if not shards:
-        rows = rows_for(range(count))
-        engine = RelationalEngine("db")
-        engine.create_table("facts", FACTS, page_capacity=SMALL_PAGE)
-        engine.insert("facts", rows)
-        return [(engine, rows)]
-    sharded = ShardedEngine("db", RelationalEngine, shards)
-    sharded.create_table("facts", FACTS, page_capacity=SMALL_PAGE)
-    index = {id(shard): n for n, shard in enumerate(sharded.shards)}
-    owned: list[list[int]] = [[] for _ in range(shards)]
-    for i in itertools.count():
-        ids = owned[index[id(sharded.shard_for(i))]]
-        if len(ids) < count:
-            ids.append(i)
-        if all(len(ids) == count for ids in owned):
-            break
-    per_shard = [rows_for(ids) for ids in owned]
-    sharded.insert("facts", itertools.chain.from_iterable(per_shard))
-    return [(sharded.shard(n), rows) for n, rows in enumerate(per_shard)]
+    rows = [(i, rng.randrange(97), float(rng.randrange(1000)), 0)
+            for i in sorted(range(count), key=lambda i: partition_of(i, shards or 1))]
+    place(rows)
+    engine = RelationalEngine("db", partitions=shards or 1)
+    engine.create_table("facts", FACTS, page_capacity=SMALL_PAGE)
+    engine.insert("facts", rows)
+    assert list(engine._tables["facts"].heap.scan()) == rows
+    return [(engine, rows)]
 
 
 def _page(rows: list[tuple], number: int) -> list[tuple]:

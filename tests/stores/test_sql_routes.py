@@ -3,7 +3,7 @@
 
 Both fold the parsed statement with ``lower_select`` — the engine into
 physical operators, the EIDE into a dataflow tree the compiler then optimizes
-and, on a sharded engine, scatter-gathers.  ``CANONICAL`` pins the dataflow
+and runs, on one table or on a partitioned one.  ``CANONICAL`` pins the dataflow
 trees to the strings captured at commit aee6108, where a separate
 ``LogicalPlan`` tree sat between the parser and both of them.
 """

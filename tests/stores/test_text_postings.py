@@ -6,8 +6,8 @@
 punctuation), keyword lists (repeats, upper case, stopwords, keywords that
 are no token), adds, replacements and removals, a ``doc_prefix`` or none and
 a pushed-down ``doc_ids`` or none.  Each draw is read through the adapter of
-one engine, of a durable engine closed and reopened, and through a 2-shard
-fan-out; rows (in order) and schema must be the reference's.
+one engine and of a durable engine closed and reopened; rows (in order) and
+schema must be the reference's.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DataflowProgram, PolystorePlusPlus, dataset
-from repro.cluster.scatter import ScatterGather
 from repro.core import build_cpu_polystore
 from repro.datamodel import Column, DataType, Schema, Table
 from repro.exceptions import StorageError
@@ -65,21 +64,6 @@ def _reference(docs: dict[str, str], words: list[str], prefix: str | None,
     return Table(Schema([Column(id_column, DataType.STRING),
                          *(Column(f"kw_{w}", DataType.FLOAT)
                            for w in dict.fromkeys(words))]), [])
-
-
-def _sharded_reference(engine, docs, words, prefix, doc_ids) -> Table:
-    """One reference part per contacted shard, concatenated in shard order
-    and typed by the first part that has rows (the fan-out's merge)."""
-    partitioner = engine.partitioner
-    owned = [{d: t for d, t in docs.items() if partitioner.shard_for(d) == i}
-             for i in range(engine.num_shards)]
-    if doc_ids:
-        grouped = partitioner.shards_for(doc_ids)
-        parts = [_reference(owned[i], words, prefix, grouped[i]) for i in sorted(grouped)]
-    else:
-        parts = [_reference(part, words, prefix, doc_ids) for part in owned]
-    filled = [part for part in parts if len(part)] or parts[:1]
-    return Table(filled[0].schema, [row for part in filled for row in part.rows])
 
 
 def _node(words, prefix, doc_ids) -> Operator:
@@ -139,12 +123,6 @@ def test_the_keyword_leaf_is_the_tokenizing_rule_on_every_route(writes, words, p
         _assert_same(TextAdapter(reopened).execute(node, []),
                      _reference(docs, words, prefix, doc_ids))
         reborn.close()
-
-    sharded = build_cpu_polystore([]).register_sharded_engine("notes", TextEngine, 2)
-    _apply(writes, sharded.add_document,
-           lambda doc_id: sharded.shard_for(doc_id).remove_document(doc_id))
-    _assert_same(ScatterGather().execute(sharded, node, []).value,
-                 _sharded_reference(sharded, docs, words, prefix, doc_ids))
 
 
 def test_a_keyword_read_tokenizes_nothing(monkeypatch):

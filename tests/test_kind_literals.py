@@ -1,7 +1,7 @@
 """Ratchet on the operator vocabulary: lists of kinds live in ``ir/kinds.py``.
 
 What a kind *is* — its data model, arity, whether it can be pinned,
-scattered, diffed or offloaded — is one row of ``repro.ir.kinds.KINDS``.
+diffed or offloaded — is one row of ``repro.ir.kinds.KINDS``.
 A set, tuple, list or dict literal elsewhere under ``src/repro`` holding three
 or more strings that are all operator kinds is a second copy of some column,
 and copies drift (DESIGN.md "Operator kinds").  This test lists the literals

@@ -6,7 +6,6 @@ import pytest
 
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide.expressions import col
-from repro.cluster import ShardedEngine
 from repro.stores import KeyValueEngine, RelationalEngine, TextEngine, TimeseriesEngine
 from repro.stores.changelog import (
     ChangeLog,
@@ -219,38 +218,28 @@ class TestScopedVersions:
         assert engine.data_version > before
 
 
-class TestShardedChangelog:
-    def _sharded(self, shards=3):
-        engine = ShardedEngine("cluster", RelationalEngine, shards)
-        for log in [engine.changelog] + [shard.changelog for shard in engine.shards]:
-            log.register(self)
+class TestPartitionedChangelog:
+    def _partitioned(self, partitions=3):
+        engine = RelationalEngine("cluster", partitions=partitions)
+        engine.changelog.register(self)
         engine.load_table("orders", Table(_orders_schema(), [
             (i, i % 5, float(i)) for i in range(20)
         ]))
         return engine
 
-    def test_facade_log_carries_routed_writes(self):
-        engine = self._sharded()
+    def test_the_one_log_carries_every_write(self):
+        engine = self._partitioned()
         engine.insert("orders", [(100, 1, 9.0)])
         batches, complete = engine.changelog.read_since(0, table_scope("orders"))
         assert complete
         entries = [e for b in batches for e in b.entries]
         assert ((100, 1, 9.0), 1) in entries
-        # Every seeded row is on the facade log exactly once.
+        # Every seeded row is on the log exactly once.
         weights = [w for _, w in entries]
         assert weights.count(1) == 21
 
-    def test_per_shard_logs_exist(self):
-        engine = self._sharded()
-        per_shard_entries = 0
-        for shard in engine.shards:
-            batches, complete = shard.changelog.read_since(0, table_scope("orders"))
-            assert complete
-            per_shard_entries += sum(len(b.entries) for b in batches)
-        assert per_shard_entries == 20
-
-    def test_scoped_versions_aggregate_across_shards(self):
-        engine = self._sharded()
+    def test_scoped_versions_move_with_any_partitions_write(self):
+        engine = self._partitioned()
         version = engine.data_version_for(table_scope("orders"))
         engine.insert("orders", [(300, 3, 1.0)])
         assert engine.data_version_for(table_scope("orders")) > version

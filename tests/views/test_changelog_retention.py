@@ -2,9 +2,8 @@
 
 With no reader a batch still reaches the WAL sink and the listeners, then
 is dropped; a view's cursor registers as a reader, so incremental views stay
-exact without the log keeping what no one will read.  A sharded engine's
-shard logs have no reader: a listener appends each shard batch to the facade
-log as it is written."""
+exact without the log keeping what no one will read.  A partitioned table
+writes to its engine's one log, as any table does."""
 
 from __future__ import annotations
 
@@ -104,7 +103,7 @@ def test_a_stalled_reader_is_bounded_by_the_caps():
     assert not complete and batches == []  # behind the window: resync
 
 
-# -- views over single and sharded bases ------------------------------------------------
+# -- views over single and partitioned bases --------------------------------------------
 
 
 def _system(shards: int, rows: list[tuple]) -> tuple[PolystorePlusPlus, object]:
@@ -162,10 +161,6 @@ def test_views_stay_exact_without_a_forced_resync(policy, shards):
     view.read()
     assert bystander.full_recomputes == 0
     assert _retained(engine.changelog) == (0, 0)
-    if shards:
-        for shard in engine.shards:  # no reader holds a shard log's batches
-            assert _retained(shard.changelog) == (0, 0)
-            assert shard.changelog.retention_stats()["readers"] == 0
 
 
 def test_dropping_a_view_and_collecting_it_releases_its_hold():

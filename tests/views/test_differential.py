@@ -5,7 +5,7 @@ applied to the base table(s); after *every* batch the maintained view is
 refreshed and compared against a from-scratch recompute of the same
 expression (``use_views=False``).  Edge cases are forced into the stream:
 empty deltas, deletes emptying a group, aggregates over zero non-NULL
-values, and the same streams run against sharded and single-node bases.
+values, and the same streams run against partitioned and single-node bases.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.compiler.pipeline import CompilerOptions
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide.dataflow import DataflowProgram, Dataset
 from repro.stores import RelationalEngine
+from repro.stores.relational.partition import partition_of
 
 GROUPS = ("alpha", "beta", "gamma", "delta")
 
@@ -213,10 +214,9 @@ def test_mid_refresh_failure_falls_back_to_full_rebuild():
     assert _canon(view.read()[0].to_dicts()) == _canon(_recompute(system, expr))
 
 
-def test_direct_shard_write_detected_via_scoped_version():
-    # A write applied straight to a shard instance skips the facade's write
-    # path, but the listener on the shard's log appends its batch to the
-    # facade log at once: the view sees it is stale and folds the row in.
+def test_a_write_to_either_partition_is_detected_via_scoped_version():
+    # Whichever partition a row lands in, its batch is on the engine's one
+    # log at once: the view sees it is stale and folds the row in.
     system = PolystorePlusPlus()
     engine = system.register_sharded_engine("base", RelationalEngine, 2)
     engine.load_table("events", Table(_schema(), [
@@ -225,15 +225,15 @@ def test_direct_shard_write_detected_via_scoped_version():
             .aggregate(["grp"], n=("count", None)))
     view = system.create_view("counts", expr, policy="manual")
     assert view.read()[0].to_dicts()[0]["n"] == 6
-    engine.shard(0).insert("events", [(100, "alpha", 1.0)])  # off-facade
+    engine.insert("events", [(100, "alpha", 1.0)])
     assert view.stale
     view.refresh()
     assert view.read()[0].to_dicts()[0]["n"] == 7
-    # A direct shard write, then a routed write, with no refresh between:
-    # each shard batch is its own facade batch, and a forced full refresh
-    # gives the recomputed rows.
-    engine.shard(1).insert("events", [(101, "beta", 1.0)])   # off-facade
-    engine.insert("events", [(102, "alpha", 1.0)])           # routed
+    # Two writes, one to each partition, with no refresh between: a forced
+    # full refresh gives the recomputed rows.
+    assert partition_of(101, 2) != partition_of(104, 2)
+    engine.insert("events", [(101, "beta", 1.0)])
+    engine.insert("events", [(104, "alpha", 1.0)])
     view.refresh(force_full=True)
     counts = {r["grp"]: r["n"] for r in view.read()[0].to_dicts()}
     assert counts == {"alpha": 8, "beta": 1}

@@ -450,25 +450,6 @@ class TestSnapshotDiffSources:
         db.insert("orders", [(5000, "north", 3.0)])
         assert view.refresh().kind == "incremental"
 
-    def test_sharded_kv_source_sees_every_shard(self):
-        system, _ = _system()
-        kv = system.register_sharded_engine("profiles", KeyValueEngine, 3)
-        for i in range(12):
-            kv.put(f"user/{i}", {"grp": REGIONS[i % 3], "score": float(i)})
-        expr = (system.dataset("profiles").kv(key_prefix="user/")
-                .aggregate(["grp"], best=("max", "score"), n=("count", None),
-                           engine="salesdb"))
-        view = system.create_view("scores", expr, policy="manual")
-        assert view.incremental
-        baseline = _recompute(system, expr)
-        assert _sorted_rows(view.read()[0].to_dicts()) == baseline
-        # Writes land on whichever shard owns the key — all must be seen.
-        for i in range(12, 24):
-            kv.put(f"user/{i}", {"grp": REGIONS[i % 3], "score": float(i)})
-        kv.delete("user/0")
-        assert view.refresh().kind == "incremental"
-        assert _sorted_rows(view.read()[0].to_dicts()) == _recompute(system, expr)
-
     @staticmethod
     def _scores_view(system):
         """A filtered prefix read registered while no ``user/`` key exists."""

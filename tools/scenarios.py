@@ -11,9 +11,9 @@ a durable relational engine, whose recovered table must be the one written
 before the kill; the same with pages of eight rows and a deferred view,
 trimmed of whole sealed pages before any checkpoint, whose recovered rows
 must be those before the kill and on which a new view must equal its
-recompute; and a durable two-shard engine written once through the facade
-and once directly on a shard, whose recovered rows and facade
-``data_version_for`` must equal their values before the kill.  Each exits
+recompute; and a durable table in two partitions, loaded and written once
+more, whose recovered rows (in order) and ``data_version_for`` must equal
+their values before the kill.  Each exits
 non-zero if an answer is wrong; ``tools/unreached.py`` runs both under call
 tracing.
 """
@@ -115,7 +115,7 @@ def crash() -> None:
         assert sorted(recovered.rows) == expected
         reborn.close()
     trim_crash()
-    sharded_crash()
+    partitioned_crash()
 
 
 def trim_crash() -> None:
@@ -149,24 +149,23 @@ def trim_crash() -> None:
         reborn.close()
 
 
-def sharded_crash() -> None:
-    """A routed and a direct shard write reach one facade log that recovers exactly."""
+def partitioned_crash() -> None:
+    """Writes to a partitioned table replay from the one WAL exactly."""
     scope = table_scope("patients")
-    with tempfile.TemporaryDirectory(prefix="scenario-crash-sharded-") as data_dir:
+    with tempfile.TemporaryDirectory(prefix="scenario-crash-partitioned-") as data_dir:
         # No checkpoint after attach: recovery replays every write below.
         system = PolystorePlusPlus(SystemConfig(
             data_dir=data_dir, durability_sync="always", durability_snapshot_every=64))
-        db = system.register_sharded_engine("db", RelationalEngine, 2)
-        db.load_table("patients", Table(SCHEMA, ROWS[:100]))
-        db.insert("patients", ROWS[100:150])                 # routed
-        db.shard(1).insert("patients", [(1000, 30)])         # direct, not routed
-        expected = (sorted(db.scan("patients").rows), db.data_version_for(scope))
+        db = system.register_engine(RelationalEngine("db", partitions=2))
+        db.load_table("patients", Table(SCHEMA, ROWS[:100]), shard_key="pid")
+        db.insert("patients", ROWS[100:150])
+        expected = (db.scan("patients").rows, db.data_version_for(scope))
         _kill_next_wal_append(system, lambda: db.insert("patients", [(999, 1)]))
 
         reborn = PolystorePlusPlus(data_dir=data_dir)
-        db = reborn.register_sharded_engine("db", RelationalEngine, 2)
+        db = reborn.register_engine(RelationalEngine("db", partitions=2))
         recovered = reborn.execute(_program(reborn, "all", lambda d: d)).output("result")
-        assert (sorted(recovered.rows), db.data_version_for(scope)) == expected
+        assert (recovered.rows, db.data_version_for(scope)) == expected
         reborn.close()
 
 
