@@ -182,6 +182,34 @@ class TestSchemalessEmptyReads:
                        .filter(col("age") > 30))
         assert len(system.execute(program).output("people")) == 0
 
+    @pytest.mark.parametrize("mode", ["accelerated", "cpu"])
+    def test_fewer_rows_than_partitions(self, mode):
+        """Most partitions of the table hold no row: a read of one of them is
+        empty and typed, a read of the rest whole."""
+        from repro import build_accelerated_polystore
+        from repro.eide.expressions import col
+        from repro.stores.relational.partition import partition_of
+
+        build = build_cpu_polystore if mode == "cpu" else build_accelerated_polystore
+        engine = RelationalEngine("profiles", partitions=8)
+        system = build([engine])
+        schema = make_schema(("uid", DataType.INT), ("tier", DataType.INT))
+        engine.load_table("users", Table(schema, [(1, 1), (2, 2)]))
+        empty = next(uid for uid in range(3, 100)
+                     if partition_of(uid, 8) not in {partition_of(1, 8), partition_of(2, 8)})
+        reads = dataset("profiles").table("users")
+        program = DataflowProgram("profile")
+        program.output("filtered", reads.filter(col("tier") == 1))
+        program.output("nobody", reads.filter(col("uid") == empty))
+        program.output("projected", reads.filter(col("uid") == empty).project(["tier"]))
+        program.output("all", reads.project(["uid"]))
+        result = system.execute(program)
+        assert result.output("filtered").to_dicts() == [{"uid": 1, "tier": 1}]
+        assert len(result.output("nobody")) == 0
+        assert result.output("nobody").schema == schema
+        assert result.output("projected").schema == schema.project(["tier"])
+        assert sorted(result.output("all").column("uid")) == [1, 2]
+
 
 class TestMLAdapter:
     def test_train_then_predict(self, mimic_engines):

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import HashPartitioner, canonical_key
 from repro.exceptions import ConfigurationError
 from repro.stores import RelationalEngine
-from repro.stores.relational.partition import partition_of
+from repro.stores.relational.partition import partition_of, partitions_equal_to
 
 
 class TestPartitionRule:
@@ -30,6 +30,15 @@ class TestPartitionRule:
         assert all(count > 0 for count in counts)
         # CRC32 over 400 keys should not be pathologically skewed.
         assert max(counts) < 4 * min(counts)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.0, 1.0, False, True])
+    def test_a_zero_or_one_names_the_bool_and_the_number_it_equals(self, value):
+        assert partitions_equal_to(value, 5) == {partition_of(bool(value), 5),
+                                                 partition_of(int(value), 5)}
+
+    def test_any_other_value_names_its_own_partition(self):
+        for value in [2, 2.0, -1, 0.5, "1", None]:
+            assert partitions_equal_to(value, 5) == {partition_of(value, 5)}
 
     def test_an_engine_needs_one_partition_at_least(self):
         with pytest.raises(ConfigurationError):

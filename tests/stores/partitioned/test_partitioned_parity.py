@@ -71,6 +71,15 @@ SQL_CASES = [
     "SELECT count(*) AS n, sum(amount) AS total FROM orders",
     "SELECT order_id, amount FROM orders ORDER BY amount",
     "SELECT order_id, amount FROM orders ORDER BY amount DESC LIMIT 10",
+    # A predicate on the shard key: the pages of the other partitions are skipped.
+    "SELECT order_id, amount FROM orders WHERE order_id = 17",
+    "SELECT order_id, customer FROM orders WHERE order_id IN (3, 40, 77, 200)",
+    "SELECT order_id FROM orders WHERE order_id = 5 OR order_id = 99",
+    "SELECT * FROM orders WHERE order_id = 1000",
+    "SELECT customer, count(*) AS n FROM orders WHERE order_id < 60 GROUP BY customer",
+    "SELECT rush, count(*) AS n, sum(amount) AS total FROM orders GROUP BY rush",
+    "SELECT order_id, amount FROM orders WHERE customer = 'c3' "
+    "ORDER BY amount DESC LIMIT 5",
 ]
 
 
@@ -83,7 +92,7 @@ class TestSqlParity:
         actual = _rows(system.execute(_sql_program(query)))
         _assert_rows_match(actual, expected, ordered="ORDER BY" in query)
 
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 16, 150])
     def test_parity_across_partition_counts(self, num_shards):
         reference = _reference_system()
         query = SQL_CASES[2]

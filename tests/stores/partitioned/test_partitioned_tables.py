@@ -69,6 +69,24 @@ class TestConstruction:
             engine.create_table("orders", _schema(), shard_key="nope")
         assert not engine.has_table("orders")
 
+    def test_a_partitioned_engine_registers_like_any_engine(self):
+        engine = RelationalEngine("ordersdb", partitions=3)
+        system = build_cpu_polystore([engine])
+        engine.load_table("orders", Table(_schema(), ROWS))
+        assert system.catalog.table_rows("ordersdb", "orders") == 80
+        totals = system.execute(_count_program()).output("result").to_dicts()[0]
+        assert totals == {"n": 80, "total": sum(row[2] for row in ROWS)}
+
+    def test_one_partition_partitions_nothing_even_with_a_shard_key(self):
+        engine = RelationalEngine("db")
+        engine.create_table("orders", _schema(), shard_key="customer")
+        engine.insert("orders", ROWS)
+        assert engine._stored("orders").heap.partitioning is None
+        assert engine.partitions_read("orders") is None
+        assert engine.scan("orders").rows == ROWS
+        with pytest.raises(StorageError):
+            engine.update_rows("orders", col("order_id") == 1, {"customer": "c0"})
+
 
 class TestPlacement:
     def test_a_single_load_reads_back_partition_by_partition(self):
@@ -154,6 +172,98 @@ class TestPlacement:
         assert later == head + 1
         assert sorted(table.column("order_id")) == list(range(80)) + [500]
 
+    def test_each_insert_batch_lands_partition_by_partition(self):
+        engine = RelationalEngine("db", partitions=3)
+        engine.create_table("orders", _schema())
+        batches = [ROWS[:30], ROWS[30:35], ROWS[35:]]
+        for batch in batches:
+            engine.insert("orders", batch)
+        assert engine.scan("orders").rows == [
+            row for batch in batches
+            for row in sorted(batch, key=lambda row: partition_of(row[0], 3))]
+
+    def test_insert_dicts_lands_as_insert_does(self):
+        engine = RelationalEngine("db", partitions=4)
+        engine.create_table("orders", _schema())
+        engine.insert_dicts("orders", [
+            {"order_id": i, "customer": c, "amount": a} for i, c, a in ROWS])
+        _, loaded = _deploy(4)
+        assert engine.scan("orders").rows == loaded.scan("orders").rows
+
+    def test_fewer_rows_than_partitions_leave_the_rest_empty(self):
+        engine = RelationalEngine("db", partitions=8)
+        engine.create_table("orders", _schema())
+        engine.insert("orders", ROWS[:2])
+        assert sorted(engine.scan("orders").rows) == ROWS[:2]
+        assert engine.scan("orders", predicate=col("order_id") == 1).rows == [ROWS[1]]
+        assert engine.scan("orders", predicate=col("order_id") == 5).rows == []
+        assert engine.partitions_read("orders", col("order_id") == 5) == 1
+
+    def test_table_statistics_count_every_partition(self):
+        _, engine = _deploy(4)
+        engine.create_index("orders", "customer")
+        stats = engine.table_statistics("orders")
+        assert stats["rows"] == 80
+        assert stats["pages"] == len(engine._stored("orders").heap._pages)
+        assert stats["hash_indexes"] == ["customer"]
+
+    def test_a_rewritten_table_stays_partitioned(self):
+        _, engine = _deploy(3)
+        engine.delete_rows("orders", col("amount") == 0.0)
+        engine.update_rows("orders", col("amount") == 1.0, {"amount": 2.0})
+        assert engine._stored("orders").heap.partitioning == (0, 3)
+        engine.insert("orders", [(900 + i, "cN", 1.0) for i in range(6)])
+        tail = engine.scan("orders").rows[-6:]
+        assert [partition_of(row[0], 3) for row in tail] == sorted(
+            partition_of(row[0], 3) for row in tail)
+        assert engine.scan("orders", predicate=col("order_id") == 903).rows == [
+            (903, "cN", 1.0)]
+        assert engine.partitions_read("orders", col("order_id") == 903) == 1
+
+
+def _with_index(column: str, kind: str, read):
+    def reads(engine):
+        engine.create_index("orders", column, kind=kind)
+        return read(engine)
+    return reads
+
+
+#: An engine read -> its rows on a partitioned table are those of an
+#: unpartitioned one (in some order, unless the read orders them).
+ENGINE_READS = {
+    "scan-columns": lambda e: e.scan("orders", ["customer", "amount"]).rows,
+    "scan-key-predicate": lambda e: e.scan(
+        "orders", predicate=col("order_id").isin(1, 2, 3, 99)).rows,
+    "snapshot-scan": lambda e: e.snapshot_scan("orders")[0].rows,
+    "hash-index-on-key": _with_index(
+        "order_id", "hash", lambda e: e.index_lookup("orders", "order_id", 17).rows),
+    "sorted-index-lookup": _with_index(
+        "customer", "sorted", lambda e: e.index_lookup("orders", "customer", "c3").rows),
+    "sorted-index-range": _with_index(
+        "amount", "sorted", lambda e: e.range_lookup("orders", "amount", 2.0, 5.0).rows),
+    "sql-group-by": lambda e: e.execute_sql(
+        "SELECT customer, count(*) AS n FROM orders WHERE order_id < 50 "
+        "GROUP BY customer").rows,
+}
+
+
+@pytest.mark.parametrize("read", ENGINE_READS)
+def test_an_engine_read_answers_as_on_an_unpartitioned_table(read):
+    _, engine = _deploy(4)
+    plain = RelationalEngine("ordersdb")
+    plain.load_table("orders", Table(_schema(), ROWS))
+    expected = ENGINE_READS[read](plain)
+    assert expected and sorted(ENGINE_READS[read](engine)) == sorted(expected)
+
+
+def test_top_k_answers_as_on_an_unpartitioned_table():
+    _, engine = _deploy(4)
+    plain = RelationalEngine("ordersdb")
+    plain.load_table("orders", Table(_schema(), ROWS))
+    for descending in (True, False):
+        assert engine.top_k("orders", "order_id", 5, descending=descending).rows == \
+            plain.top_k("orders", "order_id", 5, descending=descending).rows
+
 
 class TestVersions:
     def test_data_version_strictly_increases_with_each_write_kind(self):
@@ -170,6 +280,23 @@ class TestVersions:
         engine.drop_table("side")
         observed.append(engine.data_version)
         assert observed == sorted(set(observed))
+
+    def test_scoped_versions_never_repeat_under_a_write_stream(self):
+        _, engine = _deploy(4)
+        scope = table_scope("orders")
+        observed = [engine.data_version_for(scope)]
+        for i in range(12):
+            engine.insert("orders", [(1000 + i, "cX", 1.0)])
+            observed.append(engine.data_version_for(scope))
+        assert observed == sorted(set(observed))
+
+    def test_a_write_to_one_table_moves_only_its_scope(self):
+        _, engine = _deploy(2)
+        orders = engine.data_version_for(table_scope("orders"))
+        before = engine.data_version_for(table_scope("side"))
+        engine.load_table("side", Table(_schema(), [(1, "a", 1.0)]))
+        assert engine.data_version_for(table_scope("side")) > before
+        assert engine.data_version_for(table_scope("orders")) == orders
 
     def test_one_batch_per_write_whatever_partitions_it_touches(self):
         _, engine = _deploy(4)
@@ -235,6 +362,23 @@ class TestVersions:
         recomputed = system.execute(program, options=CompilerOptions(use_views=False))
         assert sorted(view.read()[0].rows) == sorted(recomputed.output("res").rows)
 
+    @pytest.mark.parametrize("write", [
+        lambda engine: engine.insert("orders", [(500 + i, "c1", 2.0) for i in range(9)]),
+        lambda engine: engine.update_rows("orders", col("customer") == "c2", {"amount": 7.5}),
+        lambda engine: engine.delete_rows("orders", col("order_id").isin(*range(0, 80, 3))),
+    ], ids=["insert", "update", "delete"])
+    def test_a_view_refreshes_incrementally_after_each_write_kind(self, write):
+        system, engine = _deploy(4)
+        expr = (system.dataset("ordersdb").table("orders").filter(col("amount") > 1.0)
+                .aggregate(["customer"], total=("sum", "amount"), n=("count", None)))
+        view = system.create_view("spend", expr, policy="manual")
+        write(engine)
+        assert view.refresh().kind == "incremental"
+        program = DataflowProgram("recompute")
+        program.output("res", expr)
+        recomputed = system.execute(program, options=CompilerOptions(use_views=False))
+        assert sorted(view.read()[0].rows) == sorted(recomputed.output("res").rows)
+
 
 class TestDurability:
     def _reopen(self, tmp_path, partitions=2):
@@ -284,4 +428,31 @@ class TestDurability:
         reborn, engine = self._reopen(tmp_path)
         assert engine.partitions == 4
         assert engine.scan("orders").rows == rows
+        reborn.close()
+
+    def test_an_index_on_a_partitioned_table_survives_a_restart(self, tmp_path):
+        system, engine = self._reopen(tmp_path, 3)
+        engine.load_table("orders", Table(_schema(), ROWS))
+        engine.create_index("orders", "customer")
+        system.close()
+
+        system, engine = self._reopen(tmp_path)
+        assert engine.has_index("orders", "customer")
+        assert sorted(engine.index_lookup("orders", "customer", "c1").rows) == sorted(
+            row for row in ROWS if row[1] == "c1")
+        system.close()
+
+    def test_an_update_and_a_delete_replay_from_the_wal_tail(self, tmp_path):
+        system, engine = self._reopen(tmp_path, 4)
+        engine.create_table("orders", _schema())
+        engine.insert("orders", ROWS)
+        engine.update_rows("orders", col("customer") == "c2", {"amount": -1.0})
+        engine.delete_rows("orders", col("order_id").isin(*range(0, 80, 4)))
+        rows = engine.scan("orders").rows
+        system.durability.liveness.kill()
+
+        reborn, engine = self._reopen(tmp_path)
+        assert engine.scan("orders").rows == rows
+        assert engine.scan("orders", predicate=col("order_id") == 5).rows == [
+            row for row in rows if row[0] == 5]
         reborn.close()

@@ -166,3 +166,36 @@ def test_a_bool_key_is_found_by_the_number_it_equals(predicate):
     plain.load_table("t", partitioned.scan("t"), page_capacity=2)
     expected = plain.scan("t", predicate=predicate).rows
     assert expected and partitioned.scan("t", predicate=predicate).rows == expected
+
+
+#: A predicate on a partitioned table's key -> the same rows an unpartitioned
+#: scan finds, whether the key's partitions rule pages out or not.
+KEYED_PREDICATES = {
+    "equality": col("k") == 7,
+    "equality-by-method": col("k").eq(7),
+    "an-equal-float": col("k") == 7.0,
+    "an-absent-key": col("k") == 999,
+    "in-list": col("k").isin(3, 8, 41),
+    "in-list-with-an-absent-key": col("k").isin(3, 999),
+    "key-then-another-column": (col("k") == 7) & (col("v") > 100),
+    "another-column-then-key": (col("v") > 100) & (col("k") == 7),
+    "either-of-two-keys": (col("k") == 7) | (col("k") == 8),
+    "not-the-key": ~(col("k") == 7),
+    "a-key-range": (col("k") >= 10) & (col("k") < 14),
+    "a-string-literal": col("k") == "7",
+    "a-null-key": col("k").is_null(),
+}
+
+
+@pytest.mark.parametrize("partitions", [2, 7])
+@pytest.mark.parametrize("predicate", KEYED_PREDICATES)
+def test_a_key_predicate_finds_what_an_unpartitioned_scan_finds(predicate, partitions):
+    schema = make_schema(("k", DataType.INT), ("v", DataType.INT))
+    rows = [(i % 50 if i % 23 else None, i) for i in range(400)]
+    partitioned = RelationalEngine("db", partitions=partitions)
+    partitioned.create_table("t", schema, page_capacity=8)
+    partitioned.insert("t", rows)
+    plain = RelationalEngine("db")
+    plain.load_table("t", partitioned.scan("t"), page_capacity=8)
+    expected = plain.scan("t", predicate=KEYED_PREDICATES[predicate]).rows
+    assert partitioned.scan("t", predicate=KEYED_PREDICATES[predicate]).rows == expected

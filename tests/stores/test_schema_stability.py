@@ -15,7 +15,7 @@ import pytest
 
 from repro import DataflowProgram, col
 from repro.compiler.pipeline import CompilerOptions
-from repro.core import build_cpu_polystore
+from repro.core import SystemConfig, build_cpu_polystore
 from repro.datamodel import Column, DataType, Schema, Table, make_schema
 from repro.ir.nodes import Operator
 from repro.middleware.adapters import TimeseriesAdapter
@@ -162,15 +162,23 @@ SUMMARIES = {
 }
 
 
-@pytest.fixture(scope="module")
-def monitors():
+@pytest.fixture(scope="module", params=["live", "recovered"])
+def monitors(request, tmp_path_factory):
+    """The series as written, or as a restart reads them back from disk."""
+    config = None
+    if request.param == "recovered":
+        config = SystemConfig(data_dir=str(tmp_path_factory.mktemp("monitors")))
     engine = TimeseriesEngine("monitors")
-    system = build_cpu_polystore([engine])
+    system = build_cpu_polystore([engine], config=config)
     for pid in range(6):
         engine.append_many(f"hr/{pid}", [(float(t), 60.0 + pid + t) for t in range(5)])
     for bed in ("a", "b"):
         engine.append_many(f"bed/{bed}", [(0.0, 1.0)])
-    return system
+    if config is not None:
+        system.close()
+        system = build_cpu_polystore([TimeseriesEngine("monitors")], config=config)
+    yield system
+    system.close()
 
 
 @pytest.mark.parametrize("case", SUMMARIES)
