@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accelerators import CGRAAccelerator, KernelSpec
+from repro.accelerators import CGRA, Accelerator, KernelSpec
 from repro.catalog import Catalog
 from repro.compiler import Compiler
 from repro.eide import DataflowProgram, dataset
@@ -73,7 +73,7 @@ def test_adapter_execution_cost(benchmark, engine, width):
 @pytest.mark.parametrize("rules", [100, 1_000, 10_000])
 def test_cgra_rule_dataflow_estimate(benchmark, rules):
     """Modelled cost of evaluating the adapter's rule data-flow on a CGRA."""
-    cgra = CGRAAccelerator()
+    cgra = Accelerator(CGRA)
     spec = KernelSpec(name="map", bytes_in=rules * 32, bytes_out=rules * 32,
                       flops=rules * 4, elements=rules, pipelineable=True)
     report = benchmark(lambda: cgra.estimate(spec))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 
 from repro import DataflowProgram, col
+from repro.accelerators import FPGA
 from repro.core import build_accelerated_polystore
 from repro.core.system import SystemConfig
 from repro.datamodel import DataType, Table, make_schema
@@ -55,9 +56,7 @@ def _deployment(*, adaptive: bool):
     config = SystemConfig(adaptive_feedback=adaptive)
     # FPGA only: the one accelerable operator in the plan is the sort, so the
     # device never pays kernel-reconfiguration churn between estimates.
-    return build_accelerated_polystore([engine], config=config,
-                                       include_gpu=False, include_tpu=False,
-                                       include_migration_asic=False)
+    return build_accelerated_polystore([engine], config=config, devices=[FPGA])
 
 
 def _program() -> DataflowProgram:

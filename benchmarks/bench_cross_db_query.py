@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks._emit import report_info
-from repro.accelerators import FPGAAccelerator, MigrationASIC
+from repro.accelerators import FPGA, MIGRATION_ASIC, Accelerator
 from repro.core import PolystorePlusPlus
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide import DataflowProgram, dataset
@@ -42,8 +42,8 @@ def build_two_database_deployment(rows: int) -> PolystorePlusPlus:
     system = PolystorePlusPlus()
     system.register_engine(db1)
     system.register_engine(db2)
-    system.register_accelerator(FPGAAccelerator())
-    system.register_accelerator(MigrationASIC(), use_for_migration=True)
+    system.register_accelerator(Accelerator(FPGA))
+    system.register_accelerator(Accelerator(MIGRATION_ASIC), use_for_migration=True)
     return system
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accelerators import FPGAAccelerator, KernelRegistry, OffloadPlanner, WorkEstimate
+from repro.accelerators import FPGA, Accelerator, KernelRegistry, OffloadPlanner, WorkEstimate
 from repro.accelerators.kernels import offload_cost
 from repro.datamodel import DataType, Table, make_schema
 from repro.stores.relational import RelationalEngine, compare
@@ -52,7 +52,7 @@ def test_fpga_filter_reduces_host_bytes(benchmark, events_engine, selectivity):
 
     def run():
         kept = Filter(TableScan(events), predicate).to_table()
-        return kept, offload_cost(FPGAAccelerator(), "filter", WorkEstimate(
+        return kept, offload_cost(Accelerator(FPGA), "filter", WorkEstimate(
             rows=len(events), bytes_in=events.estimated_bytes(),
             bytes_out=kept.estimated_bytes()))
 
@@ -68,7 +68,7 @@ def test_fpga_filter_reduces_host_bytes(benchmark, events_engine, selectivity):
 @pytest.mark.parametrize("rows", [1_000, 100_000, 2_000_000])
 def test_scan_offload_decision_by_volume(benchmark, rows):
     """The scan+filter offload decision flips once volume is large enough."""
-    planner = OffloadPlanner(KernelRegistry([FPGAAccelerator()]))
+    planner = OffloadPlanner(KernelRegistry([Accelerator(FPGA)]))
     decision = benchmark(lambda: planner.decide(
         "filter", WorkEstimate(rows=rows, selectivity=0.1)))
     benchmark.extra_info["experiment"] = "E3"

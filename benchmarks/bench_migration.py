@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accelerators import MigrationASIC
+from repro.accelerators import MIGRATION_ASIC, Accelerator
 from repro.datamodel import DataType, Table, make_schema
 from repro.middleware.migration import DataMigrator, SimulatedNetwork
 
@@ -40,7 +40,7 @@ def tables():
 def test_migration_strategy(benchmark, tables, strategy, rows):
     """Migrate the Pipegen-style table under each strategy."""
     table = tables[rows]
-    migrator = DataMigrator(SimulatedNetwork(), serializer_accelerator=MigrationASIC())
+    migrator = DataMigrator(SimulatedNetwork(), serializer_accelerator=Accelerator(MIGRATION_ASIC))
 
     def run():
         _, report = migrator.migrate(table, strategy=strategy)
@@ -63,7 +63,7 @@ def test_migration_strategy(benchmark, tables, strategy, rows):
 def test_strategy_ordering(benchmark, tables, rows):
     """One call comparing every strategy; total time must fall monotonically."""
     table = tables[rows]
-    migrator = DataMigrator(SimulatedNetwork(), serializer_accelerator=MigrationASIC())
+    migrator = DataMigrator(SimulatedNetwork(), serializer_accelerator=Accelerator(MIGRATION_ASIC))
 
     reports = benchmark(lambda: migrator.compare_strategies(table))
     totals = {name: report.total_s for name, report in reports.items()}

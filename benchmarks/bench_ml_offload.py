@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.accelerators import (
-    GPUAccelerator,
+    GPU,
+    TPU,
+    Accelerator,
     KernelRegistry,
     OffloadPlanner,
-    TPUAccelerator,
     WorkEstimate,
 )
 from repro.accelerators.kernels import offload_cost
@@ -40,7 +41,7 @@ def test_cpu_mlp_training_step(benchmark, batch):
 @pytest.mark.parametrize("size", MATRIX_SIZES)
 def test_gemm_offload_decision(benchmark, size):
     """Placement decision for a square GEMM of the given size."""
-    planner = OffloadPlanner(KernelRegistry([GPUAccelerator(), TPUAccelerator()]))
+    planner = OffloadPlanner(KernelRegistry([Accelerator(GPU), Accelerator(TPU)]))
     decision = benchmark(lambda: planner.decide(
         "gemm", WorkEstimate(matrix_dims=(size, size, size))))
     benchmark.extra_info["experiment"] = "E2"
@@ -57,7 +58,7 @@ def test_gpu_gemm_charge(benchmark, size):
     rng = np.random.default_rng(1)
     a = rng.normal(size=(size, size))
     b = rng.normal(size=(size, size))
-    report = offload_cost(GPUAccelerator(), "gemm",
+    report = offload_cost(Accelerator(GPU), "gemm",
                           WorkEstimate(matrix_dims=(size, size, size)))
     result = benchmark(lambda: a @ b)
     assert result.shape == (size, size)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.accelerators import FPGAAccelerator, KernelRegistry, OffloadPlanner, WorkEstimate
+from repro.accelerators import FPGA, Accelerator, KernelRegistry, OffloadPlanner, WorkEstimate
 from repro.catalog import Catalog
 from repro.datamodel import DataType, Table, make_schema
 from repro.ir.graph import IRGraph
@@ -40,7 +40,7 @@ def test_cpu_sort(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_fpga_bitonic_sort_simulated(benchmark, n):
     """Simulated FPGA bitonic sort: reports modelled device time, not wall time."""
-    fpga = FPGAAccelerator()
+    fpga = Accelerator(FPGA)
     planner = OffloadPlanner(KernelRegistry([fpga]))
 
     def decide():
@@ -68,7 +68,7 @@ def test_fpga_sort_through_the_executor(benchmark):
     db.load_table("admissions", Table(
         make_schema(("pid", DataType.INT), ("admit_date", DataType.FLOAT)), rows))
     catalog.register_engine(db)
-    catalog.register_accelerator(FPGAAccelerator())
+    catalog.register_accelerator(Accelerator(FPGA))
     graph = IRGraph("e1")
     read = graph.add(Operator("scan", {"table": "admissions"}, engine="db"))
     ordered = graph.add(Operator("sort", {"by": "admit_date"}, [read.op_id], "db",

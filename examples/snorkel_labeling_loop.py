@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from repro.accelerators import MigrationASIC
+from repro.accelerators import MIGRATION_ASIC, Accelerator
 from repro.core import build_accelerated_polystore
 from repro.middleware.migration import DataMigrator
 from repro.stores import MLEngine, RelationalEngine
@@ -52,7 +52,7 @@ def main() -> None:
 
     print("\n3. Migration-path comparison for the training table (Pipegen claim):")
     table = relational.scan("documents")
-    migrator = DataMigrator(serializer_accelerator=MigrationASIC())
+    migrator = DataMigrator(serializer_accelerator=Accelerator(MIGRATION_ASIC))
     for strategy, report in migrator.compare_strategies(table).items():
         print(f"   {strategy:<12} total {report.total_s * 1e3:8.3f} ms   "
               f"transform {report.transformation_s * 1e3:8.3f} ms   "

@@ -1,12 +1,12 @@
 """Simulated hardware accelerators, analytical models and offload planning."""
 
-from repro.accelerators.asic import (
-    DEFAULT_MIGRATION_ASIC_PROFILE,
-    DEFAULT_TPU_PROFILE,
-    MigrationASIC,
-    TPUAccelerator,
-)
 from repro.accelerators.base import (
+    CGRA,
+    FLEET,
+    FPGA,
+    GPU,
+    MIGRATION_ASIC,
+    TPU,
     Accelerator,
     DeploymentMode,
     DeviceProfile,
@@ -14,12 +14,9 @@ from repro.accelerators.base import (
     KernelSpec,
     OffloadReport,
 )
-from repro.accelerators.cgra import DEFAULT_CGRA_PROFILE, CGRAAccelerator
-from repro.accelerators.fpga import DEFAULT_FPGA_PROFILE, FPGAAccelerator
-from repro.accelerators.gpu import DEFAULT_GPU_PROFILE, GPUAccelerator
 from repro.accelerators.kernels import KernelMapping, KernelRegistry, WorkEstimate
 from repro.accelerators.logca import LogCAModel, LogCAParameters
-from repro.accelerators.roofline import RooflineModel
+from repro.accelerators.roofline import roofline_time_s
 from repro.accelerators.simulator import Objective, OffloadPlanner, PlacementDecision
 
 __all__ = [
@@ -29,19 +26,15 @@ __all__ = [
     "HostCPU",
     "KernelSpec",
     "OffloadReport",
-    "FPGAAccelerator",
-    "GPUAccelerator",
-    "CGRAAccelerator",
-    "TPUAccelerator",
-    "MigrationASIC",
-    "DEFAULT_FPGA_PROFILE",
-    "DEFAULT_GPU_PROFILE",
-    "DEFAULT_CGRA_PROFILE",
-    "DEFAULT_TPU_PROFILE",
-    "DEFAULT_MIGRATION_ASIC_PROFILE",
+    "FPGA",
+    "GPU",
+    "CGRA",
+    "TPU",
+    "MIGRATION_ASIC",
+    "FLEET",
     "LogCAModel",
     "LogCAParameters",
-    "RooflineModel",
+    "roofline_time_s",
     "KernelRegistry",
     "KernelMapping",
     "WorkEstimate",

@@ -1,24 +1,27 @@
 """What a simulated accelerator is: a cost model.
 
 The paper deploys accelerators *standalone*, as *coprocessors* and
-*bump-in-the-wire* (§I).  With no FPGA/GPU/CGRA here, a device computes
-nothing: it is a :class:`DeviceProfile`, a ``_compute_time`` model over a
-:class:`KernelSpec` and the kernel names it offers.  Every operator runs on
-its engine; one placed on a device is *charged* ``estimate(spec).total_s``.
-Which kernel serves which operator kind, and how work becomes a spec, is one
-table, :data:`repro.accelerators.kernels.DEFAULT_MAPPINGS`, read by the
-planner with estimated work and by executor and migrator with observed work.
+*bump-in-the-wire* (§I), and names the device classes FPGA, GPU, CGRA and
+ASIC/TPU (§II-B).  With no such hardware here, a device computes nothing: it
+is one :class:`Accelerator` built from a :class:`DeviceProfile` row — the
+kernels it offers, how it is attached and the numbers its compute rule
+reads.  Every operator runs on its engine; one placed on a device is
+*charged* ``estimate(spec).total_s``.  The default rows are one table
+(:data:`FPGA`, :data:`GPU`, :data:`CGRA`, :data:`TPU`,
+:data:`MIGRATION_ASIC`).  Which kernel serves which operator kind, and how
+work becomes a spec, is another,
+:data:`repro.accelerators.kernels.DEFAULT_MAPPINGS`, read by the planner with
+estimated work and by executor and migrator with observed work.
 """
 
 from __future__ import annotations
 
-import abc
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.accelerators.logca import LogCAModel, LogCAParameters
-from repro.accelerators.roofline import RooflineModel
+from repro.accelerators.roofline import roofline_time_s
+from repro.exceptions import AcceleratorError
 
 
 class DeploymentMode(enum.Enum):
@@ -31,36 +34,86 @@ class DeploymentMode(enum.Enum):
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """Static description of an accelerator device.
+    """One device: what it offers, how it is attached and what it costs.
+
+    A row selects one of two compute rules.  A nonzero ``clock_mhz`` selects
+    the pipeline rule: ``flops / pipeline_width`` cycles plus the pipeline's
+    depth (``log² n`` stages for a bitonic sort of ``n`` elements, else 10).
+    Otherwise the kernel takes its roofline time, and a launch over fewer
+    than ``fill_elements`` elements, which under-fills the device, is
+    divided by its fill ``elements / fill_elements`` (at least
+    ``fill_floor``) or, with a nonzero ``fill_derate``, multiplied by
+    ``fill_elements / elements × fill_derate``.
 
     Attributes:
-        name: Device name (e.g. ``"fpga0"``).
+        name: Device name (e.g. ``"fpga0"``); the catalog's key.
+        kernels: Names of the kernels the device offers.
+        mode: How the device is attached.
         peak_gflops: Peak compute throughput.
         memory_bandwidth_gbs: On-device memory bandwidth.
         transfer_bandwidth_gbs: Host-to-device link bandwidth (PCIe, network).
         dispatch_overhead_s: Fixed per-offload software/driver overhead.
         power_w: Active power draw, used for the energy objective.
-        idle_power_w: Idle power draw.
         reconfiguration_s: Time to reconfigure before a *different* kernel can
-            run (hours-scale for FPGA synthesis, micro/milliseconds for CGRA,
-            zero for fixed-function ASICs and GPUs).
-        area_luts: FPGA-style area budget (lookup tables); ``None`` when the
-            device has no meaningful area constraint.
+            run (seconds for FPGA partial reconfiguration, micro/milliseconds
+            for CGRA, zero for fixed-function ASICs and GPUs).
     """
 
     name: str
+    kernels: frozenset[str]
+    mode: DeploymentMode
     peak_gflops: float
     memory_bandwidth_gbs: float
     transfer_bandwidth_gbs: float
     dispatch_overhead_s: float
     power_w: float
-    idle_power_w: float = 0.0
     reconfiguration_s: float = 0.0
-    area_luts: int | None = None
+    clock_mhz: float = 0.0
+    pipeline_width: int = 0
+    fill_elements: int = 0
+    fill_floor: float = 0.0
+    fill_derate: float = 0.0
 
-    def roofline(self) -> RooflineModel:
-        """Roofline ceiling implied by this profile."""
-        return RooflineModel(self.peak_gflops, self.memory_bandwidth_gbs)
+    def __post_init__(self) -> None:
+        if min(self.peak_gflops, self.memory_bandwidth_gbs,
+               self.transfer_bandwidth_gbs) <= 0:
+            raise AcceleratorError(
+                f"device {self.name!r}: peak and bandwidths must be positive")
+
+
+#: The default devices, loosely modelled on a mid-range PCIe FPGA card
+#: (sort, filter, project, window and serialize pipelines, §III-A), a
+#: mid-range data-center GPU (wide SIMD: dense products and scans), a
+#: Plasticine-class CGRA (parallel patterns, reconfigured in microseconds), a
+#: first-generation inference TPU (a 256×256 systolic array, standalone) and
+#: a bump-in-the-wire serialization ASIC for the migration path (§III-A-3).
+FPGA = DeviceProfile(
+    "fpga0", frozenset({"bitonic_sort", "filter", "project", "window_aggregate",
+                        "serialize"}), DeploymentMode.COPROCESSOR,
+    peak_gflops=400.0, memory_bandwidth_gbs=34.0, transfer_bandwidth_gbs=12.0,
+    dispatch_overhead_s=150e-6, power_w=25.0, reconfiguration_s=2.0,
+    clock_mhz=250.0, pipeline_width=256)
+GPU = DeviceProfile(
+    "gpu0", frozenset({"gemm", "gemv", "scan_filter"}), DeploymentMode.COPROCESSOR,
+    peak_gflops=14_000.0, memory_bandwidth_gbs=900.0, transfer_bandwidth_gbs=16.0,
+    dispatch_overhead_s=20e-6, power_w=250.0, fill_elements=1 << 14, fill_floor=0.05)
+CGRA = DeviceProfile(
+    "cgra0", frozenset({"filter", "sort", "gemm"}), DeploymentMode.COPROCESSOR,
+    peak_gflops=3_000.0, memory_bandwidth_gbs=480.0, transfer_bandwidth_gbs=16.0,
+    dispatch_overhead_s=30e-6, power_w=45.0, reconfiguration_s=50e-6,
+    fill_elements=64, fill_derate=0.25)
+TPU = DeviceProfile(
+    "tpu0", frozenset({"gemm", "gemv"}), DeploymentMode.STANDALONE,
+    peak_gflops=45_000.0, memory_bandwidth_gbs=600.0, transfer_bandwidth_gbs=10.0,
+    dispatch_overhead_s=50e-6, power_w=75.0, fill_elements=256 * 256, fill_floor=0.02)
+MIGRATION_ASIC = DeviceProfile(
+    "migration-asic0", frozenset({"serialize", "deserialize"}),
+    DeploymentMode.BUMP_IN_THE_WIRE,
+    peak_gflops=100.0, memory_bandwidth_gbs=50.0, transfer_bandwidth_gbs=25.0,
+    dispatch_overhead_s=10e-6, power_w=8.0)
+
+#: The fleet an accelerated deployment attaches by default.
+FLEET = (FPGA, GPU, TPU, MIGRATION_ASIC)
 
 
 @dataclass(frozen=True)
@@ -96,30 +149,23 @@ class OffloadReport:
     overhead_s: float
     reconfiguration_s: float
     total_s: float
-    energy_j: float
     bytes_moved: int
     pipelined: bool
-    details: dict[str, Any] = field(default_factory=dict)
 
 
-class Accelerator(abc.ABC):
-    """Base class for simulated hardware accelerators.
+class Accelerator:
+    """A simulated device: a :class:`DeviceProfile` row and the kernel it holds.
 
-    A subclass names the kernels it offers in ``kernels`` and may specialize
-    :meth:`_compute_time`; it implements no operator.
+    It implements no operator; it prices the kernels its row offers.
     """
 
-    #: Names of the kernels this device offers.
-    kernels: frozenset[str] = frozenset()
-
-    def __init__(self, profile: DeviceProfile, mode: DeploymentMode) -> None:
+    def __init__(self, profile: DeviceProfile) -> None:
         self.profile = profile
-        self.mode = mode
         self._configured_kernel: str | None = None
 
     def supports(self, kernel: str) -> bool:
         """Whether this device offers ``kernel``."""
-        return kernel in self.kernels
+        return kernel in self.profile.kernels
 
     def estimate(self, spec: KernelSpec) -> OffloadReport:
         """Simulated cost of running ``spec`` on this device next.
@@ -134,15 +180,9 @@ class Accelerator(abc.ABC):
         reconfiguration_s = 0.0
         if self._configured_kernel is not None and self._configured_kernel != spec.name:
             reconfiguration_s = profile.reconfiguration_s
-        if spec.pipelineable and self.mode is DeploymentMode.BUMP_IN_THE_WIRE:
-            # Streaming kernels overlap transfer with compute.
-            busy = max(transfer_s, compute_s)
-        else:
-            busy = transfer_s + compute_s
-        total = profile.dispatch_overhead_s + reconfiguration_s + busy
-        energy = profile.power_w * busy + profile.idle_power_w * (
-            profile.dispatch_overhead_s + reconfiguration_s
-        )
+        # Streaming kernels on the wire overlap transfer with compute.
+        pipelined = spec.pipelineable and profile.mode is DeploymentMode.BUMP_IN_THE_WIRE
+        busy = max(transfer_s, compute_s) if pipelined else transfer_s + compute_s
         return OffloadReport(
             device=profile.name,
             kernel=spec.name,
@@ -150,10 +190,9 @@ class Accelerator(abc.ABC):
             compute_s=compute_s,
             overhead_s=profile.dispatch_overhead_s,
             reconfiguration_s=reconfiguration_s,
-            total_s=total,
-            energy_j=energy,
+            total_s=profile.dispatch_overhead_s + reconfiguration_s + busy,
             bytes_moved=bytes_moved,
-            pipelined=spec.pipelineable and self.mode is DeploymentMode.BUMP_IN_THE_WIRE,
+            pipelined=pipelined,
         )
 
     def charge(self, spec: KernelSpec) -> OffloadReport:
@@ -164,67 +203,53 @@ class Accelerator(abc.ABC):
         return report
 
     def _compute_time(self, spec: KernelSpec) -> float:
-        """Device compute time for a kernel; subclasses may specialize."""
-        roofline = self.profile.roofline()
-        return roofline.execution_time_s(float(spec.flops), float(spec.bytes_in + spec.bytes_out))
-
-    # -- LogCA view ------------------------------------------------------------------------
-
-    def logca_model(self, *, host_compute_index_s_per_byte: float,
-                    peak_acceleration: float | None = None,
-                    beta: float = 1.0) -> LogCAModel:
-        """Build a LogCA model of this device for one kernel class.
-
-        ``peak_acceleration`` defaults to the ratio of this device's peak
-        compute throughput to a nominal 1-core host (used by the offload
-        planner when it has no measured calibration).
-        """
-        if peak_acceleration is None:
-            nominal_host_gflops = 8.0
-            peak_acceleration = max(1.0, self.profile.peak_gflops / nominal_host_gflops)
-        return LogCAModel(LogCAParameters(
-            latency_per_byte_s=1.0 / (self.profile.transfer_bandwidth_gbs * 1e9),
-            overhead_s=self.profile.dispatch_overhead_s,
-            compute_index_s_per_byte=host_compute_index_s_per_byte,
-            peak_acceleration=peak_acceleration,
-            beta=beta,
-        ))
+        """Device compute time for a kernel, by the row's rule."""
+        profile = self.profile
+        if profile.clock_mhz:
+            if spec.flops <= 0:
+                return 0.0
+            depth = 10.0  # a streaming kernel's pipeline
+            if spec.name == "bitonic_sort" and spec.elements > 1:
+                # A sorting network of n elements is log^2(n) stages deep.
+                depth = float((spec.elements - 1).bit_length() ** 2)
+            cycles = spec.flops / profile.pipeline_width + depth
+            return cycles / (profile.clock_mhz * 1e6)
+        base = roofline_time_s(float(spec.flops), float(spec.bytes_in + spec.bytes_out),
+                               profile.peak_gflops, profile.memory_bandwidth_gbs)
+        elements, fill = spec.elements, profile.fill_elements
+        if not elements or elements >= fill:
+            return base
+        if profile.fill_derate:
+            return base * (fill / max(1, elements)) * profile.fill_derate
+        return base / max(profile.fill_floor, elements / fill)
 
     def describe(self) -> dict[str, Any]:
         """Metadata used by the EIDE configuration and the catalog."""
         return {
             "name": self.profile.name,
-            "type": type(self).__name__,
-            "mode": self.mode.value,
+            "mode": self.profile.mode.value,
             "peak_gflops": self.profile.peak_gflops,
             "transfer_bandwidth_gbs": self.profile.transfer_bandwidth_gbs,
             "power_w": self.profile.power_w,
-            "kernels": sorted(self.kernels),
+            "kernels": sorted(self.profile.kernels),
         }
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.profile.name!r}, mode={self.mode.value})"
+        return f"Accelerator({self.profile.name!r}, mode={self.profile.mode.value})"
 
 
 @dataclass(frozen=True)
 class HostCPU:
-    """Reference host processor the offload decisions compare against."""
+    """Reference host core the offload decisions compare against."""
 
-    name: str = "host-cpu"
-    cores: int = 8
-    peak_gflops_per_core: float = 8.0
+    peak_gflops: float = 8.0
     memory_bandwidth_gbs: float = 25.0
     power_w: float = 95.0
 
-    def roofline(self, *, cores: int | None = None) -> RooflineModel:
-        """Roofline of ``cores`` host cores (defaults to all of them)."""
-        used = self.cores if cores is None else max(1, min(cores, self.cores))
-        return RooflineModel(self.peak_gflops_per_core * used, self.memory_bandwidth_gbs)
-
-    def execution_time_s(self, flops: float, bytes_moved: float, *,
-                         cores: int = 1) -> float:
-        """Host execution time of a kernel on ``cores`` cores."""
-        return self.roofline(cores=cores).execution_time_s(flops, bytes_moved)
+    def execution_time_s(self, flops: float, bytes_moved: float) -> float:
+        """Host execution time of a kernel on one core."""
+        return roofline_time_s(flops, bytes_moved, self.peak_gflops,
+                               self.memory_bandwidth_gbs)
 
     def energy_j(self, execution_time_s: float) -> float:
         """Energy of running the host flat-out for ``execution_time_s``."""

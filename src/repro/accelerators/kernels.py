@@ -150,7 +150,7 @@ def kernel_mapping(device: Accelerator, operator: str | None) -> KernelMapping:
             return mapping
     raise AcceleratorError(
         f"device {device.profile.name!r} has no kernel for {operator!r}; "
-        f"available: {sorted(device.kernels)}"
+        f"available: {sorted(device.profile.kernels)}"
     )
 
 
@@ -182,19 +182,3 @@ class KernelRegistry:
                 if accelerator.supports(mapping.kernel):
                     out.append((accelerator, mapping))
         return out
-
-    def estimate(self, operator: str, work: WorkEstimate
-                 ) -> list[tuple[Accelerator, KernelSpec, float]]:
-        """Per-device cost estimates (simulated seconds) for ``operator``."""
-        estimates = []
-        for accelerator, mapping in self.candidates(operator):
-            spec = mapping.spec(work)
-            report = accelerator.estimate(spec)
-            estimates.append((accelerator, spec, report.total_s))
-        return sorted(estimates, key=lambda item: item[2])
-
-    def best(self, operator: str, work: WorkEstimate
-             ) -> tuple[Accelerator, KernelSpec, float] | None:
-        """Cheapest device for ``operator``, or ``None`` when none can run it."""
-        estimates = self.estimate(operator, work)
-        return estimates[0] if estimates else None

@@ -13,9 +13,8 @@ describes an accelerated kernel with five parameters:
 
 With ``beta`` capturing how compute scales with granularity (``time ∝ g**beta``),
 host time is ``C * g**beta`` and accelerated time is
-``o + L * g + C * g**beta / A``.  The two quantities the paper's offload
-decisions need are the break-even granularity ``g1`` (speedup = 1) and
-``g_{A/2}`` (granularity where half the peak acceleration is achieved).
+``o + L * g + C * g**beta / A``.  The quantity an offload decision needs
+is the break-even granularity ``g1`` (speedup = 1).
 """
 
 from __future__ import annotations
@@ -86,11 +85,7 @@ class LogCAModel:
             return float("inf")
         return self.host_time(granularity_bytes) / accel
 
-    def offload_beneficial(self, granularity_bytes: float) -> bool:
-        """Whether offloading beats the host at this granularity."""
-        return self.speedup(granularity_bytes) > 1.0
-
-    # -- characteristic granularities ------------------------------------------------
+    # -- characteristic granularity -------------------------------------------------
 
     def break_even_granularity(self, *, upper_bytes: float = 1e12) -> float | None:
         """``g1``: smallest granularity where speedup reaches 1.
@@ -98,51 +93,22 @@ class LogCAModel:
         Returns ``None`` when offload never breaks even below ``upper_bytes``
         (for example when ``L`` exceeds the achievable compute saving).
         """
-        return self._granularity_for_speedup(1.0, upper_bytes=upper_bytes)
-
-    def half_peak_granularity(self, *, upper_bytes: float = 1e12) -> float | None:
-        """``g_{A/2}``: smallest granularity reaching half the peak acceleration."""
-        return self._granularity_for_speedup(self.parameters.peak_acceleration / 2.0,
-                                             upper_bytes=upper_bytes)
-
-    def asymptotic_speedup(self) -> float:
-        """Speedup limit as granularity grows without bound.
-
-        For ``beta > 1`` the limit is the peak acceleration ``A``; for
-        ``beta == 1`` transfer latency caps it below ``A``.
-        """
-        p = self.parameters
-        if p.beta > 1.0:
-            return p.peak_acceleration
-        if p.latency_per_byte_s == 0:
-            return p.peak_acceleration
-        return p.compute_index_s_per_byte / (
-            p.latency_per_byte_s + p.compute_index_s_per_byte / p.peak_acceleration
-        )
-
-    def speedup_curve(self, granularities: list[float]) -> list[tuple[float, float]]:
-        """``(granularity, speedup)`` points for plotting/benchmarks."""
-        return [(g, self.speedup(g)) for g in granularities]
-
-    # -- helpers --------------------------------------------------------------------------
-
-    def _granularity_for_speedup(self, target: float, *, upper_bytes: float) -> float | None:
-        if target <= 0:
-            raise AcceleratorError("target speedup must be positive")
         lo, hi = 1.0, upper_bytes
-        if self.speedup(hi) < target:
+        if self.speedup(hi) < 1.0:
             return None
-        if self.speedup(lo) >= target:
+        if self.speedup(lo) >= 1.0:
             return lo
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            if self.speedup(mid) >= target:
+            if self.speedup(mid) >= 1.0:
                 hi = mid
             else:
                 lo = mid
             if hi / lo < 1.0001:
                 break
         return hi
+
+    # -- helpers --------------------------------------------------------------------------
 
     @staticmethod
     def _check_granularity(granularity_bytes: float) -> None:

@@ -1,66 +1,28 @@
-"""Roofline performance model.
+"""Roofline time: the compute model the devices and the host share.
 
 The paper (§IV-B-4) notes the Roofline model as the standard way to bound
-attainable performance on fixed hardware.  The middleware's cost model uses
-it to cap the throughput an accelerator can deliver for a kernel given the
-kernel's arithmetic intensity (flops per byte moved).
+attainable performance on fixed hardware: a kernel of arithmetic intensity
+``I`` (flops per byte moved) runs at ``min(peak, bandwidth × I)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.exceptions import AcceleratorError
 
 
-@dataclass(frozen=True)
-class RooflineModel:
-    """A device roofline: peak compute and peak memory bandwidth.
+def roofline_time_s(flops: float, bytes_moved: float, peak_gflops: float,
+                    memory_bandwidth_gbs: float) -> float:
+    """Time to execute ``flops`` of work moving ``bytes_moved`` bytes.
 
-    Attributes:
-        peak_gflops: Peak floating-point throughput in GFLOP/s.
-        memory_bandwidth_gbs: Peak memory bandwidth in GB/s.
+    The kernel runs at whichever of the two ceilings binds it.
     """
-
-    peak_gflops: float
-    memory_bandwidth_gbs: float
-
-    def __post_init__(self) -> None:
-        if self.peak_gflops <= 0 or self.memory_bandwidth_gbs <= 0:
-            raise AcceleratorError("roofline parameters must be positive")
-
-    @property
-    def ridge_point(self) -> float:
-        """Arithmetic intensity (flop/byte) at which compute becomes the bound."""
-        return self.peak_gflops / self.memory_bandwidth_gbs
-
-    def attainable_gflops(self, arithmetic_intensity: float) -> float:
-        """Attainable GFLOP/s at a given arithmetic intensity."""
-        if arithmetic_intensity <= 0:
-            raise AcceleratorError("arithmetic intensity must be positive")
-        return min(self.peak_gflops, self.memory_bandwidth_gbs * arithmetic_intensity)
-
-    def is_memory_bound(self, arithmetic_intensity: float) -> bool:
-        """Whether a kernel of this intensity is memory-bandwidth bound."""
-        return arithmetic_intensity < self.ridge_point
-
-    def execution_time_s(self, flops: float, bytes_moved: float) -> float:
-        """Time to execute ``flops`` of work moving ``bytes_moved`` bytes.
-
-        The kernel runs at whichever of the two ceilings binds it.
-        """
-        if flops < 0 or bytes_moved < 0:
-            raise AcceleratorError("flops and bytes must be non-negative")
-        if flops == 0 and bytes_moved == 0:
-            return 0.0
-        if bytes_moved == 0:
-            return flops / (self.peak_gflops * 1e9)
-        if flops == 0:
-            return bytes_moved / (self.memory_bandwidth_gbs * 1e9)
-        intensity = flops / bytes_moved
-        achieved = self.attainable_gflops(intensity) * 1e9
-        return flops / achieved
-
-    def curve(self, intensities: list[float]) -> list[tuple[float, float]]:
-        """``(intensity, attainable GFLOP/s)`` points for plotting/benchmarks."""
-        return [(x, self.attainable_gflops(x)) for x in intensities]
+    if flops < 0 or bytes_moved < 0:
+        raise AcceleratorError("flops and bytes must be non-negative")
+    if flops == 0 and bytes_moved == 0:
+        return 0.0
+    if bytes_moved == 0:
+        return flops / (peak_gflops * 1e9)
+    if flops == 0:
+        return bytes_moved / (memory_bandwidth_gbs * 1e9)
+    intensity = flops / bytes_moved
+    return flops / (min(peak_gflops, memory_bandwidth_gbs * intensity) * 1e9)

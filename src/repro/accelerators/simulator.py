@@ -82,7 +82,10 @@ class OffloadPlanner:
 
     def decide(self, operator: str, work: WorkEstimate, *,
                observed_host_time_s: float | None = None) -> PlacementDecision:
-        """Pick host or the cheapest accelerator for ``operator``.
+        """Pick host or the accelerator that scores best for ``operator``.
+
+        Every device able to run ``operator`` is scored under the objective;
+        the best of them is placed only if it also beats the host.
 
         ``observed_host_time_s`` — a measured host execution time fed back
         from earlier runs — replaces the roofline host model when given; the
@@ -95,33 +98,36 @@ class OffloadPlanner:
             host_time = observed_host_time_s
             host_energy = self.host.energy_j(host_time)
             host_source = "observed"
-        best = self.registry.best(operator, work)
+        best = None
+        for accelerator, mapping in self.registry.candidates(operator):
+            spec = mapping.spec(work)
+            accel_time = accelerator.estimate(spec).total_s
+            accel_energy = accelerator.profile.power_w * accel_time
+            score = self._score(accel_time, accel_energy)
+            if best is None or score < best[0]:
+                best = (score, accelerator, spec.name, accel_time, accel_energy)
         if best is None:
             decision = PlacementDecision(operator, "host", host_time, None, 1.0,
                                          host_energy, None,
                                          host_time_source=host_source)
-            self.decisions.append(decision)
-            return decision
-        accelerator, spec, accel_time = best
-        accel_energy = accelerator.profile.power_w * accel_time
-        host_score = self._score(host_time, host_energy)
-        accel_score = self._score(accel_time, accel_energy)
-        if accel_score < host_score:
-            decision = PlacementDecision(
-                operator=operator,
-                target=accelerator.profile.name,
-                host_time_s=host_time,
-                accelerator_time_s=accel_time,
-                speedup=host_time / accel_time if accel_time > 0 else float("inf"),
-                host_energy_j=host_energy,
-                accelerator_energy_j=accel_energy,
-                kernel=spec.name,
-                host_time_source=host_source,
-            )
         else:
-            decision = PlacementDecision(operator, "host", host_time, accel_time, 1.0,
-                                         host_energy, accel_energy, kernel=None,
-                                         host_time_source=host_source)
+            accel_score, accelerator, kernel, accel_time, accel_energy = best
+            if accel_score < self._score(host_time, host_energy):
+                decision = PlacementDecision(
+                    operator=operator,
+                    target=accelerator.profile.name,
+                    host_time_s=host_time,
+                    accelerator_time_s=accel_time,
+                    speedup=host_time / accel_time if accel_time > 0 else float("inf"),
+                    host_energy_j=host_energy,
+                    accelerator_energy_j=accel_energy,
+                    kernel=kernel,
+                    host_time_source=host_source,
+                )
+            else:
+                decision = PlacementDecision(operator, "host", host_time, accel_time, 1.0,
+                                             host_energy, accel_energy, kernel=None,
+                                             host_time_source=host_source)
         self.decisions.append(decision)
         return decision
 

@@ -5,15 +5,15 @@ application; this module builds the two Polystore++ deployments benchmarks
 compare like with like:
 
 * :func:`build_cpu_polystore` — engines only, no accelerators.
-* :func:`build_accelerated_polystore` — engines plus a default accelerator
-  fleet (FPGA, GPU, TPU, migration ASIC).
+* :func:`build_accelerated_polystore` — engines plus simulated devices, by
+  default the fleet (FPGA, GPU, TPU, migration ASIC).
 """
 
 from __future__ import annotations
 
-from repro.accelerators.asic import MigrationASIC, TPUAccelerator
-from repro.accelerators.fpga import FPGAAccelerator
-from repro.accelerators.gpu import GPUAccelerator
+from collections.abc import Sequence
+
+from repro.accelerators.base import FLEET, Accelerator, DeploymentMode, DeviceProfile
 from repro.core.system import PolystorePlusPlus, SystemConfig
 from repro.stores.base import Engine
 
@@ -29,21 +29,20 @@ def build_cpu_polystore(engines: list[Engine], *,
 
 def build_accelerated_polystore(engines: list[Engine], *,
                                 config: SystemConfig | None = None,
-                                include_fpga: bool = True,
-                                include_gpu: bool = True,
-                                include_tpu: bool = True,
-                                include_migration_asic: bool = True
+                                devices: Sequence[DeviceProfile] = FLEET
                                 ) -> PolystorePlusPlus:
-    """A Polystore++ deployment with the default simulated accelerator fleet."""
+    """A Polystore++ deployment with one simulated device per row of ``devices``.
+
+    A serializer attached bump-in-the-wire sits on the migration path and
+    serves every accelerated migration; without one, the first device with a
+    ``serialize`` kernel does.
+    """
     system = PolystorePlusPlus(config)
     for engine in engines:
         system.register_engine(engine)
-    if include_fpga:
-        system.register_accelerator(FPGAAccelerator())
-    if include_gpu:
-        system.register_accelerator(GPUAccelerator())
-    if include_tpu:
-        system.register_accelerator(TPUAccelerator())
-    if include_migration_asic:
-        system.register_accelerator(MigrationASIC(), use_for_migration=True)
+    for profile in devices:
+        system.register_accelerator(
+            Accelerator(profile),
+            use_for_migration=(profile.mode is DeploymentMode.BUMP_IN_THE_WIRE
+                               and "serialize" in profile.kernels))
     return system

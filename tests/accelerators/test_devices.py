@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from repro.accelerators import (
-    CGRAAccelerator,
-    FPGAAccelerator,
-    GPUAccelerator,
+    CGRA,
+    FPGA,
+    GPU,
+    MIGRATION_ASIC,
+    TPU,
+    Accelerator,
+    DeviceProfile,
     KernelRegistry,
     KernelSpec,
-    MigrationASIC,
     Objective,
     OffloadPlanner,
-    TPUAccelerator,
     WorkEstimate,
 )
 from repro.accelerators.kernels import DEFAULT_MAPPINGS, kernel_mapping
@@ -34,8 +36,7 @@ from repro.stores.relational import compare
 
 @pytest.fixture
 def fleet():
-    return [FPGAAccelerator(), GPUAccelerator(), TPUAccelerator(), CGRAAccelerator(),
-            MigrationASIC()]
+    return [Accelerator(row) for row in (FPGA, GPU, TPU, CGRA, MIGRATION_ASIC)]
 
 
 def _deployment(devices):
@@ -99,7 +100,11 @@ SHAPES = {
     "predict": ("predict", "ml", {"model_name": "m"}, [_features]),
 }
 
-DEVICES = [FPGAAccelerator, GPUAccelerator, TPUAccelerator, MigrationASIC, CGRAAccelerator]
+DEVICES = [FPGA, GPU, TPU, MIGRATION_ASIC, CGRA]
+
+
+def _ids(value):
+    return value.name if isinstance(value, DeviceProfile) else None
 
 
 def _reconfigurable(device):
@@ -125,12 +130,12 @@ def _same(left, right):
 class TestOneOffloadPath:
     """Every operator runs on its engine; a placed one is charged by its device."""
 
-    @pytest.mark.parametrize("device_cls, operator", [
-        (cls, operator) for cls in DEVICES for operator in SHAPES
-        if any(m.kernel in cls.kernels for m in DEFAULT_MAPPINGS[operator])])
-    def test_a_placed_node_returns_host_rows_and_is_charged(self, device_cls, operator):
+    @pytest.mark.parametrize("row, operator", [
+        (row, operator) for row in DEVICES for operator in SHAPES
+        if any(m.kernel in row.kernels for m in DEFAULT_MAPPINGS[operator])], ids=_ids)
+    def test_a_placed_node_returns_host_rows_and_is_charged(self, row, operator):
         """Fails at the parent: (cgra0, sort) ran free with ``{"fallback": True}``."""
-        device = device_cls()
+        device = Accelerator(row)
         expected, host = _run(_deployment([]), operator, None)
         value, record = _run(_deployment([device]), operator, device.profile.name)
         assert _same(value, expected)
@@ -140,16 +145,16 @@ class TestOneOffloadPath:
         assert record.details["kernel"] == kernel_mapping(device, operator).kernel
         assert device.supports(record.details["kernel"])
 
-    @pytest.mark.parametrize("device_cls, operator", [
-        (cls, operator) for cls in DEVICES for operator in SHAPES
-        if any(m.kernel in cls.kernels for m in DEFAULT_MAPPINGS[operator])])
-    def test_an_offloaded_run_leaves_its_kernel_loaded(self, device_cls, operator):
+    @pytest.mark.parametrize("row, operator", [
+        (row, operator) for row in DEVICES for operator in SHAPES
+        if any(m.kernel in row.kernels for m in DEFAULT_MAPPINGS[operator])], ids=_ids)
+    def test_an_offloaded_run_leaves_its_kernel_loaded(self, row, operator):
         """The executor's charge is a real run: the device now holds that kernel."""
-        device = _reconfigurable(device_cls())
+        device = _reconfigurable(Accelerator(row))
         _, record = _run(_deployment([device]), operator, device.profile.name)
         kernel = record.details["kernel"]
         assert _loaded(device, kernel)
-        assert not any(_loaded(device, other) for other in device.kernels - {kernel})
+        assert not any(_loaded(device, other) for other in device.profile.kernels - {kernel})
 
     def test_the_table_covers_every_offloadable_kind(self):
         # ``migrate`` is accelerated by the migrator (below), not by placement.
@@ -157,9 +162,9 @@ class TestOneOffloadPath:
             {name for name, row in KINDS.items() if row.kernel} - {"migrate"}
         assert set(DEFAULT_MAPPINGS) - set(SHAPES) == {"serialize", "deserialize"}
 
-    @pytest.mark.parametrize("device_cls", [FPGAAccelerator, MigrationASIC])
-    def test_an_accelerated_migration_is_charged_by_its_serializer(self, device_cls):
-        device = device_cls()
+    @pytest.mark.parametrize("row", [FPGA, MIGRATION_ASIC], ids=_ids)
+    def test_an_accelerated_migration_is_charged_by_its_serializer(self, row):
+        device = Accelerator(row)
         received, report = DataMigrator(serializer_accelerator=device).migrate(
             TABLE, strategy="accelerated")
         assert received.schema == TABLE.schema and received.rows == TABLE.rows
@@ -167,20 +172,19 @@ class TestOneOffloadPath:
         assert report.serialize_s >= device.profile.dispatch_overhead_s
         assert report.deserialize_s > 0
 
-    @pytest.mark.parametrize("device_cls", [FPGAAccelerator, MigrationASIC])
-    def test_an_accelerated_migration_leaves_its_last_kernel_loaded(self, device_cls):
-        device = _reconfigurable(device_cls())
+    @pytest.mark.parametrize("row", [FPGA, MIGRATION_ASIC], ids=_ids)
+    def test_an_accelerated_migration_leaves_its_last_kernel_loaded(self, row):
+        device = _reconfigurable(Accelerator(row))
         DataMigrator(serializer_accelerator=device).migrate(TABLE, strategy="accelerated")
         # The ASIC also parses the receive side; the FPGA only serializes.
         last = "deserialize" if device.supports("deserialize") else "serialize"
         assert _loaded(device, last)
-        assert not any(_loaded(device, other) for other in device.kernels - {last})
+        assert not any(_loaded(device, other) for other in device.profile.kernels - {last})
 
-    @pytest.mark.parametrize("device_cls, operator", [
-        (GPUAccelerator, "sort"), (TPUAccelerator, "filter"),
-        (MigrationASIC, "train"), (FPGAAccelerator, "gemm")])
-    def test_a_device_without_a_kernel_for_the_kind_is_an_error(self, device_cls, operator):
-        device = device_cls()
+    @pytest.mark.parametrize("row, operator", [
+        (GPU, "sort"), (TPU, "filter"), (MIGRATION_ASIC, "train"), (FPGA, "gemm")], ids=_ids)
+    def test_a_device_without_a_kernel_for_the_kind_is_an_error(self, row, operator):
+        device = Accelerator(row)
         executor = _deployment([device])
         trained = executor.catalog.engine("ml").ops.counter.flops
         with pytest.raises(AcceleratorError, match="has no kernel for"):
@@ -189,7 +193,7 @@ class TestOneOffloadPath:
         assert executor.catalog.engine("ml").ops.counter.flops == trained
 
     def test_a_kind_no_kernel_serves_is_an_error(self):
-        fpga = FPGAAccelerator()
+        fpga = Accelerator(FPGA)
         graph = IRGraph("unplaceable")
         read = graph.add(_scan())
         node = graph.add(Operator("limit", {"n": 3}, [read.op_id], "db",
@@ -207,7 +211,7 @@ class TestOneOffloadPath:
         a 10-element sorting network), dispatches in 150 us and takes 2 s to
         load a different kernel.
         """
-        fpga = FPGAAccelerator()
+        fpga = Accelerator(FPGA)
         executor = _deployment([fpga])
         records = {operator: _run(executor, operator, fpga.profile.name)[1]
                    for operator in ("project", "sort", "filter")}
@@ -243,7 +247,7 @@ class TestOneOffloadPath:
         memory-bound on the roofline (128 448 B / 600 GB/s) and divided by the
         systolic fill 15 660 / 256² for the 31 320 / 2 elements.
         """
-        executor = _deployment([GPUAccelerator(), TPUAccelerator()])
+        executor = _deployment([Accelerator(GPU), Accelerator(TPU)])
         executor.catalog.engine("ml").ops.counter.reset()
         _, train = _run(executor, "train", "gpu0")
         _, predict = _run(executor, "predict", "tpu0")
@@ -254,14 +258,14 @@ class TestOneOffloadPath:
         assert (train.details["flops"], predict.details["flops"]) == (322920, 31320)
 
         table = Table(TABLE.schema, [(i, i * 1.5, str(i)) for i in range(200)])
-        received, asic = DataMigrator(serializer_accelerator=MigrationASIC()).migrate(
+        received, asic = DataMigrator(serializer_accelerator=Accelerator(MIGRATION_ASIC)).migrate(
             table, strategy="accelerated")
         assert received.rows == table.rows and asic.payload_bytes == 5094
         assert asic.serialize_s == pytest.approx(1.0523760000000001e-05, abs=1e-12)
         assert asic.deserialize_s == pytest.approx(1.0523760000000001e-05, abs=1e-12)
         assert asic.total_s == pytest.approx(0.00011469896000000002, abs=1e-12)
         # The FPGA offloads the send side only; the receive side is wall time.
-        received, fpga = DataMigrator(serializer_accelerator=FPGAAccelerator()).migrate(
+        received, fpga = DataMigrator(serializer_accelerator=Accelerator(FPGA)).migrate(
             table, strategy="accelerated")
         assert received.rows == table.rows
         assert fpga.serialize_s == pytest.approx(0.00015114054166666665, abs=1e-12)
@@ -269,7 +273,7 @@ class TestOneOffloadPath:
     def test_each_offloaded_train_is_charged_its_own_flops(self):
         """The ML engine's counter only grows (``_deployment`` already trained
         once on the host): each run is charged what it adds, not the total."""
-        executor = _deployment([GPUAccelerator()])
+        executor = _deployment([Accelerator(GPU)])
         records = [_run(executor, "train", "gpu0")[1] for _ in range(3)]
         assert [record.details["flops"] for record in records] == [322920] * 3
         assert len({record.charged_time_s for record in records}) == 1
@@ -277,7 +281,7 @@ class TestOneOffloadPath:
 
 class TestCostAccounting:
     def test_reconfiguration_charged_on_kernel_change(self):
-        fpga = FPGAAccelerator()
+        fpga = Accelerator(FPGA)
         first = fpga.charge(KernelSpec("bitonic_sort", 1024, 1024, 1000, 100))
         second = fpga.charge(KernelSpec("filter", 1024, 1024, 1000, 100))
         third = fpga.charge(KernelSpec("filter", 1024, 1024, 1000, 100))
@@ -287,7 +291,7 @@ class TestCostAccounting:
 
     def test_pricing_another_kernel_does_not_reconfigure_the_device(self):
         """A planner pricing ``filter`` between two sorts leaves the sort loaded."""
-        fpga = FPGAAccelerator()
+        fpga = Accelerator(FPGA)
         sort = KernelSpec("bitonic_sort", 1024, 1024, 1000, 100)
         fpga.charge(sort)
         priced = fpga.estimate(KernelSpec("filter", 1024, 1024, 1000, 100))
@@ -295,10 +299,10 @@ class TestCostAccounting:
         assert fpga.charge(sort).reconfiguration_s == 0.0
         assert fpga.estimate(sort) == fpga.charge(sort)
 
-    @pytest.mark.parametrize("device_cls", DEVICES)
-    def test_estimating_every_other_kernel_leaves_the_loaded_one(self, device_cls):
-        device = _reconfigurable(device_cls())
-        first, *others = sorted(device.kernels)
+    @pytest.mark.parametrize("row", DEVICES, ids=_ids)
+    def test_estimating_every_other_kernel_leaves_the_loaded_one(self, row):
+        device = _reconfigurable(Accelerator(row))
+        first, *others = sorted(device.profile.kernels)
         device.charge(KernelSpec(first, 1024))
         for kernel in others:
             assert device.estimate(KernelSpec(kernel, 1024)).reconfiguration_s == 1.0
@@ -307,19 +311,19 @@ class TestCostAccounting:
         assert not _loaded(device, first)
 
     def test_larger_transfers_cost_more(self):
-        gpu = GPUAccelerator()
+        gpu = Accelerator(GPU)
         small = gpu.estimate(KernelSpec("gemm", 10_000, 10_000, 10_000, 100_000))
         large = gpu.estimate(KernelSpec("gemm", 10_000_000, 10_000_000, 10_000, 100_000))
         assert large.transfer_s > small.transfer_s
 
     def test_gpu_small_launch_penalty(self):
-        gpu = GPUAccelerator()
+        gpu = Accelerator(GPU)
         tiny = gpu.estimate(KernelSpec("gemm", 1024, 1024, 1_000_000, elements=64))
         big = gpu.estimate(KernelSpec("gemm", 1024, 1024, 1_000_000, elements=1 << 20))
         assert tiny.compute_s > big.compute_s
 
     def test_describe_lists_kernels(self):
-        description = FPGAAccelerator().describe()
+        description = Accelerator(FPGA).describe()
         assert "bitonic_sort" in description["kernels"]
         assert description["mode"] == "coprocessor"
 
@@ -329,7 +333,8 @@ class TestPlanner:
         registry = KernelRegistry(fleet)
         operators = registry.accelerable_operators()
         assert {"sort", "filter", "gemm", "serialize"} <= set(operators)
-        assert registry.best("sort", WorkEstimate(rows=1000)) is not None
+        assert {device.profile.name for device, _ in registry.candidates("sort")} == \
+            {"fpga0", "cgra0"}
         assert registry.candidates("unknown_operator") == []
 
     def test_sort_offload_crossover(self, fleet):
@@ -351,7 +356,7 @@ class TestPlanner:
         """Pricing a kind across the fleet loads no kernel on any device."""
         held = {}
         for device in map(_reconfigurable, fleet):
-            held[device.profile.name] = min(device.kernels)
+            held[device.profile.name] = min(device.profile.kernels)
             device.charge(KernelSpec(held[device.profile.name], 1024))
         planner = OffloadPlanner(KernelRegistry(fleet))
         for rows in (500, 2_000_000):
@@ -359,7 +364,7 @@ class TestPlanner:
         for device in fleet:
             assert _loaded(device, held[device.profile.name])
             assert not any(_loaded(device, other)
-                           for other in device.kernels - {held[device.profile.name]})
+                           for other in device.profile.kernels - {held[device.profile.name]})
 
     def test_unknown_operator_stays_on_host(self, fleet):
         planner = OffloadPlanner(KernelRegistry(fleet))
@@ -367,12 +372,28 @@ class TestPlanner:
         assert decision.target == "host"
         assert decision.accelerator_time_s is None
 
-    def test_energy_objective_changes_scores(self, fleet):
-        latency_planner = OffloadPlanner(KernelRegistry(fleet), objective=Objective.LATENCY)
-        energy_planner = OffloadPlanner(KernelRegistry(fleet), objective=Objective.ENERGY)
-        work = WorkEstimate(rows=200_000)
-        assert latency_planner.decide("filter", work) is not None
-        assert energy_planner.decide("filter", work) is not None
+    def test_energy_objective_changes_scores(self):
+        """A 64³ GEMM runs faster on the GPU than on the host (27 us against
+        66 us) but costs it more energy (6.6 mJ at 250 W against 6.2 mJ at 95 W)."""
+        work = WorkEstimate(matrix_dims=(64, 64, 64))
+        targets = {objective: OffloadPlanner(KernelRegistry([Accelerator(GPU)]),
+                                             objective=objective).decide("gemm", work).target
+                   for objective in (Objective.LATENCY, Objective.ENERGY)}
+        assert targets == {Objective.LATENCY: "gpu0", Objective.ENERGY: "host"}
+
+    @pytest.mark.parametrize("objective, target", [
+        (Objective.LATENCY, "gpu0"), (Objective.ENERGY, "cgra0"),
+        (Objective.ENERGY_DELAY_PRODUCT, "cgra0")])
+    def test_every_device_is_scored_under_the_objective(self, fleet, objective, target):
+        """Fails at the parent, which scored only the fastest device: a 512³ GEMM
+        takes 0.43 ms on the GPU (0.108 J) and 0.51 ms on the CGRA (0.0231 J), so
+        ENERGY and EDP picked ``gpu0`` as LATENCY does."""
+        planner = OffloadPlanner(KernelRegistry(fleet), objective=objective)
+        decision = planner.decide("gemm", WorkEstimate(matrix_dims=(512, 512, 512)))
+        assert decision.target == target
+        device = planner.accelerator_named(target)
+        assert decision.accelerator_energy_j == \
+            device.profile.power_w * decision.accelerator_time_s
 
     def test_summary_counts(self, fleet):
         planner = OffloadPlanner(KernelRegistry(fleet))

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accelerators import LogCAModel, LogCAParameters, RooflineModel
+from repro.accelerators import (
+    GPU,
+    HostCPU,
+    LogCAModel,
+    LogCAParameters,
+    roofline_time_s,
+)
 from repro.exceptions import AcceleratorError
 
 
@@ -25,29 +33,17 @@ def make_model(**overrides) -> LogCAModel:
 class TestLogCA:
     def test_small_granularity_not_beneficial(self):
         model = make_model()
-        assert not model.offload_beneficial(64)
+        assert model.speedup(64) < 1.0
 
     def test_large_granularity_beneficial(self):
         model = make_model()
-        assert model.offload_beneficial(10_000_000)
+        assert model.speedup(10_000_000) > 1.0
 
     def test_break_even_separates_regimes(self):
         model = make_model()
         g1 = model.break_even_granularity()
         assert g1 is not None
         assert model.speedup(g1 * 0.5) < 1.0 < model.speedup(g1 * 2.0)
-
-    def test_speedup_bounded_by_asymptote(self):
-        model = make_model()
-        asymptote = model.asymptotic_speedup()
-        assert model.speedup(1e11) <= asymptote + 1e-6
-        assert asymptote <= model.parameters.peak_acceleration
-
-    def test_half_peak_granularity_larger_than_break_even(self):
-        model = make_model(beta=1.2)
-        g1 = model.break_even_granularity()
-        g_half = model.half_peak_granularity()
-        assert g1 is not None and g_half is not None and g_half > g1
 
     def test_never_breaks_even_when_latency_dominates(self):
         model = make_model(latency_per_byte_s=1e-6, peak_acceleration=2.0)
@@ -70,45 +66,31 @@ class TestLogCA:
         model = make_model()
         assert model.speedup(granularity * 2) >= model.speedup(granularity) - 1e-9
 
-    def test_speedup_curve_shape(self):
-        model = make_model()
-        curve = model.speedup_curve([1e3, 1e5, 1e7])
-        speedups = [s for _, s in curve]
-        assert speedups == sorted(speedups)
-
 
 class TestRoofline:
-    def test_ridge_point(self):
-        roofline = RooflineModel(peak_gflops=1000.0, memory_bandwidth_gbs=100.0)
-        assert roofline.ridge_point == 10.0
-
-    def test_memory_vs_compute_bound(self):
-        roofline = RooflineModel(1000.0, 100.0)
-        assert roofline.is_memory_bound(1.0)
-        assert not roofline.is_memory_bound(100.0)
-        assert roofline.attainable_gflops(1.0) == 100.0
-        assert roofline.attainable_gflops(100.0) == 1000.0
-
     def test_execution_time_uses_binding_ceiling(self):
-        roofline = RooflineModel(1000.0, 100.0)
         # Low intensity: bandwidth bound -> time = bytes / bandwidth.
-        assert roofline.execution_time_s(1e9, 1e9) == pytest.approx(1e9 / (100.0 * 1e9))
+        assert roofline_time_s(1e9, 1e9, 1000.0, 100.0) == pytest.approx(1e9 / (100.0 * 1e9))
         # High intensity: compute bound -> time = flops / peak.
-        assert roofline.execution_time_s(1e12, 1e6) == pytest.approx(1e12 / (1000.0 * 1e9))
+        assert roofline_time_s(1e12, 1e6, 1000.0, 100.0) == \
+            pytest.approx(1e12 / (1000.0 * 1e9))
 
     def test_degenerate_cases(self):
-        roofline = RooflineModel(1000.0, 100.0)
-        assert roofline.execution_time_s(0, 0) == 0.0
-        assert roofline.execution_time_s(0, 1e6) > 0.0
-        assert roofline.execution_time_s(1e6, 0) > 0.0
-
-    def test_invalid_parameters(self):
+        assert roofline_time_s(0, 0, 1000.0, 100.0) == 0.0
+        assert roofline_time_s(0, 1e6, 1000.0, 100.0) > 0.0
+        assert roofline_time_s(1e6, 0, 1000.0, 100.0) > 0.0
         with pytest.raises(AcceleratorError):
-            RooflineModel(0.0, 10.0)
-        with pytest.raises(AcceleratorError):
-            RooflineModel(10.0, 10.0).attainable_gflops(0.0)
+            roofline_time_s(-1.0, 0, 1000.0, 100.0)
 
-    def test_curve_is_nondecreasing(self):
-        roofline = RooflineModel(500.0, 50.0)
-        values = [v for _, v in roofline.curve([0.1, 1.0, 10.0, 100.0])]
-        assert values == sorted(values)
+    @pytest.mark.parametrize("field", ["peak_gflops", "memory_bandwidth_gbs",
+                                       "transfer_bandwidth_gbs"])
+    def test_a_profile_refuses_a_non_positive_peak_or_bandwidth(self, field):
+        with pytest.raises(AcceleratorError, match="must be positive"):
+            replace(GPU, **{field: 0.0})
+
+    def test_the_host_is_one_core_on_the_roofline(self):
+        host = HostCPU()
+        assert host.execution_time_s(1e9, 1e6) == roofline_time_s(1e9, 1e6, 8.0, 25.0)
+        # At 100 flop/byte the GPU's ceiling is far above the host core's.
+        assert roofline_time_s(1e11, 1e9, GPU.peak_gflops, GPU.memory_bandwidth_gbs) < \
+            host.execution_time_s(1e11, 1e9) / 100

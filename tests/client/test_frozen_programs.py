@@ -10,6 +10,7 @@ import pytest
 
 from repro import DataflowProgram, Dataset, Param, col, dataset
 from repro.client import PreparedProgram
+from repro.accelerators import FPGA
 from repro.core import build_accelerated_polystore, build_cpu_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.eide import dataflow
@@ -218,9 +219,7 @@ class TestBinding:
         engine = RelationalEngine("eventsdb")
         engine.load_table("events", Table(schema, [
             (i, float(i * 31 % 1009)) for i in range(300)]))
-        system = build_accelerated_polystore([engine], include_gpu=False,
-                                             include_tpu=False,
-                                             include_migration_asic=False)
+        system = build_accelerated_polystore([engine], devices=[FPGA])
         ranked = (dataset("eventsdb").table("events")
                   .filter(col("value") >= Param("low", 0.0))
                   .sort("value", descending=True))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro import DataflowProgram, col, dataset
+from repro.accelerators import FPGA
 from repro.compiler import CompilerOptions
 from repro.core import build_accelerated_polystore, build_cpu_polystore
 from repro.core.system import SystemConfig
@@ -32,9 +33,7 @@ def _sorted_program() -> DataflowProgram:
 class TestGrowthTriggersReoptimization:
     def test_grown_table_gets_a_new_plan(self):
         engine = _engine(300)
-        system = build_accelerated_polystore([engine], include_gpu=False,
-                                             include_tpu=False,
-                                             include_migration_asic=False)
+        system = build_accelerated_polystore([engine], devices=[FPGA])
         session = system.session(name="aging")
         prepared = session.prepare(_sorted_program())
 
@@ -63,9 +62,7 @@ class TestGrowthTriggersReoptimization:
         session.close()
 
     def test_stable_workload_keeps_plan_and_pins(self):
-        system = build_accelerated_polystore([_engine(2000)], include_gpu=False,
-                                             include_tpu=False,
-                                             include_migration_asic=False)
+        system = build_accelerated_polystore([_engine(2000)], devices=[FPGA])
         session = system.session(name="stable")
         prepared = session.prepare(_sorted_program())
         prepared.run()
@@ -121,7 +118,7 @@ class TestAgingKnobs:
         engine = _engine(300)
         system = build_accelerated_polystore(
             [engine], config=SystemConfig(adaptive_feedback=False),
-            include_gpu=False, include_tpu=False, include_migration_asic=False)
+            devices=[FPGA])
         session = system.session(name="frozen")
         prepared = session.prepare(_sorted_program())
         prepared.run(reuse_scans=False)
@@ -137,7 +134,7 @@ class TestAgingKnobs:
         engine = _engine(300)
         system = build_accelerated_polystore(
             [engine], config=SystemConfig(reoptimize_drift_factor=None),
-            include_gpu=False, include_tpu=False, include_migration_asic=False)
+            devices=[FPGA])
         session = system.session(name="no-aging")
         prepared = session.prepare(_sorted_program())
         prepared.run(reuse_scans=False)

@@ -163,13 +163,10 @@ class TestReviewRegressions:
         assert prepared._plan.migration_strategy == "binary_pipe"
         from dataclasses import replace
 
-        from repro.accelerators.asic import (
-            DEFAULT_MIGRATION_ASIC_PROFILE,
-            MigrationASIC,
-        )
+        from repro.accelerators import MIGRATION_ASIC, Accelerator
 
         system.register_accelerator(
-            MigrationASIC(replace(DEFAULT_MIGRATION_ASIC_PROFILE, name="late-asic")),
+            Accelerator(replace(MIGRATION_ASIC, name="late-asic")),
             use_for_migration=True)
         prepared.run()
         assert prepared._plan.migration_strategy == "accelerated"
@@ -255,9 +252,9 @@ class TestSatelliteFixes:
     def _asic(name: str):
         from dataclasses import replace
 
-        from repro.accelerators.asic import DEFAULT_MIGRATION_ASIC_PROFILE, MigrationASIC
+        from repro.accelerators import MIGRATION_ASIC, Accelerator
 
-        return MigrationASIC(replace(DEFAULT_MIGRATION_ASIC_PROFILE, name=name))
+        return Accelerator(replace(MIGRATION_ASIC, name=name))
 
     def test_last_explicit_serializer_wins(self):
         from repro.core import PolystorePlusPlus

@@ -348,8 +348,8 @@ class TestPipeline:
         assert result.offloaded_operators == 0
 
     def test_placement_requires_planner(self, catalog, mimic_program):
-        from repro.accelerators import FPGAAccelerator, KernelRegistry, OffloadPlanner
-        planner = OffloadPlanner(KernelRegistry([FPGAAccelerator()]))
+        from repro.accelerators import FPGA, Accelerator, KernelRegistry, OffloadPlanner
+        planner = OffloadPlanner(KernelRegistry([Accelerator(FPGA)]))
         compiler = Compiler(catalog, planner=planner)
         result = compiler.compile(mimic_program)
         assert isinstance(result.placement_decisions, list)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.accelerators import FLEET, FPGA, GPU
 from repro.core import (
     EXECUTION_MODES,
     PolystorePlusPlus,
@@ -77,3 +78,15 @@ class TestBaselines:
         system = build_accelerated_polystore([mimic_engines["relational"]])
         names = {a["name"] for a in system.describe()["accelerators"]}
         assert {"fpga0", "gpu0", "tpu0", "migration-asic0"} <= names
+
+    @pytest.mark.parametrize("devices, serializer, explicit", [
+        (FLEET, "migration-asic0", True), ([FPGA], "fpga0", False), ([GPU], None, False)])
+    def test_devices_pick_the_migration_serializer(self, devices, serializer, explicit):
+        """A bump-in-the-wire serializer is pinned; otherwise the first device
+        with a ``serialize`` kernel serves, as with the old booleans."""
+        system = build_accelerated_polystore([RelationalEngine("db")], devices=devices)
+        config = system.describe()["config"]
+        assert [a["name"] for a in system.describe()["accelerators"]] == \
+            [row.name for row in devices]
+        assert (config["migration_serializer"],
+                config["migration_serializer_explicit"]) == (serializer, explicit)

@@ -152,11 +152,11 @@ class TestSchemalessEmptyReads:
         assert projected.schema == patients.schema.project(["age", "pid"])
 
     def test_offloaded_filter_over_an_empty_read_streams_nothing(self):
-        from repro.accelerators.fpga import FPGAAccelerator
+        from repro.accelerators import FPGA, Accelerator
 
         catalog = Catalog()
         catalog.register_engine(KeyValueEngine("kv"))
-        fpga = FPGAAccelerator()
+        fpga = Accelerator(FPGA)
         catalog.register_accelerator(fpga)
         graph = IRGraph("offload")
         read = graph.add(Operator("kv_get", {"key_prefix": "user/"}, engine="kv"))

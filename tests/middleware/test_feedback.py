@@ -6,7 +6,13 @@ import threading
 
 import pytest
 
-from repro.accelerators import FPGAAccelerator, KernelRegistry, OffloadPlanner, WorkEstimate
+from repro.accelerators import (
+    FPGA,
+    Accelerator,
+    KernelRegistry,
+    OffloadPlanner,
+    WorkEstimate,
+)
 from repro.compiler.annotate import annotate_graph
 from repro.compiler.passes.placement import place_accelerators
 from repro.ir.graph import IRGraph
@@ -157,7 +163,7 @@ class TestAnnotateConsumesObservations:
 
 class TestPlannerConsumesObservedHostTime:
     def test_observed_host_time_flips_the_decision(self):
-        planner = OffloadPlanner(KernelRegistry([FPGAAccelerator()]))
+        planner = OffloadPlanner(KernelRegistry([Accelerator(FPGA)]))
         work = WorkEstimate(rows=20_000, row_bytes=32)
         model = planner.decide("sort", work)
         assert not model.offloaded  # roofline host model says host wins
@@ -179,7 +185,7 @@ class TestPlacementScalesObservedHostTime:
         sort = graph.nodes_of_kind("sort")[0]
         stats.record(fingerprints[sort.op_id], kind="sort", target="db",
                      time_s=0.1, rows_out=1000, rows_in=1000)
-        place_accelerators(graph, OffloadPlanner(KernelRegistry([FPGAAccelerator()])),
+        place_accelerators(graph, OffloadPlanner(KernelRegistry([Accelerator(FPGA)])),
                            stats)
         return sort.annotations
 

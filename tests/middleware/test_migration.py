@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accelerators import MigrationASIC
+from repro.accelerators import MIGRATION_ASIC, Accelerator
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import MigrationError
 from repro.middleware.migration import (
@@ -78,7 +78,7 @@ class TestMigrator:
             DataMigrator().migrate(table, strategy="accelerated")
 
     def test_accelerated_path_with_asic(self, table):
-        migrator = DataMigrator(serializer_accelerator=MigrationASIC())
+        migrator = DataMigrator(serializer_accelerator=Accelerator(MIGRATION_ASIC))
         received, report = migrator.migrate(table, strategy="accelerated")
         assert received.rows == table.rows
         assert report.serialization_offloaded
@@ -99,7 +99,7 @@ class TestMigrator:
 
     def test_strategy_ordering_matches_paper(self, table):
         """csv >= binary_pipe >= accelerated in total migration time."""
-        migrator = DataMigrator(serializer_accelerator=MigrationASIC())
+        migrator = DataMigrator(serializer_accelerator=Accelerator(MIGRATION_ASIC))
         reports = migrator.compare_strategies(table)
         assert set(reports) == set(STRATEGIES)
         assert reports["csv"].total_s >= reports["binary_pipe"].total_s
