@@ -14,8 +14,8 @@ Two caches make :meth:`~repro.client.PreparedProgram.run` cheap:
   the series a window covers — so a write to one table no longer unpins
   entries that only read other tables; reads whose footprint cannot be named
   fall back to the engine-wide counter.  Operators with side effects or
-  nondeterminism (``train``, ``python_udf``, tensor ops that
-  mutate the FLOP counters) are never pinned and re-execute every run.
+  nondeterminism (``train``, which changes its engine's models and work
+  counter, and ``python_udf``) are never pinned and re-execute every run.
 """
 
 from __future__ import annotations

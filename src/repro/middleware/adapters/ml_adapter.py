@@ -113,7 +113,10 @@ class MLAdapter(Adapter):
                            or _numeric_feature_columns(
                                table, node.params.get("label_column"),
                                node.params.get("key_column", "pid")))
-        feature_columns = [c for c in feature_columns if c in table.schema]
+        missing = [c for c in feature_columns if c not in table.schema]
+        if missing:
+            raise AdapterError(f"predict {node.op_id}: input lacks the model's "
+                               f"feature columns {missing}")
         features = np.nan_to_num(table_to_matrix(table, feature_columns), nan=0.0)
         features = self.engine.standardize(model_name, features)
         probabilities = self.engine.predict_proba(model_name, features)

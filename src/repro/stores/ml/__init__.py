@@ -1,4 +1,4 @@
-"""ML/DL engine: counted tensor ops, MLP and logistic regression."""
+"""ML/DL engine: MLP and logistic regression that count their work."""
 
 from repro.stores.ml.engine import MLEngine
 from repro.stores.ml.logistic import LogisticRegression

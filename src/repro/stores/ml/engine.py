@@ -1,10 +1,9 @@
 """The ML/DL data-processing engine.
 
 Trains and serves models (MLP, logistic regression) on feature
-matrices, typically produced by joining data from the other stores.  Work is
-counted through a shared :class:`TensorOps` instance so the middleware can
-decide whether the GEMM-heavy parts should be offloaded to a GPU/TPU
-simulator.
+matrices, typically produced by joining data from the other stores.  Every
+model adds its work to the engine's one counter, ``ops.counter``; the
+executor charges an offloaded ``train`` or ``predict`` what it added.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from repro.datamodel.conversion import table_to_matrix
 from repro.datamodel.table import Table
-from repro.exceptions import StorageError
+from repro.exceptions import DataModelError, StorageError
 from repro.stores.base import DataModel, Engine
 from repro.stores.ml.logistic import LogisticRegression
 from repro.stores.ml.nn import MLPClassifier, TrainingHistory
@@ -23,7 +22,7 @@ from repro.stores.ml.tensor_ops import TensorOps
 
 
 class MLEngine(Engine):
-    """Model training and inference engine built on counted tensor ops."""
+    """Model training and inference engine whose models count their work."""
 
     data_model = DataModel.TENSOR
 
@@ -44,14 +43,18 @@ class MLEngine(Engine):
         """Record ``model_name``'s feature columns and fit its z-score
         statistics to ``features``; returns ``features`` standardized.
 
-        Zero rows have no statistics to fit; the model's previous ones stay.
+        Zero rows have no statistics to fit: the model's previous ones stay
+        if it keeps its columns, and are dropped if they change.
         """
-        self._feature_columns[model_name] = list(columns)
+        columns = list(columns)
         if len(features):
             mean = features.mean(axis=0)
             std = features.std(axis=0)
             std[std == 0] = 1.0
             self._normalization[model_name] = (mean, std)
+        elif self._feature_columns.get(model_name) != columns:
+            self._normalization.pop(model_name, None)
+        self._feature_columns[model_name] = columns
         self.mark_data_changed()
         return self.standardize(model_name, features)
 
@@ -65,6 +68,9 @@ class MLEngine(Engine):
         if stats is None:
             return features
         mean, std = stats
+        if np.shape(features)[-1] != len(mean):
+            raise DataModelError(f"model {model_name!r} was fitted on {len(mean)} "
+                                 f"features, got {np.shape(features)[-1]}")
         return (features - mean) / std
 
     # -- training -----------------------------------------------------------------

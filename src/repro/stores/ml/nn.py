@@ -2,18 +2,20 @@
 
 This is the "deep neural network engine" of the paper's Figure 2 (predicting
 long vs short ICU stay) and the model inside the Snorkel-style loop of
-Figure 3.  All dense math goes through :class:`~repro.stores.ml.tensor_ops.TensorOps`
-so offload-eligible GEMM work is counted.
+Figure 3.  Its math is plain numpy; each ``fit`` and ``predict_proba`` adds its
+GEMM work to the shared :class:`~repro.stores.ml.tensor_ops.OpCounter` once, from
+a closed form over the layer sizes and row counts (:func:`_work`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
 from repro.exceptions import DataModelError
-from repro.stores.ml.tensor_ops import TensorOps
+from repro.stores.ml.tensor_ops import SGDModel, TensorOps, log_loss, sigmoid
 
 
 @dataclass
@@ -29,7 +31,7 @@ class TrainingHistory:
         return self.accuracies[-1] if self.accuracies else float("nan")
 
 
-class MLPClassifier:
+class MLPClassifier(SGDModel):
     """A binary classifier: input -> ReLU hidden layers -> sigmoid output."""
 
     def __init__(self, input_dim: int, hidden_dims: tuple[int, ...] = (32,),
@@ -44,10 +46,11 @@ class MLPClassifier:
         self.learning_rate = learning_rate
         self.ops = ops if ops is not None else TensorOps()
         rng = np.random.default_rng(seed)
-        dims = [input_dim, *hidden_dims, 1]
+        self._dims = (input_dim, *self.hidden_dims, 1)
+        self._work = partial(_work, self._dims)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        for fan_in, fan_out in zip(self._dims[:-1], self._dims[1:]):
             scale = np.sqrt(2.0 / fan_in)
             self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
@@ -59,25 +62,17 @@ class MLPClassifier:
         activations = [x]
         pre_activations = []
         current = x
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = self.ops.add(self.ops.gemm(current, w), b)
+            z = current @ w
+            z += b
             pre_activations.append(z)
-            if i < len(self.weights) - 1:
-                current = self.ops.relu(z)
-            else:
-                current = self.ops.sigmoid(z)
+            current = sigmoid(z) if i == last else np.maximum(z, 0.0)
             activations.append(current)
         return pre_activations, activations
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Probability of the positive class for each row of ``x``."""
-        x = self._check_input(x)
-        _, activations = self._forward(x)
-        return activations[-1].reshape(-1)
-
-    def predict(self, x: np.ndarray, *, threshold: float = 0.5) -> np.ndarray:
-        """Hard 0/1 predictions."""
-        return (self.predict_proba(x) >= threshold).astype(np.int64)
+    def _proba(self, x: np.ndarray) -> np.ndarray:
+        return self._forward(x)[1][-1].reshape(-1)
 
     # -- training ----------------------------------------------------------------------
 
@@ -85,60 +80,52 @@ class MLPClassifier:
             batch_size: int = 32, shuffle: bool = True, seed: int = 0
             ) -> TrainingHistory:
         """Train with mini-batch SGD on binary cross-entropy loss."""
-        x = self._check_input(x)
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if len(y) != x.shape[0]:
-            raise DataModelError("x and y have different numbers of rows")
-        if epochs <= 0 or batch_size <= 0:
-            raise DataModelError("epochs and batch_size must be positive")
-        rng = np.random.default_rng(seed)
-        history = TrainingHistory()
-        n = x.shape[0]
-        if n == 0:   # an epoch over no rows has no loss to record
-            return history
-        for _ in range(epochs):
-            order = rng.permutation(n) if shuffle else np.arange(n)
-            for start in range(0, n, batch_size):
-                batch_idx = order[start:start + batch_size]
-                self._step(x[batch_idx], y[batch_idx])
-            probabilities = self.predict_proba(x)
-            history.losses.append(_binary_cross_entropy(y, probabilities))
-            history.accuracies.append(float(np.mean((probabilities >= 0.5) == (y >= 0.5))))
-        return history
+        y, scored = self._sgd(x, y, epochs, batch_size, seed, shuffle)
+        return TrainingHistory([log_loss(y, p) for p in scored],
+                               [float(np.mean((p >= 0.5) == (y >= 0.5))) for p in scored])
 
     def _step(self, x_batch: np.ndarray, y_batch: np.ndarray) -> None:
         """One SGD step on a batch."""
-        batch = x_batch.shape[0]
         pre_activations, activations = self._forward(x_batch)
-        output = activations[-1].reshape(-1)
         # dL/dz for sigmoid + BCE simplifies to (p - y).
-        delta = ((output - y_batch) / batch).reshape(-1, 1)
+        delta = ((activations[-1].reshape(-1) - y_batch) / x_batch.shape[0]).reshape(-1, 1)
         for layer in reversed(range(len(self.weights))):
-            a_prev = activations[layer]
-            grad_w = self.ops.gemm(a_prev.T, delta)
+            weights = self.weights[layer]
+            grad_w = activations[layer].T @ delta
             grad_b = delta.sum(axis=0)
             if layer > 0:
-                upstream = self.ops.gemm(delta, self.weights[layer].T)
-                delta = upstream * self.ops.relu_grad(pre_activations[layer - 1])
-            self.weights[layer] -= self.learning_rate * grad_w
-            self.biases[layer] -= self.learning_rate * grad_b
-
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-        if x.shape[1] != self.input_dim:
-            raise DataModelError(
-                f"model expects {self.input_dim} features, got {x.shape[1]}"
-            )
-        return x
+                delta = delta @ weights.T
+                delta *= pre_activations[layer - 1] > 0
+            grad_w *= self.learning_rate
+            weights -= grad_w
+            grad_b *= self.learning_rate
+            self.biases[layer] -= grad_b
 
     def parameter_count(self) -> int:
         """Total number of trainable parameters."""
         return int(sum(w.size for w in self.weights) + sum(b.size for b in self.biases))
 
 
-def _binary_cross_entropy(y: np.ndarray, p: np.ndarray) -> float:
-    eps = 1e-12
-    p = np.clip(p, eps, 1.0 - eps)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+@lru_cache(maxsize=256)
+def _work(dims: tuple[int, ...], rows: int, step: bool) -> tuple[int, int, int]:
+    """Flops, bytes and GEMMs of a forward pass over ``rows`` rows through
+    layers of sizes ``dims`` and, if ``step``, its backward pass.
+
+    Each GEMM counts ``2mkn`` flops and its three operands' bytes; each bias
+    add, ReLU and ReLU mask one flop and one float64 per output, the sigmoid
+    four flops per output.
+    """
+    flops = moved = gemms = 0
+    for i, (k, n) in enumerate(zip(dims[:-1], dims[1:])):
+        gemm_flops, gemm_bytes = 2 * rows * k * n, 8 * (rows * k + k * n + rows * n)
+        activation = 4 if i == len(dims) - 2 else 1
+        flops += gemm_flops + (1 + activation) * rows * n
+        moved += gemm_bytes + 2 * 8 * rows * n
+        gemms += 1
+        if step:   # the weight gradient; past the first layer, the delta and its mask
+            upstream = i > 0
+            flops += (1 + upstream) * gemm_flops + upstream * rows * k
+            moved += (1 + upstream) * gemm_bytes + upstream * 8 * rows * k
+            gemms += 1 + upstream
+    return flops, moved, gemms
+

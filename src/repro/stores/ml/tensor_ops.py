@@ -1,9 +1,11 @@
-"""Tensor primitives for the ML engine.
+"""What the ML engine's two models share: the work counter, the sigmoid and
+the mini-batch SGD loop.
 
 The paper notes that deep-learning workloads lower to GEMV/GEMM operations
-(§III-A-1).  All linear algebra in the ML engine routes through
-:class:`TensorOps` so that a single counter records the floating-point work,
-which the GPU/TPU accelerator simulators translate into offloaded time.
+(§III-A-1).  The models run their math in plain numpy; each call then adds
+to one :class:`OpCounter` the flops, bytes and GEMMs a closed form over its
+shapes gives, which the executor charges an offloaded ``train`` or
+``predict`` for.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ class OpCounter:
     bytes_moved: int = 0
     gemm_calls: int = 0
 
-    def add(self, flops: int, bytes_moved: int) -> None:
-        """Record one operation."""
+    def add(self, flops: int, bytes_moved: int, gemm_calls: int = 0) -> None:
+        """Record one call's work."""
         self.flops += flops
         self.bytes_moved += bytes_moved
+        self.gemm_calls += gemm_calls
 
     def reset(self) -> None:
         """Zero every counter."""
@@ -37,72 +40,86 @@ class OpCounter:
 
 
 class TensorOps:
-    """Thin numpy wrapper that counts GEMM/GEMV/element-wise work."""
+    """The :class:`OpCounter` an engine and the models it trains share."""
 
     def __init__(self) -> None:
         self.counter = OpCounter()
 
-    # -- dense linear algebra ----------------------------------------------------
 
-    def gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix-matrix product ``a @ b``."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2:
-            raise DataModelError("gemm expects 2-D operands")
-        if a.shape[1] != b.shape[0]:
-            raise DataModelError(f"gemm shape mismatch: {a.shape} x {b.shape}")
-        result = a @ b
-        flops = 2 * a.shape[0] * a.shape[1] * b.shape[1]
-        self.counter.gemm_calls += 1
-        self.counter.add(flops, a.nbytes + b.nbytes + result.nbytes)
-        return result
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic sigmoid (inputs clipped to ±60).
 
-    def gemv(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product ``a @ x``."""
-        a = np.asarray(a, dtype=np.float64)
+    One ``exp(-|a|)`` serves both branches: for ``a < 0`` it is ``exp(a)``.
+    """
+    a = np.clip(np.asarray(a, dtype=np.float64), -60.0, 60.0)
+    e = np.exp(-np.abs(a))
+    denominator = 1.0 + e
+    return np.where(a >= 0, 1.0 / denominator, e / denominator)
+
+
+class SGDModel:
+    """What both models share: mini-batch SGD, scoring, and adding each
+    call's work to ``ops.counter`` once.
+
+    A subclass sets ``input_dim`` and ``ops`` and defines ``_proba(x)``,
+    ``_step(x_batch, y_batch)`` and ``_work(rows, step)``: the flops, bytes
+    and GEMMs of one call over ``rows`` rows, a training step if ``step``,
+    else a forward pass.
+    """
+
+    input_dim: int
+    ops: TensorOps
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Probability of the positive class for each row of ``x``."""
+        x = self._features(x)
+        probabilities = self._proba(x)
+        self.ops.counter.add(*self._work(x.shape[0], False))
+        return probabilities
+
+    def predict(self, x: np.ndarray, *, threshold: float = 0.5) -> np.ndarray:
+        """Hard 0/1 predictions."""
+        return (self.predict_proba(x) >= threshold).astype(np.int64)
+
+    def _sgd(self, x: np.ndarray, y: np.ndarray, epochs: int, batch_size: int,
+             seed: int, shuffle: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Train on ``x``, ``y``; returns the labels as floats and every row's
+        probabilities after each epoch (none for no rows)."""
+        x = self._features(x)
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        if len(y) != x.shape[0]:
+            raise DataModelError("x and y have different numbers of rows")
+        if epochs <= 0 or batch_size <= 0:
+            raise DataModelError("epochs and batch_size must be positive")
+        rng = np.random.default_rng(seed)
+        n = len(y)
+        scored = []
+        for _ in range(epochs if n else 0):
+            order = rng.permutation(n) if shuffle else np.arange(n)
+            xs, ys = x[order], y[order]
+            for start in range(0, n, batch_size):
+                self._step(xs[start:start + batch_size], ys[start:start + batch_size])
+            scored.append(self._proba(x))
+        # Per epoch: the full batches, the short last one, then every row scored.
+        full, rest = divmod(n, batch_size)
+        totals = [0, 0, 0]
+        for times, rows, step in ((full, batch_size, True), (rest > 0, rest, True),
+                                  (n > 0, n, False)):
+            for i, value in enumerate(self._work(rows, step) if times else ()):
+                totals[i] += epochs * times * value
+        self.ops.counter.add(*totals)
+        return y, scored
+
+    def _features(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if a.ndim != 2 or x.ndim != 1:
-            raise DataModelError("gemv expects a matrix and a vector")
-        if a.shape[1] != x.shape[0]:
-            raise DataModelError(f"gemv shape mismatch: {a.shape} x {x.shape}")
-        result = a @ x
-        flops = 2 * a.shape[0] * a.shape[1]
-        self.counter.add(flops, a.nbytes + x.nbytes + result.nbytes)
-        return result
+        if x.ndim == 1:
+            x = x.reshape(1, -1)
+        if x.shape[1] != self.input_dim:
+            raise DataModelError(f"model expects {self.input_dim} features, got {x.shape[1]}")
+        return x
 
-    # -- element-wise -----------------------------------------------------------------
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Element-wise (broadcasting) addition."""
-        result = np.asarray(a) + np.asarray(b)
-        self.counter.add(int(result.size), result.nbytes)
-        return result
-
-    def relu(self, a: np.ndarray) -> np.ndarray:
-        """Rectified linear unit."""
-        result = np.maximum(np.asarray(a), 0.0)
-        self.counter.add(int(result.size), result.nbytes)
-        return result
-
-    def relu_grad(self, a: np.ndarray) -> np.ndarray:
-        """Derivative of ReLU evaluated at the pre-activation ``a``."""
-        result = (np.asarray(a) > 0.0).astype(np.float64)
-        self.counter.add(int(result.size), result.nbytes)
-        return result
-
-    def sigmoid(self, a: np.ndarray) -> np.ndarray:
-        """Numerically stable logistic sigmoid."""
-        a = np.clip(np.asarray(a, dtype=np.float64), -60.0, 60.0)
-        result = np.where(a >= 0, 1.0 / (1.0 + np.exp(-a)), np.exp(a) / (1.0 + np.exp(a)))
-        self.counter.add(4 * int(result.size), result.nbytes)
-        return result
-
-    def softmax(self, a: np.ndarray) -> np.ndarray:
-        """Row-wise softmax."""
-        a = np.asarray(a, dtype=np.float64)
-        shifted = a - a.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        result = exp / exp.sum(axis=-1, keepdims=True)
-        self.counter.add(5 * int(result.size), result.nbytes)
-        return result
+def log_loss(y: np.ndarray, p: np.ndarray) -> float:
+    """Mean binary cross-entropy of probabilities ``p`` against labels ``y``."""
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))

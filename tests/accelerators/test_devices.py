@@ -23,6 +23,7 @@ from repro.accelerators import (
 )
 from repro.accelerators.kernels import DEFAULT_MAPPINGS, kernel_mapping
 from repro.catalog import Catalog
+from repro.core.baselines import build_accelerated_polystore
 from repro.datamodel import DataType, Table, make_schema
 from repro.exceptions import AcceleratorError
 from repro.ir.graph import IRGraph
@@ -30,8 +31,9 @@ from repro.ir.kinds import KINDS
 from repro.ir.nodes import Operator
 from repro.middleware.executor import Executor
 from repro.middleware.migration import DataMigrator
-from repro.stores import ArrayEngine, MLEngine, RelationalEngine, TimeseriesEngine
+from repro.stores import ArrayEngine, MLEngine, RelationalEngine, TextEngine, TimeseriesEngine
 from repro.stores.relational import compare
+from repro.workloads import build_mimic_program, generate_mimic, load_mimic
 
 
 @pytest.fixture
@@ -277,6 +279,20 @@ class TestOneOffloadPath:
         records = [_run(executor, "train", "gpu0")[1] for _ in range(3)]
         assert [record.details["flops"] for record in records] == [322920] * 3
         assert len({record.charged_time_s for record in records}) == 1
+
+    def test_the_figure_2_train_is_charged_the_flops_it_was_at_e046d2c(self):
+        """Pinned: the ``train`` of ``build_mimic_program(epochs=3)`` over 200
+        generated patients, as measured before the models stopped counting
+        per call.  Flops follow from the shapes alone, so this number holds
+        on any machine."""
+        engines = [RelationalEngine("clinical-db"), TimeseriesEngine("monitors"),
+                   TextEngine("notes-db"), MLEngine("dnn-engine")]
+        load_mimic(generate_mimic(200, seed=7), relational=engines[0],
+                   timeseries=engines[1], text=engines[2])
+        system = build_accelerated_polystore(engines)
+        records = system.execute(build_mimic_program(epochs=3)).report.records
+        train, = [record for record in records if record.kind == "train"]
+        assert train.offloaded and train.details["flops"] == 4_323_800
 
 
 class TestCostAccounting:

@@ -262,6 +262,38 @@ class TestMLAdapter:
         assert result["rows"] == 40
         assert 0.0 <= result["metrics"]["accuracy"] <= 1.0
 
+    def _train_on_a_and_b(self, adapter, rows=40):
+        features = Table(make_schema(("a", DataType.FLOAT), ("b", DataType.FLOAT),
+                                     ("y", DataType.INT)),
+                         [(float(i), float(i % 5), i % 2) for i in range(rows)])
+        return adapter.execute(
+            Operator("train", {"model_name": "ab", "label_column": "y", "epochs": 1},
+                     ["f"], "ml"), [features])
+
+    def test_predict_refuses_a_table_missing_a_feature_column(self, mimic_engines):
+        """Scoring an ``(a, b)`` model on a table of ``a`` alone once fed ``a``
+        in twice and returned a prediction per row."""
+        adapter = MLAdapter(mimic_engines["ml"])
+        assert self._train_on_a_and_b(adapter)["feature_columns"] == ["a", "b"]
+        only_a = Table(make_schema(("a", DataType.FLOAT)), [(float(i),) for i in range(5)])
+        with pytest.raises(AdapterError, match=r"feature columns \['b'\]"):
+            adapter.execute(Operator("predict", {"model_name": "ab"}, ["f"], "ml"), [only_a])
+
+    def test_a_zero_row_retrain_on_other_columns_drops_the_old_statistics(
+            self, mimic_engines):
+        adapter = MLAdapter(mimic_engines["ml"])
+        self._train_on_a_and_b(adapter)
+        empty = Table(make_schema(("a", DataType.FLOAT), ("y", DataType.INT)), [])
+        adapter.execute(Operator("train", {"model_name": "ab", "label_column": "y"},
+                                 ["f"], "ml"), [empty])
+        only_a = Table(make_schema(("a", DataType.FLOAT)), [(float(i),) for i in range(5)])
+        scored = adapter.execute(Operator("predict", {"model_name": "ab"}, ["f"], "ml"),
+                                 [only_a])
+        # Unstandardized: the two-column statistics are gone with the columns.
+        unstandardized = [[float(i)] for i in range(5)]
+        assert scored.column("probability") == [
+            float(p) for p in mimic_engines["ml"].predict_proba("ab", unstandardized)]
+
     def test_predict_unknown_model(self, mimic_engines):
         adapter = MLAdapter(mimic_engines["ml"])
         with pytest.raises(AdapterError):

@@ -1,4 +1,4 @@
-"""Tests for the ML engine: tensor ops, and models."""
+"""Tests for the ML engine: work counting, and models."""
 
 from __future__ import annotations
 
@@ -10,8 +10,10 @@ from repro.stores.ml import (
     LogisticRegression,
     MLEngine,
     MLPClassifier,
-    TensorOps,
 )
+from repro.stores.ml.logistic import _work as _logistic_work
+from repro.stores.ml.nn import _work as _mlp_work
+from repro.stores.ml.tensor_ops import sigmoid
 
 
 def make_blobs(n: int = 200, seed: int = 0):
@@ -22,38 +24,55 @@ def make_blobs(n: int = 200, seed: int = 0):
 
 
 class TestTensorOps:
-    def test_gemm_counts_flops(self):
-        ops = TensorOps()
-        ops.gemm(np.ones((4, 5)), np.ones((5, 6)))
-        assert ops.counter.flops == 2 * 4 * 5 * 6
-        assert ops.counter.gemm_calls == 1
+    def test_one_mlp_step_counts_what_a_hand_count_says(self):
+        """Layers 4 -> 3 -> 1 over 2 rows, each GEMM ``2mkn`` flops and its
+        three operands' float64s, each add/ReLU/mask one flop and one float64
+        per output, the sigmoid four flops per output."""
+        forward = (
+            (48 + 6 + 6) + (12 + 2 + 8),               # x@W0, +b0, relu; h@W1, +b1, sigmoid
+            8 * ((8 + 12 + 6) + 6 + 6 + (6 + 3 + 2) + 2 + 2),
+            2,
+        )
+        backward = (
+            12 + 12 + 6 + 48,                          # dW1, delta@W1.T, mask, dW0
+            8 * ((6 + 2 + 3) + (2 + 3 + 6) + 6 + (8 + 6 + 12)),
+            3,
+        )
+        assert forward == (82, 424, 2) and backward == (78, 432, 3)
+        step = tuple(f + b for f, b in zip(forward, backward))
+        assert _mlp_work((4, 3, 1), 2, False) == forward
+        assert _mlp_work((4, 3, 1), 2, True) == step
+        model = MLPClassifier(4, (3,))
+        model.fit(np.ones((2, 4)), np.array([0.0, 1.0]), epochs=1, batch_size=2)
+        counter = model.ops.counter
+        # one step, then the epoch's scoring pass
+        assert (counter.flops, counter.bytes_moved, counter.gemm_calls) == tuple(
+            s + f for s, f in zip(step, forward))
 
-    def test_gemv_and_shapes(self):
-        ops = TensorOps()
-        result = ops.gemv(np.ones((3, 2)), np.array([1.0, 2.0]))
-        assert np.allclose(result, 3.0)
-        with pytest.raises(DataModelError):
-            ops.gemv(np.ones((3, 2)), np.ones(5))
-
-    def test_gemm_shape_mismatch(self):
-        with pytest.raises(DataModelError):
-            TensorOps().gemm(np.ones((2, 3)), np.ones((2, 3)))
+    def test_one_logistic_step_counts_what_a_hand_count_says(self):
+        """3 features over 2 rows: each GEMV ``2mk`` flops and its operands'
+        float64s, the sigmoid four flops and one float64 per row."""
+        forward = (12 + 8, 8 * ((6 + 3 + 2) + 2), 0)
+        step = (forward[0] + 12, forward[1] + 8 * (6 + 2 + 3), 0)
+        assert _logistic_work(3, 2, False) == forward
+        assert _logistic_work(3, 2, True) == step
+        model = LogisticRegression(3)
+        model.fit(np.ones((2, 3)), np.array([0.0, 1.0]), epochs=1, batch_size=2)
+        counter = model.ops.counter
+        assert (counter.flops, counter.bytes_moved, counter.gemm_calls) == (52, 296, 0)
 
     def test_sigmoid_extremes_do_not_overflow(self):
-        values = TensorOps().sigmoid(np.array([-1e6, 0.0, 1e6]))
+        values = sigmoid(np.array([-1e6, 0.0, 1e6]))
         assert values[0] == pytest.approx(0.0, abs=1e-9)
         assert values[1] == pytest.approx(0.5)
         assert values[2] == pytest.approx(1.0, abs=1e-9)
 
-    def test_softmax_rows_sum_to_one(self):
-        result = TensorOps().softmax(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
-        assert np.allclose(result.sum(axis=1), 1.0)
-
     def test_counter_reset(self):
-        ops = TensorOps()
-        ops.relu(np.ones(4))
-        ops.counter.reset()
-        assert ops.counter.flops == 0
+        model = MLPClassifier(4)
+        model.predict(np.ones((3, 4)))
+        assert model.ops.counter.flops > 0
+        model.ops.counter.reset()
+        assert model.ops.counter.flops == 0
 
 
 class TestModels:
@@ -103,6 +122,22 @@ class TestEngine:
     def test_missing_model_raises(self):
         with pytest.raises(StorageError):
             MLEngine().predict("ghost", np.ones((1, 2)))
+
+    def test_standardize_refuses_a_width_its_statistics_do_not_have(self):
+        engine = MLEngine()
+        engine.fit_features("m", ["a", "b"], np.arange(8.0).reshape(4, 2))
+        assert engine.standardize("m", np.ones((3, 2))).shape == (3, 2)
+        with pytest.raises(DataModelError, match="fitted on 2 features, got 1"):
+            engine.standardize("m", np.ones((3, 1)))
+
+    def test_a_zero_row_fit_keeps_the_statistics_only_for_the_same_columns(self):
+        engine = MLEngine()
+        engine.fit_features("m", ["a", "b"], np.arange(8.0).reshape(4, 2))
+        engine.fit_features("m", ["a", "b"], np.empty((0, 2)))
+        assert not np.array_equal(engine.standardize("m", np.ones((1, 2))), np.ones((1, 2)))
+        engine.fit_features("m", ["a"], np.empty((0, 1)))
+        assert engine.feature_columns("m") == ["a"]
+        assert np.array_equal(engine.standardize("m", np.ones((1, 1))), np.ones((1, 1)))
 
     def test_statistics_track_flops(self):
         x, y = make_blobs(80)
